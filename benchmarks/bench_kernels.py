@@ -1,14 +1,23 @@
 #!/usr/bin/env python3
-"""Benchmark the batch exact-test kernels: compiled versus pure numpy.
+"""Benchmark the batch exact-test kernels on repeated and unique keys.
 
-Times the three support-producing batch kernels on simulation-scale
-inputs and prints a table with the median wall time of each path and
-the speedup. The compiled path is the numba one selected by default at
-import; the reference path is the pure-numpy implementation that the
-``DISCRETEFDR_DISABLE_NUMBA`` environment variable would select.
+The kernels build one null law per distinct conditioning key (the total
+for the binomial and negative-binomial tests, the margins for the
+hypergeometric test) and fill in every feature by indexing. This script
+times each kernel on two kinds of batch:
+
+* ``repeated``: simulation-scale count data, where most features share
+  their key with others, so most of the work is shared;
+* ``unique``: every feature has its own key, so nothing is shared and
+  the kernel does one law per feature.
+
+It prints the best wall time of each, the distinct keys and the time
+per feature. Unique-key batches of the binomial and negative-binomial
+tests need distinct totals, so each law grows with the batch; they are
+capped at ``UNIQUE_TOTALS`` features to keep them comparable.
 
 Run with ``python3 benchmarks/bench_kernels.py`` (options: ``--m`` for
-the batch size, ``--repeat`` for timing repetitions).
+the batch size, ``--repeat`` for timing repetitions, ``--seed``).
 """
 
 from __future__ import annotations
@@ -20,6 +29,8 @@ import numpy as np
 
 from discretefdr import _kernels
 
+UNIQUE_TOTALS = 2000
+
 
 def _time(fn, *args, repeat: int) -> float:
     best = float("inf")
@@ -30,41 +41,64 @@ def _time(fn, *args, repeat: int) -> float:
     return best
 
 
-def _inputs(m: int, rng: np.random.Generator):
+def _repeated(m: int, rng: np.random.Generator) -> dict:
     """Simulation-scale count data for the three kernels."""
     # two-Poisson pairs: moderate means, totals mostly below ~60
     theta = 7.0 * (1.0 + rng.pareto(7.0, size=m))
-    bin_x1 = rng.poisson(theta).astype(np.int64)
-    bin_x2 = rng.poisson(theta * rng.uniform(1.0, 3.0, size=m)).astype(
-        np.int64
-    )
+    bin_x1 = rng.poisson(theta)
+    bin_x2 = rng.poisson(theta * rng.uniform(1.0, 3.0, size=m))
     # two-binomial pairs with their per-group trial counts
-    trials = (rng.negative_binomial(3, 3.0 / 11.0, size=m) + 2).astype(
-        np.int64
-    )
+    trials = rng.negative_binomial(3, 3.0 / 11.0, size=m) + 2
     p1 = rng.uniform(0.08, 0.65, size=m)
-    fet_x1 = rng.binomial(trials, p1).astype(np.int64)
-    fet_x2 = rng.binomial(trials, np.minimum(1.0, p1 * 1.5)).astype(np.int64)
+    fet_x1 = rng.binomial(trials, p1)
+    fet_x2 = rng.binomial(trials, np.minimum(1.0, p1 * 1.5))
     # two negative-binomial group sums (3 samples per group)
     mu = rng.uniform(0.5, 8.0, size=m)
     shape_total = 3.0 / 1.451
     ent_s1 = rng.negative_binomial(
         shape_total, shape_total / (shape_total + 3.0 * mu)
-    ).astype(np.int64)
+    )
     ent_s2 = rng.negative_binomial(
         shape_total, shape_total / (shape_total + 3.0 * mu * 2.0)
-    ).astype(np.int64)
+    )
     return {
-        "binomial": ((bin_x1, bin_x2), (bin_x1, bin_x2)),
-        "fisher": (
-            (fet_x1, trials, fet_x2, trials),
-            (fet_x1, trials, fet_x2, trials),
-        ),
-        "negbinom": (
-            (ent_s1, ent_s2, shape_total),
-            (ent_s1, ent_s2, shape_total),
-        ),
+        "binomial": (bin_x1, bin_x2),
+        "fisher": (fet_x1, trials, fet_x2, trials),
+        "negbinom": (ent_s1, ent_s2, shape_total),
     }
+
+
+def _unique(m: int, rng: np.random.Generator) -> dict:
+    """Batches in which no two features share a conditioning key."""
+    # margins (r1, r2, s) with r1, r2 in [2, 41]: 70 000+ distinct triples
+    r1, r2 = np.meshgrid(np.arange(2, 42), np.arange(2, 42), indexing="ij")
+    r1, r2 = r1.ravel(), r2.ravel()
+    triples = np.concatenate(
+        [
+            np.column_stack((np.full(a + b + 1, a), np.full(a + b + 1, b),
+                             np.arange(a + b + 1)))
+            for a, b in zip(r1, r2)
+        ]
+    )
+    r1, r2, s = triples[rng.choice(triples.shape[0], m, replace=False)].T
+    fet_x1 = np.array([rng.integers(max(0, t - b), min(a, t) + 1)
+                       for a, b, t in zip(r1, r2, s)])
+    # distinct totals 0..n-1, split uniformly
+    n = min(m, UNIQUE_TOTALS)
+    totals = rng.permutation(n)
+    x1 = np.array([rng.integers(0, t + 1) for t in totals])
+    return {
+        "binomial": (x1, totals - x1),
+        "fisher": (fet_x1, r1, s - fet_x1, r2),
+        "negbinom": (x1, totals - x1, 3.0 / 1.451),
+    }
+
+
+def _distinct_keys(name: str, args) -> int:
+    if name == "fisher":
+        x1, r1, x2, r2 = args
+        return np.unique(np.column_stack((r1, r2, x1 + x2)), axis=0).shape[0]
+    return np.unique(args[0] + args[1]).shape[0]
 
 
 def main() -> int:
@@ -77,46 +111,29 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    data = _inputs(args.m, rng)
-    compiled = {
+    batches = {"repeated": _repeated(args.m, rng), "unique": _unique(args.m, rng)}
+    kernels = {
         "binomial": _kernels.batch_binomial,
         "fisher": _kernels.batch_fisher,
         "negbinom": _kernels.batch_negbinom,
     }
-    reference = {
-        "binomial": _kernels.batch_binomial_numpy,
-        "fisher": _kernels.batch_fisher_numpy,
-        "negbinom": _kernels.batch_negbinom_numpy,
-    }
+    _kernels.warm_up()
 
-    if _kernels.using_numba():
-        _kernels.warm_up()  # pay JIT latency outside the timed region
-        header = f"{'kernel':10s} {'numba':>10s} {'numpy':>10s} {'speedup':>8s}"
-    else:
-        print("note: compiled path disabled or unavailable; "
-              "both columns run pure numpy")
-        header = f"{'kernel':10s} {'dispatch':>10s} {'numpy':>10s} {'ratio':>8s}"
-
-    print(f"batch size m = {args.m}, best of {args.repeat} runs")
+    print(f"best of {args.repeat} runs")
+    header = (f"{'kernel':10s} {'keys':>9s} {'m':>7s} {'distinct':>9s} "
+              f"{'time':>10s} {'per feature':>12s}")
     print(header)
     print("-" * len(header))
-    for name in ("binomial", "fisher", "negbinom"):
-        fast_args, ref_args = data[name]
-        t_fast = _time(compiled[name], *fast_args, repeat=args.repeat)
-        t_ref = _time(reference[name], *ref_args, repeat=args.repeat)
-        print(
-            f"{name:10s} {t_fast * 1e3:9.1f}ms {t_ref * 1e3:9.1f}ms "
-            f"{t_ref / t_fast:7.1f}x"
-        )
-
-    # agreement spot check: identical outputs up to tiny float noise
-    worst = 0.0
-    for name in ("binomial", "fisher", "negbinom"):
-        fast_args, ref_args = data[name]
-        pv_fast = compiled[name](*fast_args)[0]
-        pv_ref = reference[name](*ref_args)[0]
-        worst = max(worst, float(np.abs(pv_fast - pv_ref).max()))
-    print(f"max |p-value difference| between paths: {worst:.2e}")
+    for name, kernel in kernels.items():
+        for kind, data in batches.items():
+            batch = data[name]
+            m = len(batch[0])
+            t = _time(kernel, *batch, repeat=args.repeat)
+            print(
+                f"{name:10s} {kind:>9s} {m:7d} "
+                f"{_distinct_keys(name, batch):9d} {t * 1e3:8.1f}ms "
+                f"{t / m * 1e6:10.2f}us"
+            )
     return 0
 
 

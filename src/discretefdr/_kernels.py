@@ -1,25 +1,33 @@
-"""Hot numerical kernels for exact-test p-value and support enumeration.
+"""Conditional null laws of the exact tests and their p-value tables.
 
-Every two-sided p-value in this package follows the minimum-likelihood
-convention: the p-value of an observed outcome is the total null
-probability of all outcomes whose null probability does not exceed the
-observed outcome's probability. Probability ties are detected with a
-relative tolerance of ``TIE_RTOL`` so that outcomes with mathematically
-equal probabilities (for example symmetric pairs computed through
-floating-point log-gamma) fall into the same tie class.
+Each test conditions on a key that fixes its null law: the total ``n``
+for the binomial test, the margins ``(r1, r2, s)`` for the
+hypergeometric test and the total ``s`` for the negative-binomial test.
+The unnormalized log-weights of each law are written once, in
+``logw_binomial``, ``logw_fisher`` and ``logw_negbinom``; every caller
+(the batch kernels, the single tests through them, and the exact bias
+enumeration in ``sim``) builds its laws from these.
 
-The batch kernels carry a numba ``@njit`` implementation and a pure
-numpy fallback with identical semantics. Dispatch is controlled by the
-``DISCRETEFDR_DISABLE_NUMBA`` environment variable: when it is set to a
-truthy value (``1``, ``true``, ``yes``, ``on``) the numpy path is used
-and numba is never imported. Both implementations remain importable by
-name (``*_numba`` / ``*_numpy``) so they can be benchmarked against
-each other in one process.
+Two two-sided conventions turn a law into a table of outcome p-values:
 
-Batch results use a flattened layout because supports have variable
-length: ``(pvalues, support_flat, support_start, support_len)`` where
+* minimum likelihood (``outcome_pvalues``): the p-value of an outcome
+  is the total null probability of all outcomes whose null probability
+  does not exceed its own. Probability ties are detected with a
+  relative tolerance of ``TIE_RTOL`` so that outcomes with
+  mathematically equal probabilities (for example symmetric pairs
+  computed through floating-point log-gamma) fall into the same tie
+  class;
+* tail doubling (``doubling_pvalues``): twice the smaller tail, capped
+  at 1.
+
+The batch kernels group the features by conditioning key with
+``np.unique``, build one outcome table and one support per distinct
+key, and fill in every feature by indexing. Batch results use a
+flattened per-feature layout because supports have variable length:
+``(pvalues, support_flat, support_start, support_len)`` where
 hypothesis ``i`` owns ``support_flat[support_start[i]:
-support_start[i] + support_len[i]]``.
+support_start[i] + support_len[i]]``. The slices do not overlap, so
+writing to one feature's support cannot change another's.
 
 Counts are exact for conditioned totals up to a few thousand; far
 beyond that, extreme-tail probabilities can underflow float64 after
@@ -29,37 +37,60 @@ the log-weight shift.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
+from scipy.special import gammaln
 
 TIE_RTOL = 1e-12
 
-ENV_DISABLE_NUMBA = "DISCRETEFDR_DISABLE_NUMBA"
-
-
-def _env_disabled() -> bool:
-    return os.environ.get(ENV_DISABLE_NUMBA, "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
-
 
 # ---------------------------------------------------------------------------
-# numpy reference implementations
+# null laws
 # ---------------------------------------------------------------------------
 
 
-def outcome_pvalues_numpy(logw: np.ndarray) -> np.ndarray:
+def logw_binomial(n) -> np.ndarray:
+    """Log-weights of Binomial(n, 1/2) over the outcomes ``0..n``."""
+    a = np.arange(n + 1)
+    return gammaln(n + 1.0) - gammaln(a + 1.0) - gammaln(n - a + 1.0)
+
+
+def logw_fisher(r1, r2, s) -> np.ndarray:
+    """Hypergeometric log-weights of ``a`` given margins ``(r1, r2, s)``.
+
+    The outcomes run over the attainable range ``lo..hi`` with
+    ``lo = max(0, s - r2)`` and ``hi = min(r1, s)``.
+    """
+    a = np.arange(max(0, s - r2), min(r1, s) + 1)
+    return (gammaln(r1 + 1.0) - gammaln(a + 1.0) - gammaln(r1 - a + 1.0)) + (
+        gammaln(r2 + 1.0) - gammaln(s - a + 1.0) - gammaln(r2 - (s - a) + 1.0)
+    )
+
+
+def logw_negbinom(s, shape_total: float) -> np.ndarray:
+    """Log-weights of the split ``a`` of a negative-binomial total ``s``.
+
+    Proportional to ``C(a + k - 1, a) * C(s - a + k - 1, s - a)`` with
+    ``k = shape_total``; the common mean cancels.
+    """
+    a = np.arange(s + 1)
+    left = gammaln(a + shape_total) - gammaln(a + 1.0) - math.lgamma(shape_total)
+    return left + left[::-1]
+
+
+# ---------------------------------------------------------------------------
+# outcome p-value tables
+# ---------------------------------------------------------------------------
+
+
+def outcome_pvalues(logw: np.ndarray) -> np.ndarray:
     """Minimum-likelihood p-value of every outcome of one discrete null.
 
     Parameters
     ----------
     logw : ndarray
-        Unnormalized log-probabilities of the outcomes ``0..n``. Any
-        additive constant cancels.
+        Unnormalized log-probabilities of the outcomes. Any additive
+        constant cancels.
 
     Returns
     -------
@@ -75,34 +106,68 @@ def outcome_pvalues_numpy(logw: np.ndarray) -> np.ndarray:
     return cw[idx] / total
 
 
-def _batch_generic_numpy(logw_builder, observed_index, sizes):
-    m = len(sizes)
-    pvals = np.empty(m)
-    start = np.empty(m, dtype=np.int64)
-    length = np.empty(m, dtype=np.int64)
-    flat = np.empty(int(np.sum(sizes)))
-    pos = 0
-    for i in range(m):
-        out = outcome_pvalues_numpy(logw_builder(i))
-        pvals[i] = out[observed_index(i)]
-        sup = np.unique(out)
-        k = sup.shape[0]
-        flat[pos : pos + k] = sup
-        start[i] = pos
-        length[i] = k
-        pos += k
-    return pvals, flat[:pos].copy(), start, length
+def doubling_pvalues(logw: np.ndarray) -> np.ndarray:
+    """Tail-doubling p-value of every outcome: ``min(1, 2 * smaller tail)``."""
+    w = np.exp(logw - logw.max())
+    probs = w / w.sum()
+    lower = np.cumsum(probs)
+    upper = np.cumsum(probs[::-1])[::-1]
+    return np.minimum(1.0, 2.0 * np.minimum(lower, upper))
 
 
-def _log_binom(n: np.ndarray | int, k: np.ndarray | int) -> np.ndarray:
-    from scipy.special import gammaln
-
-    return gammaln(np.asarray(n) + 1.0) - gammaln(np.asarray(k) + 1.0) - gammaln(
-        np.asarray(n) - np.asarray(k) + 1.0
-    )
+_TABLES = {"minlik": outcome_pvalues, "doubling": doubling_pvalues}
 
 
-def batch_binomial_numpy(x1: np.ndarray, x2: np.ndarray):
+def pvalue_tables(build, keys: np.ndarray, convention: str = "minlik"):
+    """Outcome p-value table of every distinct conditioning key.
+
+    ``keys`` holds one key per row (or one scalar key per element);
+    ``build(*key)`` returns the key's log-weights. Returns the distinct
+    keys, sorted, the index of each input row's key among them, and one
+    table per distinct key.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.ndim == 1:
+        # sorting plain integers is several times faster than sorting rows
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        uniq = uniq[:, None]
+    else:
+        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    table = _TABLES[convention]
+    tables = [table(build(*key)) for key in uniq.tolist()]
+    return uniq, inverse.reshape(-1), tables
+
+
+def as_csr(arrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenate 1-D arrays into ``(flat, start, length)``."""
+    length = np.array([a.shape[0] for a in arrays], dtype=np.int64)
+    start = np.cumsum(length) - length
+    flat = np.concatenate(arrays) if arrays else np.empty(0)
+    return flat, start, length
+
+
+def _batch(build, keys, observed, convention):
+    """Per-feature p-values and supports from one table per distinct key.
+
+    ``observed[i]`` is feature ``i``'s position in its key's table.
+    """
+    _, inverse, tables = pvalue_tables(build, keys, convention)
+    table_flat, table_start, _ = as_csr(tables)
+    pvals = table_flat[table_start[inverse] + observed]
+    sup_flat, sup_start, sup_len = as_csr([np.unique(t) for t in tables])
+    length = sup_len[inverse]
+    start = np.cumsum(length) - length
+    gather = np.repeat(sup_start[inverse] - start, length)
+    flat = sup_flat[gather + np.arange(gather.shape[0])]
+    return pvals, flat, start, length
+
+
+# ---------------------------------------------------------------------------
+# batch kernels
+# ---------------------------------------------------------------------------
+
+
+def batch_binomial(x1, x2, convention: str = "minlik"):
     """Symmetric conditional binomial test for every count pair.
 
     Given pair ``(x1[i], x2[i])``, conditions on ``n = x1 + x2`` and
@@ -110,17 +175,10 @@ def batch_binomial_numpy(x1: np.ndarray, x2: np.ndarray):
     """
     x1 = np.asarray(x1, dtype=np.int64)
     x2 = np.asarray(x2, dtype=np.int64)
-    ns = x1 + x2
-
-    def build(i):
-        n = ns[i]
-        a = np.arange(n + 1)
-        return _log_binom(n, a)
-
-    return _batch_generic_numpy(build, lambda i: x1[i], ns + 1)
+    return _batch(logw_binomial, x1 + x2, x1, convention)
 
 
-def batch_fisher_numpy(x1, r1, x2, r2):
+def batch_fisher(x1, r1, x2, r2, convention: str = "minlik"):
     """Conditional hypergeometric test for every 2x2 table.
 
     Margins ``(r1[i], r2[i], s = x1 + x2)`` fix the attainable range of
@@ -132,233 +190,34 @@ def batch_fisher_numpy(x1, r1, x2, r2):
     r2 = np.asarray(r2, dtype=np.int64)
     ss = x1 + x2
     lo = np.maximum(0, ss - r2)
-    hi = np.minimum(r1, ss)
-
-    def build(i):
-        a = np.arange(lo[i], hi[i] + 1)
-        return _log_binom(r1[i], a) + _log_binom(r2[i], ss[i] - a)
-
-    return _batch_generic_numpy(build, lambda i: x1[i] - lo[i], hi - lo + 1)
+    return _batch(
+        logw_fisher, np.column_stack((r1, r2, ss)), x1 - lo, convention
+    )
 
 
-def batch_negbinom_numpy(s1, s2, shape_total):
+def batch_negbinom(s1, s2, shape_total, convention: str = "minlik"):
     """Conditional test of two negative-binomial group sums.
 
     Each group sum is modeled as NegBinomial with shape ``shape_total``
     (per-sample shape times samples per group) and a common mean under
     the null. Conditional on ``s = s1 + s2`` the mean cancels and the
-    null weight of a split ``a`` is proportional to
-    ``C(a + k - 1, a) * C(s - a + k - 1, s - a)`` with
-    ``k = shape_total``.
+    null weight of a split ``a`` is given by :func:`logw_negbinom`.
     """
-    from scipy.special import gammaln
-
     s1 = np.asarray(s1, dtype=np.int64)
     s2 = np.asarray(s2, dtype=np.int64)
     k = float(shape_total)
-    ss = s1 + s2
-    lgk = math.lgamma(k)
-
-    def build(i):
-        s = ss[i]
-        a = np.arange(s + 1)
-        left = gammaln(a + k) - gammaln(a + 1.0) - lgk
-        return left + left[::-1]
-
-    return _batch_generic_numpy(build, lambda i: s1[i], ss + 1)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-NUMBA_AVAILABLE = False
-
-if not _env_disabled():
-    try:
-        from numba import njit
-
-        NUMBA_AVAILABLE = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        NUMBA_AVAILABLE = False
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True, nogil=True)
-    def _outcome_pvalues_nb(logw):
-        n = logw.shape[0]
-        mx = logw[0]
-        for t in range(1, n):
-            if logw[t] > mx:
-                mx = logw[t]
-        w = np.empty(n)
-        for t in range(n):
-            w[t] = math.exp(logw[t] - mx)
-        sw = np.sort(w)
-        cw = np.cumsum(sw)
-        total = cw[n - 1]
-        out = np.empty(n)
-        for a in range(n):
-            j = np.searchsorted(sw, w[a] * (1.0 + TIE_RTOL), side="right") - 1
-            out[a] = cw[j] / total
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _write_unique_nb(vals, flat, pos):
-        sv = np.sort(vals)
-        k = 0
-        prev = -1.0
-        for t in range(sv.shape[0]):
-            v = sv[t]
-            if v != prev:
-                flat[pos + k] = v
-                prev = v
-                k += 1
-        return k
-
-    @njit(cache=True, nogil=True)
-    def batch_binomial_numba(x1, x2):
-        m = x1.shape[0]
-        cap = 0
-        for i in range(m):
-            cap += x1[i] + x2[i] + 1
-        pvals = np.empty(m)
-        flat = np.empty(cap)
-        start = np.empty(m, dtype=np.int64)
-        length = np.empty(m, dtype=np.int64)
-        pos = 0
-        for i in range(m):
-            n = x1[i] + x2[i]
-            logw = np.empty(n + 1)
-            lgn = math.lgamma(n + 1.0)
-            for a in range(n + 1):
-                logw[a] = lgn - math.lgamma(a + 1.0) - math.lgamma(n - a + 1.0)
-            out = _outcome_pvalues_nb(logw)
-            pvals[i] = out[x1[i]]
-            k = _write_unique_nb(out, flat, pos)
-            start[i] = pos
-            length[i] = k
-            pos += k
-        return pvals, flat[:pos].copy(), start, length
-
-    @njit(cache=True, nogil=True)
-    def batch_fisher_numba(x1, r1, x2, r2):
-        m = x1.shape[0]
-        cap = 0
-        for i in range(m):
-            s = x1[i] + x2[i]
-            lo = max(0, s - r2[i])
-            hi = min(r1[i], s)
-            cap += hi - lo + 1
-        pvals = np.empty(m)
-        flat = np.empty(cap)
-        start = np.empty(m, dtype=np.int64)
-        length = np.empty(m, dtype=np.int64)
-        pos = 0
-        for i in range(m):
-            s = x1[i] + x2[i]
-            lo = max(0, s - r2[i])
-            hi = min(r1[i], s)
-            n_out = hi - lo + 1
-            logw = np.empty(n_out)
-            lg1 = math.lgamma(r1[i] + 1.0)
-            lg2 = math.lgamma(r2[i] + 1.0)
-            for t in range(n_out):
-                a = lo + t
-                b = s - a
-                logw[t] = (
-                    lg1
-                    - math.lgamma(a + 1.0)
-                    - math.lgamma(r1[i] - a + 1.0)
-                    + lg2
-                    - math.lgamma(b + 1.0)
-                    - math.lgamma(r2[i] - b + 1.0)
-                )
-            out = _outcome_pvalues_nb(logw)
-            pvals[i] = out[x1[i] - lo]
-            k = _write_unique_nb(out, flat, pos)
-            start[i] = pos
-            length[i] = k
-            pos += k
-        return pvals, flat[:pos].copy(), start, length
-
-    @njit(cache=True, nogil=True)
-    def batch_negbinom_numba(s1, s2, shape_total):
-        m = s1.shape[0]
-        cap = 0
-        for i in range(m):
-            cap += s1[i] + s2[i] + 1
-        k_shape = shape_total
-        lgk = math.lgamma(k_shape)
-        pvals = np.empty(m)
-        flat = np.empty(cap)
-        start = np.empty(m, dtype=np.int64)
-        length = np.empty(m, dtype=np.int64)
-        pos = 0
-        for i in range(m):
-            s = s1[i] + s2[i]
-            logw = np.empty(s + 1)
-            for a in range(s + 1):
-                logw[a] = (
-                    math.lgamma(a + k_shape)
-                    - math.lgamma(a + 1.0)
-                    + math.lgamma(s - a + k_shape)
-                    - math.lgamma(s - a + 1.0)
-                    - 2.0 * lgk
-                )
-            out = _outcome_pvalues_nb(logw)
-            pvals[i] = out[s1[i]]
-            k = _write_unique_nb(out, flat, pos)
-            start[i] = pos
-            length[i] = k
-            pos += k
-        return pvals, flat[:pos].copy(), start, length
-
-else:
-    batch_binomial_numba = None
-    batch_fisher_numba = None
-    batch_negbinom_numba = None
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
+    return _batch(lambda s: logw_negbinom(s, k), s1 + s2, s1, convention)
 
 
 def using_numba() -> bool:
-    """True when the dispatched batch kernels are the compiled ones."""
-    return NUMBA_AVAILABLE
-
-
-if NUMBA_AVAILABLE:
-
-    def batch_binomial(x1, x2):
-        x1 = np.ascontiguousarray(x1, dtype=np.int64)
-        x2 = np.ascontiguousarray(x2, dtype=np.int64)
-        return batch_binomial_numba(x1, x2)
-
-    def batch_fisher(x1, r1, x2, r2):
-        x1 = np.ascontiguousarray(x1, dtype=np.int64)
-        r1 = np.ascontiguousarray(r1, dtype=np.int64)
-        x2 = np.ascontiguousarray(x2, dtype=np.int64)
-        r2 = np.ascontiguousarray(r2, dtype=np.int64)
-        return batch_fisher_numba(x1, r1, x2, r2)
-
-    def batch_negbinom(s1, s2, shape_total):
-        s1 = np.ascontiguousarray(s1, dtype=np.int64)
-        s2 = np.ascontiguousarray(s2, dtype=np.int64)
-        return batch_negbinom_numba(s1, s2, float(shape_total))
-
-else:
-    batch_binomial = batch_binomial_numpy
-    batch_fisher = batch_fisher_numpy
-    batch_negbinom = batch_negbinom_numpy
+    """Always False: every kernel runs on numpy. Kept for callers."""
+    return False
 
 
 def warm_up() -> None:
-    """Trigger JIT compilation of the batch kernels on tiny inputs.
+    """Run each batch kernel once on tiny inputs.
 
-    No-op on the numpy path. Useful before timed sections.
+    Pays one-time first-call costs before timed sections.
     """
     one = np.array([1], dtype=np.int64)
     two = np.array([2], dtype=np.int64)

@@ -265,16 +265,17 @@ def cmd_analyze(settings: dict, out_dir: str, manifest: dict | None = None) -> i
         estimates["benjamini"] = None
 
     _ensure_out_dir(out_dir)
+    cells = [
+        ";".join(f"{v:.9g}" for v in support)
+        for support in study.distinct_supports()
+    ]
     _write_csv(
         os.path.join(out_dir, "features.csv"),
         ["id", "pvalue", "support"],
-        (
-            (
-                table.ids[i],
-                float(study.pvalues[i]),
-                ";".join(f"{v:.9g}" for v in study.supports[i]),
-            )
-            for i in range(study.m)
+        zip(
+            table.ids,
+            study.pvalues.tolist(),
+            (cells[k] for k in study.support_index.tolist()),
         ),
     )
 

@@ -27,12 +27,10 @@ The module also houses delimited-text ingestion of count tables.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import _kernels
 
@@ -95,43 +93,6 @@ def _validate_convention(convention: str) -> None:
         )
 
 
-def _doubling_from_weights(logw: np.ndarray, observed: int) -> TestResult:
-    """Tail-doubling p-values for one conditional null law."""
-    w = np.exp(logw - logw.max())
-    probs = w / w.sum()
-    lower = np.cumsum(probs)
-    upper = np.cumsum(probs[::-1])[::-1]
-    out = np.minimum(1.0, 2.0 * np.minimum(lower, upper))
-    return TestResult(float(out[observed]), np.unique(out))
-
-
-def _logw_binomial(n: int) -> np.ndarray:
-    a = np.arange(n + 1)
-    return gammaln(n + 1.0) - gammaln(a + 1.0) - gammaln(n - a + 1.0)
-
-
-def _logw_fisher(r1: int, r2: int, s: int) -> tuple[np.ndarray, int]:
-    lo = max(0, s - r2)
-    hi = min(r1, s)
-    a = np.arange(lo, hi + 1)
-    logw = (
-        gammaln(r1 + 1.0)
-        - gammaln(a + 1.0)
-        - gammaln(r1 - a + 1.0)
-        + gammaln(r2 + 1.0)
-        - gammaln(s - a + 1.0)
-        - gammaln(r2 - s + a + 1.0)
-    )
-    return logw, lo
-
-
-def _logw_negbinom(s: int, shape_total: float) -> np.ndarray:
-    a = np.arange(s + 1)
-    lgk = math.lgamma(shape_total)
-    left = gammaln(a + shape_total) - gammaln(a + 1.0) - lgk
-    return left + left[::-1]
-
-
 def binomial_test(x1: int, x2: int, convention: str = "minlik") -> TestResult:
     """Exact symmetric test of two Poisson counts.
 
@@ -142,16 +103,7 @@ def binomial_test(x1: int, x2: int, convention: str = "minlik") -> TestResult:
     _validate_convention(convention)
     if x1 < 0 or x2 < 0:
         raise ValueError("counts must be nonnegative")
-    if convention == "doubling":
-        n = x1 + x2
-        if n == 0:
-            return TestResult(1.0, np.array([1.0]))
-        return _doubling_from_weights(_logw_binomial(n), x1)
-    return _single(
-        _kernels.batch_binomial(
-            np.array([x1], dtype=np.int64), np.array([x2], dtype=np.int64)
-        )
-    )
+    return _single(_kernels.batch_binomial([x1], [x2], convention))
 
 
 def fisher_test(
@@ -168,20 +120,7 @@ def fisher_test(
         raise ValueError("counts and trials must be nonnegative")
     if x1 > r1 or x2 > r2:
         raise ValueError("count exceeds trials")
-    if convention == "doubling":
-        s = x1 + x2
-        logw, lo = _logw_fisher(r1, r2, s)
-        if logw.shape[0] == 1:
-            return TestResult(1.0, np.array([1.0]))
-        return _doubling_from_weights(logw, x1 - lo)
-    return _single(
-        _kernels.batch_fisher(
-            np.array([x1], dtype=np.int64),
-            np.array([r1], dtype=np.int64),
-            np.array([x2], dtype=np.int64),
-            np.array([r2], dtype=np.int64),
-        )
-    )
+    return _single(_kernels.batch_fisher([x1], [r1], [x2], [r2], convention))
 
 
 def nb_exact_test(
@@ -207,16 +146,7 @@ def nb_exact_test(
     if reps < 1:
         raise ValueError("reps must be at least 1")
     k = float(reps) * float(size)
-    if convention == "doubling":
-        s = s1 + s2
-        if s == 0:
-            return TestResult(1.0, np.array([1.0]))
-        return _doubling_from_weights(_logw_negbinom(s, k), s1)
-    return _single(
-        _kernels.batch_negbinom(
-            np.array([s1], dtype=np.int64), np.array([s2], dtype=np.int64), k
-        )
-    )
+    return _single(_kernels.batch_negbinom([s1], [s2], k, convention))
 
 
 # ---------------------------------------------------------------------------
@@ -386,52 +316,28 @@ def test_count_table(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run the table's test on every feature.
 
-    Returns the p-value vector and the per-feature supports. The
-    minimum-likelihood path goes through the batch kernels; the
-    doubling path loops over features.
+    Returns the p-value vector and the per-feature supports. Both
+    conventions go through the batch kernels, which compute one null
+    law per distinct conditioning key.
     """
     _validate_convention(convention)
-    m = len(table)
-    if convention == "doubling":
-        pvals = np.empty(m)
-        supports: list[np.ndarray] = []
-        for i in range(m):
-            if table.kind == "bin":
-                res = binomial_test(
-                    int(table.group1[i]), int(table.group2[i]), convention
-                )
-            elif table.kind == "fet":
-                res = fisher_test(
-                    int(table.group1[i]),
-                    int(table.trials1[i]),
-                    int(table.group2[i]),
-                    int(table.trials2[i]),
-                    convention,
-                )
-            else:
-                res = nb_exact_test(
-                    int(table.group1[i]),
-                    int(table.group2[i]),
-                    table.size,
-                    table.reps,
-                    convention,
-                )
-            pvals[i] = res.pvalue
-            supports.append(res.support)
-        return pvals, supports
-
+    if table.kind == "ent" and not (table.size is not None and table.size > 0):
+        raise ValueError("size must be positive")
     if table.kind == "bin":
-        out = _kernels.batch_binomial(table.group1, table.group2)
+        out = _kernels.batch_binomial(table.group1, table.group2, convention)
     elif table.kind == "fet":
         out = _kernels.batch_fisher(
-            table.group1, table.trials1, table.group2, table.trials2
+            table.group1, table.trials1, table.group2, table.trials2, convention
         )
     else:
         out = _kernels.batch_negbinom(
-            table.group1, table.group2, float(table.reps) * float(table.size)
+            table.group1,
+            table.group2,
+            float(table.reps) * float(table.size),
+            convention,
         )
     pvals, flat, start, length = out
     supports = [
-        flat[start[i] : start[i] + length[i]].copy() for i in range(m)
+        flat[a : a + n].copy() for a, n in zip(start.tolist(), length.tolist())
     ]
     return pvals, supports

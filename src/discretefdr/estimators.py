@@ -23,6 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._kernels import as_csr
+
 
 @dataclass(frozen=True)
 class PValueProfile:
@@ -48,6 +50,14 @@ class Study:
     ``truth`` marks each hypothesis as a true null (True) or a false
     null (False); it is only used by simulation oracles, never by the
     estimators themselves.
+
+    Hypotheses whose tests share a null law share a support, so each
+    distinct support is stored once, in compressed rows: distinct
+    support ``k`` is ``support_flat[support_start[k]: support_start[k]
+    + support_len[k]]``, and hypothesis ``i`` has distinct support
+    ``support_index[i]``. Per-support statistics are computed once per
+    distinct support and gathered through ``support_index``. The flat
+    array is read-only because hypotheses share its slices.
     """
 
     def __init__(
@@ -61,14 +71,26 @@ class Study:
             raise ValueError("a study needs at least one p-value")
         if len(supports) != self.pvalues.shape[0]:
             raise ValueError("supports and p-values must align")
-        self.supports = [np.asarray(s, dtype=np.float64) for s in supports]
+        first_of: dict[bytes, int] = {}
+        distinct: list[np.ndarray] = []
+        index = []
+        for support in supports:
+            support = np.asarray(support, dtype=np.float64)
+            k = first_of.setdefault(support.tobytes(), len(distinct))
+            if k == len(distinct):
+                distinct.append(support)
+            index.append(k)
+        self.support_flat, self.support_start, self.support_len = as_csr(
+            distinct
+        )
+        self.support_flat.flags.writeable = False
+        self.support_index = np.array(index, dtype=np.int64)
         if truth is None:
             self.truth = None
         else:
             self.truth = np.asarray(truth, dtype=bool)
             if self.truth.shape[0] != self.pvalues.shape[0]:
                 raise ValueError("truth labels and p-values must align")
-        self._padded: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def m(self) -> int:
@@ -102,19 +124,24 @@ class Study:
         ]
         return cls(pvalues, supports, truth)
 
-    def profile(self, i: int) -> PValueProfile:
-        return PValueProfile(float(self.pvalues[i]), self.supports[i])
+    def distinct_supports(self) -> list[np.ndarray]:
+        """Every distinct support once, in ``support_index`` order."""
+        return [
+            self.support_flat[a : a + n]
+            for a, n in zip(self.support_start.tolist(), self.support_len.tolist())
+        ]
 
-    def _padded_supports(self) -> tuple[np.ndarray, np.ndarray]:
-        """Supports padded into a matrix with +inf, plus lengths."""
-        if self._padded is None:
-            lens = np.array([s.shape[0] for s in self.supports], dtype=np.int64)
-            width = max(int(lens.max()), 1)
-            mat = np.full((self.m, width), np.inf)
-            for i, s in enumerate(self.supports):
-                mat[i, : s.shape[0]] = s
-            self._padded = (mat, lens)
-        return self._padded
+    @property
+    def supports(self) -> list[np.ndarray]:
+        """The support of every hypothesis (read-only shared views)."""
+        distinct = self.distinct_supports()
+        return [distinct[k] for k in self.support_index.tolist()]
+
+    def profile(self, i: int) -> PValueProfile:
+        k = self.support_index[i]
+        a = self.support_start[k]
+        support = self.support_flat[a : a + self.support_len[k]]
+        return PValueProfile(float(self.pvalues[i]), support)
 
     def support_floor(self, lam: float) -> np.ndarray:
         """Largest support element at most ``lam``, per hypothesis.
@@ -122,13 +149,18 @@ class Study:
         Hypotheses whose support has no element at most ``lam`` get 0;
         hypotheses with an empty support (uniform null) get ``lam``.
         """
-        mat, lens = self._padded_supports()
-        counts = (mat <= lam).sum(axis=1)
-        rows = np.arange(self.m)
-        floor = np.where(
-            counts > 0, mat[rows, np.maximum(counts - 1, 0)], 0.0
+        # supports are increasing, so the elements at most lam are a
+        # prefix of each row; count them with one cumulative sum
+        at_most = np.concatenate(([0], np.cumsum(self.support_flat <= lam)))
+        count = (
+            at_most[self.support_start + self.support_len]
+            - at_most[self.support_start]
         )
-        return np.where(lens == 0, lam, floor)
+        floor = np.zeros(self.support_len.shape[0])
+        hit = count > 0
+        floor[hit] = self.support_flat[self.support_start[hit] + count[hit] - 1]
+        floor[self.support_len == 0] = lam
+        return floor[self.support_index]
 
 
 @dataclass(frozen=True)
@@ -256,7 +288,10 @@ def null_expected_pvalue(profile: PValueProfile) -> float:
     is the sum of ``t_k * (t_k - t_{k-1})``. An empty support means a
     uniform null with expectation 1/2.
     """
-    s = profile.support
+    return _support_mean(profile.support)
+
+
+def _support_mean(s: np.ndarray) -> float:
     if s.shape[0] == 0:
         return 0.5
     gaps = np.diff(np.concatenate(([0.0], s)))
@@ -264,10 +299,12 @@ def null_expected_pvalue(profile: PValueProfile) -> float:
 
 
 def pounds_hat_pi0(study: Study) -> Pi0Estimate:
-    """Mean of p-values rescaled by their null expectations, capped."""
-    expectations = np.array(
-        [null_expected_pvalue(study.profile(i)) for i in range(study.m)]
-    )
+    """Mean of p-values rescaled by their null expectations, capped.
+
+    Each expectation is computed once per distinct support.
+    """
+    per_support = np.array([_support_mean(s) for s in study.distinct_supports()])
+    expectations = per_support[study.support_index]
     raw = float(np.mean(study.pvalues / expectations))
     return Pi0Estimate("pounds_hat", raw, _clip01(raw))
 

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _stats
 
 from . import _kernels
 from .estimators import (
@@ -491,24 +490,15 @@ class BiasDecomposition:
     epsilon: float
 
 
-class _PvTableCache:
-    """Outcome p-values, support floor and masses, keyed per total."""
-
-    def __init__(self, lam: float) -> None:
-        self.lam = lam
-        self._cache: dict = {}
-
-    def get(self, key, logw_builder):
-        hit = self._cache.get(key)
-        if hit is None:
-            pv = _kernels.outcome_pvalues_numpy(logw_builder())
-            support = np.unique(pv)
-            idx = int(np.searchsorted(support, self.lam, side="right"))
-            floor = 0.0 if idx == 0 else float(support[idx - 1])
-            below = pv <= self.lam
-            hit = (pv, below, floor)
-            self._cache[key] = hit
-        return hit
+def _tables_at(build, keys, lam: float) -> dict:
+    """Per key: outcome p-values, the mask of those at most ``lam``, and
+    the largest of them at most ``lam`` (0 when there is none)."""
+    uniq, _, tables = _kernels.pvalue_tables(build, keys)
+    out = {}
+    for key, pv in zip(map(tuple, uniq.tolist()), tables):
+        below = pv <= lam
+        out[key] = (pv, below, float(pv[below].max()) if below.any() else 0.0)
+    return out
 
 
 def bias_decomposition(
@@ -530,6 +520,8 @@ def bias_decomposition(
         raise ValueError("lambda must lie in [0, 1)")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
+    from scipy import stats as _stats
+
     rng = _replication_rng(spec, rep_index)
     params = _draw_parameters(spec, rng)
     m, m0 = spec.m, spec.m0
@@ -540,11 +532,11 @@ def bias_decomposition(
     null_cdf = np.empty(m)
     mean_p = np.empty(m)
     deficit = 0.0
-    cache = _PvTableCache(lam)
 
     if spec.kind == "poisson_bin":
         theta1, theta2 = params["theta1"], params["theta2"]
         totals = np.arange(truncation + 1)
+        tables = _tables_at(_kernels.logw_binomial, totals, lam)
         for i in range(m):
             lam_sum = theta1[i] + theta2[i]
             ps = _stats.poisson.pmf(totals, lam_sum)
@@ -555,10 +547,7 @@ def bias_decomposition(
             for s in totals:
                 if ps[s] == 0.0:
                     continue
-                pv, below, floor = cache.get(
-                    ("bin", int(s)),
-                    lambda s=int(s): _logw_binomial_np(s),
-                )
+                pv, below, floor = tables[int(s),]
                 split = _stats.binom.pmf(np.arange(s + 1), s, q)
                 acc_cdf += ps[s] * float(split[below].sum())
                 acc_floor += ps[s] * floor
@@ -569,6 +558,11 @@ def bias_decomposition(
     elif spec.kind == "binomial_fet":
         theta1, theta2 = params["theta1"], params["theta2"]
         trials = params["trials"]
+        tables = _tables_at(
+            _kernels.logw_fisher,
+            [(r, r, s) for r in np.unique(trials) for s in range(2 * r + 1)],
+            lam,
+        )
         for i in range(m):
             r = int(trials[i])
             a_pmf = _stats.binom.pmf(np.arange(r + 1), r, theta1[i])
@@ -583,10 +577,7 @@ def bias_decomposition(
                 ws = float(w.sum())
                 if ws == 0.0:
                     continue
-                pv, below, floor = cache.get(
-                    ("fet", r, s),
-                    lambda r=r, s=s: _logw_fisher_np(r, r, s),
-                )
+                pv, below, floor = tables[r, r, s]
                 acc_cdf += float(w[below].sum())
                 acc_floor += ws * floor
                 acc_mean += float(np.dot(w, pv))
@@ -598,6 +589,9 @@ def bias_decomposition(
         k_shape = spec.reps_per_group * sigma
         theta1, theta2 = params["theta1"], params["theta2"]
         counts = np.arange(truncation + 1)
+        tables = _tables_at(
+            lambda s: _kernels.logw_negbinom(s, k_shape), counts, lam
+        )
         for i in range(m):
             mu1 = spec.reps_per_group * theta1[i]
             mu2 = spec.reps_per_group * theta2[i]
@@ -612,10 +606,7 @@ def bias_decomposition(
                 covered += ws
                 if ws == 0.0:
                     continue
-                pv, below, floor = cache.get(
-                    ("ent", s),
-                    lambda s=s: _logw_negbinom_np(s, k_shape),
-                )
+                pv, below, floor = tables[s,]
                 acc_cdf += float(w[below].sum())
                 acc_floor += ws * floor
                 acc_mean += float(np.dot(w, pv))
@@ -644,21 +635,3 @@ def bias_decomposition(
         lam=lam,
         epsilon=epsilon,
     )
-
-
-def _logw_binomial_np(n: int) -> np.ndarray:
-    from .discrete_tests import _logw_binomial
-
-    return _logw_binomial(n)
-
-
-def _logw_fisher_np(r1: int, r2: int, s: int) -> np.ndarray:
-    from .discrete_tests import _logw_fisher
-
-    return _logw_fisher(r1, r2, s)[0]
-
-
-def _logw_negbinom_np(s: int, shape_total: float) -> np.ndarray:
-    from .discrete_tests import _logw_negbinom
-
-    return _logw_negbinom(s, shape_total)

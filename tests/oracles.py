@@ -65,3 +65,91 @@ def null_mass_at_most(pmf: np.ndarray, pvalues: np.ndarray, t: float) -> float:
     """P(p-value <= t) under the conditional null, by enumeration."""
     pmf = np.asarray(pmf, dtype=np.float64)
     return float(pmf[pvalues <= t].sum() / pmf.sum())
+
+
+# ---------------------------------------------------------------------------
+# per-feature loops: references for the per-key and per-support paths
+# ---------------------------------------------------------------------------
+
+
+def batch_loop(kind: str, args, convention: str = "minlik"):
+    """Per-feature reference for ``_kernels.batch_*``.
+
+    Rebuilds every feature's null law and outcome table on its own, with
+    no grouping by conditioning key, and lays the results out as the
+    kernels do: ``(pvalues, support_flat, support_start, support_len)``.
+    The laws and tables are the library's own, so any difference from
+    the kernels comes from grouping features by key.
+    """
+    from discretefdr import _kernels as K
+
+    table = {"minlik": K.outcome_pvalues, "doubling": K.doubling_pvalues}[
+        convention
+    ]
+    if kind == "bin":
+        x1, x2 = (np.asarray(a, dtype=np.int64) for a in args)
+        laws = [(K.logw_binomial(x1[i] + x2[i]), x1[i]) for i in range(len(x1))]
+    elif kind == "fet":
+        x1, r1, x2, r2 = (np.asarray(a, dtype=np.int64) for a in args)
+        laws = []
+        for i in range(len(x1)):
+            s = x1[i] + x2[i]
+            lo = max(0, s - r2[i])
+            laws.append((K.logw_fisher(r1[i], r2[i], s), x1[i] - lo))
+    else:
+        s1, s2 = (np.asarray(a, dtype=np.int64) for a in args[:2])
+        k = float(args[2])
+        laws = [
+            (K.logw_negbinom(s1[i] + s2[i], k), s1[i]) for i in range(len(s1))
+        ]
+    m = len(laws)
+    pvals = np.empty(m)
+    start = np.empty(m, dtype=np.int64)
+    length = np.empty(m, dtype=np.int64)
+    pieces = []
+    pos = 0
+    for i, (logw, observed) in enumerate(laws):
+        out = table(logw)
+        pvals[i] = out[observed]
+        sup = np.unique(out)
+        pieces.append(sup)
+        start[i] = pos
+        length[i] = sup.shape[0]
+        pos += sup.shape[0]
+    flat = np.concatenate(pieces) if pieces else np.empty(0)
+    return pvals, flat, start, length
+
+
+def support_floor_loop(supports, lam: float) -> np.ndarray:
+    """Largest support element at most ``lam``, one hypothesis at a time
+    (0 when none qualifies, ``lam`` for an empty support)."""
+    out = np.empty(len(supports))
+    for i, s in enumerate(supports):
+        if s.shape[0] == 0:
+            out[i] = lam
+            continue
+        idx = int(np.searchsorted(s, lam, side="right"))
+        out[i] = 0.0 if idx == 0 else s[idx - 1]
+    return out
+
+
+def generalized_raw_loop(pvalues, supports, lam: float, epsilon) -> float:
+    """Unclipped discreteness-adjusted estimate from a per-hypothesis loop."""
+    floor = support_floor_loop(supports, lam)
+    terms = (np.asarray(pvalues) > lam).astype(np.float64) - epsilon * (
+        lam - floor
+    )
+    return float(np.sum(terms)) / ((1.0 - lam) * len(supports))
+
+
+def pounds_hat_raw_loop(pvalues, supports) -> float:
+    """Unclipped mean of p-values over their null expectations, with one
+    expectation computed per hypothesis."""
+    expectations = np.empty(len(supports))
+    for i, s in enumerate(supports):
+        if s.shape[0] == 0:
+            expectations[i] = 0.5
+            continue
+        gaps = np.diff(np.concatenate(([0.0], s)))
+        expectations[i] = float(np.sum(s * gaps))
+    return float(np.mean(np.asarray(pvalues) / expectations))

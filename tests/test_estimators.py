@@ -230,3 +230,74 @@ def test_study_validation():
         Study(np.array([]), [])
     with pytest.raises(ValueError):
         Study(np.array([0.5]), [])
+
+
+# ---------------------------------------------------------------------------
+# per-distinct-support statistics
+# ---------------------------------------------------------------------------
+
+
+def _mixed_study(rng):
+    """Empty and nonempty supports, each shared by many hypotheses."""
+    pool_discrete = random_study(rng, 12)
+    pool_uniform = random_study(rng, 4, empty_supports=True)
+    pvalues = np.concatenate([pool_discrete.pvalues, pool_uniform.pvalues])
+    supports = pool_discrete.supports + pool_uniform.supports
+    pick = rng.integers(0, len(supports), 300)
+    return Study(pvalues[pick], [supports[k] for k in pick])
+
+
+@pytest.mark.parametrize("kind", ["empty", "nonempty", "mixed"])
+def test_support_statistics_match_per_hypothesis_loop(kind):
+    import oracles
+
+    rng = np.random.default_rng(41)
+    if kind == "mixed":
+        study = _mixed_study(rng)
+    else:
+        study = random_study(rng, 200, empty_supports=kind == "empty")
+    supports = study.supports
+    lams = [0.0, 0.05, 0.3, 0.5, 0.9]
+    if kind != "empty":
+        lams.append(float(np.concatenate(supports)[0]))  # a support point
+    for lam in lams:
+        expected = oracles.support_floor_loop(supports, lam)
+        assert np.array_equal(study.support_floor(lam), expected)
+        for eps in (0.0, 0.5, 1.0):
+            assert generalized_pi0(study, lam, eps).raw == (
+                oracles.generalized_raw_loop(study.pvalues, supports, lam, eps)
+            )
+    assert pounds_hat_pi0(study).raw == oracles.pounds_hat_raw_loop(
+        study.pvalues, supports
+    )
+
+
+def test_study_stores_each_distinct_support_once():
+    study = _mixed_study(np.random.default_rng(42))
+    assert len(study.distinct_supports()) <= 16 < study.m
+    assert study.support_flat.shape[0] == int(study.support_len.sum())
+    with pytest.raises(ValueError):
+        study.support_flat[0] = 0.5
+
+
+def test_support_statistics_memory_scales_with_distinct_supports():
+    """One long support among many short ones must not cost m times its
+    length: the estimators work per distinct support."""
+    import tracemalloc
+
+    from discretefdr import _kernels
+
+    rng = np.random.default_rng(43)
+    s1 = rng.integers(0, 30, 5000)
+    s2 = rng.integers(0, 30, 5000)
+    s1[0] = s2[0] = 20000
+    study = Study.from_batch(*_kernels.batch_negbinom(s1, s2, 3 * 0.689))
+    assert int(study.support_len.max()) > 10000
+    tracemalloc.start()
+    try:
+        study.support_floor(0.5)
+        pounds_hat_pi0(study)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -245,3 +245,26 @@ def test_bias_decomposition_matches_monte_carlo():
     )
     se = raws.std(ddof=1) / math.sqrt(spec.reps)
     assert abs(raws.mean() - (dec.pi0 + dec.generalized_bias)) <= 5 * se + 1e-3
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats is needed only by the bias enumeration, which imports
+    it on first use; importing the package must not pay for it."""
+    import os
+    import subprocess
+    import sys
+
+    import discretefdr
+
+    src = os.path.dirname(discretefdr.__path__[0])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, discretefdr; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
