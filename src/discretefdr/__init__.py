@@ -44,7 +44,6 @@ from .fdr import (
     adaptive_bh,
     bh_procedure,
     build_rejection_process,
-    counterexample_instance,
     evaluate_fdr,
     inverse_rejection_L,
     threshold,
@@ -97,7 +96,6 @@ __all__ = [
     "adaptive_bh",
     "bh_procedure",
     "build_rejection_process",
-    "counterexample_instance",
     "evaluate_fdr",
     "inverse_rejection_L",
     "threshold",

@@ -37,27 +37,15 @@ from .discrete_tests import (
     ingest_counts,
     test_count_table,
 )
-from .estimators import (
-    Study,
-    benjamini_pi0,
-    generalized_pi0,
-    pounds_hat_pi0,
-    pounds_tilde_pi0,
-    storey_pi0,
-)
-from .fdr import (
-    FdrEstimator,
-    adaptive_bh,
-    bh_procedure,
-    build_rejection_process,
-    threshold,
-)
+from .estimators import Study
 from .sim import (
     PI0_METHODS,
-    PROCEDURES,
     DEFAULT_PI0_METHODS,
     DEFAULT_PROCEDURES,
     ScenarioSpec,
+    prepare_study,
+    procedure_cells,
+    run_procedure,
     run_replications,
 )
 from .tuning import TuningGrid, bootstrap_tune
@@ -204,9 +192,6 @@ def _verify_digest(manifest: dict, role: str, path: str, data: bytes) -> None:
 # analyze
 # ---------------------------------------------------------------------------
 
-_TABLE_PROCEDURES = ("generalized", "storey", "bh", "adaptive_bh")
-
-
 def _build_schema(settings: dict) -> IngestSchema:
     try:
         return IngestSchema(
@@ -248,24 +233,23 @@ def cmd_analyze(settings: dict, out_dir: str, manifest: dict | None = None) -> i
     """Test a count table, estimate the true-null proportion, threshold."""
     table, study, inputs = _ingest_study(settings, manifest)
     lam, eps = settings["lambda"], settings["epsilon"]
-    alphas = settings["alphas"]
-
     try:
-        estimates = {
-            "storey": storey_pi0(study, lam),
-            "generalized": generalized_pi0(study, lam, eps),
-            "pounds_tilde": pounds_tilde_pi0(study),
-            "pounds_hat": pounds_hat_pi0(study),
-        }
+        proc, estimates = prepare_study(study, PI0_METHODS, lam, eps)
+        rows = []
+        for alpha in settings["alphas"]:
+            for name in DEFAULT_PROCEDURES:
+                cells = procedure_cells(proc, estimates, name)
+                if cells is None:
+                    continue
+                res = run_procedure(proc, estimates, name, alpha)
+                rows.append(
+                    (name, *cells, alpha, res.t_alpha, res.fdr_at_t, res.rejections)
+                )
     except ValueError as exc:
         raise CliError("usage", str(exc)) from exc
-    try:
-        estimates["benjamini"] = benjamini_pi0(study)
-    except ValueError:
-        estimates["benjamini"] = None
 
     _ensure_out_dir(out_dir)
-    cells = [
+    support_cells = [
         ";".join(f"{v:.9g}" for v in support)
         for support in study.distinct_supports()
     ]
@@ -275,7 +259,7 @@ def cmd_analyze(settings: dict, out_dir: str, manifest: dict | None = None) -> i
         zip(
             table.ids,
             study.pvalues.tolist(),
-            (cells[k] for k in study.support_index.tolist()),
+            (support_cells[k] for k in study.support_index.tolist()),
         ),
     )
 
@@ -294,39 +278,6 @@ def cmd_analyze(settings: dict, out_dir: str, manifest: dict | None = None) -> i
         },
     )
 
-    proc = build_rejection_process(study.pvalues)
-    rows = []
-    for alpha in alphas:
-        for name in _TABLE_PROCEDURES:
-            if name == "generalized":
-                est = FdrEstimator("generalized", estimates["generalized"], lam=lam)
-                res = threshold(est, proc, alpha)
-                row_lam, row_eps, pi0 = lam, eps, estimates["generalized"].value
-            elif name == "storey":
-                est = FdrEstimator("storey", estimates["storey"], lam=lam)
-                res = threshold(est, proc, alpha)
-                row_lam, row_eps, pi0 = lam, 0.0, estimates["storey"].raw
-            elif name == "bh":
-                res = bh_procedure(study.pvalues, alpha)
-                row_lam, row_eps, pi0 = None, None, 1.0
-            else:
-                if estimates["benjamini"] is None:
-                    continue
-                res = adaptive_bh(study.pvalues, alpha, estimates["benjamini"])
-                row_lam, row_eps = None, None
-                pi0 = estimates["benjamini"].value
-            rows.append(
-                (
-                    name,
-                    row_lam,
-                    row_eps,
-                    pi0,
-                    alpha,
-                    res.t_alpha,
-                    res.fdr_at_t,
-                    res.rejections,
-                )
-            )
     _write_csv(
         os.path.join(out_dir, "table.csv"),
         [
@@ -445,27 +396,17 @@ def cmd_simulate(settings: dict, out_dir: str, manifest: dict | None = None) -> 
             "sha256": _sha256(data),
         }
 
-    for name in settings["pi0_methods"]:
-        if name not in PI0_METHODS:
-            raise CliError(
-                "config",
-                f"unknown pi0 method {name!r}; choose from {PI0_METHODS}",
-            )
-    for name in settings["procedures"]:
-        if name not in PROCEDURES:
-            raise CliError(
-                "config",
-                f"unknown procedure {name!r}; choose from {PROCEDURES}",
-            )
-
-    summary = run_replications(
-        spec,
-        pi0_methods=settings["pi0_methods"],
-        procedures=settings["procedures"],
-        lam=settings["lambda"],
-        epsilon=settings["epsilon"],
-        workers=settings["workers"],
-    )
+    try:
+        summary = run_replications(
+            spec,
+            pi0_methods=settings["pi0_methods"],
+            procedures=settings["procedures"],
+            lam=settings["lambda"],
+            epsilon=settings["epsilon"],
+            workers=settings["workers"],
+        )
+    except ValueError as exc:
+        raise CliError("config", str(exc)) from exc
 
     _ensure_out_dir(out_dir)
     _write_csv(
@@ -705,7 +646,9 @@ def _require_out(args) -> str:
     return args.out
 
 
-def _analyze_settings(args) -> dict:
+def _ingest_settings(args, own: dict) -> dict:
+    """Settings of a command that reads a count table: the ingest
+    flags, then the command's ``own`` keys."""
     if not args.counts:
         raise CliError("usage", "a count table path is required")
     if not args.test:
@@ -719,33 +662,7 @@ def _analyze_settings(args) -> dict:
         "min_total": args.min_total,
         "max_total": args.max_total,
         "convention": args.convention,
-        "lambda": args.lam,
-        "epsilon": args.epsilon,
-        "alphas": args.alpha or [0.05],
-        "seed": args.seed,
-    }
-
-
-def _tune_settings(args) -> dict:
-    if not args.counts:
-        raise CliError("usage", "a count table path is required")
-    if not args.test:
-        raise CliError("usage", "--test is required")
-    return {
-        "counts": args.counts,
-        "test": args.test,
-        "trials": args.trials,
-        "size": args.size,
-        "reps": args.reps,
-        "min_total": args.min_total,
-        "max_total": args.max_total,
-        "convention": args.convention,
-        "lambdas": args.lambdas,
-        "epsilons": args.epsilons,
-        "points": args.points,
-        "B": args.B,
-        "seed": args.seed,
-        "workers": args.workers,
+        **own,
     }
 
 
@@ -763,9 +680,27 @@ def main(argv=None) -> int:
             manifest = _load_manifest(args.from_manifest, args.command)
             settings = manifest["arguments"]
         elif args.command == "analyze":
-            settings = _analyze_settings(args)
+            settings = _ingest_settings(
+                args,
+                {
+                    "lambda": args.lam,
+                    "epsilon": args.epsilon,
+                    "alphas": args.alpha or [0.05],
+                    "seed": args.seed,
+                },
+            )
         elif args.command == "tune":
-            settings = _tune_settings(args)
+            settings = _ingest_settings(
+                args,
+                {
+                    "lambdas": args.lambdas,
+                    "epsilons": args.epsilons,
+                    "points": args.points,
+                    "B": args.B,
+                    "seed": args.seed,
+                    "workers": args.workers,
+                },
+            )
         else:
             if not args.config:
                 raise CliError("usage", "a config path is required")

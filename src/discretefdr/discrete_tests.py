@@ -235,13 +235,19 @@ def ingest_counts(source: IO[bytes], schema: IngestSchema) -> CountTable:
     * ``ent``: ``s1, s2`` group sums, or ``reps`` per-sample columns
       for group 1 followed by ``reps`` for group 2
 
-    Malformed rows raise :class:`ValueError` naming the line number.
+    Blank lines and lines starting with ``#`` are skipped, before the
+    header as after it. Malformed rows raise :class:`ValueError` naming
+    the line number.
     """
     text = source.read().decode("utf-8")
-    lines = text.splitlines()
+    lines = [
+        (lineno, line)
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.lstrip()[:1] not in ("", "#")
+    ]
     if not lines:
         raise ValueError("line 1: empty input, header row required")
-    delim = "\t" if "\t" in lines[0] else ","
+    delim = "\t" if "\t" in lines[0][1] else ","
 
     ids: list[str] = []
     g1: list[int] = []
@@ -250,9 +256,7 @@ def ingest_counts(source: IO[bytes], schema: IngestSchema) -> CountTable:
     t2: list[int] = []
     dropped = 0
 
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for lineno, line in lines[1:]:
         tokens = line.split(delim)
         if schema.kind == "fet" and len(tokens) == 5:
             x1 = _parse_int(tokens[1], lineno)

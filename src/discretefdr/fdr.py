@@ -293,12 +293,3 @@ def adaptive_bh(
         raise ValueError("adaptive level undefined: pi0 estimate is zero")
     return bh_procedure(pvalues, min(1.0, alpha / pi0.value))
 
-
-def counterexample_instance() -> np.ndarray:
-    """A p-value multiset whose inverse rejection process jumps down.
-
-    The heavy tie block right after a single small p-value produces a
-    strict downward jump of ``L`` at an interior p-value, witnessing
-    that ``m t / R(t)`` does not have only upward jumps.
-    """
-    return np.array([0.1, 0.4, 0.4, 0.4, 0.7, 1.0])

@@ -23,6 +23,11 @@ replication the draw order is fixed: scenario parameters first
 then group-2 counts. Parallel and serial runs produce identical
 summaries because results are merged by replication index.
 
+The registry here (``PI0_METHODS``, ``PROCEDURES``, ``compute_pi0``,
+``prepare_study``, ``run_procedure``, ``procedure_cells``) is the one
+place that maps a name to an estimator or a procedure; the ``analyze``
+and ``simulate`` commands both dispatch through it.
+
 ``bias_decomposition`` computes the exact finite-sample biases of the
 discreteness-adjusted estimator and the doubled-mean estimator for one
 fixed parameter draw, by enumerating the conditioned outcome
@@ -50,6 +55,7 @@ from .estimators import (
 )
 from .fdr import (
     FdrEstimator,
+    RejectionProcess,
     ThresholdResult,
     adaptive_bh,
     bh_procedure,
@@ -64,8 +70,20 @@ ODDS_TRANSFORMS = ("odds", "cap")
 DEFAULT_PI0_METHODS = ("storey", "generalized", "pounds_tilde", "benjamini")
 PI0_METHODS = ("storey", "generalized", "pounds_tilde", "pounds_hat", "benjamini")
 
+#: Estimators defined only from this many p-values on.
+_MIN_M = {"benjamini": 2}
+
+#: Each procedure and the estimate it runs on (None: the plain step-up
+#: procedure runs on none).
+PROCEDURE_ESTIMATES = {
+    "generalized": "generalized",
+    "storey": "storey",
+    "storey_variant": "storey",
+    "bh": None,
+    "adaptive_bh": "benjamini",
+}
 DEFAULT_PROCEDURES = ("generalized", "storey", "bh", "adaptive_bh")
-PROCEDURES = ("generalized", "storey", "storey_variant", "bh", "adaptive_bh")
+PROCEDURES = tuple(PROCEDURE_ESTIMATES)
 
 
 @dataclass(frozen=True)
@@ -229,10 +247,16 @@ def generate_scenario(spec: ScenarioSpec, rep_index: int) -> Study:
     return Study.from_batch(*out, truth=truth)
 
 
+def _check_name(name: str, known: tuple[str, ...], what: str) -> None:
+    if name not in known:
+        raise ValueError(f"unknown {what} {name!r}; choose from {known}")
+
+
 def compute_pi0(
     study: Study, method: str, lam: float, epsilon: float
 ) -> Pi0Estimate:
     """Dispatch one named estimator of the proportion of true nulls."""
+    _check_name(method, PI0_METHODS, "pi0 method")
     if method == "storey":
         return storey_pi0(study, lam)
     if method == "generalized":
@@ -241,35 +265,74 @@ def compute_pi0(
         return pounds_tilde_pi0(study)
     if method == "pounds_hat":
         return pounds_hat_pi0(study)
-    if method == "benjamini":
-        return benjamini_pi0(study)
-    raise ValueError(
-        f"unknown pi0 method {method!r}; choose from {PI0_METHODS}"
-    )
+    return benjamini_pi0(study)
+
+
+def prepare_study(
+    study: Study, methods: Sequence[str], lam: float, epsilon: float
+) -> tuple[RejectionProcess, dict[str, Pi0Estimate | None]]:
+    """The rejection process and the named estimates of one study.
+
+    Each estimate is computed once, in ``methods`` order; procedures
+    share both through :func:`run_procedure`. An estimator needing
+    more p-values than the study has (the median estimator needs two)
+    gives None.
+    """
+    estimates = {
+        name: compute_pi0(study, name, lam, epsilon)
+        if study.m >= _MIN_M.get(name, 1)
+        else None
+        for name in methods
+    }
+    return build_rejection_process(study.pvalues), estimates
 
 
 def run_procedure(
-    study: Study, name: str, alpha: float, lam: float, epsilon: float
+    proc: RejectionProcess,
+    estimates: dict[str, Pi0Estimate | None],
+    name: str,
+    alpha: float,
 ) -> ThresholdResult:
-    """Dispatch one named multiple-testing procedure."""
-    if name in ("generalized", "storey", "storey_variant"):
-        proc = build_rejection_process(study.pvalues)
-        if name == "generalized":
-            est = FdrEstimator(
-                "generalized", generalized_pi0(study, lam, epsilon), lam=lam
-            )
-        elif name == "storey":
-            est = FdrEstimator("storey", storey_pi0(study, lam), lam=lam)
-        else:
-            est = FdrEstimator(
-                "storey_variant", storey_pi0(study, lam), lam=lam
-            )
-        return threshold(est, proc, alpha)
+    """Run one named procedure at level ``alpha`` on a prebuilt process.
+
+    ``estimates`` maps estimator names to the study's estimates; the
+    procedure reads only the one :data:`PROCEDURE_ESTIMATES` names.
+    """
+    _check_name(name, PROCEDURES, "procedure")
     if name == "bh":
-        return bh_procedure(study.pvalues, alpha)
+        return bh_procedure(proc.values, alpha)
+    pi0 = estimates[PROCEDURE_ESTIMATES[name]]
     if name == "adaptive_bh":
-        return adaptive_bh(study.pvalues, alpha, benjamini_pi0(study))
-    raise ValueError(f"unknown procedure {name!r}; choose from {PROCEDURES}")
+        return adaptive_bh(proc.values, alpha, pi0)
+    return threshold(FdrEstimator(name, pi0, lam=pi0.lam), proc, alpha)
+
+
+def procedure_cells(
+    proc: RejectionProcess,
+    estimates: dict[str, Pi0Estimate | None],
+    name: str,
+) -> tuple[float | None, float | None, float] | None:
+    """The ``lambda``, ``epsilon`` and ``pi0`` a procedure runs with.
+
+    ``pi0`` is the multiplier of the level: the clipped adjusted
+    estimate for ``generalized``, the raw exceedance estimate for
+    ``storey`` (plus the variant's offset for ``storey_variant``), 1 for
+    ``bh`` and the median estimate for ``adaptive_bh``. The step-up
+    procedures have no ``lambda`` or ``epsilon``; the exceedance
+    procedures run at ``epsilon`` 0. None when the estimate the
+    procedure runs on is undefined for the study.
+    """
+    _check_name(name, PROCEDURES, "procedure")
+    if name == "bh":
+        return None, None, 1.0
+    pi0 = estimates[PROCEDURE_ESTIMATES[name]]
+    if pi0 is None:
+        return None
+    if name == "adaptive_bh":
+        return None, None, pi0.value
+    eps = 0.0 if pi0.epsilon is None else pi0.epsilon
+    multiplier = FdrEstimator(name, pi0, lam=pi0.lam).multiplier(proc.m)
+    return pi0.lam, eps, multiplier
 
 
 def false_discovery_proportion(study: Study, result: ThresholdResult) -> float:
@@ -380,22 +443,27 @@ def run_replications(
     Per replication: every named estimator of the true-null
     proportion, and every named procedure at every nominal level with
     its threshold, rejection count and realized false discovery
-    proportion. Results are deterministic functions of
-    ``(spec, rep_index)`` and independent of ``workers``.
+    proportion. Each study's estimates are computed once and its
+    procedures share one rejection process (:func:`prepare_study`).
+    Roster names are checked here, before any study is generated.
+    Results are deterministic functions of ``(spec, rep_index)`` and
+    independent of ``workers``.
     """
     pi0_methods = tuple(pi0_methods)
     procedures = tuple(procedures)
     if not pi0_methods and not procedures:
         raise ValueError("the method roster is empty")
     for name in pi0_methods:
-        if name not in PI0_METHODS:
-            raise ValueError(
-                f"unknown pi0 method {name!r}; choose from {PI0_METHODS}"
-            )
+        _check_name(name, PI0_METHODS, "pi0 method")
     for name in procedures:
-        if name not in PROCEDURES:
+        _check_name(name, PROCEDURES, "procedure")
+    used = set(pi0_methods) | {PROCEDURE_ESTIMATES[name] for name in procedures}
+    needed = tuple(name for name in PI0_METHODS if name in used)
+    for name in needed:
+        if spec.m < _MIN_M.get(name, 1):
             raise ValueError(
-                f"unknown procedure {name!r}; choose from {PROCEDURES}"
+                f"the {name} estimator needs at least {_MIN_M[name]} "
+                f"p-values; m = {spec.m}"
             )
 
     reps = spec.reps
@@ -407,11 +475,12 @@ def run_replications(
 
     def one(r: int) -> None:
         study = generate_scenario(spec, r)
+        proc, estimates = prepare_study(study, needed, lam, epsilon)
         for j, name in enumerate(pi0_methods):
-            est[r, j] = compute_pi0(study, name, lam, epsilon).value
+            est[r, j] = estimates[name].value
         for j, name in enumerate(procedures):
             for a, alpha in enumerate(alphas):
-                res = run_procedure(study, name, alpha, lam, epsilon)
+                res = run_procedure(proc, estimates, name, alpha)
                 thr[r, j, a] = res.t_alpha
                 rej[r, j, a] = res.rejections
                 fdp[r, j, a] = false_discovery_proportion(study, res)

@@ -14,6 +14,16 @@ from scipy import stats
 TIE_RTOL = 1e-12
 
 
+def counterexample_instance() -> np.ndarray:
+    """A p-value multiset whose inverse rejection process jumps down.
+
+    The heavy tie block right after a single small p-value produces a
+    strict downward jump of ``L`` at an interior p-value, witnessing
+    that ``m t / R(t)`` does not have only upward jumps.
+    """
+    return np.array([0.1, 0.4, 0.4, 0.4, 0.7, 1.0])
+
+
 def minlik_pvalues(pmf: np.ndarray) -> np.ndarray:
     """Two-sided p-value of every outcome: total mass of outcomes no
     more likely than it, with a relative tie tolerance."""

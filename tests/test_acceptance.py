@@ -40,7 +40,6 @@ from discretefdr import (
     bootstrap_tune,
     build_rejection_process,
     compute_pi0,
-    counterexample_instance,
     evaluate_fdr,
     fisher_test,
     generalized_pi0,
@@ -225,7 +224,7 @@ def test_acceptance_04_inverse_rejection_oracle():
         )
         assert np.all(at_points <= left_limits), "upward jump found"
 
-    proc = build_rejection_process(counterexample_instance())
+    proc = build_rejection_process(oracles.counterexample_instance())
     heavy = int(np.argmax(proc.mult))
     p = float(proc.distinct[heavy])
     n = float(proc.mult[heavy])

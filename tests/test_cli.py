@@ -422,6 +422,35 @@ def test_config_error_missing_key_and_bad_kind(tmp_path, capsys):
     assert "poisson_bin" in stderr  # the valid kinds are listed
 
 
+@pytest.mark.parametrize(
+    "command, config, flags, category",
+    [
+        ("simulate", {"m": 1}, [], "config"),
+        ("simulate", {"lambda": 1.5}, [], "config"),
+        ("simulate", {"epsilon": 2}, [], "config"),
+        ("simulate", {"pi0_methods": [], "procedures": []}, [], "config"),
+        ("simulate", {}, ["--alpha", "2"], "config"),
+        ("analyze", {}, ["--alpha", "2"], "usage"),
+    ],
+    ids=["m-1", "lambda", "epsilon", "empty-roster", "sim-alpha", "analyze-alpha"],
+)
+def test_library_errors_print_one_error_line(
+    command, config, flags, category, sim_config, bin_file, tmp_path, capsys
+):
+    if command == "simulate":
+        path = Path(sim_config)
+        path.write_text(json.dumps({**json.loads(path.read_text()), **config}))
+        argv = ["simulate", sim_config]
+    else:
+        argv = ["analyze", bin_file, "--test", "bin"]
+    out = tmp_path / "out"
+    code, stdout, stderr = run(argv + flags + ["--out", str(out)], capsys)
+    assert code == (2 if category == "usage" else 1)
+    assert stderr.startswith(f"error:{category}:")
+    assert stderr.count("\n") == 1 and stdout == ""
+    assert not out.exists()  # the error comes before any output
+
+
 def test_config_error_everything_filtered(bin_file, tmp_path, capsys):
     code, _, stderr = run(
         ["analyze", bin_file, "--test", "bin", "--min-total", "1000",

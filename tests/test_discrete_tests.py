@@ -208,6 +208,23 @@ def test_ingest_tab_delimited():
     assert len(table) == 1
 
 
+def test_ingest_skips_comment_lines_around_the_header():
+    schema = IngestSchema(kind="bin")
+    table = _ingest(
+        "# counts per group\n\t# indented, with a tab\nid,a,b\n"
+        "# note\nf1,3,4\n  # another\nf2,0,2\n#\n",
+        schema,
+    )
+    assert table.ids == ["f1", "f2"]
+    assert table.group1.tolist() == [3, 0]
+    assert table.group2.tolist() == [4, 2]
+    # skipped lines still count toward the line numbers in errors
+    with pytest.raises(ValueError, match="line 4"):
+        _ingest("# note\nid,a,b\n# note\nf1,3,x\n", schema)
+    with pytest.raises(ValueError, match="header row required"):
+        _ingest("# only a comment\n\n", schema)
+
+
 def test_ingest_filter_drops_and_counts():
     table = _ingest(
         "id,x1,x2\nf1,0,0\nf2,3,4\nf3,30,1\n",

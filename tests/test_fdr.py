@@ -12,7 +12,6 @@ from discretefdr import (
     adaptive_bh,
     bh_procedure,
     build_rejection_process,
-    counterexample_instance,
     evaluate_fdr,
     inverse_rejection_L,
     storey_pi0,
@@ -20,6 +19,7 @@ from discretefdr import (
 )
 
 from conftest import random_pvalue_instance
+from oracles import counterexample_instance
 
 
 def _pi0(value, method="generalized", lam=0.5):

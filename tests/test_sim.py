@@ -9,6 +9,7 @@ from discretefdr import (
     ScenarioSpec,
     ThresholdResult,
     bias_decomposition,
+    build_rejection_process,
     compute_pi0,
     false_discovery_proportion,
     generalized_bias_from_expectations,
@@ -151,6 +152,48 @@ def test_roster_validation():
         run_replications(spec, pi0_methods=("qvalue",))
     with pytest.raises(ValueError, match="procedure"):
         run_replications(spec, procedures=("bonferroni",))
+
+
+def test_each_study_builds_one_process_and_each_estimate_once(monkeypatch):
+    """With the full roster, every study builds one rejection process and
+    computes each estimate at most once, whatever the procedures and
+    levels that share them."""
+    from discretefdr import sim
+
+    calls = []
+
+    def counting(name):
+        original = getattr(sim, name)
+
+        def wrapper(study, *args, **kwargs):
+            calls.append((name, study.pvalues.tobytes()))
+            return original(study, *args, **kwargs)
+
+        return wrapper
+
+    def counting_build(pvalues):
+        calls.append(("build_rejection_process", pvalues.tobytes()))
+        return build_rejection_process(pvalues)
+
+    estimators = (
+        "storey_pi0", "generalized_pi0", "pounds_tilde_pi0",
+        "pounds_hat_pi0", "benjamini_pi0",
+    )
+    for name in estimators:
+        monkeypatch.setattr(sim, name, counting(name))
+    monkeypatch.setattr(sim, "build_rejection_process", counting_build)
+
+    spec = _spec(reps=4, alpha_levels=(0.05, 0.1, 0.2))
+    out = run_replications(
+        spec, pi0_methods=sim.PI0_METHODS, procedures=sim.PROCEDURES
+    )
+    assert out.thresholds.shape == (4, len(sim.PROCEDURES), 3)
+    studies = {key for _, key in calls}
+    assert len(studies) == spec.reps
+    for key in studies:
+        names = [name for name, k in calls if k == key]
+        assert names.count("build_rejection_process") == 1
+        assert sorted(n for n in names if n in estimators) == sorted(estimators)
 
 
 def test_aggregate_layout():
