@@ -13,13 +13,20 @@ different choices of the ``pi0`` multiplier and different clipping:
   offset ``sigma / ((1 - lambda) m)``, clipped to [0, 1], with the
   result capped at 1.
 
-``threshold`` computes ``sup { t : f(t) <= alpha }`` exactly by
-scanning the intervals where ``R`` is constant, instead of stepping a
-grid. On each interval ``f`` is linear in ``t``, so the supremum is a
-closed-form candidate; scanning right to left returns the first
-feasible one. At the returned threshold the estimator equals ``alpha``
+``threshold`` computes ``sup { t : f(t) <= alpha }`` exactly from the
+intervals where ``R`` is constant, instead of stepping a grid. On each
+interval ``f`` is linear in ``t``, so the supremum there is a
+closed-form candidate, and whether it lies inside its interval is one
+vectorised comparison over all intervals at once. Only the feasible
+candidates are then nudged down by ulps onto the feasible side of
+``alpha``, right to left, falling back to the next one in the rare case
+a nudge fails. At the returned threshold the estimator equals ``alpha``
 to within 1e-12 whenever the multiplier exceeds ``alpha`` and at least
 one hypothesis is rejected.
+
+The step-up procedures read their cutoff off the same sorted distinct
+p-values: the largest step-up count is always a running total of the
+multiplicities, so no second sort of the p-values is needed.
 
 The scaled inverse rejection process ``L(t) = t / max(R(t), 1)`` is
 exposed with its piecewise closed form; its only discontinuities are
@@ -55,7 +62,8 @@ class RejectionProcess:
         values = np.asarray(pvalues, dtype=np.float64)
         if values.ndim != 1 or values.shape[0] < 1:
             raise ValueError("at least one p-value is required")
-        if np.any(values <= 0.0) or np.any(values > 1.0):
+        # written so that NaN, which fails every comparison, fails it too
+        if not np.all((values > 0.0) & (values <= 1.0)):
             raise ValueError("p-values must lie in (0, 1]")
         self.values = values
         self.distinct, mult = np.unique(values, return_counts=True)
@@ -191,11 +199,14 @@ def threshold(
 
     Within each interval where the rejection count is a constant
     ``T_j``, the estimator is ``mult * t * m / T_j``, so the feasible
-    region there is ``t <= alpha * T_j / (m * mult)``. The scan starts
-    at the rightmost interval and returns the first candidate that
-    lies inside its interval, descending by ulps where floating-point
-    round-off would otherwise push the estimator a hair above
-    ``alpha``. This guarantees ``f(t_alpha) <= alpha`` in float
+    region there is ``t <= alpha * T_j / (m * mult)``. For every
+    interval at once, the candidate ``min(alpha * T_j / (m * mult),
+    right_j)`` is feasible when it is not below the interval's left end.
+    The feasible candidates are then taken right to left and the first
+    whose descent by ulps (where floating-point round-off would
+    otherwise push the estimator a hair above ``alpha``) succeeds is
+    returned; the interval below the smallest p-value is the last
+    resort. This guarantees ``f(t_alpha) <= alpha`` in float
     arithmetic while keeping ``|f(t_alpha) - alpha| <= 1e-12`` when
     the equality contract applies.
     """
@@ -225,25 +236,19 @@ def threshold(
     cap = est.lam if est.kind == "storey_variant" else 1.0
 
     distinct = proc.distinct
-    cum = proc.cum
     n = distinct.shape[0]
     scale = m * mult
 
-    # Interval j (1-based) is [distinct[j-1], distinct[j]) with
-    # rejection count cum[j-1]; the rightmost interval is closed at 1.
+    # Interval j (0-based) is [distinct[j], distinct[j+1]) with rejection
+    # count cum[j]; the rightmost interval is closed at 1.
     j_hi = int(np.searchsorted(distinct, cap, side="right"))
-    for j in range(j_hi, 0, -1):
-        left = float(distinct[j - 1])
-        if j == n:
-            right = 1.0
-        else:
-            right = float(np.nextafter(float(distinct[j]), 0.0))
-        right = min(right, cap)
-        cand = alpha * float(cum[j - 1]) / scale
-        t = min(cand, right)
-        if t < left:
-            continue
-        t = _nudge_down(f, t, left, alpha)
+    left = distinct[:j_hi]
+    right = np.nextafter(distinct[1 : j_hi + 1], 0.0)
+    if j_hi == n:
+        right = np.append(right, 1.0)
+    cand = np.minimum(alpha * proc.cum[:j_hi] / scale, np.minimum(right, cap))
+    for j in np.flatnonzero(cand >= left)[::-1]:
+        t = _nudge_down(f, float(cand[j]), float(left[j]), alpha)
         if t is not None:
             return result(t)
 
@@ -259,37 +264,41 @@ def threshold(
 
 
 def bh_procedure(
-    pvalues: Sequence[float] | np.ndarray, alpha: float
+    pvalues: Sequence[float] | np.ndarray | RejectionProcess, alpha: float
 ) -> ThresholdResult:
     """Linear step-up procedure at level ``alpha``.
 
     Rejects the hypotheses with the ``k*`` smallest p-values, where
     ``k*`` is the largest ``k`` with ``p_(k) <= k * alpha / m`` (0 if
-    none). ``fdr_at_t`` is NaN: no estimator is attached.
+    none). ``fdr_at_t`` is NaN: no estimator is attached. ``pvalues``
+    may be a prebuilt :class:`RejectionProcess`, which is used as is.
+
+    Within a block of tied p-values the step-up condition only gets
+    easier as the count grows, so ``k*`` is the running total at the
+    end of some block: ``k* = cum[j*]`` for the last ``j*`` with
+    ``distinct[j*] <= cum[j*] * alpha / m``.
     """
-    values = np.asarray(pvalues, dtype=np.float64)
-    if values.ndim != 1 or values.shape[0] < 1:
-        raise ValueError("at least one p-value is required")
-    if np.any(values <= 0.0) or np.any(values > 1.0):
-        raise ValueError("p-values must lie in (0, 1]")
+    proc = (
+        pvalues
+        if isinstance(pvalues, RejectionProcess)
+        else build_rejection_process(pvalues)
+    )
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    m = values.shape[0]
-    ordered = np.sort(values)
-    ok = ordered <= np.arange(1, m + 1) * (alpha / m)
-    if not np.any(ok):
+    ok = np.flatnonzero(proc.distinct <= proc.cum * (alpha / proc.m))
+    if ok.shape[0] == 0:
         return ThresholdResult(0.0, math.nan, 0, np.empty(0, dtype=np.int64))
-    k_star = int(np.flatnonzero(ok)[-1]) + 1
-    t = float(ordered[k_star - 1])
-    rejected = np.flatnonzero(values <= t)
-    return ThresholdResult(t, math.nan, k_star, rejected)
+    j = ok[-1]
+    t = float(proc.distinct[j])
+    return ThresholdResult(t, math.nan, int(proc.cum[j]), proc.rejected_indices(t))
 
 
 def adaptive_bh(
-    pvalues: Sequence[float] | np.ndarray, alpha: float, pi0: Pi0Estimate
+    pvalues: Sequence[float] | np.ndarray | RejectionProcess,
+    alpha: float,
+    pi0: Pi0Estimate,
 ) -> ThresholdResult:
     """Step-up procedure at level ``min(1, alpha / pi0.value)``."""
     if pi0.value <= 0.0:
         raise ValueError("adaptive level undefined: pi0 estimate is zero")
     return bh_procedure(pvalues, min(1.0, alpha / pi0.value))
-

@@ -300,10 +300,10 @@ def run_procedure(
     """
     _check_name(name, PROCEDURES, "procedure")
     if name == "bh":
-        return bh_procedure(proc.values, alpha)
+        return bh_procedure(proc, alpha)
     pi0 = estimates[PROCEDURE_ESTIMATES[name]]
     if name == "adaptive_bh":
-        return adaptive_bh(proc.values, alpha, pi0)
+        return adaptive_bh(proc, alpha, pi0)
     return threshold(FdrEstimator(name, pi0, lam=pi0.lam), proc, alpha)
 
 

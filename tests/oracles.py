@@ -166,6 +166,79 @@ def pounds_hat_raw_loop(pvalues, supports) -> float:
 
 
 # ---------------------------------------------------------------------------
+# thresholds and step-up cutoffs, one interval or one p-value at a time
+# ---------------------------------------------------------------------------
+
+
+def threshold_loop(est, proc, alpha: float):
+    """Reference for ``fdr.threshold``: scans the intervals where the
+    rejection count is constant one at a time, right to left, and
+    returns the first candidate that lies inside its interval and
+    survives the descent by ulps onto the feasible side of ``alpha``."""
+    from discretefdr.fdr import ThresholdResult, _nudge_down, evaluate_fdr
+
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    m = proc.m
+    mult = est.multiplier(m)
+
+    def f(t):
+        return evaluate_fdr(est, proc, t)
+
+    def result(t):
+        return ThresholdResult(
+            t, f(t), proc.rejections(t), proc.rejected_indices(t)
+        )
+
+    if mult <= 0.0:
+        return result(1.0)
+    if alpha >= 1.0 and (est._caps_at_one() or est.kind == "storey_variant"):
+        return result(1.0)
+    cap = est.lam if est.kind == "storey_variant" else 1.0
+    distinct, cum = proc.distinct, proc.cum
+    n = distinct.shape[0]
+    scale = m * mult
+    # interval j (1-based) is [distinct[j-1], distinct[j]) with count cum[j-1]
+    j_hi = int(np.searchsorted(distinct, cap, side="right"))
+    for j in range(j_hi, 0, -1):
+        left = float(distinct[j - 1])
+        if j == n:
+            right = 1.0
+        else:
+            right = float(np.nextafter(float(distinct[j]), 0.0))
+        right = min(right, cap)
+        cand = alpha * float(cum[j - 1]) / scale
+        t = min(cand, right)
+        if t < left:
+            continue
+        t = _nudge_down(f, t, left, alpha)
+        if t is not None:
+            return result(t)
+    right = cap
+    if n > 0 and distinct[0] <= cap:
+        right = float(np.nextafter(float(distinct[0]), 0.0))
+    t = _nudge_down(f, min(alpha / scale, right), 0.0, alpha)
+    return result(0.0 if t is None else t)
+
+
+def bh_sorted(pvalues, alpha: float):
+    """Reference for ``fdr.bh_procedure``: the step-up condition
+    ``p_(k) <= k * alpha / m`` tested at every rank of the sorted
+    p-values."""
+    from discretefdr.fdr import ThresholdResult
+
+    values = np.asarray(pvalues, dtype=np.float64)
+    m = values.shape[0]
+    ordered = np.sort(values)
+    ok = ordered <= np.arange(1, m + 1) * (alpha / m)
+    if not np.any(ok):
+        return ThresholdResult(0.0, np.nan, 0, np.empty(0, dtype=np.int64))
+    k_star = int(np.flatnonzero(ok)[-1]) + 1
+    t = float(ordered[k_star - 1])
+    return ThresholdResult(t, np.nan, k_star, np.flatnonzero(values <= t))
+
+
+# ---------------------------------------------------------------------------
 # conditional expectations of the adjusted estimator's terms
 # ---------------------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from discretefdr import (
 )
 
 from conftest import random_pvalue_instance
-from oracles import counterexample_instance
+from oracles import bh_sorted, counterexample_instance, threshold_loop
 
 
 def _pi0(value, method="generalized", lam=0.5):
@@ -48,6 +48,8 @@ def test_process_rejects_out_of_range_values():
         build_rejection_process(np.array([0.0, 0.5]))
     with pytest.raises(ValueError):
         build_rejection_process(np.array([0.5, 1.5]))
+    with pytest.raises(ValueError, match="p-values must lie in"):
+        build_rejection_process(np.array([np.nan, 0.001, 0.5, 0.9]))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +214,85 @@ def test_threshold_variant_capped_at_lambda():
     assert res.t_alpha <= 0.5
 
 
+def _assert_same_result(got, want):
+    """Bitwise equality of two threshold results (NaN equals NaN)."""
+    for field in ("t_alpha", "fdr_at_t"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert np.float64(a).tobytes() == np.float64(b).tobytes(), (field, a, b)
+    assert got.rejections == want.rejections
+    assert got.rejected.dtype == want.rejected.dtype
+    assert np.array_equal(got.rejected, want.rejected)
+
+
+def _threshold_instances(rng):
+    """P-value sets covering ties, continuous values, p = 1 and m = 1."""
+    for _ in range(60):
+        m = int(rng.integers(2, 80))
+        yield random_pvalue_instance(rng, m)
+        yield rng.uniform(1e-9, 1.0, size=m)
+        # heavy ties: a handful of distinct values, one of them 1
+        levels = np.append(rng.uniform(1e-4, 0.2, size=3), [0.5, 1.0])
+        yield rng.choice(levels, size=m)
+    yield np.array([0.03])
+    yield np.array([1.0])
+    yield np.ones(7)
+    yield np.full(9, 0.004)
+
+
+def test_threshold_matches_interval_loop_bitwise():
+    """The vectorised feasibility test returns exactly what scanning the
+    rejection-count intervals one at a time returns."""
+    rng = np.random.default_rng(15)
+    alphas = (0.0, 1e-4, 0.01, 0.05, 0.2, 1.0)
+    cases = 0
+    for pv in _threshold_instances(rng):
+        proc = build_rejection_process(pv)
+        lo, hi = float(pv.min()), float(pv.max())
+        # variant cutoffs below the smallest, inside, and above the
+        # largest p-value (the last only when the largest is below 1)
+        lams = [lo / 2, 0.5] + ([(hi + 1.0) / 2] if hi < 1.0 else [])
+        raws = (0.0, -0.1, float(rng.uniform(0.05, 1.2)))
+        for alpha in alphas + (float(rng.uniform()),):
+            for raw in raws:
+                for lam in lams:
+                    pi0 = _pi0(raw, lam=lam)
+                    span = (1.0 - lam) * proc.m
+                    sigma = max(0.0, float(rng.uniform()) * span * raw)
+                    for est in (
+                        FdrEstimator("storey", pi0, lam=lam),
+                        FdrEstimator("storey_variant", pi0, lam=lam),
+                        FdrEstimator("generalized", pi0, lam=lam),
+                        FdrEstimator(
+                            "storey_type_sigma", pi0, lam=lam, sigma=sigma
+                        ),
+                    ):
+                        if est.kind == "storey_type_sigma" and raw < 0.0:
+                            continue  # no valid sigma
+                        _assert_same_result(
+                            threshold(est, proc, alpha),
+                            threshold_loop(est, proc, alpha),
+                        )
+                        cases += 1
+    assert cases > 30000
+
+
+def test_threshold_falls_back_when_a_nudge_fails():
+    """A candidate that rounds onto its interval's left end, where the
+    estimator rounds a hair above alpha, cannot be nudged down inside the
+    interval; the solver then takes the next feasible interval."""
+    mult, alpha = 0.5381497769581267, 0.1
+    pv = np.array([0.001, 0.001, 0.024237635727728784] + [1.0] * 20)
+    proc = build_rejection_process(pv)
+    est = FdrEstimator("storey", _pi0(mult, "storey"), lam=0.5)
+    # the count-3 interval's candidate is its left end and is infeasible
+    assert alpha * 3 / (proc.m * mult) == pv[2]
+    assert evaluate_fdr(est, proc, float(pv[2])) > alpha
+    res = threshold(est, proc, alpha)
+    _assert_same_result(res, threshold_loop(est, proc, alpha))
+    assert res.rejections == 2
+    assert res.fdr_at_t <= alpha
+
+
 # ---------------------------------------------------------------------------
 # BH and adaptive BH
 # ---------------------------------------------------------------------------
@@ -259,6 +340,29 @@ def test_adaptive_bh_reductions():
 
     tiny = adaptive_bh(pv, 0.05, _pi0(0.01, "benjamini", lam=None))
     assert tiny.rejections == bh_procedure(pv, 1.0).rejections
+
+
+def test_bh_rejects_nan_pvalues():
+    with pytest.raises(ValueError, match="p-values must lie in"):
+        bh_procedure(np.array([np.nan, 0.001, 0.5, 0.9]), 0.05)
+
+
+def test_step_up_on_process_matches_sorted_form_bitwise():
+    """Reading the cutoff off the distinct p-values and their running
+    totals gives exactly the rank-by-rank step-up result, whether the
+    procedures get p-values or a prebuilt process."""
+    rng = np.random.default_rng(16)
+    alphas = (0.0, 1e-4, 0.01, 0.05, 0.2, 1.0)
+    for pv in _threshold_instances(rng):
+        proc = build_rejection_process(pv)
+        for alpha in alphas + (float(rng.uniform()),):
+            want = bh_sorted(pv, alpha)
+            _assert_same_result(bh_procedure(pv, alpha), want)
+            _assert_same_result(bh_procedure(proc, alpha), want)
+            pi0 = _pi0(float(rng.uniform(0.05, 1.0)), "benjamini", lam=None)
+            want = bh_sorted(pv, min(1.0, alpha / pi0.value))
+            _assert_same_result(adaptive_bh(pv, alpha, pi0), want)
+            _assert_same_result(adaptive_bh(proc, alpha, pi0), want)
 
 
 def test_adaptive_bh_rejects_zero_pi0():
