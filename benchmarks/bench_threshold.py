@@ -5,8 +5,7 @@ The input is ``m`` uniform p-values of which 10% are moved near 0
 (uniform on [1e-7, 1e-4]), so nearly every p-value is distinct and the
 threshold has about ``m`` rejection-count intervals to consider. The
 threshold is that of the exceedance (``storey``) FDR estimator at
-lambda 0.5, at level ``--alpha``. The script prints the best wall time
-of:
+lambda 0.5, at level 0.05. The script prints the best wall time of:
 
 * ``build_rejection_process``: sorting and deduplicating the p-values;
 * ``threshold`` on the prebuilt process;
@@ -14,7 +13,7 @@ of:
   on the prebuilt process, as ``sim.run_procedure`` calls it.
 
 Run with ``python3 benchmarks/bench_threshold.py`` (options: ``--m``,
-``--alpha``, ``--repeat`` for timing repetitions, ``--seed``).
+``--repeat`` for timing repetitions, ``--seed``).
 """
 
 from __future__ import annotations
@@ -33,6 +32,8 @@ from discretefdr import (
     threshold,
 )
 
+ALPHA = 0.05
+
 
 def _time(fn, *args, repeat: int) -> tuple[float, object]:
     best = float("inf")
@@ -47,8 +48,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--m", type=int, default=1_000_000,
                         help="number of p-values (default 1000000)")
-    parser.add_argument("--alpha", type=float, default=0.05,
-                        help="FDR level (default 0.05)")
     parser.add_argument("--repeat", type=int, default=5,
                         help="timing repetitions, best is kept (default 5)")
     parser.add_argument("--seed", type=int, default=0)
@@ -64,12 +63,12 @@ def main() -> int:
     est = FdrEstimator("storey", pi0, lam=0.5)
 
     t_build, proc = _time(build_rejection_process, pvalues, repeat=args.repeat)
-    t_thr, res = _time(threshold, est, proc, args.alpha, repeat=args.repeat)
-    t_bh, bh = _time(bh_procedure, pvalues, args.alpha, repeat=args.repeat)
-    t_bh_proc, _ = _time(bh_procedure, proc, args.alpha, repeat=args.repeat)
+    t_thr, res = _time(threshold, est, proc, ALPHA, repeat=args.repeat)
+    t_bh, bh = _time(bh_procedure, pvalues, ALPHA, repeat=args.repeat)
+    t_bh_proc, _ = _time(bh_procedure, proc, ALPHA, repeat=args.repeat)
 
     print(f"m = {args.m}, {proc.distinct.shape[0]} distinct p-values, "
-          f"storey pi0 {pi0.raw:.4f}, alpha {args.alpha}; "
+          f"storey pi0 {pi0.raw:.4f}, alpha {ALPHA}; "
           f"best of {args.repeat} runs")
     rows = (
         ("build_rejection_process", t_build, ""),
