@@ -3,18 +3,21 @@
 
 The kernels build one null law per distinct conditioning key (the total
 for the binomial and negative-binomial tests, the margins for the
-hypergeometric test) and fill in every feature by indexing. This script
-times each kernel on two kinds of batch:
+hypergeometric test), all laws of one width as one 2-D block, and
+return each feature's p-value with a slice of its key's support, which
+is stored once; ``Study.from_distinct`` then merges equal supports and
+lays them out by length. This script times both steps on two kinds of batch:
 
 * ``repeated``: simulation-scale count data, where most features share
   their key with others, so most of the work is shared;
 * ``unique``: every feature has its own key, so nothing is shared and
-  the kernel does one law per feature.
+  the kernel builds one law per feature.
 
-It prints the best wall time of each, the distinct keys and the time
-per feature. Unique-key batches of the binomial and negative-binomial
-tests need distinct totals, so each law grows with the batch; they are
-capped at ``UNIQUE_TOTALS`` features to keep them comparable.
+It prints the best wall time of the kernel and of the study built from
+its output, the distinct keys and supports and the kernel time per
+feature. Unique-key batches of the binomial and negative-binomial tests
+need distinct totals, so each law grows with the batch; they are capped
+at ``UNIQUE_TOTALS`` features to keep them comparable.
 
 Run with ``python3 benchmarks/bench_kernels.py`` (options: ``--m`` for
 the batch size, ``--repeat`` for timing repetitions, ``--seed``).
@@ -27,18 +30,19 @@ import time
 
 import numpy as np
 
-from discretefdr import _kernels
+from discretefdr import Study, _kernels
 
 UNIQUE_TOTALS = 2000
 
 
-def _time(fn, *args, repeat: int) -> float:
+def _time(fn, *args, repeat: int):
+    """Best wall time of ``fn(*args)`` over ``repeat`` calls, and its result."""
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        fn(*args)
+        out = fn(*args)
         best = min(best, time.perf_counter() - start)
-    return best
+    return best, out
 
 
 def _repeated(m: int, rng: np.random.Generator) -> dict:
@@ -121,18 +125,19 @@ def main() -> int:
 
     print(f"best of {args.repeat} runs")
     header = (f"{'kernel':10s} {'keys':>9s} {'m':>7s} {'distinct':>9s} "
-              f"{'time':>10s} {'per feature':>12s}")
+              f"{'supports':>9s} {'kernel':>10s} {'study':>10s} {'per feature':>12s}")
     print(header)
     print("-" * len(header))
     for name, kernel in kernels.items():
         for kind, data in batches.items():
             batch = data[name]
             m = len(batch[0])
-            t = _time(kernel, *batch, repeat=args.repeat)
+            t, out = _time(kernel, *batch, repeat=args.repeat)
+            t_study, study = _time(Study.from_distinct, *out, repeat=args.repeat)
             print(
                 f"{name:10s} {kind:>9s} {m:7d} "
-                f"{_distinct_keys(name, batch):9d} {t * 1e3:8.1f}ms "
-                f"{t / m * 1e6:10.2f}us"
+                f"{_distinct_keys(name, batch):9d} {study.support_len.shape[0]:9d} "
+                f"{t * 1e3:8.1f}ms {t_study * 1e3:8.1f}ms {t / m * 1e6:10.2f}us"
             )
     return 0
 

@@ -223,10 +223,10 @@ def _ingest_study(settings: dict, manifest: dict | None):
             "relax --min-total/--max-total",
         )
     try:
-        pvals, supports = test_count_table(table, settings["convention"])
+        study = Study.from_distinct(*test_count_table(table, settings["convention"]))
     except ValueError as exc:
         raise CliError("usage", str(exc)) from exc
-    return table, Study(pvals, supports), {"counts": {"path": path, "sha256": _sha256(data)}}
+    return table, study, {"counts": {"path": path, "sha256": _sha256(data)}}
 
 
 def cmd_analyze(settings: dict, out_dir: str, manifest: dict | None = None) -> int:
@@ -249,9 +249,10 @@ def cmd_analyze(settings: dict, out_dir: str, manifest: dict | None = None) -> i
         raise CliError("usage", str(exc)) from exc
 
     _ensure_out_dir(out_dir)
+    points = study.support_flat.tolist()
     support_cells = [
-        ";".join(f"{v:.9g}" for v in support)
-        for support in study.distinct_supports()
+        ";".join([f"{v:.9g}" for v in points[a : a + n]])
+        for a, n in zip(study.support_start.tolist(), study.support_len.tolist())
     ]
     _write_csv(
         os.path.join(out_dir, "features.csv"),

@@ -83,7 +83,7 @@ class TestResult:
 
 def _single(batch_result) -> TestResult:
     pvals, flat, start, length = batch_result
-    return TestResult(float(pvals[0]), flat[: int(length[0])].copy())
+    return TestResult(float(pvals[0]), flat[start[0] : start[0] + length[0]].copy())
 
 
 def _validate_convention(convention: str) -> None:
@@ -315,33 +315,27 @@ def ingest_counts(source: IO[bytes], schema: IngestSchema) -> CountTable:
     )
 
 
-def test_count_table(
-    table: CountTable, convention: str = "minlik"
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def test_count_table(table: CountTable, convention: str = "minlik"):
     """Run the table's test on every feature.
 
-    Returns the p-value vector and the per-feature supports. Both
-    conventions go through the batch kernels, which compute one null
-    law per distinct conditioning key.
+    Both conventions go through the batch kernels, which compute one
+    null law per distinct conditioning key. Returns their layout
+    ``(pvalues, support_flat, support_start, support_len)``, in which
+    features that share a key share one support slice;
+    ``Study.from_distinct`` takes it as is.
     """
     _validate_convention(convention)
     if table.kind == "ent" and not (table.size is not None and table.size > 0):
         raise ValueError("size must be positive")
     if table.kind == "bin":
-        out = _kernels.batch_binomial(table.group1, table.group2, convention)
-    elif table.kind == "fet":
-        out = _kernels.batch_fisher(
+        return _kernels.batch_binomial(table.group1, table.group2, convention)
+    if table.kind == "fet":
+        return _kernels.batch_fisher(
             table.group1, table.trials1, table.group2, table.trials2, convention
         )
-    else:
-        out = _kernels.batch_negbinom(
-            table.group1,
-            table.group2,
-            float(table.reps) * float(table.size),
-            convention,
-        )
-    pvals, flat, start, length = out
-    supports = [
-        flat[a : a + n].copy() for a, n in zip(start.tolist(), length.tolist())
-    ]
-    return pvals, supports
+    return _kernels.batch_negbinom(
+        table.group1,
+        table.group2,
+        float(table.reps) * float(table.size),
+        convention,
+    )

@@ -23,8 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import as_csr
-
 
 @dataclass(frozen=True)
 class PValueProfile:
@@ -44,6 +42,38 @@ class PValueProfile:
         )
 
 
+def _first_equal(flat, start, length) -> np.ndarray:
+    """For every support of a layout, the first support equal to it.
+
+    Only supports of one length and one smallest element can be equal,
+    so only those are compared, one length at a time.
+    """
+    k = length.shape[0]
+    smallest = np.full(k, -1.0)
+    nonempty = length > 0
+    smallest[nonempty] = flat[start[nonempty]]
+    order = np.lexsort((smallest, length))
+    tied = (np.diff(length[order]) == 0) & (np.diff(smallest[order]) == 0)
+    candidate = np.zeros(k, dtype=bool)
+    candidate[order[1:][tied]] = True
+    candidate[order[:-1][tied]] = True
+    first = np.arange(k)
+    candidates = np.flatnonzero(candidate)
+    for n in np.unique(length[candidates]).tolist():
+        ks = candidates[length[candidates] == n]
+        if n == 0:
+            first[ks] = ks[0]
+            continue
+        rows = flat[start[ks, None] + np.arange(n)]
+        _, at, inverse = np.unique(
+            rows.view(np.dtype((np.void, 8 * n))).ravel(),
+            return_index=True,
+            return_inverse=True,
+        )
+        first[ks] = ks[at[inverse.reshape(-1)]]
+    return first
+
+
 class Study:
     """A collection of p-value profiles, optionally with truth labels.
 
@@ -55,9 +85,12 @@ class Study:
     distinct support is stored once, in compressed rows: distinct
     support ``k`` is ``support_flat[support_start[k]: support_start[k]
     + support_len[k]]``, and hypothesis ``i`` has distinct support
-    ``support_index[i]``. Per-support statistics are computed once per
-    distinct support and gathered through ``support_index``. The flat
-    array is read-only because hypotheses share its slices.
+    ``support_index[i]``. The distinct supports are laid out by
+    ascending length, so the supports of one length form one
+    contiguous 2-D block. Per-support statistics are computed
+    blockwise, once per distinct support, and gathered through
+    ``support_index``. The flat array is read-only because hypotheses
+    share its slices.
     """
 
     def __init__(
@@ -66,25 +99,56 @@ class Study:
         supports: Sequence[np.ndarray],
         truth: Sequence[bool] | np.ndarray | None = None,
     ) -> None:
+        supports = [np.asarray(s, dtype=np.float64) for s in supports]
+        length = np.array([s.shape[0] for s in supports], dtype=np.int64)
+        flat = np.concatenate(supports) if supports else np.empty(0)
+        self._store(pvalues, flat, np.cumsum(length) - length, length, truth)
+
+    @classmethod
+    def from_distinct(
+        cls,
+        pvalues: np.ndarray,
+        support_flat: np.ndarray,
+        support_start: np.ndarray,
+        support_len: np.ndarray,
+        truth: Sequence[bool] | np.ndarray | None = None,
+    ) -> "Study":
+        """Build a study from the batch kernels' layout.
+
+        Hypothesis ``i``'s support is ``support_flat[support_start[i]:
+        support_start[i] + support_len[i]]``, where ``support_flat``
+        holds each distinct support once and hypotheses that share a
+        support share its slice.
+        """
+        study = cls.__new__(cls)
+        study._store(pvalues, support_flat, support_start, support_len, truth)
+        return study
+
+    def _store(self, pvalues, flat, start, length, truth) -> None:
         self.pvalues = np.asarray(pvalues, dtype=np.float64)
         if self.pvalues.ndim != 1 or self.pvalues.shape[0] < 1:
             raise ValueError("a study needs at least one p-value")
-        if len(supports) != self.pvalues.shape[0]:
+        flat = np.asarray(flat, dtype=np.float64)
+        start = np.asarray(start, dtype=np.int64)
+        length = np.asarray(length, dtype=np.int64)
+        if length.shape[0] != self.pvalues.shape[0]:
             raise ValueError("supports and p-values must align")
-        first_of: dict[bytes, int] = {}
-        distinct: list[np.ndarray] = []
-        index = []
-        for support in supports:
-            support = np.asarray(support, dtype=np.float64)
-            k = first_of.setdefault(support.tobytes(), len(distinct))
-            if k == len(distinct):
-                distinct.append(support)
-            index.append(k)
-        self.support_flat, self.support_start, self.support_len = as_csr(
-            distinct
-        )
+        # read each shared slice once, then merge slices with equal contents
+        slot = start * (flat.shape[0] + 1) + length
+        _, at, index = np.unique(slot, return_index=True, return_inverse=True)
+        start, length = start[at], length[at]
+        first = _first_equal(flat, start, length)
+        # store each distinct support once, laid out by ascending length
+        kept = np.flatnonzero(first == np.arange(length.shape[0]))
+        kept = kept[np.argsort(length[kept], kind="stable")]
+        position = np.empty(length.shape[0], dtype=np.int64)
+        position[kept] = np.arange(kept.shape[0])
+        self.support_len = length[kept]
+        self.support_start = np.cumsum(self.support_len) - self.support_len
+        shift = np.repeat(start[kept] - self.support_start, self.support_len)
+        self.support_flat = flat[shift + np.arange(shift.shape[0])]
+        self.support_index = position[first[index.reshape(-1)]]
         self.support_flat.flags.writeable = False
-        self.support_index = np.array(index, dtype=np.int64)
         if truth is None:
             self.truth = None
         else:
@@ -95,34 +159,6 @@ class Study:
     @property
     def m(self) -> int:
         return self.pvalues.shape[0]
-
-    @classmethod
-    def from_profiles(
-        cls,
-        profiles: Sequence[PValueProfile],
-        truth: Sequence[bool] | None = None,
-    ) -> "Study":
-        return cls(
-            [p.pvalue for p in profiles],
-            [p.support for p in profiles],
-            truth,
-        )
-
-    @classmethod
-    def from_batch(
-        cls,
-        pvalues: np.ndarray,
-        support_flat: np.ndarray,
-        support_start: np.ndarray,
-        support_len: np.ndarray,
-        truth: Sequence[bool] | np.ndarray | None = None,
-    ) -> "Study":
-        """Build a study from the flattened batch-kernel layout."""
-        supports = [
-            support_flat[support_start[i] : support_start[i] + support_len[i]]
-            for i in range(pvalues.shape[0])
-        ]
-        return cls(pvalues, supports, truth)
 
     def distinct_supports(self) -> list[np.ndarray]:
         """Every distinct support once, in ``support_index`` order."""
@@ -303,22 +339,40 @@ def null_expected_pvalue(profile: PValueProfile) -> float:
     is the sum of ``t_k * (t_k - t_{k-1})``. An empty support means a
     uniform null with expectation 1/2.
     """
-    return _support_mean(profile.support)
+    s = profile.support
+    return float(_support_means(s, np.array([0]), np.array([s.shape[0]]))[0])
 
 
-def _support_mean(s: np.ndarray) -> float:
-    if s.shape[0] == 0:
-        return 0.5
-    gaps = np.diff(np.concatenate(([0.0], s)))
-    return float(np.sum(s * gaps))
+def _support_means(flat, start, length) -> np.ndarray:
+    """Null expected p-value of every support of a layout sorted by length.
+
+    The terms ``t_k * (t_k - t_{k-1})`` are formed over the flat array at
+    once. The supports of one length are then one C-contiguous block, and
+    a block's row sums equal each support's own pairwise sum.
+    """
+    gaps = np.diff(flat, prepend=0.0)
+    heads = start[length > 0]
+    gaps[heads] = flat[heads]
+    terms = flat * gaps
+    means = np.full(length.shape[0], 0.5)
+    bounds = (np.flatnonzero(np.diff(length)) + 1).tolist()
+    for a, b in zip([0, *bounds], [*bounds, length.shape[0]]):
+        n = int(length[a])
+        if n:
+            at = int(start[a])
+            means[a:b] = terms[at : at + (b - a) * n].reshape(b - a, n).sum(axis=1)
+    return means
 
 
 def pounds_hat_pi0(study: Study) -> Pi0Estimate:
     """Mean of p-values rescaled by their null expectations, capped.
 
-    Each expectation is computed once per distinct support.
+    Each expectation is computed once per distinct support, one block
+    of supports of a length at a time.
     """
-    per_support = np.array([_support_mean(s) for s in study.distinct_supports()])
+    per_support = _support_means(
+        study.support_flat, study.support_start, study.support_len
+    )
     expectations = per_support[study.support_index]
     raw = float(np.mean(study.pvalues / expectations))
     return Pi0Estimate("pounds_hat", raw, _clip01(raw))

@@ -179,11 +179,17 @@ class ThresholdResult:
     rejected: np.ndarray
 
 
-def _nudge_down(f, t: float, floor: float, alpha: float) -> float | None:
-    """Step ``t`` down by ulps until ``f(t) <= alpha``; None if stuck."""
+def _nudge_down(
+    f, t: float, floor: float, alpha: float
+) -> tuple[float, float] | None:
+    """Step ``t`` down by ulps until ``f(t) <= alpha``.
+
+    Returns ``(t, f(t))``, or None if stuck.
+    """
     for _ in range(_MAX_NUDGES):
-        if f(t) <= alpha:
-            return t
+        value = f(t)
+        if value <= alpha:
+            return t, value
         if t <= floor:
             return None
         t = float(np.nextafter(t, 0.0))
@@ -218,10 +224,10 @@ def threshold(
     def f(t: float) -> float:
         return evaluate_fdr(est, proc, t)
 
-    def result(t: float) -> ThresholdResult:
+    def result(t: float, value: float | None = None) -> ThresholdResult:
         return ThresholdResult(
             t_alpha=t,
-            fdr_at_t=f(t),
+            fdr_at_t=f(t) if value is None else value,
             rejections=proc.rejections(t),
             rejected=proc.rejected_indices(t),
         )
@@ -248,19 +254,16 @@ def threshold(
         right = np.append(right, 1.0)
     cand = np.minimum(alpha * proc.cum[:j_hi] / scale, np.minimum(right, cap))
     for j in np.flatnonzero(cand >= left)[::-1]:
-        t = _nudge_down(f, float(cand[j]), float(left[j]), alpha)
-        if t is not None:
-            return result(t)
+        found = _nudge_down(f, float(cand[j]), float(left[j]), alpha)
+        if found is not None:
+            return result(*found)
 
     # Interval [0, p_(1)): no rejections, estimator is mult * t * m.
     right = cap
     if n > 0 and distinct[0] <= cap:
         right = float(np.nextafter(float(distinct[0]), 0.0))
-    t = min(alpha / scale, right)
-    t = _nudge_down(f, t, 0.0, alpha)
-    if t is None:
-        t = 0.0
-    return result(t)
+    found = _nudge_down(f, min(alpha / scale, right), 0.0, alpha)
+    return result(0.0) if found is None else result(*found)
 
 
 def bh_procedure(

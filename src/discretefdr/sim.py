@@ -244,7 +244,7 @@ def generate_scenario(spec: ScenarioSpec, rep_index: int) -> Study:
         out = _kernels.batch_negbinom(
             s1.astype(np.int64), s2.astype(np.int64), k * sigma
         )
-    return Study.from_batch(*out, truth=truth)
+    return Study.from_distinct(*out, truth=truth)
 
 
 def _check_name(name: str, known: tuple[str, ...], what: str) -> None:
@@ -559,14 +559,15 @@ class BiasDecomposition:
     epsilon: float
 
 
-def _tables_at(build, keys, lam: float) -> dict:
-    """Per key: outcome p-values, the mask of those at most ``lam``, and
+def _tables_at(laws, lam: float) -> list:
+    """Per law: outcome p-values, the mask of those at most ``lam``, and
     the largest of them at most ``lam`` (0 when there is none)."""
-    uniq, _, tables = _kernels.pvalue_tables(build, keys)
-    out = {}
-    for key, pv in zip(map(tuple, uniq.tolist()), tables):
+    flat, start, *_ = _kernels.tables(laws)
+    out = []
+    for a, n in zip(start.tolist(), laws[0].tolist()):
+        pv = flat[a : a + n]
         below = pv <= lam
-        out[key] = (pv, below, float(pv[below].max()) if below.any() else 0.0)
+        out.append((pv, below, float(pv[below].max()) if below.any() else 0.0))
     return out
 
 
@@ -605,7 +606,7 @@ def bias_decomposition(
     if spec.kind == "poisson_bin":
         theta1, theta2 = params["theta1"], params["theta2"]
         totals = np.arange(truncation + 1)
-        tables = _tables_at(_kernels.logw_binomial, totals, lam)
+        tables = _tables_at(_kernels.binomial_laws(totals), lam)
         for i in range(m):
             lam_sum = theta1[i] + theta2[i]
             ps = _stats.poisson.pmf(totals, lam_sum)
@@ -616,7 +617,7 @@ def bias_decomposition(
             for s in totals:
                 if ps[s] == 0.0:
                     continue
-                pv, below, floor = tables[int(s),]
+                pv, below, floor = tables[s]
                 split = _stats.binom.pmf(np.arange(s + 1), s, q)
                 acc_cdf += ps[s] * float(split[below].sum())
                 acc_floor += ps[s] * floor
@@ -627,10 +628,10 @@ def bias_decomposition(
     elif spec.kind == "binomial_fet":
         theta1, theta2 = params["theta1"], params["theta2"]
         trials = params["trials"]
-        tables = _tables_at(
-            _kernels.logw_fisher,
-            [(r, r, s) for r in np.unique(trials) for s in range(2 * r + 1)],
-            lam,
+        keys = [(r, s) for r in np.unique(trials).tolist() for s in range(2 * r + 1)]
+        r_key, s_key = np.array(keys, dtype=np.int64).T
+        tables = dict(
+            zip(keys, _tables_at(_kernels.fisher_laws(r_key, r_key, s_key), lam))
         )
         for i in range(m):
             r = int(trials[i])
@@ -646,7 +647,7 @@ def bias_decomposition(
                 ws = float(w.sum())
                 if ws == 0.0:
                     continue
-                pv, below, floor = tables[r, r, s]
+                pv, below, floor = tables[r, s]
                 acc_cdf += float(w[below].sum())
                 acc_floor += ws * floor
                 acc_mean += float(np.dot(w, pv))
@@ -658,9 +659,7 @@ def bias_decomposition(
         k_shape = spec.reps_per_group * sigma
         theta1, theta2 = params["theta1"], params["theta2"]
         counts = np.arange(truncation + 1)
-        tables = _tables_at(
-            lambda s: _kernels.logw_negbinom(s, k_shape), counts, lam
-        )
+        tables = _tables_at(_kernels.negbinom_laws(counts, k_shape), lam)
         for i in range(m):
             mu1 = spec.reps_per_group * theta1[i]
             mu2 = spec.reps_per_group * theta2[i]
@@ -675,7 +674,7 @@ def bias_decomposition(
                 covered += ws
                 if ws == 0.0:
                     continue
-                pv, below, floor = tables[s,]
+                pv, below, floor = tables[s]
                 acc_cdf += float(w[below].sum())
                 acc_floor += ws * floor
                 acc_mean += float(np.dot(w, pv))

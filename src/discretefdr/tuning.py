@@ -96,10 +96,11 @@ def _point_mse(
     m = study.m
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
     idx = rng.integers(0, m, size=(B, m))
-    pv = study.pvalues[idx]
-    floor = study.support_floor(lam)[idx]
-    terms = (pv > lam).astype(np.float64) - eps * (lam - floor)
-    raw = terms.sum(axis=1) / ((1.0 - lam) * m)
+    # each hypothesis's term travels with it, so form the terms once and
+    # resample them
+    floor = study.support_floor(lam)
+    terms = (study.pvalues > lam).astype(np.float64) - eps * (lam - floor)
+    raw = terms[idx].sum(axis=1) / ((1.0 - lam) * m)
     boot = _clip01(raw)
     return float(np.mean((boot - target) ** 2))
 

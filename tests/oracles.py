@@ -3,13 +3,19 @@
 Everything here is computed by direct enumeration over the conditioned
 outcome space with scipy's pmfs — deliberately a different code path
 from the library's log-weight kernels, so agreement is evidence rather
-than tautology.
+than tautology. The per-law builders from log-weights (``logw_*``,
+``outcome_pvalues``, ``doubling_outcome_pvalues``) are the exception:
+they repeat the kernels' arithmetic one law at a time, so the kernels'
+blockwise tables must match them bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import stats
+from scipy.special import gammaln
 
 TIE_RTOL = 1e-12
 
@@ -82,35 +88,93 @@ def null_mass_at_most(pmf: np.ndarray, pvalues: np.ndarray, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def logw_binomial(n) -> np.ndarray:
+    """Log-weights of Binomial(n, 1/2) over the outcomes ``0..n``."""
+    a = np.arange(n + 1)
+    return gammaln(n + 1.0) - gammaln(a + 1.0) - gammaln(n - a + 1.0)
+
+
+def logw_fisher(r1, r2, s) -> np.ndarray:
+    """Hypergeometric log-weights of ``a`` over ``max(0, s - r2)..min(r1, s)``."""
+    a = np.arange(max(0, s - r2), min(r1, s) + 1)
+    return (gammaln(r1 + 1.0) - gammaln(a + 1.0) - gammaln(r1 - a + 1.0)) + (
+        gammaln(r2 + 1.0) - gammaln(s - a + 1.0) - gammaln(r2 - (s - a) + 1.0)
+    )
+
+
+def logw_negbinom(s, shape_total: float) -> np.ndarray:
+    """Log-weights of the split ``a`` of a negative-binomial total ``s``."""
+    a = np.arange(s + 1)
+    left = gammaln(a + shape_total) - gammaln(a + 1.0) - math.lgamma(shape_total)
+    return left + left[::-1]
+
+
+def outcome_pvalues(logw: np.ndarray) -> np.ndarray:
+    """Minimum-likelihood p-value of every outcome of one law, from its
+    log-weights, with one sort and one search per law."""
+    w = np.exp(logw - logw.max())
+    sw = np.sort(w)
+    cw = np.cumsum(sw)
+    total = cw[-1]
+    idx = np.searchsorted(sw, w * (1.0 + TIE_RTOL), side="right") - 1
+    return cw[idx] / total
+
+
+def doubling_outcome_pvalues(logw: np.ndarray) -> np.ndarray:
+    """Tail-doubling p-value of every outcome of one law, from its
+    log-weights: ``min(1, 2 * smaller tail)``."""
+    w = np.exp(logw - logw.max())
+    probs = w / w.sum()
+    lower = np.cumsum(probs)
+    upper = np.cumsum(probs[::-1])[::-1]
+    return np.minimum(1.0, 2.0 * np.minimum(lower, upper))
+
+
+def law_tables_loop(kind: str, keys, convention: str = "minlik", shape_total=None):
+    """Reference for ``_kernels.tables``: one law at a time, each table
+    from its own log-weights and each support from ``np.unique``.
+    Returns the list of tables and the list of supports."""
+    table = {"minlik": outcome_pvalues, "doubling": doubling_outcome_pvalues}[
+        convention
+    ]
+    if kind == "bin":
+        logws = [logw_binomial(int(n)) for n in keys]
+    elif kind == "fet":
+        logws = [logw_fisher(*map(int, key)) for key in keys]
+    else:
+        logws = [logw_negbinom(int(s), float(shape_total)) for s in keys]
+    tables = [table(logw) for logw in logws]
+    return tables, [np.unique(t) for t in tables]
+
+
 def batch_loop(kind: str, args, convention: str = "minlik"):
     """Per-feature reference for ``_kernels.batch_*``.
 
     Rebuilds every feature's null law and outcome table on its own, with
-    no grouping by conditioning key, and lays the results out as the
-    kernels do: ``(pvalues, support_flat, support_start, support_len)``.
-    The laws and tables are the library's own, so any difference from
-    the kernels comes from grouping features by key.
+    no grouping by conditioning key, and lays the results out per
+    feature: ``(pvalues, support_flat, support_start, support_len)``.
+    The laws and tables are the per-law builders above, so any
+    difference from the kernels comes from grouping features by key and
+    building the laws blockwise.
     """
-    from discretefdr import _kernels as K
-
-    table = {"minlik": K.outcome_pvalues, "doubling": K.doubling_pvalues}[
+    table = {"minlik": outcome_pvalues, "doubling": doubling_outcome_pvalues}[
         convention
     ]
     if kind == "bin":
         x1, x2 = (np.asarray(a, dtype=np.int64) for a in args)
-        laws = [(K.logw_binomial(x1[i] + x2[i]), x1[i]) for i in range(len(x1))]
+        laws = [(logw_binomial(x1[i] + x2[i]), x1[i]) for i in range(len(x1))]
     elif kind == "fet":
         x1, r1, x2, r2 = (np.asarray(a, dtype=np.int64) for a in args)
         laws = []
         for i in range(len(x1)):
             s = x1[i] + x2[i]
             lo = max(0, s - r2[i])
-            laws.append((K.logw_fisher(r1[i], r2[i], s), x1[i] - lo))
+            laws.append((logw_fisher(r1[i], r2[i], s), x1[i] - lo))
     else:
         s1, s2 = (np.asarray(a, dtype=np.int64) for a in args[:2])
         k = float(args[2])
         laws = [
-            (K.logw_negbinom(s1[i] + s2[i], k), s1[i]) for i in range(len(s1))
+            (logw_negbinom(s1[i] + s2[i], k), s1[i]) for i in range(len(s1))
         ]
     m = len(laws)
     pvals = np.empty(m)
@@ -128,6 +192,14 @@ def batch_loop(kind: str, args, convention: str = "minlik"):
         pos += sup.shape[0]
     flat = np.concatenate(pieces) if pieces else np.empty(0)
     return pvals, flat, start, length
+
+
+def per_feature_layout(pvalues, flat, start, length):
+    """Copy the kernels' shared support slices out to a layout in which
+    every feature owns its own slice, laid out in feature order."""
+    pieces = [flat[a : a + n] for a, n in zip(start.tolist(), length.tolist())]
+    per_flat = np.concatenate(pieces) if pieces else np.empty(0)
+    return pvalues, per_flat, np.cumsum(length) - length, length
 
 
 def support_floor_loop(supports, lam: float) -> np.ndarray:
@@ -175,7 +247,7 @@ def threshold_loop(est, proc, alpha: float):
     rejection count is constant one at a time, right to left, and
     returns the first candidate that lies inside its interval and
     survives the descent by ulps onto the feasible side of ``alpha``."""
-    from discretefdr.fdr import ThresholdResult, _nudge_down, evaluate_fdr
+    from discretefdr.fdr import _MAX_NUDGES, ThresholdResult, evaluate_fdr
 
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -189,6 +261,18 @@ def threshold_loop(est, proc, alpha: float):
         return ThresholdResult(
             t, f(t), proc.rejections(t), proc.rejected_indices(t)
         )
+
+    def nudge(t, floor):
+        # descend by ulps until f(t) <= alpha; None if stuck
+        for _ in range(_MAX_NUDGES):
+            if f(t) <= alpha:
+                return t
+            if t <= floor:
+                return None
+            t = float(np.nextafter(t, 0.0))
+            if t < floor:
+                return None
+        return None
 
     if mult <= 0.0:
         return result(1.0)
@@ -211,13 +295,13 @@ def threshold_loop(est, proc, alpha: float):
         t = min(cand, right)
         if t < left:
             continue
-        t = _nudge_down(f, t, left, alpha)
+        t = nudge(t, left)
         if t is not None:
             return result(t)
     right = cap
     if n > 0 and distinct[0] <= cap:
         right = float(np.nextafter(float(distinct[0]), 0.0))
-    t = _nudge_down(f, min(alpha / scale, right), 0.0, alpha)
+    t = nudge(min(alpha / scale, right), 0.0)
     return result(0.0 if t is None else t)
 
 
@@ -286,3 +370,23 @@ def poisson_bin_adjusted_terms(
         exceed = pmf[:, pv > lam].sum(axis=1)
         expected[at] = exceed - epsilon * (lam - floor)
     return pvalues, expected
+
+
+# ---------------------------------------------------------------------------
+# bootstrap tuning with every resampled quantity gathered on its own
+# ---------------------------------------------------------------------------
+
+
+def point_mse_two_gathers(study, lam, eps, B, seed, index, target) -> float:
+    """Reference for ``tuning._point_mse``: draws the same resample index
+    and gathers the p-values and the support floors over it separately,
+    forming the adjusted estimator's terms on the B x m resample."""
+    m = study.m
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    idx = rng.integers(0, m, size=(B, m))
+    pv = study.pvalues[idx]
+    floor = study.support_floor(lam)[idx]
+    terms = (pv > lam).astype(np.float64) - eps * (lam - floor)
+    raw = terms.sum(axis=1) / ((1.0 - lam) * m)
+    boot = np.minimum(1.0, np.maximum(0.0, raw))
+    return float(np.mean((boot - target) ** 2))

@@ -8,6 +8,7 @@ import pytest
 from discretefdr import (
     CountPair,
     IngestSchema,
+    Study,
     binomial_test,
     fisher_test,
     ingest_counts,
@@ -310,7 +311,8 @@ def test_count_table_batch_matches_scalar():
     table = _ingest(
         "id,x1,x2\nf1,5,0\nf2,3,3\nf3,12,2\n", IngestSchema(kind="bin")
     )
-    pvals, supports = run_count_table(table, "minlik")
+    study = Study.from_distinct(*run_count_table(table, "minlik"))
+    pvals, supports = study.pvalues, study.supports
     for i, (a, b) in enumerate(zip(table.group1, table.group2)):
         res = binomial_test(int(a), int(b))
         assert pvals[i] == res.pvalue
@@ -321,5 +323,5 @@ def test_count_table_doubling_convention():
     table = _ingest(
         "id,x1,r1,x2,r2\nf1,1,2,1,6\n", IngestSchema(kind="fet")
     )
-    pvals, supports = run_count_table(table, "doubling")
+    pvals = run_count_table(table, "doubling")[0]
     assert pvals[0] == pytest.approx(26 / 28, abs=1e-12)

@@ -291,7 +291,7 @@ def test_support_statistics_memory_scales_with_distinct_supports():
     s1 = rng.integers(0, 30, 5000)
     s2 = rng.integers(0, 30, 5000)
     s1[0] = s2[0] = 20000
-    study = Study.from_batch(*_kernels.batch_negbinom(s1, s2, 3 * 0.689))
+    study = Study.from_distinct(*_kernels.batch_negbinom(s1, s2, 3 * 0.689))
     assert int(study.support_len.max()) > 10000
     tracemalloc.start()
     try:
@@ -301,3 +301,74 @@ def test_support_statistics_memory_scales_with_distinct_supports():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _long_support_study(rng):
+    """Supports of many lengths, from 1 to 5000 points, each length shared
+    by several distinct supports and each support by a few hypotheses."""
+    supports = []
+    for n in (1, 2, 7, 8, 9, 127, 128, 129, 1100, 5000):
+        for _ in range(4):
+            cuts = np.unique(rng.uniform(0.0, 1.0, size=n - 1))
+            supports.append(np.append(cuts, 1.0))
+    supports.append(np.array([]))
+    pick = rng.integers(0, len(supports), 200)
+    chosen = [supports[k] for k in pick]
+    pvalues = np.array([rng.choice(s) if s.shape[0] else 0.5 for s in chosen])
+    return pvalues, chosen
+
+
+def test_support_means_blockwise_match_per_support_sum():
+    """Row sums over blocks of equal-length supports equal each support's
+    own pairwise sum, for supports far longer than a pairwise-sum block."""
+    import oracles
+
+    pvalues, supports = _long_support_study(np.random.default_rng(44))
+    study = Study(pvalues, supports)
+    assert pounds_hat_pi0(study).raw == oracles.pounds_hat_raw_loop(pvalues, supports)
+    for s in supports:
+        expected = 0.5
+        if s.shape[0]:
+            expected = float(np.sum(s * np.diff(np.concatenate(([0.0], s)))))
+        assert null_expected_pvalue(PValueProfile(0.5, s)) == expected
+
+
+def test_from_distinct_matches_per_hypothesis_supports():
+    """The kernels' distinct layout builds the same study as the
+    per-hypothesis supports, with each distinct support stored once."""
+    from discretefdr import _kernels
+
+    rng = np.random.default_rng(45)
+    r = rng.integers(1, 12, 600)
+    x1 = rng.binomial(r, 0.4)
+    x2 = rng.binomial(r, 0.3)
+    out = _kernels.batch_fisher(x1, r, x2, r)
+    study = Study.from_distinct(*out)
+    pvalues, flat, start, length = out
+    per_feature = [flat[a : a + n] for a, n in zip(start, length)]
+    reference = Study(pvalues, per_feature)
+    assert np.array_equal(study.pvalues, reference.pvalues)
+    for a, b in zip(study.supports, per_feature):
+        assert np.array_equal(a, b)
+    # the same distinct supports, stored once each
+    assert study.support_len.shape == reference.support_len.shape
+    assert np.array_equal(np.sort(study.support_flat), np.sort(reference.support_flat))
+    # margins (r, r, s) and (r, r, 2r - s) share a support
+    assert study.support_len.shape[0] < np.unique(start).shape[0]
+    assert np.all(np.diff(study.support_len) >= 0)
+    assert pounds_hat_pi0(study).raw == pounds_hat_pi0(reference).raw
+
+
+def test_from_distinct_reads_any_float_layout_as_float64():
+    """A list or a float32 flat array is read as float64, as ``Study``
+    reads its supports; slices with equal contents are still merged."""
+    flat = [0.25, 1.0, 0.5, 1.0, 0.25, 1.0]
+    args = ([0.25, 0.5, 1.0], [0, 2, 4], [2, 2, 2])
+    for given in (flat, np.array(flat, dtype=np.float32)):
+        study = Study.from_distinct(args[0], given, *args[1:])
+        assert study.support_flat.dtype == np.float64
+        assert study.support_index.tolist() == [0, 1, 0]
+        assert np.array_equal(study.supports[1], [0.5, 1.0])
+        assert pounds_hat_pi0(study).raw == pounds_hat_pi0(
+            Study(args[0], [[0.25, 1.0], [0.5, 1.0], [0.25, 1.0]])
+        ).raw

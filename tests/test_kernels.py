@@ -26,7 +26,7 @@ def test_outcome_pvalues_reference_matches_oracle():
         expected = oracles.binomial_outcome_pvalues(n)
         a = np.arange(n + 1)
         logw = gammaln(n + 1) - gammaln(a + 1) - gammaln(n - a + 1)
-        got = K.outcome_pvalues(logw)
+        got = oracles.outcome_pvalues(logw)
         assert np.allclose(got, expected, rtol=1e-12, atol=0)
 
 
@@ -35,7 +35,9 @@ def test_batch_layout_roundtrip():
     pv, flat, start, length = K.batch_binomial(x1, x2)
     assert pv.shape == (len(x1),)
     assert start.shape == length.shape == (len(x1),)
-    assert flat.shape[0] == int(length.sum())
+    # features that share a total share one slice of the flat array
+    assert np.all(start + length <= flat.shape[0])
+    assert flat.shape[0] == int(length[np.unique(start, return_index=True)[1]].sum())
     for i in range(len(x1)):
         sup = flat[start[i] : start[i] + length[i]]
         assert np.all(np.diff(sup) > 0), "support must be strictly increasing"
@@ -117,9 +119,99 @@ def test_batch_matches_per_feature_loop(make, convention):
         ("ent", (x1, x2, 3 * 0.689), K.batch_negbinom),
     ]
     for kind, args, kernel in cases:
-        got = kernel(*args, convention=convention)
+        got = oracles.per_feature_layout(*kernel(*args, convention=convention))
         expected = oracles.batch_loop(kind, args, convention)
         for g, e in zip(got, expected):
             assert g.dtype == e.dtype, kind
             assert np.array_equal(g, e), kind
 
+
+# ---------------------------------------------------------------------------
+# the block builder against one law at a time
+# ---------------------------------------------------------------------------
+
+
+def _law_cases():
+    rng = np.random.default_rng(7)
+    # totals from 0 to 2000: beyond 1074 some outcome weights underflow to 0;
+    # the total 3000 is wider than a block of the small block size below
+    bin_keys = np.unique(
+        np.concatenate([np.arange(0, 40), rng.integers(40, 1075, 60),
+                        np.arange(1075, 2001, 23), [2000, 3000]])
+    )
+    # margins of many attainable-range lengths, so padded groups mix lengths
+    r1 = rng.integers(0, 90, 400)
+    r2 = rng.integers(0, 90, 400)
+    s = np.array([rng.integers(0, a + b + 1) for a, b in zip(r1, r2)])
+    fet_keys = np.unique(np.column_stack((r1, r2, s)), axis=0)
+    # totals up to about 1100: rows far longer than a pairwise-sum block
+    ent_keys = np.unique(np.concatenate([np.arange(0, 30), rng.integers(30, 1101, 80)]))
+    return [
+        ("bin", bin_keys, K.binomial_laws(bin_keys), None),
+        ("fet", fet_keys, K.fisher_laws(*fet_keys.T), None),
+        ("ent", ent_keys, K.negbinom_laws(ent_keys, 3 * 0.689), 3 * 0.689),
+        # equal weights in exact arithmetic: tie classes span whole laws
+        ("ent", ent_keys[:60], K.negbinom_laws(ent_keys[:60], 1.0), 1.0),
+    ]
+
+
+@pytest.mark.parametrize("block_entries", [None, 2048])
+@pytest.mark.parametrize("convention", ["minlik", "doubling"])
+def test_block_tables_match_per_law_builders_bitwise(
+    convention, block_entries, monkeypatch
+):
+    if block_entries is not None:
+        # split every width's laws into many small blocks
+        monkeypatch.setattr(K, "_BLOCK_ENTRIES", block_entries)
+    for kind, keys, laws, shape_total in _law_cases():
+        table_flat, table_start, flat, start, length = K.tables(laws, convention)
+        tables, supports = oracles.law_tables_loop(kind, keys, convention, shape_total)
+        assert len(tables) == laws[0].shape[0]
+        for k, (table, support) in enumerate(zip(tables, supports)):
+            n = laws[0][k]
+            got = table_flat[table_start[k] : table_start[k] + n]
+            assert n == table.shape[0], (kind, k)
+            assert np.array_equal(got, table), (kind, convention, k)
+            assert np.array_equal(
+                flat[start[k] : start[k] + length[k]], support
+            ), (kind, convention, k)
+
+
+def test_block_cases_cover_padding_underflow_and_deep_ties():
+    """The cases above exercise what the block builder must get right."""
+    lengths = {kind: laws[0] for kind, _, laws, _ in _law_cases()[:3]}
+    # padded groups hold laws of several lengths, some above 128 outcomes
+    width = K._widths(lengths["fet"], "minlik")
+    assert any(np.unique(lengths["fet"][width == w]).shape[0] > 1 for w in width)
+    assert lengths["ent"].max() > 1000
+    # a law wider than the small block size is built as a block of its own
+    assert lengths["bin"].max() > 2048
+    # bin totals of 1075 and more have outcome p-values of exactly 0.0
+    table_flat, table_start, *_ = K.tables(K.binomial_laws([2000]))
+    assert np.count_nonzero(table_flat == 0.0) > 0
+    # flat laws need the per-row search beyond the blockwise tie depth
+    logw = oracles.logw_negbinom(200, 1.0)
+    sw = np.sort(np.exp(logw - logw.max()))[None, :]
+    depth = K._tie_end(sw) - np.arange(sw.shape[1])
+    assert depth.max() > K._MAX_TIE_DEPTH
+
+
+def test_tie_end_matches_search_per_row():
+    """The tie class of every sorted weight, found blockwise, is the last
+    index a per-row search finds; zero weights keep their own index."""
+    rng = np.random.default_rng(8)
+    values = np.concatenate([[0.0], rng.uniform(0.01, 1.0, 6)])
+    rows = []
+    for depth in (0, 1, 3, K._MAX_TIE_DEPTH, K._MAX_TIE_DEPTH + 1, 40):
+        for _ in range(5):
+            row = rng.choice(values, 48)
+            row[: depth + 1] = values[rng.integers(0, values.shape[0])]
+            # near-ties within the relative tolerance join the class
+            row[1 : depth + 1 : 2] *= 1.0 + 0.5 * K.TIE_RTOL
+            rows.append(np.sort(row))
+    sw = np.array(rows)
+    got = K._tie_end(sw)
+    for r, row in enumerate(sw):
+        found = np.searchsorted(row, row * (1.0 + K.TIE_RTOL), side="right") - 1
+        expected = np.where(row == 0.0, np.arange(row.shape[0]), found)
+        assert np.array_equal(got[r], expected), r

@@ -93,3 +93,26 @@ def test_json_dict_shape():
     assert d["chosen"] == {"lambda": 0.2, "epsilon": 0.5}
     assert d["estimate"] == res.estimate
     assert d["mse"][0]["full_sample"] == res.full_sample[0]
+
+
+def test_bootstrap_mse_matches_two_gather_formula_bitwise():
+    """Resampling the per-hypothesis terms gives the same bits as
+    resampling p-values and support floors and forming the terms after."""
+    import oracles
+
+    from discretefdr import _kernels
+
+    rng = np.random.default_rng(24)
+    s1 = rng.negative_binomial(2, 0.2, 300)
+    s2 = rng.negative_binomial(2, 0.1, 300)
+    kernel_study = Study.from_distinct(*_kernels.batch_negbinom(s1, s2, 2.0))
+    pts = [(lam, eps) for lam in (0.0, 0.2, 0.5, 0.8) for eps in (0.0, 0.4, 1.0)]
+    for study in (random_study(rng, 90), kernel_study):
+        grid = TuningGrid(points=pts, B=30, seed=5)
+        res = bootstrap_tune(study, grid)
+        target = float(res.full_sample.min())
+        expected = [
+            oracles.point_mse_two_gathers(study, lam, eps, grid.B, grid.seed, j, target)
+            for j, (lam, eps) in enumerate(pts)
+        ]
+        assert np.array_equal(res.mse, np.array(expected))
