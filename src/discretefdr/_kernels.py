@@ -38,9 +38,13 @@ support_start, support_len)``: feature ``i``'s support is
 that share a key share one slice and no support is copied per feature;
 ``estimators.Study.from_distinct`` takes the layout as is.
 
-Counts are exact for conditioned totals up to a few thousand; far
-beyond that, extreme-tail probabilities can underflow float64 after
-the log-weight shift, and their p-value is then 0.0.
+Counts are exact for conditioned totals up to a few thousand. Beyond
+that, extreme-tail p-values fall below the float64 range (at a binomial
+total of about 1 100) and compute as exactly 0.0. ``tables`` raises each
+such entry to the smallest positive float, ``FLOOR``: the entries merge
+into one support point below every other, the true p-value does not
+exceed it, so the null still dominates the uniform, and every support
+stays in (0, 1]. No entry that computes above 0.0 changes.
 """
 
 from __future__ import annotations
@@ -57,6 +61,10 @@ _MAX_TIE_DEPTH = 8
 
 #: Most entries (laws times width) built in one block, to bound memory.
 _BLOCK_ENTRIES = 1 << 18
+
+#: The smallest positive float: the p-value of outcomes whose exact
+#: p-value is below the float64 range.
+FLOOR = float(np.nextafter(0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +224,7 @@ def tables(laws, convention: str = "minlik"):
         logw[pad] = -np.inf
         block = block_of(np.exp(logw - logw.max(axis=1, keepdims=True)))
         keep = ~pad
+        block[keep & (block == 0.0)] = FLOOR
         table_flat[(table_start[rows] + cols)[keep]] = block[keep]
         # supports: sort each row, padding last, and mask equal neighbours
         block[pad] = np.inf

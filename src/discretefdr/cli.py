@@ -14,12 +14,20 @@ files), ``parse`` (malformed input tables), ``config`` (bad
 simulation configs, digest mismatches, empty analyses).
 
 All floating-point output is printed with 9 significant digits.
+
+CSV outputs are written column by column: each float column is
+formatted in one ``%.9g`` pass (NaN and missing cells print as ``NA``),
+each distinct p-value and support cell of ``features.csv`` is formatted
+once, and the rows are joined and written a fixed number at a time, so
+the text of a whole file is never held in memory. Cells are quoted as ``csv.writer`` quotes them by
+default: a cell holding a comma, a double quote or a line break is
+enclosed in double quotes, with each double quote doubled. A carriage
+return counts as a line break, so that no CSV reader splits its row.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import io
 import json
@@ -72,17 +80,6 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    """Render one CSV cell: floats at 9 significant digits, NaN as NA."""
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "NA"
-        return f"{x:.9g}"
-    if x is None:
-        return "NA"
-    return str(x)
-
-
 def _jsonify(obj):
     """Round floats to 9 significant digits; map non-finite to JSON-safe."""
     if isinstance(obj, float):
@@ -110,12 +107,85 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+#: Rows formatted and written at a time.
+_CHUNK_ROWS = 1 << 14
+
+#: Characters that make a cell quoted.
+_QUOTED = (",", '"', "\r", "\n")
+
+
+def _text_cells(cells) -> list[str]:
+    """Text cells, quoted where ``csv.writer`` would quote them."""
+    cells = list(cells)
+    joined = "".join(cells)
+    if not any(q in joined for q in _QUOTED):
+        return cells
+    return [
+        '"' + c.replace('"', '""') + '"' if any(q in c for q in _QUOTED) else c
+        for c in cells
+    ]
+
+
+def _float_cells(values) -> list[str]:
+    """Float cells at 9 significant digits (the bytes of ``f"{x:.9g}"``,
+    ``inf`` and ``-0`` included); NaN and None print as ``NA``."""
+    x = np.asarray(values, dtype=np.float64)
+    cells = list(map("%.9g".__mod__, x.tolist()))
+    for i in np.flatnonzero(np.isnan(x)).tolist():
+        cells[i] = "NA"
+    return cells
+
+
+def _cells(column, rows: slice) -> list[str]:
+    if isinstance(column, tuple):
+        distinct, index = column
+        return list(map(distinct.__getitem__, index[rows].tolist()))
+    if isinstance(column, list):
+        return _text_cells(column[rows])
+    if column.dtype.kind == "f":
+        return _float_cells(column[rows])
+    return list(map(str, column[rows].tolist()))
+
+
+def _write_csv(path: str, header: list[str], columns: list) -> None:
+    """Write equal-length ``columns`` under ``header``, column-wise.
+
+    A column is a float array, an integer array, a list of text cells,
+    or a pair ``(cells, index)`` of distinct text cells and each row's
+    index into them, so that each distinct cell is quoted once. Rows
+    are formatted, joined and written ``_CHUNK_ROWS`` at a time.
+    """
+    columns = [
+        (_text_cells(c[0]), np.asarray(c[1])) if isinstance(c, tuple) else c
+        for c in columns
+    ]
+    m = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        fh.write(",".join(_text_cells(header)) + "\n")
+        for a in range(0, m, _CHUNK_ROWS):
+            rows = slice(a, a + _CHUNK_ROWS)
+            cells = [_cells(c, rows) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))))
+            fh.write("\n")
+
+
+def _support_cells(study: Study) -> list[str]:
+    """One cell per distinct support: its points at 9 significant
+    digits, joined by ``;``.
+
+    Every point is formatted once, in one ``%`` pass over
+    ``support_flat``; each cell is then cut out of that text by the
+    character offsets of the separators.
+    """
+    flat = study.support_flat
+    text = ("%.9g;" * flat.shape[0]) % tuple(flat.tolist())
+    ends = np.flatnonzero(
+        np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord(";")
+    )
+    begin = np.concatenate(([0], ends + 1))
+    lo = begin[study.support_start]
+    hi = begin[study.support_start + study.support_len] - 1
+    return [text[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 def _read_bytes(path: str) -> bytes:
@@ -229,6 +299,25 @@ def _ingest_study(settings: dict, manifest: dict | None):
     return table, study, {"counts": {"path": path, "sha256": _sha256(data)}}
 
 
+def _write_features(path: str, table, study: Study) -> None:
+    """``features.csv``: each feature's id, p-value and support.
+
+    Features that share a null law share p-values as well as a support,
+    so each distinct p-value, like each distinct support, is formatted
+    once.
+    """
+    pvalues, pvalue_index = np.unique(study.pvalues, return_inverse=True)
+    _write_csv(
+        path,
+        ["id", "pvalue", "support"],
+        [
+            table.ids,
+            (_float_cells(pvalues), pvalue_index),
+            (_support_cells(study), study.support_index),
+        ],
+    )
+
+
 def cmd_analyze(settings: dict, out_dir: str, manifest: dict | None = None) -> int:
     """Test a count table, estimate the true-null proportion, threshold."""
     table, study, inputs = _ingest_study(settings, manifest)
@@ -247,22 +336,11 @@ def cmd_analyze(settings: dict, out_dir: str, manifest: dict | None = None) -> i
                 )
     except ValueError as exc:
         raise CliError("usage", str(exc)) from exc
+    # bh runs at every level, so there is at least one row
+    methods, *floats, rejections = zip(*rows)
 
     _ensure_out_dir(out_dir)
-    points = study.support_flat.tolist()
-    support_cells = [
-        ";".join([f"{v:.9g}" for v in points[a : a + n]])
-        for a, n in zip(study.support_start.tolist(), study.support_len.tolist())
-    ]
-    _write_csv(
-        os.path.join(out_dir, "features.csv"),
-        ["id", "pvalue", "support"],
-        zip(
-            table.ids,
-            study.pvalues.tolist(),
-            (support_cells[k] for k in study.support_index.tolist()),
-        ),
-    )
+    _write_features(os.path.join(out_dir, "features.csv"), table, study)
 
     _write_json(
         os.path.join(out_dir, "estimates.json"),
@@ -291,7 +369,11 @@ def cmd_analyze(settings: dict, out_dir: str, manifest: dict | None = None) -> i
             "fdr_at_threshold",
             "rejections",
         ],
-        rows,
+        [
+            list(methods),
+            *(np.array(c, dtype=np.float64) for c in floats),
+            np.array(rejections, dtype=np.int64),
+        ],
     )
     _write_manifest(out_dir, "analyze", settings, inputs)
     print(f"analyze: m = {study.m}, outputs in {out_dir}")
@@ -410,31 +492,33 @@ def cmd_simulate(settings: dict, out_dir: str, manifest: dict | None = None) -> 
         raise CliError("config", str(exc)) from exc
 
     _ensure_out_dir(out_dir)
+    reps = np.arange(spec.reps)
+    n_methods = len(summary.pi0_methods)
     _write_csv(
         os.path.join(out_dir, "pi0_replications.csv"),
         ["rep", "method", "estimate", "excess"],
-        (
-            (r, name, float(summary.pi0_estimates[r, j]), float(summary.excess[r, j]))
-            for r in range(spec.reps)
-            for j, name in enumerate(summary.pi0_methods)
-        ),
+        [
+            np.repeat(reps, n_methods),
+            (list(summary.pi0_methods), np.tile(np.arange(n_methods), spec.reps)),
+            summary.pi0_estimates.reshape(-1),
+            summary.excess.reshape(-1),
+        ],
     )
+    n_procs, n_alphas = len(summary.procedures), len(spec.alpha_levels)
     _write_csv(
         os.path.join(out_dir, "mtp_replications.csv"),
         ["rep", "procedure", "alpha", "threshold", "rejections", "fdp"],
-        (
+        [
+            np.repeat(reps, n_procs * n_alphas),
             (
-                r,
-                name,
-                float(alpha),
-                float(summary.thresholds[r, j, a]),
-                int(summary.rejections[r, j, a]),
-                float(summary.fdp[r, j, a]),
-            )
-            for r in range(spec.reps)
-            for j, name in enumerate(summary.procedures)
-            for a, alpha in enumerate(spec.alpha_levels)
-        ),
+                list(summary.procedures),
+                np.tile(np.repeat(np.arange(n_procs), n_alphas), spec.reps),
+            ),
+            np.tile(np.array(spec.alpha_levels), spec.reps * n_procs),
+            summary.thresholds.reshape(-1),
+            summary.rejections.reshape(-1),
+            summary.fdp.reshape(-1),
+        ],
     )
     agg = summary.aggregate()
     agg["lambda"] = settings["lambda"]

@@ -28,6 +28,7 @@ The module also houses delimited-text ingestion of count tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import IO
 
 import numpy as np
@@ -35,6 +36,9 @@ import numpy as np
 from . import _kernels
 
 CONVENTIONS = ("minlik", "doubling")
+
+#: The largest count a table may hold, per cell and per group sum.
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -183,6 +187,8 @@ class IngestSchema:
             raise ValueError("ent ingestion requires size")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        if self.trials is not None and self.trials > _INT64_MAX:
+            raise ValueError(f"trials must be at most {_INT64_MAX}")
 
 
 @dataclass
@@ -203,23 +209,135 @@ class CountTable:
         return len(self.ids)
 
 
+def _widths(schema: IngestSchema) -> tuple[int, ...]:
+    """The column counts a data row of ``schema``'s table may have."""
+    if schema.kind == "fet":
+        return (5,) if schema.trials is None else (5, 3)
+    if schema.kind == "ent":
+        return tuple(dict.fromkeys((1 + 2 * schema.reps, 3)))
+    return (3,)
+
+
+#: Data rows split and converted at a time.
+_CHUNK_ROWS = 1 << 12
+
+
+class _Fault(Exception):
+    """Some data row is malformed; ``_check_row`` names the first."""
+
+
+def _int_column(tokens: list[str]) -> np.ndarray:
+    try:
+        values = np.array(list(map(int, tokens)), dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise _Fault from None
+    if (values < 0).any():
+        raise _Fault
+    return values
+
+
+def _sum_columns(columns: list[np.ndarray]) -> np.ndarray:
+    total = columns[0].copy()
+    for column in columns[1:]:
+        total += column
+        # both addends are nonnegative, so a sum past int64 wraps below 0
+        if (total < 0).any():
+            raise _Fault
+    return total
+
+
+def _parse_block(tokens: list[str], width: int, schema: IngestSchema):
+    """``(ids, x1, r1, x2, r2)`` of data rows of one width, from their
+    cells in row order; ``r1``/``r2`` are None unless the kind is fet."""
+    ids = list(map(str.strip, tokens[0::width]))
+    values = [_int_column(tokens[j::width]) for j in range(1, width)]
+    r1 = r2 = None
+    if schema.kind == "fet" and width == 5:
+        x1, r1, x2, r2 = values
+    elif schema.kind == "fet":
+        x1, x2 = values
+        r1 = r2 = np.full(len(ids), schema.trials, dtype=np.int64)
+    elif schema.kind == "ent" and width == 1 + 2 * schema.reps:
+        x1 = _sum_columns(values[: schema.reps])
+        x2 = _sum_columns(values[schema.reps :])
+    else:
+        x1, x2 = values
+    return ids, x1, r1, x2, r2
+
+
+def _parse_rows(rows: list[str], delim: str, schema: IngestSchema):
+    """``(ids, x1, r1, x2, r2)`` of the data rows, parsed column-wise.
+
+    The rows of each legal width are split ``_CHUNK_ROWS`` at a time,
+    so that few cells are alive at once, and each numeric column of a
+    chunk is converted with one pass of ``int``. Raises
+    :class:`_Fault` if any row is malformed.
+    """
+    n = len(rows)
+    width = np.fromiter(map(str.count, rows, repeat(delim)), np.int64, n) + 1
+    if not np.isin(width, _widths(schema)).all():
+        raise _Fault
+    ids = np.empty(n, dtype=object)
+    x1, x2 = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    r1 = r2 = None
+    if schema.kind == "fet":
+        r1, r2 = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for w in _widths(schema):
+        at = np.flatnonzero(width == w)
+        for a in range(0, at.shape[0], _CHUNK_ROWS):
+            chunk = at[a : a + _CHUNK_ROWS]
+            if at.shape[0] == n:
+                block = rows[a : a + _CHUNK_ROWS]
+            else:
+                block = [rows[i] for i in chunk.tolist()]
+            parsed = _parse_block(delim.join(block).split(delim), w, schema)
+            for whole, part in zip((ids, x1, r1, x2, r2), parsed):
+                if whole is not None:
+                    whole[chunk] = part
+    return ids, x1, r1, x2, r2
+
+
 def _parse_int(token: str, lineno: int) -> int:
-    token = token.strip()
     try:
         value = int(token)
     except ValueError:
-        raise ValueError(f"line {lineno}: non-integer count {token!r}") from None
+        raise ValueError(
+            f"line {lineno}: non-integer count {token.strip()!r}"
+        ) from None
     if value < 0:
         raise ValueError(f"line {lineno}: negative count {value}")
+    if value > _INT64_MAX:
+        raise ValueError(
+            f"line {lineno}: count {value} exceeds the largest supported "
+            f"count {_INT64_MAX}"
+        )
     return value
 
 
-def _within(total: int, schema: IngestSchema) -> bool:
-    if schema.min_total is not None and total < schema.min_total:
-        return False
-    if schema.max_total is not None and total > schema.max_total:
-        return False
-    return True
+def _check_row(tokens: list[str], lineno: int, schema: IngestSchema) -> None:
+    """Raise the error of one data row's first fault, if it has one."""
+    if schema.kind == "fet" and len(tokens) == 5:
+        x1, r1, x2, r2 = [_parse_int(tok, lineno) for tok in tokens[1:]]
+    elif schema.kind == "fet" and schema.trials is None:
+        raise ValueError(f"line {lineno}: expected 5 columns, got {len(tokens)}")
+    elif schema.kind == "ent" and len(tokens) == 1 + 2 * schema.reps:
+        values = [_parse_int(tok, lineno) for tok in tokens[1:]]
+        for total in (sum(values[: schema.reps]), sum(values[schema.reps :])):
+            if total > _INT64_MAX:
+                raise ValueError(
+                    f"line {lineno}: group sum {total} exceeds the largest "
+                    f"supported count {_INT64_MAX}"
+                )
+        return
+    else:
+        if len(tokens) != 3:
+            raise ValueError(
+                f"line {lineno}: expected 3 columns, got {len(tokens)}"
+            )
+        x1, x2 = [_parse_int(tok, lineno) for tok in tokens[1:]]
+        r1 = r2 = schema.trials
+    if schema.kind == "fet" and (x1 > r1 or x2 > r2):
+        raise ValueError(f"line {lineno}: count exceeds trials")
 
 
 def ingest_counts(source: IO[bytes], schema: IngestSchema) -> CountTable:
@@ -235,83 +353,52 @@ def ingest_counts(source: IO[bytes], schema: IngestSchema) -> CountTable:
     * ``ent``: ``s1, s2`` group sums, or ``reps`` per-sample columns
       for group 1 followed by ``reps`` for group 2
 
-    Blank lines and lines starting with ``#`` are skipped, before the
-    header as after it. Malformed rows raise :class:`ValueError` naming
-    the line number.
+    Rows of both widths a kind allows may be mixed in one table. Blank
+    lines and lines starting with ``#`` are skipped, before the header
+    as after it. A count is any token ``int`` accepts (``+3``, `` 4 ``,
+    ``1_000``) up to the int64 range. Malformed rows raise
+    :class:`ValueError` naming the first bad line's number.
+
+    The table is parsed column-wise, and the count checks and the
+    total filters run as array operations; rows are checked one at a
+    time only once a fault is known, to name the first bad line.
     """
-    text = source.read().decode("utf-8")
-    lines = [
-        (lineno, line)
-        for lineno, line in enumerate(text.splitlines(), start=1)
-        if line.lstrip()[:1] not in ("", "#")
-    ]
-    if not lines:
+    lines = source.read().decode("utf-8").splitlines()
+    # blank lines and # comments are skipped; "" and "#" are both in "#"
+    is_row = [line.lstrip()[:1] not in "#" for line in lines]
+    rows = list(compress(lines, is_row))
+    if not rows:
         raise ValueError("line 1: empty input, header row required")
-    delim = "\t" if "\t" in lines[0][1] else ","
+    delim = "\t" if "\t" in rows[0] else ","
+    try:
+        ids, x1, r1, x2, r2 = _parse_rows(rows[1:], delim, schema)
+        if schema.kind == "fet" and ((x1 > r1) | (x2 > r2)).any():
+            raise _Fault
+    except _Fault:
+        # name the first bad data row
+        numbered = compress(enumerate(lines, start=1), is_row)
+        next(numbered)  # the header
+        for lineno, line in numbered:
+            _check_row(line.split(delim), lineno, schema)
+        raise AssertionError("the column-wise parse found a fault in no row")
 
-    ids: list[str] = []
-    g1: list[int] = []
-    g2: list[int] = []
-    t1: list[int] = []
-    t2: list[int] = []
-    dropped = 0
-
-    for lineno, line in lines[1:]:
-        tokens = line.split(delim)
-        if schema.kind == "fet" and len(tokens) == 5:
-            x1 = _parse_int(tokens[1], lineno)
-            r1 = _parse_int(tokens[2], lineno)
-            x2 = _parse_int(tokens[3], lineno)
-            r2 = _parse_int(tokens[4], lineno)
-        elif schema.kind == "fet" and schema.trials is None:
-            raise ValueError(
-                f"line {lineno}: expected 5 columns, got {len(tokens)}"
-            )
-        elif schema.kind == "ent" and len(tokens) == 1 + 2 * schema.reps:
-            per = schema.reps
-            vals = [_parse_int(tok, lineno) for tok in tokens[1:]]
-            x1 = sum(vals[:per])
-            x2 = sum(vals[per:])
-            r1 = r2 = 0
-        else:
-            if len(tokens) != 3:
-                raise ValueError(
-                    f"line {lineno}: expected 3 columns, got {len(tokens)}"
-                )
-            x1 = _parse_int(tokens[1], lineno)
-            x2 = _parse_int(tokens[2], lineno)
-            if schema.kind == "fet":
-                r1 = r2 = schema.trials
-            else:
-                r1 = r2 = 0
-        if schema.kind == "fet" and (x1 > r1 or x2 > r2):
-            raise ValueError(f"line {lineno}: count exceeds trials")
-
-        if schema.kind == "fet":
-            total1, total2 = r1, r2
-        else:
-            total1, total2 = x1, x2
-        if not (_within(total1, schema) and _within(total2, schema)):
-            dropped += 1
-            continue
-
-        ids.append(tokens[0].strip())
-        g1.append(x1)
-        g2.append(x2)
-        if schema.kind == "fet":
-            t1.append(r1)
-            t2.append(r2)
-
+    keep = np.ones(x1.shape[0], dtype=bool)
+    for total in (r1, r2) if schema.kind == "fet" else (x1, x2):
+        if schema.min_total is not None:
+            keep &= total >= schema.min_total
+        if schema.max_total is not None:
+            keep &= total <= schema.max_total
+    fet = schema.kind == "fet"
     return CountTable(
         kind=schema.kind,
-        ids=ids,
-        group1=np.array(g1, dtype=np.int64),
-        group2=np.array(g2, dtype=np.int64),
-        trials1=np.array(t1, dtype=np.int64) if schema.kind == "fet" else None,
-        trials2=np.array(t2, dtype=np.int64) if schema.kind == "fet" else None,
+        ids=ids[keep].tolist(),
+        group1=x1[keep],
+        group2=x2[keep],
+        trials1=r1[keep] if fet else None,
+        trials2=r2[keep] if fet else None,
         size=schema.size,
         reps=schema.reps,
-        dropped=dropped,
+        dropped=int(keep.shape[0] - keep.sum()),
     )
 
 

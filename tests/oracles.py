@@ -6,11 +6,16 @@ from the library's log-weight kernels, so agreement is evidence rather
 than tautology. The per-law builders from log-weights (``logw_*``,
 ``outcome_pvalues``, ``doubling_outcome_pvalues``) are the exception:
 they repeat the kernels' arithmetic one law at a time, so the kernels'
-blockwise tables must match them bit for bit.
+blockwise tables must match them bit for bit once ``floored``.
+
+The row-at-a-time count-table parser (``ingest_rows``) and CSV writer
+(``write_csv_rows``) are the references for the library's column-wise
+ones.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -18,6 +23,9 @@ from scipy import stats
 from scipy.special import gammaln
 
 TIE_RTOL = 1e-12
+
+#: The smallest positive float.
+FLOOR = float(np.nextafter(0.0, 1.0))
 
 
 def counterexample_instance() -> np.ndarray:
@@ -130,6 +138,12 @@ def doubling_outcome_pvalues(logw: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, 2.0 * np.minimum(lower, upper))
 
 
+def floored(table: np.ndarray) -> np.ndarray:
+    """A table with its entries of exactly 0.0 (p-values below the
+    float64 range) raised to the smallest positive float."""
+    return np.where(table == 0.0, FLOOR, table)
+
+
 def law_tables_loop(kind: str, keys, convention: str = "minlik", shape_total=None):
     """Reference for ``_kernels.tables``: one law at a time, each table
     from its own log-weights and each support from ``np.unique``.
@@ -143,7 +157,7 @@ def law_tables_loop(kind: str, keys, convention: str = "minlik", shape_total=Non
         logws = [logw_fisher(*map(int, key)) for key in keys]
     else:
         logws = [logw_negbinom(int(s), float(shape_total)) for s in keys]
-    tables = [table(logw) for logw in logws]
+    tables = [floored(table(logw)) for logw in logws]
     return tables, [np.unique(t) for t in tables]
 
 
@@ -183,7 +197,7 @@ def batch_loop(kind: str, args, convention: str = "minlik"):
     pieces = []
     pos = 0
     for i, (logw, observed) in enumerate(laws):
-        out = table(logw)
+        out = floored(table(logw))
         pvals[i] = out[observed]
         sup = np.unique(out)
         pieces.append(sup)
@@ -390,3 +404,157 @@ def point_mse_two_gathers(study, lam, eps, B, seed, index, target) -> float:
     raw = terms.sum(axis=1) / ((1.0 - lam) * m)
     boot = np.minimum(1.0, np.maximum(0.0, raw))
     return float(np.mean((boot - target) ** 2))
+
+
+# ---------------------------------------------------------------------------
+# row-at-a-time text I/O: references for the column-wise reader and writer
+# ---------------------------------------------------------------------------
+
+
+def fmt_cell(x) -> str:
+    """Render one CSV cell: floats at 9 significant digits, NaN as NA."""
+    if isinstance(x, float):
+        if math.isnan(x):
+            return "NA"
+        return f"{x:.9g}"
+    if x is None:
+        return "NA"
+    return str(x)
+
+
+def write_csv_rows(path, header, rows) -> None:
+    """Write rows with ``csv.writer``, one ``fmt_cell`` call per cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt_cell(cell) for cell in row])
+
+
+def _parse_int(token: str, lineno: int) -> int:
+    token = token.strip()
+    try:
+        value = int(token)
+    except ValueError:
+        raise ValueError(f"line {lineno}: non-integer count {token!r}") from None
+    if value < 0:
+        raise ValueError(f"line {lineno}: negative count {value}")
+    return value
+
+
+def _within(total: int, schema) -> bool:
+    if schema.min_total is not None and total < schema.min_total:
+        return False
+    if schema.max_total is not None and total > schema.max_total:
+        return False
+    return True
+
+
+def ingest_rows(source, schema):
+    """Reference for ``ingest_counts``: parse, check and filter one row
+    at a time, in Python integers."""
+    from discretefdr import CountTable
+
+    text = source.read().decode("utf-8")
+    lines = [
+        (lineno, line)
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.lstrip()[:1] not in ("", "#")
+    ]
+    if not lines:
+        raise ValueError("line 1: empty input, header row required")
+    delim = "\t" if "\t" in lines[0][1] else ","
+
+    ids, g1, g2, t1, t2 = [], [], [], [], []
+    dropped = 0
+    for lineno, line in lines[1:]:
+        tokens = line.split(delim)
+        if schema.kind == "fet" and len(tokens) == 5:
+            x1, r1, x2, r2 = (_parse_int(tok, lineno) for tok in tokens[1:])
+        elif schema.kind == "fet" and schema.trials is None:
+            raise ValueError(f"line {lineno}: expected 5 columns, got {len(tokens)}")
+        elif schema.kind == "ent" and len(tokens) == 1 + 2 * schema.reps:
+            vals = [_parse_int(tok, lineno) for tok in tokens[1:]]
+            x1, x2 = sum(vals[: schema.reps]), sum(vals[schema.reps :])
+            r1 = r2 = 0
+        else:
+            if len(tokens) != 3:
+                raise ValueError(
+                    f"line {lineno}: expected 3 columns, got {len(tokens)}"
+                )
+            x1 = _parse_int(tokens[1], lineno)
+            x2 = _parse_int(tokens[2], lineno)
+            r1 = r2 = schema.trials if schema.kind == "fet" else 0
+        if schema.kind == "fet" and (x1 > r1 or x2 > r2):
+            raise ValueError(f"line {lineno}: count exceeds trials")
+        totals = (r1, r2) if schema.kind == "fet" else (x1, x2)
+        if not all(_within(t, schema) for t in totals):
+            dropped += 1
+            continue
+        ids.append(tokens[0].strip())
+        g1.append(x1)
+        g2.append(x2)
+        t1.append(r1)
+        t2.append(r2)
+
+    fet = schema.kind == "fet"
+    return CountTable(
+        kind=schema.kind,
+        ids=ids,
+        group1=np.array(g1, dtype=np.int64),
+        group2=np.array(g2, dtype=np.int64),
+        trials1=np.array(t1, dtype=np.int64) if fet else None,
+        trials2=np.array(t2, dtype=np.int64) if fet else None,
+        size=schema.size,
+        reps=schema.reps,
+        dropped=dropped,
+    )
+
+
+def features_rows(table, study):
+    """``features.csv`` rows: id, p-value and the support cell."""
+    for ident, p, support in zip(table.ids, study.pvalues.tolist(), study.supports):
+        yield ident, p, ";".join([f"{v:.9g}" for v in support.tolist()])
+
+
+def analyze_table_rows(study, lam, eps, alphas):
+    """``table.csv`` rows of ``analyze``, one procedure at a time."""
+    from discretefdr.sim import (
+        DEFAULT_PROCEDURES,
+        PI0_METHODS,
+        prepare_study,
+        procedure_cells,
+        run_procedure,
+    )
+
+    proc, estimates = prepare_study(study, PI0_METHODS, lam, eps)
+    for alpha in alphas:
+        for name in DEFAULT_PROCEDURES:
+            cells = procedure_cells(proc, estimates, name)
+            if cells is None:
+                continue
+            res = run_procedure(proc, estimates, name, alpha)
+            yield (name, *cells, alpha, res.t_alpha, res.fdr_at_t, res.rejections)
+
+
+def pi0_replication_rows(summary):
+    """``pi0_replications.csv`` rows of ``simulate``."""
+    for r in range(summary.spec.reps):
+        for j, name in enumerate(summary.pi0_methods):
+            yield (
+                r, name, float(summary.pi0_estimates[r, j]),
+                float(summary.excess[r, j]),
+            )
+
+
+def mtp_replication_rows(summary):
+    """``mtp_replications.csv`` rows of ``simulate``."""
+    for r in range(summary.spec.reps):
+        for j, name in enumerate(summary.procedures):
+            for a, alpha in enumerate(summary.spec.alpha_levels):
+                yield (
+                    r, name, float(alpha),
+                    float(summary.thresholds[r, j, a]),
+                    int(summary.rejections[r, j, a]),
+                    float(summary.fdp[r, j, a]),
+                )

@@ -5,9 +5,15 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from discretefdr import IngestSchema, ScenarioSpec, Study, cli, ingest_counts
+from discretefdr import test_count_table as run_count_table
 from discretefdr.cli import main
+from discretefdr.sim import PI0_METHODS, PROCEDURES, run_replications
+
+import oracles
 
 BIN_COUNTS = """id,g1,g2
 f1,3,9
@@ -460,3 +466,196 @@ def test_config_error_everything_filtered(bin_file, tmp_path, capsys):
     assert code == 1
     assert stderr.startswith("error:config:")
     assert "min-total" in stderr
+
+
+def test_counts_beyond_int64_are_parse_errors(tmp_path, capsys):
+    cases = [
+        ("bin", "id,a,b\nf1,1,2\nf2,99999999999999999999999,3\n", []),
+        (
+            "ent",
+            "id,a1,a2,b1,b2\nf1,1,2,3,4\nf2,9223372036854775807,1,0,0\n",
+            ["--size", "1", "--reps", "2"],
+        ),
+    ]
+    for kind, text, flags in cases:
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(text)
+        out = tmp_path / f"out-{kind}"
+        code, stdout, stderr = run(
+            ["analyze", str(path), "--test", kind, *flags, "--out", str(out)],
+            capsys,
+        )
+        assert code == 1, kind
+        assert stderr.startswith(f"error:parse: {path}: line 3: "), stderr
+        assert stderr.count("\n") == 1 and stdout == ""
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("convention", ["minlik", "doubling"])
+def test_analyze_counts_with_pvalues_below_float64(convention, tmp_path, capsys):
+    path = tmp_path / "counts.csv"
+    path.write_text("id,a,b\nf1,2000,1\nf2,3,4\n")
+    out = tmp_path / "out"
+    code, _, stderr = run(
+        ["analyze", str(path), "--test", "bin", "--convention", convention,
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == 0, stderr
+    rows = read_rows(out / "features.csv")
+    assert rows[1][1] == "4.94065646e-324"
+    assert rows[1][2].startswith("4.94065646e-324;")
+
+
+# ---------------------------------------------------------------------------
+# column-wise CSV writing against the row-wise reference
+# ---------------------------------------------------------------------------
+
+AWKWARD_IDS = ['say "hi"', "a,b", "", "naïve", "日本語", 'q""q,', "α β"]
+
+
+def test_writer_matches_csv_writer_cell_for_cell(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)  # several chunks, one short
+    rng = np.random.default_rng(0)
+    n = 53
+    special = [
+        float("nan"), None, float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+        1e-300, 1e300, 123456789012.0, 0.1, 1.0, 1e-5, 0.0001,
+    ]
+    floats = special + [
+        float(rng.choice([-1, 1]) * rng.lognormal(0, 20))
+        for _ in range(n - len(special))
+    ]
+    texts = AWKWARD_IDS + ["line\nbreak", '"', ",", " spaced ", "t\tab"]
+    text = [texts[i % len(texts)] + ("" if i < len(texts) else str(i))
+            for i in range(n)]
+    ints = rng.integers(-10**12, 10**12, n)
+    labels = ['p"q', "r,s", "t", ""]
+    index = rng.integers(0, len(labels), n)
+    header = ["id", 'a,"b"', "c", "d"]
+    got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+    cli._write_csv(
+        str(got), header,
+        [text, np.array(floats, dtype=np.float64), ints, (labels, index)],
+    )
+    oracles.write_csv_rows(
+        str(expected), header,
+        zip(text, floats, ints.tolist(), [labels[k] for k in index.tolist()]),
+    )
+    assert got.read_bytes() == expected.read_bytes()
+    # csv.writer with a "\n" line terminator leaves a carriage return
+    # unquoted on some Python versions; the writer always quotes it, so
+    # that a CSV reader reads the cell back
+    cell = "cr\rhere"
+    cli._write_csv(str(got), ["a", "b"], [[cell], np.array([1.0])])
+    assert got.read_bytes() == b'a,b\n"cr\rhere",1\n'
+    with open(got, newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["a", "b"], [cell, "1"]]
+    # an empty table is its header alone
+    cli._write_csv(str(got), header[:2], [[], np.empty(0)])
+    oracles.write_csv_rows(str(expected), header[:2], [])
+    assert got.read_bytes() == expected.read_bytes()
+
+
+def _random_counts(kind, m, rng):
+    """Columns of a random ``kind`` table of ``m`` rows."""
+    if kind == "bin":
+        mean = rng.uniform(0, 40, m)
+        return [rng.poisson(mean), rng.poisson(mean * rng.uniform(0.5, 3, m))]
+    if kind == "fet":
+        r1, r2 = rng.integers(0, 40, m), rng.integers(0, 40, m)
+        return [rng.binomial(r1, 0.4), r1, rng.binomial(r2, 0.6), r2]
+    return [rng.poisson(rng.uniform(0, 8, m)) for _ in range(4)]
+
+
+@pytest.mark.parametrize(
+    "kind, delim, flags",
+    [
+        ("bin", "\t", []),
+        ("fet", ",", []),
+        ("ent", "\t", ["--size", "0.7", "--reps", "2"]),
+    ],
+)
+def test_analyze_csv_outputs_match_row_wise_writer(
+    kind, delim, flags, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 1000)  # three chunks
+    rng = np.random.default_rng(len(kind) + len(delim))
+    m = 3000
+    ids = [f"g{i}" for i in range(m)]
+    for k, ident in enumerate(AWKWARD_IDS):
+        if delim not in ident:
+            ids[k * 400] = ident
+    columns = np.column_stack(_random_counts(kind, m, rng)).tolist()
+    path = tmp_path / "counts.txt"
+    lines = [delim.join(["id"] + [f"c{j}" for j in range(len(columns[0]))])]
+    lines += [delim.join([i, *map(str, row)]) for i, row in zip(ids, columns)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, stderr = run(
+        ["analyze", str(path), "--test", kind, *flags, "--alpha", "0.05",
+         "--alpha", "0.2", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0, stderr
+
+    schema = IngestSchema(
+        kind=kind, size=0.7 if kind == "ent" else None,
+        reps=2 if kind == "ent" else 1, min_total=1,
+    )
+    with open(path, "rb") as fh:
+        table = ingest_counts(fh, schema)
+    study = Study.from_distinct(*run_count_table(table, "minlik"))
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    oracles.write_csv_rows(
+        str(ref / "features.csv"), ["id", "pvalue", "support"],
+        oracles.features_rows(table, study),
+    )
+    oracles.write_csv_rows(
+        str(ref / "table.csv"),
+        ["method", "lambda", "epsilon", "pi0", "alpha", "threshold",
+         "fdr_at_threshold", "rejections"],
+        oracles.analyze_table_rows(study, 0.5, 1.0, [0.05, 0.2]),
+    )
+    for name in ("features.csv", "table.csv"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    features = (out / "features.csv").read_text(encoding="utf-8")
+    assert '\n"say ""hi""",' in features
+    assert "\n,0" in features or "\n,1" in features  # the empty id
+    if delim == "\t":
+        assert '\n"a,b",' in features
+
+
+def test_simulate_csv_outputs_match_row_wise_writer(tmp_path, capsys):
+    config = {
+        "kind": "binomial_fet", "m": 60, "pi0": 0.7, "reps": 5, "seed": 11,
+        "alpha_levels": [0.05, 0.1, 0.2],
+        "pi0_methods": list(PI0_METHODS), "procedures": list(PROCEDURES),
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code, _, stderr = run(["simulate", str(path), "--out", str(out)], capsys)
+    assert code == 0, stderr
+
+    spec = ScenarioSpec(
+        **{k: v for k, v in config.items() if k not in ("pi0_methods", "procedures")}
+        | {"alpha_levels": tuple(config["alpha_levels"])}
+    )
+    summary = run_replications(
+        spec, pi0_methods=PI0_METHODS, procedures=PROCEDURES, lam=0.5, epsilon=1.0
+    )
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    oracles.write_csv_rows(
+        str(ref / "pi0_replications.csv"), ["rep", "method", "estimate", "excess"],
+        oracles.pi0_replication_rows(summary),
+    )
+    oracles.write_csv_rows(
+        str(ref / "mtp_replications.csv"),
+        ["rep", "procedure", "alpha", "threshold", "rejections", "fdp"],
+        oracles.mtp_replication_rows(summary),
+    )
+    for name in ("pi0_replications.csv", "mtp_replications.csv"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name

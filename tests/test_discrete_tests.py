@@ -302,6 +302,152 @@ def test_ingest_missing_header_rejected():
         _ingest("", IngestSchema(kind="bin"))
 
 
+def _same_table(got, expected):
+    assert got.kind == expected.kind
+    assert got.ids == expected.ids
+    for name in ("group1", "group2", "trials1", "trials2"):
+        a, b = getattr(got, name), getattr(expected, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.dtype == b.dtype == np.int64, name
+            assert np.array_equal(a, b), name
+    for name in ("size", "reps", "dropped"):
+        assert getattr(got, name) == getattr(expected, name), name
+
+
+def _token(rng, value):
+    """``value`` written as one of the spellings ``int`` accepts."""
+    style = rng.integers(0, 5)
+    if style == 1:
+        return f"+{value}"
+    if style == 2:
+        return f" {value} "
+    if style == 3:
+        return format(value, "_d")
+    return str(value)
+
+
+def _random_text(rng, schema, m, delim, newline):
+    """A count table of ``m`` data rows of every width ``schema`` allows,
+    with comment and blank lines around the header and between rows."""
+    names = ["x1", "r1", "x2", "r2"] if schema.kind == "fet" else ["x1", "x2"]
+    lines = ["# generated", "", delim.join(["id", *names])]
+    for i in range(m):
+        if rng.random() < 0.05:
+            lines.append(rng.choice(["", "   ", "# note", "  # indented"]))
+        counts = []
+        if schema.kind == "fet":
+            r = rng.integers(0, 60, 2)
+            x = [rng.integers(0, v + 1) for v in r]
+            if schema.trials is not None and rng.random() < 0.5:
+                x = [rng.integers(0, schema.trials + 1) for _ in range(2)]
+                counts = [x[0], x[1]]
+            else:
+                counts = [x[0], r[0], x[1], r[1]]
+        elif schema.kind == "ent" and schema.reps > 1 and rng.random() < 0.5:
+            counts = list(rng.integers(0, 15, 2 * schema.reps))
+        else:
+            counts = list(rng.integers(0, 50, 2))
+        ident = f" id{i} " if rng.random() < 0.1 else f"id{i}"
+        lines.append(delim.join([ident, *(_token(rng, int(c)) for c in counts)]))
+    return newline.join(lines) + newline
+
+
+_SCHEMAS = [
+    IngestSchema(kind="bin"),
+    IngestSchema(kind="bin", min_total=5, max_total=40),
+    IngestSchema(kind="fet"),
+    IngestSchema(kind="fet", trials=30, min_total=10, max_total=50),
+    IngestSchema(kind="ent", size=0.7, reps=3),
+    IngestSchema(kind="ent", size=0.7, reps=1, min_total=2),
+    IngestSchema(kind="ent", size=0.7, reps=2, max_total=20),
+]
+
+
+def _schema_id(schema):
+    fields = (schema.trials, schema.reps, schema.min_total, schema.max_total)
+    return "-".join(map(str, (schema.kind, *fields)))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("schema", _SCHEMAS, ids=_schema_id)
+def test_ingest_matches_row_wise_parser(schema, newline):
+    rng = np.random.default_rng(len(newline) * 100 + _SCHEMAS.index(schema))
+    for delim in (",", "\t"):
+        data = _random_text(rng, schema, 400, delim, newline).encode()
+        got = ingest_counts(io.BytesIO(data), schema)
+        expected = oracles.ingest_rows(io.BytesIO(data), schema)
+        _same_table(got, expected)
+    assert len(got) + got.dropped == 400
+    if schema.min_total is not None or schema.max_total is not None:
+        assert 0 < got.dropped < 400
+
+
+def test_ingest_reads_every_spelling_int_accepts():
+    table = _ingest(
+        "id,x1,x2\nf1,+3, 4 \nf2,1_000,007\n", IngestSchema(kind="bin")
+    )
+    assert table.group1.tolist() == [3, 1000]
+    assert table.group2.tolist() == [4, 7]
+
+
+_FAULTS = ["x", "-2", "", "3.5", "1 2", "999"]
+
+
+@pytest.mark.parametrize("schema", _SCHEMAS, ids=_schema_id)
+def test_ingest_errors_match_row_wise_parser(schema):
+    """Two bad cells at random: both parsers name the same first line
+    with the same message."""
+    rng = np.random.default_rng(50 + _SCHEMAS.index(schema))
+    for _ in range(30):
+        lines = _random_text(rng, schema, 60, ",", "\n").splitlines()
+        for _ in range(2):
+            k = int(rng.integers(3, len(lines)))
+            tokens = lines[k].split(",")
+            if len(tokens) < 2:
+                continue
+            if rng.random() < 0.2:
+                tokens.append("9")  # a row of the wrong width
+            else:
+                tokens[rng.integers(1, len(tokens))] = str(rng.choice(_FAULTS))
+            lines[k] = ",".join(tokens)
+        data = ("\n".join(lines) + "\n").encode()
+        try:
+            expected = oracles.ingest_rows(io.BytesIO(data), schema)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                ingest_counts(io.BytesIO(data), schema)
+            assert str(got.value) == str(exc)
+        else:
+            _same_table(ingest_counts(io.BytesIO(data), schema), expected)
+
+
+def test_ingest_names_the_earlier_of_two_bad_lines():
+    # the column-wise parse meets line 4's bad first count before line
+    # 3's bad second count; the error still names line 3
+    with pytest.raises(ValueError, match=r"^line 3: negative count -4$"):
+        _ingest("id,x1,x2\nf1,1,2\nf2,3,-4\nf3,x,2\n", IngestSchema(kind="bin"))
+    with pytest.raises(ValueError, match=r"^line 2: count exceeds trials$"):
+        _ingest(
+            "id,x1,r1,x2,r2\nf1,1,2,7,6\nf2,x,2,1,6\n", IngestSchema(kind="fet")
+        )
+
+
+def test_ingest_rejects_counts_beyond_int64():
+    big = str(2**63)
+    with pytest.raises(ValueError, match=rf"^line 3: count {big} exceeds"):
+        _ingest(f"id,x1,x2\nf1,1,2\nf2,{big},3\n", IngestSchema(kind="bin"))
+    top = str(2**63 - 1)
+    schema = IngestSchema(kind="ent", size=1.0, reps=2)
+    table = _ingest(f"id,a1,a2,b1,b2\nf1,{top},0,1,1\n", schema)
+    assert table.group1.tolist() == [2**63 - 1]
+    with pytest.raises(ValueError, match=rf"^line 2: group sum {2**63} exceeds"):
+        _ingest(f"id,a1,a2,b1,b2\nf1,{top},1,1,1\n", schema)
+    with pytest.raises(ValueError, match="trials"):
+        IngestSchema(kind="fet", trials=2**63)
+
+
 # ---------------------------------------------------------------------------
 # table-level testing
 # ---------------------------------------------------------------------------

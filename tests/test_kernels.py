@@ -186,9 +186,12 @@ def test_block_cases_cover_padding_underflow_and_deep_ties():
     assert lengths["ent"].max() > 1000
     # a law wider than the small block size is built as a block of its own
     assert lengths["bin"].max() > 2048
-    # bin totals of 1075 and more have outcome p-values of exactly 0.0
+    # bin totals of 1075 and more have outcome p-values that compute as
+    # exactly 0.0, which the tables raise to the floor
+    before = oracles.outcome_pvalues(oracles.logw_binomial(2000))
+    assert np.count_nonzero(before == 0.0) > 0
     table_flat, table_start, *_ = K.tables(K.binomial_laws([2000]))
-    assert np.count_nonzero(table_flat == 0.0) > 0
+    assert np.count_nonzero(table_flat == K.FLOOR) > 0
     # flat laws need the per-row search beyond the blockwise tie depth
     logw = oracles.logw_negbinom(200, 1.0)
     sw = np.sort(np.exp(logw - logw.max()))[None, :]
@@ -215,3 +218,29 @@ def test_tie_end_matches_search_per_row():
         found = np.searchsorted(row, row * (1.0 + K.TIE_RTOL), side="right") - 1
         expected = np.where(row == 0.0, np.arange(row.shape[0]), found)
         assert np.array_equal(got[r], expected), r
+
+
+@pytest.mark.parametrize("convention", ["minlik", "doubling"])
+@pytest.mark.parametrize("total", [2000, 10_000])
+def test_underflowed_pvalues_are_raised_to_the_floor(total, convention):
+    """Outcomes whose p-value is below the float64 range get the smallest
+    positive float; every other entry keeps its bits."""
+    table_flat, _, flat, start, length = K.tables(
+        K.binomial_laws([total]), convention
+    )
+    logw = oracles.logw_binomial(total)
+    before = {
+        "minlik": oracles.outcome_pvalues,
+        "doubling": oracles.doubling_outcome_pvalues,
+    }[convention](logw)
+    underflowed = before == 0.0
+    assert underflowed.any()
+    assert np.count_nonzero(table_flat == 0.0) == 0
+    assert np.all(table_flat[underflowed] == K.FLOOR)
+    assert np.array_equal(table_flat[~underflowed], before[~underflowed])
+    support = flat[start[0] : start[0] + length[0]]
+    assert support[0] == K.FLOOR and support[-1] == 1.0
+    assert np.all(np.diff(support) > 0)
+    # the observed outcomes 0 and 1 of the batch kernel lie on the floor
+    pvalues, *_ = K.batch_binomial([0, 1], [total, total - 1], convention)
+    assert np.all(pvalues == K.FLOOR)
