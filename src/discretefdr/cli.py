@@ -19,10 +19,11 @@ CSV outputs are written column by column: each float column is
 formatted in one ``%.9g`` pass (NaN and missing cells print as ``NA``),
 each distinct p-value and support cell of ``features.csv`` is formatted
 once, and the rows are joined and written a fixed number at a time, so
-the text of a whole file is never held in memory. Cells are quoted as ``csv.writer`` quotes them by
-default: a cell holding a comma, a double quote or a line break is
-enclosed in double quotes, with each double quote doubled. A carriage
-return counts as a line break, so that no CSV reader splits its row.
+the text of a whole file is never held in memory. Cells are quoted as
+``csv.writer`` quotes them by default: a cell holding a comma, a double
+quote or a line break is enclosed in double quotes, with each double
+quote doubled. A carriage return counts as a line break, so that no CSV
+reader splits its row.
 """
 
 from __future__ import annotations
