@@ -19,6 +19,12 @@ feature. Unique-key batches of the binomial and negative-binomial tests
 need distinct totals, so each law grows with the batch; they are capped
 at ``UNIQUE_TOTALS`` features to keep them comparable.
 
+A last case times the two ways ``simulate`` can test its replications,
+on negative-binomial draws the size of the simulate-ent benchmark
+workload (``POOLED_REPS`` studies of ``POOLED_M`` features): one kernel
+call and one study per replication, against one kernel call on the
+pooled counts plus one ``Study.from_distinct`` slice per replication.
+
 Run with ``python3 benchmarks/bench_kernels.py`` (options: ``--m`` for
 the batch size, ``--repeat`` for timing repetitions, ``--seed``).
 """
@@ -33,6 +39,10 @@ import numpy as np
 from discretefdr import Study, _kernels
 
 UNIQUE_TOTALS = 2000
+
+#: Studies and features per study of the pooled-simulate case.
+POOLED_REPS = 50
+POOLED_M = 250
 
 
 def _time(fn, *args, repeat: int):
@@ -98,6 +108,46 @@ def _unique(m: int, rng: np.random.Generator) -> dict:
     }
 
 
+def _replications(rng: np.random.Generator) -> tuple[list, float]:
+    """Group sums of ``POOLED_REPS`` negative-binomial studies drawn as
+    simulate-ent draws them (dispersion 1.451, three samples per group,
+    a fifth of the features with a Pareto effect), and the shape."""
+    sigma = 1.0 / 1.451
+    m1 = POOLED_M // 5
+    draws = []
+    for _ in range(POOLED_REPS):
+        mean1 = rng.uniform(0.5, 8.0, POOLED_M)
+        mean2 = mean1.copy()
+        mean2[-m1:] *= 1.5 * (1.0 + rng.pareto(3.0, m1))
+        draws.append(
+            tuple(
+                rng.negative_binomial(sigma, sigma / (sigma + mean), (3, POOLED_M))
+                .sum(axis=0)
+                for mean in (mean1, mean2)
+            )
+        )
+    return draws, 3 * sigma
+
+
+def _per_replication(draws, shape_total):
+    return [
+        Study.from_distinct(*_kernels.batch_negbinom(s1, s2, shape_total))
+        for s1, s2 in draws
+    ]
+
+
+def _pooled(draws, shape_total):
+    s1, s2 = (np.concatenate(column) for column in zip(*draws))
+    pvalues, flat, start, length = _kernels.batch_negbinom(s1, s2, shape_total)
+    m = draws[0][0].shape[0]
+    return [
+        Study.from_distinct(
+            pvalues[a : a + m], flat, start[a : a + m], length[a : a + m]
+        )
+        for a in range(0, pvalues.shape[0], m)
+    ]
+
+
 def _distinct_keys(name: str, args) -> int:
     if name == "fisher":
         x1, r1, x2, r2 = args
@@ -139,6 +189,21 @@ def main() -> int:
                 f"{_distinct_keys(name, batch):9d} {study.support_len.shape[0]:9d} "
                 f"{t * 1e3:8.1f}ms {t_study * 1e3:8.1f}ms {t / m * 1e6:10.2f}us"
             )
+
+    draws, shape_total = _replications(rng)
+    t_alone, alone = _time(_per_replication, draws, shape_total, repeat=args.repeat)
+    t_pooled, pooled = _time(_pooled, draws, shape_total, repeat=args.repeat)
+    assert all(
+        np.array_equal(a.pvalues, b.pvalues)
+        and np.array_equal(a.support_flat, b.support_flat)
+        and np.array_equal(a.support_index, b.support_index)
+        for a, b in zip(alone, pooled)
+    )
+    print(
+        f"\nsimulate-sized negbinom, {POOLED_REPS} studies of {POOLED_M}: "
+        f"a kernel call per study {t_alone * 1e3:.1f}ms, "
+        f"one pooled call {t_pooled * 1e3:.1f}ms (kernel and studies)"
+    )
     return 0
 
 

@@ -38,6 +38,15 @@ support_start, support_len)``: feature ``i``'s support is
 that share a key share one slice and no support is copied per feature;
 ``estimators.Study.from_distinct`` takes the layout as is.
 
+The kernels accept conditioned totals up to ``MAX_TOTAL`` (2^22 - 1):
+the total ``x1 + x2`` of the binomial test, each margin ``r1``, ``r2`` of
+the hypergeometric test and the total ``s1 + s2`` of the
+negative-binomial test. A padded minimum-likelihood law then has at most
+2^22 entries; one binomial law at the limit takes about 1.4 s and a
+peak of about 450 MB to build on a 2-vCPU host. A larger total raises
+a :class:`ValueError` naming the limit; the check never forms a sum
+that could wrap in int64.
+
 Counts are exact for conditioned totals up to a few thousand. Beyond
 that, extreme-tail p-values fall below the float64 range (at a binomial
 total of about 1 100) and compute as exactly 0.0. ``tables`` raises each
@@ -65,6 +74,9 @@ _BLOCK_ENTRIES = 1 << 18
 #: The smallest positive float: the p-value of outcomes whose exact
 #: p-value is below the float64 range.
 FLOOR = float(np.nextafter(0.0, 1.0))
+
+#: The largest conditioned total (or hypergeometric margin) of a law.
+MAX_TOTAL = 2**22 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +279,14 @@ def _batch(make_laws, keys, observed, convention):
 # batch kernels
 # ---------------------------------------------------------------------------
 
+def _check_total(x1, x2) -> None:
+    """Raise unless every ``x1 + x2`` is at most ``MAX_TOTAL``; the sum
+    itself is not formed, so it cannot wrap."""
+    if np.any(x2 > MAX_TOTAL - x1):
+        raise ValueError(
+            f"a conditioned total exceeds the largest supported total {MAX_TOTAL}"
+        )
+
 
 def batch_binomial(x1, x2, convention: str = "minlik"):
     """Symmetric conditional binomial test for every count pair.
@@ -276,6 +296,7 @@ def batch_binomial(x1, x2, convention: str = "minlik"):
     """
     x1 = np.asarray(x1, dtype=np.int64)
     x2 = np.asarray(x2, dtype=np.int64)
+    _check_total(x1, x2)
     return _batch(binomial_laws, x1 + x2, x1, convention)
 
 
@@ -289,6 +310,8 @@ def batch_fisher(x1, r1, x2, r2, convention: str = "minlik"):
     r1 = np.asarray(r1, dtype=np.int64)
     x2 = np.asarray(x2, dtype=np.int64)
     r2 = np.asarray(r2, dtype=np.int64)
+    if np.any(r1 > MAX_TOTAL) or np.any(r2 > MAX_TOTAL):
+        raise ValueError(f"trials exceed the largest supported total {MAX_TOTAL}")
     ss = x1 + x2
     lo = np.maximum(0, ss - r2)
     return _batch(fisher_laws, np.column_stack((r1, r2, ss)), x1 - lo, convention)
@@ -304,6 +327,7 @@ def batch_negbinom(s1, s2, shape_total, convention: str = "minlik"):
     """
     s1 = np.asarray(s1, dtype=np.int64)
     s2 = np.asarray(s2, dtype=np.int64)
+    _check_total(s1, s2)
     k = float(shape_total)
     return _batch(lambda s: negbinom_laws(s, k), s1 + s2, s1, convention)
 

@@ -410,7 +410,11 @@ _SPEC_KEYS = (
     "rho_location",
     "rho_shape",
 )
-_EXTRA_KEYS = ("lambda", "epsilon", "pi0_methods", "procedures", "workers")
+_EXTRA_KEYS = ("lambda", "epsilon", "pi0_methods", "procedures")
+#: Keys accepted for older configs and manifests, and ignored: ``workers``
+#: once sized a thread pool over replications, which ran slower than one
+#: thread.
+_IGNORED_KEYS = ("workers",)
 
 
 def _load_sim_settings(args) -> dict:
@@ -423,19 +427,18 @@ def _load_sim_settings(args) -> dict:
         ) from exc
     if not isinstance(raw, dict):
         raise CliError("config", "config must be a JSON object")
-    allowed = set(_SPEC_KEYS) | set(_EXTRA_KEYS)
+    allowed = set(_SPEC_KEYS) | set(_EXTRA_KEYS) | set(_IGNORED_KEYS)
     for key in raw:
         if key not in allowed:
             raise CliError("config", f"unknown config key {key!r}")
     for key in ("kind", "m", "pi0"):
         if key not in raw:
             raise CliError("config", f"config is missing required key {key!r}")
-    settings = dict(raw)
+    settings = {k: v for k, v in raw.items() if k not in _IGNORED_KEYS}
     settings.setdefault("lambda", 0.5)
     settings.setdefault("epsilon", 1.0)
     settings.setdefault("pi0_methods", list(DEFAULT_PI0_METHODS))
     settings.setdefault("procedures", list(DEFAULT_PROCEDURES))
-    settings.setdefault("workers", 1)
     settings.setdefault("seed", 0)
     settings.setdefault("reps", 50)
     settings.setdefault("alpha_levels", [0.05, 0.1])
@@ -446,8 +449,6 @@ def _load_sim_settings(args) -> dict:
         settings["reps"] = args.reps
     if args.alpha:
         settings["alpha_levels"] = args.alpha
-    if args.workers is not None:
-        settings["workers"] = args.workers
     settings["config_path"] = args.config
     settings["config_sha256"] = _sha256(data)
     return settings
@@ -487,7 +488,6 @@ def cmd_simulate(settings: dict, out_dir: str, manifest: dict | None = None) -> 
             procedures=settings["procedures"],
             lam=settings["lambda"],
             epsilon=settings["epsilon"],
-            workers=settings["workers"],
         )
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
@@ -689,7 +689,6 @@ def build_parser() -> _Parser:
     si.add_argument(
         "--alpha", type=float, action="append", help="overrides alpha_levels"
     )
-    si.add_argument("--workers", type=int, default=None)
     si.add_argument("--out", help="output directory")
     si.add_argument("--from-manifest", dest="from_manifest")
     si.set_defaults(command="simulate")

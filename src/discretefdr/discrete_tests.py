@@ -340,6 +340,27 @@ def _check_row(tokens: list[str], lineno: int, schema: IngestSchema) -> None:
         raise ValueError(f"line {lineno}: count exceeds trials")
 
 
+def _check_limit(x1, r1, x2, r2, keep, is_row) -> None:
+    """Raise the error of the first kept row whose conditioned total
+    exceeds ``_kernels.MAX_TOTAL``: either trials count for fet
+    (``r1`` given), ``x1 + x2`` otherwise, compared without forming the
+    sum. ``is_row`` marks the lines that are rows, the header first."""
+    limit = _kernels.MAX_TOTAL
+    if r1 is not None:
+        over = keep & ((r1 > limit) | (r2 > limit))
+    else:
+        over = keep & (x2 > limit - x1)
+    if not over.any():
+        return
+    i = int(np.argmax(over))
+    if r1 is not None:
+        what = f"trials {max(int(r1[i]), int(r2[i]))} exceed"
+    else:
+        what = f"total {int(x1[i]) + int(x2[i])} exceeds"
+    lineno = np.flatnonzero(is_row)[i + 1] + 1
+    raise ValueError(f"line {lineno}: {what} the largest supported total {limit}")
+
+
 def ingest_counts(source: IO[bytes], schema: IngestSchema) -> CountTable:
     """Parse a delimited count file into a :class:`CountTable`.
 
@@ -357,7 +378,10 @@ def ingest_counts(source: IO[bytes], schema: IngestSchema) -> CountTable:
     lines and lines starting with ``#`` are skipped, before the header
     as after it. A count is any token ``int`` accepts (``+3``, `` 4 ``,
     ``1_000``) up to the int64 range. Malformed rows raise
-    :class:`ValueError` naming the first bad line's number.
+    :class:`ValueError` naming the first bad line's number. Once every
+    row parses, a row that passes the total filters but whose
+    conditioned total exceeds ``_kernels.MAX_TOTAL`` (``x1 + x2`` for
+    bin and ent, either trials count for fet) raises one too.
 
     The table is parsed column-wise, and the count checks and the
     total filters run as array operations; rows are checked one at a
@@ -388,6 +412,7 @@ def ingest_counts(source: IO[bytes], schema: IngestSchema) -> CountTable:
             keep &= total >= schema.min_total
         if schema.max_total is not None:
             keep &= total <= schema.max_total
+    _check_limit(x1, r1, x2, r2, keep, is_row)
     fet = schema.kind == "fet"
     return CountTable(
         kind=schema.kind,

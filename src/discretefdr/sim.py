@@ -20,8 +20,16 @@ Reproducibility: replication ``r`` of a scenario draws everything from
 the stream ``SeedSequence(seed, spawn_key=(r,))``. Within one
 replication the draw order is fixed: scenario parameters first
 (means, trials, effect factors, in that order), then group-1 counts,
-then group-2 counts. Parallel and serial runs produce identical
-summaries because results are merged by replication index.
+then group-2 counts. ``run_replications`` draws the replications in
+chunks of at most ``_CHUNK_FEATURES`` features (a replication wider than
+that is a chunk of its own) and tests each chunk's pooled counts with
+one batch-kernel call, which builds one null law per distinct
+conditioning key of the chunk; each study is then cut out of the pooled
+result. A key's law is built from that key alone, so a study is bitwise
+the same whether its replication is tested alone
+(``generate_scenario``) or pooled with others, and whatever the chunk
+size. Only one chunk is tested and held at a time, so memory follows
+the chunk size, not ``reps``.
 
 The registry here (``PI0_METHODS``, ``PROCEDURES``, ``compute_pi0``,
 ``prepare_study``, ``run_procedure``, ``procedure_cells``) is the one
@@ -37,7 +45,6 @@ distributions up to a truncation bound.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -209,6 +216,64 @@ def _replication_rng(spec: ScenarioSpec, rep_index: int) -> np.random.Generator:
     )
 
 
+#: Most features :func:`run_replications` tests in one kernel call.
+_CHUNK_FEATURES = 1 << 16
+
+
+def _draw_counts(spec: ScenarioSpec, rep_index: int) -> tuple[np.ndarray, ...]:
+    """One replication's count columns, drawn in documented order:
+    ``(x1, x2)`` for ``poisson_bin``, ``(x1, trials, x2)`` for
+    ``binomial_fet`` and the group sums ``(s1, s2)`` for
+    ``negbinom_ent``."""
+    rng = _replication_rng(spec, rep_index)
+    params = _draw_parameters(spec, rng)
+    if spec.kind == "poisson_bin":
+        x1 = rng.poisson(params["theta1"])
+        x2 = rng.poisson(params["theta2"])
+        return x1.astype(np.int64), x2.astype(np.int64)
+    if spec.kind == "binomial_fet":
+        trials = params["trials"].astype(np.int64)
+        x1 = rng.binomial(trials, params["theta1"])
+        x2 = rng.binomial(trials, params["theta2"])
+        return x1.astype(np.int64), trials, x2.astype(np.int64)
+    sigma = 1.0 / spec.dispersion
+    k = spec.reps_per_group
+    p1 = sigma / (sigma + params["theta1"])
+    p2 = sigma / (sigma + params["theta2"])
+    s1 = rng.negative_binomial(sigma, p1, size=(k, spec.m)).sum(axis=0)
+    s2 = rng.negative_binomial(sigma, p2, size=(k, spec.m)).sum(axis=0)
+    return s1.astype(np.int64), s2.astype(np.int64)
+
+
+def _generate(spec: ScenarioSpec, reps: range):
+    """Yield the studies of replications ``reps``, tested in one kernel call.
+
+    The replications' counts are concatenated and tested together; each
+    study is cut out of the pooled result, so only the pooled arrays and
+    the study being used are held at once.
+    """
+    columns = [
+        np.concatenate(column)
+        for column in zip(*(_draw_counts(spec, r) for r in reps))
+    ]
+    if spec.kind == "poisson_bin":
+        out = _kernels.batch_binomial(*columns)
+    elif spec.kind == "binomial_fet":
+        x1, trials, x2 = columns
+        out = _kernels.batch_fisher(x1, trials, x2, trials)
+    else:
+        sigma = 1.0 / spec.dispersion
+        out = _kernels.batch_negbinom(*columns, spec.reps_per_group * sigma)
+    pvalues, flat, start, length = out
+    truth = np.zeros(spec.m, dtype=bool)
+    truth[: spec.m0] = True
+    for i in range(len(reps)):
+        rows = slice(i * spec.m, (i + 1) * spec.m)
+        yield Study.from_distinct(
+            pvalues[rows], flat, start[rows], length[rows], truth=truth
+        )
+
+
 def generate_scenario(spec: ScenarioSpec, rep_index: int) -> Study:
     """Generate one replication: counts, exact tests, truth labels.
 
@@ -216,35 +281,8 @@ def generate_scenario(spec: ScenarioSpec, rep_index: int) -> Study:
     study. The first ``m0 = round(pi0 * m)`` hypotheses are the true
     nulls.
     """
-    rng = _replication_rng(spec, rep_index)
-    params = _draw_parameters(spec, rng)
-    truth = np.zeros(spec.m, dtype=bool)
-    truth[: spec.m0] = True
-
-    if spec.kind == "poisson_bin":
-        x1 = rng.poisson(params["theta1"])
-        x2 = rng.poisson(params["theta2"])
-        out = _kernels.batch_binomial(
-            x1.astype(np.int64), x2.astype(np.int64)
-        )
-    elif spec.kind == "binomial_fet":
-        trials = params["trials"].astype(np.int64)
-        x1 = rng.binomial(trials, params["theta1"])
-        x2 = rng.binomial(trials, params["theta2"])
-        out = _kernels.batch_fisher(
-            x1.astype(np.int64), trials, x2.astype(np.int64), trials
-        )
-    else:
-        sigma = 1.0 / spec.dispersion
-        k = spec.reps_per_group
-        p1 = sigma / (sigma + params["theta1"])
-        p2 = sigma / (sigma + params["theta2"])
-        s1 = rng.negative_binomial(sigma, p1, size=(k, spec.m)).sum(axis=0)
-        s2 = rng.negative_binomial(sigma, p2, size=(k, spec.m)).sum(axis=0)
-        out = _kernels.batch_negbinom(
-            s1.astype(np.int64), s2.astype(np.int64), k * sigma
-        )
-    return Study.from_distinct(*out, truth=truth)
+    (study,) = _generate(spec, range(rep_index, rep_index + 1))
+    return study
 
 
 def _check_name(name: str, known: tuple[str, ...], what: str) -> None:
@@ -436,7 +474,6 @@ def run_replications(
     procedures: Sequence[str] = DEFAULT_PROCEDURES,
     lam: float = 0.5,
     epsilon: float = 1.0,
-    workers: int = 1,
 ) -> ReplicationSummary:
     """Run all replications of a scenario and collect the samples.
 
@@ -446,8 +483,9 @@ def run_replications(
     proportion. Each study's estimates are computed once and its
     procedures share one rejection process (:func:`prepare_study`).
     Roster names are checked here, before any study is generated.
-    Results are deterministic functions of ``(spec, rep_index)`` and
-    independent of ``workers``.
+    The replications are tested in pooled chunks (see the module
+    docstring); results are deterministic functions of
+    ``(spec, rep_index)``, the same as :func:`generate_scenario` gives.
     """
     pi0_methods = tuple(pi0_methods)
     procedures = tuple(procedures)
@@ -473,24 +511,19 @@ def run_replications(
     rej = np.empty((reps, len(procedures), len(alphas)), dtype=np.int64)
     fdp = np.empty((reps, len(procedures), len(alphas)))
 
-    def one(r: int) -> None:
-        study = generate_scenario(spec, r)
-        proc, estimates = prepare_study(study, needed, lam, epsilon)
-        for j, name in enumerate(pi0_methods):
-            est[r, j] = estimates[name].value
-        for j, name in enumerate(procedures):
-            for a, alpha in enumerate(alphas):
-                res = run_procedure(proc, estimates, name, alpha)
-                thr[r, j, a] = res.t_alpha
-                rej[r, j, a] = res.rejections
-                fdp[r, j, a] = false_discovery_proportion(study, res)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one, range(reps)))
-    else:
-        for r in range(reps):
-            one(r)
+    per_chunk = max(1, _CHUNK_FEATURES // spec.m)
+    for first in range(0, reps, per_chunk):
+        chunk = range(first, min(first + per_chunk, reps))
+        for r, study in zip(chunk, _generate(spec, chunk)):
+            proc, estimates = prepare_study(study, needed, lam, epsilon)
+            for j, name in enumerate(pi0_methods):
+                est[r, j] = estimates[name].value
+            for j, name in enumerate(procedures):
+                for a, alpha in enumerate(alphas):
+                    res = run_procedure(proc, estimates, name, alpha)
+                    thr[r, j, a] = res.t_alpha
+                    rej[r, j, a] = res.rejections
+                    fdp[r, j, a] = false_discovery_proportion(study, res)
 
     return ReplicationSummary(
         spec=spec,

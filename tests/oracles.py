@@ -10,7 +10,8 @@ blockwise tables must match them bit for bit once ``floored``.
 
 The row-at-a-time count-table parser (``ingest_rows``) and CSV writer
 (``write_csv_rows``) are the references for the library's column-wise
-ones.
+ones, and ``generate_scenario_alone`` (one kernel call per replication)
+for ``sim``'s pooled replications.
 """
 
 from __future__ import annotations
@@ -386,6 +387,44 @@ def poisson_bin_adjusted_terms(
     return pvalues, expected
 
 
+def generate_scenario_alone(spec, rep_index: int):
+    """Reference for ``sim``'s pooled replications: draws one
+    replication's counts and tests them with a kernel call of their own,
+    as ``generate_scenario`` did before replications were pooled."""
+    from discretefdr import Study, _kernels
+    from discretefdr.sim import _draw_parameters, _replication_rng
+
+    rng = _replication_rng(spec, rep_index)
+    params = _draw_parameters(spec, rng)
+    truth = np.zeros(spec.m, dtype=bool)
+    truth[: spec.m0] = True
+
+    if spec.kind == "poisson_bin":
+        x1 = rng.poisson(params["theta1"])
+        x2 = rng.poisson(params["theta2"])
+        out = _kernels.batch_binomial(
+            x1.astype(np.int64), x2.astype(np.int64)
+        )
+    elif spec.kind == "binomial_fet":
+        trials = params["trials"].astype(np.int64)
+        x1 = rng.binomial(trials, params["theta1"])
+        x2 = rng.binomial(trials, params["theta2"])
+        out = _kernels.batch_fisher(
+            x1.astype(np.int64), trials, x2.astype(np.int64), trials
+        )
+    else:
+        sigma = 1.0 / spec.dispersion
+        k = spec.reps_per_group
+        p1 = sigma / (sigma + params["theta1"])
+        p2 = sigma / (sigma + params["theta2"])
+        s1 = rng.negative_binomial(sigma, p1, size=(k, spec.m)).sum(axis=0)
+        s2 = rng.negative_binomial(sigma, p2, size=(k, spec.m)).sum(axis=0)
+        out = _kernels.batch_negbinom(
+            s1.astype(np.int64), s2.astype(np.int64), k * sigma
+        )
+    return Study.from_distinct(*out, truth=truth)
+
+
 # ---------------------------------------------------------------------------
 # bootstrap tuning with every resampled quantity gathered on its own
 # ---------------------------------------------------------------------------
@@ -452,8 +491,10 @@ def _within(total: int, schema) -> bool:
 
 def ingest_rows(source, schema):
     """Reference for ``ingest_counts``: parse, check and filter one row
-    at a time, in Python integers."""
+    at a time, in Python integers. Once every row parses, the first kept
+    row whose conditioned total exceeds the kernels' limit is an error."""
     from discretefdr import CountTable
+    from discretefdr._kernels import MAX_TOTAL
 
     text = source.read().decode("utf-8")
     lines = [
@@ -467,6 +508,7 @@ def ingest_rows(source, schema):
 
     ids, g1, g2, t1, t2 = [], [], [], [], []
     dropped = 0
+    beyond = []
     for lineno, line in lines[1:]:
         tokens = line.split(delim)
         if schema.kind == "fet" and len(tokens) == 5:
@@ -491,12 +533,18 @@ def ingest_rows(source, schema):
         if not all(_within(t, schema) for t in totals):
             dropped += 1
             continue
+        if schema.kind == "fet" and max(r1, r2) > MAX_TOTAL:
+            beyond.append(f"line {lineno}: trials {max(r1, r2)} exceed")
+        elif schema.kind != "fet" and x1 + x2 > MAX_TOTAL:
+            beyond.append(f"line {lineno}: total {x1 + x2} exceeds")
         ids.append(tokens[0].strip())
         g1.append(x1)
         g2.append(x2)
         t1.append(r1)
         t2.append(r2)
 
+    if beyond:
+        raise ValueError(f"{beyond[0]} the largest supported total {MAX_TOTAL}")
     fet = schema.kind == "fet"
     return CountTable(
         kind=schema.kind,

@@ -255,19 +255,32 @@ def test_simulate_happy_path_workers_and_replay(sim_config, tmp_path, capsys):
     assert agg["lambda"] == 0.5
     assert set(agg["procedures"]["generalized"]) == {"0.05", "0.1"}
 
-    code, _, _ = run(
-        ["simulate", sim_config, "--workers", "4", "--out", out2], capsys
-    )
-    assert code == 0
+    # simulate has no thread pool; a config's workers key is ignored
+    config = json.loads(Path(sim_config).read_text())
+    with_workers = tmp_path / "with_workers.json"
+    with_workers.write_text(json.dumps({**config, "workers": 4}))
+    code, _, stderr = run(["simulate", str(with_workers), "--out", out2], capsys)
+    assert code == 0, stderr
     assert data_bytes(out1, names) == data_bytes(out2, names)
+    manifest = json.loads(Path(out2, "manifest.json").read_text())
+    assert "workers" not in manifest["arguments"]
 
+    # so is a parent manifest's
+    manifest = json.loads(Path(out1, "manifest.json").read_text())
+    manifest["arguments"]["workers"] = 4
+    parent = tmp_path / "parent_manifest.json"
+    parent.write_text(json.dumps(manifest))
     code, _, stderr = run(
-        ["simulate", "--from-manifest", str(Path(out1, "manifest.json")),
-         "--out", out3],
-        capsys,
+        ["simulate", "--from-manifest", str(parent), "--out", out3], capsys
     )
     assert code == 0, stderr
     assert data_bytes(out1, names) == data_bytes(out3, names)
+
+    code, _, stderr = run(
+        ["simulate", sim_config, "--workers", "4", "--out", out3], capsys
+    )
+    assert code == 2
+    assert stderr.startswith("error:usage: unrecognized arguments: --workers")
 
 
 def test_simulate_cli_overrides(sim_config, tmp_path, capsys):
@@ -489,6 +502,25 @@ def test_counts_beyond_int64_are_parse_errors(tmp_path, capsys):
         assert stderr.startswith(f"error:parse: {path}: line 3: "), stderr
         assert stderr.count("\n") == 1 and stdout == ""
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row, total",
+    [("9000000000000000000,3", 9 * 10**18 + 3), (f"{2**62},{2**62}", 2**63)],
+)
+def test_analyze_rejects_totals_beyond_the_limit(row, total, tmp_path, capsys):
+    path = tmp_path / "counts.csv"
+    path.write_text(f"id,a,b\nf0,3,4\nf1,{row}\n")
+    out = tmp_path / "out"
+    code, stdout, stderr = run(
+        ["analyze", str(path), "--test", "bin", "--out", str(out)], capsys
+    )
+    assert code == 1
+    assert stderr == (
+        f"error:parse: {path}: line 3: total {total} exceeds the largest "
+        "supported total 4194303\n"
+    )
+    assert stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("convention", ["minlik", "doubling"])

@@ -14,6 +14,7 @@ from discretefdr import (
     ingest_counts,
     nb_exact_test,
 )
+from discretefdr import _kernels
 
 # aliased so pytest does not collect the library function as a test
 from discretefdr import test_count_table as run_count_table
@@ -440,12 +441,72 @@ def test_ingest_rejects_counts_beyond_int64():
         _ingest(f"id,x1,x2\nf1,1,2\nf2,{big},3\n", IngestSchema(kind="bin"))
     top = str(2**63 - 1)
     schema = IngestSchema(kind="ent", size=1.0, reps=2)
-    table = _ingest(f"id,a1,a2,b1,b2\nf1,{top},0,1,1\n", schema)
-    assert table.group1.tolist() == [2**63 - 1]
+    # a group sum of 2^63 - 1 parses; its total is then beyond the limit
+    with pytest.raises(ValueError, match=rf"^line 2: total {2**63 + 1} exceeds"):
+        _ingest(f"id,a1,a2,b1,b2\nf1,{top},0,1,1\n", schema)
     with pytest.raises(ValueError, match=rf"^line 2: group sum {2**63} exceeds"):
         _ingest(f"id,a1,a2,b1,b2\nf1,{top},1,1,1\n", schema)
     with pytest.raises(ValueError, match="trials"):
         IngestSchema(kind="fet", trials=2**63)
+
+
+LIMIT = _kernels.MAX_TOTAL
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("bin", "f1,9000000000000000000,3", f"total {9 * 10**18 + 3} exceeds"),
+        # the int64 sum of this row wraps to -2^63
+        ("bin", f"f1,{2**62},{2**62}", f"total {2**63} exceeds"),
+        ("bin", f"f1,{LIMIT},1", f"total {LIMIT + 1} exceeds"),
+        ("fet", f"f1,1,{LIMIT + 1},1,6", f"trials {LIMIT + 1} exceed"),
+        ("fet", f"f1,1,6,1,{2**63 - 1}", f"trials {2**63 - 1} exceed"),
+        ("ent", f"f1,{LIMIT},0,1,0", f"total {LIMIT + 1} exceeds"),
+    ],
+)
+def test_ingest_rejects_totals_beyond_the_kernel_limit(kind, text, message):
+    schema = IngestSchema(
+        kind=kind, **({"size": 1.0, "reps": 2} if kind == "ent" else {})
+    )
+    header = {"bin": "id,x1,x2", "fet": "id,x1,r1,x2,r2", "ent": "id,a1,a2,b1,b2"}
+    data = f"{header[kind]}\nf0,1,1{',1,1' if kind != 'bin' else ''}\n{text}\n"
+    expected = rf"^line 3: {message} the largest supported total {LIMIT}$"
+    with pytest.raises(ValueError, match=expected):
+        _ingest(data, schema)
+    with pytest.raises(ValueError, match=expected):
+        oracles.ingest_rows(io.BytesIO(data.encode()), schema)
+
+
+def test_rows_at_or_filtered_beyond_the_limit_stay_legal():
+    table = _ingest(f"id,x1,x2\nf1,{LIMIT},0\nf2,0,{LIMIT}\n", IngestSchema(kind="bin"))
+    assert table.group1.tolist() == [LIMIT, 0]
+    # each group's count is filtered before the total is checked
+    table = _ingest(
+        f"id,x1,x2\nf1,9000000000000000000,3\nf2,{2**62},{2**62}\nf3,3,4\n",
+        IngestSchema(kind="bin", max_total=100),
+    )
+    assert table.ids == ["f3"] and table.dropped == 2
+    table = _ingest(
+        f"id,x1,r1,x2,r2\nf1,1,{LIMIT + 1},1,6\nf2,1,6,1,6\n",
+        IngestSchema(kind="fet", max_total=LIMIT),
+    )
+    assert table.ids == ["f2"] and table.dropped == 1
+
+
+def test_kernels_reject_totals_beyond_the_limit():
+    message = f"largest supported total {LIMIT}"
+    with pytest.raises(ValueError, match=message):
+        binomial_test(LIMIT, 1)
+    with pytest.raises(ValueError, match=message):
+        fisher_test(1, LIMIT + 1, 1, 6)
+    with pytest.raises(ValueError, match=message):
+        nb_exact_test(LIMIT, 1, 1.0, 2)
+    # a total that wraps in int64 is caught before it is formed
+    with pytest.raises(ValueError, match=message):
+        _kernels.batch_binomial([2**62], [2**62])
+    with pytest.raises(ValueError, match=message):
+        _kernels.batch_negbinom([2**63 - 1], [1], 2.0)
 
 
 # ---------------------------------------------------------------------------

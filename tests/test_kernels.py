@@ -244,3 +244,50 @@ def test_underflowed_pvalues_are_raised_to_the_floor(total, convention):
     # the observed outcomes 0 and 1 of the batch kernel lie on the floor
     pvalues, *_ = K.batch_binomial([0, 1], [total, total - 1], convention)
     assert np.all(pvalues == K.FLOOR)
+
+
+_EXTREME_LAWS = [
+    # margins (r1, r2, s): symmetric, and with an attainable range
+    # shorter than s + 1
+    ("fet", (2000, 2000, 2000)),
+    ("fet", (3000, 1500, 2000)),
+    # totals s at a large shape: near-binomial tails below float64
+    ("ent", (2000, 1000.0)),
+    ("ent", (10_000, 1000.0)),
+]
+
+
+@pytest.mark.parametrize("convention", ["minlik", "doubling"])
+@pytest.mark.parametrize("kind, key", _EXTREME_LAWS)
+def test_underflowed_fet_and_ent_pvalues_are_raised_to_the_floor(
+    kind, key, convention
+):
+    """The hypergeometric and negative-binomial laws share the floor: no
+    entry is 0, underflowed entries are the smallest positive float, and
+    every other entry keeps the per-law builder's bits."""
+    # each law, its per-law log-weights, and the batch kernel observing
+    # its least likely outcome
+    if kind == "fet":
+        r1, r2, s = key
+        lo = max(0, s - r2)
+        laws, logw = K.fisher_laws([r1], [r2], [s]), oracles.logw_fisher(*key)
+        lowest = K.batch_fisher([lo], [r1], [s - lo], [r2], convention)
+    else:
+        s, shape_total = key
+        laws = K.negbinom_laws([s], shape_total)
+        logw = oracles.logw_negbinom(s, shape_total)
+        lowest = K.batch_negbinom([0], [s], shape_total, convention)
+    table_flat, _, flat, start, length = K.tables(laws, convention)
+    before = {
+        "minlik": oracles.outcome_pvalues,
+        "doubling": oracles.doubling_outcome_pvalues,
+    }[convention](logw)
+    underflowed = before == 0.0
+    assert underflowed.any()
+    assert np.count_nonzero(table_flat == 0.0) == 0
+    assert np.all(table_flat[underflowed] == K.FLOOR)
+    assert np.array_equal(table_flat[~underflowed], before[~underflowed])
+    support = flat[start[0] : start[0] + length[0]]
+    assert support[0] == K.FLOOR and support[-1] == 1.0
+    assert np.all(np.diff(support) > 0)
+    assert np.all(lowest[0] == K.FLOOR)

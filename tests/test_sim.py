@@ -19,6 +19,8 @@ from discretefdr import (
 )
 from discretefdr.sim import _draw_parameters, _replication_rng
 
+import oracles
+
 
 def _spec(**kw):
     base = dict(kind="poisson_bin", m=40, pi0=0.5, reps=3, seed=0)
@@ -110,14 +112,98 @@ def test_false_discovery_proportion_counting():
     assert false_discovery_proportion(study, empty) == 1.0
 
 
-def test_workers_do_not_change_replication_arrays():
-    spec = _spec(m=50, reps=6, seed=5)
-    serial = run_replications(spec, workers=1)
-    parallel = run_replications(spec, workers=2)
-    assert np.array_equal(serial.pi0_estimates, parallel.pi0_estimates)
-    assert np.array_equal(serial.thresholds, parallel.thresholds)
-    assert np.array_equal(serial.rejections, parallel.rejections)
-    assert np.array_equal(serial.fdp, parallel.fdp)
+_STUDY_ARRAYS = (
+    "pvalues", "support_flat", "support_start", "support_len",
+    "support_index", "truth",
+)
+
+
+def _assert_same_study(got, expected):
+    for name in _STUDY_ARRAYS:
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize(
+    "chunk_features, m, reps",
+    [
+        (None, 40, 5),  # one chunk
+        (100, 40, 5),  # chunks of 2, 2 and 1 replications
+        (100, 1, 7),  # one hypothesis per study
+        (16, 40, 3),  # each replication wider than a chunk
+    ],
+)
+@pytest.mark.parametrize("kind", ["poisson_bin", "binomial_fet", "negbinom_ent"])
+def test_pooled_replications_match_per_replication_oracle(
+    kind, chunk_features, m, reps, monkeypatch
+):
+    """Studies tested in pooled chunks are bitwise the studies each
+    replication gives when tested alone, and so are every estimate,
+    threshold, rejection count and false discovery proportion."""
+    from discretefdr import sim
+
+    if chunk_features is not None:
+        monkeypatch.setattr(sim, "_CHUNK_FEATURES", chunk_features)
+    methods = sim.PI0_METHODS if m > 1 else sim.PI0_METHODS[:-1]
+    procedures = sim.PROCEDURES if m > 1 else sim.PROCEDURES[:-1]
+    studies = []
+    original = sim.prepare_study
+
+    def keeping(study, *args):
+        studies.append(study)
+        return original(study, *args)
+
+    monkeypatch.setattr(sim, "prepare_study", keeping)
+    spec = _spec(kind=kind, m=m, reps=reps, seed=11, pi0=0.6,
+                 alpha_levels=(0.05, 0.2))
+    out = run_replications(spec, methods, procedures)
+
+    assert len(studies) == reps
+    for r, study in enumerate(studies):
+        expected = oracles.generate_scenario_alone(spec, r)
+        _assert_same_study(study, expected)
+        proc, estimates = original(expected, methods, 0.5, 1.0)
+        for j, name in enumerate(methods):
+            assert out.pi0_estimates[r, j] == estimates[name].value
+        for j, name in enumerate(procedures):
+            for a, alpha in enumerate(spec.alpha_levels):
+                res = sim.run_procedure(proc, estimates, name, alpha)
+                assert np.array_equal(
+                    out.thresholds[r, j, a], res.t_alpha, equal_nan=True
+                )
+                assert out.rejections[r, j, a] == res.rejections
+                assert out.fdp[r, j, a] == false_discovery_proportion(
+                    expected, res
+                )
+    _assert_same_study(
+        generate_scenario(spec, reps - 1),
+        oracles.generate_scenario_alone(spec, reps - 1),
+    )
+
+
+def test_replications_are_tested_and_used_one_chunk_at_a_time(monkeypatch):
+    """Each chunk is drawn, tested in one kernel call and used before the
+    next is drawn, so no more than one chunk of studies is alive."""
+    from discretefdr import _kernels, sim
+
+    events = []
+    kernel, prepare = _kernels.batch_binomial, sim.prepare_study
+
+    def counting_kernel(x1, x2, *args):
+        out = kernel(x1, x2, *args)
+        events.append(("kernel", len(x1), len(out)))
+        return out
+
+    def counting_prepare(study, *args):
+        events.append(("study", study.m))
+        return prepare(study, *args)
+
+    monkeypatch.setattr(sim, "_CHUNK_FEATURES", 100)
+    monkeypatch.setattr(_kernels, "batch_binomial", counting_kernel)
+    monkeypatch.setattr(sim, "prepare_study", counting_prepare)
+    run_replications(_spec(m=40, reps=5))
+    chunk = [("kernel", 80, 4), ("study", 40), ("study", 40)]
+    assert events == chunk + chunk + [("kernel", 40, 4), ("study", 40)]
 
 
 def test_adjusted_procedure_rejects_at_least_exceedance_procedure():
