@@ -412,8 +412,8 @@ _SPEC_KEYS = (
 )
 _EXTRA_KEYS = ("lambda", "epsilon", "pi0_methods", "procedures")
 #: Keys accepted for older configs and manifests, and ignored: ``workers``
-#: once sized a thread pool over replications, which ran slower than one
-#: thread.
+#: once sized the thread pools over simulate's replications and tune's
+#: grid points, which pooled kernel calls and shared resamples replaced.
 _IGNORED_KEYS = ("workers",)
 
 
@@ -472,13 +472,14 @@ def cmd_simulate(settings: dict, out_dir: str, manifest: dict | None = None) -> 
             "path": settings["config_path"],
             "sha256": settings.get("config_sha256"),
         }
+    mean_data = None
     if spec.mean_file is not None:
-        data = _read_bytes(spec.mean_file)
+        mean_data = _read_bytes(spec.mean_file)
         if manifest is not None:
-            _verify_digest(manifest, "mean_file", spec.mean_file, data)
+            _verify_digest(manifest, "mean_file", spec.mean_file, mean_data)
         inputs["mean_file"] = {
             "path": spec.mean_file,
-            "sha256": _sha256(data),
+            "sha256": _sha256(mean_data),
         }
 
     try:
@@ -488,6 +489,7 @@ def cmd_simulate(settings: dict, out_dir: str, manifest: dict | None = None) -> 
             procedures=settings["procedures"],
             lam=settings["lambda"],
             epsilon=settings["epsilon"],
+            mean_data=mean_data,
         )
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
@@ -580,7 +582,7 @@ def cmd_tune(settings: dict, out_dir: str, manifest: dict | None = None) -> int:
     _, study, inputs = _ingest_study(settings, manifest)
     grid = _parse_grid(settings)
     try:
-        result = bootstrap_tune(study, grid, workers=settings["workers"])
+        result = bootstrap_tune(study, grid)
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
 
@@ -717,7 +719,6 @@ def build_parser() -> _Parser:
     )
     tu.add_argument("--B", type=int, default=100, help="bootstrap resamples")
     tu.add_argument("--seed", type=int, default=0)
-    tu.add_argument("--workers", type=int, default=1)
     tu.add_argument("--out", help="output directory")
     tu.add_argument("--from-manifest", dest="from_manifest")
     tu.set_defaults(command="tune")
@@ -763,7 +764,11 @@ def main(argv=None) -> int:
         manifest = None
         if getattr(args, "from_manifest", None):
             manifest = _load_manifest(args.from_manifest, args.command)
-            settings = manifest["arguments"]
+            settings = {
+                k: v
+                for k, v in manifest["arguments"].items()
+                if k not in _IGNORED_KEYS
+            }
         elif args.command == "analyze":
             settings = _ingest_settings(
                 args,
@@ -783,7 +788,6 @@ def main(argv=None) -> int:
                     "points": args.points,
                     "B": args.B,
                     "seed": args.seed,
-                    "workers": args.workers,
                 },
             )
         else:

@@ -316,13 +316,27 @@ def generalized_pi0(
         if np.any(eps < 0.0) or np.any(eps > 1.0):
             raise ValueError("epsilon must lie in [0, 1]")
         eps_arr = eps
-    floor = study.support_floor(lam)
-    indicator = (study.pvalues > lam).astype(np.float64)
-    terms = indicator - eps_arr * (lam - floor)
-    raw = float(np.sum(terms)) / _denominator(lam, study.m)
+    indicator, gap = _exceedance_parts(study, lam)
+    raw = _adjusted_raw(indicator, gap, eps_arr, lam)
     return Pi0Estimate(
         "generalized", raw, _clip01(raw), lam=lam, epsilon=epsilon
     )
+
+
+def _exceedance_parts(study: Study, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The adjusted estimator's per-hypothesis parts at ``lam``: the
+    exceedance indicators ``1{p_i > lam}`` and the floor gaps
+    ``lam - floor_i``."""
+    indicator = (study.pvalues > lam).astype(np.float64)
+    return indicator, lam - study.support_floor(lam)
+
+
+def _adjusted_raw(
+    indicator: np.ndarray, gap: np.ndarray, epsilon, lam: float
+) -> float:
+    """Unclipped adjusted estimate from its per-hypothesis parts."""
+    terms = indicator - epsilon * gap
+    return float(np.sum(terms)) / _denominator(lam, indicator.shape[0])
 
 
 def pounds_tilde_pi0(study: Study) -> Pi0Estimate:

@@ -44,6 +44,7 @@ distributions up to a truncation bound.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -170,8 +171,28 @@ def _pareto(rng: np.random.Generator, location: float, shape: float, size: int):
     return location * (1.0 + rng.pareto(shape, size))
 
 
-def _draw_parameters(spec: ScenarioSpec, rng: np.random.Generator) -> dict:
-    """Draw one replication's scenario parameters, in documented order."""
+def _mean_file_values(spec: ScenarioSpec, data: bytes | None = None) -> np.ndarray:
+    """The first ``m`` group-1 means of ``spec.mean_file``, parsed from
+    ``data`` (the file's bytes) when given, else read from the file."""
+    source = spec.mean_file if data is None else io.BytesIO(data)
+    loaded = np.loadtxt(source, dtype=np.float64, ndmin=1)
+    if loaded.shape[0] < spec.m:
+        raise ValueError(
+            f"mean file provides {loaded.shape[0]} values, need {spec.m}"
+        )
+    return loaded[: spec.m]
+
+
+def _draw_parameters(
+    spec: ScenarioSpec,
+    rng: np.random.Generator,
+    means: np.ndarray | None = None,
+) -> dict:
+    """Draw one replication's scenario parameters, in documented order.
+
+    ``means`` are the mean file's values when the caller has read them
+    already; otherwise a ``negbinom_ent`` spec with a mean file reads it.
+    """
     m, m0 = spec.m, spec.m0
     m1 = m - m0
     if spec.kind == "poisson_bin":
@@ -196,12 +217,7 @@ def _draw_parameters(spec: ScenarioSpec, rng: np.random.Generator) -> dict:
         return {"theta1": theta1, "theta2": theta2, "trials": trials}
     # negbinom_ent
     if spec.mean_file is not None:
-        loaded = np.loadtxt(spec.mean_file, dtype=np.float64, ndmin=1)
-        if loaded.shape[0] < m:
-            raise ValueError(
-                f"mean file provides {loaded.shape[0]} values, need {m}"
-            )
-        theta1 = loaded[:m]
+        theta1 = _mean_file_values(spec) if means is None else means
     else:
         theta1 = rng.uniform(spec.mean_low, spec.mean_high, m)
     rho = _pareto(rng, spec.rho_location, spec.rho_shape, m1)
@@ -220,13 +236,15 @@ def _replication_rng(spec: ScenarioSpec, rep_index: int) -> np.random.Generator:
 _CHUNK_FEATURES = 1 << 16
 
 
-def _draw_counts(spec: ScenarioSpec, rep_index: int) -> tuple[np.ndarray, ...]:
+def _draw_counts(
+    spec: ScenarioSpec, rep_index: int, means: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
     """One replication's count columns, drawn in documented order:
     ``(x1, x2)`` for ``poisson_bin``, ``(x1, trials, x2)`` for
     ``binomial_fet`` and the group sums ``(s1, s2)`` for
     ``negbinom_ent``."""
     rng = _replication_rng(spec, rep_index)
-    params = _draw_parameters(spec, rng)
+    params = _draw_parameters(spec, rng, means)
     if spec.kind == "poisson_bin":
         x1 = rng.poisson(params["theta1"])
         x2 = rng.poisson(params["theta2"])
@@ -245,7 +263,7 @@ def _draw_counts(spec: ScenarioSpec, rep_index: int) -> tuple[np.ndarray, ...]:
     return s1.astype(np.int64), s2.astype(np.int64)
 
 
-def _generate(spec: ScenarioSpec, reps: range):
+def _generate(spec: ScenarioSpec, reps: range, means: np.ndarray | None = None):
     """Yield the studies of replications ``reps``, tested in one kernel call.
 
     The replications' counts are concatenated and tested together; each
@@ -254,7 +272,7 @@ def _generate(spec: ScenarioSpec, reps: range):
     """
     columns = [
         np.concatenate(column)
-        for column in zip(*(_draw_counts(spec, r) for r in reps))
+        for column in zip(*(_draw_counts(spec, r, means) for r in reps))
     ]
     if spec.kind == "poisson_bin":
         out = _kernels.batch_binomial(*columns)
@@ -474,6 +492,7 @@ def run_replications(
     procedures: Sequence[str] = DEFAULT_PROCEDURES,
     lam: float = 0.5,
     epsilon: float = 1.0,
+    mean_data: bytes | None = None,
 ) -> ReplicationSummary:
     """Run all replications of a scenario and collect the samples.
 
@@ -486,6 +505,9 @@ def run_replications(
     The replications are tested in pooled chunks (see the module
     docstring); results are deterministic functions of
     ``(spec, rep_index)``, the same as :func:`generate_scenario` gives.
+    A ``negbinom_ent`` spec's mean file is read once per run, parsed
+    from ``mean_data`` (the file's bytes, as the caller read them) when
+    given.
     """
     pi0_methods = tuple(pi0_methods)
     procedures = tuple(procedures)
@@ -504,6 +526,9 @@ def run_replications(
                 f"p-values; m = {spec.m}"
             )
 
+    means = None
+    if spec.kind == "negbinom_ent" and spec.mean_file is not None:
+        means = _mean_file_values(spec, mean_data)
     reps = spec.reps
     alphas = spec.alpha_levels
     est = np.empty((reps, len(pi0_methods)))
@@ -514,7 +539,7 @@ def run_replications(
     per_chunk = max(1, _CHUNK_FEATURES // spec.m)
     for first in range(0, reps, per_chunk):
         chunk = range(first, min(first + per_chunk, reps))
-        for r, study in zip(chunk, _generate(spec, chunk)):
+        for r, study in zip(chunk, _generate(spec, chunk, means)):
             proc, estimates = prepare_study(study, needed, lam, epsilon)
             for j, name in enumerate(pi0_methods):
                 est[r, j] = estimates[name].value

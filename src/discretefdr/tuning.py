@@ -1,33 +1,39 @@
 """Bootstrap selection of the tuning pair for the adjusted estimator.
 
 For each candidate ``(lambda, epsilon)`` pair on a user-supplied grid,
-the study's profiles are resampled with replacement (p-value and
-support travel together), the discreteness-adjusted estimate is
-computed on every resample, and its mean squared error is taken
-against the plug-in target: the minimum over the grid of the
-full-sample estimates. The pair with the smallest estimated MSE wins;
-ties break toward the smallest ``lambda``, then the smallest
-``epsilon``.
+the discreteness-adjusted estimate is computed on B resamples of the
+study's profiles, drawn with replacement (p-value and support travel
+together), and its mean squared error is taken against the plug-in
+target: the minimum over the grid of the full-sample estimates. The
+pair with the smallest estimated MSE wins; ties break toward the
+smallest ``lambda``, then the smallest ``epsilon``.
+
+Every grid point is scored on the same B resamples, as in the bootstrap
+rule of Storey, Taylor & Siegmund (2004): one B x m resample index is
+drawn from ``SeedSequence(seed)``. A resample's estimate at ``(lambda,
+epsilon)`` is ``(E - epsilon * G) / ((1 - lambda) * m)``, where ``E``
+sums the exceedance indicators ``1{p_i > lambda}`` and ``G`` the floor
+gaps ``lambda - floor_i`` over the resample. So the index is turned into
+per-resample multiplicity counts, a bounded block of resamples at a
+time, and reduced against each distinct lambda's two columns once,
+whatever the number of epsilons. The same columns give the full-sample
+estimates. Given the target, a point's MSE depends only on its own pair,
+the study, B and the seed: adding, removing or reordering other grid
+points never changes its bits.
 
 On a grid with ``epsilon = 0`` everywhere (or uniform-null profiles)
 the procedure reduces to the classical bootstrap tuning of the
 exceedance estimator.
-
-Each grid point draws from its own RNG stream derived from the base
-seed and the point's index, so adding grid points never perturbs the
-resamples of existing points, and evaluating points in parallel gives
-byte-identical results to a serial run.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .estimators import Study, generalized_pi0
+from .estimators import Study, _adjusted_raw, _clip01, _exceedance_parts
 
 
 @dataclass(frozen=True)
@@ -79,64 +85,69 @@ class TuningResult:
         }
 
 
-def _clip01(x: np.ndarray) -> np.ndarray:
-    return np.minimum(1.0, np.maximum(0.0, x))
+#: Most resample-count entries formed at once: the index is turned into
+#: multiplicity counts this many (resample, hypothesis) cells at a time.
+_BLOCK_ENTRIES = 1 << 18
 
 
-def _point_mse(
-    study: Study,
-    lam: float,
-    eps: float,
-    B: int,
-    seed: int,
-    index: int,
-    target: float,
-) -> float:
-    """Bootstrap MSE of one grid point against the plug-in target."""
-    m = study.m
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    idx = rng.integers(0, m, size=(B, m))
-    # each hypothesis's term travels with it, so form the terms once and
-    # resample them
-    floor = study.support_floor(lam)
-    terms = (study.pvalues > lam).astype(np.float64) - eps * (lam - floor)
-    raw = terms[idx].sum(axis=1) / ((1.0 - lam) * m)
-    boot = _clip01(raw)
-    return float(np.mean((boot - target) ** 2))
+def _resample_sums(idx: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """Sums of every lambda's parts over every resample.
+
+    ``idx`` is the B x m resample index and ``parts[k]`` the 2 x m
+    exceedance indicators and floor gaps of the k-th distinct lambda.
+    Returns ``sums`` with ``sums[k, :, b]`` the two rows summed over
+    resample ``b``. Each block of resamples is turned into
+    multiplicity counts once and reduced against each lambda's parts
+    separately, so a lambda's sums do not depend on the other lambdas.
+    """
+    B, m = idx.shape
+    sums = np.empty((parts.shape[0], 2, B))
+    rows = max(1, _BLOCK_ENTRIES // m)
+    for a in range(0, B, rows):
+        block = idx[a : a + rows]
+        n = block.shape[0]
+        cells = (block + m * np.arange(n)[:, None]).ravel()
+        counts = np.bincount(cells, minlength=n * m).reshape(n, m)
+        counts = counts.astype(np.float64)
+        for k in range(parts.shape[0]):
+            sums[k, :, a : a + n] = parts[k] @ counts.T
+    return sums
 
 
-def bootstrap_tune(
-    study: Study, grid: TuningGrid, workers: int = 1
-) -> TuningResult:
+def bootstrap_tune(study: Study, grid: TuningGrid) -> TuningResult:
     """Pick the tuning pair minimizing the bootstrap MSE.
 
-    ``workers`` > 1 evaluates grid points concurrently; results are
-    identical to a serial run because every point owns an independent
-    RNG stream and results are merged by grid index.
+    All grid points are scored on the same ``grid.B`` resamples.
     """
-    if study.m < 2:
+    m = study.m
+    if m < 2:
         raise ValueError("bootstrap tuning needs at least two profiles")
     points = grid.points
-    full = np.array(
-        [generalized_pi0(study, lam, eps).value for lam, eps in points]
-    )
+    lam_of, eps_of = np.array(points).T
+    lams, which = np.unique(lam_of, return_inverse=True)
+    parts = np.empty((lams.shape[0], 2, m))
+    for k, lam in enumerate(lams.tolist()):
+        parts[k] = _exceedance_parts(study, lam)
+    full = np.array([
+        _clip01(_adjusted_raw(*parts[k], eps, lam))
+        for k, (lam, eps) in zip(which.tolist(), points)
+    ])
     target = float(full.min())
 
-    def run(j: int) -> float:
-        lam, eps = points[j]
-        return _point_mse(study, lam, eps, grid.B, grid.seed, j, target)
+    rng = np.random.default_rng(np.random.SeedSequence(grid.seed))
+    # int32 draws the same values as the default int64 and halves the index
+    idx = rng.integers(0, m, size=(grid.B, m), dtype=np.int32)
+    sums = _resample_sums(idx, parts)[which]
+    raw = (sums[:, 0] - eps_of[:, None] * sums[:, 1]) / (
+        (1.0 - lam_of[:, None]) * m
+    )
+    boot = np.minimum(1.0, np.maximum(0.0, raw))
+    mse = np.mean((boot - target) ** 2, axis=1)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            mse = np.array(list(pool.map(run, range(len(points)))))
-    else:
-        mse = np.array([run(j) for j in range(len(points))])
-
-    order = sorted(
+    best = min(
         range(len(points)),
         key=lambda j: (mse[j], points[j][0], points[j][1]),
     )
-    best = order[0]
     return TuningResult(
         chosen=points[best],
         mse=mse,

@@ -426,23 +426,36 @@ def generate_scenario_alone(spec, rep_index: int):
 
 
 # ---------------------------------------------------------------------------
-# bootstrap tuning with every resampled quantity gathered on its own
+# bootstrap tuning, one gather and sum per grid point
 # ---------------------------------------------------------------------------
 
 
-def point_mse_two_gathers(study, lam, eps, B, seed, index, target) -> float:
-    """Reference for ``tuning._point_mse``: draws the same resample index
-    and gathers the p-values and the support floors over it separately,
-    forming the adjusted estimator's terms on the B x m resample."""
+def bootstrap_shared_gather(study, grid):
+    """Reference for ``tuning.bootstrap_tune``: draws the shared B x m
+    resample index, then for each grid point gathers its adjusted terms
+    over the index and sums each resample. Returns the chosen pair, the
+    MSE table and the full-sample column."""
+    from discretefdr import generalized_pi0
+
     m = study.m
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    idx = rng.integers(0, m, size=(B, m))
-    pv = study.pvalues[idx]
-    floor = study.support_floor(lam)[idx]
-    terms = (pv > lam).astype(np.float64) - eps * (lam - floor)
-    raw = terms.sum(axis=1) / ((1.0 - lam) * m)
-    boot = np.minimum(1.0, np.maximum(0.0, raw))
-    return float(np.mean((boot - target) ** 2))
+    full = np.array(
+        [generalized_pi0(study, lam, eps).value for lam, eps in grid.points]
+    )
+    target = float(full.min())
+    rng = np.random.default_rng(np.random.SeedSequence(grid.seed))
+    idx = rng.integers(0, m, size=(grid.B, m))
+    mse = np.empty(len(grid.points))
+    for j, (lam, eps) in enumerate(grid.points):
+        floor = study.support_floor(lam)
+        terms = (study.pvalues > lam).astype(np.float64) - eps * (lam - floor)
+        raw = terms[idx].sum(axis=1) / ((1.0 - lam) * m)
+        boot = np.minimum(1.0, np.maximum(0.0, raw))
+        mse[j] = np.mean((boot - target) ** 2)
+    best = min(
+        range(len(grid.points)),
+        key=lambda j: (mse[j], grid.points[j][0], grid.points[j][1]),
+    )
+    return grid.points[best], mse, full
 
 
 # ---------------------------------------------------------------------------

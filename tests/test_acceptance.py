@@ -508,17 +508,19 @@ def test_acceptance_08_published_study_replication(tmp_path):
 def test_acceptance_09_bootstrap_tuning_reduction():
     """On continuous uniform nulls with the adjustment disabled, the
     tuner reproduces a direct transcription of the classical
-    bootstrap cutoff selection, bit for bit, at any worker count."""
+    bootstrap cutoff selection, every cutoff scored on one shared set of
+    resamples, bit for bit."""
     rng = np.random.default_rng(CORPUS_SEED + 9)
     m, B, seed = 200, 100, 12345
     pvalues = rng.uniform(1e-9, 1.0, size=m)
     study = Study(pvalues, [np.array([])] * m)
     lams = [k * 0.05 for k in range(20)]
     grid = TuningGrid([(lam, 0.0) for lam in lams], B=B, seed=seed)
-    result = bootstrap_tune(study, grid, workers=1)
+    result = bootstrap_tune(study, grid)
 
     # direct transcription: exceedance estimates on the full sample,
-    # bootstrap MSE against their minimum, smallest-cutoff tie-break
+    # bootstrap MSE on one shared resample index against their minimum,
+    # smallest-cutoff tie-break
     full = np.array([
         min(1.0, max(0.0, float(
             np.count_nonzero(pvalues > lam) / ((1.0 - lam) * m)
@@ -526,12 +528,10 @@ def test_acceptance_09_bootstrap_tuning_reduction():
         for lam in lams
     ])
     target = float(full.min())
+    stream = np.random.default_rng(np.random.SeedSequence(seed))
+    idx = stream.integers(0, m, size=(B, m))
     mse = np.empty(len(lams))
     for j, lam in enumerate(lams):
-        stream = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(j,))
-        )
-        idx = stream.integers(0, m, size=(B, m))
         raw = (pvalues[idx] > lam).astype(np.float64).sum(axis=1) / (
             (1.0 - lam) * m
         )
@@ -543,13 +543,8 @@ def test_acceptance_09_bootstrap_tuning_reduction():
     assert result.estimate == float(full[best])
     assert np.array_equal(result.mse, mse)
     assert np.array_equal(result.full_sample, full)
-
-    parallel = bootstrap_tune(study, grid, workers=4)
-    assert parallel.chosen == result.chosen
-    assert parallel.estimate == result.estimate
-    assert np.array_equal(parallel.mse, result.mse)
     print(
         f"ACCEPTANCE 9 PASS: tuner == direct transcription bit-for-bit "
         f"(chosen cutoff {result.chosen[0]:g}, estimate "
-        f"{result.estimate:.6f}); workers 1 and 4 identical"
+        f"{result.estimate:.6f})"
     )

@@ -332,6 +332,27 @@ def test_tune_happy_path_and_replay(bin_file, tmp_path, capsys):
         out2, "tuning.json"
     ).read_bytes()
 
+    # tune has no thread pool; an older manifest's workers key is ignored
+    manifest = json.loads(Path(out1, "manifest.json").read_text())
+    assert "workers" not in manifest["arguments"]
+    manifest["arguments"]["workers"] = 2
+    parent = tmp_path / "parent_manifest.json"
+    parent.write_text(json.dumps(manifest))
+    out3 = str(tmp_path / "t3")
+    code, _, stderr = run(
+        ["tune", "--from-manifest", str(parent), "--out", out3], capsys
+    )
+    assert code == 0, stderr
+    assert Path(out1, "tuning.json").read_bytes() == Path(
+        out3, "tuning.json"
+    ).read_bytes()
+    replayed = json.loads(Path(out3, "manifest.json").read_text())
+    assert "workers" not in replayed["arguments"]
+
+    code, _, stderr = run(argv + ["--workers", "2", "--out", out3], capsys)
+    assert code == 2
+    assert stderr.startswith("error:usage: unrecognized arguments: --workers")
+
 
 def test_tune_grid_flags_build_cross_product(bin_file, tmp_path, capsys):
     out = str(tmp_path / "out")

@@ -95,6 +95,45 @@ def test_mean_file_supplies_group_means(tmp_path):
     short = _spec(kind="negbinom_ent", m=6, mean_file=str(path))
     with pytest.raises(ValueError, match="mean file"):
         _draw_parameters(short, _replication_rng(short, 0))
+    with pytest.raises(ValueError, match="mean file provides 5 values, need 6"):
+        run_replications(short)
+
+
+def test_mean_file_is_read_once_per_run(tmp_path, monkeypatch):
+    rng = np.random.default_rng(31)
+    path, other = tmp_path / "means.txt", tmp_path / "other.txt"
+    np.savetxt(path, rng.uniform(0.5, 8.0, 250))
+    np.savetxt(other, rng.uniform(0.5, 8.0, 250))
+    spec = _spec(kind="negbinom_ent", m=250, reps=50, mean_file=str(path))
+    roster = dict(pi0_methods=("generalized",), procedures=("generalized",))
+    # per-replication oracle studies read the file in each replication
+    expected = [
+        compute_pi0(
+            oracles.generate_scenario_alone(spec, r), "generalized", 0.5, 1.0
+        ).value
+        for r in range(spec.reps)
+    ]
+
+    loads = []
+    loadtxt = np.loadtxt
+
+    def counting(*args, **kwargs):
+        loads.append(args[0])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    summary = run_replications(spec, **roster)
+    assert loads == [str(path)]
+    assert summary.pi0_estimates[:, 0].tolist() == expected
+
+    # given the bytes the caller read, those are used, not the file
+    from_bytes = run_replications(spec, **roster, mean_data=other.read_bytes())
+    from_other = run_replications(
+        _spec(kind="negbinom_ent", m=250, reps=50, mean_file=str(other)), **roster
+    )
+    assert len(loads) == 3
+    for name in ("pi0_estimates", "thresholds", "rejections", "fdp"):
+        assert np.array_equal(getattr(from_bytes, name), getattr(from_other, name))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from discretefdr import Study, TuningGrid, bootstrap_tune, generalized_pi0
+import oracles
+from discretefdr import (
+    Study,
+    TuningGrid,
+    _kernels,
+    bootstrap_tune,
+    generalized_pi0,
+    tuning,
+)
 
 from conftest import random_study
 
@@ -41,19 +49,6 @@ def test_fixed_seed_is_deterministic():
     assert a.estimate == b.estimate
     assert np.array_equal(a.mse, b.mse)
     assert np.array_equal(a.full_sample, b.full_sample)
-
-
-def test_workers_do_not_change_the_result():
-    rng = np.random.default_rng(23)
-    study = random_study(rng, 80)
-    pts = [(lam, eps) for lam in (0.1, 0.3, 0.5, 0.7) for eps in (0.0, 1.0)]
-    grid = TuningGrid(points=pts, B=40, seed=11)
-    serial = bootstrap_tune(study, grid, workers=1)
-    parallel = bootstrap_tune(study, grid, workers=4)
-    assert serial.chosen == parallel.chosen
-    assert serial.estimate == parallel.estimate
-    assert np.array_equal(serial.mse, parallel.mse)
-    assert np.array_equal(serial.full_sample, parallel.full_sample)
 
 
 def test_exact_ties_break_toward_smallest_pair():
@@ -95,24 +90,97 @@ def test_json_dict_shape():
     assert d["mse"][0]["full_sample"] == res.full_sample[0]
 
 
-def test_bootstrap_mse_matches_two_gather_formula_bitwise():
-    """Resampling the per-hypothesis terms gives the same bits as
-    resampling p-values and support floors and forming the terms after."""
-    import oracles
+def _kernel_study(rng, m):
+    s1 = rng.negative_binomial(2, 0.2, m)
+    s2 = rng.negative_binomial(2, 0.1, m)
+    return Study.from_distinct(*_kernels.batch_negbinom(s1, s2, 2.0))
 
-    from discretefdr import _kernels
 
+def _assert_matches_oracle(study, grid):
+    chosen, mse, full = oracles.bootstrap_shared_gather(study, grid)
+    res = bootstrap_tune(study, grid)
+    assert res.chosen == chosen
+    assert np.array_equal(res.full_sample, full)
+    assert np.allclose(res.mse, mse, rtol=1e-12, atol=0.0)
+    return res, mse
+
+
+def test_bootstrap_matches_shared_gather_oracle():
+    """Reducing multiplicity counts per lambda gives the MSE of gathering
+    and summing each point's terms over the shared resample index."""
     rng = np.random.default_rng(24)
-    s1 = rng.negative_binomial(2, 0.2, 300)
-    s2 = rng.negative_binomial(2, 0.1, 300)
-    kernel_study = Study.from_distinct(*_kernels.batch_negbinom(s1, s2, 2.0))
     pts = [(lam, eps) for lam in (0.0, 0.2, 0.5, 0.8) for eps in (0.0, 0.4, 1.0)]
-    for study in (random_study(rng, 90), kernel_study):
-        grid = TuningGrid(points=pts, B=30, seed=5)
+    studies = (random_study(rng, 90), _kernel_study(rng, 300), random_study(rng, 2))
+    for study in studies:
+        for B, seed in ((30, 5), (1, 6), (100, 7)):
+            _assert_matches_oracle(study, TuningGrid(points=pts, B=B, seed=seed))
+    # duplicate points score alike and the first of them is chosen
+    dup = [(0.5, 1.0), (0.2, 0.4), (0.5, 1.0), (0.2, 0.4)]
+    res, _ = _assert_matches_oracle(studies[1], TuningGrid(points=dup, B=40, seed=8))
+    assert res.mse[0] == res.mse[2] and res.mse[1] == res.mse[3]
+
+
+def test_blocks_of_resamples_match_oracle(monkeypatch):
+    """Counting a few resamples at a time, or one resample over several
+    blocks' worth of hypotheses, changes nothing beyond round-off."""
+    rng = np.random.default_rng(25)
+    study = _kernel_study(rng, 120)
+    pts = [(lam, eps) for lam in (0.1, 0.4, 0.7) for eps in (0.0, 0.5, 1.0)]
+    grid = TuningGrid(points=pts, B=23, seed=9)
+    for entries in (1, 250, 1000):
+        monkeypatch.setattr(tuning, "_BLOCK_ENTRIES", entries)
+        _assert_matches_oracle(study, grid)
+
+
+def test_epsilon_zero_grids_match_oracle_bitwise():
+    """Without the adjustment each resample's sum counts exceedances, so
+    the MSE table is the oracle's bit for bit."""
+    rng = np.random.default_rng(26)
+    lams = [k * 0.05 for k in range(20)]
+    grid = TuningGrid(points=[(lam, 0.0) for lam in lams], B=50, seed=10)
+    for study in (
+        random_study(rng, 150, empty_supports=True),
+        random_study(rng, 150),
+        _kernel_study(rng, 200),
+    ):
+        chosen, mse, full = oracles.bootstrap_shared_gather(study, grid)
         res = bootstrap_tune(study, grid)
-        target = float(res.full_sample.min())
-        expected = [
-            oracles.point_mse_two_gathers(study, lam, eps, grid.B, grid.seed, j, target)
-            for j, (lam, eps) in enumerate(pts)
-        ]
-        assert np.array_equal(res.mse, np.array(expected))
+        assert res.chosen == chosen
+        assert np.array_equal(res.mse, mse)
+        assert np.array_equal(res.full_sample, full)
+
+
+def test_point_mse_does_not_depend_on_other_points():
+    """Given the target, a point's MSE is the same bits whatever else is
+    on the grid and in whatever order."""
+    rng = np.random.default_rng(27)
+    study = _kernel_study(rng, 250)
+    pts = [(lam, eps) for lam in (0.05, 0.3, 0.55, 0.8) for eps in (0.0, 0.5, 1.0)]
+    res = bootstrap_tune(study, TuningGrid(points=pts, B=60, seed=11))
+    mse = dict(zip(pts, res.mse))
+    # keep the point that sets the target on every grid
+    anchor = pts[int(np.argmin(res.full_sample))]
+    for trial in range(5):
+        keep = [p for p in pts if p != anchor and rng.uniform() < 0.5]
+        sub = [anchor] + keep + keep[:2]
+        order = rng.permutation(len(sub))
+        sub = [sub[i] for i in order]
+        other = bootstrap_tune(study, TuningGrid(points=sub, B=60, seed=11))
+        for p, value in zip(sub, other.mse):
+            assert value == mse[p]
+
+
+def test_support_floor_runs_once_per_distinct_lambda(monkeypatch):
+    calls = []
+    original = Study.support_floor
+
+    def counting(self, lam):
+        calls.append(lam)
+        return original(self, lam)
+
+    monkeypatch.setattr(Study, "support_floor", counting)
+    rng = np.random.default_rng(28)
+    study = random_study(rng, 40)
+    pts = [(lam, eps) for lam in (0.2, 0.4, 0.6, 0.8) for eps in (0.0, 0.5, 1.0)]
+    bootstrap_tune(study, TuningGrid(points=pts, B=5, seed=0))
+    assert sorted(calls) == [0.2, 0.4, 0.6, 0.8]
