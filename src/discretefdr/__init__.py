@@ -14,7 +14,6 @@ all into reproducible runs.
 from ._kernels import using_numba, warm_up
 from .discrete_tests import (
     CONVENTIONS,
-    CountPair,
     CountTable,
     IngestSchema,
     TestResult,
@@ -70,7 +69,6 @@ __all__ = [
     "using_numba",
     "warm_up",
     "CONVENTIONS",
-    "CountPair",
     "CountTable",
     "IngestSchema",
     "TestResult",

@@ -7,9 +7,10 @@ The unnormalized log-weights of each law are written once, in
 ``binomial_laws``, ``fisher_laws`` and ``negbinom_laws``, for an array
 of distinct keys at a time. Each returns ``(length, logw)``: law ``k``
 has ``length[k]`` outcomes, and ``logw(rows, j)`` gives the laws
-``rows`` (a column) at outcome offsets ``j`` (a block). Every caller
-(the batch kernels, the single tests through them, and the exact bias
-enumeration in ``sim``) builds its laws from these.
+``rows`` (a column) at outcome offsets ``j`` (a block). Only the batch
+kernels build laws from these; every other caller (the single tests, the
+simulations and the exact bias enumeration in ``sim``) goes through the
+batch kernels.
 
 Two two-sided conventions turn a law into a table of outcome p-values:
 

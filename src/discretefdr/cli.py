@@ -1,8 +1,9 @@
 """Command-line interface: reproducible analyze / simulate / tune runs.
 
 Every run writes its outputs plus a ``manifest.json`` recording the
-command, all resolved parameters, the seed, SHA-256 digests of the
-input files, the package version, and a timestamp. Re-running with
+command, all resolved parameters, the seed (null for ``analyze``, which
+draws nothing at random), SHA-256 digests of the input files, the
+package version, and a timestamp. Re-running with
 ``--from-manifest manifest.json`` (plus a fresh ``--out``) reproduces
 the data outputs byte-for-byte; input files are re-verified against
 the recorded digests first.
@@ -29,6 +30,7 @@ reader splits its row.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -385,31 +387,7 @@ def cmd_analyze(settings: dict, out_dir: str, manifest: dict | None = None) -> i
 # simulate
 # ---------------------------------------------------------------------------
 
-_SPEC_KEYS = (
-    "kind",
-    "m",
-    "pi0",
-    "alpha_levels",
-    "reps",
-    "seed",
-    "pareto_location",
-    "pareto_shape",
-    "rho_low",
-    "rho_high",
-    "trials_size",
-    "trials_mean",
-    "trials_offset",
-    "theta_low",
-    "theta_high",
-    "theta2_transform",
-    "dispersion",
-    "reps_per_group",
-    "mean_low",
-    "mean_high",
-    "mean_file",
-    "rho_location",
-    "rho_shape",
-)
+_SPEC_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioSpec))
 _EXTRA_KEYS = ("lambda", "epsilon", "pi0_methods", "procedures")
 #: Keys accepted for older configs and manifests, and ignored: ``workers``
 #: once sized the thread pools over simulate's replications and tune's
@@ -679,7 +657,6 @@ def build_parser() -> _Parser:
         action="append",
         help="nominal FDR level; repeatable (default 0.05)",
     )
-    an.add_argument("--seed", type=int, default=0)
     an.add_argument("--out", help="output directory")
     an.add_argument("--from-manifest", dest="from_manifest")
     an.set_defaults(command="analyze")
@@ -776,7 +753,6 @@ def main(argv=None) -> int:
                     "lambda": args.lam,
                     "epsilon": args.epsilon,
                     "alphas": args.alpha or [0.05],
-                    "seed": args.seed,
                 },
             )
         elif args.command == "tune":

@@ -42,33 +42,6 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
-class CountPair:
-    """One feature's counts for two groups, plus test parameters.
-
-    ``r1``/``r2`` are per-group trial counts (hypergeometric test
-    only); ``size`` and ``reps`` are the per-sample shape and the
-    samples per group (negative-binomial test only).
-    """
-
-    x1: int
-    x2: int
-    r1: int | None = None
-    r2: int | None = None
-    size: float | None = None
-    reps: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.x1 < 0 or self.x2 < 0:
-            raise ValueError("counts must be nonnegative")
-        if self.r1 is not None and self.x1 > self.r1:
-            raise ValueError("x1 exceeds r1")
-        if self.r2 is not None and self.x2 > self.r2:
-            raise ValueError("x2 exceeds r2")
-        if self.size is not None and not self.size > 0:
-            raise ValueError("size must be positive")
-
-
-@dataclass(frozen=True)
 class TestResult:
     """Observed two-sided p-value plus the full null p-value support.
 

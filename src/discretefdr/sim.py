@@ -38,8 +38,11 @@ and ``simulate`` commands both dispatch through it.
 
 ``bias_decomposition`` computes the exact finite-sample biases of the
 discreteness-adjusted estimator and the doubled-mean estimator for one
-fixed parameter draw, by enumerating the conditioned outcome
-distributions up to a truncation bound.
+fixed parameter draw. It tests every count pair a hypothesis can show
+(up to a truncation bound on the total for the Poisson and
+negative-binomial families) with the same batch kernel as the
+simulations, then weighs each pair by the two groups' count pmfs; those
+pmfs are its only per-family code.
 """
 
 from __future__ import annotations
@@ -232,7 +235,8 @@ def _replication_rng(spec: ScenarioSpec, rep_index: int) -> np.random.Generator:
     )
 
 
-#: Most features :func:`run_replications` tests in one kernel call.
+#: Most features :func:`run_replications` tests in one kernel call, and
+#: most pmf entries per group :func:`bias_decomposition` holds at a time.
 _CHUNK_FEATURES = 1 << 16
 
 
@@ -263,6 +267,18 @@ def _draw_counts(
     return s1.astype(np.int64), s2.astype(np.int64)
 
 
+def _test(spec: ScenarioSpec, columns) -> tuple[np.ndarray, ...]:
+    """Test count columns, laid out as :func:`_draw_counts` returns them,
+    with the family's batch kernel; returns the kernel's 4-tuple."""
+    if spec.kind == "poisson_bin":
+        return _kernels.batch_binomial(*columns)
+    if spec.kind == "binomial_fet":
+        x1, trials, x2 = columns
+        return _kernels.batch_fisher(x1, trials, x2, trials)
+    sigma = 1.0 / spec.dispersion
+    return _kernels.batch_negbinom(*columns, spec.reps_per_group * sigma)
+
+
 def _generate(spec: ScenarioSpec, reps: range, means: np.ndarray | None = None):
     """Yield the studies of replications ``reps``, tested in one kernel call.
 
@@ -274,15 +290,7 @@ def _generate(spec: ScenarioSpec, reps: range, means: np.ndarray | None = None):
         np.concatenate(column)
         for column in zip(*(_draw_counts(spec, r, means) for r in reps))
     ]
-    if spec.kind == "poisson_bin":
-        out = _kernels.batch_binomial(*columns)
-    elif spec.kind == "binomial_fet":
-        x1, trials, x2 = columns
-        out = _kernels.batch_fisher(x1, trials, x2, trials)
-    else:
-        sigma = 1.0 / spec.dispersion
-        out = _kernels.batch_negbinom(*columns, spec.reps_per_group * sigma)
-    pvalues, flat, start, length = out
+    pvalues, flat, start, length = _test(spec, columns)
     truth = np.zeros(spec.m, dtype=bool)
     truth[: spec.m0] = True
     for i in range(len(reps)):
@@ -403,7 +411,7 @@ def false_discovery_proportion(study: Study, result: ThresholdResult) -> float:
 
 @dataclass
 class ReplicationSummary:
-    """Per-replication samples plus aggregation helpers.
+    """Per-replication samples and their aggregate.
 
     ``pi0_estimates``/``excess`` have shape (reps, n_pi0_methods);
     ``thresholds``/``rejections``/``fdp`` have shape
@@ -425,28 +433,17 @@ class ReplicationSummary:
     def __post_init__(self) -> None:
         self.degenerate_sd = self.spec.reps == 1
 
-    def _sd(self, samples: np.ndarray, axis: int = 0) -> np.ndarray:
+    def _sd(self, samples: np.ndarray) -> np.ndarray:
         if self.degenerate_sd:
-            return np.zeros(samples.shape[1:] if axis == 0 else samples.shape)
-        return samples.std(axis=axis, ddof=1)
-
-    def excess_mean(self) -> np.ndarray:
-        return self.excess.mean(axis=0)
-
-    def excess_se(self) -> np.ndarray:
-        return self._sd(self.excess) / math.sqrt(self.spec.reps)
-
-    def fdp_mean(self) -> np.ndarray:
-        return self.fdp.mean(axis=0)
-
-    def fdp_se(self) -> np.ndarray:
-        return self._sd(self.fdp) / math.sqrt(self.spec.reps)
+            return np.zeros(samples.shape[1:])
+        return samples.std(axis=0, ddof=1)
 
     def aggregate(self) -> dict:
         """JSON-ready aggregate: means, sds and standard errors."""
-        excess_mean = self.excess_mean()
+        root_reps = math.sqrt(self.spec.reps)
+        excess_mean = self.excess.mean(axis=0)
         excess_sd = self._sd(self.excess)
-        excess_se = self.excess_se()
+        excess_se = excess_sd / root_reps
         est_mean = self.pi0_estimates.mean(axis=0)
         agg: dict = {
             "kind": self.spec.kind,
@@ -465,9 +462,9 @@ class ReplicationSummary:
                 "sd_excess": float(excess_sd[j]),
                 "se_excess": float(excess_se[j]),
             }
-        fdp_mean = self.fdp_mean()
+        fdp_mean = self.fdp.mean(axis=0)
         fdp_sd = self._sd(self.fdp)
-        fdp_se = self.fdp_se()
+        fdp_se = fdp_sd / root_reps
         for j, name in enumerate(self.procedures):
             per_alpha = {}
             for a, alpha in enumerate(self.spec.alpha_levels):
@@ -617,16 +614,20 @@ class BiasDecomposition:
     epsilon: float
 
 
-def _tables_at(laws, lam: float) -> list:
-    """Per law: outcome p-values, the mask of those at most ``lam``, and
-    the largest of them at most ``lam`` (0 when there is none)."""
-    flat, start, *_ = _kernels.tables(laws)
-    out = []
-    for a, n in zip(start.tolist(), laws[0].tolist()):
-        pv = flat[a : a + n]
-        below = pv <= lam
-        out.append((pv, below, float(pv[below].max()) if below.any() else 0.0))
-    return out
+def _count_pmf(spec: ScenarioSpec, theta: np.ndarray, r: int) -> np.ndarray:
+    """Per group mean (or success probability) ``theta``, the count pmf
+    over ``0..r``: Poisson, binomial with ``r`` trials, or the group
+    sum's negative binomial with shape ``reps_per_group / dispersion``."""
+    from scipy import stats
+
+    x, theta = np.arange(r + 1), theta[:, None]
+    if spec.kind == "poisson_bin":
+        return stats.poisson.pmf(x, theta)
+    if spec.kind == "binomial_fet":
+        return stats.binom.pmf(x, r, theta)
+    shape = spec.reps_per_group * (1.0 / spec.dispersion)
+    mean = spec.reps_per_group * theta
+    return stats.nbinom.pmf(x, shape, shape / (shape + mean))
 
 
 def bias_decomposition(
@@ -639,108 +640,56 @@ def bias_decomposition(
     """Exact biases for one fixed parameter draw of a scenario.
 
     The scenario parameters are the ones replication ``rep_index``
-    would use, drawn once; no counts are sampled. Per hypothesis, the
-    conditioned outcome distributions are enumerated over totals up to
-    ``truncation``; if more than 1e-6 of probability mass lies beyond
-    the bound, a :class:`ValueError` asks for a larger bound.
+    would use, drawn once; no counts are sampled. Every count pair
+    ``(x1, x2)`` is enumerated once: ``x1 + x2 <= truncation`` for
+    ``poisson_bin`` and ``negbinom_ent``, ``0..r`` by ``0..r`` per
+    distinct trials count ``r`` for ``binomial_fet``. The pairs are
+    tested in one batch-kernel call, and each hypothesis's expectations
+    are bilinear forms ``pmf1 . G . pmf2`` of its two groups' count
+    pmfs, with ``G`` the grid of ``1{p <= lambda}``, of the support
+    floor at ``lambda`` or of ``p``. The mass the pairs cover,
+    ``pmf1 . 1 . pmf2``, gives the truncation deficit: if more than
+    1e-6 of probability mass lies beyond the bound, a
+    :class:`ValueError` asks for a larger bound.
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError("lambda must lie in [0, 1)")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
-    from scipy import stats as _stats
 
-    rng = _replication_rng(spec, rep_index)
-    params = _draw_parameters(spec, rng)
+    params = _draw_parameters(spec, _replication_rng(spec, rep_index))
     m, m0 = spec.m, spec.m0
     truth = np.zeros(m, dtype=bool)
     truth[:m0] = True
 
-    cdf = np.empty(m)
-    null_cdf = np.empty(m)
-    mean_p = np.empty(m)
-    deficit = 0.0
+    # the hypotheses with trials r share one (r + 1) x (r + 1) grid of
+    # count pairs (under a truncation r, all of them); a mask keeps the pairs tested
+    fet = spec.kind == "binomial_fet"
+    trials = params["trials"] if fet else np.full(m, truncation)
+    sizes = np.unique(trials).tolist()
+    counts = [np.arange(r + 1) for r in sizes]
+    masks = [np.add.outer(x, x) <= (2 * x[-1] if fet else x[-1]) for x in counts]
+    x1, x2 = (np.concatenate(v) for v in zip(*map(np.nonzero, masks)))
+    pair_trials = np.repeat(sizes, [int(mask.sum()) for mask in masks])
+    out = _test(spec, (x1, pair_trials, x2) if fet else (x1, x2))
+    pvalues, floor = out[0], Study.from_distinct(*out).support_floor(lam)
+    # per pair: 1 (the mass covered), 1{p <= lam}, support floor, p
+    values = np.stack((np.ones_like(pvalues), pvalues <= lam, floor, pvalues))
 
-    if spec.kind == "poisson_bin":
-        theta1, theta2 = params["theta1"], params["theta2"]
-        totals = np.arange(truncation + 1)
-        tables = _tables_at(_kernels.binomial_laws(totals), lam)
-        for i in range(m):
-            lam_sum = theta1[i] + theta2[i]
-            ps = _stats.poisson.pmf(totals, lam_sum)
-            covered = float(ps.sum())
-            deficit = max(deficit, 1.0 - covered)
-            q = theta1[i] / lam_sum
-            acc_cdf = acc_floor = acc_mean = 0.0
-            for s in totals:
-                if ps[s] == 0.0:
-                    continue
-                pv, below, floor = tables[s]
-                split = _stats.binom.pmf(np.arange(s + 1), s, q)
-                acc_cdf += ps[s] * float(split[below].sum())
-                acc_floor += ps[s] * floor
-                acc_mean += ps[s] * float(np.dot(split, pv))
-            cdf[i] = acc_cdf
-            null_cdf[i] = acc_floor
-            mean_p[i] = acc_mean
-    elif spec.kind == "binomial_fet":
-        theta1, theta2 = params["theta1"], params["theta2"]
-        trials = params["trials"]
-        keys = [(r, s) for r in np.unique(trials).tolist() for s in range(2 * r + 1)]
-        r_key, s_key = np.array(keys, dtype=np.int64).T
-        tables = dict(
-            zip(keys, _tables_at(_kernels.fisher_laws(r_key, r_key, s_key), lam))
-        )
-        for i in range(m):
-            r = int(trials[i])
-            a_pmf = _stats.binom.pmf(np.arange(r + 1), r, theta1[i])
-            b_pmf = _stats.binom.pmf(np.arange(r + 1), r, theta2[i])
-            joint = np.outer(a_pmf, b_pmf)
-            acc_cdf = acc_floor = acc_mean = 0.0
-            for s in range(2 * r + 1):
-                lo = max(0, s - r)
-                hi = min(r, s)
-                a = np.arange(lo, hi + 1)
-                w = joint[a, s - a]
-                ws = float(w.sum())
-                if ws == 0.0:
-                    continue
-                pv, below, floor = tables[r, s]
-                acc_cdf += float(w[below].sum())
-                acc_floor += ws * floor
-                acc_mean += float(np.dot(w, pv))
-            cdf[i] = acc_cdf
-            null_cdf[i] = acc_floor
-            mean_p[i] = acc_mean
-    else:
-        sigma = 1.0 / spec.dispersion
-        k_shape = spec.reps_per_group * sigma
-        theta1, theta2 = params["theta1"], params["theta2"]
-        counts = np.arange(truncation + 1)
-        tables = _tables_at(_kernels.negbinom_laws(counts, k_shape), lam)
-        for i in range(m):
-            mu1 = spec.reps_per_group * theta1[i]
-            mu2 = spec.reps_per_group * theta2[i]
-            pmf1 = _stats.nbinom.pmf(counts, k_shape, k_shape / (k_shape + mu1))
-            pmf2 = _stats.nbinom.pmf(counts, k_shape, k_shape / (k_shape + mu2))
-            acc_cdf = acc_floor = acc_mean = 0.0
-            covered = 0.0
-            for s in range(truncation + 1):
-                a = np.arange(s + 1)
-                w = pmf1[a] * pmf2[s - a]
-                ws = float(w.sum())
-                covered += ws
-                if ws == 0.0:
-                    continue
-                pv, below, floor = tables[s]
-                acc_cdf += float(w[below].sum())
-                acc_floor += ws * floor
-                acc_mean += float(np.dot(w, pv))
-            deficit = max(deficit, 1.0 - covered)
-            cdf[i] = acc_cdf
-            null_cdf[i] = acc_floor
-            mean_p[i] = acc_mean
-
+    expectations = np.empty((4, m))
+    for r, mask in zip(sizes, masks):
+        grids = np.zeros((4, r + 1, r + 1))
+        grids[:, mask] = values[:, : mask.sum()]
+        values = values[:, mask.sum() :]
+        rows = np.flatnonzero(trials == r)
+        step = max(1, _CHUNK_FEATURES // (r + 1))
+        for a in range(0, rows.shape[0], step):
+            part = rows[a : a + step]
+            pmf1 = _count_pmf(spec, params["theta1"][part], r)
+            pmf2 = _count_pmf(spec, params["theta2"][part], r)
+            expectations[:, part] = np.sum((pmf1 @ grids) * pmf2, axis=2)
+    covered, cdf, null_cdf, mean_p = expectations
+    deficit = max(0.0, float(np.max(1.0 - covered)))
     if deficit > 1e-6:
         raise ValueError(
             f"truncation {truncation} leaves {deficit:.3e} probability "
@@ -756,7 +705,7 @@ def bias_decomposition(
         cdf_at_lambda=cdf,
         null_cdf_at_lambda=null_cdf,
         mean_pvalue=mean_p,
-        mass_deficit=float(deficit),
+        mass_deficit=deficit,
         pi0=true_pi0,
         lam=lam,
         epsilon=epsilon,

@@ -6,8 +6,8 @@ import discretefdr
 
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
-    """Compile (or dispatch) the batch kernels once so timed tests
-    never pay JIT latency."""
+    """Run each batch kernel once on tiny inputs, so that one-time
+    first-call costs are paid before any test runs."""
     discretefdr.warm_up()
 
 

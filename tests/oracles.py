@@ -426,6 +426,62 @@ def generate_scenario_alone(spec, rep_index: int):
 
 
 # ---------------------------------------------------------------------------
+# exact bias enumeration, one count pair at a time
+# ---------------------------------------------------------------------------
+
+
+def bias_expectations_loop(spec, lam: float, truncation: int, rep_index: int = 0):
+    """Reference for ``sim.bias_decomposition``: per hypothesis, a sum
+    over its count pairs ``(x1, x2)`` of the pair's probability (scipy's
+    pmfs of the two groups' counts) times the public single test's
+    ``1{p <= lam}``, support floor at ``lam`` (0 when no support point is
+    at most ``lam``) and p-value. The pairs are ``0..r`` by ``0..r`` for
+    ``binomial_fet`` with trials ``r``, and those with ``x1 + x2 <=
+    truncation`` otherwise. Returns ``(cdf, null_cdf, mean_p, covered)``,
+    ``covered`` being the probability of the pairs summed over."""
+    from discretefdr import binomial_test, fisher_test, nb_exact_test
+    from discretefdr.sim import _draw_parameters, _replication_rng
+
+    params = _draw_parameters(spec, _replication_rng(spec, rep_index))
+    fet = spec.kind == "binomial_fet"
+    size, k = 1.0 / spec.dispersion, spec.reps_per_group
+    tested = {}
+
+    def single(x1, x2, r):
+        if (x1, x2, r) not in tested:
+            if spec.kind == "poisson_bin":
+                res = binomial_test(x1, x2)
+            elif fet:
+                res = fisher_test(x1, r, x2, r)
+            else:
+                res = nb_exact_test(x1, x2, size, k)
+            below = res.support[res.support <= lam]
+            floor = float(below.max()) if below.size else 0.0
+            tested[x1, x2, r] = (res.pvalue, floor)
+        return tested[x1, x2, r]
+
+    def pmf(theta, r):
+        x = np.arange(r + 1)
+        if spec.kind == "poisson_bin":
+            return stats.poisson.pmf(x, theta)
+        if fet:
+            return stats.binom.pmf(x, r, theta)
+        shape = k * size
+        return stats.nbinom.pmf(x, shape, shape / (shape + k * theta))
+
+    out = np.zeros((4, spec.m))
+    for i in range(spec.m):
+        r = int(params["trials"][i]) if fet else truncation
+        w1, w2 = pmf(params["theta1"][i], r), pmf(params["theta2"][i], r)
+        for x1 in range(r + 1):
+            for x2 in range(r + 1 if fet else r + 1 - x1):
+                p, floor = single(x1, x2, r)
+                w = w1[x1] * w2[x2]
+                out[:, i] += (w * (p <= lam), w * floor, w * p, w)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # bootstrap tuning, one gather and sum per grid point
 # ---------------------------------------------------------------------------
 

@@ -162,6 +162,34 @@ def test_analyze_reruns_and_replays_byte_identically(bin_file, tmp_path, capsys)
     assert data_bytes(out1, names) == data_bytes(out3, names)
 
 
+def test_analyze_has_no_seed_and_replays_manifests_with_one(
+    bin_file, tmp_path, capsys
+):
+    """analyze draws nothing at random: --seed is a usage error, and a
+    manifest that records a seed replays to the same data outputs."""
+    names = ["features.csv", "estimates.json", "table.csv"]
+    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+    code, _, stderr = run(
+        ["analyze", bin_file, "--test", "bin", "--seed", "0",
+         "--out", str(tmp_path / "c")],
+        capsys,
+    )
+    assert code == 2 and stderr.startswith("error:usage:")
+
+    assert run(["analyze", bin_file, "--test", "bin", "--out", out1], capsys)[0] == 0
+    path = Path(out1, "manifest.json")
+    manifest = json.loads(path.read_text())
+    assert manifest["seed"] is None and "seed" not in manifest["arguments"]
+    manifest["seed"] = 0
+    manifest["arguments"]["seed"] = 0
+    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    code, _, stderr = run(
+        ["analyze", "--from-manifest", str(path), "--out", out2], capsys
+    )
+    assert code == 0, stderr
+    assert data_bytes(out1, names) == data_bytes(out2, names)
+
+
 def test_analyze_replay_detects_changed_input(bin_file, tmp_path, capsys):
     out1 = str(tmp_path / "a")
     assert run(["analyze", bin_file, "--test", "bin", "--out", out1], capsys)[0] == 0

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from discretefdr import (
-    CountPair,
     IngestSchema,
     Study,
     binomial_test,
@@ -167,22 +166,6 @@ def test_doubling_matches_tail_oracle():
 def test_unknown_convention_rejected():
     with pytest.raises(ValueError):
         binomial_test(1, 2, convention="sided")
-
-
-# ---------------------------------------------------------------------------
-# CountPair
-# ---------------------------------------------------------------------------
-
-
-def test_count_pair_validation():
-    CountPair(1, 2)
-    CountPair(1, 2, r1=3, r2=4)
-    with pytest.raises(ValueError):
-        CountPair(-1, 0)
-    with pytest.raises(ValueError):
-        CountPair(5, 0, r1=4, r2=4)
-    with pytest.raises(ValueError):
-        CountPair(1, 1, size=-2.0)
 
 
 # ---------------------------------------------------------------------------

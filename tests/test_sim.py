@@ -392,6 +392,49 @@ def test_bias_decomposition_truncation_guard():
         bias_decomposition(spec, lam=0.5, epsilon=1.0, truncation=2)
 
 
+#: Per family: parameters that keep the mass beyond a small truncation
+#: under 1e-6, and the truncation (binomial_fet ignores it).
+_ORACLE_SPECS = {
+    "poisson_bin": (dict(pareto_location=2.0, rho_high=3.0), 40),
+    "binomial_fet": ({}, 200),
+    "negbinom_ent": (dict(mean_high=2.0, rho_shape=20.0), 70),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ORACLE_SPECS))
+def test_bias_decomposition_matches_per_cell_oracle(kind):
+    extra, truncation = _ORACLE_SPECS[kind]
+    spec = _spec(kind=kind, m=6, pi0=0.5, reps=1, seed=5, **extra)
+    truth = np.arange(spec.m) < spec.m0
+    for lam, eps in ((0.0, 0.0), (0.3, 1.0), (0.6, 0.5)):
+        dec = bias_decomposition(spec, lam, eps, truncation=truncation)
+        cdf, null_cdf, mean_p, covered = oracles.bias_expectations_loop(
+            spec, lam, truncation
+        )
+        for got, want in (
+            (dec.cdf_at_lambda, cdf),
+            (dec.null_cdf_at_lambda, null_cdf),
+            (dec.mean_pvalue, mean_p),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-12
+        assert abs(dec.mass_deficit - max(0.0, 1.0 - covered.min())) <= 1e-12
+        assert dec.generalized_bias == pytest.approx(
+            generalized_bias_from_expectations(
+                cdf, null_cdf, lam, eps, spec.m0 / spec.m
+            ),
+            abs=1e-12,
+        )
+        assert dec.pounds_bias == pytest.approx(
+            pounds_bias_from_expectations(mean_p, truth), abs=1e-12
+        )
+
+
+def test_bias_decomposition_truncation_guard_negbinom():
+    spec = _spec(kind="negbinom_ent", m=4, pi0=0.5, reps=1)
+    with pytest.raises(ValueError, match="bound"):
+        bias_decomposition(spec, lam=0.5, epsilon=1.0, truncation=10)
+
+
 def test_bias_decomposition_matches_monte_carlo():
     # near-degenerate parameter draws so every replication shares (to
     # ~1e-9) the parameters the exact enumeration conditions on
