@@ -10,7 +10,7 @@ lambda 0.5, at level 0.05. The script prints the best wall time of:
 * ``build_rejection_process``: sorting and deduplicating the p-values;
 * ``threshold`` on the prebuilt process;
 * ``bh_procedure`` on the p-values (which builds a process first) and
-  on the prebuilt process, as ``sim.run_procedure`` calls it.
+  on the prebuilt process, as ``sim.evaluate_study`` calls it.
 
 Run with ``python3 benchmarks/bench_threshold.py`` (options: ``--m``,
 ``--repeat`` for timing repetitions, ``--seed``).

@@ -25,15 +25,12 @@ from .discrete_tests import (
 )
 from .estimators import (
     Pi0Estimate,
-    PValueProfile,
     Study,
     benjamini_pi0,
     generalized_pi0,
-    null_expected_pvalue,
     pounds_hat_pi0,
     pounds_tilde_pi0,
     storey_pi0,
-    support_cdf,
 )
 from .fdr import (
     FDR_KINDS,
@@ -53,11 +50,11 @@ from .sim import (
     ScenarioSpec,
     bias_decomposition,
     compute_pi0,
+    evaluate_study,
     false_discovery_proportion,
     generalized_bias_from_expectations,
     generate_scenario,
     pounds_bias_from_expectations,
-    run_procedure,
     run_replications,
 )
 from .tuning import TuningGrid, TuningResult, bootstrap_tune
@@ -78,15 +75,12 @@ __all__ = [
     "nb_exact_test",
     "test_count_table",
     "Pi0Estimate",
-    "PValueProfile",
     "Study",
     "benjamini_pi0",
     "generalized_pi0",
-    "null_expected_pvalue",
     "pounds_hat_pi0",
     "pounds_tilde_pi0",
     "storey_pi0",
-    "support_cdf",
     "FDR_KINDS",
     "FdrEstimator",
     "RejectionProcess",
@@ -102,11 +96,11 @@ __all__ = [
     "ScenarioSpec",
     "bias_decomposition",
     "compute_pi0",
+    "evaluate_study",
     "false_discovery_proportion",
     "generalized_bias_from_expectations",
     "generate_scenario",
     "pounds_bias_from_expectations",
-    "run_procedure",
     "run_replications",
     "TuningGrid",
     "TuningResult",

@@ -11,8 +11,9 @@ the recorded digests first.
 Errors are reported as a single machine-parsable line on stderr,
 ``error:<category>: <message>``, with a nonzero exit code. Categories:
 ``usage`` (bad flags or values), ``io`` (unreadable or missing
-files), ``parse`` (malformed input tables), ``config`` (bad
-simulation configs, digest mismatches, empty analyses).
+files), ``parse`` (malformed input tables and manifests), ``config``
+(bad simulation configs, missing or mistyped settings, digest
+mismatches, empty analyses).
 
 All floating-point output is printed with 9 significant digits.
 
@@ -37,6 +38,7 @@ import json
 import math
 import os
 import sys
+import typing
 from datetime import datetime, timezone
 
 import numpy as np
@@ -54,9 +56,7 @@ from .sim import (
     DEFAULT_PI0_METHODS,
     DEFAULT_PROCEDURES,
     ScenarioSpec,
-    prepare_study,
-    procedure_cells,
-    run_procedure,
+    evaluate_study,
     run_replications,
 )
 from .tuning import TuningGrid, bootstrap_tune
@@ -238,6 +238,8 @@ def _load_manifest(path: str, command: str) -> dict:
         manifest = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CliError("parse", f"malformed manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CliError("parse", f"manifest {path} is not a JSON object")
     if manifest.get("command") != command:
         raise CliError(
             "usage",
@@ -246,6 +248,10 @@ def _load_manifest(path: str, command: str) -> dict:
         )
     if not isinstance(manifest.get("arguments"), dict):
         raise CliError("parse", f"manifest {path} has no arguments record")
+    inputs = manifest.get("inputs", {})
+    records = inputs.values() if isinstance(inputs, dict) else [None]
+    if not all(isinstance(record, dict) for record in records):
+        raise CliError("parse", f"manifest {path} has a malformed inputs record")
     return manifest
 
 
@@ -324,21 +330,22 @@ def _write_features(path: str, table, study: Study) -> None:
 def cmd_analyze(settings: dict, out_dir: str, manifest: dict | None = None) -> int:
     """Test a count table, estimate the true-null proportion, threshold."""
     table, study, inputs = _ingest_study(settings, manifest)
-    lam, eps = settings["lambda"], settings["epsilon"]
+    lam, eps, alphas = settings["lambda"], settings["epsilon"], settings["alphas"]
+    if not alphas:
+        raise CliError("config", "setting 'alphas' is empty")
     try:
-        proc, estimates = prepare_study(study, PI0_METHODS, lam, eps)
-        rows = []
-        for alpha in settings["alphas"]:
-            for name in DEFAULT_PROCEDURES:
-                cells = procedure_cells(proc, estimates, name)
-                if cells is None:
-                    continue
-                res = run_procedure(proc, estimates, name, alpha)
-                rows.append(
-                    (name, *cells, alpha, res.t_alpha, res.fdr_at_t, res.rejections)
-                )
+        estimates, outcomes = evaluate_study(
+            study, PI0_METHODS, DEFAULT_PROCEDURES, alphas, lam, eps
+        )
     except ValueError as exc:
         raise CliError("usage", str(exc)) from exc
+    defined = [(n, o) for n, o in zip(DEFAULT_PROCEDURES, outcomes) if o is not None]
+    rows = [
+        (name, *cells, alpha, res.t_alpha, res.fdr_at_t, res.rejections)
+        for a, alpha in enumerate(alphas)
+        for name, (cells, results) in defined
+        for res in [results[a]]
+    ]
     # bh runs at every level, so there is at least one row
     methods, *floats, rejections = zip(*rows)
 
@@ -388,7 +395,16 @@ def cmd_analyze(settings: dict, out_dir: str, manifest: dict | None = None) -> i
 # ---------------------------------------------------------------------------
 
 _SPEC_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioSpec))
-_EXTRA_KEYS = ("lambda", "epsilon", "pi0_methods", "procedures")
+#: Settings a simulate config may leave out, with their defaults.
+_SIM_DEFAULTS = {
+    "lambda": 0.5,
+    "epsilon": 1.0,
+    "pi0_methods": list(DEFAULT_PI0_METHODS),
+    "procedures": list(DEFAULT_PROCEDURES),
+    "seed": 0,
+    "reps": 50,
+    "alpha_levels": [0.05, 0.1],
+}
 #: Keys accepted for older configs and manifests, and ignored: ``workers``
 #: once sized the thread pools over simulate's replications and tune's
 #: grid points, which pooled kernel calls and shared resamples replaced.
@@ -396,6 +412,8 @@ _IGNORED_KEYS = ("workers",)
 
 
 def _load_sim_settings(args) -> dict:
+    if not args.config:
+        raise CliError("usage", "a config path is required")
     data = _read_bytes(args.config)
     try:
         raw = json.loads(data.decode("utf-8"))
@@ -405,21 +423,12 @@ def _load_sim_settings(args) -> dict:
         ) from exc
     if not isinstance(raw, dict):
         raise CliError("config", "config must be a JSON object")
-    allowed = set(_SPEC_KEYS) | set(_EXTRA_KEYS) | set(_IGNORED_KEYS)
     for key in raw:
-        if key not in allowed:
+        if key not in (*_SPEC_KEYS, *_SIM_DEFAULTS, *_IGNORED_KEYS):
             raise CliError("config", f"unknown config key {key!r}")
-    for key in ("kind", "m", "pi0"):
-        if key not in raw:
-            raise CliError("config", f"config is missing required key {key!r}")
     settings = {k: v for k, v in raw.items() if k not in _IGNORED_KEYS}
-    settings.setdefault("lambda", 0.5)
-    settings.setdefault("epsilon", 1.0)
-    settings.setdefault("pi0_methods", list(DEFAULT_PI0_METHODS))
-    settings.setdefault("procedures", list(DEFAULT_PROCEDURES))
-    settings.setdefault("seed", 0)
-    settings.setdefault("reps", 50)
-    settings.setdefault("alpha_levels", [0.05, 0.1])
+    for key, value in _SIM_DEFAULTS.items():
+        settings.setdefault(key, value)
     # command-line overrides
     if args.seed is not None:
         settings["seed"] = args.seed
@@ -437,7 +446,7 @@ def _scenario_from_settings(settings: dict) -> ScenarioSpec:
     kwargs["alpha_levels"] = tuple(float(a) for a in settings["alpha_levels"])
     try:
         return ScenarioSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError("config", str(exc)) from exc
 
 
@@ -649,10 +658,11 @@ def build_parser() -> _Parser:
         "analyze", help="test a count table and threshold the p-values"
     )
     _add_ingest_flags(an)
-    an.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    an.add_argument("--lambda", dest="lambda", type=float, default=0.5)
     an.add_argument("--epsilon", type=float, default=1.0)
     an.add_argument(
         "--alpha",
+        dest="alphas",
         type=float,
         action="append",
         help="nominal FDR level; repeatable (default 0.05)",
@@ -703,30 +713,45 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _require_out(args) -> str:
-    if not args.out:
-        raise CliError("usage", "--out is required")
-    return args.out
+#: The type of every setting a run records. ``float`` admits any real
+#: number, no type admits a bool, and a JSON array is a ``list``.
+_SETTING_TYPES = {
+    **typing.get_type_hints(ScenarioSpec),
+    **dict.fromkeys(("alpha_levels", "alphas"), list[float]),
+    **dict.fromkeys(("lambda", "epsilon"), float),
+    **dict.fromkeys(("pi0_methods", "procedures"), list[str]),
+    **dict.fromkeys(("config_path", "config_sha256", "counts", "test"), str),
+    **dict.fromkeys(("convention", "lambdas", "epsilons"), str),
+    **dict.fromkeys(("trials", "max_total"), int | None),
+    **{"size": float | None, "min_total": int, "points": list[str] | None, "B": int},
+}
 
 
-def _ingest_settings(args, own: dict) -> dict:
-    """Settings of a command that reads a count table: the ingest
-    flags, then the command's ``own`` keys."""
-    if not args.counts:
-        raise CliError("usage", "a count table path is required")
-    if not args.test:
-        raise CliError("usage", "--test is required")
-    return {
-        "counts": args.counts,
-        "test": args.test,
-        "trials": args.trials,
-        "size": args.size,
-        "reps": args.reps,
-        "min_total": args.min_total,
-        "max_total": args.max_total,
-        "convention": args.convention,
-        **own,
-    }
+def _has_type(value, kind) -> bool:
+    args = typing.get_args(kind)
+    if type(None) in args:
+        return value is None or _has_type(value, args[0])
+    if typing.get_origin(kind) is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    wanted = (int, float) if kind is float else kind
+    return isinstance(value, wanted) and not isinstance(value, bool)
+
+
+def _check_settings(settings: dict, required) -> None:
+    """A missing or mistyped setting is a config error naming its key."""
+    for key in (*required, *settings):
+        if key not in settings:
+            raise CliError("config", f"missing setting {key!r}")
+        kind, value = _SETTING_TYPES.get(key), settings[key]
+        if kind is not None and not _has_type(value, kind):
+            name = kind.__name__ if type(kind) is type else kind
+            raise CliError("config", f"setting {key!r} must be {name}, not {value!r}")
+
+
+#: Flags that direct a run; every other flag is one of its settings.
+_RUN_FLAGS = ("command", "out", "from_manifest")
+
+_COMMANDS = {"analyze": cmd_analyze, "simulate": cmd_simulate, "tune": cmd_tune}
 
 
 def main(argv=None) -> int:
@@ -737,44 +762,29 @@ def main(argv=None) -> int:
             raise CliError(
                 "usage", "a subcommand is required: analyze | simulate | tune"
             )
-        out_dir = _require_out(args)
+        if not args.out:
+            raise CliError("usage", "--out is required")
+        # a manifest records every setting a fresh run has; a simulate
+        # config may leave out those with defaults
+        settings = {k: v for k, v in vars(args).items() if k not in _RUN_FLAGS}
+        required = tuple(settings)
+        if args.command == "simulate":
+            required = ("kind", "m", "pi0", *_SIM_DEFAULTS)
         manifest = None
-        if getattr(args, "from_manifest", None):
+        if args.from_manifest:
             manifest = _load_manifest(args.from_manifest, args.command)
-            settings = {
-                k: v
-                for k, v in manifest["arguments"].items()
-                if k not in _IGNORED_KEYS
-            }
-        elif args.command == "analyze":
-            settings = _ingest_settings(
-                args,
-                {
-                    "lambda": args.lam,
-                    "epsilon": args.epsilon,
-                    "alphas": args.alpha or [0.05],
-                },
-            )
-        elif args.command == "tune":
-            settings = _ingest_settings(
-                args,
-                {
-                    "lambdas": args.lambdas,
-                    "epsilons": args.epsilons,
-                    "points": args.points,
-                    "B": args.B,
-                    "seed": args.seed,
-                },
-            )
-        else:
-            if not args.config:
-                raise CliError("usage", "a config path is required")
+            arguments = manifest["arguments"].items()
+            settings = {k: v for k, v in arguments if k not in _IGNORED_KEYS}
+        elif args.command == "simulate":
             settings = _load_sim_settings(args)
-        if args.command == "analyze":
-            return cmd_analyze(settings, out_dir, manifest)
-        if args.command == "tune":
-            return cmd_tune(settings, out_dir, manifest)
-        return cmd_simulate(settings, out_dir, manifest)
+        elif not args.counts:
+            raise CliError("usage", "a count table path is required")
+        elif not args.test:
+            raise CliError("usage", "--test is required")
+        elif args.command == "analyze":
+            settings["alphas"] = args.alphas or [0.05]
+        _check_settings(settings, required)
+        return _COMMANDS[args.command](settings, args.out, manifest)
     except CliError as exc:
         print(f"error:{exc.category}: {exc.message}", file=sys.stderr)
         return _EXIT_CODES.get(exc.category, 1)

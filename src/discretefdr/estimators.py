@@ -24,24 +24,6 @@ from typing import Sequence
 import numpy as np
 
 
-@dataclass(frozen=True)
-class PValueProfile:
-    """An observed p-value paired with its discrete null support.
-
-    An empty support means the null distribution is continuous uniform
-    on (0, 1]. A nonempty support must be strictly increasing, end at
-    1, and contain the observed p-value.
-    """
-
-    pvalue: float
-    support: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "support", np.asarray(self.support, dtype=np.float64)
-        )
-
-
 def _first_equal(flat, start, length) -> np.ndarray:
     """For every support of a layout, the first support equal to it.
 
@@ -75,7 +57,7 @@ def _first_equal(flat, start, length) -> np.ndarray:
 
 
 class Study:
-    """A collection of p-value profiles, optionally with truth labels.
+    """P-values with their null supports, optionally with truth labels.
 
     ``truth`` marks each hypothesis as a true null (True) or a false
     null (False); it is only used by simulation oracles, never by the
@@ -173,12 +155,6 @@ class Study:
         distinct = self.distinct_supports()
         return [distinct[k] for k in self.support_index.tolist()]
 
-    def profile(self, i: int) -> PValueProfile:
-        k = self.support_index[i]
-        a = self.support_start[k]
-        support = self.support_flat[a : a + self.support_len[k]]
-        return PValueProfile(float(self.pvalues[i]), support)
-
     def support_floor(self, lam: float) -> np.ndarray:
         """Largest support element at most ``lam``, per hypothesis.
 
@@ -250,22 +226,6 @@ def _denominator(lam: float, m: int) -> float:
 def _check_lambda(lam: float) -> None:
     if not 0.0 <= lam < 1.0:
         raise ValueError("lambda must lie in [0, 1)")
-
-
-def support_cdf(profile: PValueProfile, lam: float) -> float:
-    """Null CDF of the profile's p-value evaluated at ``lam``.
-
-    For a discrete support this is the largest support element at most
-    ``lam`` (0 when no element qualifies); for an empty support the
-    null is continuous uniform and the CDF is ``lam`` itself.
-    """
-    s = profile.support
-    if s.shape[0] == 0:
-        return float(lam)
-    idx = int(np.searchsorted(s, lam, side="right"))
-    if idx == 0:
-        return 0.0
-    return float(s[idx - 1])
 
 
 def storey_pi0(study: Study, lam: float) -> Pi0Estimate:
@@ -343,18 +303,6 @@ def pounds_tilde_pi0(study: Study) -> Pi0Estimate:
     """Twice the mean p-value, capped at 1 (two-sided p-values)."""
     raw = 2.0 * float(np.mean(study.pvalues))
     return Pi0Estimate("pounds_tilde", raw, _clip01(raw))
-
-
-def null_expected_pvalue(profile: PValueProfile) -> float:
-    """Expected p-value under the profile's null distribution.
-
-    For a support ``t_1 < ... < t_K`` the null puts mass
-    ``t_k - t_{k-1}`` on ``t_k`` (with ``t_0 = 0``), so the expectation
-    is the sum of ``t_k * (t_k - t_{k-1})``. An empty support means a
-    uniform null with expectation 1/2.
-    """
-    s = profile.support
-    return float(_support_means(s, np.array([0]), np.array([s.shape[0]]))[0])
 
 
 def _support_means(flat, start, length) -> np.ndarray:

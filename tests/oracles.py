@@ -11,13 +11,18 @@ blockwise tables must match them bit for bit once ``floored``.
 The row-at-a-time count-table parser (``ingest_rows``) and CSV writer
 (``write_csv_rows``) are the references for the library's column-wise
 ones, and ``generate_scenario_alone`` (one kernel call per replication)
-for ``sim``'s pooled replications.
+for ``sim``'s pooled replications. ``procedure_results`` transcribes
+each procedure from its estimator and FDR functions, the reference for
+``sim.evaluate_study``. ``PValueProfile``, ``support_cdf`` and
+``null_expected_pvalue`` are per-hypothesis scalar references for the
+estimators' per-support statistics.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -217,6 +222,50 @@ def per_feature_layout(pvalues, flat, start, length):
     return pvalues, per_flat, np.cumsum(length) - length, length
 
 
+@dataclass(frozen=True)
+class PValueProfile:
+    """An observed p-value paired with its discrete null support.
+
+    An empty support means the null distribution is continuous uniform
+    on (0, 1]. A nonempty support is strictly increasing, ends at 1 and
+    contains the observed p-value.
+    """
+
+    pvalue: float
+    support: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "support", np.asarray(self.support, dtype=np.float64)
+        )
+
+
+def profile(study, i: int) -> PValueProfile:
+    """Hypothesis ``i`` of a study as a profile."""
+    return PValueProfile(float(study.pvalues[i]), study.supports[i])
+
+
+def support_cdf(profile: PValueProfile, lam: float) -> float:
+    """Null CDF of the profile's p-value at ``lam``: the largest support
+    element at most ``lam`` (0 when none qualifies), or ``lam`` itself
+    for an empty support (continuous uniform null)."""
+    return float(support_floor_loop([profile.support], lam)[0])
+
+
+def null_expected_pvalue(profile: PValueProfile) -> float:
+    """Expected p-value under the profile's null distribution.
+
+    For a support ``t_1 < ... < t_K`` the null puts mass
+    ``t_k - t_{k-1}`` on ``t_k`` (with ``t_0 = 0``), so the expectation
+    is the sum of ``t_k * (t_k - t_{k-1})``. An empty support means a
+    uniform null with expectation 1/2.
+    """
+    s = profile.support
+    if s.shape[0] == 0:
+        return 0.5
+    return float(np.sum(s * np.diff(np.concatenate(([0.0], s)))))
+
+
 def support_floor_loop(supports, lam: float) -> np.ndarray:
     """Largest support element at most ``lam``, one hypothesis at a time
     (0 when none qualifies, ``lam`` for an empty support)."""
@@ -242,13 +291,9 @@ def generalized_raw_loop(pvalues, supports, lam: float, epsilon) -> float:
 def pounds_hat_raw_loop(pvalues, supports) -> float:
     """Unclipped mean of p-values over their null expectations, with one
     expectation computed per hypothesis."""
-    expectations = np.empty(len(supports))
-    for i, s in enumerate(supports):
-        if s.shape[0] == 0:
-            expectations[i] = 0.5
-            continue
-        gaps = np.diff(np.concatenate(([0.0], s)))
-        expectations[i] = float(np.sum(s * gaps))
+    expectations = np.array(
+        [null_expected_pvalue(PValueProfile(p, s)) for p, s in zip(pvalues, supports)]
+    )
     return float(np.mean(np.asarray(pvalues) / expectations))
 
 
@@ -634,24 +679,53 @@ def features_rows(table, study):
         yield ident, p, ";".join([f"{v:.9g}" for v in support.tolist()])
 
 
-def analyze_table_rows(study, lam, eps, alphas):
-    """``table.csv`` rows of ``analyze``, one procedure at a time."""
-    from discretefdr.sim import (
-        DEFAULT_PROCEDURES,
-        PI0_METHODS,
-        prepare_study,
-        procedure_cells,
-        run_procedure,
+def procedure_results(study, procedures, alphas, lam, eps):
+    """Every named procedure at every level, transcribed from the
+    definitions: the estimate a procedure runs on comes from its own
+    estimator function, then :func:`threshold` runs on its FDR estimator
+    or a step-up procedure runs at the (adapted) level. Yields
+    ``(name, (lambda, epsilon, pi0 multiplier), alpha, result)``, level
+    by level; ``adaptive_bh`` is left out at m = 1, where the median
+    estimator is undefined."""
+    from discretefdr import (
+        FdrEstimator,
+        adaptive_bh,
+        benjamini_pi0,
+        bh_procedure,
+        build_rejection_process,
+        generalized_pi0,
+        storey_pi0,
+        threshold,
     )
 
-    proc, estimates = prepare_study(study, PI0_METHODS, lam, eps)
+    proc = build_rejection_process(study.pvalues)
     for alpha in alphas:
-        for name in DEFAULT_PROCEDURES:
-            cells = procedure_cells(proc, estimates, name)
-            if cells is None:
-                continue
-            res = run_procedure(proc, estimates, name, alpha)
-            yield (name, *cells, alpha, res.t_alpha, res.fdr_at_t, res.rejections)
+        for name in procedures:
+            if name == "bh":
+                yield name, (None, None, 1.0), alpha, bh_procedure(proc, alpha)
+            elif name == "adaptive_bh":
+                if study.m >= 2:
+                    pi0 = benjamini_pi0(study)
+                    res = adaptive_bh(proc, alpha, pi0)
+                    yield name, (None, None, pi0.value), alpha, res
+            else:
+                if name == "generalized":
+                    pi0, cell_eps = generalized_pi0(study, lam, eps), eps
+                else:
+                    pi0, cell_eps = storey_pi0(study, lam), 0.0
+                est = FdrEstimator(name, pi0, lam=lam)
+                cells = (lam, cell_eps, est.multiplier(study.m))
+                yield name, cells, alpha, threshold(est, proc, alpha)
+
+
+def analyze_table_rows(study, lam, eps, alphas):
+    """``table.csv`` rows of ``analyze``: its four procedures, level by
+    level."""
+    procedures = ("generalized", "storey", "bh", "adaptive_bh")
+    for name, cells, alpha, res in procedure_results(
+        study, procedures, alphas, lam, eps
+    ):
+        yield (name, *cells, alpha, res.t_alpha, res.fdr_at_t, res.rejections)
 
 
 def pi0_replication_rows(summary):

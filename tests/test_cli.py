@@ -491,20 +491,36 @@ def test_config_error_missing_key_and_bad_kind(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, config, flags, category",
+    "command, config, flags, category, named",
     [
-        ("simulate", {"m": 1}, [], "config"),
-        ("simulate", {"lambda": 1.5}, [], "config"),
-        ("simulate", {"epsilon": 2}, [], "config"),
-        ("simulate", {"pi0_methods": [], "procedures": []}, [], "config"),
-        ("simulate", {}, ["--alpha", "2"], "config"),
-        ("analyze", {}, ["--alpha", "2"], "usage"),
+        ("simulate", {"m": 1}, [], "config", "benjamini"),
+        ("simulate", {"lambda": 1.5}, [], "config", "lambda"),
+        ("simulate", {"epsilon": 2}, [], "config", "epsilon"),
+        ("simulate", {"pi0_methods": [], "procedures": []}, [], "config", "roster"),
+        ("simulate", {}, ["--alpha", "2"], "config", "alpha"),
+        ("analyze", {}, ["--alpha", "2"], "usage", "alpha"),
+        # malformed config values, checked where the config enters
+        ("simulate", {"m": 2.5}, [], "config", "'m'"),
+        ("simulate", {"lambda": "x"}, [], "config", "'lambda'"),
+        ("simulate", {"kind": "negbinom_ent", "dispersion": 0}, [], "config",
+         "dispersion"),
+        ("simulate", {"pi0_methods": "storey"}, [], "config", "'pi0_methods'"),
+        ("simulate", {"reps": "2"}, [], "config", "'reps'"),
+        ("simulate", {"kind": "negbinom_ent", "reps_per_group": 0}, [], "config",
+         "reps_per_group"),
+        ("simulate", {"m": True}, [], "config", "'m'"),
     ],
-    ids=["m-1", "lambda", "epsilon", "empty-roster", "sim-alpha", "analyze-alpha"],
+    ids=[
+        "m-1", "lambda", "epsilon", "empty-roster", "sim-alpha", "analyze-alpha",
+        "m-float", "lambda-text", "dispersion-0", "roster-text", "reps-text",
+        "reps-per-group-0", "m-bool",
+    ],
 )
 def test_library_errors_print_one_error_line(
-    command, config, flags, category, sim_config, bin_file, tmp_path, capsys
+    command, config, flags, category, named, sim_config, bin_file, tmp_path, capsys
 ):
+    """Values the library or the config check rejects give one error line
+    that names what is wrong, and no output."""
     if command == "simulate":
         path = Path(sim_config)
         path.write_text(json.dumps({**json.loads(path.read_text()), **config}))
@@ -514,9 +530,67 @@ def test_library_errors_print_one_error_line(
     out = tmp_path / "out"
     code, stdout, stderr = run(argv + flags + ["--out", str(out)], capsys)
     assert code == (2 if category == "usage" else 1)
-    assert stderr.startswith(f"error:{category}:")
+    assert stderr.startswith(f"error:{category}:") and named in stderr
     assert stderr.count("\n") == 1 and stdout == ""
     assert not out.exists()  # the error comes before any output
+
+
+def _without(key):
+    def tamper(manifest):
+        del manifest["arguments"][key]
+        return manifest
+
+    return tamper
+
+
+def _with(**arguments):
+    def tamper(manifest):
+        manifest["arguments"].update(arguments)
+        return manifest
+
+    return tamper
+
+
+@pytest.mark.parametrize(
+    "command, tamper, category, named",
+    [
+        ("analyze", lambda manifest: [1], "parse", "not a JSON object"),
+        ("analyze", _without("test"), "config", "'test'"),
+        ("analyze", _with(**{"lambda": "0.5"}), "config", "'lambda'"),
+        ("analyze", _with(alphas=0.05), "config", "'alphas'"),
+        ("analyze", _with(alphas=[]), "config", "'alphas'"),
+        ("analyze", _with(min_total="1"), "config", "'min_total'"),
+        ("analyze", lambda manifest: {**manifest, "inputs": [1]}, "parse", "inputs"),
+        ("simulate", _without("alpha_levels"), "config", "'alpha_levels'"),
+        ("tune", lambda manifest: {"command": "tune", "arguments": {}}, "config",
+         "'counts'"),
+    ],
+    ids=[
+        "not-object", "no-test", "lambda-text", "alphas-number", "alphas-empty",
+        "min-total-text", "inputs-list", "no-alpha-levels", "tune-empty",
+    ],
+)
+def test_tampered_manifest_prints_one_error_line(
+    command, tamper, category, named, sim_config, bin_file, tmp_path, capsys
+):
+    """A manifest that is not an object is a parse error; a missing or
+    mistyped argument is a config error naming it. No output is written."""
+    if command == "simulate":
+        argv = ["simulate", sim_config]
+    else:
+        argv = [command, bin_file, "--test", "bin"]
+    first = tmp_path / "first"
+    assert run(argv + ["--out", str(first)], capsys)[0] == 0
+    path = first / "manifest.json"
+    path.write_text(json.dumps(tamper(json.loads(path.read_text()))))
+    out = tmp_path / "out"
+    code, stdout, stderr = run(
+        [command, "--from-manifest", str(path), "--out", str(out)], capsys
+    )
+    assert code == 1
+    assert stderr.startswith(f"error:{category}:") and named in stderr
+    assert stderr.count("\n") == 1 and stdout == ""
+    assert not out.exists()
 
 
 def test_config_error_everything_filtered(bin_file, tmp_path, capsys):

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from discretefdr import (
-    PValueProfile,
     Study,
     benjamini_pi0,
     generalized_pi0,
-    null_expected_pvalue,
     pounds_hat_pi0,
     pounds_tilde_pi0,
     storey_pi0,
-    support_cdf,
 )
+from discretefdr.estimators import _support_means
 
 from conftest import random_study
+from oracles import PValueProfile, null_expected_pvalue, profile, support_cdf
 
 
 def _study(pvalues, support):
@@ -29,15 +28,19 @@ def _study(pvalues, support):
 
 
 def test_support_cdf_examples():
-    assert support_cdf(PValueProfile(0.3, np.array([0.3, 1.0])), 0.5) == 0.3
-    assert support_cdf(PValueProfile(0.6, np.array([0.6, 1.0])), 0.5) == 0.0
-    assert support_cdf(PValueProfile(0.5, np.array([])), 0.5) == 0.5
+    """The scalar reference and the study's support floor agree."""
+    for p, support, expected in ((0.3, [0.3, 1.0], 0.3), (0.6, [0.6, 1.0], 0.0),
+                                 (0.5, [], 0.5)):
+        assert support_cdf(PValueProfile(p, np.array(support)), 0.5) == expected
+        assert _study([p], support).support_floor(0.5).tolist() == [expected]
 
 
 def test_support_cdf_at_support_point_is_inclusive():
     prof = PValueProfile(0.3, np.array([0.3, 0.7, 1.0]))
-    assert support_cdf(prof, 0.3) == 0.3
-    assert support_cdf(prof, 0.7) == 0.7
+    study = _study([0.3], prof.support)
+    for lam in (0.3, 0.7):
+        assert support_cdf(prof, lam) == lam
+        assert study.support_floor(lam).tolist() == [lam]
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +152,7 @@ def test_pounds_tilde_examples():
 
 def test_pounds_hat_frozen_example():
     s = _study([0.5], [0.5, 1.0])
-    assert null_expected_pvalue(s.profile(0)) == pytest.approx(0.75)
+    assert null_expected_pvalue(profile(s, 0)) == pytest.approx(0.75)
     est = pounds_hat_pi0(s)
     assert est.value == pytest.approx(2 / 3, abs=1e-12)
 
@@ -327,10 +330,8 @@ def test_support_means_blockwise_match_per_support_sum():
     study = Study(pvalues, supports)
     assert pounds_hat_pi0(study).raw == oracles.pounds_hat_raw_loop(pvalues, supports)
     for s in supports:
-        expected = 0.5
-        if s.shape[0]:
-            expected = float(np.sum(s * np.diff(np.concatenate(([0.0], s)))))
-        assert null_expected_pvalue(PValueProfile(0.5, s)) == expected
+        one = _support_means(s, np.array([0]), np.array([s.shape[0]]))
+        assert one[0] == null_expected_pvalue(PValueProfile(0.5, s))
 
 
 def test_from_distinct_matches_per_hypothesis_supports():

@@ -11,6 +11,7 @@ from discretefdr import (
     bias_decomposition,
     build_rejection_process,
     compute_pi0,
+    evaluate_study,
     false_discovery_proportion,
     generalized_bias_from_expectations,
     generate_scenario,
@@ -186,34 +187,29 @@ def test_pooled_replications_match_per_replication_oracle(
     methods = sim.PI0_METHODS if m > 1 else sim.PI0_METHODS[:-1]
     procedures = sim.PROCEDURES if m > 1 else sim.PROCEDURES[:-1]
     studies = []
-    original = sim.prepare_study
+    original = sim.evaluate_study
 
     def keeping(study, *args):
         studies.append(study)
         return original(study, *args)
 
-    monkeypatch.setattr(sim, "prepare_study", keeping)
-    spec = _spec(kind=kind, m=m, reps=reps, seed=11, pi0=0.6,
-                 alpha_levels=(0.05, 0.2))
+    monkeypatch.setattr(sim, "evaluate_study", keeping)
+    alphas = (0.05, 0.2)
+    spec = _spec(kind=kind, m=m, reps=reps, seed=11, pi0=0.6, alpha_levels=alphas)
     out = run_replications(spec, methods, procedures)
 
     assert len(studies) == reps
     for r, study in enumerate(studies):
         expected = oracles.generate_scenario_alone(spec, r)
         _assert_same_study(study, expected)
-        proc, estimates = original(expected, methods, 0.5, 1.0)
         for j, name in enumerate(methods):
-            assert out.pi0_estimates[r, j] == estimates[name].value
-        for j, name in enumerate(procedures):
-            for a, alpha in enumerate(spec.alpha_levels):
-                res = sim.run_procedure(proc, estimates, name, alpha)
-                assert np.array_equal(
-                    out.thresholds[r, j, a], res.t_alpha, equal_nan=True
-                )
-                assert out.rejections[r, j, a] == res.rejections
-                assert out.fdp[r, j, a] == false_discovery_proportion(
-                    expected, res
-                )
+            assert out.pi0_estimates[r, j] == compute_pi0(expected, name, 0.5, 1.0).value
+        results = oracles.procedure_results(expected, procedures, alphas, 0.5, 1.0)
+        for k, (_, _, _, res) in enumerate(results):
+            a, j = divmod(k, len(procedures))
+            assert np.array_equal(out.thresholds[r, j, a], res.t_alpha, equal_nan=True)
+            assert out.rejections[r, j, a] == res.rejections
+            assert out.fdp[r, j, a] == false_discovery_proportion(expected, res)
     _assert_same_study(
         generate_scenario(spec, reps - 1),
         oracles.generate_scenario_alone(spec, reps - 1),
@@ -226,23 +222,71 @@ def test_replications_are_tested_and_used_one_chunk_at_a_time(monkeypatch):
     from discretefdr import _kernels, sim
 
     events = []
-    kernel, prepare = _kernels.batch_binomial, sim.prepare_study
+    kernel, evaluate = _kernels.batch_binomial, sim.evaluate_study
 
     def counting_kernel(x1, x2, *args):
         out = kernel(x1, x2, *args)
         events.append(("kernel", len(x1), len(out)))
         return out
 
-    def counting_prepare(study, *args):
+    def counting_evaluate(study, *args):
         events.append(("study", study.m))
-        return prepare(study, *args)
+        return evaluate(study, *args)
 
     monkeypatch.setattr(sim, "_CHUNK_FEATURES", 100)
     monkeypatch.setattr(_kernels, "batch_binomial", counting_kernel)
-    monkeypatch.setattr(sim, "prepare_study", counting_prepare)
+    monkeypatch.setattr(sim, "evaluate_study", counting_evaluate)
     run_replications(_spec(m=40, reps=5))
     chunk = [("kernel", 80, 4), ("study", 40), ("study", 40)]
     assert events == chunk + chunk + [("kernel", 40, 4), ("study", 40)]
+
+
+@pytest.mark.parametrize("m", [1, 40])
+@pytest.mark.parametrize("kind", ["poisson_bin", "binomial_fet", "negbinom_ent"])
+def test_evaluate_study_matches_transcribed_procedures(kind, m):
+    """Every estimate and every procedure's cells and results are bitwise
+    those of the estimator and FDR functions called directly."""
+    from discretefdr import (
+        benjamini_pi0,
+        generalized_pi0,
+        pounds_hat_pi0,
+        pounds_tilde_pi0,
+        sim,
+        storey_pi0,
+    )
+
+    study = generate_scenario(_spec(kind=kind, m=m, pi0=0.6, seed=5), 0)
+    lam, eps, alphas = 0.4, 0.7, (0.01, 0.05, 0.3)
+    estimates, outcomes = evaluate_study(
+        study, sim.PI0_METHODS, sim.PROCEDURES, alphas, lam, eps
+    )
+    assert estimates == {
+        "storey": storey_pi0(study, lam),
+        "generalized": generalized_pi0(study, lam, eps),
+        "pounds_tilde": pounds_tilde_pi0(study),
+        "pounds_hat": pounds_hat_pi0(study),
+        "benjamini": benjamini_pi0(study) if m > 1 else None,
+    }
+    assert list(estimates) == list(sim.PI0_METHODS)
+    # level by level, as the transcription yields them
+    got = [
+        (name, outcome[0], alpha, outcome[1][a])
+        for a, alpha in enumerate(alphas)
+        for name, outcome in zip(sim.PROCEDURES, outcomes)
+        if outcome is not None
+    ]
+    expected = list(
+        oracles.procedure_results(study, sim.PROCEDURES, alphas, lam, eps)
+    )
+    assert len(got) == len(expected) == len(alphas) * (5 if m > 1 else 4)
+    for (name, cells, alpha, res), (e_name, e_cells, e_alpha, e_res) in zip(
+        got, expected
+    ):
+        assert (name, cells, alpha) == (e_name, e_cells, e_alpha)
+        assert np.array_equal(res.t_alpha, e_res.t_alpha)
+        assert np.array_equal(res.fdr_at_t, e_res.fdr_at_t, equal_nan=True)
+        assert res.rejections == e_res.rejections
+        assert np.array_equal(res.rejected, e_res.rejected)
 
 
 def test_adjusted_procedure_rejects_at_least_exceedance_procedure():
@@ -390,6 +434,17 @@ def test_bias_decomposition_truncation_guard():
     spec = _spec(m=4, pi0=0.5, reps=1)
     with pytest.raises(ValueError, match="bound"):
         bias_decomposition(spec, lam=0.5, epsilon=1.0, truncation=2)
+
+
+@pytest.mark.parametrize(
+    "truncation, left", [(200, "1.995e-01"), (1000, "1.206e-06")]
+)
+def test_bias_decomposition_refuses_default_negbinom_effect_sizes(truncation, left):
+    """The default Pareto(1.5, 1.426) effect sizes put more mass beyond
+    the default bound, and beyond 1000, than the guard allows."""
+    spec = ScenarioSpec(kind="negbinom_ent", m=30, pi0=0.8, seed=0)
+    with pytest.raises(ValueError, match=f"truncation {truncation} leaves {left} "):
+        bias_decomposition(spec, lam=0.5, epsilon=1.0, truncation=truncation)
 
 
 #: Per family: parameters that keep the mass beyond a small truncation
