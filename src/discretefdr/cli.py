@@ -256,10 +256,10 @@ def _load_manifest(path: str, command: str) -> dict:
 
 
 def _verify_digest(manifest: dict, role: str, path: str, data: bytes) -> None:
-    recorded = manifest.get("inputs", {}).get(role)
+    recorded = manifest.get("inputs", {}).get(role, {}).get("sha256")
     if recorded is None:
-        return
-    if _sha256(data) != recorded.get("sha256"):
+        raise CliError("config", f"manifest has no sha256 for its {role} input {path}")
+    if _sha256(data) != recorded:
         raise CliError(
             "config",
             f"input {path} changed since the manifest was recorded "

@@ -204,17 +204,16 @@ def threshold(
     """Largest ``t`` with estimator value at most ``alpha``, exactly.
 
     Within each interval where the rejection count is a constant
-    ``T_j``, the estimator is ``mult * t * m / T_j``, so the feasible
-    region there is ``t <= alpha * T_j / (m * mult)``. For every
-    interval at once, the candidate ``min(alpha * T_j / (m * mult),
-    right_j)`` is feasible when it is not below the interval's left end.
-    The feasible candidates are then taken right to left and the first
-    whose descent by ulps (where floating-point round-off would
-    otherwise push the estimator a hair above ``alpha``) succeeds is
-    returned; the interval below the smallest p-value is the last
-    resort. This guarantees ``f(t_alpha) <= alpha`` in float
-    arithmetic while keeping ``|f(t_alpha) - alpha| <= 1e-12`` when
-    the equality contract applies.
+    ``T_j``, the estimator is ``mult * t * m / max(T_j, 1)``, so the
+    feasible region there is ``t <= alpha * max(T_j, 1) / (m * mult)``.
+    For every interval at once, from ``[0, p_(1))`` up, the candidate
+    ``min(alpha * max(T_j, 1) / (m * mult), right_j)`` is feasible when
+    it is not below the interval's left end. The feasible candidates
+    are then taken right to left and the first whose descent by ulps
+    (where floating-point round-off would otherwise push the estimator a
+    hair above ``alpha``) succeeds is returned, else 0. This guarantees
+    ``f(t_alpha) <= alpha`` in float arithmetic while keeping
+    ``|f(t_alpha) - alpha| <= 1e-12`` when the equality contract applies.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -245,25 +244,21 @@ def threshold(
     n = distinct.shape[0]
     scale = m * mult
 
-    # Interval j (0-based) is [distinct[j], distinct[j+1]) with rejection
-    # count cum[j]; the rightmost interval is closed at 1.
+    # Interval 0 is [0, p_(1)): nothing is rejected, so the estimator
+    # divides by max(0, 1) = 1. Interval j >= 1 is [distinct[j-1],
+    # distinct[j]) with rejection count cum[j-1]; the last is closed at 1.
     j_hi = int(np.searchsorted(distinct, cap, side="right"))
-    left = distinct[:j_hi]
-    right = np.nextafter(distinct[1 : j_hi + 1], 0.0)
+    left = np.concatenate(([0.0], distinct[:j_hi]))
+    right = np.nextafter(distinct[: j_hi + 1], 0.0)
     if j_hi == n:
         right = np.append(right, 1.0)
-    cand = np.minimum(alpha * proc.cum[:j_hi] / scale, np.minimum(right, cap))
+    count = np.concatenate(([1], proc.cum[:j_hi]))
+    cand = np.minimum(alpha * count / scale, np.minimum(right, cap))
     for j in np.flatnonzero(cand >= left)[::-1]:
         found = _nudge_down(f, float(cand[j]), float(left[j]), alpha)
         if found is not None:
             return result(*found)
-
-    # Interval [0, p_(1)): no rejections, estimator is mult * t * m.
-    right = cap
-    if n > 0 and distinct[0] <= cap:
-        right = float(np.nextafter(float(distinct[0]), 0.0))
-    found = _nudge_down(f, min(alpha / scale, right), 0.0, alpha)
-    return result(0.0) if found is None else result(*found)
+    return result(0.0)
 
 
 def bh_procedure(

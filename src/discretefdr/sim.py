@@ -39,11 +39,9 @@ both dispatch through ``evaluate_study``.
 
 ``bias_decomposition`` computes the exact finite-sample biases of the
 discreteness-adjusted estimator and the doubled-mean estimator for one
-fixed parameter draw. It tests every count pair a hypothesis can show
-(up to a truncation bound on the total for the Poisson and
-negative-binomial families) with the same batch kernel as the
-simulations, then weighs each pair by the two groups' count pmfs; those
-pmfs are its only per-family code.
+fixed parameter draw. It tests each hypothesis's count pairs, up to
+bounds read off its two groups' count laws, with the same batch kernel
+as the simulations, and weighs them by those laws' pmfs.
 """
 
 from __future__ import annotations
@@ -592,52 +590,53 @@ class BiasDecomposition:
     cdf_at_lambda: np.ndarray
     null_cdf_at_lambda: np.ndarray
     mean_pvalue: np.ndarray
+    bounds: np.ndarray  # (m, 2): each group's largest count enumerated
     mass_deficit: float
     pi0: float
     lam: float
     epsilon: float
 
 
-def _count_pmf(spec: ScenarioSpec, theta: np.ndarray, r: int) -> np.ndarray:
-    """Per group mean (or success probability) ``theta``, the count pmf
-    over ``0..r``: Poisson, binomial with ``r`` trials, or the group
-    sum's negative binomial with shape ``reps_per_group / dispersion``."""
+#: Mass each group's count bound may leave beyond it: half the 1e-6 guard.
+_TAIL = 0.5e-6
+
+
+def _count_law(spec: ScenarioSpec, theta: np.ndarray, trials: np.ndarray):
+    """Frozen scipy laws of one group's counts, one per entry of ``theta``
+    (a mean, or a success probability with ``trials`` trials): Poisson,
+    binomial, or the group sum's negative binomial with shape
+    ``reps_per_group / dispersion``."""
     from scipy import stats
 
-    x, theta = np.arange(r + 1), theta[:, None]
     if spec.kind == "poisson_bin":
-        return stats.poisson.pmf(x, theta)
+        return stats.poisson(theta)
     if spec.kind == "binomial_fet":
-        return stats.binom.pmf(x, r, theta)
+        return stats.binom(trials, theta)
     shape = spec.reps_per_group * (1.0 / spec.dispersion)
-    mean = spec.reps_per_group * theta
-    return stats.nbinom.pmf(x, shape, shape / (shape + mean))
+    return stats.nbinom(shape, shape / (shape + spec.reps_per_group * theta))
 
 
 def bias_decomposition(
     spec: ScenarioSpec,
     lam: float,
     epsilon: float,
-    truncation: int = 200,
     rep_index: int = 0,
 ) -> BiasDecomposition:
     """Exact biases for one fixed parameter draw of a scenario.
 
     The scenario parameters are the ones replication ``rep_index``
-    would use, drawn once; no counts are sampled. Every count pair
-    ``(x1, x2)`` is enumerated once: ``x1 + x2 <= truncation`` for
-    ``poisson_bin`` and ``negbinom_ent``, ``0..r`` by ``0..r`` per
-    distinct trials count ``r`` for ``binomial_fet``. The pairs are
-    tested in one batch-kernel call, and each hypothesis's expectations
-    are bilinear forms ``pmf1 . G . pmf2`` of its two groups' count
-    pmfs, with ``G`` the grid of ``1{p <= lambda}``, of the support
-    floor at ``lambda`` or of ``p``. The mass the pairs cover,
-    ``pmf1 . 1 . pmf2``, gives the truncation deficit: if more than
-    1e-6 of probability mass lies beyond the bound, a
-    :class:`ValueError` asks for a larger bound. The default bound does
-    not cover ``negbinom_ent`` at its default Pareto(1.5, 1.426) effect
-    sizes: for ``m = 30, pi0 = 0.8, seed = 0`` at ``lam = 0.5``, 200
-    leaves 0.1995 of the mass uncovered and 1000 still 1.2e-6.
+    would use, drawn once; no counts are sampled. Each hypothesis's
+    count pairs ``0..T1`` by ``0..T2`` are enumerated, each group's
+    bound read off its count law: all ``0..r`` of a binomial with ``r``
+    trials, else the count beyond which at most ``_TAIL`` of the mass
+    lies, rounded to one less than a power of two so that hypotheses
+    share shapes (``bounds`` records them). The pairs of all distinct
+    ``(trials, T1, T2)`` shapes are tested in one batch-kernel call;
+    a hypothesis's expectations are bilinear forms ``pmf1 . G . pmf2``
+    in its two count pmfs, ``G`` the grid of ``1{p <= lambda}``, of the
+    support floor at ``lambda`` or of ``p``. If the covered mass,
+    ``pmf1 . 1 . pmf2``, falls short by more than 1e-6 (safety: the
+    bounds leave at most that), a :class:`ValueError` is raised.
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError("lambda must lie in [0, 1)")
@@ -649,39 +648,43 @@ def bias_decomposition(
     truth = np.zeros(m, dtype=bool)
     truth[:m0] = True
 
-    # the hypotheses with trials r share one (r + 1) x (r + 1) grid of
-    # count pairs (under a truncation r, all of them); a mask keeps the pairs tested
-    fet = spec.kind == "binomial_fet"
-    trials = params["trials"] if fet else np.full(m, truncation)
-    sizes = np.unique(trials).tolist()
-    counts = [np.arange(r + 1) for r in sizes]
-    masks = [np.add.outer(x, x) <= (2 * x[-1] if fet else x[-1]) for x in counts]
-    x1, x2 = (np.concatenate(v) for v in zip(*map(np.nonzero, masks)))
-    pair_trials = np.repeat(sizes, [int(mask.sum()) for mask in masks])
-    out = _test(spec, (x1, pair_trials, x2) if fet else (x1, x2))
+    thetas = params["theta1"], params["theta2"]
+    trials = params.get("trials", np.zeros(m, dtype=np.int64))
+    bounds = np.empty((m, 2), dtype=np.int64)
+    for g, theta in enumerate(thetas):
+        law = _count_law(spec, theta, trials)
+        top, size = law.support()[1], 2.0 ** np.ceil(np.log2(law.isf(_TAIL) + 1.0))
+        bounds[:, g] = np.where(np.isfinite(top), top, size - 1.0)
+    shapes, shape_of = np.unique(
+        np.column_stack((trials, bounds)), axis=0, return_inverse=True
+    )
+    sizes = (shapes[:, 1] + 1) * (shapes[:, 2] + 1)
+    x1, x2 = np.concatenate(
+        [np.indices((a + 1, b + 1)).reshape(2, -1) for _, a, b in shapes], axis=1
+    )
+    pair_trials = np.repeat(shapes[:, 0], sizes)
+    out = _test(spec, (x1, pair_trials, x2) if "trials" in params else (x1, x2))
     pvalues, floor = out[0], Study.from_distinct(*out).support_floor(lam)
     # per pair: 1 (the mass covered), 1{p <= lam}, support floor, p
     values = np.stack((np.ones_like(pvalues), pvalues <= lam, floor, pvalues))
 
     expectations = np.empty((4, m))
-    for r, mask in zip(sizes, masks):
-        grids = np.zeros((4, r + 1, r + 1))
-        grids[:, mask] = values[:, : mask.sum()]
-        values = values[:, mask.sum() :]
-        rows = np.flatnonzero(trials == r)
-        step = max(1, _CHUNK_FEATURES // (r + 1))
-        for a in range(0, rows.shape[0], step):
-            part = rows[a : a + step]
-            pmf1 = _count_pmf(spec, params["theta1"][part], r)
-            pmf2 = _count_pmf(spec, params["theta2"][part], r)
+    blocks = np.split(values, np.cumsum(sizes)[:-1], axis=1)
+    for s, ((_, a, b), block) in enumerate(zip(shapes, blocks)):
+        grids = block.reshape(4, a + 1, b + 1)
+        rows = np.flatnonzero(shape_of.ravel() == s)
+        step = max(1, _CHUNK_FEATURES // (max(a, b) + 1))
+        for c in range(0, rows.shape[0], step):
+            part = rows[c : c + step]
+            pmf1, pmf2 = (
+                _count_law(spec, t[part, None], trials[part, None]).pmf(x)
+                for t, x in zip(thetas, (np.arange(a + 1), np.arange(b + 1)))
+            )
             expectations[:, part] = np.sum((pmf1 @ grids) * pmf2, axis=2)
     covered, cdf, null_cdf, mean_p = expectations
     deficit = max(0.0, float(np.max(1.0 - covered)))
     if deficit > 1e-6:
-        raise ValueError(
-            f"truncation {truncation} leaves {deficit:.3e} probability "
-            "mass unaccounted; increase the bound"
-        )
+        raise ValueError(f"the enumerated counts miss {deficit:.3e} of the mass")
 
     true_pi0 = m0 / m
     return BiasDecomposition(
@@ -692,6 +695,7 @@ def bias_decomposition(
         cdf_at_lambda=cdf,
         null_cdf_at_lambda=null_cdf,
         mean_pvalue=mean_p,
+        bounds=bounds,
         mass_deficit=deficit,
         pi0=true_pi0,
         lam=lam,

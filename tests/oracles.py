@@ -475,14 +475,13 @@ def generate_scenario_alone(spec, rep_index: int):
 # ---------------------------------------------------------------------------
 
 
-def bias_expectations_loop(spec, lam: float, truncation: int, rep_index: int = 0):
-    """Reference for ``sim.bias_decomposition``: per hypothesis, a sum
-    over its count pairs ``(x1, x2)`` of the pair's probability (scipy's
-    pmfs of the two groups' counts) times the public single test's
-    ``1{p <= lam}``, support floor at ``lam`` (0 when no support point is
-    at most ``lam``) and p-value. The pairs are ``0..r`` by ``0..r`` for
-    ``binomial_fet`` with trials ``r``, and those with ``x1 + x2 <=
-    truncation`` otherwise. Returns ``(cdf, null_cdf, mean_p, covered)``,
+def bias_expectations_loop(spec, lam: float, bounds, rep_index: int = 0):
+    """Reference for ``sim.bias_decomposition``: per hypothesis ``i``, a
+    sum over its count pairs ``(x1, x2)`` in ``0..bounds[i, 0]`` by
+    ``0..bounds[i, 1]`` of the pair's probability (scipy's pmfs of the
+    two groups' counts) times the public single test's ``1{p <= lam}``,
+    support floor at ``lam`` (0 when no support point is at most
+    ``lam``) and p-value. Returns ``(cdf, null_cdf, mean_p, covered)``,
     ``covered`` being the probability of the pairs summed over."""
     from discretefdr import binomial_test, fisher_test, nb_exact_test
     from discretefdr.sim import _draw_parameters, _replication_rng
@@ -505,8 +504,8 @@ def bias_expectations_loop(spec, lam: float, truncation: int, rep_index: int = 0
             tested[x1, x2, r] = (res.pvalue, floor)
         return tested[x1, x2, r]
 
-    def pmf(theta, r):
-        x = np.arange(r + 1)
+    def pmf(theta, top, r):
+        x = np.arange(top + 1)
         if spec.kind == "poisson_bin":
             return stats.poisson.pmf(x, theta)
         if fet:
@@ -516,10 +515,12 @@ def bias_expectations_loop(spec, lam: float, truncation: int, rep_index: int = 0
 
     out = np.zeros((4, spec.m))
     for i in range(spec.m):
-        r = int(params["trials"][i]) if fet else truncation
-        w1, w2 = pmf(params["theta1"][i], r), pmf(params["theta2"][i], r)
-        for x1 in range(r + 1):
-            for x2 in range(r + 1 if fet else r + 1 - x1):
+        r = int(params["trials"][i]) if fet else None
+        top1, top2 = (int(b) for b in bounds[i])
+        w1 = pmf(params["theta1"][i], top1, r)
+        w2 = pmf(params["theta2"][i], top2, r)
+        for x1 in range(top1 + 1):
+            for x2 in range(top2 + 1):
                 p, floor = single(x1, x2, r)
                 w = w1[x1] * w2[x2]
                 out[:, i] += (w * (p <= lam), w * floor, w * p, w)

@@ -204,6 +204,28 @@ def test_analyze_replay_detects_changed_input(bin_file, tmp_path, capsys):
     assert "sha256" in stderr
 
 
+def test_analyze_replay_refuses_manifest_without_input_digest(
+    bin_file, tmp_path, capsys
+):
+    """Deleting the inputs record must not switch verification off: the
+    replay names the unverifiable input instead of reading a changed one."""
+    out1 = tmp_path / "a"
+    assert run(["analyze", bin_file, "--test", "bin", "--out", str(out1)], capsys)[0] == 0
+    path = out1 / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["inputs"]
+    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    Path(bin_file).write_text(BIN_COUNTS.replace("f1,3,9", "f1,4,9"))
+    out2 = tmp_path / "b"
+    code, stdout, stderr = run(
+        ["analyze", "--from-manifest", str(path), "--out", str(out2)], capsys
+    )
+    assert code == 1
+    assert stderr.startswith("error:config:") and "counts" in stderr
+    assert stderr.count("\n") == 1 and stdout == ""
+    assert not out2.exists()
+
+
 def test_analyze_alpha_is_repeatable(bin_file, tmp_path, capsys):
     out = str(tmp_path / "out")
     code, _, _ = run(

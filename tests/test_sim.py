@@ -18,6 +18,7 @@ from discretefdr import (
     pounds_bias_from_expectations,
     run_replications,
 )
+from discretefdr import sim
 from discretefdr.sim import _draw_parameters, _replication_rng
 
 import oracles
@@ -430,41 +431,58 @@ def test_bias_decomposition_structure():
     assert 0.0 < dec.mean_pvalue.min() <= dec.mean_pvalue.max() <= 1.0
 
 
-def test_bias_decomposition_truncation_guard():
+def test_bias_decomposition_truncation_guard(monkeypatch):
+    """Bounds that leave more than 1e-6 of the mass beyond them are
+    refused: a tail of 0.3 per group forces that."""
+    monkeypatch.setattr(sim, "_TAIL", 0.3)
     spec = _spec(m=4, pi0=0.5, reps=1)
-    with pytest.raises(ValueError, match="bound"):
-        bias_decomposition(spec, lam=0.5, epsilon=1.0, truncation=2)
+    with pytest.raises(ValueError, match="counts miss .* of the mass"):
+        bias_decomposition(spec, lam=0.5, epsilon=1.0)
 
 
-@pytest.mark.parametrize(
-    "truncation, left", [(200, "1.995e-01"), (1000, "1.206e-06")]
-)
-def test_bias_decomposition_refuses_default_negbinom_effect_sizes(truncation, left):
-    """The default Pareto(1.5, 1.426) effect sizes put more mass beyond
-    the default bound, and beyond 1000, than the guard allows."""
+def test_bias_decomposition_truncation_guard_negbinom(monkeypatch):
+    monkeypatch.setattr(sim, "_TAIL", 0.3)
+    spec = _spec(kind="negbinom_ent", m=4, pi0=0.5, reps=1)
+    with pytest.raises(ValueError, match="counts miss .* of the mass"):
+        bias_decomposition(spec, lam=0.5, epsilon=1.0)
+
+
+def test_bias_decomposition_covers_default_negbinom_effect_sizes():
+    """The default Pareto(1.5, 1.426) effect sizes are heavy-tailed; each
+    hypothesis's bounds still cover all but 1e-6 of its mass."""
     spec = ScenarioSpec(kind="negbinom_ent", m=30, pi0=0.8, seed=0)
-    with pytest.raises(ValueError, match=f"truncation {truncation} leaves {left} "):
-        bias_decomposition(spec, lam=0.5, epsilon=1.0, truncation=truncation)
+    dec = bias_decomposition(spec, lam=0.5, epsilon=1.0)
+    assert dec.mass_deficit <= 1e-6
+    assert dec.bounds.shape == (30, 2)
+    # every bound is the smallest count of the form 2^k - 1 that leaves
+    # at most the tail beyond it, and the group-2 counts of the false
+    # nulls reach further than any true null's
+    assert np.all((dec.bounds + 1) & dec.bounds == 0)
+    params = _draw_parameters(spec, _replication_rng(spec, 0))
+    for g, theta in enumerate((params["theta1"], params["theta2"])):
+        tail = sim._count_law(spec, theta, None).isf(sim._TAIL)
+        assert np.all(dec.bounds[:, g] >= tail)
+        assert np.all(dec.bounds[:, g] < 2 * tail + 1)
+    assert dec.bounds[spec.m0 :, 1].max() > dec.bounds[: spec.m0].max()
 
 
-#: Per family: parameters that keep the mass beyond a small truncation
-#: under 1e-6, and the truncation (binomial_fet ignores it).
+#: Per family: parameters that keep each hypothesis's enumerated
+#: rectangle small enough for the per-cell loop.
 _ORACLE_SPECS = {
-    "poisson_bin": (dict(pareto_location=2.0, rho_high=3.0), 40),
-    "binomial_fet": ({}, 200),
-    "negbinom_ent": (dict(mean_high=2.0, rho_shape=20.0), 70),
+    "poisson_bin": dict(pareto_location=2.0, rho_high=3.0),
+    "binomial_fet": {},
+    "negbinom_ent": dict(mean_high=1.0, rho_shape=20.0),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_ORACLE_SPECS))
 def test_bias_decomposition_matches_per_cell_oracle(kind):
-    extra, truncation = _ORACLE_SPECS[kind]
-    spec = _spec(kind=kind, m=6, pi0=0.5, reps=1, seed=5, **extra)
+    spec = _spec(kind=kind, m=6, pi0=0.5, reps=1, seed=5, **_ORACLE_SPECS[kind])
     truth = np.arange(spec.m) < spec.m0
     for lam, eps in ((0.0, 0.0), (0.3, 1.0), (0.6, 0.5)):
-        dec = bias_decomposition(spec, lam, eps, truncation=truncation)
+        dec = bias_decomposition(spec, lam, eps)
         cdf, null_cdf, mean_p, covered = oracles.bias_expectations_loop(
-            spec, lam, truncation
+            spec, lam, dec.bounds
         )
         for got, want in (
             (dec.cdf_at_lambda, cdf),
@@ -482,12 +500,6 @@ def test_bias_decomposition_matches_per_cell_oracle(kind):
         assert dec.pounds_bias == pytest.approx(
             pounds_bias_from_expectations(mean_p, truth), abs=1e-12
         )
-
-
-def test_bias_decomposition_truncation_guard_negbinom():
-    spec = _spec(kind="negbinom_ent", m=4, pi0=0.5, reps=1)
-    with pytest.raises(ValueError, match="bound"):
-        bias_decomposition(spec, lam=0.5, epsilon=1.0, truncation=10)
 
 
 def test_bias_decomposition_matches_monte_carlo():
@@ -515,7 +527,8 @@ def test_bias_decomposition_matches_monte_carlo():
 
 def test_import_leaves_scipy_stats_unloaded():
     """scipy.stats is needed only by the bias enumeration, which imports
-    it on first use; importing the package must not pay for it."""
+    it on first use; importing and warming up the package must not pay
+    for it."""
     import os
     import subprocess
     import sys
@@ -524,7 +537,10 @@ def test_import_leaves_scipy_stats_unloaded():
 
     src = os.path.dirname(discretefdr.__path__[0])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, discretefdr; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, discretefdr; discretefdr.warm_up(); "
+        "print('scipy.stats' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
