@@ -447,6 +447,28 @@ def test_bias_decomposition_truncation_guard_negbinom(monkeypatch):
         bias_decomposition(spec, lam=0.5, epsilon=1.0)
 
 
+@pytest.mark.parametrize(
+    "truncation, left", [(200, "1.995e-01"), (1000, "1.206e-06")]
+)
+def test_bias_decomposition_refuses_default_negbinom_effect_sizes(truncation, left):
+    """The default Pareto(1.5, 1.426) effect sizes put more mass beyond a
+    fixed bound on the total count, at 200 and at 1000, than the 1e-6
+    guard allows, so such a bound would be refused; the bounds read off
+    the count laws reach past it for that hypothesis and are not."""
+    spec = ScenarioSpec(kind="negbinom_ent", m=30, pi0=0.8, seed=0)
+    params = _draw_parameters(spec, _replication_rng(spec, 0))
+    x = np.arange(truncation + 1)
+    pmf1 = sim._count_law(spec, params["theta1"][:, None], None).pmf(x)
+    cdf2 = sim._count_law(spec, params["theta2"][:, None], None).cdf(truncation - x)
+    beyond = 1.0 - np.sum(pmf1 * cdf2, axis=1)
+    worst = int(np.argmax(beyond))
+    assert f"{beyond[worst]:.3e}" == left
+    assert beyond[worst] > 1e-6
+    dec = bias_decomposition(spec, lam=0.5, epsilon=1.0)
+    assert dec.bounds[worst].sum() > truncation
+    assert dec.mass_deficit <= 1e-6
+
+
 def test_bias_decomposition_covers_default_negbinom_effect_sizes():
     """The default Pareto(1.5, 1.426) effect sizes are heavy-tailed; each
     hypothesis's bounds still cover all but 1e-6 of its mass."""
