@@ -255,16 +255,23 @@ def _load_manifest(path: str, command: str) -> dict:
     return manifest
 
 
-def _verify_digest(manifest: dict, role: str, path: str, data: bytes) -> None:
+def _read_input(role: str, path: str, manifest: dict | None, inputs: dict) -> bytes:
+    """Read the ``role`` input at ``path`` and record its path and sha256
+    in ``inputs``; a replay's ``manifest`` must record the same sha256."""
+    data = _read_bytes(path)
+    inputs[role] = {"path": path, "sha256": _sha256(data)}
+    if manifest is None:
+        return data
     recorded = manifest.get("inputs", {}).get(role, {}).get("sha256")
     if recorded is None:
         raise CliError("config", f"manifest has no sha256 for its {role} input {path}")
-    if _sha256(data) != recorded:
+    if recorded != inputs[role]["sha256"]:
         raise CliError(
             "config",
             f"input {path} changed since the manifest was recorded "
             "(sha256 mismatch)",
         )
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +293,8 @@ def _build_schema(settings: dict) -> IngestSchema:
 
 
 def _ingest_study(settings: dict, manifest: dict | None):
-    path = settings["counts"]
-    data = _read_bytes(path)
-    if manifest is not None:
-        _verify_digest(manifest, "counts", path, data)
+    path, inputs = settings["counts"], {}
+    data = _read_input("counts", path, manifest, inputs)
     schema = _build_schema(settings)
     try:
         table = ingest_counts(io.BytesIO(data), schema)
@@ -305,7 +310,7 @@ def _ingest_study(settings: dict, manifest: dict | None):
         study = Study.from_distinct(*test_count_table(table, settings["convention"]))
     except ValueError as exc:
         raise CliError("usage", str(exc)) from exc
-    return table, study, {"counts": {"path": path, "sha256": _sha256(data)}}
+    return table, study, inputs
 
 
 def _write_features(path: str, table, study: Study) -> None:
@@ -461,13 +466,7 @@ def cmd_simulate(settings: dict, out_dir: str, manifest: dict | None = None) -> 
         }
     mean_data = None
     if spec.mean_file is not None:
-        mean_data = _read_bytes(spec.mean_file)
-        if manifest is not None:
-            _verify_digest(manifest, "mean_file", spec.mean_file, mean_data)
-        inputs["mean_file"] = {
-            "path": spec.mean_file,
-            "sha256": _sha256(mean_data),
-        }
+        mean_data = _read_input("mean_file", spec.mean_file, manifest, inputs)
 
     try:
         summary = run_replications(

@@ -196,17 +196,26 @@ _CHUNK_ROWS = 1 << 12
 
 
 class _Fault(Exception):
-    """Some data row is malformed; ``_check_row`` names the first."""
+    """Some data row is malformed; the message says how, without the line."""
 
 
 def _int_column(tokens: list[str]) -> np.ndarray:
+    ints: list[int] = []
     try:
-        values = np.array(list(map(int, tokens)), dtype=np.int64)
-    except (ValueError, OverflowError):
-        raise _Fault from None
-    if (values < 0).any():
-        raise _Fault
-    return values
+        ints.extend(map(int, tokens))
+    except ValueError:
+        # extend keeps the counts converted before the token int rejects
+        raise _Fault(f"non-integer count {tokens[len(ints)].strip()!r}") from None
+    try:
+        values = np.array(ints, dtype=np.int64)
+        if not (values < 0).any():
+            return values
+    except OverflowError:
+        pass
+    value = next(v for v in ints if not 0 <= v <= _INT64_MAX)
+    if value < 0:
+        raise _Fault(f"negative count {value}")
+    raise _Fault(f"count {value} exceeds the largest supported count {_INT64_MAX}")
 
 
 def _sum_columns(columns: list[np.ndarray]) -> np.ndarray:
@@ -214,8 +223,13 @@ def _sum_columns(columns: list[np.ndarray]) -> np.ndarray:
     for column in columns[1:]:
         total += column
         # both addends are nonnegative, so a sum past int64 wraps below 0
-        if (total < 0).any():
-            raise _Fault
+        wrapped = total < 0
+        if wrapped.any():
+            i = int(wrapped.argmax())
+            raise _Fault(
+                f"group sum {sum(int(c[i]) for c in columns)} exceeds the "
+                f"largest supported count {_INT64_MAX}"
+            )
     return total
 
 
@@ -235,89 +249,68 @@ def _parse_block(tokens: list[str], width: int, schema: IngestSchema):
         x2 = _sum_columns(values[schema.reps :])
     else:
         x1, x2 = values
+    if r1 is not None and ((x1 > r1) | (x2 > r2)).any():
+        raise _Fault("count exceeds trials")
     return ids, x1, r1, x2, r2
 
 
-def _parse_rows(rows: list[str], delim: str, schema: IngestSchema):
+def _parse_rows(rows: list[str], line_of, delim: str, schema: IngestSchema):
     """``(ids, x1, r1, x2, r2)`` of the data rows, parsed column-wise.
 
-    The rows of each legal width are split ``_CHUNK_ROWS`` at a time,
-    so that few cells are alive at once, and each numeric column of a
-    chunk is converted with one pass of ``int``. Raises
-    :class:`_Fault` if any row is malformed.
+    The rows are taken ``_CHUNK_ROWS`` at a time, in file order, so that
+    few cells are alive at once. Within a chunk the rows of each legal
+    width are split together and each numeric column is converted with
+    one pass of ``int``. A chunk with a malformed row is parsed again
+    one row at a time; the first row that fails raises
+    :class:`ValueError` naming its file line ``line_of[i]``. Every
+    earlier chunk parsed, so that row is the first bad one.
     """
     n = len(rows)
+    widths = _widths(schema)
     width = np.fromiter(map(str.count, rows, repeat(delim)), np.int64, n) + 1
-    if not np.isin(width, _widths(schema)).all():
-        raise _Fault
+    illegal = ~np.isin(width, widths)
     ids = np.empty(n, dtype=object)
     x1, x2 = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     r1 = r2 = None
     if schema.kind == "fet":
         r1, r2 = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    for w in _widths(schema):
-        at = np.flatnonzero(width == w)
-        for a in range(0, at.shape[0], _CHUNK_ROWS):
-            chunk = at[a : a + _CHUNK_ROWS]
-            if at.shape[0] == n:
-                block = rows[a : a + _CHUNK_ROWS]
-            else:
-                block = [rows[i] for i in chunk.tolist()]
+    columns = (ids, x1, r1, x2, r2)
+
+    def fill(lo: int, hi: int) -> None:
+        chunk, chunk_width = rows[lo:hi], width[lo:hi]
+        bad = chunk_width[illegal[lo:hi]]
+        if bad.shape[0]:
+            legal = " or ".join(map(str, widths))
+            raise _Fault(f"expected {legal} columns, got {bad[0]}")
+        for w in widths:
+            at = np.flatnonzero(chunk_width == w)
+            if at.shape[0] == 0:
+                continue
+            whole_chunk = at.shape[0] == len(chunk)
+            block = chunk if whole_chunk else [chunk[i] for i in at.tolist()]
             parsed = _parse_block(delim.join(block).split(delim), w, schema)
-            for whole, part in zip((ids, x1, r1, x2, r2), parsed):
+            for whole, part in zip(columns, parsed):
                 if whole is not None:
-                    whole[chunk] = part
-    return ids, x1, r1, x2, r2
+                    whole[lo + at] = part
+
+    lo, step = 0, _CHUNK_ROWS
+    while lo < n:
+        try:
+            fill(lo, lo + step)
+        except _Fault as fault:
+            if step == 1:
+                raise ValueError(f"line {line_of[lo]}: {fault}") from None
+            step = 1  # parse this chunk again, one row at a time
+            continue
+        lo += step
+    return columns
 
 
-def _parse_int(token: str, lineno: int) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise ValueError(
-            f"line {lineno}: non-integer count {token.strip()!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(f"line {lineno}: negative count {value}")
-    if value > _INT64_MAX:
-        raise ValueError(
-            f"line {lineno}: count {value} exceeds the largest supported "
-            f"count {_INT64_MAX}"
-        )
-    return value
-
-
-def _check_row(tokens: list[str], lineno: int, schema: IngestSchema) -> None:
-    """Raise the error of one data row's first fault, if it has one."""
-    if schema.kind == "fet" and len(tokens) == 5:
-        x1, r1, x2, r2 = [_parse_int(tok, lineno) for tok in tokens[1:]]
-    elif schema.kind == "fet" and schema.trials is None:
-        raise ValueError(f"line {lineno}: expected 5 columns, got {len(tokens)}")
-    elif schema.kind == "ent" and len(tokens) == 1 + 2 * schema.reps:
-        values = [_parse_int(tok, lineno) for tok in tokens[1:]]
-        for total in (sum(values[: schema.reps]), sum(values[schema.reps :])):
-            if total > _INT64_MAX:
-                raise ValueError(
-                    f"line {lineno}: group sum {total} exceeds the largest "
-                    f"supported count {_INT64_MAX}"
-                )
-        return
-    else:
-        if len(tokens) != 3:
-            raise ValueError(
-                f"line {lineno}: expected 3 columns, got {len(tokens)}"
-            )
-        x1, x2 = [_parse_int(tok, lineno) for tok in tokens[1:]]
-        r1 = r2 = schema.trials
-    if schema.kind == "fet" and (x1 > r1 or x2 > r2):
-        raise ValueError(f"line {lineno}: count exceeds trials")
-
-
-def _check_limit(x1, r1, x2, r2, keep, is_row) -> None:
+def _check_limit(x1, r1, x2, r2, keep, line_of) -> None:
     """Raise the error of the first kept row whose conditioned total
     exceeds ``_kernels.MAX_TOTAL``: either trials count for fet
     (``r1`` given), ``x1 + x2`` otherwise, compared without forming the
-    sum. ``is_row`` marks the lines that are rows, the header first."""
+    sum. Row ``i`` is file line ``line_of[i]``."""
     limit = _kernels.MAX_TOTAL
     if r1 is not None:
         over = keep & ((r1 > limit) | (r2 > limit))
@@ -330,8 +323,7 @@ def _check_limit(x1, r1, x2, r2, keep, is_row) -> None:
         what = f"trials {max(int(r1[i]), int(r2[i]))} exceed"
     else:
         what = f"total {int(x1[i]) + int(x2[i])} exceeds"
-    lineno = np.flatnonzero(is_row)[i + 1] + 1
-    raise ValueError(f"line {lineno}: {what} the largest supported total {limit}")
+    raise ValueError(f"line {line_of[i]}: {what} the largest supported total {limit}")
 
 
 def ingest_counts(source: IO[bytes], schema: IngestSchema) -> CountTable:
@@ -350,15 +342,17 @@ def ingest_counts(source: IO[bytes], schema: IngestSchema) -> CountTable:
     Rows of both widths a kind allows may be mixed in one table. Blank
     lines and lines starting with ``#`` are skipped, before the header
     as after it. A count is any token ``int`` accepts (``+3``, `` 4 ``,
-    ``1_000``) up to the int64 range. Malformed rows raise
-    :class:`ValueError` naming the first bad line's number. Once every
-    row parses, a row that passes the total filters but whose
-    conditioned total exceeds ``_kernels.MAX_TOTAL`` (``x1 + x2`` for
-    bin and ent, either trials count for fet) raises one too.
+    ``1_000``) up to the int64 range. A malformed row raises
+    :class:`ValueError` naming the first bad line's number, and for a
+    row of the wrong width every legal width. Once every row parses, a
+    row that passes the total filters but whose conditioned total
+    exceeds ``_kernels.MAX_TOTAL`` (``x1 + x2`` for bin and ent, either
+    trials count for fet) raises one too.
 
-    The table is parsed column-wise, and the count checks and the
-    total filters run as array operations; rows are checked one at a
-    time only once a fault is known, to name the first bad line.
+    The table is parsed column-wise, a chunk of rows at a time, and the
+    count checks and the total filters run as array operations. Only a
+    chunk that holds a fault is parsed again, one row at a time and
+    through the same checks, to name its first bad line.
     """
     lines = source.read().decode("utf-8").splitlines()
     # blank lines and # comments are skipped; "" and "#" are both in "#"
@@ -366,18 +360,11 @@ def ingest_counts(source: IO[bytes], schema: IngestSchema) -> CountTable:
     rows = list(compress(lines, is_row))
     if not rows:
         raise ValueError("line 1: empty input, header row required")
+    # the file line of each data row (bytes() of the flags is one 0/1
+    # byte per line); the header is the first row
+    line_of = np.flatnonzero(np.frombuffer(bytes(is_row), dtype=bool))[1:] + 1
     delim = "\t" if "\t" in rows[0] else ","
-    try:
-        ids, x1, r1, x2, r2 = _parse_rows(rows[1:], delim, schema)
-        if schema.kind == "fet" and ((x1 > r1) | (x2 > r2)).any():
-            raise _Fault
-    except _Fault:
-        # name the first bad data row
-        numbered = compress(enumerate(lines, start=1), is_row)
-        next(numbered)  # the header
-        for lineno, line in numbered:
-            _check_row(line.split(delim), lineno, schema)
-        raise AssertionError("the column-wise parse found a fault in no row")
+    ids, x1, r1, x2, r2 = _parse_rows(rows[1:], line_of, delim, schema)
 
     keep = np.ones(x1.shape[0], dtype=bool)
     for total in (r1, r2) if schema.kind == "fet" else (x1, x2):
@@ -385,7 +372,7 @@ def ingest_counts(source: IO[bytes], schema: IngestSchema) -> CountTable:
             keep &= total >= schema.min_total
         if schema.max_total is not None:
             keep &= total <= schema.max_total
-    _check_limit(x1, r1, x2, r2, keep, is_row)
+    _check_limit(x1, r1, x2, r2, keep, line_of)
     fet = schema.kind == "fet"
     return CountTable(
         kind=schema.kind,

@@ -107,13 +107,14 @@ class ScenarioSpec:
     """Full description of one simulation scenario.
 
     ``alpha_levels`` are the nominal FDR levels evaluated per
-    replication; ``reps`` is the replication count; ``seed`` the base
-    seed. Scenario-specific parameters default to the standard setup
-    of each family. ``theta2_transform`` selects how a scaled odds
-    value is mapped back to a probability in the ``binomial_fet``
-    family: ``odds`` re-inverts the odds (``q / (1 + q)``), ``cap``
-    truncates at 1. The choice is deliberately explicit because the
-    scaled odds can exceed 1.
+    replication: at least one, and no two alike at 9 significant digits,
+    the precision of their ``aggregate`` keys. ``reps`` is the
+    replication count; ``seed`` the base seed. Scenario-specific
+    parameters default to the standard setup of each family.
+    ``theta2_transform`` selects how a scaled odds value is mapped back
+    to a probability in the ``binomial_fet`` family: ``odds`` re-inverts
+    the odds (``q / (1 + q)``), ``cap`` truncates at 1. The choice is
+    deliberately explicit because the scaled odds can exceed 1.
     """
 
     kind: str
@@ -157,6 +158,15 @@ class ScenarioSpec:
             raise ValueError("pi0 must lie in (0, 1)")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        # aggregate() keys each level by its 9-significant-digit text
+        keys = {f"{alpha:.9g}" for alpha in self.alpha_levels}
+        if not keys:
+            raise ValueError("alpha_levels is empty")
+        if len(keys) < len(self.alpha_levels):
+            raise ValueError(
+                f"alpha_levels {list(self.alpha_levels)} repeat a level at "
+                "9 significant digits"
+            )
         if not self.dispersion > 0.0:
             raise ValueError("dispersion must be positive")
         if self.reps_per_group < 1:

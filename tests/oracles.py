@@ -606,8 +606,9 @@ def _within(total: int, schema) -> bool:
 
 def ingest_rows(source, schema):
     """Reference for ``ingest_counts``: parse, check and filter one row
-    at a time, in Python integers. Once every row parses, the first kept
-    row whose conditioned total exceeds the kernels' limit is an error."""
+    at a time, in Python integers. A row of the wrong width names every
+    legal width. Once every row parses, the first kept row whose
+    conditioned total exceeds the kernels' limit is an error."""
     from discretefdr import CountTable
     from discretefdr._kernels import MAX_TOTAL
 
@@ -621,24 +622,29 @@ def ingest_rows(source, schema):
         raise ValueError("line 1: empty input, header row required")
     delim = "\t" if "\t" in lines[0][1] else ","
 
+    if schema.kind == "fet":
+        legal = [5] if schema.trials is None else [5, 3]
+    elif schema.kind == "ent" and schema.reps > 1:
+        legal = [1 + 2 * schema.reps, 3]
+    else:
+        legal = [3]
     ids, g1, g2, t1, t2 = [], [], [], [], []
     dropped = 0
     beyond = []
     for lineno, line in lines[1:]:
         tokens = line.split(delim)
+        if len(tokens) not in legal:
+            raise ValueError(
+                f"line {lineno}: expected {' or '.join(map(str, legal))} "
+                f"columns, got {len(tokens)}"
+            )
         if schema.kind == "fet" and len(tokens) == 5:
             x1, r1, x2, r2 = (_parse_int(tok, lineno) for tok in tokens[1:])
-        elif schema.kind == "fet" and schema.trials is None:
-            raise ValueError(f"line {lineno}: expected 5 columns, got {len(tokens)}")
-        elif schema.kind == "ent" and len(tokens) == 1 + 2 * schema.reps:
+        elif schema.kind == "ent" and len(tokens) > 3:
             vals = [_parse_int(tok, lineno) for tok in tokens[1:]]
             x1, x2 = sum(vals[: schema.reps]), sum(vals[schema.reps :])
             r1 = r2 = 0
         else:
-            if len(tokens) != 3:
-                raise ValueError(
-                    f"line {lineno}: expected 3 columns, got {len(tokens)}"
-                )
             x1 = _parse_int(tokens[1], lineno)
             x2 = _parse_int(tokens[2], lineno)
             r1 = r2 = schema.trials if schema.kind == "fet" else 0

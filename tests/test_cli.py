@@ -531,11 +531,17 @@ def test_config_error_missing_key_and_bad_kind(tmp_path, capsys):
         ("simulate", {"kind": "negbinom_ent", "reps_per_group": 0}, [], "config",
          "reps_per_group"),
         ("simulate", {"m": True}, [], "config", "'m'"),
+        # aggregate.json keys each level by its 9-significant-digit text
+        ("simulate", {"alpha_levels": []}, [], "config", "alpha_levels"),
+        ("simulate", {"alpha_levels": [0.05, 0.05]}, [], "config", "alpha_levels"),
+        ("simulate", {}, ["--alpha", "0.05", "--alpha", "0.05000000001"], "config",
+         "alpha_levels"),
     ],
     ids=[
         "m-1", "lambda", "epsilon", "empty-roster", "sim-alpha", "analyze-alpha",
         "m-float", "lambda-text", "dispersion-0", "roster-text", "reps-text",
-        "reps-per-group-0", "m-bool",
+        "reps-per-group-0", "m-bool", "alphas-empty", "alphas-repeated",
+        "sim-alpha-repeated",
     ],
 )
 def test_library_errors_print_one_error_line(

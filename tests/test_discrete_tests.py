@@ -13,7 +13,7 @@ from discretefdr import (
     ingest_counts,
     nb_exact_test,
 )
-from discretefdr import _kernels
+from discretefdr import _kernels, discrete_tests
 
 # aliased so pytest does not collect the library function as a test
 from discretefdr import test_count_table as run_count_table
@@ -206,6 +206,8 @@ def test_ingest_skips_comment_lines_around_the_header():
     # skipped lines still count toward the line numbers in errors
     with pytest.raises(ValueError, match="line 4"):
         _ingest("# note\nid,a,b\n# note\nf1,3,x\n", schema)
+    with pytest.raises(ValueError, match="^line 6: total"):
+        _ingest(f"# note\nid,a,b\n# note\nf1,3,4\n\nf2,{LIMIT},1\n", schema)
     with pytest.raises(ValueError, match="header row required"):
         _ingest("# only a comment\n\n", schema)
 
@@ -379,15 +381,39 @@ def test_ingest_reads_every_spelling_int_accepts():
 _FAULTS = ["x", "-2", "", "3.5", "1 2", "999"]
 
 
-@pytest.mark.parametrize("schema", _SCHEMAS, ids=_schema_id)
-def test_ingest_errors_match_row_wise_parser(schema):
-    """Two bad cells at random: both parsers name the same first line
-    with the same message."""
+_DEFAULT_CHUNK = discrete_tests._CHUNK_ROWS
+
+
+@pytest.mark.parametrize(
+    "schema, chunk_rows",
+    [
+        pytest.param(
+            schema,
+            chunk_rows,
+            id=_schema_id(schema)
+            + ("" if chunk_rows == _DEFAULT_CHUNK else f"-chunk{chunk_rows}"),
+        )
+        for schema in _SCHEMAS
+        for chunk_rows in (1, 2, 3, _DEFAULT_CHUNK)
+    ],
+)
+def test_ingest_errors_match_row_wise_parser(schema, chunk_rows, monkeypatch):
+    """Two bad cells, the first on the first or last data row of a
+    chunk, the second anywhere: both parsers name the same first line
+    with the same message, whatever the chunk size."""
+    monkeypatch.setattr(discrete_tests, "_CHUNK_ROWS", chunk_rows)
     rng = np.random.default_rng(50 + _SCHEMAS.index(schema))
     for _ in range(30):
         lines = _random_text(rng, schema, 60, ",", "\n").splitlines()
-        for _ in range(2):
-            k = int(rng.integers(3, len(lines)))
+        data_lines = [
+            k for k, line in enumerate(lines) if line.lstrip()[:1] not in "#"
+        ][1:]
+        edges = [
+            k
+            for i, k in enumerate(data_lines)
+            if i % chunk_rows in (0, chunk_rows - 1) or k == data_lines[-1]
+        ]
+        for k in (rng.choice(edges), rng.integers(3, len(lines))):
             tokens = lines[k].split(",")
             if len(tokens) < 2:
                 continue
@@ -405,6 +431,33 @@ def test_ingest_errors_match_row_wise_parser(schema):
             assert str(got.value) == str(exc)
         else:
             _same_table(ingest_counts(io.BytesIO(data), schema), expected)
+
+
+@pytest.mark.parametrize(
+    "schema, text, message",
+    [
+        (IngestSchema(kind="bin"), "f1,1,2,3", "expected 3 columns, got 4"),
+        (IngestSchema(kind="fet"), "f1,1,2", "expected 5 columns, got 3"),
+        (
+            IngestSchema(kind="fet", trials=5),
+            "f1,1,2,3",
+            "expected 5 or 3 columns, got 4",
+        ),
+        (
+            IngestSchema(kind="ent", size=1.0, reps=3),
+            "f1,1,2,3,4,5",
+            "expected 7 or 3 columns, got 6",
+        ),
+    ],
+    ids=["bin", "fet", "fet-trials", "ent-reps"],
+)
+def test_ingest_width_error_names_every_legal_width(schema, text, message):
+    data = f"id,a,b\n{text}\n".encode()
+    expected = rf"^line 2: {message}$"
+    with pytest.raises(ValueError, match=expected):
+        ingest_counts(io.BytesIO(data), schema)
+    with pytest.raises(ValueError, match=expected):
+        oracles.ingest_rows(io.BytesIO(data), schema)
 
 
 def test_ingest_names_the_earlier_of_two_bad_lines():

@@ -86,6 +86,16 @@ def test_spec_validation():
         _spec(kind="binomial_fet", theta2_transform="logit")
 
 
+def test_spec_refuses_empty_and_repeated_alpha_levels():
+    with pytest.raises(ValueError, match="alpha_levels is empty"):
+        _spec(alpha_levels=())
+    # the levels key aggregate() at 9 significant digits
+    for levels in [(0.05, 0.05), (0.1, 0.05, 0.05000000001)]:
+        with pytest.raises(ValueError, match="repeat a level"):
+            _spec(alpha_levels=levels)
+    assert _spec(alpha_levels=(0.05, 0.0500000001)).alpha_levels[1] == 0.0500000001
+
+
 def test_mean_file_supplies_group_means(tmp_path):
     means = np.array([1.5, 2.0, 4.0, 8.0, 2.5])
     path = tmp_path / "means.txt"
