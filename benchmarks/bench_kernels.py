@@ -25,6 +25,13 @@ workload (``POOLED_REPS`` studies of ``POOLED_M`` features): one kernel
 call and one study per replication, against one kernel call on the
 pooled counts plus one ``Study.from_distinct`` slice per replication.
 
+The large-total case times one binomial and one negative-binomial law
+at each total of ``LARGE_TOTALS``, up to the kernels' limit
+``MAX_TOTAL``. There the cost grows with the total, not with the number
+of features: the law, its table, and its log-factorial and log-gamma
+values (computed one ``math.log`` at a time, see ``_lgamma``) all have
+``total + 1`` entries.
+
 Run with ``python3 benchmarks/bench_kernels.py`` (options: ``--m`` for
 the batch size, ``--repeat`` for timing repetitions, ``--seed``).
 """
@@ -43,6 +50,9 @@ UNIQUE_TOTALS = 2000
 #: Studies and features per study of the pooled-simulate case.
 POOLED_REPS = 50
 POOLED_M = 250
+
+#: Conditioned totals of the one-law cases.
+LARGE_TOTALS = (2**16, 2**20, _kernels.MAX_TOTAL)
 
 
 def _time(fn, *args, repeat: int):
@@ -204,6 +214,14 @@ def main() -> int:
         f"a kernel call per study {t_alone * 1e3:.1f}ms, "
         f"one pooled call {t_pooled * 1e3:.1f}ms (kernel and studies)"
     )
+
+    print("\none law at a large total")
+    for total in LARGE_TOTALS:
+        x1, x2 = np.array([total // 2]), np.array([total - total // 2])
+        t_bin, _ = _time(_kernels.batch_binomial, x1, x2, repeat=args.repeat)
+        t_nb, _ = _time(_kernels.batch_negbinom, x1, x2, 3.0 / 1.451,
+                        repeat=args.repeat)
+        print(f"total {total:8d}: binomial {t_bin:7.3f}s, negbinom {t_nb:7.3f}s")
     return 0
 
 

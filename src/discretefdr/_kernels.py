@@ -5,12 +5,13 @@ for the binomial test, the margins ``(r1, r2, s)`` for the
 hypergeometric test and the total ``s`` for the negative-binomial test.
 The unnormalized log-weights of each law are written once, in
 ``binomial_laws``, ``fisher_laws`` and ``negbinom_laws``, for an array
-of distinct keys at a time. Each returns ``(length, logw)``: law ``k``
-has ``length[k]`` outcomes, and ``logw(rows, j)`` gives the laws
-``rows`` (a column) at outcome offsets ``j`` (a block). Only the batch
-kernels build laws from these; every other caller (the single tests, the
-simulations and the exact bias enumeration in ``sim``) goes through the
-batch kernels.
+of distinct keys at a time, from the log-gamma values of ``_lgamma``
+(bit for bit those of scipy's ``gammaln``, without importing scipy).
+Each returns ``(length, logw)``: law ``k`` has ``length[k]`` outcomes,
+and ``logw(rows, j)`` gives the laws ``rows`` (a column) at outcome
+offsets ``j`` (a block). Only the batch kernels build laws from these;
+every other caller (the single tests, the simulations and the exact
+bias enumeration in ``sim``) goes through the batch kernels.
 
 Two two-sided conventions turn a law into a table of outcome p-values:
 
@@ -43,10 +44,13 @@ The kernels accept conditioned totals up to ``MAX_TOTAL`` (2^22 - 1):
 the total ``x1 + x2`` of the binomial test, each margin ``r1``, ``r2`` of
 the hypergeometric test and the total ``s1 + s2`` of the
 negative-binomial test. A padded minimum-likelihood law then has at most
-2^22 entries; one binomial law at the limit takes about 1.4 s and a
-peak of about 450 MB to build on a 2-vCPU host. A larger total raises
-a :class:`ValueError` naming the limit; the check never forms a sum
-that could wrap in int64.
+2^22 entries; on a 2-vCPU host one law at the limit takes about 1.6 s
+(binomial) or 3 s (negative binomial) and a peak of about 430 MB to
+build. Up to about 1.7 s of that is ``math.log``, which ``_lgamma``
+calls once per entry of the law's log-factorial table (and of the
+negative-binomial log-gamma table). A larger total raises a
+:class:`ValueError` naming the limit; the check never forms a sum that
+could wrap in int64.
 
 Counts are exact for conditioned totals up to a few thousand. Beyond
 that, extreme-tail p-values fall below the float64 range (at a binomial
@@ -62,7 +66,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
+
+from ._lgamma import gammaln, log_factorials
 
 TIE_RTOL = 1e-12
 
@@ -86,9 +91,12 @@ MAX_TOTAL = 2**22 - 1
 
 
 def _log_factorials(n_max: int) -> np.ndarray:
-    """``log(k!)`` for ``k = 0..n_max``, computed as ``gammaln(k + 1.0)``:
-    the same input, and so the same bits, as a ``gammaln`` call per law."""
-    return gammaln(np.arange(n_max + 1) + 1.0)
+    """``log(k!)`` for ``k = 0..n_max``, as ``gammaln(k + 1.0)``.
+
+    ``tests/test_lgamma.py`` checks that these bits equal scipy's
+    ``gammaln`` on every ``k`` up to ``MAX_TOTAL``, so the tables are
+    the ones a ``gammaln`` call per law would give."""
+    return log_factorials(n_max)
 
 
 def binomial_laws(n):
@@ -131,8 +139,13 @@ def negbinom_laws(s, shape_total: float):
     """
     s = np.asarray(s, dtype=np.int64)
     k = float(shape_total)
-    a = np.arange(int(s.max(initial=0)) + 1)
-    left = gammaln(a + k) - gammaln(a + 1.0) - math.lgamma(k)
+    s_max = int(s.max(initial=0))
+    rising = gammaln(np.arange(s_max + 1) + k)
+    if not np.isfinite(rising).all():
+        raise ValueError(
+            f"shape_total {k!r} gives log-weights beyond the float64 range"
+        )
+    left = rising - _log_factorials(s_max) - math.lgamma(k)
 
     def logw(rows, j):
         return left[j] + left[s[rows] - j]
@@ -325,11 +338,16 @@ def batch_negbinom(s1, s2, shape_total, convention: str = "minlik"):
     (per-sample shape times samples per group) and a common mean under
     the null. Conditional on ``s = s1 + s2`` the mean cancels and the
     null weight of a split ``a`` is given by :func:`negbinom_laws`.
+    ``shape_total`` must be finite and positive, with log-gamma values
+    in the float64 range (from about 5.6e-309 to 2.56e305); any other
+    raises a :class:`ValueError` naming it.
     """
     s1 = np.asarray(s1, dtype=np.int64)
     s2 = np.asarray(s2, dtype=np.int64)
     _check_total(s1, s2)
     k = float(shape_total)
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"shape_total must be a finite positive number, not {k!r}")
     return _batch(lambda s: negbinom_laws(s, k), s1 + s2, s1, convention)
 
 

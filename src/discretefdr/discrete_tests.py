@@ -27,6 +27,7 @@ The module also houses delimited-text ingestion of count tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import IO
@@ -118,12 +119,21 @@ def nb_exact_test(
     _validate_convention(convention)
     if s1 < 0 or s2 < 0:
         raise ValueError("counts must be nonnegative")
-    if not size > 0:
-        raise ValueError("size must be positive")
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    k = float(reps) * float(size)
+    k = _shape_total(size, reps)
     return _single(_kernels.batch_negbinom([s1], [s2], k, convention))
+
+
+def _shape_total(size: float | None, reps: int) -> float:
+    """The group sums' shape ``reps * size``, refused unless ``size`` is
+    positive and the product finite."""
+    if not (size is not None and size > 0):
+        raise ValueError("size must be positive")
+    k = float(reps) * float(size)
+    if not math.isfinite(k):
+        raise ValueError(f"size {size!r} times reps {reps} is not finite")
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +407,6 @@ def test_count_table(table: CountTable, convention: str = "minlik"):
     ``Study.from_distinct`` takes it as is.
     """
     _validate_convention(convention)
-    if table.kind == "ent" and not (table.size is not None and table.size > 0):
-        raise ValueError("size must be positive")
     if table.kind == "bin":
         return _kernels.batch_binomial(table.group1, table.group2, convention)
     if table.kind == "fet":
@@ -406,8 +414,5 @@ def test_count_table(table: CountTable, convention: str = "minlik"):
             table.group1, table.trials1, table.group2, table.trials2, convention
         )
     return _kernels.batch_negbinom(
-        table.group1,
-        table.group2,
-        float(table.reps) * float(table.size),
-        convention,
+        table.group1, table.group2, _shape_total(table.size, table.reps), convention
     )

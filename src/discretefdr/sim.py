@@ -171,6 +171,11 @@ class ScenarioSpec:
             raise ValueError("dispersion must be positive")
         if self.reps_per_group < 1:
             raise ValueError("reps_per_group must be at least 1")
+        if not 0.0 < self.reps_per_group * (1.0 / self.dispersion) < math.inf:
+            raise ValueError(
+                f"dispersion {self.dispersion!r} gives the group sums a shape "
+                "reps_per_group / dispersion that is not finite and positive"
+            )
         if self.theta2_transform not in ODDS_TRANSFORMS:
             raise ValueError(
                 f"unknown theta2_transform {self.theta2_transform!r}; "

@@ -50,6 +50,13 @@ def bin_file(tmp_path):
 
 
 @pytest.fixture
+def ent_file(tmp_path):
+    path = tmp_path / "ent.csv"
+    path.write_text(ENT_COUNTS)
+    return str(path)
+
+
+@pytest.fixture
 def sim_config(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(
@@ -536,16 +543,26 @@ def test_config_error_missing_key_and_bad_kind(tmp_path, capsys):
         ("simulate", {"alpha_levels": [0.05, 0.05]}, [], "config", "alpha_levels"),
         ("simulate", {}, ["--alpha", "0.05", "--alpha", "0.05000000001"], "config",
          "alpha_levels"),
+        # a negative-binomial shape reps * size or reps_per_group / dispersion
+        # beyond the float range
+        ("analyze-ent", {}, ["--size", "inf"], "usage", "size"),
+        ("analyze-ent", {}, ["--size", "1e308"], "usage", "size"),
+        ("simulate", {"kind": "negbinom_ent", "dispersion": float("inf")}, [],
+         "config", "dispersion"),
+        ("simulate", {"kind": "negbinom_ent", "dispersion": 1e-320}, [], "config",
+         "dispersion"),
     ],
     ids=[
         "m-1", "lambda", "epsilon", "empty-roster", "sim-alpha", "analyze-alpha",
         "m-float", "lambda-text", "dispersion-0", "roster-text", "reps-text",
         "reps-per-group-0", "m-bool", "alphas-empty", "alphas-repeated",
-        "sim-alpha-repeated",
+        "sim-alpha-repeated", "size-inf", "size-huge", "dispersion-inf",
+        "dispersion-tiny",
     ],
 )
 def test_library_errors_print_one_error_line(
-    command, config, flags, category, named, sim_config, bin_file, tmp_path, capsys
+    command, config, flags, category, named, sim_config, bin_file, ent_file,
+    tmp_path, capsys
 ):
     """Values the library or the config check rejects give one error line
     that names what is wrong, and no output."""
@@ -553,6 +570,8 @@ def test_library_errors_print_one_error_line(
         path = Path(sim_config)
         path.write_text(json.dumps({**json.loads(path.read_text()), **config}))
         argv = ["simulate", sim_config]
+    elif command == "analyze-ent":
+        argv = ["analyze", ent_file, "--test", "ent", "--reps", "2"]
     else:
         argv = ["analyze", bin_file, "--test", "bin"]
     out = tmp_path / "out"
@@ -842,3 +861,54 @@ def test_simulate_csv_outputs_match_row_wise_writer(tmp_path, capsys):
     )
     for name in ("pi0_replications.csv", "mtp_replications.csv"):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# run-time dependencies
+# ---------------------------------------------------------------------------
+
+
+def test_commands_load_no_scipy_module(bin_file, ent_file, sim_config, tmp_path):
+    """Import, warm-up and every command load numpy only: scipy is for
+    the bias enumeration and the tests. Run in a fresh interpreter, so
+    that modules this test session has imported do not count."""
+    import os
+    import subprocess
+    import sys
+
+    import discretefdr
+
+    fet = tmp_path / "fet.csv"
+    fet.write_text(FET_COUNTS)
+    path = Path(sim_config)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "kind": "negbinom_ent"}))
+    out = str(tmp_path / "out")
+    commands = [
+        ["analyze", bin_file, "--test", "bin"],
+        ["analyze", str(fet), "--test", "fet"],
+        ["analyze", ent_file, "--test", "ent", "--reps", "2", "--size", "1.5"],
+        ["simulate", sim_config],
+        ["tune", bin_file, "--test", "bin", "--point", "0.5,1", "--B", "5"],
+    ]
+    code = (
+        "import json, sys, discretefdr\n"
+        "from discretefdr import cli\n"
+        "discretefdr.warm_up()\n"
+        f"codes = [cli.main(argv + ['--out', {out!r}]) for argv in {commands!r}]\n"
+        "loaded = sorted(n for n in sys.modules if n.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    src = os.path.dirname(discretefdr.__path__[0])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    codes, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands), done.stderr
+    assert loaded == []

@@ -1,5 +1,7 @@
 """Kernel-level checks: oracle agreement, determinism, structure."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -291,3 +293,24 @@ def test_underflowed_fet_and_ent_pvalues_are_raised_to_the_floor(
     assert support[0] == K.FLOOR and support[-1] == 1.0
     assert np.all(np.diff(support) > 0)
     assert np.all(lowest[0] == K.FLOOR)
+
+
+@pytest.mark.parametrize(
+    "shape_total", [-1.5, 0.0, float("inf"), float("nan"), 1e-320, 2.6e305]
+)
+def test_negbinom_refuses_shapes_beyond_the_float_range(shape_total):
+    """A shape that is not finite and positive, or whose log-gamma
+    overflows (above about 2.56e305, or below about 5.6e-309), is refused
+    by name before any arithmetic that could warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="shape_total"):
+            K.batch_negbinom([0, 3], [5, 3], shape_total)
+
+
+@pytest.mark.parametrize("shape_total", [1e-300, 2.5e305])
+def test_negbinom_takes_shapes_at_the_ends_of_the_range(shape_total):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pvalues = K.batch_negbinom([0, 3], [5, 3], shape_total)[0]
+    assert np.all((pvalues > 0.0) & (pvalues <= 1.0))
