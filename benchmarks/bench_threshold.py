@@ -10,7 +10,15 @@ lambda 0.5, at level 0.05. The script prints the best wall time of:
 * ``build_rejection_process``: sorting and deduplicating the p-values;
 * ``threshold`` on the prebuilt process;
 * ``bh_procedure`` on the p-values (which builds a process first) and
-  on the prebuilt process, as ``sim.evaluate_study`` calls it.
+  on the prebuilt process.
+
+It then times the block case of ``simulate``: 50 studies of 250
+p-values, drawn the same way, with the thresholds of the three
+exceedance procedures (``generalized``, ``storey``, ``storey_variant``
+at lambda 0.5) at five levels. One row-wise ``solve_thresholds`` call per (procedure, level)
+pair on the prebuilt ``PValueBlock`` is timed against one ``threshold``
+call per study on prebuilt one-study processes; the two must agree bit
+for bit.
 
 Run with ``python3 benchmarks/bench_threshold.py`` (options: ``--m``,
 ``--repeat`` for timing repetitions, ``--seed``).
@@ -31,8 +39,13 @@ from discretefdr import (
     storey_pi0,
     threshold,
 )
+from discretefdr.fdr import PValueBlock, solve_thresholds
 
 ALPHA = 0.05
+BLOCK_ROWS = 50
+BLOCK_M = 250
+BLOCK_ALPHAS = (0.01, 0.025, 0.05, 0.1, 0.2)
+BLOCK_KINDS = ("generalized", "storey", "storey_variant")
 
 
 def _time(fn, *args, repeat: int) -> tuple[float, object]:
@@ -42,6 +55,60 @@ def _time(fn, *args, repeat: int) -> tuple[float, object]:
         out = fn(*args)
         best = min(best, time.perf_counter() - start)
     return best, out
+
+
+def _pvalues(rng: np.random.Generator, size) -> np.ndarray:
+    """Uniform p-values, 10% of each row moved near 0."""
+    pvalues = rng.uniform(0.0, 1.0, size=size)
+    near_zero = pvalues.shape[-1] // 10
+    pvalues[..., :near_zero] = rng.uniform(1e-7, 1e-4, size=pvalues[..., :near_zero].shape)
+    return np.maximum(pvalues, np.nextafter(0.0, 1.0))
+
+
+def _block_case(rng: np.random.Generator, repeat: int) -> None:
+    """Time the row-wise thresholds of a block against one call per study."""
+    rows, m = BLOCK_ROWS, BLOCK_M
+    pvalues = _pvalues(rng, (rows, m))
+    empty = [np.empty(0)] * m
+    estimators = {
+        kind: [
+            FdrEstimator(kind, storey_pi0(Study(row, empty), 0.5), lam=0.5)
+            for row in pvalues
+        ]
+        for kind in BLOCK_KINDS
+    }
+    procs = [build_rejection_process(row) for row in pvalues]
+    block = PValueBlock(pvalues)
+
+    def row_wise():
+        return [
+            solve_thresholds(
+                block, kind, np.array([e.multiplier(m) for e in ests]), 0.5, alpha
+            )
+            for kind, ests in estimators.items()
+            for alpha in BLOCK_ALPHAS
+        ]
+
+    def one_row_calls():
+        return [
+            [threshold(e, proc, alpha) for e, proc in zip(ests, procs)]
+            for ests in estimators.values()
+            for alpha in BLOCK_ALPHAS
+        ]
+
+    t_block, solved = _time(row_wise, repeat=repeat)
+    t_rows, results = _time(one_row_calls, repeat=repeat)
+    for (t, value, count), per_row in zip(solved, results):
+        assert t.tolist() == [res.t_alpha for res in per_row]
+        assert value.tolist() == [res.fdr_at_t for res in per_row]
+        assert count.tolist() == [res.rejections for res in per_row]
+    pairs = len(solved)
+    print(f"\nblock: {rows} studies x {m} p-values, {pairs} (procedure, level) "
+          f"pairs; best of {repeat} runs")
+    print(f"{'solve_thresholds (block)':26s} {t_block * 1e3:9.1f}ms  "
+          f"{pairs} calls")
+    print(f"{'threshold (per study)':26s} {t_rows * 1e3:9.1f}ms  "
+          f"{pairs * rows} calls, {t_rows / t_block:.1f}x the block")
 
 
 def main() -> int:
@@ -54,10 +121,7 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    pvalues = rng.uniform(0.0, 1.0, size=args.m)
-    near_zero = args.m // 10
-    pvalues[:near_zero] = rng.uniform(1e-7, 1e-4, size=near_zero)
-    pvalues = np.maximum(pvalues, np.nextafter(0.0, 1.0))
+    pvalues = _pvalues(rng, args.m)
     empty = np.empty(0)
     pi0 = storey_pi0(Study(pvalues, [empty] * args.m), 0.5)
     est = FdrEstimator("storey", pi0, lam=0.5)
@@ -78,6 +142,7 @@ def main() -> int:
     )
     for name, t, note in rows:
         print(f"{name:26s} {t * 1e3:9.1f}ms  {note}")
+    _block_case(rng, args.repeat)
     return 0
 
 

@@ -10,7 +10,11 @@ by per-hypothesis constants ``epsilon``. ``pounds_tilde_pi0`` doubles
 the mean p-value, ``pounds_hat_pi0`` rescales each p-value by its null
 expectation, and ``benjamini_pi0`` uses the median order statistic.
 
-Estimates report both the raw value and the value clipped to [0, 1].
+Each estimator is computed row-wise (``storey_rows``, ``adjusted_rows``
+and so on) on a block of studies of equal size, one study per row, and
+returns one raw estimate per row; the ``*_pi0`` functions are the
+one-row case. Estimates report both the raw value and the value clipped
+to [0, 1].
 With ``epsilon = 0``, or when every support is empty (a continuous
 uniform null), ``generalized_pi0`` equals ``storey_pi0`` bit for bit.
 """
@@ -174,6 +178,13 @@ class Study:
         floor[self.support_len == 0] = lam
         return floor[self.support_index]
 
+    def support_mean(self) -> np.ndarray:
+        """Null expected p-value, per hypothesis: computed once per
+        distinct support, one block of supports of a length at a time.
+        Hypotheses with an empty support (uniform null) get 1/2."""
+        means = _support_means(self.support_flat, self.support_start, self.support_len)
+        return means[self.support_index]
+
 
 @dataclass(frozen=True)
 class Pi0Estimate:
@@ -211,12 +222,28 @@ class Pi0Estimate:
         }
 
 
-def _clip01(x: float) -> float:
-    if x < 0.0:
-        return 0.0
-    if x > 1.0:
-        return 1.0
-    return x
+def _clip01(x):
+    """``x`` clipped to [0, 1], elementwise (NaN stays NaN)."""
+    return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
+
+
+#: The tuning parameters each estimator takes; the others take none.
+_TUNING = {"storey": ("lam",), "generalized": ("lam", "epsilon")}
+
+
+def _tuning(method: str, lam, epsilon) -> dict:
+    """The tuning parameters ``method`` takes, by keyword: the arguments
+    of its one-study function and the fields of its estimate."""
+    given = {"lam": lam, "epsilon": epsilon}
+    return {name: given[name] for name in _TUNING.get(method, ())}
+
+
+def _one(method: str, raw: np.ndarray, lam=None, epsilon=None) -> Pi0Estimate:
+    """The estimate of a one-row block, with the tuning parameters
+    ``method`` takes."""
+    return Pi0Estimate(
+        method, float(raw[0]), float(_clip01(raw)[0]), **_tuning(method, lam, epsilon)
+    )
 
 
 def _denominator(lam: float, m: int) -> float:
@@ -228,15 +255,74 @@ def _check_lambda(lam: float) -> None:
         raise ValueError("lambda must lie in [0, 1)")
 
 
+def _check_epsilon(epsilon) -> None:
+    if not np.all((0.0 <= np.asarray(epsilon)) & (np.asarray(epsilon) <= 1.0)):
+        raise ValueError("epsilon must lie in [0, 1]")
+
+
+# Row-wise raw estimates: each takes one study per row of an (R, m)
+# block and returns the R unclipped estimates. A row's reduction of a
+# C-contiguous block is bitwise the same as reducing that row alone.
+
+
+def storey_rows(pvalues: np.ndarray, lam: float) -> np.ndarray:
+    """Raw exceedance-count estimates: count(p > lambda) scaled."""
+    count = np.count_nonzero(pvalues > lam, axis=-1)
+    return count / _denominator(lam, pvalues.shape[-1])
+
+
+def _exceedance_parts(
+    pvalues: np.ndarray, floor: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The adjusted estimator's per-hypothesis parts at ``lam``: the
+    exceedance indicators ``1{p_i > lam}`` and the floor gaps
+    ``lam - floor_i``, from the support floors at ``lam``."""
+    return (pvalues > lam).astype(np.float64), lam - floor
+
+
+def _adjusted_raw(indicator: np.ndarray, gap: np.ndarray, epsilon, lam: float):
+    """Unclipped adjusted estimates from their per-hypothesis parts."""
+    terms = indicator - epsilon * gap
+    return np.sum(terms, axis=-1) / _denominator(lam, indicator.shape[-1])
+
+
+def adjusted_rows(
+    pvalues: np.ndarray, floor: np.ndarray, epsilon, lam: float
+) -> np.ndarray:
+    """Raw discreteness-adjusted estimates, from the support floors."""
+    return _adjusted_raw(*_exceedance_parts(pvalues, floor, lam), epsilon, lam)
+
+
+def pounds_tilde_rows(pvalues: np.ndarray) -> np.ndarray:
+    """Twice the mean p-value of each row."""
+    return 2.0 * np.mean(pvalues, axis=-1)
+
+
+def pounds_hat_rows(pvalues: np.ndarray, expectation: np.ndarray) -> np.ndarray:
+    """Mean of each row's p-values over their null expectations."""
+    return np.mean(pvalues / expectation, axis=-1)
+
+
+def benjamini_rows(ordered: np.ndarray) -> np.ndarray:
+    """Median-based estimates from rows sorted in ascending order; inf
+    where the order statistic at rank floor(m/2) is 1."""
+    m = ordered.shape[-1]
+    if m < 2:
+        raise ValueError("the median estimator needs at least two p-values")
+    k = m // 2
+    pk = ordered[..., k - 1]
+    with np.errstate(divide="ignore"):
+        raw = (m - k + 1) / (m * (1.0 - pk))
+    return np.where(pk >= 1.0, math.inf, raw)
+
+
 def storey_pi0(study: Study, lam: float) -> Pi0Estimate:
     """Exceedance-count estimator: count(p > lambda) scaled.
 
     The raw value can exceed 1; the clipped value is in [0, 1].
     """
     _check_lambda(lam)
-    count = int(np.count_nonzero(study.pvalues > lam))
-    raw = count / _denominator(lam, study.m)
-    return Pi0Estimate("storey", raw, _clip01(raw), lam=lam)
+    return _one("storey", storey_rows(study.pvalues[None, :], lam), lam)
 
 
 def generalized_pi0(
@@ -266,43 +352,18 @@ def generalized_pi0(
     """
     _check_lambda(lam)
     eps = np.asarray(epsilon, dtype=np.float64)
-    if eps.ndim == 0:
-        eps_arr: np.ndarray | float = float(eps)
-        if not 0.0 <= float(eps) <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
-    else:
-        if eps.shape[0] != study.m:
-            raise ValueError("per-hypothesis epsilon must have length m")
-        if np.any(eps < 0.0) or np.any(eps > 1.0):
-            raise ValueError("epsilon must lie in [0, 1]")
-        eps_arr = eps
-    indicator, gap = _exceedance_parts(study, lam)
-    raw = _adjusted_raw(indicator, gap, eps_arr, lam)
-    return Pi0Estimate(
-        "generalized", raw, _clip01(raw), lam=lam, epsilon=epsilon
+    if eps.ndim and eps.shape[0] != study.m:
+        raise ValueError("per-hypothesis epsilon must have length m")
+    _check_epsilon(eps)
+    raw = adjusted_rows(
+        study.pvalues[None, :], study.support_floor(lam)[None, :], eps, lam
     )
-
-
-def _exceedance_parts(study: Study, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """The adjusted estimator's per-hypothesis parts at ``lam``: the
-    exceedance indicators ``1{p_i > lam}`` and the floor gaps
-    ``lam - floor_i``."""
-    indicator = (study.pvalues > lam).astype(np.float64)
-    return indicator, lam - study.support_floor(lam)
-
-
-def _adjusted_raw(
-    indicator: np.ndarray, gap: np.ndarray, epsilon, lam: float
-) -> float:
-    """Unclipped adjusted estimate from its per-hypothesis parts."""
-    terms = indicator - epsilon * gap
-    return float(np.sum(terms)) / _denominator(lam, indicator.shape[0])
+    return _one("generalized", raw, lam, epsilon)
 
 
 def pounds_tilde_pi0(study: Study) -> Pi0Estimate:
     """Twice the mean p-value, capped at 1 (two-sided p-values)."""
-    raw = 2.0 * float(np.mean(study.pvalues))
-    return Pi0Estimate("pounds_tilde", raw, _clip01(raw))
+    return _one("pounds_tilde", pounds_tilde_rows(study.pvalues[None, :]))
 
 
 def _support_means(flat, start, length) -> np.ndarray:
@@ -327,17 +388,9 @@ def _support_means(flat, start, length) -> np.ndarray:
 
 
 def pounds_hat_pi0(study: Study) -> Pi0Estimate:
-    """Mean of p-values rescaled by their null expectations, capped.
-
-    Each expectation is computed once per distinct support, one block
-    of supports of a length at a time.
-    """
-    per_support = _support_means(
-        study.support_flat, study.support_start, study.support_len
-    )
-    expectations = per_support[study.support_index]
-    raw = float(np.mean(study.pvalues / expectations))
-    return Pi0Estimate("pounds_hat", raw, _clip01(raw))
+    """Mean of p-values rescaled by their null expectations, capped."""
+    raw = pounds_hat_rows(study.pvalues[None, :], study.support_mean()[None, :])
+    return _one("pounds_hat", raw)
 
 
 def benjamini_pi0(study: Study) -> Pi0Estimate:
@@ -348,12 +401,4 @@ def benjamini_pi0(study: Study) -> Pi0Estimate:
     maximally conservative value, since discrete p-values reach 1
     routinely.
     """
-    m = study.m
-    if m < 2:
-        raise ValueError("the median estimator needs at least two p-values")
-    k = m // 2
-    pk = float(np.sort(study.pvalues)[k - 1])
-    if pk >= 1.0:
-        return Pi0Estimate("benjamini", math.inf, 1.0)
-    raw = (m - k + 1) / (m * (1.0 - pk))
-    return Pi0Estimate("benjamini", raw, _clip01(raw))
+    return _one("benjamini", benjamini_rows(np.sort(study.pvalues)[None, :]))

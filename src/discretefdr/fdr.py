@@ -13,20 +13,28 @@ different choices of the ``pi0`` multiplier and different clipping:
   offset ``sigma / ((1 - lambda) m)``, clipped to [0, 1], with the
   result capped at 1.
 
-``threshold`` computes ``sup { t : f(t) <= alpha }`` exactly from the
-intervals where ``R`` is constant, instead of stepping a grid. On each
-interval ``f`` is linear in ``t``, so the supremum there is a
-closed-form candidate, and whether it lies inside its interval is one
-vectorised comparison over all intervals at once. Only the feasible
-candidates are then nudged down by ulps onto the feasible side of
-``alpha``, right to left, falling back to the next one in the rare case
-a nudge fails. At the returned threshold the estimator equals ``alpha``
-to within 1e-12 whenever the multiplier exceeds ``alpha`` and at least
-one hypothesis is rejected.
+P-values are held as a :class:`PValueBlock`: ``R`` studies of ``m``
+p-values each, one per row, sorted row by row once. Every solver works
+row-wise on a block, over the intervals of all rows at once; a
+:class:`RejectionProcess` holds one study as a one-row block, and
+``threshold``, ``bh_procedure`` and ``adaptive_bh`` are the one-row
+case.
 
-The step-up procedures read their cutoff off the same sorted distinct
-p-values: the largest step-up count is always a running total of the
-multiplicities, so no second sort of the p-values is needed.
+``solve_thresholds`` computes ``sup { t : f(t) <= alpha }`` exactly
+from the intervals where ``R`` is constant, instead of stepping a grid.
+On each interval ``f`` is linear in ``t``, so the supremum there is a
+closed-form candidate, and whether it lies inside its interval is one
+comparison. Each row's last feasible candidate is then nudged down by
+ulps onto the feasible side of ``alpha``, all rows together, and a row
+moves to its next feasible candidate in the rare case a nudge fails.
+The rejection count is the chosen interval's running total, so the
+p-values are not scanned again. At the returned threshold the
+estimator equals ``alpha`` to within 1e-12 whenever the multiplier
+exceeds ``alpha`` and at least one hypothesis is rejected.
+
+``step_up`` reads each row's step-up cutoff off the same intervals: the
+largest step-up count is always a running total of the multiplicities,
+so no second sort of the p-values is needed.
 
 The scaled inverse rejection process ``L(t) = t / max(R(t), 1)`` is
 exposed with its piecewise closed form; its only discontinuities are
@@ -50,25 +58,77 @@ FDR_KINDS = ("storey", "storey_variant", "generalized", "storey_type_sigma")
 _MAX_NUDGES = 64
 
 
+class PValueBlock:
+    """``R`` studies of ``m`` p-values each, one study per row.
+
+    ``values`` is the (R, m) block as given and ``sorted`` its rows in
+    ascending order. The intervals on which a row's rejection count is
+    constant are laid out flat, row after row (``row``): first
+    ``[0, p_(1))``, where nothing is rejected, then one interval from
+    each distinct p-value up to just below the next one (up to 1 for
+    the largest). ``left`` and ``right`` hold their ends, ``rejections``
+    the rejection count on each and ``count`` the estimator's divisor
+    ``max(R(t), 1)``. The p-value at which an interval starts ends a
+    block of ties in the sorted row, so its rejection count is the
+    running total there. Instances are immutable after construction.
+    """
+
+    def __init__(self, pvalues: np.ndarray) -> None:
+        values = np.asarray(pvalues, dtype=np.float64)
+        if values.ndim != 2 or 0 in values.shape:
+            raise ValueError("at least one p-value is required")
+        # written so that NaN, which fails every comparison, fails it too
+        if not np.all((values > 0.0) & (values <= 1.0)):
+            raise ValueError("p-values must lie in (0, 1]")
+        rows, m = values.shape
+        ordered = np.sort(values, axis=1)
+        self.values, self.sorted, self.rows, self.m = values, ordered, rows, m
+        # column p of a row is the interval with rejection count p; it
+        # exists for p = 0 and where ordered[p - 1] ends a block of ties
+        starts = np.ones((rows, m + 1), dtype=bool)
+        np.not_equal(ordered[:, :-1], ordered[:, 1:], out=starts[:, 1:m])
+        at = np.flatnonzero(starts)
+        per_row = np.count_nonzero(starts, axis=1)
+        self.row = np.repeat(np.arange(rows), per_row)
+        self.rejections = at - self.row * (m + 1)
+        self.count = np.maximum(self.rejections, 1)
+        # interval p starts at column p of [0, ordered]; it runs up to
+        # just below the next interval's start, the value that follows
+        # its block of ties, and the last interval of a row up to 1
+        starts_at = np.zeros((rows, m + 1))
+        starts_at[:, 1:] = ordered
+        self.left = starts_at.ravel()[at]
+        self.right = np.ones(at.shape[0])
+        self.right[:-1] = np.nextafter(self.left[1:], 0.0)
+        self._first = np.cumsum(per_row) - per_row
+        self.right[self._first + per_row - 1] = 1.0
+        self._index = np.arange(at.shape[0])
+
+    def last(self, mask: np.ndarray) -> np.ndarray:
+        """Per row, the flat index of its last interval where ``mask``
+        holds, or -1 if there is none."""
+        return np.maximum.reduceat(np.where(mask, self._index, -1), self._first)
+
+
 class RejectionProcess:
     """Sorted distinct p-values with multiplicities.
 
     Evaluates the rejection count ``R(t)`` in O(log n) and the scaled
-    inverse rejection process in closed form. Instances are immutable
-    after construction and safe for concurrent reads.
+    inverse rejection process in closed form. ``block`` is the study as
+    a one-row :class:`PValueBlock`, on which the solvers run. Instances
+    are immutable after construction and safe for concurrent reads.
     """
 
     def __init__(self, pvalues: np.ndarray) -> None:
         values = np.asarray(pvalues, dtype=np.float64)
         if values.ndim != 1 or values.shape[0] < 1:
             raise ValueError("at least one p-value is required")
-        # written so that NaN, which fails every comparison, fails it too
-        if not np.all((values > 0.0) & (values <= 1.0)):
-            raise ValueError("p-values must lie in (0, 1]")
+        self.block = PValueBlock(values[None, :])
         self.values = values
-        self.distinct, mult = np.unique(values, return_counts=True)
-        self.mult = mult.astype(np.int64)
-        self.cum = np.cumsum(self.mult)
+        # the intervals past [0, p_(1)) start at the distinct p-values
+        self.distinct = self.block.left[1:]
+        self.cum = self.block.rejections[1:]
+        self.mult = np.diff(self.cum, prepend=0)
         self.m = int(values.shape[0])
 
     def rejections(self, t: float) -> int:
@@ -101,6 +161,27 @@ def inverse_rejection_L(proc: RejectionProcess, t: float) -> float:
     return t / float(proc.cum[j - 1])
 
 
+#: Kinds whose estimate is capped at 1.
+_CAPPED = ("generalized", "storey_type_sigma")
+
+
+def multipliers(kind, raw, value, m: int, lam=None, sigma=None):
+    """The pi0 multiplier of estimator ``kind`` for studies of size ``m``,
+    from estimates given by their ``raw`` and clipped ``value`` (floats,
+    or arrays with one estimate per row)."""
+    if kind == "storey":
+        return raw
+    if kind == "storey_variant":
+        return raw + 1.0 / ((1.0 - lam) * m)
+    if kind == "generalized":
+        return value
+    # storey_type_sigma
+    span = (1.0 - lam) * m
+    if not np.all((0.0 <= sigma) & (sigma <= span * raw)):
+        raise ValueError("sigma must lie in [0, (1 - lambda) * m * pi0_raw]")
+    return np.minimum(1.0, np.maximum(0.0, raw - sigma / span))
+
+
 @dataclass(frozen=True)
 class FdrEstimator:
     """A named FDR estimator: a pi0 multiplier plus clipping rules.
@@ -130,23 +211,14 @@ class FdrEstimator:
 
     def multiplier(self, m: int) -> float:
         """The effective pi0 multiplier for a study of size ``m``."""
-        if self.kind == "storey":
-            return self.pi0.raw
-        if self.kind == "storey_variant":
-            return self.pi0.raw + 1.0 / ((1.0 - self.lam) * m)
-        if self.kind == "generalized":
-            return self.pi0.value
-        # storey_type_sigma
-        span = (1.0 - self.lam) * m
-        if not 0.0 <= self.sigma <= span * self.pi0.raw:
-            raise ValueError(
-                "sigma must lie in [0, (1 - lambda) * m * pi0_raw]"
+        return float(
+            multipliers(
+                self.kind, self.pi0.raw, self.pi0.value, m, self.lam, self.sigma
             )
-        shifted = self.pi0.raw - self.sigma / span
-        return min(1.0, max(0.0, shifted))
+        )
 
     def _caps_at_one(self) -> bool:
-        return self.kind in ("generalized", "storey_type_sigma")
+        return self.kind in _CAPPED
 
 
 def evaluate_fdr(est: FdrEstimator, proc: RejectionProcess, t: float) -> float:
@@ -179,86 +251,147 @@ class ThresholdResult:
     rejected: np.ndarray
 
 
-def _nudge_down(
-    f, t: float, floor: float, alpha: float
-) -> tuple[float, float] | None:
-    """Step ``t`` down by ulps until ``f(t) <= alpha``.
+def _fdr_values(kind, mult, lam, m, t, count):
+    """The estimator's values at ``t`` where ``max(R(t), 1)`` is ``count``,
+    in :func:`evaluate_fdr`'s order of float operations."""
+    value = mult * t * m / count
+    if kind in _CAPPED:
+        value = np.minimum(1.0, value)
+    if kind == "storey_variant":
+        value = np.where(t > lam, 1.0, value)
+    return value
 
-    Returns ``(t, f(t))``, or None if stuck.
+
+def _nudge_down(kind, mult, lam, m, count, t, floor, alpha):
+    """Step every candidate ``t`` down by ulps until the estimator, with
+    multipliers ``mult`` and divisors ``count``, is at most ``alpha``.
+
+    Returns the stepped ``t`` and whether each candidate got there; one
+    fails once it would step below its ``floor`` or after
+    ``_MAX_NUDGES`` values above ``alpha``. Usually no step is needed.
     """
-    for _ in range(_MAX_NUDGES):
-        value = f(t)
-        if value <= alpha:
-            return t, value
-        if t <= floor:
-            return None
-        t = float(np.nextafter(t, 0.0))
-        if t < floor:
-            return None
-    return None
+    done = _fdr_values(kind, mult, lam, m, t, count) <= alpha
+    if done.all():
+        return t, done
+    live = np.flatnonzero(~done)
+    t = t.copy()
+    for _ in range(_MAX_NUDGES - 1):
+        live = live[t[live] > floor[live]]
+        if live.shape[0] == 0:
+            break
+        t[live] = np.nextafter(t[live], 0.0)
+        live = live[t[live] >= floor[live]]
+        ok = _fdr_values(kind, mult[live], lam, m, t[live], count[live]) <= alpha
+        done[live[ok]] = True
+        live = live[~ok]
+    return t, done
+
+
+def solve_thresholds(
+    block: PValueBlock, kind: str, mult: np.ndarray, lam: float | None, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row, the largest ``t`` with estimator value at most ``alpha``.
+
+    ``kind`` and ``lam`` name the estimator as :class:`FdrEstimator`
+    does and ``mult`` holds each row's pi0 multiplier. Returns per row
+    the threshold, the estimator's value there and the rejection count.
+
+    Within each interval where the rejection count is a constant
+    ``T_j``, the estimator is ``mult * t * m / max(T_j, 1)``, so the
+    feasible region there is ``t <= alpha * max(T_j, 1) / (m * mult)``.
+    For the intervals of every row at once, the candidate
+    ``min(alpha * max(T_j, 1) / (m * mult), right_j)`` is feasible when
+    it is not below the interval's left end. Each row's last feasible
+    candidate is then descended by ulps (where floating-point round-off
+    would otherwise push the estimator a hair above ``alpha``), all rows
+    together; a row whose descent fails moves to its next feasible
+    candidate, and a row with none left gets 0. This guarantees
+    ``f(t_alpha) <= alpha`` in float arithmetic while keeping
+    ``|f(t_alpha) - alpha| <= 1e-12`` when the equality contract
+    applies. A row whose multiplier is not positive, or any row at
+    ``alpha`` 1 of an estimator that never exceeds 1, gets ``t = 1``.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    m, row = block.m, block.row
+    mult = np.asarray(mult, dtype=np.float64)
+    everything = mult <= 0.0
+    if alpha >= 1.0 and (kind in _CAPPED or kind == "storey_variant"):
+        everything = np.ones(block.rows, dtype=bool)
+    # The variant is pinned at 1 beyond lam, so its feasible region for
+    # alpha < 1 stops there.
+    cap = lam if kind == "storey_variant" else 1.0
+    right = block.right if cap >= 1.0 else np.minimum(block.right, cap)
+    scale = m * mult
+    some = everything.any()
+    if some:
+        # rows that reject everything divide by a stand-in, stay infeasible
+        scale = np.where(everything, 1.0, scale)
+    cand = np.minimum(alpha * block.count / scale[row], right)
+    feasible = cand >= block.left
+    if some:
+        feasible &= ~everything[row]
+
+    t = np.where(everything, 1.0, 0.0)
+    rejections = np.where(everything, m, 0)
+    chosen = block.last(feasible)
+    pending = np.flatnonzero(chosen >= 0)
+    while pending.shape[0]:
+        at = chosen[pending]
+        stepped, done = _nudge_down(
+            kind, mult[pending], lam, m, block.count[at], cand[at],
+            block.left[at], alpha,
+        )
+        t[pending[done]] = stepped[done]
+        rejections[pending[done]] = block.rejections[at[done]]
+        # rare: a failed row moves to its next feasible candidate
+        pending = pending[~done]
+        if pending.shape[0]:
+            feasible[at[~done]] = False
+            chosen[pending] = block.last(feasible)[pending]
+            pending = pending[chosen[pending] >= 0]
+    value = _fdr_values(kind, mult, lam, m, t, np.maximum(rejections, 1))
+    return t, value, rejections
+
+
+def step_up(block: PValueBlock, level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the linear step-up cutoff at that row's ``level``.
+
+    Returns each row's threshold ``p_(k*)`` and ``k*``, the largest
+    ``k`` with ``p_(k) <= k * level / m`` (``(0, 0)`` if none). Within a
+    block of tied p-values the condition only gets easier as the count
+    grows, so ``k*`` is the running total at the end of some block: the
+    rejection count of the last interval whose left end ``p`` satisfies
+    ``p <= T * level / m``. The interval ``[0, p_(1))`` always does.
+    """
+    level = np.asarray(level, dtype=np.float64)
+    if not np.all((0.0 <= level) & (level <= 1.0)):
+        raise ValueError("alpha must lie in [0, 1]")
+    at = block.last(block.left <= block.rejections * (level / block.m)[block.row])
+    return block.left[at], block.rejections[at]
+
+
+def adaptive_levels(alpha: float, pi0_value):
+    """The adaptive step-up level ``min(1, alpha / pi0)``, row-wise."""
+    if np.any(np.asarray(pi0_value) <= 0.0):
+        raise ValueError("adaptive level undefined: pi0 estimate is zero")
+    return np.minimum(1.0, alpha / pi0_value)
 
 
 def threshold(
     est: FdrEstimator, proc: RejectionProcess, alpha: float
 ) -> ThresholdResult:
-    """Largest ``t`` with estimator value at most ``alpha``, exactly.
-
-    Within each interval where the rejection count is a constant
-    ``T_j``, the estimator is ``mult * t * m / max(T_j, 1)``, so the
-    feasible region there is ``t <= alpha * max(T_j, 1) / (m * mult)``.
-    For every interval at once, from ``[0, p_(1))`` up, the candidate
-    ``min(alpha * max(T_j, 1) / (m * mult), right_j)`` is feasible when
-    it is not below the interval's left end. The feasible candidates
-    are then taken right to left and the first whose descent by ulps
-    (where floating-point round-off would otherwise push the estimator a
-    hair above ``alpha``) succeeds is returned, else 0. This guarantees
-    ``f(t_alpha) <= alpha`` in float arithmetic while keeping
-    ``|f(t_alpha) - alpha| <= 1e-12`` when the equality contract applies.
-    """
+    """Largest ``t`` with estimator value at most ``alpha``, exactly: the
+    one-row case of :func:`solve_thresholds`."""
+    # the level is checked before the multiplier, which may refuse sigma
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    m = proc.m
-    mult = est.multiplier(m)
-
-    def f(t: float) -> float:
-        return evaluate_fdr(est, proc, t)
-
-    def result(t: float, value: float | None = None) -> ThresholdResult:
-        return ThresholdResult(
-            t_alpha=t,
-            fdr_at_t=f(t) if value is None else value,
-            rejections=proc.rejections(t),
-            rejected=proc.rejected_indices(t),
-        )
-
-    if mult <= 0.0:
-        return result(1.0)
-    if alpha >= 1.0 and (est._caps_at_one() or est.kind == "storey_variant"):
-        return result(1.0)
-
-    # The variant is pinned at 1 beyond lam, so its feasible region for
-    # alpha < 1 stops there.
-    cap = est.lam if est.kind == "storey_variant" else 1.0
-
-    distinct = proc.distinct
-    n = distinct.shape[0]
-    scale = m * mult
-
-    # Interval 0 is [0, p_(1)): nothing is rejected, so the estimator
-    # divides by max(0, 1) = 1. Interval j >= 1 is [distinct[j-1],
-    # distinct[j]) with rejection count cum[j-1]; the last is closed at 1.
-    j_hi = int(np.searchsorted(distinct, cap, side="right"))
-    left = np.concatenate(([0.0], distinct[:j_hi]))
-    right = np.nextafter(distinct[: j_hi + 1], 0.0)
-    if j_hi == n:
-        right = np.append(right, 1.0)
-    count = np.concatenate(([1], proc.cum[:j_hi]))
-    cand = np.minimum(alpha * count / scale, np.minimum(right, cap))
-    for j in np.flatnonzero(cand >= left)[::-1]:
-        found = _nudge_down(f, float(cand[j]), float(left[j]), alpha)
-        if found is not None:
-            return result(*found)
-    return result(0.0)
+    mult = np.array([est.multiplier(proc.m)])
+    (t,), (value,), (count,) = solve_thresholds(
+        proc.block, est.kind, mult, est.lam, alpha
+    )
+    t = float(t)
+    return ThresholdResult(t, float(value), int(count), proc.rejected_indices(t))
 
 
 def bh_procedure(
@@ -268,27 +401,18 @@ def bh_procedure(
 
     Rejects the hypotheses with the ``k*`` smallest p-values, where
     ``k*`` is the largest ``k`` with ``p_(k) <= k * alpha / m`` (0 if
-    none). ``fdr_at_t`` is NaN: no estimator is attached. ``pvalues``
-    may be a prebuilt :class:`RejectionProcess`, which is used as is.
-
-    Within a block of tied p-values the step-up condition only gets
-    easier as the count grows, so ``k*`` is the running total at the
-    end of some block: ``k* = cum[j*]`` for the last ``j*`` with
-    ``distinct[j*] <= cum[j*] * alpha / m``.
+    none); the one-row case of :func:`step_up`. ``fdr_at_t`` is NaN: no
+    estimator is attached. ``pvalues`` may be a prebuilt
+    :class:`RejectionProcess`, which is used as is.
     """
     proc = (
         pvalues
         if isinstance(pvalues, RejectionProcess)
         else build_rejection_process(pvalues)
     )
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    ok = np.flatnonzero(proc.distinct <= proc.cum * (alpha / proc.m))
-    if ok.shape[0] == 0:
-        return ThresholdResult(0.0, math.nan, 0, np.empty(0, dtype=np.int64))
-    j = ok[-1]
-    t = float(proc.distinct[j])
-    return ThresholdResult(t, math.nan, int(proc.cum[j]), proc.rejected_indices(t))
+    (t,), (count,) = step_up(proc.block, np.array([alpha], dtype=np.float64))
+    t = float(t)
+    return ThresholdResult(t, math.nan, int(count), proc.rejected_indices(t))
 
 
 def adaptive_bh(
@@ -297,6 +421,4 @@ def adaptive_bh(
     pi0: Pi0Estimate,
 ) -> ThresholdResult:
     """Step-up procedure at level ``min(1, alpha / pi0.value)``."""
-    if pi0.value <= 0.0:
-        raise ValueError("adaptive level undefined: pi0 estimate is zero")
-    return bh_procedure(pvalues, min(1.0, alpha / pi0.value))
+    return bh_procedure(pvalues, float(adaptive_levels(alpha, pi0.value)))

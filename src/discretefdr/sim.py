@@ -24,18 +24,23 @@ then group-2 counts. ``run_replications`` draws the replications in
 chunks of at most ``_CHUNK_FEATURES`` features (a replication wider than
 that is a chunk of its own) and tests each chunk's pooled counts with
 one batch-kernel call, which builds one null law per distinct
-conditioning key of the chunk; each study is then cut out of the pooled
-result. A key's law is built from that key alone, so a study is bitwise
-the same whether its replication is tested alone
-(``generate_scenario``) or pooled with others, and whatever the chunk
-size. Only one chunk is tested and held at a time, so memory follows
-the chunk size, not ``reps``.
+conditioning key of the chunk. The chunk is then evaluated as one block
+(``evaluate_block``): one study holds all its hypotheses, its
+replications x m p-values are checked and sorted once, row by row, each
+estimate is computed once for all rows, and each (procedure, level) pair
+is one row-wise solve. A key's law is built from that key alone, and a
+row's reductions are bitwise those of the row alone, so a replication's
+results are the same whether it is evaluated alone
+(``generate_scenario``, ``evaluate_study``) or pooled with others, and
+whatever the chunk size. Only one chunk is tested and held at a time, so
+memory follows the chunk size, not ``reps``.
 
 The registry here is the one place that maps a name to an estimator
 (the ``_ESTIMATORS`` table, behind ``PI0_METHODS`` and ``compute_pi0``)
-or to a procedure (``evaluate_study``, which runs a roster of
-``PROCEDURES`` on one study); the ``analyze`` and ``simulate`` commands
-both dispatch through ``evaluate_study``.
+or to a procedure (``evaluate_block``, which runs a roster of
+``PROCEDURES`` on a block of studies); ``simulate`` dispatches each
+chunk through ``evaluate_block`` and ``analyze`` its one study through
+``evaluate_study``, the one-row case.
 
 ``bias_decomposition`` computes the exact finite-sample biases of the
 discreteness-adjusted estimator and the doubled-mean estimator for one
@@ -57,34 +62,75 @@ from . import _kernels
 from .estimators import (
     Pi0Estimate,
     Study,
+    _check_epsilon,
+    _check_lambda,
+    _clip01,
+    _one,
+    _tuning,
+    adjusted_rows,
     benjamini_pi0,
+    benjamini_rows,
     generalized_pi0,
     pounds_hat_pi0,
+    pounds_hat_rows,
     pounds_tilde_pi0,
+    pounds_tilde_rows,
     storey_pi0,
+    storey_rows,
 )
 from .fdr import (
-    FdrEstimator,
+    PValueBlock,
     ThresholdResult,
-    adaptive_bh,
-    bh_procedure,
-    build_rejection_process,
-    threshold,
+    adaptive_levels,
+    multipliers,
+    solve_thresholds,
+    step_up,
 )
 
 SCENARIO_KINDS = ("poisson_bin", "binomial_fet", "negbinom_ent")
 
 ODDS_TRANSFORMS = ("odds", "cap")
 
-#: Each estimator: its function of ``(study, lam, epsilon)`` and the
-#: fewest p-values it is defined from. The functions look the estimators
-#: up as module globals at call time.
+#: Each estimator: its one-study function, called with the tuning
+#: parameters it takes; its raw estimates of a block of studies, as a
+#: function of ``(study, block, lam, epsilon)`` (the block's rows are the
+#: study's hypotheses, ``m`` at a time, so a per-hypothesis array of the
+#: study takes the block's shape); and the fewest p-values it is defined
+#: from. The block functions look the row-wise estimators up as module
+#: globals at call time.
 _ESTIMATORS = {
-    "storey": (lambda study, lam, eps: storey_pi0(study, lam), 1),
-    "generalized": (lambda study, lam, eps: generalized_pi0(study, lam, eps), 1),
-    "pounds_tilde": (lambda study, lam, eps: pounds_tilde_pi0(study), 1),
-    "pounds_hat": (lambda study, lam, eps: pounds_hat_pi0(study), 1),
-    "benjamini": (lambda study, lam, eps: benjamini_pi0(study), 2),
+    "storey": (
+        storey_pi0,
+        lambda study, block, lam, eps: storey_rows(block.values, lam),
+        1,
+    ),
+    "generalized": (
+        generalized_pi0,
+        lambda study, block, lam, eps: adjusted_rows(
+            block.values,
+            study.support_floor(lam).reshape(block.values.shape),
+            eps,
+            lam,
+        ),
+        1,
+    ),
+    "pounds_tilde": (
+        pounds_tilde_pi0,
+        lambda study, block, lam, eps: pounds_tilde_rows(block.values),
+        1,
+    ),
+    "pounds_hat": (
+        pounds_hat_pi0,
+        lambda study, block, lam, eps: pounds_hat_rows(
+            block.values, study.support_mean().reshape(block.values.shape)
+        ),
+        1,
+    ),
+    "benjamini": (
+        benjamini_pi0,
+        lambda study, block, lam, eps: benjamini_rows(block.sorted),
+        2,
+    ),
 }
 DEFAULT_PI0_METHODS = ("storey", "generalized", "pounds_tilde", "benjamini")
 PI0_METHODS = tuple(_ESTIMATORS)
@@ -264,6 +310,26 @@ def _replication_rng(spec: ScenarioSpec, rep_index: int) -> np.random.Generator:
 _CHUNK_FEATURES = 1 << 16
 
 
+#: Largest Poisson mean numpy's samplers accept, as numpy computes it;
+#: ``Generator.negative_binomial`` refuses a shape ``n`` and success
+#: probability ``p`` with ``(1 - p) / p * (n + 10 sqrt(n))`` beyond it.
+_POISSON_LAM_MAX = float(np.iinfo("l").max) - np.sqrt(np.iinfo("l").max) * 10
+
+
+def _check_negbinom_range(spec: ScenarioSpec, sigma: float, *probs) -> None:
+    """Refuse, naming the dispersion, a draw that numpy's
+    ``negative_binomial`` would refuse for each group's ``(sigma, p)``."""
+    for p in probs:
+        with np.errstate(over="ignore", divide="ignore"):
+            top = (1 - p) / p * (sigma + 10 * np.sqrt(sigma))
+        if np.any(np.greater(top, _POISSON_LAM_MAX)):
+            raise ValueError(
+                f"dispersion {spec.dispersion!r} is too large: numpy's "
+                "negative-binomial sampler refuses the per-sample shape "
+                "1 / dispersion with these group means"
+            )
+
+
 def _draw_counts(
     spec: ScenarioSpec, rep_index: int, means: np.ndarray | None = None
 ) -> tuple[np.ndarray, ...]:
@@ -286,6 +352,7 @@ def _draw_counts(
     k = spec.reps_per_group
     p1 = sigma / (sigma + params["theta1"])
     p2 = sigma / (sigma + params["theta2"])
+    _check_negbinom_range(spec, sigma, p1, p2)
     s1 = rng.negative_binomial(sigma, p1, size=(k, spec.m)).sum(axis=0)
     s2 = rng.negative_binomial(sigma, p2, size=(k, spec.m)).sum(axis=0)
     return s1.astype(np.int64), s2.astype(np.int64)
@@ -303,25 +370,29 @@ def _test(spec: ScenarioSpec, columns) -> tuple[np.ndarray, ...]:
     return _kernels.batch_negbinom(*columns, spec.reps_per_group * sigma)
 
 
-def _generate(spec: ScenarioSpec, reps: range, means: np.ndarray | None = None):
-    """Yield the studies of replications ``reps``, tested in one kernel call.
+def _chunk_study(
+    spec: ScenarioSpec,
+    reps: range,
+    means: np.ndarray | None = None,
+    truth: np.ndarray | None = None,
+) -> Study:
+    """The replications ``reps`` tested in one kernel call, as one study.
 
-    The replications' counts are concatenated and tested together; each
-    study is cut out of the pooled result, so only the pooled arrays and
-    the study being used are held at once.
+    The replications' counts are concatenated and tested together, so
+    the study's hypotheses are the replications' ``m`` hypotheses each,
+    replication by replication.
     """
     columns = [
         np.concatenate(column)
         for column in zip(*(_draw_counts(spec, r, means) for r in reps))
     ]
-    pvalues, flat, start, length = _test(spec, columns)
+    return Study.from_distinct(*_test(spec, columns), truth=truth)
+
+
+def _truth(spec: ScenarioSpec) -> np.ndarray:
     truth = np.zeros(spec.m, dtype=bool)
     truth[: spec.m0] = True
-    for i in range(len(reps)):
-        rows = slice(i * spec.m, (i + 1) * spec.m)
-        yield Study.from_distinct(
-            pvalues[rows], flat, start[rows], length[rows], truth=truth
-        )
+    return truth
 
 
 def generate_scenario(spec: ScenarioSpec, rep_index: int) -> Study:
@@ -331,8 +402,7 @@ def generate_scenario(spec: ScenarioSpec, rep_index: int) -> Study:
     study. The first ``m0 = round(pi0 * m)`` hypotheses are the true
     nulls.
     """
-    (study,) = _generate(spec, range(rep_index, rep_index + 1))
-    return study
+    return _chunk_study(spec, range(rep_index, rep_index + 1), truth=_truth(spec))
 
 
 def _check_name(name: str, known: tuple[str, ...], what: str) -> None:
@@ -340,11 +410,79 @@ def _check_name(name: str, known: tuple[str, ...], what: str) -> None:
         raise ValueError(f"unknown {what} {name!r}; choose from {known}")
 
 
+def evaluate_block(
+    study: Study,
+    rows: int,
+    methods: Sequence[str],
+    procedures: Sequence[str],
+    alphas: Sequence[float],
+    lam: float,
+    epsilon: float,
+) -> tuple[dict[str, tuple | None], list[tuple | None]]:
+    """The named estimates and procedure results of ``rows`` studies.
+
+    ``study`` holds the ``rows`` studies' hypotheses, ``m`` of them per
+    study, study after study. Its p-values are checked and sorted once,
+    as one :class:`PValueBlock` with a row per study. Each estimate in
+    ``methods`` or run on by a procedure is computed once, for every
+    row, as ``(raw, value)`` arrays; one the studies have too few
+    p-values for (the median estimator needs two) is None. A procedure
+    gives None when its estimate is None, else ``(cells, t, fdr,
+    rejections)``: row ``a`` of the three (levels, rows) arrays is its
+    thresholds, estimator values there (NaN for the step-up procedures)
+    and rejection counts at ``alphas[a]``, and ``cells`` the
+    ``lambda``, ``epsilon`` and per-row ``pi0`` it runs with. ``pi0``
+    multiplies the level: the clipped adjusted estimate for
+    ``generalized``, the raw exceedance estimate for ``storey`` (plus
+    the variant's offset for ``storey_variant``), 1 for ``bh`` and the
+    median estimate for ``adaptive_bh``. The step-up procedures have no
+    ``lambda`` or ``epsilon``; the exceedance procedures run at
+    ``epsilon`` 0. Callers check the names, once per roster.
+    """
+    used = set(methods) | {PROCEDURE_ESTIMATES[name] for name in procedures}
+    tuned = {p for name in used for p in _tuning(name, lam, epsilon)}
+    if "lam" in tuned:
+        _check_lambda(lam)
+    if "epsilon" in tuned:
+        _check_epsilon(epsilon)
+    block = PValueBlock(study.pvalues.reshape(rows, -1))
+    estimates: dict[str, tuple | None] = {}
+    for name, (_, estimate, fewest) in _ESTIMATORS.items():
+        if name in used:
+            raw = estimate(study, block, lam, epsilon) if block.m >= fewest else None
+            estimates[name] = None if raw is None else (raw, _clip01(raw))
+    outcomes: list[tuple | None] = []
+    for name in procedures:
+        pi0 = estimates.get(PROCEDURE_ESTIMATES[name])
+        if name == "bh":
+            cells = (None, None, np.ones(rows))
+        elif pi0 is None:
+            outcomes.append(None)
+            continue
+        elif name == "adaptive_bh":
+            cells = (None, None, pi0[1])
+        else:
+            mult = multipliers(name, *pi0, block.m, lam)
+            cells = (lam, epsilon if name == "generalized" else 0.0, mult)
+        t = np.empty((len(alphas), rows))
+        fdr = np.full((len(alphas), rows), math.nan)
+        count = np.empty((len(alphas), rows), dtype=np.int64)
+        for a, alpha in enumerate(alphas):
+            if name == "bh":
+                t[a], count[a] = step_up(block, np.full(rows, alpha))
+            elif name == "adaptive_bh":
+                t[a], count[a] = step_up(block, adaptive_levels(alpha, pi0[1]))
+            else:
+                t[a], fdr[a], count[a] = solve_thresholds(block, name, mult, lam, alpha)
+        outcomes.append((cells, t, fdr, count))
+    return estimates, outcomes
+
+
 def compute_pi0(
     study: Study, method: str, lam: float, epsilon: float
 ) -> Pi0Estimate:
     """Dispatch one named estimator of the proportion of true nulls."""
-    return _ESTIMATORS[method][0](study, lam, epsilon)
+    return _ESTIMATORS[method][0](study, **_tuning(method, lam, epsilon))
 
 
 def evaluate_study(
@@ -355,47 +493,40 @@ def evaluate_study(
     lam: float,
     epsilon: float,
 ) -> tuple[dict[str, Pi0Estimate | None], list[tuple | None]]:
-    """The named estimates of one study and its procedures' results.
+    """The named estimates of one study and its procedures' results: the
+    one-row case of :func:`evaluate_block`.
 
-    Each estimate in ``methods`` or run on by a procedure is computed
-    once; one the study has too few p-values for (the median estimator
-    needs two) is None. The procedures share one rejection process. A
-    procedure gives None when its estimate is None, else ``(cells,
-    results)``: ``results[a]`` is its result at ``alphas[a]``, and
-    ``cells`` the ``lambda``, ``epsilon`` and ``pi0`` it runs with.
-    ``pi0`` multiplies the level: the clipped adjusted estimate for
-    ``generalized``, the raw exceedance estimate for ``storey`` (plus the
-    variant's offset for ``storey_variant``), 1 for ``bh`` and the median
-    estimate for ``adaptive_bh``. The step-up procedures have no
-    ``lambda`` or ``epsilon``; the exceedance procedures run at
-    ``epsilon`` 0. Callers check the names, once per roster.
+    Estimates are :class:`Pi0Estimate` objects, and a procedure gives
+    None or ``(cells, results)``, ``results[a]`` its
+    :class:`ThresholdResult` at ``alphas[a]`` and ``cells`` the
+    ``lambda``, ``epsilon`` and ``pi0`` it runs with.
     """
-    used = set(methods) | {PROCEDURE_ESTIMATES[name] for name in procedures}
-    estimates = {
-        name: estimate(study, lam, epsilon) if study.m >= fewest else None
-        for name, (estimate, fewest) in _ESTIMATORS.items()
-        if name in used
+    estimates, outcomes = evaluate_block(
+        study, 1, methods, procedures, alphas, lam, epsilon
+    )
+    pi0 = {
+        name: None if e is None else _one(name, e[0], lam, epsilon)
+        for name, e in estimates.items()
     }
-    proc = build_rejection_process(study.pvalues)
-    outcomes: list[tuple | None] = []
-    for name in procedures:
-        pi0 = estimates.get(PROCEDURE_ESTIMATES[name])
-        if name == "bh":
-            cells = (None, None, 1.0)
-            results = [bh_procedure(proc, alpha) for alpha in alphas]
-        elif pi0 is None:
-            outcomes.append(None)
+    results: list[tuple | None] = []
+    for outcome in outcomes:
+        if outcome is None:
+            results.append(None)
             continue
-        elif name == "adaptive_bh":
-            cells = (None, None, pi0.value)
-            results = [adaptive_bh(proc, alpha, pi0) for alpha in alphas]
-        else:
-            est = FdrEstimator(name, pi0, lam=pi0.lam)
-            eps = 0.0 if pi0.epsilon is None else pi0.epsilon
-            cells = (pi0.lam, eps, est.multiplier(proc.m))
-            results = [threshold(est, proc, alpha) for alpha in alphas]
-        outcomes.append((cells, results))
-    return estimates, outcomes
+        (cell_lam, cell_eps, mult), t, fdr, count = outcome
+        results.append((
+            (cell_lam, cell_eps, float(mult[0])),
+            [
+                ThresholdResult(
+                    float(t[a, 0]),
+                    float(fdr[a, 0]),
+                    int(count[a, 0]),
+                    np.flatnonzero(study.pvalues <= t[a, 0]),
+                )
+                for a in range(len(alphas))
+            ],
+        ))
+    return pi0, results
 
 
 def false_discovery_proportion(study: Study, result: ThresholdResult) -> float:
@@ -406,6 +537,16 @@ def false_discovery_proportion(study: Study, result: ThresholdResult) -> float:
         return 1.0
     v = int(np.count_nonzero(study.truth[result.rejected]))
     return v / result.rejections
+
+
+def false_discovery_rows(
+    pvalues: np.ndarray, truth: np.ndarray, t: np.ndarray, rejections: np.ndarray
+) -> np.ndarray:
+    """Realized false discovery proportion of each row of ``pvalues`` at
+    its threshold ``t``, with ``rejections`` p-values at most ``t``: the
+    share of true nulls among them, 1 where nothing is rejected."""
+    false = np.count_nonzero((pvalues <= t[:, None]) & truth, axis=1)
+    return np.where(rejections == 0, 1.0, false / np.maximum(rejections, 1))
 
 
 @dataclass
@@ -495,9 +636,11 @@ def run_replications(
     Per replication: every named estimator of the true-null
     proportion, and every named procedure at every nominal level with
     its threshold, rejection count and realized false discovery
-    proportion. Each study's estimates are computed once and its
-    procedures share one rejection process (:func:`evaluate_study`).
-    Roster names are checked here, before any study is generated.
+    proportion. Each chunk of replications is evaluated as one block
+    (:func:`evaluate_block`): each estimate is computed once per chunk,
+    each (procedure, level) pair is one row-wise solve, and each pair's
+    false discovery proportions are one comparison of the chunk's
+    p-values with its thresholds. Roster names are checked here, before any study is generated.
     The replications are tested in pooled chunks (see the module
     docstring); results are deterministic functions of
     ``(spec, rep_index)``, the same as :func:`generate_scenario` gives.
@@ -514,7 +657,7 @@ def run_replications(
     for name in procedures:
         _check_name(name, PROCEDURES, "procedure")
     used = set(pi0_methods) | {PROCEDURE_ESTIMATES[name] for name in procedures}
-    for name, (_, fewest) in _ESTIMATORS.items():
+    for name, (*_, fewest) in _ESTIMATORS.items():
         if name in used and spec.m < fewest:
             raise ValueError(
                 f"the {name} estimator needs at least {fewest} p-values; m = {spec.m}"
@@ -530,19 +673,23 @@ def run_replications(
     rej = np.empty((reps, len(procedures), len(alphas)), dtype=np.int64)
     fdp = np.empty((reps, len(procedures), len(alphas)))
 
+    truth = _truth(spec)
     per_chunk = max(1, _CHUNK_FEATURES // spec.m)
     for first in range(0, reps, per_chunk):
         chunk = range(first, min(first + per_chunk, reps))
-        for r, study in zip(chunk, _generate(spec, chunk, means)):
-            estimates, outcomes = evaluate_study(
-                study, pi0_methods, procedures, alphas, lam, epsilon
-            )
-            est[r] = [estimates[name].value for name in pi0_methods]
-            for j, (_, results) in enumerate(outcomes):
-                for a, res in enumerate(results):
-                    thr[r, j, a] = res.t_alpha
-                    rej[r, j, a] = res.rejections
-                    fdp[r, j, a] = false_discovery_proportion(study, res)
+        rows = slice(chunk.start, chunk.stop)
+        study = _chunk_study(spec, chunk, means)
+        estimates, outcomes = evaluate_block(
+            study, len(chunk), pi0_methods, procedures, alphas, lam, epsilon
+        )
+        for j, name in enumerate(pi0_methods):
+            est[rows, j] = estimates[name][1]
+        pvalues = study.pvalues.reshape(len(chunk), spec.m)
+        for j, (_, t, _, count) in enumerate(outcomes):
+            thr[rows, j] = t.T
+            rej[rows, j] = count.T
+            for a in range(len(alphas)):
+                fdp[rows, j, a] = false_discovery_rows(pvalues, truth, t[a], count[a])
 
     return ReplicationSummary(
         spec=spec,

@@ -127,7 +127,7 @@ def bootstrap_tune(study: Study, grid: TuningGrid) -> TuningResult:
     lams, which = np.unique(lam_of, return_inverse=True)
     parts = np.empty((lams.shape[0], 2, m))
     for k, lam in enumerate(lams.tolist()):
-        parts[k] = _exceedance_parts(study, lam)
+        parts[k] = _exceedance_parts(study.pvalues, study.support_floor(lam), lam)
     full = np.array([
         _clip01(_adjusted_raw(*parts[k], eps, lam))
         for k, (lam, eps) in zip(which.tolist(), points)

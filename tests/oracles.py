@@ -12,10 +12,12 @@ The row-at-a-time count-table parser (``ingest_rows``) and CSV writer
 (``write_csv_rows``) are the references for the library's column-wise
 ones, and ``generate_scenario_alone`` (one kernel call per replication)
 for ``sim``'s pooled replications. ``procedure_results`` transcribes
-each procedure from its estimator and FDR functions, the reference for
-``sim.evaluate_study``. ``PValueProfile``, ``support_cdf`` and
-``null_expected_pvalue`` are per-hypothesis scalar references for the
-estimators' per-support statistics.
+each procedure from the one-study estimates of ``pi0_loop`` and the
+one-study solvers ``threshold_loop`` and ``bh_sorted``, the reference
+for ``sim.evaluate_block`` and ``sim.evaluate_study``.
+``PValueProfile``, ``support_cdf`` and ``null_expected_pvalue`` are
+per-hypothesis scalar references for the estimators' per-support
+statistics.
 """
 
 from __future__ import annotations
@@ -686,43 +688,54 @@ def features_rows(table, study):
         yield ident, p, ";".join([f"{v:.9g}" for v in support.tolist()])
 
 
+def pi0_loop(study, method: str, lam: float, eps) -> tuple[float, float]:
+    """Reference for the estimators: one study's raw and clipped
+    estimate, from the one-study formulas (the per-hypothesis loops for
+    the support-based two)."""
+    p, m = study.pvalues, study.m
+    if method == "storey":
+        raw = int(np.count_nonzero(p > lam)) / ((1.0 - lam) * m)
+    elif method == "generalized":
+        raw = generalized_raw_loop(p, study.supports, lam, eps)
+    elif method == "pounds_tilde":
+        raw = 2.0 * float(np.mean(p))
+    elif method == "pounds_hat":
+        raw = pounds_hat_raw_loop(p, study.supports)
+    else:  # benjamini, the order statistic at rank floor(m / 2)
+        k = m // 2
+        pk = float(np.sort(p)[k - 1])
+        raw = math.inf if pk >= 1.0 else (m - k + 1) / (m * (1.0 - pk))
+    return raw, 0.0 if raw < 0.0 else 1.0 if raw > 1.0 else raw
+
+
 def procedure_results(study, procedures, alphas, lam, eps):
     """Every named procedure at every level, transcribed from the
-    definitions: the estimate a procedure runs on comes from its own
-    estimator function, then :func:`threshold` runs on its FDR estimator
-    or a step-up procedure runs at the (adapted) level. Yields
+    definitions: the estimate a procedure runs on comes from
+    :func:`pi0_loop`, then :func:`threshold_loop` runs on its FDR
+    estimator or :func:`bh_sorted` runs at the (adapted) level. Yields
     ``(name, (lambda, epsilon, pi0 multiplier), alpha, result)``, level
     by level; ``adaptive_bh`` is left out at m = 1, where the median
     estimator is undefined."""
-    from discretefdr import (
-        FdrEstimator,
-        adaptive_bh,
-        benjamini_pi0,
-        bh_procedure,
-        build_rejection_process,
-        generalized_pi0,
-        storey_pi0,
-        threshold,
-    )
+    from discretefdr import FdrEstimator, Pi0Estimate, build_rejection_process
 
     proc = build_rejection_process(study.pvalues)
     for alpha in alphas:
         for name in procedures:
             if name == "bh":
-                yield name, (None, None, 1.0), alpha, bh_procedure(proc, alpha)
+                res = bh_sorted(study.pvalues, alpha)
+                yield name, (None, None, 1.0), alpha, res
             elif name == "adaptive_bh":
                 if study.m >= 2:
-                    pi0 = benjamini_pi0(study)
-                    res = adaptive_bh(proc, alpha, pi0)
-                    yield name, (None, None, pi0.value), alpha, res
+                    value = pi0_loop(study, "benjamini", lam, eps)[1]
+                    res = bh_sorted(study.pvalues, min(1.0, alpha / value))
+                    yield name, (None, None, value), alpha, res
             else:
-                if name == "generalized":
-                    pi0, cell_eps = generalized_pi0(study, lam, eps), eps
-                else:
-                    pi0, cell_eps = storey_pi0(study, lam), 0.0
+                method = "generalized" if name == "generalized" else "storey"
+                pi0 = Pi0Estimate(method, *pi0_loop(study, method, lam, eps), lam=lam)
                 est = FdrEstimator(name, pi0, lam=lam)
+                cell_eps = eps if name == "generalized" else 0.0
                 cells = (lam, cell_eps, est.multiplier(study.m))
-                yield name, cells, alpha, threshold(est, proc, alpha)
+                yield name, cells, alpha, threshold_loop(est, proc, alpha)
 
 
 def analyze_table_rows(study, lam, eps, alphas):

@@ -40,7 +40,10 @@ def _load_tracing():
 
 
 #: Names the tracer wraps that the package no longer has: ``cli`` runs
-#: every estimator and procedure through ``sim.evaluate_study``, and
+#: every estimator and procedure through ``sim.evaluate_study``, ``sim``
+#: evaluates each chunk of replications with the row-wise solvers
+#: (``sim.evaluate_block``) instead of the one-study procedures (it
+#: keeps the one-study estimators only behind ``compute_pi0``), and
 #: ``sim.run_procedure`` and ``tuning``'s import of ``generalized_pi0``
 #: are gone.
 ABSENT_TODAY = {
@@ -52,6 +55,10 @@ ABSENT_TODAY = {
             "pounds_tilde_pi0", "storey_pi0", "threshold",
         )
     ),
+    "sim.adaptive_bh",
+    "sim.bh_procedure",
+    "sim.build_rejection_process",
+    "sim.threshold",
     "sim.run_procedure",
     "tuning.generalized_pi0",
 }

@@ -551,13 +551,19 @@ def test_config_error_missing_key_and_bad_kind(tmp_path, capsys):
          "config", "dispersion"),
         ("simulate", {"kind": "negbinom_ent", "dispersion": 1e-320}, [], "config",
          "dispersion"),
+        # a finite positive shape that numpy's negative-binomial sampler
+        # refuses with the scenario's means
+        ("simulate", {"kind": "negbinom_ent", "dispersion": 1e308}, [], "config",
+         "dispersion"),
+        ("simulate", {"kind": "negbinom_ent", "dispersion": 1e40}, [], "config",
+         "dispersion"),
     ],
     ids=[
         "m-1", "lambda", "epsilon", "empty-roster", "sim-alpha", "analyze-alpha",
         "m-float", "lambda-text", "dispersion-0", "roster-text", "reps-text",
         "reps-per-group-0", "m-bool", "alphas-empty", "alphas-repeated",
         "sim-alpha-repeated", "size-inf", "size-huge", "dispersion-inf",
-        "dispersion-tiny",
+        "dispersion-tiny", "dispersion-1e308", "dispersion-1e40",
     ],
 )
 def test_library_errors_print_one_error_line(

@@ -7,6 +7,7 @@ import pytest
 
 from discretefdr import (
     ScenarioSpec,
+    Study,
     ThresholdResult,
     bias_decomposition,
     build_rejection_process,
@@ -69,6 +70,38 @@ def test_cap_transform_is_accepted():
     spec = _spec(kind="binomial_fet", theta2_transform="cap", m=10)
     params = _draw_parameters(spec, _replication_rng(spec, 0))
     assert np.all(params["theta2"] <= 1.0)
+
+
+@pytest.mark.parametrize("sigma", [1e-308, 1e-40, 1e-3, 1.0, 1e3, 1e12])
+def test_negbinom_range_check_agrees_with_numpy_at_the_edge(sigma):
+    """``sim._check_negbinom_range`` copies numpy's refusal of a
+    negative-binomial ``(n, p)``; the two agree on the ulps of ``p``
+    around the edge of numpy's range, so a change to numpy's check shows
+    here rather than as a draw error that does not name the dispersion."""
+    spec = _spec(kind="negbinom_ent")
+    rng = np.random.default_rng(0)
+    scale = sigma + 10 * np.sqrt(sigma)
+    probs = [scale / (sim._POISSON_LAM_MAX + scale)]
+    for _ in range(8):
+        probs = [np.nextafter(probs[0], 0.0), *probs, np.nextafter(probs[-1], 1.0)]
+    refused = []
+    for p in probs:
+        p = np.array([p])
+        try:
+            with np.errstate(over="ignore", divide="ignore"):
+                rng.negative_binomial(sigma, p, size=1)
+            numpy_refuses = False
+        except ValueError:
+            numpy_refuses = True
+        try:
+            sim._check_negbinom_range(spec, sigma, p)
+            ours = False
+        except ValueError:
+            ours = True
+        assert ours == numpy_refuses, p
+        refused.append(ours)
+    # the ulps straddle the edge
+    assert refused[0] and not refused[-1]
 
 
 def test_spec_validation():
@@ -175,6 +208,17 @@ def _assert_same_study(got, expected):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
+def _cut(tested, m, truth):
+    """The studies of the replications pooled in one kernel call's
+    result, each cut out of it with its own ``m`` rows."""
+    pvalues, flat, start, length = tested
+    for a in range(0, pvalues.shape[0], m):
+        rows = slice(a, a + m)
+        yield Study.from_distinct(
+            pvalues[rows], flat, start[rows], length[rows], truth=truth
+        )
+
+
 @pytest.mark.parametrize(
     "chunk_features, m, reps",
     [
@@ -190,25 +234,40 @@ def test_pooled_replications_match_per_replication_oracle(
 ):
     """Studies tested in pooled chunks are bitwise the studies each
     replication gives when tested alone, and so are every estimate,
-    threshold, rejection count and false discovery proportion."""
+    threshold, rejection count and false discovery proportion. Each
+    chunk's kernel result is cut into its replications' studies here, and
+    the chunk reaches ``sim.evaluate_block`` as one study of their
+    p-values."""
     from discretefdr import sim
 
     if chunk_features is not None:
         monkeypatch.setattr(sim, "_CHUNK_FEATURES", chunk_features)
     methods = sim.PI0_METHODS if m > 1 else sim.PI0_METHODS[:-1]
     procedures = sim.PROCEDURES if m > 1 else sim.PROCEDURES[:-1]
-    studies = []
-    original = sim.evaluate_study
+    studies, evaluated = [], []
+    test, evaluate = sim._test, sim.evaluate_block
 
-    def keeping(study, *args):
-        studies.append(study)
-        return original(study, *args)
+    def testing(spec, columns):
+        out = test(spec, columns)
+        studies.extend(_cut(out, spec.m, sim._truth(spec)))
+        return out
 
-    monkeypatch.setattr(sim, "evaluate_study", keeping)
+    def keeping(study, rows, *args):
+        evaluated.append(study.pvalues)
+        return evaluate(study, rows, *args)
+
+    monkeypatch.setattr(sim, "_test", testing)
+    monkeypatch.setattr(sim, "evaluate_block", keeping)
     alphas = (0.05, 0.2)
     spec = _spec(kind=kind, m=m, reps=reps, seed=11, pi0=0.6, alpha_levels=alphas)
     out = run_replications(spec, methods, procedures)
+    # the oracles below test and evaluate studies too
+    monkeypatch.setattr(sim, "_test", test)
+    monkeypatch.setattr(sim, "evaluate_block", evaluate)
 
+    assert np.array_equal(
+        np.concatenate(evaluated), np.concatenate([s.pvalues for s in studies])
+    )
     assert len(studies) == reps
     for r, study in enumerate(studies):
         expected = oracles.generate_scenario_alone(spec, r)
@@ -228,28 +287,29 @@ def test_pooled_replications_match_per_replication_oracle(
 
 
 def test_replications_are_tested_and_used_one_chunk_at_a_time(monkeypatch):
-    """Each chunk is drawn, tested in one kernel call and used before the
-    next is drawn, so no more than one chunk of studies is alive."""
+    """Each chunk is drawn, tested in one kernel call and evaluated as one
+    block before the next is drawn, so no more than one chunk of studies
+    is alive."""
     from discretefdr import _kernels, sim
 
     events = []
-    kernel, evaluate = _kernels.batch_binomial, sim.evaluate_study
+    kernel, evaluate = _kernels.batch_binomial, sim.evaluate_block
 
     def counting_kernel(x1, x2, *args):
         out = kernel(x1, x2, *args)
         events.append(("kernel", len(x1), len(out)))
         return out
 
-    def counting_evaluate(study, *args):
-        events.append(("study", study.m))
-        return evaluate(study, *args)
+    def counting_evaluate(study, rows, *args):
+        events.append(("block", rows, study.m))
+        return evaluate(study, rows, *args)
 
     monkeypatch.setattr(sim, "_CHUNK_FEATURES", 100)
     monkeypatch.setattr(_kernels, "batch_binomial", counting_kernel)
-    monkeypatch.setattr(sim, "evaluate_study", counting_evaluate)
+    monkeypatch.setattr(sim, "evaluate_block", counting_evaluate)
     run_replications(_spec(m=40, reps=5))
-    chunk = [("kernel", 80, 4), ("study", 40), ("study", 40)]
-    assert events == chunk + chunk + [("kernel", 40, 4), ("study", 40)]
+    chunk = [("kernel", 80, 4), ("block", 2, 80)]
+    assert events == chunk + chunk + [("kernel", 40, 4), ("block", 1, 40)]
 
 
 @pytest.mark.parametrize("m", [1, 40])
@@ -300,6 +360,138 @@ def test_evaluate_study_matches_transcribed_procedures(kind, m):
         assert np.array_equal(res.rejected, e_res.rejected)
 
 
+def _assert_block_rows_match_oracles(study, rows, truth, alphas, lam, eps):
+    """``sim.evaluate_block`` on ``rows`` studies pooled in ``study`` gives,
+    row by row, bitwise the estimates of ``oracles.pi0_loop`` and the
+    results of ``oracles.procedure_results`` on that row's study alone,
+    and its thresholds give the oracle results' false discovery
+    proportions."""
+    m = study.m // rows
+    methods = sim.PI0_METHODS if m > 1 else sim.PI0_METHODS[:-1]
+    estimates, outcomes = sim.evaluate_block(
+        study, rows, sim.PI0_METHODS, sim.PROCEDURES, alphas, lam, eps
+    )
+    pvalues = study.pvalues.reshape(rows, m)
+    for r in range(rows):
+        part = study.support_index[r * m : (r + 1) * m]
+        alone = Study.from_distinct(
+            pvalues[r], study.support_flat, study.support_start[part],
+            study.support_len[part], truth=truth,
+        )
+        for name in methods:
+            want = oracles.pi0_loop(alone, name, lam, eps)
+            got = tuple(float(x[r]) for x in estimates[name])
+            assert np.array_equal(got, want), (r, name, got, want)
+        if m == 1:
+            assert estimates["benjamini"] is None
+        expected = oracles.procedure_results(alone, sim.PROCEDURES, alphas, lam, eps)
+        for name, cells, alpha, res in expected:
+            j, a = sim.PROCEDURES.index(name), alphas.index(alpha)
+            got_cells, t, fdr, count = outcomes[j]
+            assert got_cells[:2] == cells[:2]
+            assert got_cells[2][r] == cells[2]
+            assert t[a, r].tobytes() == np.float64(res.t_alpha).tobytes()
+            assert fdr[a, r].tobytes() == np.float64(res.fdr_at_t).tobytes()
+            assert count[a, r] == res.rejections
+            assert np.array_equal(np.flatnonzero(pvalues[r] <= t[a, r]), res.rejected)
+            fdp = sim.false_discovery_rows(
+                pvalues[r : r + 1], truth, t[a, r : r + 1], count[a, r : r + 1]
+            )
+            assert fdp[0] == false_discovery_proportion(alone, res)
+        if m == 1:
+            assert outcomes[sim.PROCEDURES.index("adaptive_bh")] is None
+
+
+@pytest.mark.parametrize("reps, m", [(1, 40), (6, 1), (5, 40)])
+@pytest.mark.parametrize("kind", ["poisson_bin", "binomial_fet", "negbinom_ent"])
+def test_block_rows_match_per_study_oracles(kind, reps, m):
+    """A chunk of generated studies evaluated as one block matches the
+    one-study oracles row by row, at levels 0 and 1 too."""
+    spec = _spec(kind=kind, m=m, reps=reps, pi0=0.6, seed=23)
+    study = sim._chunk_study(spec, range(reps))
+    alphas = (0.0, 0.01, 0.05, 0.2, 1.0)
+    _assert_block_rows_match_oracles(study, reps, sim._truth(spec), alphas, 0.4, 0.7)
+
+
+#: The instance where the count-3 interval's candidate cannot be nudged
+#: down inside its interval (``test_fdr``): the storey estimator at this
+#: multiplier and level 0.1 falls back to the count-2 interval.
+_FALLBACK = np.array([0.001, 0.001, 0.024237635727728784] + [1.0] * 20)
+_FALLBACK_MULT = 0.5381497769581267
+
+
+def _edge_rows(rng):
+    """Rows of 23 p-values: the fallback instance, heavy ties, all ones,
+    all below 0.5 (so the exceedance estimates and multipliers are 0),
+    and continuous values."""
+    levels = np.array([0.004, 0.03, 0.5, 1.0])
+    return np.stack([
+        _FALLBACK,
+        rng.choice(levels, size=23),
+        np.ones(23),
+        np.full(23, 0.004),
+        rng.uniform(1e-6, 1.0, size=23),
+    ])
+
+
+def test_block_rows_match_oracles_on_edge_rows():
+    """Heavy ties, all p-values 1 and a row whose multipliers are 0,
+    stacked with ordinary rows, match the one-study oracles row by row
+    through the whole block evaluation."""
+    rng = np.random.default_rng(41)
+    rows = _edge_rows(rng)
+    empty = np.empty(0)
+    supports = [empty] * rows.size
+    supports[::3] = [np.array([0.004, 0.2, 0.5, 1.0])] * len(supports[::3])
+    study = Study(rows.ravel(), supports)
+    truth = np.arange(23) < 15
+    for lam, eps in ((0.5, 1.0), (0.2, 0.3)):
+        _assert_block_rows_match_oracles(
+            study, rows.shape[0], truth, (0.0, 0.05, 0.1, 1.0), lam, eps
+        )
+
+
+@pytest.mark.parametrize("kind", ["storey", "storey_variant", "generalized"])
+def test_row_solvers_match_oracles_when_a_nudge_fails(kind):
+    """The fallback instance, stacked with ordinary rows and with rows
+    whose multipliers are 0 and negative, gives each row the one-study
+    threshold and step-up results: a failed descent moves that row alone
+    to its next feasible interval."""
+    from discretefdr import FdrEstimator, Pi0Estimate
+    from discretefdr.fdr import PValueBlock, solve_thresholds, step_up
+
+    rng = np.random.default_rng(42)
+    rows = _edge_rows(rng)
+    block = PValueBlock(rows)
+    ests = [
+        FdrEstimator(kind, Pi0Estimate(kind, raw, min(1.0, max(0.0, raw))), lam=0.5)
+        for raw in (_FALLBACK_MULT, 0.7, 1.2, 0.0, -0.1)
+    ]
+    mult = np.array([est.multiplier(23) for est in ests])
+    for alpha in (0.0, 0.1, float(rng.uniform()), 1.0):
+        t, value, count = solve_thresholds(block, kind, mult, 0.5, alpha)
+        levels = rng.uniform(0.0, 1.0, rows.shape[0])
+        cut, k = step_up(block, levels)
+        for r, est in enumerate(ests):
+            want = oracles.threshold_loop(est, build_rejection_process(rows[r]), alpha)
+            assert t[r].tobytes() == np.float64(want.t_alpha).tobytes()
+            assert value[r].tobytes() == np.float64(want.fdr_at_t).tobytes()
+            assert count[r] == want.rejections
+            bh = oracles.bh_sorted(rows[r], levels[r])
+            assert (cut[r], k[r]) == (bh.t_alpha, bh.rejections)
+        if kind == "storey" and alpha == 0.1:
+            assert count[0] == 2  # fell back from the count-3 interval
+
+
+@pytest.mark.parametrize("bad", [np.nan, 0.0])
+def test_block_refuses_a_row_with_a_pvalue_outside_the_unit_interval(bad):
+    rows = _edge_rows(np.random.default_rng(43))
+    rows[2, 7] = bad
+    study = Study(rows.ravel(), [np.empty(0)] * rows.size)
+    with pytest.raises(ValueError, match=r"p-values must lie in \(0, 1\]"):
+        sim.evaluate_block(study, rows.shape[0], ("storey",), ("bh",), (0.05,), 0.5, 1.0)
+
+
 def test_adjusted_procedure_rejects_at_least_exceedance_procedure():
     spec = _spec(m=120, pi0=0.7, reps=8, seed=9)
     out = run_replications(spec, procedures=("generalized", "storey"))
@@ -335,8 +527,9 @@ def test_roster_validation():
 
 
 def test_each_study_builds_one_process_and_each_estimate_once(monkeypatch):
-    """With the full roster, every study builds one rejection process and
-    computes each estimate at most once, whatever the procedures and
+    """With the full roster, every chunk of studies builds one p-value
+    block, computes each estimate once for all its studies and solves
+    each (procedure, level) pair once, whatever the procedures and
     levels that share them."""
     from discretefdr import sim
 
@@ -345,35 +538,34 @@ def test_each_study_builds_one_process_and_each_estimate_once(monkeypatch):
     def counting(name):
         original = getattr(sim, name)
 
-        def wrapper(study, *args, **kwargs):
-            calls.append((name, study.pvalues.tobytes()))
-            return original(study, *args, **kwargs)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
 
         return wrapper
 
-    def counting_build(pvalues):
-        calls.append(("build_rejection_process", pvalues.tobytes()))
-        return build_rejection_process(pvalues)
-
     estimators = (
-        "storey_pi0", "generalized_pi0", "pounds_tilde_pi0",
-        "pounds_hat_pi0", "benjamini_pi0",
+        "storey_rows", "adjusted_rows", "pounds_tilde_rows",
+        "pounds_hat_rows", "benjamini_rows",
     )
-    for name in estimators:
+    solvers = ("solve_thresholds", "step_up")
+    for name in ("PValueBlock", *estimators, *solvers):
         monkeypatch.setattr(sim, name, counting(name))
-    monkeypatch.setattr(sim, "build_rejection_process", counting_build)
+    monkeypatch.setattr(sim, "_CHUNK_FEATURES", 100)
 
-    spec = _spec(reps=4, alpha_levels=(0.05, 0.1, 0.2))
+    alphas = (0.05, 0.1, 0.2)
+    spec = _spec(reps=4, m=40, alpha_levels=alphas)
     out = run_replications(
         spec, pi0_methods=sim.PI0_METHODS, procedures=sim.PROCEDURES
     )
     assert out.thresholds.shape == (4, len(sim.PROCEDURES), 3)
-    studies = {key for _, key in calls}
-    assert len(studies) == spec.reps
-    for key in studies:
-        names = [name for name, k in calls if k == key]
-        assert names.count("build_rejection_process") == 1
+    starts = [i for i, name in enumerate(calls) if name == "PValueBlock"]
+    assert len(starts) == 2  # chunks of two replications
+    for a, b in zip(starts, starts[1:] + [len(calls)]):
+        names = calls[a + 1 : b]
         assert sorted(n for n in names if n in estimators) == sorted(estimators)
+        assert names.count("solve_thresholds") == 3 * len(alphas)
+        assert names.count("step_up") == 2 * len(alphas)
 
 
 def test_aggregate_layout():
