@@ -50,7 +50,6 @@ from .sim import (
     ScenarioSpec,
     bias_decomposition,
     compute_pi0,
-    evaluate_study,
     false_discovery_proportion,
     generalized_bias_from_expectations,
     generate_scenario,
@@ -96,7 +95,6 @@ __all__ = [
     "ScenarioSpec",
     "bias_decomposition",
     "compute_pi0",
-    "evaluate_study",
     "false_discovery_proportion",
     "generalized_bias_from_expectations",
     "generate_scenario",

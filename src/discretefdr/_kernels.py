@@ -90,19 +90,10 @@ MAX_TOTAL = 2**22 - 1
 # ---------------------------------------------------------------------------
 
 
-def _log_factorials(n_max: int) -> np.ndarray:
-    """``log(k!)`` for ``k = 0..n_max``, as ``gammaln(k + 1.0)``.
-
-    ``tests/test_lgamma.py`` checks that these bits equal scipy's
-    ``gammaln`` on every ``k`` up to ``MAX_TOTAL``, so the tables are
-    the ones a ``gammaln`` call per law would give."""
-    return log_factorials(n_max)
-
-
 def binomial_laws(n):
     """Binomial(n, 1/2) over the outcomes ``0..n``, for every total."""
     n = np.asarray(n, dtype=np.int64)
-    lf = _log_factorials(int(n.max(initial=0)))
+    lf = log_factorials(int(n.max(initial=0)))
 
     def logw(rows, j):
         nn = n[rows]
@@ -119,7 +110,7 @@ def fisher_laws(r1, r2, s):
     """
     r1, r2, s = (np.asarray(v, dtype=np.int64) for v in (r1, r2, s))
     lo = np.maximum(0, s - r2)
-    lf = _log_factorials(int(max(r1.max(initial=0), r2.max(initial=0))))
+    lf = log_factorials(int(max(r1.max(initial=0), r2.max(initial=0))))
 
     def logw(rows, j):
         n1, n2, t = r1[rows], r2[rows], s[rows]
@@ -145,7 +136,7 @@ def negbinom_laws(s, shape_total: float):
         raise ValueError(
             f"shape_total {k!r} gives log-weights beyond the float64 range"
         )
-    left = rising - _log_factorials(s_max) - math.lgamma(k)
+    left = rising - log_factorials(s_max) - math.lgamma(k)
 
     def logw(rows, j):
         return left[j] + left[s[rows] - j]

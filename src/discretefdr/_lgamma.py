@@ -101,7 +101,11 @@ def gammaln(x) -> np.ndarray:
 
 
 def log_factorials(n_max: int) -> np.ndarray:
-    """``log(k!) = gammaln(k + 1.0)`` for ``k = 0..n_max``."""
+    """``log(k!) = gammaln(k + 1.0)`` for ``k = 0..n_max``.
+
+    ``tests/test_lgamma.py`` checks that these bits equal scipy's
+    ``gammaln`` on every ``k`` up to ``_kernels.MAX_TOTAL``, so the
+    kernels' tables are the ones a ``gammaln`` call per law would give."""
     head = min(n_max + 1, 12)  # k + 1 below 13
     out = np.empty(n_max + 1)
     out[:head] = [_small(k + 1.0) for k in range(head)]

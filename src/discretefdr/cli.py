@@ -50,13 +50,13 @@ from .discrete_tests import (
     ingest_counts,
     test_count_table,
 )
-from .estimators import Study
+from .estimators import Study, _one
 from .sim import (
     PI0_METHODS,
     DEFAULT_PI0_METHODS,
     DEFAULT_PROCEDURES,
     ScenarioSpec,
-    evaluate_study,
+    evaluate_block,
     run_replications,
 )
 from .tuning import TuningGrid, bootstrap_tune
@@ -339,17 +339,16 @@ def cmd_analyze(settings: dict, out_dir: str, manifest: dict | None = None) -> i
     if not alphas:
         raise CliError("config", "setting 'alphas' is empty")
     try:
-        estimates, outcomes = evaluate_study(
-            study, PI0_METHODS, DEFAULT_PROCEDURES, alphas, lam, eps
+        estimates, outcomes = evaluate_block(
+            study, 1, PI0_METHODS, DEFAULT_PROCEDURES, alphas, lam, eps
         )
     except ValueError as exc:
         raise CliError("usage", str(exc)) from exc
     defined = [(n, o) for n, o in zip(DEFAULT_PROCEDURES, outcomes) if o is not None]
     rows = [
-        (name, *cells, alpha, res.t_alpha, res.fdr_at_t, res.rejections)
+        (name, cell_lam, cell_eps, pi0[0], alpha, t[a, 0], fdr[a, 0], count[a, 0])
         for a, alpha in enumerate(alphas)
-        for name, (cells, results) in defined
-        for res in [results[a]]
+        for name, ((cell_lam, cell_eps, pi0), t, fdr, count) in defined
     ]
     # bh runs at every level, so there is at least one row
     methods, *floats, rejections = zip(*rows)
@@ -366,8 +365,8 @@ def cmd_analyze(settings: dict, out_dir: str, manifest: dict | None = None) -> i
             "lambda": lam,
             "epsilon": eps,
             "estimates": {
-                name: (est.to_json_dict() if est is not None else None)
-                for name, est in estimates.items()
+                name: None if e is None else _one(name, e[0], lam, eps).to_json_dict()
+                for name, e in estimates.items()
             },
         },
     )

@@ -147,18 +147,12 @@ def build_rejection_process(pvalues: Sequence[float] | np.ndarray) -> RejectionP
 
 
 def inverse_rejection_L(proc: RejectionProcess, t: float) -> float:
-    """Scaled inverse rejection process ``t / max(R(t), 1)``.
-
-    Evaluated through its piecewise form: ``t`` below the smallest
-    p-value, then ``t / T_j`` on each interval where the rejection
-    count is the running total ``T_j``.
-    """
+    """Scaled inverse rejection process ``t / max(R(t), 1)``: ``t`` below
+    the smallest p-value, then ``t / T_j`` on each interval where the
+    rejection count is the running total ``T_j``."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    j = int(np.searchsorted(proc.distinct, t, side="right"))
-    if j == 0:
-        return t
-    return t / float(proc.cum[j - 1])
+    return t / max(proc.rejections(t), 1)
 
 
 #: Kinds whose estimate is capped at 1.
@@ -217,21 +211,14 @@ class FdrEstimator:
             )
         )
 
-    def _caps_at_one(self) -> bool:
-        return self.kind in _CAPPED
-
 
 def evaluate_fdr(est: FdrEstimator, proc: RejectionProcess, t: float) -> float:
     """Value of the named FDR estimator at threshold ``t``."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    if est.kind == "storey_variant" and t > est.lam:
-        return 1.0
-    r = proc.rejections(t)
-    base = est.multiplier(proc.m) * t * proc.m / max(r, 1)
-    if est._caps_at_one():
-        return min(1.0, base)
-    return base
+    count = max(proc.rejections(t), 1)
+    mult = est.multiplier(proc.m)
+    return float(_fdr_values(est.kind, mult, est.lam, proc.m, t, count))
 
 
 @dataclass(frozen=True)
@@ -252,8 +239,9 @@ class ThresholdResult:
 
 
 def _fdr_values(kind, mult, lam, m, t, count):
-    """The estimator's values at ``t`` where ``max(R(t), 1)`` is ``count``,
-    in :func:`evaluate_fdr`'s order of float operations."""
+    """The estimator's values at ``t`` where ``max(R(t), 1)`` is ``count``:
+    ``mult * t * m / count``, capped at 1 for the capped kinds, and 1
+    beyond ``lam`` for the variant."""
     value = mult * t * m / count
     if kind in _CAPPED:
         value = np.minimum(1.0, value)

@@ -31,16 +31,16 @@ estimate is computed once for all rows, and each (procedure, level) pair
 is one row-wise solve. A key's law is built from that key alone, and a
 row's reductions are bitwise those of the row alone, so a replication's
 results are the same whether it is evaluated alone
-(``generate_scenario``, ``evaluate_study``) or pooled with others, and
-whatever the chunk size. Only one chunk is tested and held at a time, so
-memory follows the chunk size, not ``reps``.
+(``generate_scenario``, then ``evaluate_block`` with one row) or pooled
+with others, and whatever the chunk size. Only one chunk is tested and
+held at a time, so memory follows the chunk size, not ``reps``.
 
 The registry here is the one place that maps a name to an estimator
 (the ``_ESTIMATORS`` table, behind ``PI0_METHODS`` and ``compute_pi0``)
 or to a procedure (``evaluate_block``, which runs a roster of
 ``PROCEDURES`` on a block of studies); ``simulate`` dispatches each
-chunk through ``evaluate_block`` and ``analyze`` its one study through
-``evaluate_study``, the one-row case.
+chunk through ``evaluate_block`` and ``analyze`` its one study as the
+one-row case.
 
 ``bias_decomposition`` computes the exact finite-sample biases of the
 discreteness-adjusted estimator and the doubled-mean estimator for one
@@ -65,7 +65,6 @@ from .estimators import (
     _check_epsilon,
     _check_lambda,
     _clip01,
-    _one,
     _tuning,
     adjusted_rows,
     benjamini_pi0,
@@ -310,24 +309,27 @@ def _replication_rng(spec: ScenarioSpec, rep_index: int) -> np.random.Generator:
 _CHUNK_FEATURES = 1 << 16
 
 
-#: Largest Poisson mean numpy's samplers accept, as numpy computes it;
-#: ``Generator.negative_binomial`` refuses a shape ``n`` and success
-#: probability ``p`` with ``(1 - p) / p * (n + 10 sqrt(n))`` beyond it.
-_POISSON_LAM_MAX = float(np.iinfo("l").max) - np.sqrt(np.iinfo("l").max) * 10
+def _group_sums(spec: ScenarioSpec, rng: np.random.Generator, p) -> np.ndarray:
+    """Each feature's sum of ``reps_per_group`` negative-binomial counts
+    of shape ``1 / dispersion`` and success probability ``p``.
 
-
-def _check_negbinom_range(spec: ScenarioSpec, sigma: float, *probs) -> None:
-    """Refuse, naming the dispersion, a draw that numpy's
-    ``negative_binomial`` would refuse for each group's ``(sigma, p)``."""
-    for p in probs:
+    numpy refuses a shape and ``p`` whose counts could overflow its
+    Poisson sampler; that refusal is raised as one naming the dispersion.
+    """
+    try:
         with np.errstate(over="ignore", divide="ignore"):
-            top = (1 - p) / p * (sigma + 10 * np.sqrt(sigma))
-        if np.any(np.greater(top, _POISSON_LAM_MAX)):
-            raise ValueError(
-                f"dispersion {spec.dispersion!r} is too large: numpy's "
-                "negative-binomial sampler refuses the per-sample shape "
-                "1 / dispersion with these group means"
+            counts = rng.negative_binomial(
+                1.0 / spec.dispersion, p, size=(spec.reps_per_group, spec.m)
             )
+    except ValueError:
+        if not np.all((0.0 < p) & (p <= 1.0)):
+            raise  # numpy's message names p
+        raise ValueError(
+            f"dispersion {spec.dispersion!r} is too large: numpy's "
+            "negative-binomial sampler refuses the per-sample shape "
+            "1 / dispersion with these group means"
+        ) from None
+    return counts.sum(axis=0).astype(np.int64)
 
 
 def _draw_counts(
@@ -349,13 +351,10 @@ def _draw_counts(
         x2 = rng.binomial(trials, params["theta2"])
         return x1.astype(np.int64), trials, x2.astype(np.int64)
     sigma = 1.0 / spec.dispersion
-    k = spec.reps_per_group
-    p1 = sigma / (sigma + params["theta1"])
-    p2 = sigma / (sigma + params["theta2"])
-    _check_negbinom_range(spec, sigma, p1, p2)
-    s1 = rng.negative_binomial(sigma, p1, size=(k, spec.m)).sum(axis=0)
-    s2 = rng.negative_binomial(sigma, p2, size=(k, spec.m)).sum(axis=0)
-    return s1.astype(np.int64), s2.astype(np.int64)
+    return tuple(
+        _group_sums(spec, rng, sigma / (sigma + params[theta]))
+        for theta in ("theta1", "theta2")
+    )
 
 
 def _test(spec: ScenarioSpec, columns) -> tuple[np.ndarray, ...]:
@@ -482,51 +481,8 @@ def compute_pi0(
     study: Study, method: str, lam: float, epsilon: float
 ) -> Pi0Estimate:
     """Dispatch one named estimator of the proportion of true nulls."""
+    _check_name(method, PI0_METHODS, "pi0 method")
     return _ESTIMATORS[method][0](study, **_tuning(method, lam, epsilon))
-
-
-def evaluate_study(
-    study: Study,
-    methods: Sequence[str],
-    procedures: Sequence[str],
-    alphas: Sequence[float],
-    lam: float,
-    epsilon: float,
-) -> tuple[dict[str, Pi0Estimate | None], list[tuple | None]]:
-    """The named estimates of one study and its procedures' results: the
-    one-row case of :func:`evaluate_block`.
-
-    Estimates are :class:`Pi0Estimate` objects, and a procedure gives
-    None or ``(cells, results)``, ``results[a]`` its
-    :class:`ThresholdResult` at ``alphas[a]`` and ``cells`` the
-    ``lambda``, ``epsilon`` and ``pi0`` it runs with.
-    """
-    estimates, outcomes = evaluate_block(
-        study, 1, methods, procedures, alphas, lam, epsilon
-    )
-    pi0 = {
-        name: None if e is None else _one(name, e[0], lam, epsilon)
-        for name, e in estimates.items()
-    }
-    results: list[tuple | None] = []
-    for outcome in outcomes:
-        if outcome is None:
-            results.append(None)
-            continue
-        (cell_lam, cell_eps, mult), t, fdr, count = outcome
-        results.append((
-            (cell_lam, cell_eps, float(mult[0])),
-            [
-                ThresholdResult(
-                    float(t[a, 0]),
-                    float(fdr[a, 0]),
-                    int(count[a, 0]),
-                    np.flatnonzero(study.pvalues <= t[a, 0]),
-                )
-                for a in range(len(alphas))
-            ],
-        ))
-    return pi0, results
 
 
 def false_discovery_proportion(study: Study, result: ThresholdResult) -> float:
@@ -800,10 +756,8 @@ def bias_decomposition(
     ``pmf1 . 1 . pmf2``, falls short by more than 1e-6 (safety: the
     bounds leave at most that), a :class:`ValueError` is raised.
     """
-    if not 0.0 <= lam < 1.0:
-        raise ValueError("lambda must lie in [0, 1)")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must lie in [0, 1]")
+    _check_lambda(lam)
+    _check_epsilon(epsilon)
 
     params = _draw_parameters(spec, _replication_rng(spec, rep_index))
     m, m0 = spec.m, spec.m0

@@ -14,7 +14,7 @@ ones, and ``generate_scenario_alone`` (one kernel call per replication)
 for ``sim``'s pooled replications. ``procedure_results`` transcribes
 each procedure from the one-study estimates of ``pi0_loop`` and the
 one-study solvers ``threshold_loop`` and ``bh_sorted``, the reference
-for ``sim.evaluate_block`` and ``sim.evaluate_study``.
+for ``sim.evaluate_block``.
 ``PValueProfile``, ``support_cdf`` and ``null_expected_pvalue`` are
 per-hypothesis scalar references for the estimators' per-support
 statistics.
@@ -309,15 +309,20 @@ def threshold_loop(est, proc, alpha: float):
     rejection count is constant one at a time, right to left, and
     returns the first candidate that lies inside its interval and
     survives the descent by ulps onto the feasible side of ``alpha``."""
-    from discretefdr.fdr import _MAX_NUDGES, ThresholdResult, evaluate_fdr
+    from discretefdr.fdr import _MAX_NUDGES, ThresholdResult
 
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     m = proc.m
     mult = est.multiplier(m)
+    capped = est.kind in ("generalized", "storey_type_sigma")
 
     def f(t):
-        return evaluate_fdr(est, proc, t)
+        # the estimator at t, from its definition
+        if est.kind == "storey_variant" and t > est.lam:
+            return 1.0
+        value = mult * t * m / max(proc.rejections(t), 1)
+        return min(1.0, value) if capped else value
 
     def result(t):
         return ThresholdResult(
@@ -338,7 +343,7 @@ def threshold_loop(est, proc, alpha: float):
 
     if mult <= 0.0:
         return result(1.0)
-    if alpha >= 1.0 and (est._caps_at_one() or est.kind == "storey_variant"):
+    if alpha >= 1.0 and (capped or est.kind == "storey_variant"):
         return result(1.0)
     cap = est.lam if est.kind == "storey_variant" else 1.0
     distinct, cum = proc.distinct, proc.cum

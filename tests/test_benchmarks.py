@@ -40,9 +40,9 @@ def _load_tracing():
 
 
 #: Names the tracer wraps that the package no longer has: ``cli`` runs
-#: every estimator and procedure through ``sim.evaluate_study``, ``sim``
-#: evaluates each chunk of replications with the row-wise solvers
-#: (``sim.evaluate_block``) instead of the one-study procedures (it
+#: every estimator and procedure on its one study, and ``sim`` on each
+#: chunk of replications, through the row-wise solvers of
+#: ``sim.evaluate_block`` instead of the one-study procedures (``sim``
 #: keeps the one-study estimators only behind ``compute_pi0``), and
 #: ``sim.run_procedure`` and ``tuning``'s import of ``generalized_pi0``
 #: are gone.

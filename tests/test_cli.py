@@ -8,7 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from discretefdr import IngestSchema, ScenarioSpec, Study, cli, ingest_counts
+from discretefdr import (
+    IngestSchema,
+    ScenarioSpec,
+    Study,
+    benjamini_pi0,
+    cli,
+    generalized_pi0,
+    ingest_counts,
+    pounds_hat_pi0,
+    pounds_tilde_pi0,
+    storey_pi0,
+)
 from discretefdr import test_count_table as run_count_table
 from discretefdr.cli import main
 from discretefdr.sim import PI0_METHODS, PROCEDURES, run_replications
@@ -828,6 +839,19 @@ def test_analyze_csv_outputs_match_row_wise_writer(
     )
     for name in ("features.csv", "table.csv"):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    # the estimates are the one-study estimators', as JSON
+    estimates = {
+        "storey": storey_pi0(study, 0.5),
+        "generalized": generalized_pi0(study, 0.5, 1.0),
+        "pounds_tilde": pounds_tilde_pi0(study),
+        "pounds_hat": pounds_hat_pi0(study),
+        "benjamini": benjamini_pi0(study),
+    }
+    got = json.loads((out / "estimates.json").read_text(encoding="utf-8"))
+    assert list(got["estimates"]) == list(PI0_METHODS)
+    assert got["estimates"] == cli._jsonify(
+        {name: est.to_json_dict() for name, est in estimates.items()}
+    )
     features = (out / "features.csv").read_text(encoding="utf-8")
     assert '\n"say ""hi""",' in features
     assert "\n,0" in features or "\n,1" in features  # the empty id

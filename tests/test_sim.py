@@ -12,7 +12,6 @@ from discretefdr import (
     bias_decomposition,
     build_rejection_process,
     compute_pi0,
-    evaluate_study,
     false_discovery_proportion,
     generalized_bias_from_expectations,
     generate_scenario,
@@ -74,34 +73,40 @@ def test_cap_transform_is_accepted():
 
 @pytest.mark.parametrize("sigma", [1e-308, 1e-40, 1e-3, 1.0, 1e3, 1e12])
 def test_negbinom_range_check_agrees_with_numpy_at_the_edge(sigma):
-    """``sim._check_negbinom_range`` copies numpy's refusal of a
-    negative-binomial ``(n, p)``; the two agree on the ulps of ``p``
-    around the edge of numpy's range, so a change to numpy's check shows
-    here rather than as a draw error that does not name the dispersion."""
-    spec = _spec(kind="negbinom_ent")
-    rng = np.random.default_rng(0)
+    """The group sums are refused, naming the dispersion, exactly where
+    numpy's negative-binomial sampler refuses the shape and ``p``: on the
+    ulps of ``p`` around the edge of numpy's range and at the smallest
+    positive ``p``, where numpy's own range check overflows, with no
+    warning. A ``p`` outside (0, 1] keeps numpy's own message."""
+    spec = _spec(kind="negbinom_ent", m=1, dispersion=1.0 / sigma)
+    sigma = 1.0 / spec.dispersion  # the shape the draw uses
+    # numpy's largest Poisson mean, as its sampler computes it
+    lam_max = float(np.iinfo("l").max) - np.sqrt(np.iinfo("l").max) * 10
     scale = sigma + 10 * np.sqrt(sigma)
-    probs = [scale / (sim._POISSON_LAM_MAX + scale)]
+    probs = [scale / (lam_max + scale)]
     for _ in range(8):
         probs = [np.nextafter(probs[0], 0.0), *probs, np.nextafter(probs[-1], 1.0)]
     refused = []
-    for p in probs:
+    for p in [np.nextafter(0.0, 1.0), *probs]:
         p = np.array([p])
         try:
             with np.errstate(over="ignore", divide="ignore"):
-                rng.negative_binomial(sigma, p, size=1)
+                np.random.default_rng(0).negative_binomial(sigma, p, size=1)
             numpy_refuses = False
         except ValueError:
             numpy_refuses = True
         try:
-            sim._check_negbinom_range(spec, sigma, p)
+            sim._group_sums(spec, np.random.default_rng(0), p)
             ours = False
-        except ValueError:
+        except ValueError as exc:
+            assert str(exc).startswith(f"dispersion {spec.dispersion!r} is too large")
             ours = True
         assert ours == numpy_refuses, p
         refused.append(ours)
     # the ulps straddle the edge
     assert refused[0] and not refused[-1]
+    with pytest.raises(ValueError, match="^p <= 0"):
+        sim._group_sums(spec, np.random.default_rng(0), np.array([1.5]))
 
 
 def test_spec_validation():
@@ -315,23 +320,28 @@ def test_replications_are_tested_and_used_one_chunk_at_a_time(monkeypatch):
 @pytest.mark.parametrize("m", [1, 40])
 @pytest.mark.parametrize("kind", ["poisson_bin", "binomial_fet", "negbinom_ent"])
 def test_evaluate_study_matches_transcribed_procedures(kind, m):
-    """Every estimate and every procedure's cells and results are bitwise
-    those of the estimator and FDR functions called directly."""
+    """One study evaluated as a one-row block, as ``analyze`` evaluates
+    it: every estimate is bitwise the one-study estimator's, and every
+    procedure's cells and results are bitwise those transcribed in
+    ``oracles.procedure_results``."""
     from discretefdr import (
         benjamini_pi0,
         generalized_pi0,
         pounds_hat_pi0,
         pounds_tilde_pi0,
-        sim,
         storey_pi0,
     )
+    from discretefdr.estimators import _one
 
     study = generate_scenario(_spec(kind=kind, m=m, pi0=0.6, seed=5), 0)
     lam, eps, alphas = 0.4, 0.7, (0.01, 0.05, 0.3)
-    estimates, outcomes = evaluate_study(
-        study, sim.PI0_METHODS, sim.PROCEDURES, alphas, lam, eps
+    estimates, outcomes = sim.evaluate_block(
+        study, 1, sim.PI0_METHODS, sim.PROCEDURES, alphas, lam, eps
     )
-    assert estimates == {
+    assert {
+        name: None if e is None else _one(name, e[0], lam, eps)
+        for name, e in estimates.items()
+    } == {
         "storey": storey_pi0(study, lam),
         "generalized": generalized_pi0(study, lam, eps),
         "pounds_tilde": pounds_tilde_pi0(study),
@@ -341,23 +351,21 @@ def test_evaluate_study_matches_transcribed_procedures(kind, m):
     assert list(estimates) == list(sim.PI0_METHODS)
     # level by level, as the transcription yields them
     got = [
-        (name, outcome[0], alpha, outcome[1][a])
+        (name, (lam_, eps_, pi0[0]), alpha, t[a, 0], fdr[a, 0], count[a, 0])
         for a, alpha in enumerate(alphas)
         for name, outcome in zip(sim.PROCEDURES, outcomes)
         if outcome is not None
+        for (lam_, eps_, pi0), t, fdr, count in [outcome]
     ]
     expected = list(
         oracles.procedure_results(study, sim.PROCEDURES, alphas, lam, eps)
     )
     assert len(got) == len(expected) == len(alphas) * (5 if m > 1 else 4)
-    for (name, cells, alpha, res), (e_name, e_cells, e_alpha, e_res) in zip(
-        got, expected
-    ):
-        assert (name, cells, alpha) == (e_name, e_cells, e_alpha)
-        assert np.array_equal(res.t_alpha, e_res.t_alpha)
-        assert np.array_equal(res.fdr_at_t, e_res.fdr_at_t, equal_nan=True)
-        assert res.rejections == e_res.rejections
-        assert np.array_equal(res.rejected, e_res.rejected)
+    for (*row, t, fdr, count), (e_name, e_cells, e_alpha, e_res) in zip(got, expected):
+        assert tuple(row) == (e_name, e_cells, e_alpha)
+        assert np.array_equal(t, e_res.t_alpha)
+        assert np.array_equal(fdr, e_res.fdr_at_t, equal_nan=True)
+        assert count == e_res.rejections == e_res.rejected.shape[0]
 
 
 def _assert_block_rows_match_oracles(study, rows, truth, alphas, lam, eps):
@@ -524,6 +532,8 @@ def test_roster_validation():
         run_replications(spec, pi0_methods=("qvalue",))
     with pytest.raises(ValueError, match="procedure"):
         run_replications(spec, procedures=("bonferroni",))
+    with pytest.raises(ValueError, match="unknown pi0 method 'bogus'"):
+        compute_pi0(generate_scenario(spec, 0), "bogus", 0.5, 1.0)
 
 
 def test_each_study_builds_one_process_and_each_estimate_once(monkeypatch):
