@@ -11,9 +11,13 @@ The inputs are drawn like those of the analyze benchmark workloads, at
   distinct.
 
 For each table the script prints the best wall time, over ``REPEAT``
-runs, of ``ingest_counts`` on the file's bytes and of writing
+runs, of ``ingest_counts`` on the file's bytes, of writing
 ``features.csv`` (id, p-value and support cell of every row) from the
-tested table. Run with ``python3 benchmarks/bench_io.py``.
+tested table, and, as parts of that write, of formatting the support
+cells (``_support_cells``) and the distinct p-values
+(``_float_cells``). The dyadic supports of ``bin`` send many points to
+the formatter's ``%`` fallback; those of ``fet`` take its numpy path.
+Run with ``python3 benchmarks/bench_io.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import time
 import numpy as np
 
 from discretefdr import IngestSchema, Study, ingest_counts, test_count_table
-from discretefdr.cli import _write_features
+from discretefdr.cli import _float_cells, _support_cells, _write_features
 
 SIZES = (15_000, 150_000)
 REPEAT = 5
@@ -64,7 +68,10 @@ def _best(fn, *args) -> tuple[float, object]:
 def main() -> int:
     rng = np.random.default_rng(SEED)
     print(f"best of {REPEAT} runs")
-    print(f"{'table':12s} {'ingest':>10s} {'features.csv':>13s}  distinct supports")
+    print(
+        f"{'table':15s} {'ingest':>10s} {'features.csv':>13s} {'supports':>10s}"
+        f" {'p-values':>10s}  distinct supports"
+    )
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "features.csv")
         for kind in ("bin", "fet"):
@@ -74,8 +81,11 @@ def main() -> int:
                 t_in, table = _best(lambda: ingest_counts(io.BytesIO(data), schema))
                 study = Study.from_distinct(*test_count_table(table))
                 t_out, _ = _best(_write_features, path, table, study)
+                t_sup, _ = _best(_support_cells, study)
+                t_p, _ = _best(_float_cells, np.unique(study.pvalues))
                 print(
-                    f"{kind} {m:>8d} {t_in * 1e3:8.1f}ms {t_out * 1e3:11.1f}ms"
+                    f"{kind:4s} {m:>10d} {t_in * 1e3:8.1f}ms {t_out * 1e3:11.1f}ms"
+                    f" {t_sup * 1e3:8.1f}ms {t_p * 1e3:8.1f}ms"
                     f"  {study.support_len.shape[0]}"
                 )
     return 0

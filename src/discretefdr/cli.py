@@ -18,8 +18,9 @@ mismatches, empty analyses).
 All floating-point output is printed with 9 significant digits.
 
 CSV outputs are written column by column: each float column is
-formatted in one ``%.9g`` pass (NaN and missing cells print as ``NA``),
-each distinct p-value and support cell of ``features.csv`` is formatted
+formatted by one numpy formatter that gives the bytes of ``%.9g``
+(``_format_floats``; NaN and missing cells print as ``NA``), each
+distinct p-value and support cell of ``features.csv`` is formatted
 once, and the rows are joined and written a fixed number at a time, so
 the text of a whole file is never held in memory. Cells are quoted as
 ``csv.writer`` quotes them by default: a cell holding a comma, a double
@@ -129,13 +130,134 @@ def _text_cells(cells) -> list[str]:
     ]
 
 
+_U64 = np.uint64
+_QUADS = np.arange(10_000, dtype=np.uint16)
+#: ``"0000"`` to ``"9999"``, each as four ASCII bytes of a ``uint64``,
+#: the first digit in the lowest byte.
+_DIGITS4 = np.empty((10_000, 4), dtype=np.uint8)
+for _j in range(4):
+    _DIGITS4[:, _j] = _QUADS // 10 ** (3 - _j) % 10 + 0x30
+_DIGITS4 = _DIGITS4.view("<u4")[:, 0].astype(_U64)
+#: Trailing zeros of each four-digit group (``0000`` has four).
+_ZEROS4 = sum((_QUADS % 10**_j == 0).view(np.uint8) for _j in range(1, 5))
+#: The low ``8 - z`` bytes of a word, for ``z`` trailing zeros to clear.
+_KEEP8 = np.array([(1 << 8 * (8 - z)) - 1 for z in range(9)], dtype=_U64)
+#: 10**k, correctly rounded, for every scale ``8 - X`` the exponent
+#: search can try (decimal exponent ``X`` from -101 to 0).
+_POW10 = np.array([float(f"1e{k}") for k in range(110)])
+
+# A value's decimal exponent X (that of ``%.8e``) sets its class
+# c = min(-X, 5): c = 0 is 1 itself, c = 1 to 4 the fixed forms "0."
+# to "0.000" and c = 5 the scientific form "d.dddddddde-XX". A 16-byte
+# cell holds the leading digit and the other eight, each shifted by its
+# class's scalar; the other eight lose their trailing zeros first.
+#: Bit offset of the leading digit, and of the other eight, per class.
+_LEAD_SHIFT = np.array([0, 16, 24, 32, 40, 0], dtype=_U64)
+_REST_SHIFT = np.array([8, 24, 32, 40, 48, 16], dtype=_U64)
+#: Per class c and count z of trailing zeros, at ``9 * c + z``: the
+#: prefix bytes (the scientific form drops its "." when no digit
+#: follows it) and the length of the text.
+_PREFIX = np.repeat(
+    np.array([0, 0x2E30, 0x302E30, 0x30302E30, 0x3030302E30, 0x2E00], dtype=_U64), 9
+)
+_PREFIX[9 * 5 + 8] = 0
+_LENGTH = np.concatenate(
+    [9 - np.arange(9)]
+    + [c + 10 - np.arange(9) for c in range(1, 5)]
+    + [np.append(14 - np.arange(8), 5)]
+).astype(np.uint8)
+#: ``"e-XX"`` in bytes 10 to 13 of the cell (2 to 5 of its second word)
+#: for the scientific forms, ``-X`` from 5 to 99; 0 for the others.
+_EXPONENT = (_DIGITS4[:102] & _U64(0xFFFF0000) | _U64(0x2D65)) << _U64(16)
+_EXPONENT[:5] = 0
+
+
+def _format_floats(values, end: str) -> tuple[str, np.ndarray]:
+    """The ``%.9g`` text of every float in ``values`` (NaN as ``NA``),
+    each followed by the one ASCII character ``end``, as one string;
+    and each value's length without ``end``.
+
+    The values are taken ``_CHUNK_ROWS`` at a time. A value in (0, 1]
+    with a decimal exponent of at least -99 gets its exponent from
+    ``log10`` and its nine digits from ``rint(x * 10**(8 - X))``, with
+    one second try where rounding crosses a decade; those digits are
+    exact, because the scaled value is within about 2e-7 of its true
+    value, unless the scaled fraction lies within 1e-6 of one half (an
+    exact tie, such as 2**-13, rounds half to even). Those values, and
+    every other one (0, negatives, values above 1, non-finite values),
+    are formatted by ``%`` one at a time, so every byte is that of
+    ``"%.9g" % x``. Each value's bytes are laid out in a zero-padded
+    cell of 16 bytes (24 when a value's text takes 16) that ends in
+    ``end``, and the cells are compacted by dropping the zero bytes.
+    """
+    x = np.asarray(values, dtype=np.float64).reshape(-1)
+    parts, lengths = [], []
+    for a in range(0, x.shape[0], _CHUNK_ROWS):
+        chunk, length = _format_chunk(x[a : a + _CHUNK_ROWS], end)
+        parts.append(chunk)
+        lengths.append(length)
+    if not parts:
+        return "", np.zeros(0, dtype=np.uint8)
+    return "".join(parts), np.concatenate(lengths)
+
+
+def _format_chunk(x: np.ndarray, end: str) -> tuple[str, np.ndarray]:
+    """``_format_floats`` on at most ``_CHUNK_ROWS`` values."""
+    inside = (x > 0) & (x <= 1)
+    unit = np.where(inside, x, 1.0)
+    exp = np.maximum(np.floor(np.log10(unit)), -100).astype(np.intp)
+    scaled = unit * _POW10[8 - exp]
+    digits = np.rint(scaled)
+    # log10 may land one decade off next to a power of ten, and rounding
+    # may carry into the next decade: one more try at the right exponent
+    off = np.flatnonzero((digits >= 1e9) | (digits < 1e8))
+    if off.size:
+        exp[off] += np.where(digits[off] >= 1e9, 1, -1)
+        scaled[off] = unit[off] * _POW10[8 - exp[off]]
+        digits[off] = np.rint(scaled[off])
+        inside[off[(digits[off] >= 1e9) | (digits[off] < 1e8)]] = False
+    exact = inside & (exp >= -99) & (np.abs(scaled - digits) < 0.5 - 1e-6)
+
+    d = digits.astype(np.intp)
+    lead = d // 100_000_000
+    rest = d - lead * 100_000_000
+    high = rest // 10_000
+    low = rest - high * 10_000
+    zeros = _ZEROS4[low] + (low == 0) * _ZEROS4[high]
+    rest8 = (_DIGITS4[high] | _DIGITS4[low] << _U64(32)) & _KEEP8[zeros]
+    cls = np.minimum(-exp, 5)
+    form = 9 * cls + zeros
+
+    slow = np.flatnonzero(~exact)
+    texts = [b"NA" if v != v else b"%.9g" % v for v in x[slow].tolist()]
+    words = 2 if all(len(t) < 16 for t in texts) else 3
+    # little-endian words, so that a word's lowest byte comes first
+    cells = np.zeros((x.shape[0], words), dtype="<u8")
+    cells[:, 0] = (
+        _PREFIX[form]
+        | (lead.astype(_U64) + _U64(0x30)) << _LEAD_SHIFT[cls]
+        | rest8 << _REST_SHIFT[cls]
+    )
+    cells[:, 1] = rest8 >> _U64(64) - _REST_SHIFT[cls] | _EXPONENT[-exp]
+    cells[:, -1] |= _U64(ord(end)) << _U64(56)
+    length = _LENGTH[form]
+    if texts:
+        width = 8 * words
+        padded = [t.ljust(width - 1, b"\0") + end.encode() for t in texts]
+        cells[slow] = np.array(padded, dtype=f"S{width}").view("<u8").reshape(-1, words)
+        length[slow] = list(map(len, texts))
+    flat = cells.view(np.uint8).reshape(-1)
+    return str(flat[flat != 0], "ascii"), length
+
+
 def _float_cells(values) -> list[str]:
     """Float cells at 9 significant digits (the bytes of ``f"{x:.9g}"``,
-    ``inf`` and ``-0`` included); NaN and None print as ``NA``."""
-    x = np.asarray(values, dtype=np.float64)
-    cells = list(map("%.9g".__mod__, x.tolist()))
-    for i in np.flatnonzero(np.isnan(x)).tolist():
-        cells[i] = "NA"
+    ``inf`` and ``-0`` included); NaN and None print as ``NA``.
+
+    The cells are cut from ``_format_floats``'s one string at its
+    line breaks."""
+    cells = _format_floats(values, "\n")[0].split("\n")
+    cells.pop()
     return cells
 
 
@@ -176,16 +298,13 @@ def _support_cells(study: Study) -> list[str]:
     """One cell per distinct support: its points at 9 significant
     digits, joined by ``;``.
 
-    Every point is formatted once, in one ``%`` pass over
-    ``support_flat``; each cell is then cut out of that text by the
-    character offsets of the separators.
+    Every point is formatted once, by one ``_format_floats`` call over
+    ``support_flat`` that ends each point with ``;``; each cell is then
+    cut out of that text at the offsets the points' lengths add up to.
     """
-    flat = study.support_flat
-    text = ("%.9g;" * flat.shape[0]) % tuple(flat.tolist())
-    ends = np.flatnonzero(
-        np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord(";")
-    )
-    begin = np.concatenate(([0], ends + 1))
+    text, length = _format_floats(study.support_flat, ";")
+    begin = np.zeros(length.shape[0] + 1, dtype=np.intp)
+    np.cumsum(length + 1, dtype=np.intp, out=begin[1:])
     lo = begin[study.support_start]
     hi = begin[study.support_start + study.support_len] - 1
     return [text[a:b] for a, b in zip(lo.tolist(), hi.tolist())]

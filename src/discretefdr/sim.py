@@ -221,6 +221,10 @@ class ScenarioSpec:
                 f"dispersion {self.dispersion!r} gives the group sums a shape "
                 "reps_per_group / dispersion that is not finite and positive"
             )
+        for name in ("mean_low", "mean_high"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} {value!r} is not a finite mean of at least 0")
         if self.theta2_transform not in ODDS_TRANSFORMS:
             raise ValueError(
                 f"unknown theta2_transform {self.theta2_transform!r}; "
@@ -245,14 +249,36 @@ def _pareto(rng: np.random.Generator, location: float, shape: float, size: int):
 
 def _mean_file_values(spec: ScenarioSpec, data: bytes | None = None) -> np.ndarray:
     """The first ``m`` group-1 means of ``spec.mean_file``, parsed from
-    ``data`` (the file's bytes) when given, else read from the file."""
+    ``data`` (the file's bytes) when given, else read from the file.
+
+    Each must be finite and at least 0; the first that is not is named
+    with its line (that of the file's ``k``-th value when the file holds
+    one value a line, else the line holding them all)."""
     source = spec.mean_file if data is None else io.BytesIO(data)
     loaded = np.loadtxt(source, dtype=np.float64, ndmin=1)
     if loaded.shape[0] < spec.m:
         raise ValueError(
             f"mean file provides {loaded.shape[0]} values, need {spec.m}"
         )
-    return loaded[: spec.m]
+    means = loaded[: spec.m]
+    bad = np.flatnonzero(~((means >= 0.0) & (means < math.inf)))
+    if bad.size:
+        if data is None:
+            with open(spec.mean_file, "rb") as fh:
+                data = fh.read()
+        # the lines loadtxt reads values from: not blank, not a comment
+        lines = [
+            n
+            for n, text in enumerate(data.splitlines(), 1)
+            if text.split(b"#")[0].strip()
+        ]
+        k = int(bad[0])
+        line = lines[min(k, len(lines) - 1)]
+        raise ValueError(
+            f"mean file value {float(means[k])!r} on line {line} is not a "
+            "finite mean of at least 0"
+        )
+    return means
 
 
 def _draw_parameters(

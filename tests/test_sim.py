@@ -149,6 +149,52 @@ def test_mean_file_supplies_group_means(tmp_path):
         run_replications(short)
 
 
+@pytest.mark.parametrize(
+    "means, named",
+    [
+        (dict(mean_low=-3.0, mean_high=-1.0), "mean_low -3.0"),
+        (dict(mean_high=-1.0), "mean_high -1.0"),
+        (dict(mean_low=math.nan), "mean_low nan"),
+        (dict(mean_high=math.inf), "mean_high inf"),
+    ],
+)
+def test_spec_refuses_negative_or_non_finite_means(means, named):
+    with pytest.raises(ValueError, match=f"{named} is not a finite mean"):
+        _spec(kind="negbinom_ent", **means)
+
+
+def test_mean_file_refuses_negative_or_non_finite_means(tmp_path):
+    path = tmp_path / "means.txt"
+    for text, named in [
+        ("1.5\n2\n-1\n4\n", "value -1.0 on line 3"),
+        ("# means\n1.5\n\n2  # two\ninf\n4\n", "value inf on line 5"),
+        ("1.5 nan 2 4\n", "value nan on line 1"),
+    ]:
+        path.write_text(text)
+        spec = _spec(kind="negbinom_ent", m=4, mean_file=str(path))
+        with pytest.raises(ValueError, match=f"{named} is not a finite mean"):
+            run_replications(spec)
+        with pytest.raises(ValueError, match=named):
+            _draw_parameters(spec, _replication_rng(spec, 0))
+    # beyond the first m values, nothing is checked
+    path.write_text("1.5\n2\n3\n4\n-1\n")
+    run_replications(_spec(kind="negbinom_ent", m=4, reps=1, mean_file=str(path)))
+
+
+def test_zero_means_stay_legal(tmp_path):
+    """A mean of 0 gives p = 1, so every count is 0."""
+    summary = run_replications(
+        _spec(kind="negbinom_ent", m=20, reps=2, mean_low=0.0, mean_high=0.0)
+    )
+    assert summary.pi0_estimates.shape[0] == 2
+    path = tmp_path / "means.txt"
+    path.write_text("0\n1\n0\n2\n")
+    spec = _spec(kind="negbinom_ent", m=4, mean_file=str(path))
+    assert _draw_parameters(spec, _replication_rng(spec, 0))["theta1"].tolist() == [
+        0.0, 1.0, 0.0, 2.0
+    ]
+
+
 def test_mean_file_is_read_once_per_run(tmp_path, monkeypatch):
     rng = np.random.default_rng(31)
     path, other = tmp_path / "means.txt", tmp_path / "other.txt"
