@@ -6,18 +6,24 @@ for the binomial and negative-binomial tests, the margins for the
 hypergeometric test), all laws of one width as one 2-D block, and
 return each feature's p-value with a slice of its key's support, which
 is stored once; ``Study.from_distinct`` then merges equal supports and
-lays them out by length. This script times both steps on two kinds of batch:
+lays them out by length. This script times both steps on three kinds of
+batch:
 
 * ``repeated``: simulation-scale count data, where most features share
   their key with others, so most of the work is shared;
 * ``unique``: every feature has its own key, so nothing is shared and
-  the kernel builds one law per feature.
+  the kernel builds one law per feature;
+* ``tuned`` (negative binomial only): ``TUNED_M`` features with group
+  sums of three samples, means and effects as the tune-ent benchmark
+  workload draws them, so about 100 distinct totals up to about 270.
 
-It prints the best wall time of the kernel and of the study built from
-its output, the distinct keys and supports and the kernel time per
-feature. Unique-key batches of the binomial and negative-binomial tests
-need distinct totals, so each law grows with the batch; they are capped
-at ``UNIQUE_TOTALS`` features to keep them comparable.
+Every batch runs under both two-sided conventions, minimum likelihood
+and tail doubling, since each builds its tables along its own path. It
+prints the best wall time of the kernel and of the study built from its
+output, the distinct keys and supports and the kernel time per feature.
+Unique-key batches of the binomial and negative-binomial tests need
+distinct totals, so each law grows with the batch; they are capped at
+``UNIQUE_TOTALS`` features to keep them comparable.
 
 A last case times the two ways ``simulate`` can test its replications,
 on negative-binomial draws the size of the simulate-ent benchmark
@@ -40,12 +46,19 @@ from __future__ import annotations
 
 import argparse
 import time
+from functools import partial
 
 import numpy as np
 
 from discretefdr import Study, _kernels
 
 UNIQUE_TOTALS = 2000
+
+#: The two-sided conventions every batch is timed under.
+CONVENTIONS = ("minlik", "doubling")
+
+#: Features of the tune-sized negative-binomial batch.
+TUNED_M = 600
 
 #: Studies and features per study of the pooled-simulate case.
 POOLED_REPS = 50
@@ -118,6 +131,22 @@ def _unique(m: int, rng: np.random.Generator) -> dict:
     }
 
 
+def _tuned(rng: np.random.Generator) -> dict:
+    """Negative-binomial group sums of ``TUNED_M`` features, three
+    samples per group at size 0.689, a fifth with a 1.5- to 6-fold
+    effect: totals up to about 270."""
+    size, reps = 0.689, 3
+    mean1 = rng.uniform(0.5, 8.0, TUNED_M)
+    mean2 = mean1.copy()
+    effect = rng.choice(TUNED_M, TUNED_M // 5, replace=False)
+    mean2[effect] *= rng.uniform(1.5, 6.0, effect.shape[0])
+    s1, s2 = (
+        rng.negative_binomial(size, size / (size + mean), (reps, TUNED_M)).sum(axis=0)
+        for mean in (mean1, mean2)
+    )
+    return {"negbinom": (s1, s2, reps * size)}
+
+
 def _replications(rng: np.random.Generator) -> tuple[list, float]:
     """Group sums of ``POOLED_REPS`` negative-binomial studies drawn as
     simulate-ent draws them (dispersion 1.451, three samples per group,
@@ -175,7 +204,11 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    batches = {"repeated": _repeated(args.m, rng), "unique": _unique(args.m, rng)}
+    batches = {
+        "repeated": _repeated(args.m, rng),
+        "unique": _unique(args.m, rng),
+        "tuned": _tuned(rng),
+    }
     kernels = {
         "binomial": _kernels.batch_binomial,
         "fisher": _kernels.batch_fisher,
@@ -184,21 +217,28 @@ def main() -> int:
     _kernels.warm_up()
 
     print(f"best of {args.repeat} runs")
-    header = (f"{'kernel':10s} {'keys':>9s} {'m':>7s} {'distinct':>9s} "
-              f"{'supports':>9s} {'kernel':>10s} {'study':>10s} {'per feature':>12s}")
+    header = (f"{'kernel':10s} {'keys':>9s} {'convention':>10s} {'m':>7s} "
+              f"{'distinct':>9s} {'supports':>9s} {'kernel':>10s} {'study':>10s} "
+              f"{'per feature':>12s}")
     print(header)
     print("-" * len(header))
     for name, kernel in kernels.items():
         for kind, data in batches.items():
+            if name not in data:
+                continue
             batch = data[name]
             m = len(batch[0])
-            t, out = _time(kernel, *batch, repeat=args.repeat)
-            t_study, study = _time(Study.from_distinct, *out, repeat=args.repeat)
-            print(
-                f"{name:10s} {kind:>9s} {m:7d} "
-                f"{_distinct_keys(name, batch):9d} {study.support_len.shape[0]:9d} "
-                f"{t * 1e3:8.1f}ms {t_study * 1e3:8.1f}ms {t / m * 1e6:10.2f}us"
-            )
+            for convention in CONVENTIONS:
+                t, out = _time(
+                    partial(kernel, *batch, convention=convention), repeat=args.repeat
+                )
+                t_study, study = _time(Study.from_distinct, *out, repeat=args.repeat)
+                print(
+                    f"{name:10s} {kind:>9s} {convention:>10s} {m:7d} "
+                    f"{_distinct_keys(name, batch):9d} "
+                    f"{study.support_len.shape[0]:9d} {t * 1e3:8.1f}ms "
+                    f"{t_study * 1e3:8.1f}ms {t / m * 1e6:10.2f}us"
+                )
 
     draws, shape_total = _replications(rng)
     t_alone, alone = _time(_per_replication, draws, shape_total, repeat=args.repeat)

@@ -24,13 +24,15 @@ Two two-sided conventions turn a law into a table of outcome p-values:
 * tail doubling: twice the smaller tail, capped at 1.
 
 ``tables`` builds the table and the support (the sorted distinct
-p-values) of many laws at once. It groups the laws by width and builds
-each group as one 2-D block, with no Python loop per law. Under minimum
-likelihood a law of ``n`` outcomes is padded with zero weights to the
-next power of two: zero weights sort first and add nothing to any
-running sum, so padding changes no bit. Under doubling the laws are
-grouped by exact length, because padding would change the pairwise
-rounding of each law's total.
+p-values) of many laws at once. Under both conventions a law of ``n``
+outcomes is padded with zero weights to the next power of two, and
+each width's laws are built as one 2-D block, with no Python loop per
+law. Zero weights sort first and add nothing to any running sum, so
+padding changes no bit of a minimum-likelihood table or of a doubling
+tail. The one sum that padding would change is a doubling law's total
+(numpy sums pairwise, and a longer row takes another summation path),
+so each total is summed over its law's own length: one slice sum per
+distinct length in a block.
 
 The batch kernels group the features by conditioning key and build one
 law per distinct key. They return ``(pvalues, support_flat,
@@ -175,8 +177,9 @@ def _tie_end(sw: np.ndarray) -> np.ndarray:
     return end
 
 
-def _minlik_block(w: np.ndarray) -> np.ndarray:
-    """Minimum-likelihood tables of a block of weight rows."""
+def _minlik_block(w: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Minimum-likelihood tables of a block of weight rows; zero padding
+    changes no bit, so ``length`` is not needed."""
     order = np.argsort(w, axis=1, kind="stable")
     sw = np.take_along_axis(w, order, axis=1)
     cw = np.cumsum(sw, axis=1)
@@ -186,18 +189,26 @@ def _minlik_block(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _doubling_block(w: np.ndarray) -> np.ndarray:
-    """Tail-doubling tables of a block of weight rows (no padding)."""
-    probs = w / w.sum(axis=1, keepdims=True)
+def _doubling_block(w: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Tail-doubling tables of a block of zero-padded weight rows; row
+    ``r`` holds a law of ``length[r]`` outcomes.
+
+    Each row's total is summed over its own length, as one slice sum per
+    distinct length: the padded row would take another pairwise path.
+    """
+    total = np.empty((w.shape[0], 1))
+    order = np.argsort(length, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(length[order])) + 1):
+        total[rows, 0] = w[rows, : length[rows[0]]].sum(axis=1)
+    probs = w / total
     lower = np.cumsum(probs, axis=1)
     upper = np.cumsum(probs[:, ::-1], axis=1)[:, ::-1]
     return np.minimum(1.0, 2.0 * np.minimum(lower, upper))
 
 
-def _widths(length: np.ndarray, convention: str) -> np.ndarray:
-    if convention == "doubling":
-        return length
-    # the next power of two, so that few widths cover every length
+def _widths(length: np.ndarray) -> np.ndarray:
+    """The next power of two of each law's length, so that few widths
+    cover every length."""
     return np.left_shift(1, np.ceil(np.log2(length)).astype(np.int64))
 
 
@@ -231,7 +242,7 @@ def tables(laws, convention: str = "minlik"):
     support_len = np.empty(length.shape[0], dtype=np.int64)
     pieces = []
     filled = 0
-    width = _widths(length, convention)
+    width = _widths(length)
     for rows in _blocks(width):
         rows = rows[:, None]
         n = length[rows]
@@ -239,7 +250,7 @@ def tables(laws, convention: str = "minlik"):
         pad = cols >= n
         logw = law_logw(rows, np.minimum(cols, n - 1))
         logw[pad] = -np.inf
-        block = block_of(np.exp(logw - logw.max(axis=1, keepdims=True)))
+        block = block_of(np.exp(logw - logw.max(axis=1, keepdims=True)), n[:, 0])
         keep = ~pad
         block[keep & (block == 0.0)] = FLOOR
         table_flat[(table_start[rows] + cols)[keep]] = block[keep]

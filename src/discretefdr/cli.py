@@ -107,8 +107,7 @@ def _jsonify(obj):
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_jsonify(payload), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(_jsonify(payload), indent=2) + "\n")
 
 
 #: Rows formatted and written at a time.

@@ -320,7 +320,15 @@ def _draw_parameters(
         theta1 = rng.uniform(spec.mean_low, spec.mean_high, m)
     rho = _pareto(rng, spec.rho_location, spec.rho_shape, m1)
     theta2 = theta1.copy()
-    theta2[m0:] = rho * theta1[m0:]
+    with np.errstate(over="ignore"):
+        theta2[m0:] = rho * theta1[m0:]
+    beyond = np.flatnonzero(~np.isfinite(theta2[m0:]))
+    if beyond.shape[0]:
+        i = int(beyond[0])
+        raise ValueError(
+            f"group mean {float(theta1[m0 + i])!r} times effect size "
+            f"{float(rho[i])!r} gives a group-2 mean beyond the float range"
+        )
     return {"theta1": theta1, "theta2": theta2}
 
 
@@ -340,20 +348,24 @@ def _group_sums(spec: ScenarioSpec, rng: np.random.Generator, p) -> np.ndarray:
     of shape ``1 / dispersion`` and success probability ``p``.
 
     numpy refuses a shape and ``p`` whose counts could overflow its
-    Poisson sampler; that refusal is raised as one naming the dispersion.
+    Poisson sampler; that refusal is raised as one naming the dispersion
+    and the largest group mean, ``shape * (1 - p) / p`` at the smallest
+    ``p``.
     """
+    sigma = 1.0 / spec.dispersion
     try:
         with np.errstate(over="ignore", divide="ignore"):
-            counts = rng.negative_binomial(
-                1.0 / spec.dispersion, p, size=(spec.reps_per_group, spec.m)
-            )
+            counts = rng.negative_binomial(sigma, p, (spec.reps_per_group, spec.m))
     except ValueError:
         if not np.all((0.0 < p) & (p <= 1.0)):
             raise  # numpy's message names p
+        low = np.min(p)
+        with np.errstate(over="ignore"):
+            mean = sigma * (1.0 - low) / low
         raise ValueError(
-            f"dispersion {spec.dispersion!r} is too large: numpy's "
-            "negative-binomial sampler refuses the per-sample shape "
-            "1 / dispersion with these group means"
+            f"dispersion {spec.dispersion!r} is too large for the largest group "
+            f"mean {mean:.6g}: numpy's negative-binomial sampler refuses the "
+            "per-sample shape 1 / dispersion with these group means"
         ) from None
     return counts.sum(axis=0).astype(np.int64)
 

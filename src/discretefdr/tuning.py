@@ -128,10 +128,9 @@ def bootstrap_tune(study: Study, grid: TuningGrid) -> TuningResult:
     parts = np.empty((lams.shape[0], 2, m))
     for k, lam in enumerate(lams.tolist()):
         parts[k] = _exceedance_parts(study.pvalues, study.support_floor(lam), lam)
-    full = np.array([
-        _clip01(_adjusted_raw(*parts[k], eps, lam))
-        for k, (lam, eps) in zip(which.tolist(), points)
-    ])
+    full = _clip01(
+        _adjusted_raw(parts[which, 0], parts[which, 1], eps_of[:, None], lam_of)
+    )
     target = float(full.min())
 
     rng = np.random.default_rng(np.random.SeedSequence(grid.seed))

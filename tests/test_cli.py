@@ -577,6 +577,12 @@ def test_config_error_missing_key_and_bad_kind(tmp_path, capsys):
          "config", "mean_high inf"),
         ("simulate", {"kind": "negbinom_ent", "m": 4, "mean_file": [1.5, 2, -1, 4]},
          [], "config", "value -1.0 on line 3"),
+        # finite means so large that an effect size overflows the group-2
+        # mean, or that numpy's sampler refuses them: named, without a warning
+        ("simulate", {"kind": "negbinom_ent", "mean_low": 1e308, "mean_high": 1e308},
+         [], "config", "group mean 1e+308 times effect size"),
+        ("simulate", {"kind": "negbinom_ent", "mean_low": 1e300, "mean_high": 1e300},
+         [], "config", "largest group mean 1e+300"),
     ],
     ids=[
         "m-1", "lambda", "epsilon", "empty-roster", "sim-alpha", "analyze-alpha",
@@ -584,15 +590,16 @@ def test_config_error_missing_key_and_bad_kind(tmp_path, capsys):
         "reps-per-group-0", "m-bool", "alphas-empty", "alphas-repeated",
         "sim-alpha-repeated", "size-inf", "size-huge", "dispersion-inf",
         "dispersion-tiny", "dispersion-1e308", "dispersion-1e40",
-        "mean-negative", "mean-inf", "mean-file-negative",
+        "mean-negative", "mean-inf", "mean-file-negative", "mean-1e308",
+        "mean-1e300",
     ],
 )
 def test_library_errors_print_one_error_line(
     command, config, flags, category, named, sim_config, bin_file, ent_file,
-    tmp_path, capsys
+    tmp_path, capsys, recwarn
 ):
     """Values the library or the config check rejects give one error line
-    that names what is wrong, and no output."""
+    that names what is wrong, no warning and no output."""
     if command == "simulate":
         if "mean_file" in config:
             means = tmp_path / "means.txt"
@@ -610,6 +617,7 @@ def test_library_errors_print_one_error_line(
     assert code == (2 if category == "usage" else 1)
     assert stderr.startswith(f"error:{category}:") and named in stderr
     assert stderr.count("\n") == 1 and stdout == ""
+    assert [str(w.message) for w in recwarn] == []
     assert not out.exists()  # the error comes before any output
 
 

@@ -139,15 +139,18 @@ def _law_cases():
     # the total 3000 is wider than a block of the small block size below
     bin_keys = np.unique(
         np.concatenate([np.arange(0, 40), rng.integers(40, 1075, 60),
-                        np.arange(1075, 2001, 23), [2000, 3000]])
+                        np.arange(1075, 2001, 23), [127, 2000, 3000]])
     )
     # margins of many attainable-range lengths, so padded groups mix lengths
     r1 = rng.integers(0, 90, 400)
     r2 = rng.integers(0, 90, 400)
     s = np.array([rng.integers(0, a + b + 1) for a, b in zip(r1, r2)])
     fet_keys = np.unique(np.column_stack((r1, r2, s)), axis=0)
-    # totals up to about 1100: rows far longer than a pairwise-sum block
-    ent_keys = np.unique(np.concatenate([np.arange(0, 30), rng.integers(30, 1101, 80)]))
+    # totals up to about 1100: rows far longer than a pairwise-sum block;
+    # the total 127 fills a width of 128
+    ent_keys = np.unique(
+        np.concatenate([np.arange(0, 30), rng.integers(30, 1101, 80), [127]])
+    )
     return [
         ("bin", bin_keys, K.binomial_laws(bin_keys), None),
         ("fet", fet_keys, K.fisher_laws(*fet_keys.T), None),
@@ -181,10 +184,32 @@ def test_block_tables_match_per_law_builders_bitwise(
 
 def test_block_cases_cover_padding_underflow_and_deep_ties():
     """The cases above exercise what the block builder must get right."""
-    lengths = {kind: laws[0] for kind, _, laws, _ in _law_cases()[:3]}
+    cases = _law_cases()
+    lengths = {kind: laws[0] for kind, _, laws, _ in cases[:3]}
     # padded groups hold laws of several lengths, some above 128 outcomes
-    width = K._widths(lengths["fet"], "minlik")
+    width = K._widths(lengths["fet"])
     assert any(np.unique(lengths["fet"][width == w]).shape[0] > 1 for w in width)
+    # numpy sums a row pairwise: one loop below 8 entries, eight
+    # accumulators up to 128 and halves beyond, so a padded doubling row
+    # could sum its law's total along another path than the law alone;
+    # the binomial and negative-binomial width groups mix lengths on both
+    # sides of each edge
+    for kind in ("bin", "ent"):
+        n = lengths[kind]
+        width = K._widths(n)
+        for edge in (8, 128):
+            assert any(
+                (n[width == w] < edge).any() and (n[width == w] >= edge).any()
+                for w in np.unique(width)
+            ), (kind, edge)
+    # and for some law a padded total differs from its own-length total
+    differs = 0
+    for _, _, (n, logw), _ in cases:
+        for k, width in enumerate(K._widths(n)):
+            row = logw(np.array([[k]]), np.arange(n[k])[None, :])[0]
+            w = np.exp(row - row.max())
+            differs += w.sum() != np.concatenate([w, np.zeros(width - n[k])]).sum()
+    assert differs > 0
     assert lengths["ent"].max() > 1000
     # a law wider than the small block size is built as a block of its own
     assert lengths["bin"].max() > 2048
@@ -199,6 +224,28 @@ def test_block_cases_cover_padding_underflow_and_deep_ties():
     sw = np.sort(np.exp(logw - logw.max()))[None, :]
     depth = K._tie_end(sw) - np.arange(sw.shape[1])
     assert depth.max() > K._MAX_TIE_DEPTH
+
+
+def test_doubling_tables_build_one_block_per_width(monkeypatch):
+    """About 100 doubling laws of lengths 1 to about 270, as a tuned
+    negative-binomial study has them, are built in one block per
+    power-of-two width, not one block per law."""
+    rng = np.random.default_rng(11)
+    totals = np.unique(np.concatenate([[0, 269], rng.integers(0, 270, 150)]))
+    laws = K.negbinom_laws(totals, 3 * 0.689)
+    calls = []
+    block = K._doubling_block
+
+    def spy(w, *args):
+        calls.append(w.shape[0])
+        return block(w, *args)
+
+    monkeypatch.setattr(K, "_doubling_block", spy)
+    K.tables(laws, "doubling")
+    widths = np.unique(2 ** np.ceil(np.log2(laws[0])))
+    assert totals.shape[0] >= 100 and widths.shape[0] == 10
+    assert len(calls) <= widths.shape[0]
+    assert sum(calls) == totals.shape[0]
 
 
 def test_tie_end_matches_search_per_row():
