@@ -31,12 +31,15 @@ workload (``POOLED_REPS`` studies of ``POOLED_M`` features): one kernel
 call and one study per replication, against one kernel call on the
 pooled counts plus one ``Study.from_distinct`` slice per replication.
 
-The large-total case times one binomial and one negative-binomial law
-at each total of ``LARGE_TOTALS``, up to the kernels' limit
-``MAX_TOTAL``. There the cost grows with the total, not with the number
-of features: the law, its table, and its log-factorial and log-gamma
-values (computed one ``math.log`` at a time, see ``_lgamma``) all have
-``total + 1`` entries.
+The large-total case times one binomial law and one negative-binomial
+law at each shape of ``LARGE_SHAPES`` at each total of ``LARGE_TOTALS``,
+up to the kernels' limit ``MAX_TOTAL``. There the cost grows with the
+total, not with the number of features: the law, its table, and its
+log-factorial values (computed one ``math.log`` at a time, see
+``_lgamma``) all have ``total + 1`` entries. The shapes lie on either
+side of 13, where the negative-binomial coefficient switches from
+log-gamma values (one more ``math.log`` per entry) to Stirling's form
+(one vectorised ``log1p`` per entry).
 
 Run with ``python3 benchmarks/bench_kernels.py`` (options: ``--m`` for
 the batch size, ``--repeat`` for timing repetitions, ``--seed``).
@@ -66,6 +69,11 @@ POOLED_M = 250
 
 #: Conditioned totals of the one-law cases.
 LARGE_TOTALS = (2**16, 2**20, _kernels.MAX_TOTAL)
+
+#: Negative-binomial shapes of the one-law cases: the benchmark
+#: workloads' 3 / 1.451, below the coefficient's switch at 13, and one
+#: above it.
+LARGE_SHAPES = (3.0 / 1.451, 30.0)
 
 
 def _time(fn, *args, repeat: int):
@@ -259,9 +267,12 @@ def main() -> int:
     for total in LARGE_TOTALS:
         x1, x2 = np.array([total // 2]), np.array([total - total // 2])
         t_bin, _ = _time(_kernels.batch_binomial, x1, x2, repeat=args.repeat)
-        t_nb, _ = _time(_kernels.batch_negbinom, x1, x2, 3.0 / 1.451,
-                        repeat=args.repeat)
-        print(f"total {total:8d}: binomial {t_bin:7.3f}s, negbinom {t_nb:7.3f}s")
+        line = f"total {total:8d}: binomial {t_bin:7.3f}s"
+        for shape in LARGE_SHAPES:
+            t_nb, _ = _time(_kernels.batch_negbinom, x1, x2, shape,
+                            repeat=args.repeat)
+            line += f", negbinom at shape {shape:.4g} {t_nb:7.3f}s"
+        print(line)
     return 0
 
 

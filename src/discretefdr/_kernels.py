@@ -3,15 +3,24 @@
 Each test conditions on a key that fixes its null law: the total ``n``
 for the binomial test, the margins ``(r1, r2, s)`` for the
 hypergeometric test and the total ``s`` for the negative-binomial test.
-The unnormalized log-weights of each law are written once, in
-``binomial_laws``, ``fisher_laws`` and ``negbinom_laws``, for an array
-of distinct keys at a time, from the log-gamma values of ``_lgamma``
-(bit for bit those of scipy's ``gammaln``, without importing scipy).
-Each returns ``(length, logw)``: law ``k`` has ``length[k]`` outcomes,
-and ``logw(rows, j)`` gives the laws ``rows`` (a column) at outcome
-offsets ``j`` (a block). Only the batch kernels build laws from these;
-every other caller (the single tests, the simulations and the exact
-bias enumeration in ``sim``) goes through the batch kernels.
+Each family's log coefficient is written once:
+``log_binomial_coefficients`` (``log C(n, j)`` from a log-factorial
+table) and ``log_negbinom_coefficients`` (``log C(j + k - 1, j)`` at
+shape ``k``). The law builders ``binomial_laws``, ``fisher_laws`` and
+``negbinom_laws`` form each law's unnormalized log-weights from them,
+for an array of distinct keys at a time, and the exact bias enumeration
+in ``sim`` takes the coefficients of its count pmfs from them too. The
+log-factorials, and the log-gamma values of shapes below 13, come from
+``_lgamma`` (bit for bit those of scipy's ``gammaln``, without
+importing scipy). From shape 13 the negative-binomial coefficient is
+Stirling's form, which forms no difference of terms of size
+``k log k``, so it holds at every finite shape.
+
+Each builder returns ``(length, logw)``: law ``k`` has ``length[k]``
+outcomes, and ``logw(rows, j)`` gives the laws ``rows`` (a column) at
+outcome offsets ``j`` (a block). Only the batch kernels build laws from
+these; every other caller (the single tests, the simulations and the
+exact bias enumeration in ``sim``) goes through the batch kernels.
 
 Two two-sided conventions turn a law into a table of outcome p-values:
 
@@ -46,11 +55,12 @@ The kernels accept conditioned totals up to ``MAX_TOTAL`` (2^22 - 1):
 the total ``x1 + x2`` of the binomial test, each margin ``r1``, ``r2`` of
 the hypergeometric test and the total ``s1 + s2`` of the
 negative-binomial test. A padded minimum-likelihood law then has at most
-2^22 entries; on a 2-vCPU host one law at the limit takes about 1.6 s
-(binomial) or 3 s (negative binomial) and a peak of about 430 MB to
-build. Up to about 1.7 s of that is ``math.log``, which ``_lgamma``
-calls once per entry of the law's log-factorial table (and of the
-negative-binomial log-gamma table). A larger total raises a
+2^22 entries; on a 2-vCPU host one law at the limit takes about 1.7 s
+(binomial), 3 s (negative binomial below shape 13) or 2 s (from 13)
+and a peak of about 440 MB to build. Up to about 1.7 s of that is
+``math.log``, which ``_lgamma`` calls once per entry of the law's
+log-factorial table (and, below shape 13, of the negative-binomial
+log-gamma table). A larger total raises a
 :class:`ValueError` naming the limit; the check never forms a sum that
 could wrap in int64.
 
@@ -69,7 +79,7 @@ import math
 
 import numpy as np
 
-from ._lgamma import gammaln, log_factorials
+from ._lgamma import gammaln, log_factorials, stirling_correction
 
 TIE_RTOL = 1e-12
 
@@ -86,10 +96,42 @@ FLOOR = float(np.nextafter(0.0, 1.0))
 #: The largest conditioned total (or hypergeometric margin) of a law.
 MAX_TOTAL = 2**22 - 1
 
+#: The shape from which the negative-binomial coefficient is formed by
+#: Stirling's series: the split point of ``lgam`` itself.
+_STIRLING_SHAPE = 13.0
+
 
 # ---------------------------------------------------------------------------
 # null laws
 # ---------------------------------------------------------------------------
+
+
+def log_binomial_coefficients(lf: np.ndarray, n, j):
+    """``log C(n, j)`` from the log-factorial table ``lf``."""
+    return lf[n] - lf[j] - lf[n - j]
+
+
+def log_negbinom_coefficients(j_max: int, k: float) -> tuple[np.ndarray, float]:
+    """``log C(j + k - 1, j) - j * drop`` for ``j = 0..j_max`` at shape
+    ``k``, and ``drop``.
+
+    Below ``_STIRLING_SHAPE`` this is ``gammaln(j + k) - log j! -
+    lgamma(k)`` and ``drop`` is 0. From there ``drop`` is ``log k``, and
+    ``log Gamma(j + k) - log Gamma(k) - j log k`` is Stirling's
+    ``(j + k - 1/2) log1p(j / k) - j + C(j + k) - C(k)``, ``C`` the
+    correction of :func:`~discretefdr._lgamma.stirling_correction`: no
+    difference of terms of size ``k log k`` is formed, so the form holds
+    at every finite shape. A weight's ``j * drop`` is common to every
+    split of a total, so the laws ignore it; a pmf adds it back.
+    """
+    lf = log_factorials(j_max)
+    if k < _STIRLING_SHAPE:
+        return gammaln(np.arange(j_max + 1) + k) - lf - math.lgamma(k), 0.0
+    j = np.arange(j_max + 1, dtype=np.float64)
+    coef = (j + (k - 0.5)) * np.log1p(j / k) - j
+    coef += stirling_correction(j + k) - stirling_correction(np.array([k]))
+    coef -= lf
+    return coef, math.log(k)
 
 
 def binomial_laws(n):
@@ -98,8 +140,7 @@ def binomial_laws(n):
     lf = log_factorials(int(n.max(initial=0)))
 
     def logw(rows, j):
-        nn = n[rows]
-        return lf[nn] - lf[j] - lf[nn - j]
+        return log_binomial_coefficients(lf, n[rows], j)
 
     return n + 1, logw
 
@@ -115,11 +156,9 @@ def fisher_laws(r1, r2, s):
     lf = log_factorials(int(max(r1.max(initial=0), r2.max(initial=0))))
 
     def logw(rows, j):
-        n1, n2, t = r1[rows], r2[rows], s[rows]
         a = lo[rows] + j
-        return (lf[n1] - lf[a] - lf[n1 - a]) + (
-            lf[n2] - lf[t - a] - lf[n2 - (t - a)]
-        )
+        first = log_binomial_coefficients(lf, r1[rows], a)
+        return first + log_binomial_coefficients(lf, r2[rows], s[rows] - a)
 
     return np.minimum(r1, s) - lo + 1, logw
 
@@ -131,14 +170,7 @@ def negbinom_laws(s, shape_total: float):
     ``k = shape_total``; the common mean cancels.
     """
     s = np.asarray(s, dtype=np.int64)
-    k = float(shape_total)
-    s_max = int(s.max(initial=0))
-    rising = gammaln(np.arange(s_max + 1) + k)
-    if not np.isfinite(rising).all():
-        raise ValueError(
-            f"shape_total {k!r} gives log-weights beyond the float64 range"
-        )
-    left = rising - log_factorials(s_max) - math.lgamma(k)
+    left, _ = log_negbinom_coefficients(int(s.max(initial=0)), float(shape_total))
 
     def logw(rows, j):
         return left[j] + left[s[rows] - j]
@@ -340,16 +372,19 @@ def batch_negbinom(s1, s2, shape_total, convention: str = "minlik"):
     (per-sample shape times samples per group) and a common mean under
     the null. Conditional on ``s = s1 + s2`` the mean cancels and the
     null weight of a split ``a`` is given by :func:`negbinom_laws`.
-    ``shape_total`` must be finite and positive, with log-gamma values
-    in the float64 range (from about 5.6e-309 to 2.56e305); any other
-    raises a :class:`ValueError` naming it.
+    ``shape_total`` may be any finite number from about 5.6e-309 up,
+    where its reciprocal and so ``log(Gamma(shape_total))`` are finite;
+    any other raises a :class:`ValueError` naming it.
     """
     s1 = np.asarray(s1, dtype=np.int64)
     s2 = np.asarray(s2, dtype=np.int64)
     _check_total(s1, s2)
     k = float(shape_total)
-    if not 0.0 < k < math.inf:
-        raise ValueError(f"shape_total must be a finite positive number, not {k!r}")
+    if not (0.0 < k < math.inf and 1.0 / k < math.inf):
+        raise ValueError(
+            "shape_total must be a finite positive number with a finite "
+            f"reciprocal, not {k!r}"
+        )
     return _batch(lambda s: negbinom_laws(s, k), s1 + s2, s1, convention)
 
 

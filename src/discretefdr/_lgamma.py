@@ -8,6 +8,8 @@ floating-point operation is the one ``lgam`` performs, in the same
 order, and ``log`` is ``math.log``, which calls the same libm as
 ``lgam`` (``np.log`` differs from it by an ulp on some arguments).
 ``tests/test_lgamma.py`` checks the bits against scipy.
+``stirling_correction`` is Stirling's correction on its own, for the
+kernels' differences of log-gamma values at large shapes.
 """
 
 from __future__ import annotations
@@ -54,6 +56,30 @@ def _small(x: float) -> float:
     return math.log(z) + u * b / c
 
 
+def stirling_correction(x: np.ndarray) -> np.ndarray:
+    """``log(Gamma(x)) - ((x - 0.5) log x - x + log(sqrt(2 pi)))`` for
+    ``x`` from 13, as ``lgam`` forms it: the polynomial in ``1 / x^2``
+    below 1000, the three-term series from there. ``lgam`` drops it
+    beyond 1e8; this keeps it, for differences of log-gamma values."""
+    with np.errstate(over="ignore"):  # x * x beyond 1e154; 1 / inf is 0
+        p = x * x
+    np.divide(1.0, p, out=p)
+    mid = x < 1000.0
+    pm = p[mid]
+    a = np.full(pm.size, _A[0])
+    for c in _A[1:]:
+        a *= pm
+        a += c
+    a /= x[mid]
+    corr = 7.9365079365079365079365e-4 * p
+    corr -= 2.7777777777777777777778e-3
+    corr *= p
+    corr += 0.0833333333333333333333
+    corr /= x
+    corr[mid] = a
+    return corr
+
+
 def _stirling(x: np.ndarray, values) -> np.ndarray:
     """``lgam`` from 13 up to ``_MAXLGM``; ``values`` iterates over the
     entries of ``x`` as Python numbers, for ``math.log``.
@@ -65,24 +91,8 @@ def _stirling(x: np.ndarray, values) -> np.ndarray:
     q *= np.fromiter(map(math.log, values), np.float64, x.size)
     q -= x
     q += _LS2PI
-    with np.errstate(over="ignore"):  # x * x beyond 1e154; unused there
-        p = x * x
-    np.divide(1.0, p, out=p)
-    mid = x < 1000.0
-    pm = p[mid]
-    a = np.full(pm.size, _A[0])
-    for c in _A[1:]:
-        a *= pm
-        a += c
-    a /= x[mid]
-    # the three-term series up to 1e8, no correction beyond
-    corr = 7.9365079365079365079365e-4 * p
-    corr -= 2.7777777777777777777778e-3
-    corr *= p
-    corr += 0.0833333333333333333333
-    corr /= x
-    corr[mid] = a
-    corr[x > 1e8] = 0.0
+    corr = stirling_correction(x)
+    corr[x > 1e8] = 0.0  # lgam adds no correction beyond 1e8
     q += corr
     return q
 

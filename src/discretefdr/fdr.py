@@ -66,8 +66,8 @@ class PValueBlock:
     constant are laid out flat, row after row (``row``): first
     ``[0, p_(1))``, where nothing is rejected, then one interval from
     each distinct p-value up to just below the next one (up to 1 for
-    the largest). ``left`` and ``right`` hold their ends, ``rejections``
-    the rejection count on each and ``count`` the estimator's divisor
+    the largest). ``left`` holds their left ends, ``rejections`` the
+    rejection count on each and ``count`` the estimator's divisor
     ``max(R(t), 1)``. The p-value at which an interval starts ends a
     block of ties in the sorted row, so its rejection count is the
     running total there. Instances are immutable after construction.
@@ -98,10 +98,8 @@ class PValueBlock:
         starts_at = np.zeros((rows, m + 1))
         starts_at[:, 1:] = ordered
         self.left = starts_at.ravel()[at]
-        self.right = np.ones(at.shape[0])
-        self.right[:-1] = np.nextafter(self.left[1:], 0.0)
         self._first = np.cumsum(per_row) - per_row
-        self.right[self._first + per_row - 1] = 1.0
+        self._last = self._first + per_row - 1
         self._index = np.arange(at.shape[0])
 
     def last(self, mask: np.ndarray) -> np.ndarray:
@@ -309,14 +307,14 @@ def solve_thresholds(
     # The variant is pinned at 1 beyond lam, so its feasible region for
     # alpha < 1 stops there.
     cap = lam if kind == "storey_variant" else 1.0
-    right = block.right if cap >= 1.0 else np.minimum(block.right, cap)
     scale = m * mult
     some = everything.any()
     if some:
         # rows that reject everything divide by a stand-in, stay infeasible
         scale = np.where(everything, 1.0, scale)
-    cand = np.minimum(alpha * block.count / scale[row], right)
-    feasible = cand >= block.left
+    # right_j >= left_j, so min(bound_j, right_j) >= left_j iff bound_j is
+    bound = np.minimum(alpha * block.count / scale[row], cap)
+    feasible = bound >= block.left
     if some:
         feasible &= ~everything[row]
 
@@ -326,9 +324,11 @@ def solve_thresholds(
     pending = np.flatnonzero(chosen >= 0)
     while pending.shape[0]:
         at = chosen[pending]
+        last = at == block._last[row[at]]  # a row's last interval ends at 1
+        right = np.where(last, 1.0, np.nextafter(block.left[at + 1 - last], 0.0))
         stepped, done = _nudge_down(
-            kind, mult[pending], lam, m, block.count[at], cand[at],
-            block.left[at], alpha,
+            kind, mult[pending], lam, m, block.count[at],
+            np.minimum(bound[at], right), block.left[at], alpha,
         )
         t[pending[done]] = stepped[done]
         rejections[pending[done]] = block.rejections[at[done]]

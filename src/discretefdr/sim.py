@@ -59,6 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
+from ._lgamma import log_factorials
 from .estimators import (
     Pi0Estimate,
     Study,
@@ -147,6 +148,20 @@ DEFAULT_PROCEDURES = ("generalized", "storey", "bh", "adaptive_bh")
 PROCEDURES = tuple(PROCEDURE_ESTIMATES)
 
 
+#: The family parameters' ranges, as (names, test, the range in words):
+#: the draws would refuse a value outside them in numpy's own terms.
+_PARAMETER_RANGES = (
+    (("mean_low", "mean_high"), lambda v: 0.0 <= v < math.inf,
+     "a finite mean of at least 0"),
+    (("pareto_location", "rho_location", "rho_low", "rho_high", "trials_mean"),
+     lambda v: 0.0 <= v < math.inf, "a finite number of at least 0"),
+    (("pareto_shape", "rho_shape", "trials_size"), lambda v: 0.0 < v < math.inf,
+     "a finite positive number"),
+    (("theta_low", "theta_high"), lambda v: 0.0 <= v <= 1.0, "a probability in [0, 1]"),
+    (("trials_offset",), lambda v: v >= 0, "a count of at least 0"),
+)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Full description of one simulation scenario.
@@ -221,10 +236,6 @@ class ScenarioSpec:
                 f"dispersion {self.dispersion!r} gives the group sums a shape "
                 "reps_per_group / dispersion that is not finite and positive"
             )
-        for name in ("mean_low", "mean_high"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} {value!r} is not a finite mean of at least 0")
         if self.theta2_transform not in ODDS_TRANSFORMS:
             raise ValueError(
                 f"unknown theta2_transform {self.theta2_transform!r}; "
@@ -237,6 +248,16 @@ class ScenarioSpec:
         if self.rho_high is None:
             high = {"poisson_bin": 5.0, "binomial_fet": 13.0}.get(self.kind)
             object.__setattr__(self, "rho_high", high)
+        for names, within, words in _PARAMETER_RANGES:
+            for name in names:
+                value = getattr(self, name)
+                if value is not None and not within(value):
+                    raise ValueError(f"{name} {value!r} is not {words}")
+        for low, high in (("rho_low", "rho_high"), ("theta_low", "theta_high"),
+                          ("mean_low", "mean_high")):
+            a, b = getattr(self, low), getattr(self, high)
+            if a is not None and a > b:
+                raise ValueError(f"{low} {a!r} exceeds {high} {b!r}")
 
     @property
     def m0(self) -> int:
@@ -294,11 +315,15 @@ def _draw_parameters(
     m, m0 = spec.m, spec.m0
     m1 = m - m0
     if spec.kind == "poisson_bin":
-        theta1 = _pareto(rng, spec.pareto_location, spec.pareto_shape, m)
+        with np.errstate(over="ignore"):
+            theta1 = _pareto(rng, spec.pareto_location, spec.pareto_shape, m)
+        if not np.all(np.isfinite(theta1)):
+            raise ValueError(
+                f"pareto_location {spec.pareto_location!r} gives a group mean "
+                "beyond the float range"
+            )
         rho = rng.uniform(spec.rho_low, spec.rho_high, m1)
-        theta2 = theta1.copy()
-        theta2[m0:] = rho * theta1[m0:]
-        return {"theta1": theta1, "theta2": theta2}
+        return {"theta1": theta1, "theta2": _scaled_means(theta1, rho, m0)}
     if spec.kind == "binomial_fet":
         p_trials = spec.trials_size / (spec.trials_size + spec.trials_mean)
         trials = rng.negative_binomial(spec.trials_size, p_trials, m)
@@ -319,6 +344,13 @@ def _draw_parameters(
     else:
         theta1 = rng.uniform(spec.mean_low, spec.mean_high, m)
     rho = _pareto(rng, spec.rho_location, spec.rho_shape, m1)
+    return {"theta1": theta1, "theta2": _scaled_means(theta1, rho, m0)}
+
+
+def _scaled_means(theta1: np.ndarray, rho: np.ndarray, m0: int) -> np.ndarray:
+    """The group-2 means: ``theta1``, with the false nulls' (those from
+    ``m0`` on) scaled by the effect sizes ``rho``. A product beyond the
+    float range is named."""
     theta2 = theta1.copy()
     with np.errstate(over="ignore"):
         theta2[m0:] = rho * theta1[m0:]
@@ -329,7 +361,7 @@ def _draw_parameters(
             f"group mean {float(theta1[m0 + i])!r} times effect size "
             f"{float(rho[i])!r} gives a group-2 mean beyond the float range"
         )
-    return {"theta1": theta1, "theta2": theta2}
+    return theta2
 
 
 def _replication_rng(spec: ScenarioSpec, rep_index: int) -> np.random.Generator:
@@ -757,19 +789,78 @@ class BiasDecomposition:
 _TAIL = 0.5e-6
 
 
-def _count_law(spec: ScenarioSpec, theta: np.ndarray, trials: np.ndarray):
-    """Frozen scipy laws of one group's counts, one per entry of ``theta``
-    (a mean, or a success probability with ``trials`` trials): Poisson,
-    binomial, or the group sum's negative binomial with shape
-    ``reps_per_group / dispersion``."""
-    from scipy import stats
+def _times(count, log_value):
+    """``count * log_value``, and 0 where ``count`` is 0, also at log 0."""
+    with np.errstate(invalid="ignore"):
+        return np.where(count == 0, 0.0, count * log_value)
 
-    if spec.kind == "poisson_bin":
-        return stats.poisson(theta)
+
+def _count_pmf(spec: ScenarioSpec, top: int):
+    """The pmf of one group's counts, at counts up to ``top``.
+
+    Returns ``pmf(theta, trials, x)``: the laws of the column ``theta``
+    (a mean, or a success probability with ``trials`` trials) at the
+    counts ``x`` (a row). The laws are Poisson, binomial, or the group
+    sum's negative binomial with shape ``k = reps_per_group /
+    dispersion`` and mean ``mu = reps_per_group * theta``, whose log-pmf
+    is ``x (log mu - log1p(mu / k)) - k log1p(mu / k)`` plus
+    ``log C(x + k - 1, x) - x log k``. Each family's coefficient comes
+    from ``_kernels``.
+    """
+    if spec.kind == "negbinom_ent":
+        k = spec.reps_per_group * (1.0 / spec.dispersion)
+        coef, drop = _kernels.log_negbinom_coefficients(top, k)
+        shift = math.log(k) - drop  # the part of x log k left in coef
+    else:
+        lf = log_factorials(top)
+
+    def pmf(theta, trials, x):
+        with np.errstate(divide="ignore"):  # log 0 at the ends of a range
+            if spec.kind == "poisson_bin":
+                logp = _times(x, np.log(theta)) - theta - lf[x]
+            elif spec.kind == "binomial_fet":
+                logp = _times(x, np.log(theta)) + _times(
+                    trials - x, np.log1p(-theta)
+                )
+                logp += _kernels.log_binomial_coefficients(lf, trials, x)
+            else:
+                mean = spec.reps_per_group * theta
+                spread = np.log1p(mean / k)
+                logp = _times(x, np.log(mean) - spread - shift) - k * spread
+                logp += coef[x]
+        return np.exp(logp)
+
+    return pmf
+
+
+def _count_bounds(spec: ScenarioSpec, theta: np.ndarray, trials: np.ndarray):
+    """Each count's largest enumerated value: all ``0..r`` of a binomial
+    with ``r`` trials, else the least ``2^j - 1`` beyond which at most
+    ``_TAIL`` of the mass lies, found by summing the pmf over doubling
+    widths, ``_CHUNK_FEATURES`` entries at a time."""
     if spec.kind == "binomial_fet":
-        return stats.binom(trials, theta)
-    shape = spec.reps_per_group * (1.0 / spec.dispersion)
-    return stats.nbinom(shape, shape / (shape + spec.reps_per_group * theta))
+        return trials
+    bounds = np.empty(theta.shape[0], dtype=np.int64)
+    mass = np.zeros(theta.shape[0])
+    live = np.arange(theta.shape[0])
+    width = 1
+    while live.shape[0]:
+        if width > _kernels.MAX_TOTAL + 1:
+            raise ValueError(
+                "a group's counts reach beyond the largest supported total "
+                f"{_kernels.MAX_TOTAL}"
+            )
+        x = np.arange(width // 2, width)
+        pmf = _count_pmf(spec, width - 1)
+        step = max(1, _CHUNK_FEATURES // x.shape[0])
+        for c in range(0, live.shape[0], step):
+            part = live[c : c + step]
+            mass[part] += pmf(theta[part, None], trials[part, None], x).sum(axis=1)
+        done = 1.0 - mass[live] <= _TAIL
+        bounds[live[done]] = width - 1
+        live = live[~done]
+        width *= 2
+    return bounds
 
 
 def bias_decomposition(
@@ -804,11 +895,7 @@ def bias_decomposition(
 
     thetas = params["theta1"], params["theta2"]
     trials = params.get("trials", np.zeros(m, dtype=np.int64))
-    bounds = np.empty((m, 2), dtype=np.int64)
-    for g, theta in enumerate(thetas):
-        law = _count_law(spec, theta, trials)
-        top, size = law.support()[1], 2.0 ** np.ceil(np.log2(law.isf(_TAIL) + 1.0))
-        bounds[:, g] = np.where(np.isfinite(top), top, size - 1.0)
+    bounds = np.column_stack([_count_bounds(spec, t, trials) for t in thetas])
     shapes, shape_of = np.unique(
         np.column_stack((trials, bounds)), axis=0, return_inverse=True
     )
@@ -823,6 +910,7 @@ def bias_decomposition(
     values = np.stack((np.ones_like(pvalues), pvalues <= lam, floor, pvalues))
 
     expectations = np.empty((4, m))
+    pmf = _count_pmf(spec, int(bounds.max()))
     blocks = np.split(values, np.cumsum(sizes)[:-1], axis=1)
     for s, ((_, a, b), block) in enumerate(zip(shapes, blocks)):
         grids = block.reshape(4, a + 1, b + 1)
@@ -831,7 +919,7 @@ def bias_decomposition(
         for c in range(0, rows.shape[0], step):
             part = rows[c : c + step]
             pmf1, pmf2 = (
-                _count_law(spec, t[part, None], trials[part, None]).pmf(x)
+                pmf(t[part, None], trials[part, None], x)
                 for t, x in zip(thetas, (np.arange(a + 1), np.arange(b + 1)))
             )
             expectations[:, part] = np.sum((pmf1 @ grids) * pmf2, axis=2)

@@ -482,6 +482,44 @@ def generate_scenario_alone(spec, rep_index: int):
 # ---------------------------------------------------------------------------
 
 
+def count_law(spec, theta, trials=None):
+    """scipy's frozen laws of one group's counts, one per entry of
+    ``theta`` (a mean, or a success probability with ``trials`` trials):
+    Poisson, binomial, or the group sum's negative binomial with shape
+    ``reps_per_group / dispersion``."""
+    if spec.kind == "poisson_bin":
+        return stats.poisson(theta)
+    if spec.kind == "binomial_fet":
+        return stats.binom(trials, theta)
+    shape = spec.reps_per_group * (1.0 / spec.dispersion)
+    return stats.nbinom(shape, shape / (shape + spec.reps_per_group * theta))
+
+
+def negbinom_pmf_loop(shape: float, mean: float, top: int) -> np.ndarray:
+    """The negative-binomial pmf of ``shape`` and ``mean`` at ``0..top``,
+    one count at a time by the ratio ``(shape + x) / (x + 1) * mean /
+    (shape + mean)`` of consecutive terms: no log-gamma values, so no
+    cancellation at large shapes, where scipy's own pmf loses digits."""
+    out = np.empty(top + 1)
+    out[0] = math.exp(-shape * math.log1p(mean / shape))
+    ratio = mean / (shape + mean)
+    for x in range(top):
+        out[x + 1] = out[x] * ((shape + x) / (x + 1) * ratio)
+    return out
+
+
+def count_bounds(spec, theta, trials=None):
+    """Reference for each group's count bound in ``sim.bias_decomposition``:
+    the trials of a binomial, else the least ``2^j - 1`` at or above
+    scipy's ``isf`` at the tail ``sim._TAIL``."""
+    from discretefdr.sim import _TAIL
+
+    if spec.kind == "binomial_fet":
+        return np.asarray(trials, dtype=np.int64)
+    tail = count_law(spec, theta).isf(_TAIL)
+    return (2.0 ** np.ceil(np.log2(tail + 1.0)) - 1.0).astype(np.int64)
+
+
 def bias_expectations_loop(spec, lam: float, bounds, rep_index: int = 0):
     """Reference for ``sim.bias_decomposition``: per hypothesis ``i``, a
     sum over its count pairs ``(x1, x2)`` in ``0..bounds[i, 0]`` by

@@ -583,6 +583,24 @@ def test_config_error_missing_key_and_bad_kind(tmp_path, capsys):
          [], "config", "group mean 1e+308 times effect size"),
         ("simulate", {"kind": "negbinom_ent", "mean_low": 1e300, "mean_high": 1e300},
          [], "config", "largest group mean 1e+300"),
+        ("simulate", {"pareto_location": 1e308}, [], "config",
+         "pareto_location 1e+308 gives a group mean beyond the float range"),
+        # family parameters out of range, named by their keys before any
+        # draw refuses them in numpy's terms (p, a, n, lam)
+        ("simulate", {"kind": "binomial_fet", "theta_high": 1.5}, [], "config",
+         "theta_high 1.5"),
+        ("simulate", {"pareto_shape": 0}, [], "config", "pareto_shape 0"),
+        ("simulate", {"kind": "binomial_fet", "trials_size": 0}, [], "config",
+         "trials_size 0"),
+        ("simulate", {"rho_low": -3}, [], "config", "rho_low -3"),
+        ("simulate", {"kind": "negbinom_ent", "rho_location": -1}, [], "config",
+         "rho_location -1"),
+        ("simulate", {"kind": "binomial_fet", "trials_offset": -5}, [], "config",
+         "trials_offset -5"),
+        ("simulate", {"kind": "binomial_fet", "trials_mean": -1}, [], "config",
+         "trials_mean -1"),
+        ("simulate", {"rho_high": float("inf")}, [], "config", "rho_high inf"),
+        ("simulate", {"rho_low": 6}, [], "config", "rho_low 6 exceeds rho_high 5.0"),
     ],
     ids=[
         "m-1", "lambda", "epsilon", "empty-roster", "sim-alpha", "analyze-alpha",
@@ -591,7 +609,10 @@ def test_config_error_missing_key_and_bad_kind(tmp_path, capsys):
         "sim-alpha-repeated", "size-inf", "size-huge", "dispersion-inf",
         "dispersion-tiny", "dispersion-1e308", "dispersion-1e40",
         "mean-negative", "mean-inf", "mean-file-negative", "mean-1e308",
-        "mean-1e300",
+        "mean-1e300", "pareto-location-1e308", "theta-high-1.5", "pareto-shape-0",
+        "trials-size-0", "rho-low-negative", "rho-location-negative",
+        "trials-offset-negative", "trials-mean-negative", "rho-high-inf",
+        "rho-low-above-high",
     ],
 )
 def test_library_errors_print_one_error_line(
@@ -1049,7 +1070,7 @@ def test_simulate_csv_outputs_match_row_wise_writer(tmp_path, capsys):
 
 def test_commands_load_no_scipy_module(bin_file, ent_file, sim_config, tmp_path):
     """Import, warm-up and every command load numpy only: scipy is for
-    the bias enumeration and the tests. Run in a fresh interpreter, so
+    the tests. Run in a fresh interpreter, so
     that modules this test session has imported do not count."""
     import os
     import subprocess
@@ -1091,3 +1112,30 @@ def test_commands_load_no_scipy_module(bin_file, ent_file, sim_config, tmp_path)
     codes, loaded = json.loads(done.stdout.splitlines()[-1])
     assert codes == [0] * len(commands), done.stderr
     assert loaded == []
+
+
+def test_readme_library_quick_start_runs(tmp_path):
+    """The README's *Library quick start*, its one python block, runs in
+    a fresh interpreter as written."""
+    import os
+    import re
+    import subprocess
+    import sys
+
+    import discretefdr
+
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    src = os.path.dirname(discretefdr.__path__[0])
+    done = subprocess.run(
+        [sys.executable, "-c", block],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

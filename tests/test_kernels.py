@@ -1,5 +1,6 @@
 """Kernel-level checks: oracle agreement, determinism, structure."""
 
+import math
 import warnings
 
 import numpy as np
@@ -313,7 +314,11 @@ def test_underflowed_fet_and_ent_pvalues_are_raised_to_the_floor(
 ):
     """The hypergeometric and negative-binomial laws share the floor: no
     entry is 0, underflowed entries are the smallest positive float, and
-    every other entry keeps the per-law builder's bits."""
+    every other entry keeps the per-law builder's bits. From shape 13 the
+    negative-binomial weights are Stirling's form, not the oracle's
+    log-gamma difference, so the per-law builder takes the kernel's own
+    log-weights there (``test_negbinom_laws_match_the_log_gamma_form``
+    compares the two)."""
     # each law, its per-law log-weights, and the batch kernel observing
     # its least likely outcome
     if kind == "fet":
@@ -324,7 +329,7 @@ def test_underflowed_fet_and_ent_pvalues_are_raised_to_the_floor(
     else:
         s, shape_total = key
         laws = K.negbinom_laws([s], shape_total)
-        logw = oracles.logw_negbinom(s, shape_total)
+        logw = laws[1](np.zeros((1, 1), dtype=np.int64), np.arange(s + 1))[0]
         lowest = K.batch_negbinom([0], [s], shape_total, convention)
     table_flat, _, flat, start, length = K.tables(laws, convention)
     before = {
@@ -342,22 +347,67 @@ def test_underflowed_fet_and_ent_pvalues_are_raised_to_the_floor(
     assert np.all(lowest[0] == K.FLOOR)
 
 
-@pytest.mark.parametrize(
-    "shape_total", [-1.5, 0.0, float("inf"), float("nan"), 1e-320, 2.6e305]
-)
+@pytest.mark.parametrize("shape_total", [-1.5, 0.0, float("inf"), float("nan"), 1e-320])
 def test_negbinom_refuses_shapes_beyond_the_float_range(shape_total):
-    """A shape that is not finite and positive, or whose log-gamma
-    overflows (above about 2.56e305, or below about 5.6e-309), is refused
-    by name before any arithmetic that could warn."""
+    """A shape that is not finite and positive, or whose reciprocal and
+    so log-gamma overflow (below about 5.6e-309), is refused by name
+    before any arithmetic that could warn."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="shape_total"):
             K.batch_negbinom([0, 3], [5, 3], shape_total)
 
 
-@pytest.mark.parametrize("shape_total", [1e-300, 2.5e305])
+@pytest.mark.parametrize("shape_total", [1e-300, 2.5e305, 2.6e305, 1.7e308])
 def test_negbinom_takes_shapes_at_the_ends_of_the_range(shape_total):
+    """Any finite shape from about 5.6e-309 up is taken; at the largest,
+    the law is its Binomial(s, 1/2) limit, where the split 0 of 5 has
+    p-value 2 / 32."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pvalues = K.batch_negbinom([0, 3], [5, 3], shape_total)[0]
     assert np.all((pvalues > 0.0) & (pvalues <= 1.0))
+    if shape_total > 1e305:
+        assert pvalues[0] == pytest.approx(0.0625, rel=1e-12) and pvalues[1] == 1.0
+
+
+@pytest.mark.parametrize("shape_total", [1e12, 1e14, 1e20, 1e305])
+@pytest.mark.parametrize("convention", ["minlik", "doubling"])
+def test_negbinom_reaches_the_binomial_limit(shape_total, convention):
+    """As the shape grows, the split of a total tends to Binomial(s, 1/2).
+
+    At shape ``k`` the law's weights differ from the limit's by a factor
+    within ``exp(+-s^2 / (2k))``, so p-values may differ by that much:
+    1.99e-8 at ``k = 1e12`` and ``s = 200``, where the exact law lies
+    9.95e-9 from the limit. Beyond that, the kernel agrees to 1e-9 on
+    every pair with ``s <= 200``."""
+    a, b = (v.ravel() for v in np.indices((201, 201)))
+    a, b = a[a + b <= 200], b[a + b <= 200]
+    got = K.batch_negbinom(a, b, shape_total, convention)[0]
+    want = K.batch_binomial(a, b, convention)[0]
+    assert np.all(np.abs(got / want - 1.0) <= 1e-9 + (a + b) ** 2 / (2 * shape_total))
+    if shape_total >= 1e14:
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("shape_total", [13.0, 13.5, 30.0, 1e3])
+def test_negbinom_laws_match_the_log_gamma_form(shape_total):
+    """From shape 13 the weights are Stirling's form; up to a term common
+    to every split, they agree with the log-gamma difference of the
+    per-law oracle, which holds at these moderate shapes."""
+    for s in (0, 1, 7, 200, 2000):
+        laws = K.negbinom_laws([s], shape_total)
+        got = laws[1](np.zeros((1, 1), dtype=np.int64), np.arange(s + 1))[0]
+        want = oracles.logw_negbinom(s, shape_total)
+        diff = (got - got.max()) - (want - want.max())
+        assert np.max(np.abs(diff)) <= 1e-9 * max(1.0, np.abs(want).max())
+
+
+def test_negbinom_coefficient_is_continuous_across_the_switch():
+    """Below shape 13 the coefficient is the log-gamma difference, from 13
+    Stirling's form less ``j log k``; on both sides they give one law."""
+    below, drop_below = K.log_negbinom_coefficients(500, np.nextafter(13.0, 0.0))
+    above, drop_above = K.log_negbinom_coefficients(500, 13.0)
+    assert drop_below == 0.0 and drop_above == math.log(13.0)
+    j = np.arange(501)
+    assert np.max(np.abs((below - j * math.log(13.0)) - above)) <= 1e-11

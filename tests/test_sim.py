@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from discretefdr import (
     ScenarioSpec,
@@ -161,6 +162,30 @@ def test_mean_file_supplies_group_means(tmp_path):
 def test_spec_refuses_negative_or_non_finite_means(means, named):
     with pytest.raises(ValueError, match=f"{named} is not a finite mean"):
         _spec(kind="negbinom_ent", **means)
+
+
+@pytest.mark.parametrize(
+    "kind, params, named",
+    [
+        ("binomial_fet", dict(theta_high=1.5), "theta_high 1.5"),
+        ("poisson_bin", dict(pareto_shape=0.0), "pareto_shape 0.0"),
+        ("binomial_fet", dict(trials_size=0.0), "trials_size 0.0"),
+        ("poisson_bin", dict(rho_low=-3.0), "rho_low -3.0"),
+        ("negbinom_ent", dict(rho_location=-1.0), "rho_location -1.0"),
+        ("binomial_fet", dict(trials_offset=-5), "trials_offset -5"),
+        ("binomial_fet", dict(trials_mean=-1.0), "trials_mean -1.0"),
+        ("poisson_bin", dict(pareto_location=math.nan), "pareto_location nan"),
+        ("negbinom_ent", dict(rho_shape=-1.0), "rho_shape -1.0"),
+        ("binomial_fet", dict(theta_low=0.7), "theta_low 0.7 exceeds theta_high"),
+        ("negbinom_ent", dict(mean_low=9.0), "mean_low 9.0 exceeds mean_high"),
+    ],
+)
+def test_spec_refuses_out_of_range_family_parameters(kind, params, named):
+    """Each family parameter is refused by its key, not later by numpy's
+    sampler under a name (p, a, n, lam) the config never set, and not
+    by the bias enumeration with ``negative dimensions``."""
+    with pytest.raises(ValueError, match=named):
+        _spec(kind=kind, **params)
 
 
 def test_mean_file_refuses_negative_or_non_finite_means(tmp_path):
@@ -716,8 +741,8 @@ def test_bias_decomposition_refuses_default_negbinom_effect_sizes(truncation, le
     spec = ScenarioSpec(kind="negbinom_ent", m=30, pi0=0.8, seed=0)
     params = _draw_parameters(spec, _replication_rng(spec, 0))
     x = np.arange(truncation + 1)
-    pmf1 = sim._count_law(spec, params["theta1"][:, None], None).pmf(x)
-    cdf2 = sim._count_law(spec, params["theta2"][:, None], None).cdf(truncation - x)
+    pmf1 = oracles.count_law(spec, params["theta1"][:, None]).pmf(x)
+    cdf2 = oracles.count_law(spec, params["theta2"][:, None]).cdf(truncation - x)
     beyond = 1.0 - np.sum(pmf1 * cdf2, axis=1)
     worst = int(np.argmax(beyond))
     assert f"{beyond[worst]:.3e}" == left
@@ -740,7 +765,7 @@ def test_bias_decomposition_covers_default_negbinom_effect_sizes():
     assert np.all((dec.bounds + 1) & dec.bounds == 0)
     params = _draw_parameters(spec, _replication_rng(spec, 0))
     for g, theta in enumerate((params["theta1"], params["theta2"])):
-        tail = sim._count_law(spec, theta, None).isf(sim._TAIL)
+        tail = oracles.count_law(spec, theta).isf(sim._TAIL)
         assert np.all(dec.bounds[:, g] >= tail)
         assert np.all(dec.bounds[:, g] < 2 * tail + 1)
     assert dec.bounds[spec.m0 :, 1].max() > dec.bounds[: spec.m0].max()
@@ -806,9 +831,9 @@ def test_bias_decomposition_matches_monte_carlo():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    """scipy.stats is needed only by the bias enumeration, which imports
-    it on first use; importing and warming up the package must not pay
-    for it."""
+    """The package is numpy only: importing it, warming it up and the
+    exact bias enumeration of the three default specs load no scipy
+    module."""
     import os
     import subprocess
     import sys
@@ -818,15 +843,101 @@ def test_import_leaves_scipy_stats_unloaded():
     src = os.path.dirname(discretefdr.__path__[0])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
-        "import sys, discretefdr; discretefdr.warm_up(); "
-        "print('scipy.stats' in sys.modules)"
+        "import sys, discretefdr\n"
+        "from discretefdr.sim import ScenarioSpec, bias_decomposition\n"
+        "discretefdr.warm_up()\n"
+        "for kind in ('poisson_bin', 'binomial_fet', 'negbinom_ent'):\n"
+        "    spec = ScenarioSpec(kind=kind, m=30, pi0=0.8, seed=0)\n"
+        "    assert bias_decomposition(spec, 0.5, 1.0).mass_deficit <= 1e-6\n"
+        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=120,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+#: Specs whose count bounds must be those of scipy's tail: the three
+#: defaults, odds capped at 1 (so probabilities of exactly 1), a small
+#: dispersion, and means of exactly 0.
+_BOUND_SPECS = [
+    dict(kind="poisson_bin"),
+    dict(kind="binomial_fet"),
+    dict(kind="negbinom_ent"),
+    dict(kind="binomial_fet", theta2_transform="cap", theta_high=0.95, rho_high=30.0),
+    dict(kind="negbinom_ent", dispersion=0.2),
+    dict(kind="negbinom_ent", mean_low=0.0, mean_high=0.0),
+    dict(kind="negbinom_ent", mean_low=0.0, mean_high=3.0, dispersion=5.0),
+    dict(kind="poisson_bin", pareto_location=0.01),
+]
+
+
+@pytest.mark.parametrize("params", _BOUND_SPECS)
+def test_count_bounds_match_scipy_tail_bounds(params):
+    spec = ScenarioSpec(m=30, pi0=0.8, seed=0, **params)
+    drawn = _draw_parameters(spec, _replication_rng(spec, 0))
+    trials = drawn.get("trials", np.zeros(spec.m, dtype=np.int64))
+    for theta in (drawn["theta1"], drawn["theta2"]):
+        got = sim._count_bounds(spec, theta, trials)
+        assert np.array_equal(got, oracles.count_bounds(spec, theta, trials))
+    if params.get("theta2_transform") == "cap":
+        assert np.any(drawn["theta2"] == 1.0)
+
+
+def test_count_bounds_match_scipy_on_a_grid_of_laws():
+    means = np.array([0.0, 1e-9, 1e-3, 0.1, 0.5, 1.0, 2.5, 7.0, 31.0, 250.0, 4000.0])
+    for kind, extra in (
+        ("poisson_bin", {}),
+        ("negbinom_ent", {}),
+        ("negbinom_ent", dict(dispersion=0.01)),
+        ("negbinom_ent", dict(dispersion=40.0, reps_per_group=1)),
+    ):
+        spec = _spec(kind=kind, **extra)
+        got = sim._count_bounds(spec, means, np.zeros(means.shape[0], np.int64))
+        assert np.array_equal(got, oracles.count_bounds(spec, means))
+
+
+def _pmf_grid(spec, theta, trials=None, top=400):
+    x = np.arange(top + 1)
+    t = np.zeros_like(theta, dtype=np.int64) if trials is None else trials
+    return x, sim._count_pmf(spec, top)(theta[:, None], t[:, None], x)
+
+
+def test_count_pmfs_match_scipy():
+    """The numpy pmfs of each family agree with scipy's to 1e-12, at
+    means of 0 and probabilities of 0 and 1 too, and for negative
+    binomials on both sides of the coefficient's switch at shape 13.
+    Beyond shape 1e3 scipy's negative-binomial pmf itself loses digits
+    (4e-12 at shape 1e5 and mean 1e-3), so there the reference is the
+    ratio of consecutive terms, as at every shape."""
+    means = np.array([0.0, 1e-3, 0.5, 3.0, 30.0, 150.0])
+    x, got = _pmf_grid(_spec(kind="poisson_bin"), means)
+    assert np.max(np.abs(got - stats.poisson.pmf(x, means[:, None]))) <= 1e-12
+    probs = np.array([0.0, 1e-3, 0.08, 0.5, 0.97, 1.0])
+    for n in (0, 1, 7, 40, 400):
+        trials = np.full(probs.shape[0], n)
+        x, got = _pmf_grid(_spec(kind="binomial_fet"), probs, trials, top=n)
+        want = stats.binom.pmf(x, n, probs[:, None])
+        assert np.max(np.abs(got - want)) <= 1e-12
+    for shape in (1e-3, 0.3, 2.067, 12.99, 13.0, 13.01, 40.0, 1e3, 1e5, 1e8):
+        spec = _spec(kind="negbinom_ent", reps_per_group=1, dispersion=1.0 / shape)
+        x, got = _pmf_grid(spec, means)
+        if shape <= 1e3:
+            want = oracles.count_law(spec, means[:, None]).pmf(x)
+            assert np.max(np.abs(got - want)) <= 1e-12
+        k = 1.0 / spec.dispersion
+        want = [oracles.negbinom_pmf_loop(k, mean, x[-1]) for mean in means]
+        assert np.max(np.abs(got - np.array(want))) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [3e12, 1e15, 1e100, 1e305])
+def test_negbinom_pmf_reaches_the_poisson_limit(shape):
+    spec = _spec(kind="negbinom_ent", reps_per_group=1, dispersion=1.0 / shape)
+    means = np.array([0.0, 1e-3, 0.5, 3.0, 30.0])
+    x, got = _pmf_grid(spec, means)
+    assert np.max(np.abs(got - stats.poisson.pmf(x, means[:, None]))) <= 1e-12
