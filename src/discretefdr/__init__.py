@@ -27,6 +27,7 @@ from .estimators import (
     Pi0Estimate,
     Study,
     benjamini_pi0,
+    compute_pi0,
     generalized_pi0,
     pounds_hat_pi0,
     pounds_tilde_pi0,
@@ -49,7 +50,6 @@ from .sim import (
     ReplicationSummary,
     ScenarioSpec,
     bias_decomposition,
-    compute_pi0,
     false_discovery_proportion,
     generalized_bias_from_expectations,
     generate_scenario,
@@ -76,6 +76,7 @@ __all__ = [
     "Pi0Estimate",
     "Study",
     "benjamini_pi0",
+    "compute_pi0",
     "generalized_pi0",
     "pounds_hat_pi0",
     "pounds_tilde_pi0",
@@ -94,7 +95,6 @@ __all__ = [
     "ReplicationSummary",
     "ScenarioSpec",
     "bias_decomposition",
-    "compute_pi0",
     "false_discovery_proportion",
     "generalized_bias_from_expectations",
     "generate_scenario",

@@ -92,12 +92,6 @@ def _jsonify(obj):
         if math.isinf(obj):
             return "Infinity" if obj > 0 else "-Infinity"
         return float(f"{obj:.9g}")
-    if isinstance(obj, (np.floating,)):
-        return _jsonify(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

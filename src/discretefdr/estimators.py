@@ -12,9 +12,12 @@ expectation, and ``benjamini_pi0`` uses the median order statistic.
 
 Each estimator is computed row-wise (``storey_rows``, ``adjusted_rows``
 and so on) on a block of studies of equal size, one study per row, and
-returns one raw estimate per row; the ``*_pi0`` functions are the
-one-row case. Estimates report both the raw value and the value clipped
-to [0, 1].
+returns one raw estimate per row. The estimator table lives here:
+``ESTIMATORS`` maps each name to its rows function, the tuning
+parameters it takes and the fewest p-values it is defined from, and
+every caller reads it: ``compute_pi0`` and the ``*_pi0`` functions,
+which are the one-row case, and the simulation's block evaluation.
+Estimates report both the raw value and the value clipped to [0, 1].
 With ``epsilon = 0``, or when every support is empty (a continuous
 uniform null), ``generalized_pi0`` equals ``storey_pi0`` bit for bit.
 """
@@ -227,37 +230,38 @@ def _clip01(x):
     return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
 
 
-#: The tuning parameters each estimator takes; the others take none.
-_TUNING = {"storey": ("lam",), "generalized": ("lam", "epsilon")}
-
-
-def _tuning(method: str, lam, epsilon) -> dict:
-    """The tuning parameters ``method`` takes, by keyword: the arguments
-    of its one-study function and the fields of its estimate."""
-    given = {"lam": lam, "epsilon": epsilon}
-    return {name: given[name] for name in _TUNING.get(method, ())}
-
-
-def _one(method: str, raw: np.ndarray, lam=None, epsilon=None) -> Pi0Estimate:
+def _one(method: str, raw: np.ndarray, lam, epsilon) -> Pi0Estimate:
     """The estimate of a one-row block, with the tuning parameters
     ``method`` takes."""
-    return Pi0Estimate(
-        method, float(raw[0]), float(_clip01(raw)[0]), **_tuning(method, lam, epsilon)
-    )
+    given = {"lam": lam, "epsilon": epsilon}
+    tuning = {name: given[name] for name in ESTIMATORS[method][1]}
+    return Pi0Estimate(method, float(raw[0]), float(_clip01(raw)[0]), **tuning)
 
 
 def _denominator(lam: float, m: int) -> float:
     return (1.0 - lam) * m
 
 
-def _check_lambda(lam: float) -> None:
-    if not 0.0 <= lam < 1.0:
+def _check_tuning(tuning, m: int, lam, epsilon) -> None:
+    """Refuse ``lam`` or ``epsilon`` out of range for studies of ``m``
+    p-values, where ``tuning`` names it."""
+    if "lam" in tuning and not 0.0 <= lam < 1.0:
         raise ValueError("lambda must lie in [0, 1)")
+    if "epsilon" in tuning:
+        eps = np.asarray(epsilon)
+        if eps.ndim and eps.shape[0] != m:
+            raise ValueError("per-hypothesis epsilon must have length m")
+        if not np.all((0.0 <= eps) & (eps <= 1.0)):
+            raise ValueError("epsilon must lie in [0, 1]")
 
 
-def _check_epsilon(epsilon) -> None:
-    if not np.all((0.0 <= np.asarray(epsilon)) & (np.asarray(epsilon) <= 1.0)):
-        raise ValueError("epsilon must lie in [0, 1]")
+def _check_defined(method: str, m: int) -> None:
+    """Refuse studies of ``m`` p-values, too few for estimator ``method``."""
+    fewest = ESTIMATORS[method][2]
+    if m < fewest:
+        raise ValueError(
+            f"the {method} estimator needs at least {fewest} p-values; m = {m}"
+        )
 
 
 # Row-wise raw estimates: each takes one study per row of an (R, m)
@@ -303,17 +307,58 @@ def pounds_hat_rows(pvalues: np.ndarray, expectation: np.ndarray) -> np.ndarray:
     return np.mean(pvalues / expectation, axis=-1)
 
 
-def benjamini_rows(ordered: np.ndarray) -> np.ndarray:
-    """Median-based estimates from rows sorted in ascending order; inf
-    where the order statistic at rank floor(m/2) is 1."""
-    m = ordered.shape[-1]
-    if m < 2:
-        raise ValueError("the median estimator needs at least two p-values")
+def benjamini_rows(pvalues: np.ndarray) -> np.ndarray:
+    """Median-based estimates, from the order statistic at rank
+    floor(m/2) of each row (m at least 2); inf where it is 1."""
+    m = pvalues.shape[-1]
     k = m // 2
-    pk = ordered[..., k - 1]
+    pk = np.partition(pvalues, k - 1, axis=-1)[..., k - 1]
     with np.errstate(divide="ignore"):
         raw = (m - k + 1) / (m * (1.0 - pk))
     return np.where(pk >= 1.0, math.inf, raw)
+
+
+#: Each estimator by name: its raw estimates of a block of studies, as a
+#: function of ``(study, values, lam, epsilon)``, where ``values`` holds
+#: the study's hypotheses ``m`` to a row (so a per-hypothesis array of
+#: the study takes the block's shape); the tuning parameters it takes,
+#: which are checked and kept in its estimate; and the fewest p-values
+#: it is defined from. The entries look the row-wise functions up as
+#: module globals at call time.
+ESTIMATORS = {
+    "storey": (lambda study, values, lam, eps: storey_rows(values, lam), ("lam",), 1),
+    "generalized": (
+        lambda study, values, lam, eps: adjusted_rows(
+            values, study.support_floor(lam).reshape(values.shape), eps, lam
+        ),
+        ("lam", "epsilon"),
+        1,
+    ),
+    "pounds_tilde": (lambda study, values, lam, eps: pounds_tilde_rows(values), (), 1),
+    "pounds_hat": (
+        lambda study, values, lam, eps: pounds_hat_rows(
+            values, study.support_mean().reshape(values.shape)
+        ),
+        (),
+        1,
+    ),
+    "benjamini": (lambda study, values, lam, eps: benjamini_rows(values), (), 2),
+}
+
+
+def compute_pi0(study: Study, method: str, lam, epsilon) -> Pi0Estimate:
+    """The named estimate of one study: the one-row case of its entry in
+    :data:`ESTIMATORS`, which says whether ``lam`` and ``epsilon`` are
+    checked and kept in the estimate."""
+    if method not in ESTIMATORS:
+        raise ValueError(
+            f"unknown pi0 method {method!r}; choose from {tuple(ESTIMATORS)}"
+        )
+    rows, tuning, _ = ESTIMATORS[method]
+    _check_tuning(tuning, study.m, lam, epsilon)
+    _check_defined(method, study.m)
+    raw = rows(study, study.pvalues[None, :], lam, epsilon)
+    return _one(method, raw, lam, epsilon)
 
 
 def storey_pi0(study: Study, lam: float) -> Pi0Estimate:
@@ -321,8 +366,7 @@ def storey_pi0(study: Study, lam: float) -> Pi0Estimate:
 
     The raw value can exceed 1; the clipped value is in [0, 1].
     """
-    _check_lambda(lam)
-    return _one("storey", storey_rows(study.pvalues[None, :], lam), lam)
+    return compute_pi0(study, "storey", lam, None)
 
 
 def generalized_pi0(
@@ -350,20 +394,12 @@ def generalized_pi0(
     false nulls can pull it below the true proportion when ``lam`` and
     ``epsilon`` are chosen badly.
     """
-    _check_lambda(lam)
-    eps = np.asarray(epsilon, dtype=np.float64)
-    if eps.ndim and eps.shape[0] != study.m:
-        raise ValueError("per-hypothesis epsilon must have length m")
-    _check_epsilon(eps)
-    raw = adjusted_rows(
-        study.pvalues[None, :], study.support_floor(lam)[None, :], eps, lam
-    )
-    return _one("generalized", raw, lam, epsilon)
+    return compute_pi0(study, "generalized", lam, epsilon)
 
 
 def pounds_tilde_pi0(study: Study) -> Pi0Estimate:
     """Twice the mean p-value, capped at 1 (two-sided p-values)."""
-    return _one("pounds_tilde", pounds_tilde_rows(study.pvalues[None, :]))
+    return compute_pi0(study, "pounds_tilde", None, None)
 
 
 def _support_means(flat, start, length) -> np.ndarray:
@@ -389,8 +425,7 @@ def _support_means(flat, start, length) -> np.ndarray:
 
 def pounds_hat_pi0(study: Study) -> Pi0Estimate:
     """Mean of p-values rescaled by their null expectations, capped."""
-    raw = pounds_hat_rows(study.pvalues[None, :], study.support_mean()[None, :])
-    return _one("pounds_hat", raw)
+    return compute_pi0(study, "pounds_hat", None, None)
 
 
 def benjamini_pi0(study: Study) -> Pi0Estimate:
@@ -401,4 +436,4 @@ def benjamini_pi0(study: Study) -> Pi0Estimate:
     maximally conservative value, since discrete p-values reach 1
     routinely.
     """
-    return _one("benjamini", benjamini_rows(np.sort(study.pvalues)[None, :]))
+    return compute_pi0(study, "benjamini", None, None)

@@ -61,8 +61,8 @@ _MAX_NUDGES = 64
 class PValueBlock:
     """``R`` studies of ``m`` p-values each, one study per row.
 
-    ``values`` is the (R, m) block as given and ``sorted`` its rows in
-    ascending order. The intervals on which a row's rejection count is
+    ``values`` is the (R, m) block as given, sorted row by row once to
+    find the intervals. The intervals on which a row's rejection count is
     constant are laid out flat, row after row (``row``): first
     ``[0, p_(1))``, where nothing is rejected, then one interval from
     each distinct p-value up to just below the next one (up to 1 for
@@ -82,7 +82,7 @@ class PValueBlock:
             raise ValueError("p-values must lie in (0, 1]")
         rows, m = values.shape
         ordered = np.sort(values, axis=1)
-        self.values, self.sorted, self.rows, self.m = values, ordered, rows, m
+        self.values, self.rows, self.m = values, rows, m
         # column p of a row is the interval with rejection count p; it
         # exists for p = 0 and where ordered[p - 1] ends a block of ties
         starts = np.ones((rows, m + 1), dtype=bool)
@@ -361,6 +361,8 @@ def step_up(block: PValueBlock, level: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def adaptive_levels(alpha: float, pi0_value):
     """The adaptive step-up level ``min(1, alpha / pi0)``, row-wise."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
     if np.any(np.asarray(pi0_value) <= 0.0):
         raise ValueError("adaptive level undefined: pi0 estimate is zero")
     return np.minimum(1.0, alpha / pi0_value)

@@ -35,12 +35,14 @@ results are the same whether it is evaluated alone
 with others, and whatever the chunk size. Only one chunk is tested and
 held at a time, so memory follows the chunk size, not ``reps``.
 
-The registry here is the one place that maps a name to an estimator
-(the ``_ESTIMATORS`` table, behind ``PI0_METHODS`` and ``compute_pi0``)
-or to a procedure (``evaluate_block``, which runs a roster of
-``PROCEDURES`` on a block of studies); ``simulate`` dispatches each
-chunk through ``evaluate_block`` and ``analyze`` its one study as the
-one-row case.
+The estimator table lives in ``estimators``: ``estimators.ESTIMATORS``
+maps each name to its rows function, its tuning parameters and the
+fewest p-values it is defined from, and ``PI0_METHODS`` lists its
+names. This module maps a name to a procedure (``evaluate_block``,
+which runs a roster of ``PROCEDURES`` on a block of studies and reads
+each estimate off the table); ``simulate`` dispatches each chunk
+through ``evaluate_block`` and ``analyze`` its one study as the
+one-row case. ``bh`` is the adaptive step-up procedure at pi0 = 1.
 
 ``bias_decomposition`` computes the exact finite-sample biases of the
 discreteness-adjusted estimator and the doubled-mean estimator for one
@@ -60,24 +62,7 @@ import numpy as np
 
 from . import _kernels
 from ._lgamma import log_factorials
-from .estimators import (
-    Pi0Estimate,
-    Study,
-    _check_epsilon,
-    _check_lambda,
-    _clip01,
-    _tuning,
-    adjusted_rows,
-    benjamini_pi0,
-    benjamini_rows,
-    generalized_pi0,
-    pounds_hat_pi0,
-    pounds_hat_rows,
-    pounds_tilde_pi0,
-    pounds_tilde_rows,
-    storey_pi0,
-    storey_rows,
-)
+from .estimators import ESTIMATORS, Study, _check_defined, _check_tuning, _clip01
 from .fdr import (
     PValueBlock,
     ThresholdResult,
@@ -91,49 +76,8 @@ SCENARIO_KINDS = ("poisson_bin", "binomial_fet", "negbinom_ent")
 
 ODDS_TRANSFORMS = ("odds", "cap")
 
-#: Each estimator: its one-study function, called with the tuning
-#: parameters it takes; its raw estimates of a block of studies, as a
-#: function of ``(study, block, lam, epsilon)`` (the block's rows are the
-#: study's hypotheses, ``m`` at a time, so a per-hypothesis array of the
-#: study takes the block's shape); and the fewest p-values it is defined
-#: from. The block functions look the row-wise estimators up as module
-#: globals at call time.
-_ESTIMATORS = {
-    "storey": (
-        storey_pi0,
-        lambda study, block, lam, eps: storey_rows(block.values, lam),
-        1,
-    ),
-    "generalized": (
-        generalized_pi0,
-        lambda study, block, lam, eps: adjusted_rows(
-            block.values,
-            study.support_floor(lam).reshape(block.values.shape),
-            eps,
-            lam,
-        ),
-        1,
-    ),
-    "pounds_tilde": (
-        pounds_tilde_pi0,
-        lambda study, block, lam, eps: pounds_tilde_rows(block.values),
-        1,
-    ),
-    "pounds_hat": (
-        pounds_hat_pi0,
-        lambda study, block, lam, eps: pounds_hat_rows(
-            block.values, study.support_mean().reshape(block.values.shape)
-        ),
-        1,
-    ),
-    "benjamini": (
-        benjamini_pi0,
-        lambda study, block, lam, eps: benjamini_rows(block.sorted),
-        2,
-    ),
-}
 DEFAULT_PI0_METHODS = ("storey", "generalized", "pounds_tilde", "benjamini")
-PI0_METHODS = tuple(_ESTIMATORS)
+PI0_METHODS = tuple(ESTIMATORS)
 
 #: Each procedure and the estimate it runs on (None: the plain step-up
 #: procedure runs on none).
@@ -330,13 +274,16 @@ def _draw_parameters(
         trials = trials + spec.trials_offset
         theta1 = rng.uniform(spec.theta_low, spec.theta_high, m)
         rho = rng.uniform(spec.rho_low, spec.rho_high, m1)
-        odds = rho * theta1[m0:] / (1.0 - theta1[m0:])
-        if spec.theta2_transform == "odds":
-            shifted = odds / (1.0 + odds)
-        else:
-            shifted = np.minimum(1.0, odds)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            odds = rho * theta1[m0:] / (1.0 - theta1[m0:])
+            if spec.theta2_transform == "odds":
+                shifted = odds / (1.0 + odds)
+            else:
+                shifted = np.minimum(1.0, odds)
+        # at theta 1 the odds are infinite: both transforms tend to 1, or
+        # stay 0 where the effect size is 0
         theta2 = theta1.copy()
-        theta2[m0:] = shifted
+        theta2[m0:] = np.where(theta1[m0:] == 1.0, rho > 0.0, shifted)
         return {"theta1": theta1, "theta2": theta2, "trials": trials}
     # negbinom_ent
     if spec.mean_file is not None:
@@ -412,8 +359,17 @@ def _draw_counts(
     rng = _replication_rng(spec, rep_index)
     params = _draw_parameters(spec, rng, means)
     if spec.kind == "poisson_bin":
-        x1 = rng.poisson(params["theta1"])
-        x2 = rng.poisson(params["theta2"])
+        try:
+            x1 = rng.poisson(params["theta1"])
+            x2 = rng.poisson(params["theta2"])
+        except ValueError:
+            # the means are finite and at least 0, so numpy refuses one
+            # too large for its sampler
+            mean = max(np.max(params["theta1"]), np.max(params["theta2"]))
+            raise ValueError(
+                f"the largest group mean {mean:.6g} is too large: numpy's Poisson "
+                "sampler refuses it"
+            ) from None
         return x1.astype(np.int64), x2.astype(np.int64)
     if spec.kind == "binomial_fet":
         trials = params["trials"].astype(np.int64)
@@ -494,41 +450,43 @@ def evaluate_block(
     study, study after study. Its p-values are checked and sorted once,
     as one :class:`PValueBlock` with a row per study. Each estimate in
     ``methods`` or run on by a procedure is computed once, for every
-    row, as ``(raw, value)`` arrays; one the studies have too few
-    p-values for (the median estimator needs two) is None. A procedure
-    gives None when its estimate is None, else ``(cells, t, fdr,
-    rejections)``: row ``a`` of the three (levels, rows) arrays is its
-    thresholds, estimator values there (NaN for the step-up procedures)
-    and rejection counts at ``alphas[a]``, and ``cells`` the
-    ``lambda``, ``epsilon`` and per-row ``pi0`` it runs with. ``pi0``
+    row, by its entry of ``ESTIMATORS``, as ``(raw, value)`` arrays; one
+    the studies have too few p-values for (the median estimator needs
+    two) is None. A procedure gives None when its estimate is None, else
+    ``(cells, t, fdr, rejections)``: row ``a`` of the three (levels,
+    rows) arrays is its thresholds, estimator values there (NaN for the
+    step-up procedures) and rejection counts at ``alphas[a]``, and
+    ``cells`` the ``lambda``, ``epsilon`` and per-row ``pi0`` it runs
+    with. ``pi0``
     multiplies the level: the clipped adjusted estimate for
     ``generalized``, the raw exceedance estimate for ``storey`` (plus
-    the variant's offset for ``storey_variant``), 1 for ``bh`` and the
-    median estimate for ``adaptive_bh``. The step-up procedures have no
+    the variant's offset for ``storey_variant``), the median estimate
+    for ``adaptive_bh`` and 1 for ``bh``, which is the same step-up
+    procedure at that estimate. The step-up procedures have no
     ``lambda`` or ``epsilon``; the exceedance procedures run at
     ``epsilon`` 0. Callers check the names, once per roster.
     """
-    used = set(methods) | {PROCEDURE_ESTIMATES[name] for name in procedures}
-    tuned = {p for name in used for p in _tuning(name, lam, epsilon)}
-    if "lam" in tuned:
-        _check_lambda(lam)
-    if "epsilon" in tuned:
-        _check_epsilon(epsilon)
+    wanted = set(methods) | {PROCEDURE_ESTIMATES[name] for name in procedures}
+    used = [name for name in ESTIMATORS if name in wanted]
+    tuning = {p for name in used for p in ESTIMATORS[name][1]}
+    _check_tuning(tuning, study.m // rows, lam, epsilon)
     block = PValueBlock(study.pvalues.reshape(rows, -1))
     estimates: dict[str, tuple | None] = {}
-    for name, (_, estimate, fewest) in _ESTIMATORS.items():
-        if name in used:
-            raw = estimate(study, block, lam, epsilon) if block.m >= fewest else None
-            estimates[name] = None if raw is None else (raw, _clip01(raw))
+    for name in used:
+        estimate, _, fewest = ESTIMATORS[name]
+        raw = estimate(study, block.values, lam, epsilon) if block.m >= fewest else None
+        estimates[name] = None if raw is None else (raw, _clip01(raw))
+    # the plain step-up procedure is the adaptive one at pi0 = 1
+    unit = (np.ones(rows),) * 2
     outcomes: list[tuple | None] = []
     for name in procedures:
-        pi0 = estimates.get(PROCEDURE_ESTIMATES[name])
-        if name == "bh":
-            cells = (None, None, np.ones(rows))
-        elif pi0 is None:
+        on = PROCEDURE_ESTIMATES[name]
+        pi0 = unit if on is None else estimates[on]
+        if pi0 is None:
             outcomes.append(None)
             continue
-        elif name == "adaptive_bh":
+        step = name in ("bh", "adaptive_bh")
+        if step:
             cells = (None, None, pi0[1])
         else:
             mult = multipliers(name, *pi0, block.m, lam)
@@ -537,22 +495,12 @@ def evaluate_block(
         fdr = np.full((len(alphas), rows), math.nan)
         count = np.empty((len(alphas), rows), dtype=np.int64)
         for a, alpha in enumerate(alphas):
-            if name == "bh":
-                t[a], count[a] = step_up(block, np.full(rows, alpha))
-            elif name == "adaptive_bh":
+            if step:
                 t[a], count[a] = step_up(block, adaptive_levels(alpha, pi0[1]))
             else:
                 t[a], fdr[a], count[a] = solve_thresholds(block, name, mult, lam, alpha)
         outcomes.append((cells, t, fdr, count))
     return estimates, outcomes
-
-
-def compute_pi0(
-    study: Study, method: str, lam: float, epsilon: float
-) -> Pi0Estimate:
-    """Dispatch one named estimator of the proportion of true nulls."""
-    _check_name(method, PI0_METHODS, "pi0 method")
-    return _ESTIMATORS[method][0](study, **_tuning(method, lam, epsilon))
 
 
 def false_discovery_proportion(study: Study, result: ThresholdResult) -> float:
@@ -666,9 +614,10 @@ def run_replications(
     (:func:`evaluate_block`): each estimate is computed once per chunk,
     each (procedure, level) pair is one row-wise solve, and each pair's
     false discovery proportions are one comparison of the chunk's
-    p-values with its thresholds. Roster names are checked here, before any study is generated.
-    The replications are tested in pooled chunks (see the module
-    docstring); results are deterministic functions of
+    p-values with its thresholds. Roster names, and whether ``m`` is
+    enough p-values for each estimate, are checked here, before any
+    study is generated. The replications are tested in pooled chunks
+    (see the module docstring); results are deterministic functions of
     ``(spec, rep_index)``, the same as :func:`generate_scenario` gives.
     A ``negbinom_ent`` spec's mean file is read once per run, parsed
     from ``mean_data`` (the file's bytes, as the caller read them) when
@@ -683,11 +632,9 @@ def run_replications(
     for name in procedures:
         _check_name(name, PROCEDURES, "procedure")
     used = set(pi0_methods) | {PROCEDURE_ESTIMATES[name] for name in procedures}
-    for name, (*_, fewest) in _ESTIMATORS.items():
-        if name in used and spec.m < fewest:
-            raise ValueError(
-                f"the {name} estimator needs at least {fewest} p-values; m = {spec.m}"
-            )
+    for name in ESTIMATORS:
+        if name in used:
+            _check_defined(name, spec.m)
 
     means = None
     if spec.kind == "negbinom_ent" and spec.mean_file is not None:
@@ -885,8 +832,7 @@ def bias_decomposition(
     ``pmf1 . 1 . pmf2``, falls short by more than 1e-6 (safety: the
     bounds leave at most that), a :class:`ValueError` is raised.
     """
-    _check_lambda(lam)
-    _check_epsilon(epsilon)
+    _check_tuning(ESTIMATORS["generalized"][1], spec.m, lam, epsilon)
 
     params = _draw_parameters(spec, _replication_rng(spec, rep_index))
     m, m0 = spec.m, spec.m0

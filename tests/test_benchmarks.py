@@ -42,10 +42,10 @@ def _load_tracing():
 #: Names the tracer wraps that the package no longer has: ``cli`` runs
 #: every estimator and procedure on its one study, and ``sim`` on each
 #: chunk of replications, through the row-wise solvers of
-#: ``sim.evaluate_block`` instead of the one-study procedures (``sim``
-#: keeps the one-study estimators only behind ``compute_pi0``), and
-#: ``sim.run_procedure`` and ``tuning``'s import of ``generalized_pi0``
-#: are gone.
+#: ``sim.evaluate_block`` instead of the one-study procedures. The
+#: estimator table lives in ``estimators``: ``sim`` reads it and keeps
+#: no one-study estimator or ``compute_pi0``. ``sim.run_procedure`` and
+#: ``tuning``'s import of ``generalized_pi0`` are gone.
 ABSENT_TODAY = {
     *(
         f"cli.{name}"
@@ -55,11 +55,15 @@ ABSENT_TODAY = {
             "pounds_tilde_pi0", "storey_pi0", "threshold",
         )
     ),
-    "sim.adaptive_bh",
-    "sim.bh_procedure",
-    "sim.build_rejection_process",
-    "sim.threshold",
-    "sim.run_procedure",
+    *(
+        f"sim.{name}"
+        for name in (
+            "adaptive_bh", "benjamini_pi0", "bh_procedure",
+            "build_rejection_process", "compute_pi0", "generalized_pi0",
+            "pounds_hat_pi0", "pounds_tilde_pi0", "run_procedure", "storey_pi0",
+            "threshold",
+        )
+    ),
     "tuning.generalized_pi0",
 }
 
@@ -98,4 +102,4 @@ def test_benchmark_tracer_runs_each_command(command, tmp_path):
     assert tracer.counts()["kernels.features"] > 0
     gap = abs(sum(tracer.self_times().values()) - tracer.command_s())
     assert gap <= 1e-6 * tracer.command_s()
-    assert set(tracer.absent) <= ABSENT_TODAY
+    assert set(tracer.absent) == ABSENT_TODAY

@@ -274,6 +274,21 @@ def test_analyze_floats_use_nine_significant_digits(bin_file, tmp_path, capsys):
                         assert piece == f"{value:.9g}"
 
 
+def test_analyze_writes_an_infinite_raw_estimate_as_text(tmp_path, capsys):
+    """Equal counts give p-values of 1, where the median estimator's raw
+    value is infinite; JSON has no infinity, so it is written as text."""
+    path = tmp_path / "counts.csv"
+    path.write_text("id,a,b\nf1,3,3\nf2,5,5\n")
+    out = tmp_path / "out"
+    code, _, stderr = run(
+        ["analyze", str(path), "--test", "bin", "--out", str(out)], capsys
+    )
+    assert code == 0, stderr
+    est = json.loads((out / "estimates.json").read_text())
+    assert est["estimates"]["benjamini"]["raw"] == "Infinity"
+    assert est["estimates"]["benjamini"]["value"] == 1.0
+
+
 def test_analyze_fet_five_column_table(tmp_path, capsys):
     path = tmp_path / "fet.csv"
     path.write_text(FET_COUNTS)
@@ -365,6 +380,26 @@ def test_simulate_cli_overrides(sim_config, tmp_path, capsys):
     assert agg["reps"] == 2
     assert agg["seed"] == 9
     assert set(agg["procedures"]["bh"]) == {"0.2"}
+
+
+@pytest.mark.parametrize("transform", ["odds", "cap"])
+@pytest.mark.parametrize("rho", [None, 0.0], ids=["rho-default", "rho-0"])
+def test_simulate_takes_success_probability_one(
+    transform, rho, sim_config, tmp_path, capsys, recwarn
+):
+    """Group-1 probabilities of exactly 1 run under both transforms,
+    with no warning: the false nulls' group-2 probability is the
+    transform's limit there."""
+    effect = {} if rho is None else {"rho_low": rho, "rho_high": rho}
+    path = Path(sim_config)
+    path.write_text(json.dumps({
+        **json.loads(path.read_text()), "kind": "binomial_fet", "theta_low": 1.0,
+        "theta_high": 1.0, "theta2_transform": transform, **effect,
+    }))
+    argv = ["simulate", sim_config, "--out", str(tmp_path / "out")]
+    code, _, stderr = run(argv, capsys)
+    assert code == 0 and stderr == ""
+    assert [str(w.message) for w in recwarn] == []
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +620,11 @@ def test_config_error_missing_key_and_bad_kind(tmp_path, capsys):
          [], "config", "largest group mean 1e+300"),
         ("simulate", {"pareto_location": 1e308}, [], "config",
          "pareto_location 1e+308 gives a group mean beyond the float range"),
+        ("simulate", {"pareto_location": 1e300}, [], "config",
+         "largest group mean 5.34166e+300 is too large"),
+        # the adaptive step-up procedure refuses a level above 1 like the rest
+        ("simulate", {"kind": "negbinom_ent", "procedures": ["adaptive_bh"],
+                      "alpha_levels": [1.5]}, [], "config", "alpha must lie in"),
         # family parameters out of range, named by their keys before any
         # draw refuses them in numpy's terms (p, a, n, lam)
         ("simulate", {"kind": "binomial_fet", "theta_high": 1.5}, [], "config",
@@ -609,7 +649,8 @@ def test_config_error_missing_key_and_bad_kind(tmp_path, capsys):
         "sim-alpha-repeated", "size-inf", "size-huge", "dispersion-inf",
         "dispersion-tiny", "dispersion-1e308", "dispersion-1e40",
         "mean-negative", "mean-inf", "mean-file-negative", "mean-1e308",
-        "mean-1e300", "pareto-location-1e308", "theta-high-1.5", "pareto-shape-0",
+        "mean-1e300", "pareto-location-1e308", "pareto-location-1e300",
+        "adaptive-bh-alpha", "theta-high-1.5", "pareto-shape-0",
         "trials-size-0", "rho-low-negative", "rho-location-negative",
         "trials-offset-negative", "trials-mean-negative", "rho-high-inf",
         "rho-low-above-high",

@@ -6,6 +6,7 @@ import pytest
 from discretefdr import (
     Study,
     benjamini_pi0,
+    compute_pi0,
     generalized_pi0,
     pounds_hat_pi0,
     pounds_tilde_pi0,
@@ -133,6 +134,11 @@ def test_generalized_validates_epsilon():
         generalized_pi0(s, 0.5, 1.5)
     with pytest.raises(ValueError):
         generalized_pi0(s, 0.5, np.array([0.5, 0.5]))  # wrong length
+    # the named dispatch applies the same checks
+    three = _study([0.5, 0.5, 0.5], [0.5, 1.0])
+    for eps in (np.array([0.5, 0.5]), np.array([0.5] * 4)):
+        with pytest.raises(ValueError, match="per-hypothesis epsilon"):
+            compute_pi0(three, "generalized", 0.5, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +232,10 @@ def test_pi0_estimate_json_shape():
     d = generalized_pi0(s, 0.5, 1.0).to_json_dict()
     assert d["method"] == "generalized"
     assert set(d) >= {"method", "raw", "value", "lambda", "epsilon"}
+    # a per-hypothesis epsilon is summarised by its min, max and mean
+    eps = np.array([0.25, 1.0, 0.5, 0.75])
+    d = generalized_pi0(s, 0.5, eps).to_json_dict()
+    assert d["epsilon"] == {"min": 0.25, "max": 1.0, "mean": 0.625}
 
 
 def test_study_validation():

@@ -365,6 +365,16 @@ def test_step_up_on_process_matches_sorted_form_bitwise():
             _assert_same_result(adaptive_bh(proc, alpha, pi0), want)
 
 
+@pytest.mark.parametrize("alpha", [1.5, -0.1, math.nan])
+def test_adaptive_bh_refuses_alpha_outside_unit_interval(alpha):
+    """Like every other procedure, the adaptive one refuses a level
+    outside [0, 1], and says so before it looks at the estimate."""
+    pv = np.array([0.01, 0.5, 0.9])
+    for pi0 in (Pi0Estimate("benjamini", 0.8, 0.8), _pi0(0.0, "benjamini", None)):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+            adaptive_bh(pv, alpha, pi0)
+
+
 def test_adaptive_bh_rejects_zero_pi0():
     with pytest.raises(ValueError):
         adaptive_bh(np.array([0.5]), 0.05, _pi0(0.0, "benjamini", lam=None))

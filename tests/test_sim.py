@@ -72,6 +72,34 @@ def test_cap_transform_is_accepted():
     assert np.all(params["theta2"] <= 1.0)
 
 
+@pytest.mark.parametrize("transform", ["odds", "cap"])
+def test_success_probability_one_takes_the_transform_limit(transform):
+    """At a group-1 probability of 1 the scaled odds are infinite: the
+    false nulls' group-2 probability is then 1, or 0 at effect size 0.
+    Below 1 it is the transform of the scaled odds, bit for bit."""
+    for rho, want in ((2.0, 1.0), (0.0, 0.0)):
+        spec = _spec(kind="binomial_fet", m=10, theta_low=1.0, theta_high=1.0,
+                     rho_low=rho, rho_high=rho, theta2_transform=transform)
+        theta2 = _draw_parameters(spec, _replication_rng(spec, 0))["theta2"]
+        assert theta2.tolist() == [1.0] * 5 + [want] * 5
+    spec = _spec(
+        kind="binomial_fet", m=200, theta_high=0.999, theta2_transform=transform
+    )
+    drawn = _draw_parameters(spec, _replication_rng(spec, 0))
+    rng = _replication_rng(spec, 0)
+    size = spec.trials_size
+    rng.negative_binomial(size, size / (size + spec.trials_mean), spec.m)
+    theta1 = rng.uniform(spec.theta_low, spec.theta_high, spec.m)
+    odds = rng.uniform(spec.rho_low, spec.rho_high, 100) * theta1[100:] / (
+        1.0 - theta1[100:]
+    )
+    shifted = odds / (1.0 + odds) if transform == "odds" else np.minimum(1.0, odds)
+    assert np.array_equal(drawn["theta1"], theta1)
+    assert drawn["theta2"][100:].view(np.int64).tolist() == shifted.view(
+        np.int64
+    ).tolist()
+
+
 @pytest.mark.parametrize("sigma", [1e-308, 1e-40, 1e-3, 1.0, 1e3, 1e12])
 def test_negbinom_range_check_agrees_with_numpy_at_the_edge(sigma):
     """The group sums are refused, naming the dispersion, exactly where
@@ -612,12 +640,12 @@ def test_each_study_builds_one_process_and_each_estimate_once(monkeypatch):
     block, computes each estimate once for all its studies and solves
     each (procedure, level) pair once, whatever the procedures and
     levels that share them."""
-    from discretefdr import sim
+    from discretefdr import estimators as table, sim
 
     calls = []
 
-    def counting(name):
-        original = getattr(sim, name)
+    def counting(name, module=sim):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls.append(name)
@@ -630,8 +658,11 @@ def test_each_study_builds_one_process_and_each_estimate_once(monkeypatch):
         "pounds_hat_rows", "benjamini_rows",
     )
     solvers = ("solve_thresholds", "step_up")
-    for name in ("PValueBlock", *estimators, *solvers):
+    for name in ("PValueBlock", *solvers):
         monkeypatch.setattr(sim, name, counting(name))
+    # the estimator table looks the row-wise estimators up in its module
+    for name in estimators:
+        monkeypatch.setattr(table, name, counting(name, table))
     monkeypatch.setattr(sim, "_CHUNK_FEATURES", 100)
 
     alphas = (0.05, 0.1, 0.2)
