@@ -1,17 +1,12 @@
 """FDR estimators, exact threshold computation, and step-up procedures.
 
-The rejection process ``R(t)`` counts p-values at most ``t``. All FDR
-estimators here have the form ``pi0 * t / (m^-1 * max(R(t), 1))`` with
-different choices of the ``pi0`` multiplier and different clipping:
-
-* ``storey``: the exceedance estimator's raw value, unclipped;
-* ``storey_variant``: the same plus ``1 / ((1 - lambda) m)``, and the
-  estimate is defined to be 1 for ``t > lambda``;
-* ``generalized``: the discreteness-adjusted estimate (clipped to
-  [0, 1] by definition), with the result capped at 1;
-* ``storey_type_sigma``: the exceedance estimate minus a deterministic
-  offset ``sigma / ((1 - lambda) m)``, clipped to [0, 1], with the
-  result capped at 1.
+The rejection process ``R(t)`` counts p-values at most ``t``. Each
+procedure is one row of :data:`PROCEDURES`: the estimate it runs on,
+its pi0 multiplier, the settings that multiplier reads and its rule. An
+FDR estimator is ``mult * t / (m^-1 * max(R(t), 1))`` under its rule;
+a ``step`` row is the linear step-up procedure at ``min(1, alpha /
+mult)``. :func:`solve_thresholds` runs any row, and ``FDR_KINDS``,
+:class:`FdrEstimator` and ``sim`` read the table.
 
 P-values are held as a :class:`PValueBlock`: ``R`` studies of ``m``
 p-values each, one per row, sorted row by row once. Every solver works
@@ -52,7 +47,36 @@ import numpy as np
 
 from .estimators import Pi0Estimate
 
-FDR_KINDS = ("storey", "storey_variant", "generalized", "storey_type_sigma")
+
+def _sigma_multiplier(raw, value, m, lam, sigma):
+    """The exceedance estimate less the offset ``sigma / ((1 - lam) m)``,
+    clipped to [0, 1]."""
+    span = (1.0 - lam) * m
+    if not np.all((0.0 <= sigma) & (sigma <= span * raw)):
+        raise ValueError("sigma must lie in [0, (1 - lambda) * m * pi0_raw]")
+    return np.minimum(1.0, np.maximum(0.0, raw - sigma / span))
+
+
+#: Each procedure as (the estimate it runs on, None for pi0 = 1; its pi0
+#: multiplier from the estimate's ``raw`` and clipped ``value``, floats or
+#: one per row, and ``m, lam, sigma``; the settings the multiplier reads;
+#: its rule). The estimator is capped at 1 (``cap``), 1 beyond ``lam``
+#: (``pin``) or neither (None); a ``step`` row is the linear step-up
+#: procedure at level ``min(1, alpha / mult)``.
+PROCEDURES = {
+    "generalized": ("generalized", lambda raw, value, *_: value, (), "cap"),
+    "storey": ("storey", lambda raw, *_: raw, (), None),
+    "storey_variant": (
+        "storey",
+        lambda raw, value, m, lam, sigma: raw + 1.0 / ((1.0 - lam) * m),
+        ("lam",),
+        "pin",
+    ),
+    "storey_type_sigma": ("storey", _sigma_multiplier, ("lam", "sigma"), "cap"),
+    "bh": (None, lambda raw, value, *_: value, (), "step"),
+    "adaptive_bh": ("benjamini", lambda raw, value, *_: value, (), "step"),
+}
+FDR_KINDS = tuple(name for name, row in PROCEDURES.items() if row[3] != "step")
 
 #: Maximum ulp-steps when descending onto the feasible side of alpha.
 _MAX_NUDGES = 64
@@ -119,7 +143,7 @@ class RejectionProcess:
 
     def __init__(self, pvalues: np.ndarray) -> None:
         values = np.asarray(pvalues, dtype=np.float64)
-        if values.ndim != 1 or values.shape[0] < 1:
+        if values.ndim != 1:  # the block refuses an empty row
             raise ValueError("at least one p-value is required")
         self.block = PValueBlock(values[None, :])
         self.values = values
@@ -153,35 +177,14 @@ def inverse_rejection_L(proc: RejectionProcess, t: float) -> float:
     return t / max(proc.rejections(t), 1)
 
 
-#: Kinds whose estimate is capped at 1.
-_CAPPED = ("generalized", "storey_type_sigma")
-
-
-def multipliers(kind, raw, value, m: int, lam=None, sigma=None):
-    """The pi0 multiplier of estimator ``kind`` for studies of size ``m``,
-    from estimates given by their ``raw`` and clipped ``value`` (floats,
-    or arrays with one estimate per row)."""
-    if kind == "storey":
-        return raw
-    if kind == "storey_variant":
-        return raw + 1.0 / ((1.0 - lam) * m)
-    if kind == "generalized":
-        return value
-    # storey_type_sigma
-    span = (1.0 - lam) * m
-    if not np.all((0.0 <= sigma) & (sigma <= span * raw)):
-        raise ValueError("sigma must lie in [0, (1 - lambda) * m * pi0_raw]")
-    return np.minimum(1.0, np.maximum(0.0, raw - sigma / span))
-
-
 @dataclass(frozen=True)
 class FdrEstimator:
-    """A named FDR estimator: a pi0 multiplier plus clipping rules.
+    """A named FDR estimator: a row of :data:`PROCEDURES` that is not a
+    step-up procedure, with its estimate and settings.
 
     ``pi0`` is the estimate whose raw or clipped value feeds the
-    multiplier, depending on ``kind``; ``lam`` is the tuning parameter
-    used both by the variant cutoff and the sigma offset; ``sigma`` is
-    the deterministic offset of the ``storey_type_sigma`` kind.
+    multiplier; ``lam`` and ``sigma`` are the settings the row's
+    multiplier reads (``lam`` also ends the variant's feasible region).
     """
 
     kind: str
@@ -195,19 +198,14 @@ class FdrEstimator:
                 f"unknown FDR estimator kind {self.kind!r}; "
                 f"choose from {FDR_KINDS}"
             )
-        if self.kind in ("storey_variant", "storey_type_sigma"):
-            if self.lam is None:
-                raise ValueError(f"{self.kind} requires lam")
-        if self.kind == "storey_type_sigma" and self.sigma is None:
-            raise ValueError("storey_type_sigma requires sigma")
+        for setting in PROCEDURES[self.kind][2]:
+            if getattr(self, setting) is None:
+                raise ValueError(f"{self.kind} requires {setting}")
 
     def multiplier(self, m: int) -> float:
         """The effective pi0 multiplier for a study of size ``m``."""
-        return float(
-            multipliers(
-                self.kind, self.pi0.raw, self.pi0.value, m, self.lam, self.sigma
-            )
-        )
+        multiplier = PROCEDURES[self.kind][1]
+        return float(multiplier(self.pi0.raw, self.pi0.value, m, self.lam, self.sigma))
 
 
 def evaluate_fdr(est: FdrEstimator, proc: RejectionProcess, t: float) -> float:
@@ -216,7 +214,7 @@ def evaluate_fdr(est: FdrEstimator, proc: RejectionProcess, t: float) -> float:
         raise ValueError("t must lie in [0, 1]")
     count = max(proc.rejections(t), 1)
     mult = est.multiplier(proc.m)
-    return float(_fdr_values(est.kind, mult, est.lam, proc.m, t, count))
+    return float(_fdr_values(PROCEDURES[est.kind][3], mult, est.lam, proc.m, t, count))
 
 
 @dataclass(frozen=True)
@@ -236,19 +234,18 @@ class ThresholdResult:
     rejected: np.ndarray
 
 
-def _fdr_values(kind, mult, lam, m, t, count):
+def _fdr_values(rule, mult, lam, m, t, count):
     """The estimator's values at ``t`` where ``max(R(t), 1)`` is ``count``:
-    ``mult * t * m / count``, capped at 1 for the capped kinds, and 1
-    beyond ``lam`` for the variant."""
+    ``mult * t * m / count``, under the procedure's ``rule``."""
     value = mult * t * m / count
-    if kind in _CAPPED:
+    if rule == "cap":
         value = np.minimum(1.0, value)
-    if kind == "storey_variant":
+    if rule == "pin":
         value = np.where(t > lam, 1.0, value)
     return value
 
 
-def _nudge_down(kind, mult, lam, m, count, t, floor, alpha):
+def _nudge_down(rule, mult, lam, m, count, t, floor, alpha):
     """Step every candidate ``t`` down by ulps until the estimator, with
     multipliers ``mult`` and divisors ``count``, is at most ``alpha``.
 
@@ -256,7 +253,7 @@ def _nudge_down(kind, mult, lam, m, count, t, floor, alpha):
     fails once it would step below its ``floor`` or after
     ``_MAX_NUDGES`` values above ``alpha``. Usually no step is needed.
     """
-    done = _fdr_values(kind, mult, lam, m, t, count) <= alpha
+    done = _fdr_values(rule, mult, lam, m, t, count) <= alpha
     if done.all():
         return t, done
     live = np.flatnonzero(~done)
@@ -267,7 +264,7 @@ def _nudge_down(kind, mult, lam, m, count, t, floor, alpha):
             break
         t[live] = np.nextafter(t[live], 0.0)
         live = live[t[live] >= floor[live]]
-        ok = _fdr_values(kind, mult[live], lam, m, t[live], count[live]) <= alpha
+        ok = _fdr_values(rule, mult[live], lam, m, t[live], count[live]) <= alpha
         done[live[ok]] = True
         live = live[~ok]
     return t, done
@@ -276,24 +273,26 @@ def _nudge_down(kind, mult, lam, m, count, t, floor, alpha):
 def solve_thresholds(
     block: PValueBlock, kind: str, mult: np.ndarray, lam: float | None, alpha: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row, the largest ``t`` with estimator value at most ``alpha``.
+    """Per row, procedure ``kind`` of :data:`PROCEDURES` at level ``alpha``.
 
-    ``kind`` and ``lam`` name the estimator as :class:`FdrEstimator`
-    does and ``mult`` holds each row's pi0 multiplier. Returns per row
-    the threshold, the estimator's value there and the rejection count.
+    ``mult`` holds each row's pi0 multiplier and ``lam`` is the setting
+    the row's rule reads. Returns per row the threshold, the estimator's
+    value there (NaN for a ``step`` row, which runs :func:`step_up` at
+    ``min(1, alpha / mult)``) and the rejection count.
 
-    Within each interval where the rejection count is a constant
-    ``T_j``, the estimator is ``mult * t * m / max(T_j, 1)``, so the
-    feasible region there is ``t <= alpha * max(T_j, 1) / (m * mult)``.
-    For the intervals of every row at once, the candidate
-    ``min(alpha * max(T_j, 1) / (m * mult), right_j)`` is feasible when
-    it is not below the interval's left end. Each row's last feasible
-    candidate is then descended by ulps (where floating-point round-off
-    would otherwise push the estimator a hair above ``alpha``), all rows
-    together; a row whose descent fails moves to its next feasible
-    candidate, and a row with none left gets 0. This guarantees
-    ``f(t_alpha) <= alpha`` in float arithmetic while keeping
-    ``|f(t_alpha) - alpha| <= 1e-12`` when the equality contract
+    For an FDR estimator, the threshold is the largest ``t`` with
+    estimator value at most ``alpha``. Within each interval where the
+    rejection count is a constant ``T_j``, the estimator is ``mult * t *
+    m / max(T_j, 1)``, so the feasible region there is ``t <= alpha *
+    max(T_j, 1) / (m * mult)``. For the intervals of every row at once,
+    the candidate ``min(alpha * max(T_j, 1) / (m * mult), right_j)`` is
+    feasible when it is not below the interval's left end. Each row's
+    last feasible candidate is then descended by ulps (where
+    floating-point round-off would otherwise push the estimator a hair
+    above ``alpha``), all rows together; a row whose descent fails moves
+    to its next feasible candidate, and a row with none left gets 0.
+    This guarantees ``f(t_alpha) <= alpha`` in float arithmetic while
+    keeping ``|f(t_alpha) - alpha| <= 1e-12`` when the equality contract
     applies. A row whose multiplier is not positive, or any row at
     ``alpha`` 1 of an estimator that never exceeds 1, gets ``t = 1``.
     """
@@ -301,12 +300,18 @@ def solve_thresholds(
         raise ValueError("alpha must lie in [0, 1]")
     m, row = block.m, block.row
     mult = np.asarray(mult, dtype=np.float64)
+    rule = PROCEDURES[kind][3]
+    if rule == "step":
+        if np.any(mult <= 0.0):
+            raise ValueError("adaptive level undefined: pi0 estimate is zero")
+        t, rejections = step_up(block, np.minimum(1.0, alpha / mult))
+        return t, np.full(block.rows, math.nan), rejections
     everything = mult <= 0.0
-    if alpha >= 1.0 and (kind in _CAPPED or kind == "storey_variant"):
+    if alpha >= 1.0 and rule is not None:
         everything = np.ones(block.rows, dtype=bool)
     # The variant is pinned at 1 beyond lam, so its feasible region for
     # alpha < 1 stops there.
-    cap = lam if kind == "storey_variant" else 1.0
+    cap = lam if rule == "pin" else 1.0
     scale = m * mult
     some = everything.any()
     if some:
@@ -327,7 +332,7 @@ def solve_thresholds(
         last = at == block._last[row[at]]  # a row's last interval ends at 1
         right = np.where(last, 1.0, np.nextafter(block.left[at + 1 - last], 0.0))
         stepped, done = _nudge_down(
-            kind, mult[pending], lam, m, block.count[at],
+            rule, mult[pending], lam, m, block.count[at],
             np.minimum(bound[at], right), block.left[at], alpha,
         )
         t[pending[done]] = stepped[done]
@@ -338,7 +343,7 @@ def solve_thresholds(
             feasible[at[~done]] = False
             chosen[pending] = block.last(feasible)[pending]
             pending = pending[chosen[pending] >= 0]
-    value = _fdr_values(kind, mult, lam, m, t, np.maximum(rejections, 1))
+    value = _fdr_values(rule, mult, lam, m, t, np.maximum(rejections, 1))
     return t, value, rejections
 
 
@@ -359,29 +364,33 @@ def step_up(block: PValueBlock, level: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return block.left[at], block.rejections[at]
 
 
-def adaptive_levels(alpha: float, pi0_value):
-    """The adaptive step-up level ``min(1, alpha / pi0)``, row-wise."""
+def _solve_one(kind, pvalues, alpha, pi0=None, lam=None, sigma=None):
+    """Procedure ``kind`` on one study at level ``alpha``: the one-row
+    case of :func:`solve_thresholds`, run on the estimate ``pi0`` (None
+    for pi0 = 1). ``pvalues`` may be a prebuilt :class:`RejectionProcess`,
+    which is used as is."""
+    # the level is checked before the multiplier, which may refuse sigma
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if np.any(np.asarray(pi0_value) <= 0.0):
-        raise ValueError("adaptive level undefined: pi0 estimate is zero")
-    return np.minimum(1.0, alpha / pi0_value)
+    proc = (
+        pvalues
+        if isinstance(pvalues, RejectionProcess)
+        else build_rejection_process(pvalues)
+    )
+    raw, value = (1.0, 1.0) if pi0 is None else (pi0.raw, pi0.value)
+    mult = PROCEDURES[kind][1](raw, value, proc.m, lam, sigma)
+    (t,), (fdr_at_t,), (count,) = solve_thresholds(
+        proc.block, kind, np.array([mult], dtype=np.float64), lam, alpha
+    )
+    t = float(t)
+    return ThresholdResult(t, float(fdr_at_t), int(count), proc.rejected_indices(t))
 
 
 def threshold(
     est: FdrEstimator, proc: RejectionProcess, alpha: float
 ) -> ThresholdResult:
-    """Largest ``t`` with estimator value at most ``alpha``, exactly: the
-    one-row case of :func:`solve_thresholds`."""
-    # the level is checked before the multiplier, which may refuse sigma
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    mult = np.array([est.multiplier(proc.m)])
-    (t,), (value,), (count,) = solve_thresholds(
-        proc.block, est.kind, mult, est.lam, alpha
-    )
-    t = float(t)
-    return ThresholdResult(t, float(value), int(count), proc.rejected_indices(t))
+    """Largest ``t`` with estimator value at most ``alpha``, exactly."""
+    return _solve_one(est.kind, proc, alpha, est.pi0, est.lam, est.sigma)
 
 
 def bh_procedure(
@@ -391,18 +400,10 @@ def bh_procedure(
 
     Rejects the hypotheses with the ``k*`` smallest p-values, where
     ``k*`` is the largest ``k`` with ``p_(k) <= k * alpha / m`` (0 if
-    none); the one-row case of :func:`step_up`. ``fdr_at_t`` is NaN: no
-    estimator is attached. ``pvalues`` may be a prebuilt
-    :class:`RejectionProcess`, which is used as is.
+    none). ``fdr_at_t`` is NaN: no estimator is attached. ``pvalues``
+    may be a prebuilt :class:`RejectionProcess`, which is used as is.
     """
-    proc = (
-        pvalues
-        if isinstance(pvalues, RejectionProcess)
-        else build_rejection_process(pvalues)
-    )
-    (t,), (count,) = step_up(proc.block, np.array([alpha], dtype=np.float64))
-    t = float(t)
-    return ThresholdResult(t, math.nan, int(count), proc.rejected_indices(t))
+    return _solve_one("bh", pvalues, alpha)
 
 
 def adaptive_bh(
@@ -411,4 +412,4 @@ def adaptive_bh(
     pi0: Pi0Estimate,
 ) -> ThresholdResult:
     """Step-up procedure at level ``min(1, alpha / pi0.value)``."""
-    return bh_procedure(pvalues, float(adaptive_levels(alpha, pi0.value)))
+    return _solve_one("adaptive_bh", pvalues, alpha, pi0)

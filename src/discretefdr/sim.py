@@ -35,14 +35,12 @@ results are the same whether it is evaluated alone
 with others, and whatever the chunk size. Only one chunk is tested and
 held at a time, so memory follows the chunk size, not ``reps``.
 
-The estimator table lives in ``estimators``: ``estimators.ESTIMATORS``
-maps each name to its rows function, its tuning parameters and the
-fewest p-values it is defined from, and ``PI0_METHODS`` lists its
-names. This module maps a name to a procedure (``evaluate_block``,
-which runs a roster of ``PROCEDURES`` on a block of studies and reads
-each estimate off the table); ``simulate`` dispatches each chunk
-through ``evaluate_block`` and ``analyze`` its one study as the
-one-row case. ``bh`` is the adaptive step-up procedure at pi0 = 1.
+The estimator table is ``estimators.ESTIMATORS``, whose names
+``PI0_METHODS`` lists, and the procedure table is ``fdr.PROCEDURES``,
+whose rows without a ``sigma`` setting ``PROCEDURES`` lists.
+``evaluate_block`` runs a roster of them on a block of studies, reading
+each estimate and each procedure off its table; ``simulate`` dispatches
+each chunk through it and ``analyze`` its one study as the one-row case.
 
 ``bias_decomposition`` computes the exact finite-sample biases of the
 discreteness-adjusted estimator and the doubled-mean estimator for one
@@ -60,17 +58,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, fdr
 from ._lgamma import log_factorials
 from .estimators import ESTIMATORS, Study, _check_defined, _check_tuning, _clip01
-from .fdr import (
-    PValueBlock,
-    ThresholdResult,
-    adaptive_levels,
-    multipliers,
-    solve_thresholds,
-    step_up,
-)
+from .fdr import PValueBlock, ThresholdResult, solve_thresholds
 
 SCENARIO_KINDS = ("poisson_bin", "binomial_fet", "negbinom_ent")
 
@@ -79,17 +70,11 @@ ODDS_TRANSFORMS = ("odds", "cap")
 DEFAULT_PI0_METHODS = ("storey", "generalized", "pounds_tilde", "benjamini")
 PI0_METHODS = tuple(ESTIMATORS)
 
-#: Each procedure and the estimate it runs on (None: the plain step-up
-#: procedure runs on none).
-PROCEDURE_ESTIMATES = {
-    "generalized": "generalized",
-    "storey": "storey",
-    "storey_variant": "storey",
-    "bh": None,
-    "adaptive_bh": "benjamini",
-}
 DEFAULT_PROCEDURES = ("generalized", "storey", "bh", "adaptive_bh")
-PROCEDURES = tuple(PROCEDURE_ESTIMATES)
+#: The procedures a simulation can run: those that need no ``sigma``.
+PROCEDURES = tuple(
+    name for name, row in fdr.PROCEDURES.items() if "sigma" not in row[2]
+)
 
 
 #: The family parameters' ranges, as (names, test, the range in words):
@@ -456,17 +441,15 @@ def evaluate_block(
     ``(cells, t, fdr, rejections)``: row ``a`` of the three (levels,
     rows) arrays is its thresholds, estimator values there (NaN for the
     step-up procedures) and rejection counts at ``alphas[a]``, and
-    ``cells`` the ``lambda``, ``epsilon`` and per-row ``pi0`` it runs
-    with. ``pi0``
-    multiplies the level: the clipped adjusted estimate for
-    ``generalized``, the raw exceedance estimate for ``storey`` (plus
-    the variant's offset for ``storey_variant``), the median estimate
-    for ``adaptive_bh`` and 1 for ``bh``, which is the same step-up
-    procedure at that estimate. The step-up procedures have no
-    ``lambda`` or ``epsilon``; the exceedance procedures run at
-    ``epsilon`` 0. Callers check the names, once per roster.
+    ``cells`` the ``lambda``, ``epsilon`` and per-row ``pi0`` multiplier
+    it runs with, as its row of ``fdr.PROCEDURES`` gives them from its
+    estimate (1 for ``bh``). The step-up procedures have no ``lambda``
+    or ``epsilon``; a procedure whose estimate takes no ``epsilon`` runs
+    at ``epsilon`` 0. Each (procedure, level) pair is one
+    :func:`~discretefdr.fdr.solve_thresholds` call. Callers check the
+    names, once per roster.
     """
-    wanted = set(methods) | {PROCEDURE_ESTIMATES[name] for name in procedures}
+    wanted = set(methods) | {fdr.PROCEDURES[name][0] for name in procedures}
     used = [name for name in ESTIMATORS if name in wanted]
     tuning = {p for name in used for p in ESTIMATORS[name][1]}
     _check_tuning(tuning, study.m // rows, lam, epsilon)
@@ -476,41 +459,38 @@ def evaluate_block(
         estimate, _, fewest = ESTIMATORS[name]
         raw = estimate(study, block.values, lam, epsilon) if block.m >= fewest else None
         estimates[name] = None if raw is None else (raw, _clip01(raw))
-    # the plain step-up procedure is the adaptive one at pi0 = 1
-    unit = (np.ones(rows),) * 2
+    unit = (np.ones(rows),) * 2  # the estimate pi0 = 1
     outcomes: list[tuple | None] = []
     for name in procedures:
-        on = PROCEDURE_ESTIMATES[name]
+        on, multiplier, _, rule = fdr.PROCEDURES[name]
         pi0 = unit if on is None else estimates[on]
         if pi0 is None:
             outcomes.append(None)
             continue
-        step = name in ("bh", "adaptive_bh")
-        if step:
-            cells = (None, None, pi0[1])
+        mult = multiplier(*pi0, block.m, lam, None)
+        if rule == "step":
+            cells = (None, None, mult)
         else:
-            mult = multipliers(name, *pi0, block.m, lam)
-            cells = (lam, epsilon if name == "generalized" else 0.0, mult)
+            cells = (lam, epsilon if "epsilon" in ESTIMATORS[on][1] else 0.0, mult)
         t = np.empty((len(alphas), rows))
-        fdr = np.full((len(alphas), rows), math.nan)
+        value = np.empty((len(alphas), rows))
         count = np.empty((len(alphas), rows), dtype=np.int64)
         for a, alpha in enumerate(alphas):
-            if step:
-                t[a], count[a] = step_up(block, adaptive_levels(alpha, pi0[1]))
-            else:
-                t[a], fdr[a], count[a] = solve_thresholds(block, name, mult, lam, alpha)
-        outcomes.append((cells, t, fdr, count))
+            t[a], value[a], count[a] = solve_thresholds(block, name, mult, lam, alpha)
+        outcomes.append((cells, t, value, count))
     return estimates, outcomes
 
 
 def false_discovery_proportion(study: Study, result: ThresholdResult) -> float:
-    """Realized fraction of rejected true nulls; 1 when nothing is rejected."""
+    """Realized fraction of rejected true nulls; 1 when nothing is
+    rejected: the one-row case of :func:`false_discovery_rows`."""
     if study.truth is None:
         raise ValueError("false discovery proportion needs truth labels")
-    if result.rejections == 0:
-        return 1.0
-    v = int(np.count_nonzero(study.truth[result.rejected]))
-    return v / result.rejections
+    (fdp,) = false_discovery_rows(
+        study.pvalues[None, :], study.truth,
+        np.array([result.t_alpha]), np.array([result.rejections]),
+    )
+    return float(fdp)
 
 
 def false_discovery_rows(
@@ -631,7 +611,7 @@ def run_replications(
         _check_name(name, PI0_METHODS, "pi0 method")
     for name in procedures:
         _check_name(name, PROCEDURES, "procedure")
-    used = set(pi0_methods) | {PROCEDURE_ESTIMATES[name] for name in procedures}
+    used = set(pi0_methods) | {fdr.PROCEDURES[name][0] for name in procedures}
     for name in ESTIMATORS:
         if name in used:
             _check_defined(name, spec.m)
@@ -836,8 +816,7 @@ def bias_decomposition(
 
     params = _draw_parameters(spec, _replication_rng(spec, rep_index))
     m, m0 = spec.m, spec.m0
-    truth = np.zeros(m, dtype=bool)
-    truth[:m0] = True
+    truth = _truth(spec)
 
     thetas = params["theta1"], params["theta2"]
     trials = params.get("trials", np.zeros(m, dtype=np.int64))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from discretefdr import (
+    FDR_KINDS,
     FdrEstimator,
     Pi0Estimate,
     Study,
@@ -135,6 +136,88 @@ def test_storey_type_sigma_range_validated():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         FdrEstimator("qvalue", _pi0(0.5), lam=0.5)
+
+
+@pytest.mark.parametrize("pvalues", [[], 0.5])
+def test_process_refuses_no_pvalues(pvalues):
+    """An empty list and a bare number are both refused by name: the
+    process refuses what is not one row, the block an empty row."""
+    with pytest.raises(ValueError, match="^at least one p-value is required$"):
+        build_rejection_process(pvalues)
+
+
+@pytest.mark.parametrize("t", [1.5, -0.1])
+def test_process_and_estimator_refuse_t_outside_unit_interval(t):
+    proc = build_rejection_process(np.array([0.2, 0.7]))
+    est = FdrEstimator("storey", _pi0(0.8, "storey"))
+    with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\]$"):
+        inverse_rejection_L(proc, t)
+    with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\]$"):
+        evaluate_fdr(est, proc, t)
+
+
+@pytest.mark.parametrize(
+    "kind, settings, missing",
+    [
+        ("storey_variant", {}, "lam"),
+        ("storey_type_sigma", {"sigma": 0.0}, "lam"),
+        ("storey_type_sigma", {"lam": 0.5}, "sigma"),
+    ],
+)
+def test_estimator_refuses_a_missing_setting(kind, settings, missing):
+    with pytest.raises(ValueError, match=f"^{kind} requires {missing}$"):
+        FdrEstimator(kind, _pi0(0.8, "storey"), **settings)
+
+
+def test_estimator_refuses_a_step_up_procedure():
+    """``bh`` is a procedure but no FDR estimator."""
+    with pytest.raises(ValueError) as caught:
+        FdrEstimator("bh", _pi0(1.0), lam=0.5)
+    assert str(caught.value) == (
+        f"unknown FDR estimator kind 'bh'; choose from {FDR_KINDS}"
+    )
+
+
+def test_threshold_refuses_a_negative_sigma():
+    proc = build_rejection_process(np.array([0.01, 0.2, 0.7]))
+    est = FdrEstimator("storey_type_sigma", _pi0(0.8, "storey"), lam=0.5, sigma=-1.0)
+    with pytest.raises(
+        ValueError, match=r"^sigma must lie in \[0, \(1 - lambda\) \* m \* pi0_raw\]$"
+    ):
+        threshold(est, proc, 0.05)
+
+
+def test_procedure_table_is_consistent():
+    """Every procedure runs on a known estimate or on pi0 = 1, the FDR
+    estimator kinds are exactly the rows that are not step-up
+    procedures, and the simulation roster is the rows that need no
+    sigma, in its documented order."""
+    from discretefdr import sim
+    from discretefdr.estimators import ESTIMATORS
+    from discretefdr.fdr import PROCEDURES
+
+    assert set(PROCEDURES) == {
+        "generalized", "storey", "storey_variant", "storey_type_sigma",
+        "bh", "adaptive_bh",
+    }
+    for on, _, settings, rule in PROCEDURES.values():
+        assert on is None or on in ESTIMATORS
+        assert set(settings) <= {"lam", "sigma"}
+        assert rule in (None, "cap", "pin", "step")
+    assert FDR_KINDS == tuple(
+        name for name, row in PROCEDURES.items() if row[3] != "step"
+    )
+    accepted = []
+    for name in PROCEDURES:
+        try:
+            FdrEstimator(name, _pi0(0.8, "storey"), lam=0.5, sigma=0.0)
+        except ValueError:
+            continue
+        accepted.append(name)
+    assert tuple(accepted) == FDR_KINDS
+    assert sim.PROCEDURES == (
+        "generalized", "storey", "storey_variant", "bh", "adaptive_bh",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,35 @@ def test_false_discovery_proportion_counting():
     assert false_discovery_proportion(study, empty) == 1.0
 
 
+def test_false_discovery_proportion_needs_truth_labels():
+    study = Study(np.array([0.01, 0.5]), [np.empty(0)] * 2)
+    res = ThresholdResult(0.01, 0.02, 1, np.array([0]))
+    with pytest.raises(
+        ValueError, match="^false discovery proportion needs truth labels$"
+    ):
+        false_discovery_proportion(study, res)
+
+
+@pytest.mark.parametrize("pi0", [0.5, 0.8])
+@pytest.mark.parametrize("kind", ["poisson_bin", "binomial_fet"])
+def test_false_discovery_proportion_is_the_one_row_case(kind, pi0):
+    """On the scenarios of acceptance check 7, every procedure's one-study
+    false discovery proportion, from its transcribed result, is bitwise
+    the row-wise one ``run_replications`` reports for that replication."""
+    alphas = (0.05, 0.1)
+    spec = ScenarioSpec(
+        kind=kind, m=1000, pi0=pi0, reps=3, seed=0, alpha_levels=alphas
+    )
+    out = run_replications(spec, pi0_methods=(), procedures=sim.PROCEDURES)
+    for r in range(spec.reps):
+        study = generate_scenario(spec, r)
+        results = oracles.procedure_results(study, sim.PROCEDURES, alphas, 0.5, 1.0)
+        for name, _, alpha, res in results:
+            j, a = sim.PROCEDURES.index(name), alphas.index(alpha)
+            got = np.float64(false_discovery_proportion(study, res))
+            assert got.tobytes() == out.fdp[r, j, a].tobytes(), (r, name, alpha)
+
+
 _STUDY_ARRAYS = (
     "pvalues", "support_flat", "support_start", "support_len",
     "support_index", "truth",
@@ -639,8 +668,9 @@ def test_each_study_builds_one_process_and_each_estimate_once(monkeypatch):
     """With the full roster, every chunk of studies builds one p-value
     block, computes each estimate once for all its studies and solves
     each (procedure, level) pair once, whatever the procedures and
-    levels that share them."""
-    from discretefdr import estimators as table, sim
+    levels that share them: one ``solve_thresholds`` call per pair, of
+    which the step-up pairs run ``step_up`` once each."""
+    from discretefdr import estimators as table, fdr, sim
 
     calls = []
 
@@ -657,9 +687,10 @@ def test_each_study_builds_one_process_and_each_estimate_once(monkeypatch):
         "storey_rows", "adjusted_rows", "pounds_tilde_rows",
         "pounds_hat_rows", "benjamini_rows",
     )
-    solvers = ("solve_thresholds", "step_up")
-    for name in ("PValueBlock", *solvers):
+    for name in ("PValueBlock", "solve_thresholds"):
         monkeypatch.setattr(sim, name, counting(name))
+    # the solver looks the step-up procedure up in its module
+    monkeypatch.setattr(fdr, "step_up", counting("step_up", fdr))
     # the estimator table looks the row-wise estimators up in its module
     for name in estimators:
         monkeypatch.setattr(table, name, counting(name, table))
@@ -676,7 +707,7 @@ def test_each_study_builds_one_process_and_each_estimate_once(monkeypatch):
     for a, b in zip(starts, starts[1:] + [len(calls)]):
         names = calls[a + 1 : b]
         assert sorted(n for n in names if n in estimators) == sorted(estimators)
-        assert names.count("solve_thresholds") == 3 * len(alphas)
+        assert names.count("solve_thresholds") == 5 * len(alphas)
         assert names.count("step_up") == 2 * len(alphas)
 
 
