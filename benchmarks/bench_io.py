@@ -11,7 +11,10 @@ The inputs are drawn like those of the analyze benchmark workloads, at
   distinct.
 
 For each table the script prints the best wall time, over ``REPEAT``
-runs, of ``ingest_counts`` on the file's bytes, of writing
+runs, of ``ingest_counts`` on the file's bytes, which its byte parser
+reads alone; of ``ingest_counts`` on the same table with the first
+count of one row in ``FALLBACK_EVERY`` written with a ``+`` sign, which
+sends every chunk of rows to the row parser; of writing
 ``features.csv`` (id, p-value and support cell of every row) from the
 tested table, and, as parts of that write, of formatting the support
 cells (``_support_cells``) and the distinct p-values
@@ -35,6 +38,9 @@ from discretefdr.cli import _float_cells, _support_cells, _write_features
 SIZES = (15_000, 150_000)
 REPEAT = 5
 SEED = 0
+#: One row in this many has a ``+``-signed count in the fallback case:
+#: one per chunk of the row parser.
+FALLBACK_EVERY = 4_096
 
 
 def _table_bytes(kind: str, m: int, rng: np.random.Generator) -> bytes:
@@ -56,6 +62,16 @@ def _table_bytes(kind: str, m: int, rng: np.random.Generator) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def _with_signs(data: bytes) -> bytes:
+    """The same table with the first count of one data row in
+    ``FALLBACK_EVERY`` written as ``+count``."""
+    lines = data.split(b"\n")
+    for i in range(1, len(lines) - 1, FALLBACK_EVERY):
+        ident, rest = lines[i].split(b",", 1)
+        lines[i] = ident + b",+" + rest
+    return b"\n".join(lines)
+
+
 def _best(fn, *args) -> tuple[float, object]:
     best, out = float("inf"), None
     for _ in range(REPEAT):
@@ -69,8 +85,8 @@ def main() -> int:
     rng = np.random.default_rng(SEED)
     print(f"best of {REPEAT} runs")
     print(
-        f"{'table':15s} {'ingest':>10s} {'features.csv':>13s} {'supports':>10s}"
-        f" {'p-values':>10s}  distinct supports"
+        f"{'table':15s} {'ingest':>10s} {'fallback':>10s} {'features.csv':>13s}"
+        f" {'supports':>10s} {'p-values':>10s}  distinct supports"
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "features.csv")
@@ -79,12 +95,17 @@ def main() -> int:
                 data = _table_bytes(kind, m, rng)
                 schema = IngestSchema(kind=kind, min_total=1)
                 t_in, table = _best(lambda: ingest_counts(io.BytesIO(data), schema))
+                signed = _with_signs(data)
+                t_back, back = _best(lambda: ingest_counts(io.BytesIO(signed), schema))
+                assert back.ids == table.ids
+                assert np.array_equal(back.group1, table.group1)
                 study = Study.from_distinct(*test_count_table(table))
                 t_out, _ = _best(_write_features, path, table, study)
                 t_sup, _ = _best(_support_cells, study)
                 t_p, _ = _best(_float_cells, np.unique(study.pvalues))
                 print(
-                    f"{kind:4s} {m:>10d} {t_in * 1e3:8.1f}ms {t_out * 1e3:11.1f}ms"
+                    f"{kind:4s} {m:>10d} {t_in * 1e3:8.1f}ms {t_back * 1e3:8.1f}ms"
+                    f" {t_out * 1e3:11.1f}ms"
                     f" {t_sup * 1e3:8.1f}ms {t_p * 1e3:8.1f}ms"
                     f"  {study.support_len.shape[0]}"
                 )

@@ -17,12 +17,18 @@ mismatches, empty analyses).
 
 All floating-point output is printed with 9 significant digits.
 
-CSV outputs are written column by column: each float column is
-formatted by one numpy formatter that gives the bytes of ``%.9g``
-(``_format_floats``; NaN and missing cells print as ``NA``), each
-distinct p-value and support cell of ``features.csv`` is formatted
-once, and the rows are joined and written a fixed number at a time, so
-the text of a whole file is never held in memory. Cells are quoted as
+CSV outputs are written column by column. Each column becomes its
+distinct cells and each row's index into them: a float column's
+distinct values (told apart by their bits, so that ``-0`` stays a cell
+of its own) are formatted by one numpy formatter that gives the bytes
+of ``%.9g`` (``_format_floats``; NaN and missing cells print as
+``NA``), and each distinct support cell of ``features.csv`` is
+formatted once. A fixed number of rows at a time, the rows' pieces are
+laid out in one list, each cell followed by a ``,`` or, after the last
+column, a line feed: each column fills its slots with one
+``operator.itemgetter`` gather of its cells by index, and the list is
+joined once and written in one binary write, so the text of a whole
+file is never held in memory. Cells are quoted as
 ``csv.writer`` quotes them by default: a cell holding a comma, a double
 quote or a line break is enclosed in double quotes, with each double
 quote doubled. A carriage return counts as a line break, so that no CSV
@@ -41,6 +47,7 @@ import os
 import sys
 import typing
 from datetime import datetime, timezone
+from operator import itemgetter
 
 import numpy as np
 
@@ -254,15 +261,26 @@ def _float_cells(values) -> list[str]:
     return cells
 
 
-def _cells(column, rows: slice) -> list[str]:
+def _distinct_cells(column) -> tuple[list[str], np.ndarray | None]:
+    """A column's distinct cells and each row's index into them; a list
+    of text cells is its own cells, with no index."""
     if isinstance(column, tuple):
-        distinct, index = column
-        return list(map(distinct.__getitem__, index[rows].tolist()))
+        return _text_cells(column[0]), np.asarray(column[1])
     if isinstance(column, list):
-        return _text_cells(column[rows])
+        return _text_cells(column), None
     if column.dtype.kind == "f":
-        return _float_cells(column[rows])
-    return list(map(str, column[rows].tolist()))
+        # on the bits, so that -0.0 and 0.0 stay two cells
+        bits, index = np.unique(column.view(np.int64), return_inverse=True)
+        return _float_cells(bits.view(np.float64)), index
+    values, index = np.unique(column, return_inverse=True)
+    return list(map(str, values.tolist())), index
+
+
+def _gather(cells: list[str], index: list[int]):
+    """``[cells[i] for i in index]``, by one ``itemgetter`` call."""
+    if len(index) == 1:
+        return [cells[index[0]]]
+    return itemgetter(*index)(cells)
 
 
 def _write_csv(path: str, header: list[str], columns: list) -> None:
@@ -270,21 +288,28 @@ def _write_csv(path: str, header: list[str], columns: list) -> None:
 
     A column is a float array, an integer array, a list of text cells,
     or a pair ``(cells, index)`` of distinct text cells and each row's
-    index into them, so that each distinct cell is quoted once. Rows
-    are formatted, joined and written ``_CHUNK_ROWS`` at a time.
+    index into them. Each column becomes its distinct cells, each quoted
+    or formatted once, and each row's index into them. For
+    ``_CHUNK_ROWS`` rows at a time, one list holds the pieces of the
+    rows in order, every cell followed by a separator piece; each
+    column's cells fill their slots with one ``itemgetter`` call, and the
+    list is joined once and written in one binary write.
     """
-    columns = [
-        (_text_cells(c[0]), np.asarray(c[1])) if isinstance(c, tuple) else c
-        for c in columns
-    ]
-    m = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_text_cells(header)) + "\n")
+    cells = [_distinct_cells(c) for c in columns]
+    separators = [None, ","] * (len(columns) - 1) + [None, "\n"]
+    stride = len(separators)
+    m = len(cells[0][0] if cells[0][1] is None else cells[0][1])
+    with open(path, "wb") as fh:
+        fh.write((",".join(_text_cells(header)) + "\n").encode())
         for a in range(0, m, _CHUNK_ROWS):
             rows = slice(a, a + _CHUNK_ROWS)
-            cells = [_cells(c, rows) for c in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))))
-            fh.write("\n")
+            parts = separators * (min(m, a + _CHUNK_ROWS) - a)
+            for j, (distinct, index) in enumerate(cells):
+                if index is None:
+                    parts[2 * j :: stride] = distinct[rows]
+                else:
+                    parts[2 * j :: stride] = _gather(distinct, index[rows].tolist())
+            fh.write("".join(parts).encode())
 
 
 def _support_cells(study: Study) -> list[str]:
@@ -432,15 +457,10 @@ def _write_features(path: str, table, study: Study) -> None:
     so each distinct p-value, like each distinct support, is formatted
     once.
     """
-    pvalues, pvalue_index = np.unique(study.pvalues, return_inverse=True)
     _write_csv(
         path,
         ["id", "pvalue", "support"],
-        [
-            table.ids,
-            (_float_cells(pvalues), pvalue_index),
-            (_support_cells(study), study.support_index),
-        ],
+        [table.ids, study.pvalues, (_support_cells(study), study.support_index)],
     )
 
 

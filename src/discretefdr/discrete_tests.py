@@ -316,6 +316,215 @@ def _parse_rows(rows: list[str], line_of, delim: str, schema: IngestSchema):
     return columns
 
 
+#: What a line's first byte says of it: 0 a data row, 1 a blank line
+#: or a comment, 2 leading space, which only the rest of the line decides.
+_LEAD = np.zeros(256, dtype=np.uint8)
+_LEAD[[ord("#"), ord("\n"), ord("\r")]] = 1
+_LEAD[[ord(" "), ord("\t")]] = 2
+
+#: The most digits a count cell of the byte parser may have: 19-digit
+#: counts are formed in uint64 and checked against ``_INT64_MAX``.
+_MAX_DIGITS = 19
+
+
+def _parse_text(text: str, schema: IngestSchema):
+    """``(ids, x1, r1, x2, r2)`` and the file line of each data row, from
+    the text's lines as ``str.splitlines`` cuts them."""
+    lines = text.splitlines()
+    # blank lines and # comments are skipped; "" and "#" are both in "#"
+    is_row = [line.lstrip()[:1] not in "#" for line in lines]
+    rows = list(compress(lines, is_row))
+    if not rows:
+        raise ValueError("line 1: empty input, header row required")
+    # the file line of each data row (bytes() of the flags is one 0/1
+    # byte per line); the header is the first row
+    line_of = np.flatnonzero(np.frombuffer(bytes(is_row), dtype=bool))[1:] + 1
+    delim = "\t" if "\t" in rows[0] else ","
+    ids, x1, r1, x2, r2 = _parse_rows(rows[1:], line_of, delim, schema)
+    return (ids.tolist(), x1, r1, x2, r2), line_of
+
+
+def _find_header(data: bytes) -> tuple[int, int, str]:
+    """The offset just past the header line, its line number and the
+    table's delimiter. The header is the first line that is neither blank
+    nor a comment."""
+    pos, line = 0, 0
+    while True:
+        stop = data.find(b"\n", pos)
+        if stop < 0:
+            raise ValueError("line 1: empty input, header row required")
+        header, pos, line = data[pos:stop], stop + 1, line + 1
+        if header.lstrip()[:1] not in b"#":
+            return pos, line, "\t" if b"\t" in header else ","
+
+
+def _data_rows(r: np.ndarray, delim: str):
+    """``(sep, last, start, lines, spaced)`` of the data rows in ``r``,
+    the bytes after the header: the offsets of their delimiters and line
+    feeds, in order; the index in ``sep`` of each row's line feed, so
+    that its cells end at ``sep[last[i - 1] + 1 : last[i] + 1]``; the
+    offset each row starts at; which line of ``r`` it is; and the rows
+    that start with a blank other than the delimiter."""
+    sep = np.flatnonzero((r == ord(delim)) | (r == 0x0A))
+    last = np.flatnonzero(r[sep] == 0x0A)
+    start = np.zeros_like(last)
+    start[1:] = sep[last[:-1]] + 1
+    lead = _LEAD[r[start]]
+    spaced = []
+    for j in np.flatnonzero(lead == 2).tolist():
+        if r[start[j] : sep[last[j]]].tobytes().lstrip()[:1] in b"#":
+            lead[j] = 1
+        elif r[start[j]] != ord(delim):  # else the id is empty
+            spaced.append(j)
+    lines = np.flatnonzero(lead != 1)
+    if lines.shape[0] < last.shape[0]:
+        sep = sep[np.repeat(lead != 1, np.diff(last, prepend=-1))]
+        last = np.flatnonzero(r[sep] == 0x0A)
+        start = start[lines]
+        spaced = np.searchsorted(lines, spaced)
+    return sep, last, start, lines, spaced
+
+
+def _read_counts(r: np.ndarray, sep: np.ndarray, end: np.ndarray, first: np.ndarray):
+    """Each cell's count, read from its ASCII digits by positional
+    arithmetic, and whether the cell is bad: empty, longer than
+    ``_MAX_DIGITS``, not all digits or beyond ``_INT64_MAX``. Cell ``i``
+    ends at ``end[i]`` and starts after ``sep[i - 1]``; the cells at
+    ``first``, the ids, read as 0 and are never bad."""
+    length = np.empty_like(sep)
+    np.subtract(end[1:], sep[:-1], out=length[1:])
+    length -= 1
+    length[first] = 0
+    digits = min(int(length.max(initial=0)), _MAX_DIGITS)
+    bad = (length == 0) | (length > _MAX_DIGITS)
+    bad[first] = False
+    # up to 18 digits are exact in int64, and 19 in uint64
+    value = np.zeros(sep.shape[0], np.uint64 if digits == _MAX_DIGITS else np.int64)
+    at = end - digits
+    for p in range(digits, 0, -1):
+        digit = r[at] - np.uint8(0x30)
+        digit *= length >= p
+        bad |= digit > 9
+        value *= 10
+        value += digit
+        at += 1
+    if digits == _MAX_DIGITS:
+        bad |= value > np.uint64(_INT64_MAX)
+    return value.view(np.int64), bad
+
+
+def _cut_ids(r: np.ndarray, start: np.ndarray, id_end: np.ndarray, delim: str):
+    """Each row's bytes from ``start`` up to its first delimiter at
+    ``id_end``, decoded and split at once."""
+    n = start.shape[0]
+    # the bytes alternate between the rest of a line, dropped, and an id
+    # with the byte that ends it, kept
+    size = np.empty(2 * n + 1, dtype=np.int64)
+    size[0] = start[0] if n else r.shape[0]
+    size[1::2] = id_end - start + 1
+    size[2::2] = np.append(start[1:], r.shape[0]) - id_end - 1
+    is_id = np.zeros(2 * n + 1, dtype=bool)
+    is_id[1::2] = True
+    cut = r[np.repeat(is_id, size)]
+    # the byte after the id of a one-cell row is its line feed
+    cut[np.cumsum(size[1::2]) - 1] = ord(delim)
+    ids = cut.tobytes().decode("ascii").split(delim)
+    ids.pop()
+    return ids
+
+
+def _parse_bytes(data: bytes, schema: IngestSchema):
+    """:func:`_parse_text` on a plain table's bytes, or None.
+
+    A table is plain when it is ASCII with no control byte but tab, line
+    feed and a carriage return before a line feed, so that its lines are
+    those ``str.splitlines`` cuts and a line's only blanks are spaces and
+    tabs. Its data rows are then cut at their delimiters with numpy, each
+    count cell of one to ``_MAX_DIGITS`` ASCII digits is read by
+    positional arithmetic, and the ids are cut out in one decode. A row
+    this does not vouch for (a width the kind does not allow, an id with a
+    leading or trailing blank, a count cell that is empty, holds anything
+    but digits or is too long, a count beyond ``_INT64_MAX``, a group sum
+    that overflows, a count above its trials) sends its chunk of
+    ``_CHUNK_ROWS`` rows to :func:`_parse_rows`, which gives that chunk's
+    values or raises its first bad line's error.
+    """
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    b = np.frombuffer(data, dtype=np.uint8)
+    crs = np.count_nonzero(b == 0x0D)
+    blanks = crs + np.count_nonzero(b == 0x0A) + np.count_nonzero(b == 0x09)
+    if b.max() > 0x7F or np.count_nonzero(b < 0x20) != blanks:
+        return None
+    if crs and not (b[np.flatnonzero(b == 0x0D) + 1] == 0x0A).all():
+        return None
+    pos, header_line, delim = _find_header(data)
+    r = b[pos:]
+    sep, last, start, lines, spaced = _data_rows(r, delim)
+    line_of = header_line + 1 + lines
+    n = last.shape[0]
+    width = np.diff(last, prepend=-1)
+    first = last - width + 1
+    # a row's last cell ends at its line feed, or at the CR before it
+    end = sep
+    if crs:
+        end = sep.copy()
+        end[last] -= r[sep[last] - 1] == 0x0D
+    value, bad = _read_counts(r, sep, end, first)
+    stop = end[last]
+    id_end = sep[first]
+    del sep, end
+
+    suspect = np.ones(n, dtype=bool)
+    x1, x2 = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    r1 = r2 = None
+    if schema.kind == "fet":
+        r1, r2 = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for w in _widths(schema):
+        rows = np.flatnonzero(width == w)
+        suspect[rows] = False
+        columns = [value[first[rows] + k] for k in range(1, w)]
+        if schema.kind == "fet" and w == 5:
+            x1[rows], r1[rows], x2[rows], r2[rows] = columns
+        elif schema.kind == "fet":
+            x1[rows], x2[rows] = columns
+            r1[rows] = r2[rows] = schema.trials
+        elif schema.kind == "ent" and w == 1 + 2 * schema.reps:
+            groups = columns[: schema.reps], columns[schema.reps :]
+            for total, group in zip((x1, x2), groups):
+                total[rows] = group[0]
+                for column in group[1:]:
+                    total[rows] += column
+                    # both addends are nonnegative, so a sum past int64
+                    # wraps below 0
+                    suspect[rows[total[rows] < 0]] = True
+        else:
+            x1[rows], x2[rows] = columns
+    del value
+    if r1 is not None:
+        suspect |= (x1 > r1) | (x2 > r2)
+    if bad.any():
+        suspect[np.searchsorted(first, np.flatnonzero(bad), side="right") - 1] = True
+    suspect[spaced] = True
+    # an id that ends in a blank
+    suspect[_LEAD[r[id_end - 1]] == 2] = True
+    ids = _cut_ids(r, start, id_end, delim)
+
+    chunk = _CHUNK_ROWS
+    for c in np.unique(np.flatnonzero(suspect) // chunk).tolist():
+        lo, hi = c * chunk, min(n, (c + 1) * chunk)
+        base = int(start[lo])
+        text = r[base : stop[hi - 1]].tobytes().decode("ascii")
+        bounds = zip((start[lo:hi] - base).tolist(), (stop[lo:hi] - base).tolist())
+        texts = [text[a:e] for a, e in bounds]
+        parsed = _parse_rows(texts, line_of[lo:hi], delim, schema)
+        ids[lo:hi] = parsed[0].tolist()
+        for whole, part in zip((x1, r1, x2, r2), parsed[1:]):
+            if whole is not None:
+                whole[lo:hi] = part
+    return (ids, x1, r1, x2, r2), line_of
+
+
 def _check_limit(x1, r1, x2, r2, keep, line_of) -> None:
     """Raise the error of the first kept row whose conditioned total
     exceeds ``_kernels.MAX_TOTAL``: either trials count for fet
@@ -359,22 +568,29 @@ def ingest_counts(source: IO[bytes], schema: IngestSchema) -> CountTable:
     exceeds ``_kernels.MAX_TOTAL`` (``x1 + x2`` for bin and ent, either
     trials count for fet) raises one too.
 
-    The table is parsed column-wise, a chunk of rows at a time, and the
-    count checks and the total filters run as array operations. Only a
-    chunk that holds a fault is parsed again, one row at a time and
-    through the same checks, to name its first bad line.
+    The file is read once as a byte array. A plain file (ASCII, with no
+    control byte but tab, line feed and a carriage return before a line
+    feed) is cut into lines, rows and cells with numpy; each count of one
+    to 19 ASCII digits is read by positional arithmetic (exact in int64
+    up to 18 digits; 19 are checked against the int64 range), and the ids
+    are cut out in one decode and split. Any chunk of ``_CHUNK_ROWS``
+    data rows with a row that path does not vouch for (a count with a
+    sign, ``_``, a blank or any other non-digit, an empty or over-long
+    cell, a count beyond int64, a width the kind does not allow, an id
+    with a leading or trailing blank, an overflowing group sum, a count
+    above its trials) is parsed by the row parser instead, and so is a
+    whole file that is not plain. The row parser splits the rows of each
+    legal width together and converts each count column with one pass of
+    ``int``; a chunk with a fault is parsed again one row at a time, to
+    name its first bad line. Either way the count checks, the total
+    filters and the limit check run as array operations, so both paths
+    give the same table and the same errors.
     """
-    lines = source.read().decode("utf-8").splitlines()
-    # blank lines and # comments are skipped; "" and "#" are both in "#"
-    is_row = [line.lstrip()[:1] not in "#" for line in lines]
-    rows = list(compress(lines, is_row))
-    if not rows:
-        raise ValueError("line 1: empty input, header row required")
-    # the file line of each data row (bytes() of the flags is one 0/1
-    # byte per line); the header is the first row
-    line_of = np.flatnonzero(np.frombuffer(bytes(is_row), dtype=bool))[1:] + 1
-    delim = "\t" if "\t" in rows[0] else ","
-    ids, x1, r1, x2, r2 = _parse_rows(rows[1:], line_of, delim, schema)
+    data = source.read()
+    parsed = _parse_bytes(data, schema)
+    if parsed is None:
+        parsed = _parse_text(data.decode("utf-8"), schema)
+    (ids, x1, r1, x2, r2), line_of = parsed
 
     keep = np.ones(x1.shape[0], dtype=bool)
     for total in (r1, r2) if schema.kind == "fet" else (x1, x2):
@@ -386,7 +602,7 @@ def ingest_counts(source: IO[bytes], schema: IngestSchema) -> CountTable:
     fet = schema.kind == "fet"
     return CountTable(
         kind=schema.kind,
-        ids=ids[keep].tolist(),
+        ids=ids if keep.all() else list(compress(ids, keep.tolist())),
         group1=x1[keep],
         group2=x2[keep],
         trials1=r1[keep] if fet else None,

@@ -198,9 +198,12 @@ class FdrEstimator:
                 f"unknown FDR estimator kind {self.kind!r}; "
                 f"choose from {FDR_KINDS}"
             )
-        for setting in PROCEDURES[self.kind][2]:
+        settings = PROCEDURES[self.kind][2]
+        for setting in settings:
             if getattr(self, setting) is None:
                 raise ValueError(f"{self.kind} requires {setting}")
+        if "lam" in settings and not 0.0 <= self.lam < 1.0:
+            raise ValueError("lambda must lie in [0, 1)")
 
     def multiplier(self, m: int) -> float:
         """The effective pi0 multiplier for a study of size ``m``."""

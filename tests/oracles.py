@@ -630,6 +630,10 @@ def write_csv_rows(path, header, rows) -> None:
             writer.writerow([fmt_cell(cell) for cell in row])
 
 
+#: The largest count, per cell and per group sum, a table may hold.
+INT64_MAX = 2**63 - 1
+
+
 def _parse_int(token: str, lineno: int) -> int:
     token = token.strip()
     try:
@@ -638,6 +642,11 @@ def _parse_int(token: str, lineno: int) -> int:
         raise ValueError(f"line {lineno}: non-integer count {token!r}") from None
     if value < 0:
         raise ValueError(f"line {lineno}: negative count {value}")
+    if value > INT64_MAX:
+        raise ValueError(
+            f"line {lineno}: count {value} exceeds the largest supported "
+            f"count {INT64_MAX}"
+        )
     return value
 
 
@@ -688,6 +697,12 @@ def ingest_rows(source, schema):
         elif schema.kind == "ent" and len(tokens) > 3:
             vals = [_parse_int(tok, lineno) for tok in tokens[1:]]
             x1, x2 = sum(vals[: schema.reps]), sum(vals[schema.reps :])
+            for total in (x1, x2):
+                if total > INT64_MAX:
+                    raise ValueError(
+                        f"line {lineno}: group sum {total} exceeds the largest "
+                        f"supported count {INT64_MAX}"
+                    )
             r1 = r2 = 0
         else:
             x1 = _parse_int(tokens[1], lineno)

@@ -1,6 +1,7 @@
 """Exact tests: frozen example values, conventions, ingestion."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,12 @@ def test_nb_validates_parameters():
         nb_exact_test(1, 1, 0.0, 3)
     with pytest.raises(ValueError):
         nb_exact_test(1, 1, 1.0, 0)
+
+
+@pytest.mark.parametrize("s1, s2", [(-1, 2), (2, -1)])
+def test_nb_refuses_negative_counts(s1, s2):
+    with pytest.raises(ValueError, match="^counts must be nonnegative$"):
+        nb_exact_test(s1, s2, 1.0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +283,21 @@ def test_ingest_ent_replicate_columns_summed():
 def test_ingest_ent_requires_size():
     with pytest.raises(ValueError):
         IngestSchema(kind="ent", size=None)
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"kind": "xyz"}, "unknown test kind 'xyz'; choose from bin, fet, ent"),
+        ({"kind": "bin", "reps": 0}, "reps must be at least 1"),
+        ({"kind": "ent", "size": 0.7, "reps": -2}, "reps must be at least 1"),
+        ({"kind": "ent"}, "ent ingestion requires size"),
+    ],
+    ids=["unknown-kind", "reps-0", "ent-reps-negative", "ent-no-size"],
+)
+def test_ingest_schema_refusals(settings, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        IngestSchema(**settings)
 
 
 def test_ingest_blank_lines_skipped():
@@ -543,6 +565,258 @@ def test_kernels_reject_totals_beyond_the_limit():
         _kernels.batch_binomial([2**62], [2**62])
     with pytest.raises(ValueError, match=message):
         _kernels.batch_negbinom([2**63 - 1], [1], 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the byte parser against the row-wise parsers
+# ---------------------------------------------------------------------------
+
+INT64_MAX = 2**63 - 1
+
+
+def _count_text(rng, value):
+    """``value`` in plain digits, at times zero-padded to 18 or 19."""
+    text = str(value)
+    if rng.random() < 0.1:
+        text = text.zfill(int(rng.choice([18, 19])))
+    return text
+
+
+def _plain_counts(rng, schema):
+    """The counts of one row of a width ``schema`` allows; one row in
+    eight holds an 18- or 19-digit count."""
+    big = rng.random() < 0.125
+    if schema.kind == "fet":
+        r = [int(rng.integers(0, 60)) for _ in range(2)]
+        if big:
+            r[0] = int(rng.choice([10**17, 10**18 - 1, 10**18, INT64_MAX]))
+        x = [int(rng.integers(0, v + 1)) if v < 60 else v // 3 for v in r]
+        if schema.trials is not None and rng.random() < 0.5:
+            return [int(rng.integers(0, schema.trials + 1)) for _ in range(2)]
+        return [x[0], r[0], x[1], r[1]]
+    if schema.kind == "ent" and schema.reps > 1 and rng.random() < 0.5:
+        counts = [int(v) for v in rng.integers(0, 15, 2 * schema.reps)]
+    else:
+        counts = [int(v) for v in rng.integers(0, 50, 2)]
+    if big:
+        # group sums stay within int64
+        top = INT64_MAX // len(counts)
+        counts[int(rng.integers(0, len(counts)))] = int(
+            rng.choice([10**17, 10**18 - 1, min(10**18, top), top])
+        )
+    return counts
+
+
+_BLANKS = ["", "   ", "\t", "# note", "  # indented", "\t# tabbed", "#"]
+_IDS = ["g{}", "a b{}", 'q"{}"', '"{}', "{}#", ""]
+
+
+def _plain_table(rng, schema, m, delim):
+    """The lines of a plain table of ``m`` data rows, and the index of
+    each data row among them: comment and blank lines before and after
+    the header and between rows, rows of every width ``schema`` allows,
+    ids with inner spaces or quotes."""
+    names = ["x1", "r1", "x2", "r2"] if schema.kind == "fet" else ["x1", "x2"]
+    lines = [str(rng.choice(_BLANKS)) for _ in range(rng.integers(0, 3))]
+    lines.append(delim.join(["id", *names]))
+    rows = []
+    for i in range(m):
+        if rng.random() < 0.1:
+            lines.append(str(rng.choice(_BLANKS)))
+        ident = str(rng.choice(_IDS)).format(i)
+        counts = [_count_text(rng, v) for v in _plain_counts(rng, schema)]
+        rows.append(len(lines))
+        lines.append(delim.join([ident, *counts]))
+    lines += [str(rng.choice(_BLANKS)) for _ in range(rng.integers(0, 3))]
+    return lines, rows
+
+
+def _on_count(text):
+    """A fault that replaces one count cell of a row by ``text``."""
+
+    def fault(tokens, schema):
+        tokens[1] = text
+        return tokens
+
+    return fault
+
+
+def _count_above_trials(tokens, schema):
+    if schema.kind == "fet" and len(tokens) == 5:
+        tokens[1] = str(int(tokens[2]) + 1)
+    return tokens
+
+
+def _group_sum_overflow(tokens, schema):
+    if schema.kind == "ent" and len(tokens) > 3:
+        tokens[1] = tokens[2] = str(2**62)
+    return tokens
+
+
+#: Faults the byte parser leaves to the row parser, one chunk at a time.
+_ROW_FAULTS = {
+    "letter": _on_count("x"),
+    "negative": _on_count("-2"),
+    "empty": _on_count(""),
+    "decimal": _on_count("3.5"),
+    "inner-space": _on_count("1 2"),
+    "plus": _on_count("+3"),
+    "underscore": _on_count("1_0"),
+    "leading-space": _on_count(" 4"),
+    "trailing-space": _on_count("4 "),
+    "nineteen-nines": _on_count("9" * 19),
+    "int64-max-plus-one": _on_count(str(2**63)),
+    "twenty-digits": _on_count("0" * 19 + "7"),
+    "extra-cell": lambda tokens, schema: tokens + ["9"],
+    "missing-cell": lambda tokens, schema: tokens[:-1],
+    "id-trailing-blank": lambda tokens, schema: [tokens[0] + " ", *tokens[1:]],
+    "id-leading-blank": lambda tokens, schema: [" " + tokens[0], *tokens[1:]],
+    "id-leading-tab": lambda tokens, schema: ["\t" + tokens[0], *tokens[1:]],
+    "count-above-trials": _count_above_trials,
+    "group-sum-overflow": _group_sum_overflow,
+}
+
+#: Faults that send the whole file to the row parser, because its lines
+#: or blanks may differ from those of the byte parser.
+_TEXT_FAULTS = {
+    "non-ascii-id": lambda tokens, schema: ["naïve", *tokens[1:]],
+    "non-ascii-digit": _on_count("٣"),
+    "lone-cr": lambda tokens, schema: ["a\rb", *tokens[1:]],
+    "form-feed": lambda tokens, schema: ["a\x0cb", *tokens[1:]],
+    "nul": lambda tokens, schema: ["a\x00b", *tokens[1:]],
+}
+
+
+@pytest.fixture
+def parser_calls(monkeypatch):
+    """The first file line of each chunk the row parser reads, and the
+    number of files read as text."""
+    calls = {"chunks": [], "text": 0}
+    parse_rows, parse_text = discrete_tests._parse_rows, discrete_tests._parse_text
+
+    def rows(texts, line_of, delim, schema):
+        calls["chunks"].extend(line_of[:1].tolist())
+        return parse_rows(texts, line_of, delim, schema)
+
+    def text(*args):
+        calls["text"] += 1
+        return parse_text(*args)
+
+    monkeypatch.setattr(discrete_tests, "_parse_rows", rows)
+    monkeypatch.setattr(discrete_tests, "_parse_text", text)
+    return calls
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same_parse(got, expected):
+    """Equal columns and data-row lines, or equal error messages."""
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    (ids, *columns), line_of = got
+    (ids_expected, *expected_columns), line_of_expected = expected
+    assert ids == ids_expected
+    for a, b in zip(columns, expected_columns):
+        assert (a is None) == (b is None)
+        if b is not None:
+            assert a.dtype == np.int64 and np.array_equal(a, b)
+    assert np.array_equal(line_of, line_of_expected)
+
+
+def _check_against_row_parsers(data, schema):
+    """``ingest_counts`` against the row-wise oracle, and the byte
+    parser's columns, before any filter, against the text parser's."""
+    try:
+        expected = oracles.ingest_rows(io.BytesIO(data), schema)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            ingest_counts(io.BytesIO(data), schema)
+        assert str(got.value) == str(exc)
+    else:
+        _same_table(ingest_counts(io.BytesIO(data), schema), expected)
+    parsed = _outcome(discrete_tests._parse_bytes, data, schema)
+    if parsed is not None:
+        text = data.decode("utf-8")
+        _same_parse(parsed, _outcome(discrete_tests._parse_text, text, schema))
+
+
+_FUZZ_SCHEMAS = [
+    IngestSchema(kind="bin", max_total=10**6),
+    IngestSchema(kind="fet", min_total=1, max_total=10**6),
+    IngestSchema(kind="fet", trials=30, max_total=10**6),
+    IngestSchema(kind="ent", size=0.7, reps=3, max_total=10**6),
+    IngestSchema(kind="ent", size=0.7, reps=1),
+]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("schema", _FUZZ_SCHEMAS, ids=_schema_id)
+def test_plain_tables_take_the_byte_parser(schema, newline, parser_calls):
+    """A plain table, with comments, blank lines, quotes and inner spaces
+    in ids, zero-padded and 19-digit counts and mixed widths, is read by
+    the byte parser alone, to the row-wise parsers' columns."""
+    rng = np.random.default_rng(300 + _FUZZ_SCHEMAS.index(schema) + len(newline))
+    for delim in (",", "\t"):
+        for m in (0, 1, 2, 150):
+            lines, _ = _plain_table(rng, schema, m, delim)
+            for end in (newline, ""):
+                data = (newline.join(lines) + end).encode()
+                parser_calls.update(chunks=[], text=0)
+                _outcome(ingest_counts, io.BytesIO(data), schema)
+                assert parser_calls == {"chunks": [], "text": 0}
+                _check_against_row_parsers(data, schema)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 8, _DEFAULT_CHUNK])
+@pytest.mark.parametrize("schema", _FUZZ_SCHEMAS, ids=_schema_id)
+def test_faults_at_chunk_edges_match_the_row_parsers(
+    schema, chunk_rows, parser_calls, monkeypatch
+):
+    """Each fault, on the first or last row of a chunk and at times on a
+    second row, gives the row-wise parsers' columns or first error. A
+    fault of a cell or a width sends only its chunks to the row parser;
+    one that changes what a line or a blank is sends the whole file."""
+    monkeypatch.setattr(discrete_tests, "_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(400 + _FUZZ_SCHEMAS.index(schema) + chunk_rows)
+    faults = {**_ROW_FAULTS, **_TEXT_FAULTS}
+    for name, fault in faults.items():
+        for _ in range(3):
+            delim = str(rng.choice([",", "\t"]))
+            newline = str(rng.choice(["\n", "\r\n"]))
+            lines, rows = _plain_table(rng, schema, 40, delim)
+            edges = [
+                i for i in range(len(rows))
+                if i % chunk_rows in (0, chunk_rows - 1) or i == len(rows) - 1
+            ]
+            at = {int(rng.choice(edges))}
+            if rng.random() < 0.5:
+                at.add(int(rng.integers(0, len(rows))))
+            changed = set()
+            for i in at:
+                tokens = lines[rows[i]].split(delim)
+                faulted = delim.join(fault(list(tokens), schema))
+                if faulted != lines[rows[i]]:
+                    lines[rows[i]] = faulted
+                    changed.add(i)
+            data = (newline.join(lines) + newline).encode()
+            parser_calls.update(chunks=[], text=0)
+            error = isinstance(_outcome(ingest_counts, io.BytesIO(data), schema), str)
+            if name in _TEXT_FAULTS and changed:
+                assert parser_calls == {"chunks": parser_calls["chunks"], "text": 1}
+            else:
+                # the first file line of each chunk that holds a changed
+                # row, up to the first one with an error
+                starts = sorted({rows[i - i % chunk_rows] + 1 for i in changed})
+                calls = parser_calls["chunks"]
+                assert parser_calls["text"] == 0
+                assert calls == (starts[: len(calls)] if error else starts)
+            _check_against_row_parsers(data, schema)
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,19 @@ def test_estimator_refuses_a_missing_setting(kind, settings, missing):
         FdrEstimator(kind, _pi0(0.8, "storey"), **settings)
 
 
+@pytest.mark.parametrize("lam", [1.0, 1.5, -0.5, math.nan])
+@pytest.mark.parametrize(
+    "kind, settings",
+    [("storey_variant", {}), ("storey_type_sigma", {"sigma": 0.0})],
+)
+def test_estimator_refuses_lambda_outside_unit_interval(kind, settings, lam):
+    """At lambda = 1 the variant's multiplier divides by zero, and beyond
+    [0, 1) it returns a result with a negative or inflated multiplier;
+    every row whose multiplier reads lambda refuses it up front."""
+    with pytest.raises(ValueError, match=r"^lambda must lie in \[0, 1\)$"):
+        FdrEstimator(kind, _pi0(0.8, "storey"), lam=lam, **settings)
+
+
 def test_estimator_refuses_a_step_up_procedure():
     """``bh`` is a procedure but no FDR estimator."""
     with pytest.raises(ValueError) as caught:
