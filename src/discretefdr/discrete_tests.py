@@ -243,17 +243,15 @@ def _sum_columns(columns: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _parse_block(tokens: list[str], width: int, schema: IngestSchema):
-    """``(ids, x1, r1, x2, r2)`` of data rows of one width, from their
-    cells in row order; ``r1``/``r2`` are None unless the kind is fet."""
-    ids = list(map(str.strip, tokens[0::width]))
-    values = [_int_column(tokens[j::width]) for j in range(1, width)]
+def _group_columns(values: list[np.ndarray], width: int, schema: IngestSchema):
+    """``(x1, r1, x2, r2)`` of data rows of one width, from their count
+    columns; ``r1``/``r2`` are None unless the kind is fet."""
     r1 = r2 = None
     if schema.kind == "fet" and width == 5:
         x1, r1, x2, r2 = values
     elif schema.kind == "fet":
         x1, x2 = values
-        r1 = r2 = np.full(len(ids), schema.trials, dtype=np.int64)
+        r1 = r2 = np.full(x1.shape[0], schema.trials, dtype=np.int64)
     elif schema.kind == "ent" and width == 1 + 2 * schema.reps:
         x1 = _sum_columns(values[: schema.reps])
         x2 = _sum_columns(values[schema.reps :])
@@ -261,7 +259,15 @@ def _parse_block(tokens: list[str], width: int, schema: IngestSchema):
         x1, x2 = values
     if r1 is not None and ((x1 > r1) | (x2 > r2)).any():
         raise _Fault("count exceeds trials")
-    return ids, x1, r1, x2, r2
+    return x1, r1, x2, r2
+
+
+def _parse_block(tokens: list[str], width: int, schema: IngestSchema):
+    """``(ids, x1, r1, x2, r2)`` of data rows of one width, from their
+    cells in row order."""
+    ids = list(map(str.strip, tokens[0::width]))
+    values = [_int_column(tokens[j::width]) for j in range(1, width)]
+    return ids, *_group_columns(values, width, schema)
 
 
 def _parse_rows(rows: list[str], line_of, delim: str, schema: IngestSchema):
@@ -317,7 +323,8 @@ def _parse_rows(rows: list[str], line_of, delim: str, schema: IngestSchema):
 
 
 #: What a line's first byte says of it: 0 a data row, 1 a blank line
-#: or a comment, 2 leading space, which only the rest of the line decides.
+#: or a comment, 2 a leading blank, after which the rest of the line
+#: decides.
 _LEAD = np.zeros(256, dtype=np.uint8)
 _LEAD[[ord("#"), ord("\n"), ord("\r")]] = 1
 _LEAD[[ord(" "), ord("\t")]] = 2
@@ -480,29 +487,22 @@ def _parse_bytes(data: bytes, schema: IngestSchema):
     r1 = r2 = None
     if schema.kind == "fet":
         r1, r2 = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    value[bad] = 0
     for w in _widths(schema):
         rows = np.flatnonzero(width == w)
         suspect[rows] = False
         columns = [value[first[rows] + k] for k in range(1, w)]
-        if schema.kind == "fet" and w == 5:
-            x1[rows], r1[rows], x2[rows], r2[rows] = columns
-        elif schema.kind == "fet":
-            x1[rows], x2[rows] = columns
-            r1[rows] = r2[rows] = schema.trials
-        elif schema.kind == "ent" and w == 1 + 2 * schema.reps:
-            groups = columns[: schema.reps], columns[schema.reps :]
-            for total, group in zip((x1, x2), groups):
-                total[rows] = group[0]
-                for column in group[1:]:
-                    total[rows] += column
-                    # both addends are nonnegative, so a sum past int64
-                    # wraps below 0
-                    suspect[rows[total[rows] < 0]] = True
-        else:
-            x1[rows], x2[rows] = columns
+        try:
+            grouped = _group_columns(columns, w, schema)
+        except _Fault:
+            # an overflowing group sum or a count above its trials: the
+            # row parser names the first
+            suspect[rows] = True
+            continue
+        for whole, part in zip((x1, r1, x2, r2), grouped):
+            if whole is not None:
+                whole[rows] = part
     del value
-    if r1 is not None:
-        suspect |= (x1 > r1) | (x2 > r2)
     if bad.any():
         suspect[np.searchsorted(first, np.flatnonzero(bad), side="right") - 1] = True
     suspect[spaced] = True

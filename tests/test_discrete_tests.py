@@ -676,6 +676,10 @@ _ROW_FAULTS = {
     "group-sum-overflow": _group_sum_overflow,
 }
 
+#: Faults found only once a width's columns are grouped, which send every
+#: chunk with a row of that width to the row parser.
+_GROUP_FAULTS = {"count-above-trials", "group-sum-overflow"}
+
 #: Faults that send the whole file to the row parser, because its lines
 #: or blanks may differ from those of the byte parser.
 _TEXT_FAULTS = {
@@ -780,8 +784,9 @@ def test_faults_at_chunk_edges_match_the_row_parsers(
 ):
     """Each fault, on the first or last row of a chunk and at times on a
     second row, gives the row-wise parsers' columns or first error. A
-    fault of a cell or a width sends only its chunks to the row parser;
-    one that changes what a line or a blank is sends the whole file."""
+    fault of a cell, an id or a width sends only its chunks to the row
+    parser; one that changes what a line or a blank is sends the whole
+    file."""
     monkeypatch.setattr(discrete_tests, "_CHUNK_ROWS", chunk_rows)
     rng = np.random.default_rng(400 + _FUZZ_SCHEMAS.index(schema) + chunk_rows)
     faults = {**_ROW_FAULTS, **_TEXT_FAULTS}
@@ -807,13 +812,18 @@ def test_faults_at_chunk_edges_match_the_row_parsers(
             data = (newline.join(lines) + newline).encode()
             parser_calls.update(chunks=[], text=0)
             error = isinstance(_outcome(ingest_counts, io.BytesIO(data), schema), str)
+            calls = parser_calls["chunks"]
+            # the first file line of each chunk that holds a changed row
+            starts = sorted({rows[i - i % chunk_rows] + 1 for i in changed})
             if name in _TEXT_FAULTS and changed:
-                assert parser_calls == {"chunks": parser_calls["chunks"], "text": 1}
+                assert parser_calls["text"] == 1
+            elif name in _GROUP_FAULTS and changed:
+                # every chunk with a row of the faulted width, up to the
+                # first changed one, which names the error
+                assert error and parser_calls["text"] == 0
+                assert calls == sorted(set(calls)) and calls[-1] == starts[0]
             else:
-                # the first file line of each chunk that holds a changed
-                # row, up to the first one with an error
-                starts = sorted({rows[i - i % chunk_rows] + 1 for i in changed})
-                calls = parser_calls["chunks"]
+                # the changed chunks, up to the first one with an error
                 assert parser_calls["text"] == 0
                 assert calls == (starts[: len(calls)] if error else starts)
             _check_against_row_parsers(data, schema)
