@@ -451,10 +451,11 @@ def _parse_bytes(data: bytes, schema: IngestSchema):
     positional arithmetic, and the ids are cut out in one decode. A row
     this does not vouch for (a width the kind does not allow, an id with a
     leading or trailing blank, a count cell that is empty, holds anything
-    but digits or is too long, a count beyond ``_INT64_MAX``, a group sum
-    that overflows, a count above its trials) sends its chunk of
-    ``_CHUNK_ROWS`` rows to :func:`_parse_rows`, which gives that chunk's
-    values or raises its first bad line's error.
+    but digits or is too long, a count beyond ``_INT64_MAX``) sends its
+    chunk of ``_CHUNK_ROWS`` rows to :func:`_parse_rows`, which gives that
+    chunk's values or raises its first bad line's error. A group sum that
+    overflows or a count above its trials, found when a width's columns
+    are grouped, sends every chunk of that width there, up to the error.
     """
     if not data.endswith(b"\n"):
         data += b"\n"

@@ -660,9 +660,10 @@ def _within(total: int, schema) -> bool:
 
 def ingest_rows(source, schema):
     """Reference for ``ingest_counts``: parse, check and filter one row
-    at a time, in Python integers. A row of the wrong width names every
-    legal width. Once every row parses, the first kept row whose
-    conditioned total exceeds the kernels' limit is an error."""
+    at a time, in Python integers, refusing a count or a group sum beyond
+    int64. A row of the wrong width names every legal width. Once every
+    row parses, the first kept row whose conditioned total exceeds the
+    kernels' limit is an error."""
     from discretefdr import CountTable
     from discretefdr._kernels import MAX_TOTAL
 

@@ -752,8 +752,8 @@ def test_manifest_with_an_unknown_test_kind_prints_one_error_line(
     """``--test`` lists its choices, so only a replayed manifest reaches
     the schema's refusal of an unknown test kind."""
     first = tmp_path / "first"
-    code, _, _ = run(["analyze", bin_file, "--test", "bin", "--out", str(first)], capsys)
-    assert code == 0
+    argv = ["analyze", bin_file, "--test", "bin", "--out", str(first)]
+    assert run(argv, capsys)[0] == 0
     path = first / "manifest.json"
     path.write_text(json.dumps(_with(test="xyz")(json.loads(path.read_text()))))
     out = tmp_path / "out"

@@ -571,7 +571,7 @@ def test_kernels_reject_totals_beyond_the_limit():
 # the byte parser against the row-wise parsers
 # ---------------------------------------------------------------------------
 
-INT64_MAX = 2**63 - 1
+INT64_MAX = oracles.INT64_MAX
 
 
 def _count_text(rng, value):
