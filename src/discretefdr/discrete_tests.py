@@ -407,6 +407,9 @@ def _read_counts(r: np.ndarray, sep: np.ndarray, end: np.ndarray, first: np.ndar
     bad[first] = False
     # up to 18 digits are exact in int64, and 19 in uint64
     value = np.zeros(sep.shape[0], np.uint64 if digits == _MAX_DIGITS else np.int64)
+    # byte p of a cell from its end, for every cell at once; an offset
+    # before the first byte wraps to the end of r, and like every byte
+    # before a cell's start it is masked out
     at = end - digits
     for p in range(digits, 0, -1):
         digit = r[at] - np.uint8(0x30)
