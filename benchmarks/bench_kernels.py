@@ -20,7 +20,11 @@ batch:
 Every batch runs under both two-sided conventions, minimum likelihood
 and tail doubling, since each builds its tables along its own path. It
 prints the best wall time of the kernel and of the study built from its
-output, the distinct keys and supports and the kernel time per feature.
+output, the distinct keys, the laws built (one support slice each), the
+distinct supports and the kernel time per feature. The laws built equal
+the distinct keys, except for ``fisher`` under minimum likelihood: there
+a table and its mirror, margins ``(r1, r2, s)`` and ``(r2, r1, s)``,
+share one law.
 Unique-key batches of the binomial and negative-binomial tests need
 distinct totals, so each law grows with the batch; they are capped at
 ``UNIQUE_TOTALS`` features to keep them comparable.
@@ -226,8 +230,8 @@ def main() -> int:
 
     print(f"best of {args.repeat} runs")
     header = (f"{'kernel':10s} {'keys':>9s} {'convention':>10s} {'m':>7s} "
-              f"{'distinct':>9s} {'supports':>9s} {'kernel':>10s} {'study':>10s} "
-              f"{'per feature':>12s}")
+              f"{'distinct':>9s} {'laws':>7s} {'supports':>9s} {'kernel':>10s} "
+              f"{'study':>10s} {'per feature':>12s}")
     print(header)
     print("-" * len(header))
     for name, kernel in kernels.items():
@@ -244,6 +248,7 @@ def main() -> int:
                 print(
                     f"{name:10s} {kind:>9s} {convention:>10s} {m:7d} "
                     f"{_distinct_keys(name, batch):9d} "
+                    f"{np.unique(out[2]).shape[0]:7d} "
                     f"{study.support_len.shape[0]:9d} {t * 1e3:8.1f}ms "
                     f"{t_study * 1e3:8.1f}ms {t / m * 1e6:10.2f}us"
                 )

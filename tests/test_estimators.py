@@ -243,6 +243,11 @@ def test_study_validation():
         Study(np.array([]), [])
     with pytest.raises(ValueError):
         Study(np.array([0.5]), [])
+    for truth in ([True], [True, False, True]):
+        with pytest.raises(ValueError, match="truth labels and p-values must align"):
+            Study([0.5, 1.0], [[0.5, 1.0]] * 2, truth)
+        with pytest.raises(ValueError, match="truth labels and p-values must align"):
+            Study.from_distinct([0.5, 1.0], [0.5, 1.0], [0, 0], [2, 2], truth)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,61 @@ def test_batch_matches_per_feature_loop(make, convention):
             assert np.array_equal(g, e), kind
 
 
+def _swap_cases():
+    """Tables ``(x1, r1, x2, r2)``: random margins, ``r1 == r2``, ``s = 0``,
+    ``s = r1 + r2``, and margins of 1500 to 3000 whose tails fall below
+    the float64 range."""
+    rng = np.random.default_rng(17)
+    r1 = np.concatenate([rng.integers(0, 60, 300), np.arange(1, 41)])
+    r2 = np.concatenate([rng.integers(0, 60, 300), np.arange(1, 41)])
+    x1, x2 = rng.binomial(r1, 0.4), rng.binomial(r2, 0.5)
+    # s = 0, then s = r1 + r2
+    edge1, edge2 = np.array([0, 7, 2, 0, 7, 2]), np.array([5, 0, 9, 5, 0, 9])
+    zero = np.zeros(3, dtype=np.int64)
+    # the least likely outcome a = 0 at s = min(r1, r2)
+    big1, big2 = rng.integers(1500, 3001, 4), rng.integers(1500, 3001, 4)
+    x1 = np.concatenate([x1, zero, edge1[3:], np.zeros(4, dtype=np.int64)])
+    x2 = np.concatenate([x2, zero, edge2[3:], np.minimum(big1, big2)])
+    r1 = np.concatenate([r1, edge1, big1])
+    r2 = np.concatenate([r2, edge2, big2])
+    return x1, r1, x2, r2
+
+
+def test_swapping_the_groups_keeps_every_minlik_bit():
+    """Under minimum likelihood the table ``(x2, r2, x1, r1)`` is the mirror
+    of ``(x1, r1, x2, r2)``: the same log-weights, each formed as the same
+    two terms in the other order. So swapping the groups changes no bit
+    of a p-value or a support, and a table and its mirror share one law
+    and one support slice."""
+    x1, r1, x2, r2 = _swap_cases()
+    assert np.any(r1 == r2) and np.any(r1 < r2) and np.any(r1 > r2)
+    given = K.batch_fisher(x1, r1, x2, r2)
+    swapped = K.batch_fisher(x2, r2, x1, r1)
+    for a, b in zip(oracles.per_feature_layout(*given),
+                    oracles.per_feature_layout(*swapped)):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    assert np.any(given[0] == K.FLOOR) and np.any(given[1] == K.FLOOR)
+    both = K.batch_fisher(*(np.concatenate(v) for v in
+                            zip((x1, r1, x2, r2), (x2, r2, x1, r1))))
+    n = x1.shape[0]
+    assert np.array_equal(both[2][:n], both[2][n:])
+    assert np.array_equal(both[0][:n], given[0])
+
+
+@pytest.mark.parametrize("convention", ["minlik", "doubling"])
+def test_batch_kernels_take_empty_input(convention):
+    """No features build no law: four empty arrays of the usual types."""
+    empty = np.zeros(0, dtype=np.int64)
+    for out in (
+        K.batch_binomial(empty, empty, convention),
+        K.batch_fisher(empty, empty, empty, empty, convention),
+        K.batch_negbinom(empty, empty, 2.0, convention),
+    ):
+        assert [a.shape for a in out] == [(0,)] * 4
+        assert [a.dtype for a in out] == [np.float64, np.float64, np.int64, np.int64]
+
+
 # ---------------------------------------------------------------------------
 # the block builder against one law at a time
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from discretefdr import (
     pounds_bias_from_expectations,
     run_replications,
 )
-from discretefdr import sim
+from discretefdr import _kernels, sim
 from discretefdr.sim import _draw_parameters, _replication_rng
 
 import oracles
@@ -789,6 +789,18 @@ def test_bias_decomposition_truncation_guard_negbinom(monkeypatch):
     monkeypatch.setattr(sim, "_TAIL", 0.3)
     spec = _spec(kind="negbinom_ent", m=4, pi0=0.5, reps=1)
     with pytest.raises(ValueError, match="counts miss .* of the mass"):
+        bias_decomposition(spec, lam=0.5, epsilon=1.0)
+
+
+def test_bias_decomposition_refuses_counts_beyond_the_largest_total():
+    """A valid spec may put a group's counts beyond the kernels' largest
+    total: Poisson means of about 1e7 leave all their mass past it, so
+    the count bounds are refused by name."""
+    spec = ScenarioSpec(kind="poisson_bin", m=2, pi0=0.5, pareto_location=1e7)
+    with pytest.raises(ValueError, match=(
+        "a group's counts reach beyond the largest supported total "
+        f"{_kernels.MAX_TOTAL}$"
+    )):
         bias_decomposition(spec, lam=0.5, epsilon=1.0)
 
 
