@@ -5,8 +5,8 @@ The kernels build one null law per distinct conditioning key (the total
 for the binomial and negative-binomial tests, the margins for the
 hypergeometric test), all laws of one width as one 2-D block, and
 return each feature's p-value with a slice of its key's support, which
-is stored once; ``Study.from_distinct`` then merges equal supports and
-lays them out by length. This script times both steps on three kinds of
+is stored once; ``Study.from_distinct`` then stores each slice once,
+laid out by length. This script times both steps on three kinds of
 batch:
 
 * ``repeated``: simulation-scale count data, where most features share
@@ -20,11 +20,11 @@ batch:
 Every batch runs under both two-sided conventions, minimum likelihood
 and tail doubling, since each builds its tables along its own path. It
 prints the best wall time of the kernel and of the study built from its
-output, the distinct keys, the laws built (one support slice each), the
-distinct supports and the kernel time per feature. The laws built equal
-the distinct keys, except for ``fisher`` under minimum likelihood: there
-a table and its mirror, margins ``(r1, r2, s)`` and ``(r2, r1, s)``,
-share one law.
+output, the distinct keys, the laws built (each one support slice, which
+the study stores as one support) and the kernel time per feature. The
+laws built equal the distinct keys, except for ``fisher`` under minimum
+likelihood: there a table and its mirror, margins ``(r1, r2, s)`` and
+``(r2, r1, s)``, share one law.
 Unique-key batches of the binomial and negative-binomial tests need
 distinct totals, so each law grows with the batch; they are capped at
 ``UNIQUE_TOTALS`` features to keep them comparable.
@@ -230,7 +230,7 @@ def main() -> int:
 
     print(f"best of {args.repeat} runs")
     header = (f"{'kernel':10s} {'keys':>9s} {'convention':>10s} {'m':>7s} "
-              f"{'distinct':>9s} {'laws':>7s} {'supports':>9s} {'kernel':>10s} "
+              f"{'distinct':>9s} {'laws':>7s} {'kernel':>10s} "
               f"{'study':>10s} {'per feature':>12s}")
     print(header)
     print("-" * len(header))
@@ -245,11 +245,11 @@ def main() -> int:
                     partial(kernel, *batch, convention=convention), repeat=args.repeat
                 )
                 t_study, study = _time(Study.from_distinct, *out, repeat=args.repeat)
+                laws = np.unique(out[2]).shape[0]
+                assert study.support_len.shape[0] == laws  # one support per slice
                 print(
                     f"{name:10s} {kind:>9s} {convention:>10s} {m:7d} "
-                    f"{_distinct_keys(name, batch):9d} "
-                    f"{np.unique(out[2]).shape[0]:7d} "
-                    f"{study.support_len.shape[0]:9d} {t * 1e3:8.1f}ms "
+                    f"{_distinct_keys(name, batch):9d} {laws:7d} {t * 1e3:8.1f}ms "
                     f"{t_study * 1e3:8.1f}ms {t / m * 1e6:10.2f}us"
                 )
 

@@ -22,7 +22,7 @@ distinct cells and each row's index into them: a float column's
 distinct values (told apart by their bits, so that ``-0`` stays a cell
 of its own) are formatted by one numpy formatter that gives the bytes
 of ``%.9g`` (``_format_floats``; NaN and missing cells print as
-``NA``), and each distinct support cell of ``features.csv`` is
+``NA``), and each stored support cell of ``features.csv`` is
 formatted once. A fixed number of rows at a time, the rows' pieces are
 laid out in one list, each cell followed by a ``,`` or, after the last
 column, a line feed: each column fills its slots with one
@@ -313,7 +313,7 @@ def _write_csv(path: str, header: list[str], columns: list) -> None:
 
 
 def _support_cells(study: Study) -> list[str]:
-    """One cell per distinct support: its points at 9 significant
+    """One cell per stored support: its points at 9 significant
     digits, joined by ``;``.
 
     Every point is formatted once, by one ``_format_floats`` call over
@@ -454,7 +454,7 @@ def _write_features(path: str, table, study: Study) -> None:
     """``features.csv``: each feature's id, p-value and support.
 
     Features that share a null law share p-values as well as a support,
-    so each distinct p-value, like each distinct support, is formatted
+    so each distinct p-value, like each stored support, is formatted
     once.
     """
     _write_csv(

@@ -170,6 +170,8 @@ class IngestSchema:
             raise ValueError("ent ingestion requires size")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        if self.trials is not None and self.trials < 0:
+            raise ValueError("trials must be at least 0")
         if self.trials is not None and self.trials > _INT64_MAX:
             raise ValueError(f"trials must be at most {_INT64_MAX}")
 

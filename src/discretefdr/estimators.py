@@ -20,6 +20,10 @@ which are the one-row case, and the simulation's block evaluation.
 Estimates report both the raw value and the value clipped to [0, 1].
 With ``epsilon = 0``, or when every support is empty (a continuous
 uniform null), ``generalized_pi0`` equals ``storey_pi0`` bit for bit.
+
+A ``Study`` stores each support slice it is given once, never merging
+by content: one per kernel law (``Study.from_distinct``), or one per
+hypothesis (``Study(pvalues, supports)``).
 """
 
 from __future__ import annotations
@@ -31,38 +35,6 @@ from typing import Sequence
 import numpy as np
 
 
-def _first_equal(flat, start, length) -> np.ndarray:
-    """For every support of a layout, the first support equal to it.
-
-    Only supports of one length and one smallest element can be equal,
-    so only those are compared, one length at a time.
-    """
-    k = length.shape[0]
-    smallest = np.full(k, -1.0)
-    nonempty = length > 0
-    smallest[nonempty] = flat[start[nonempty]]
-    order = np.lexsort((smallest, length))
-    tied = (np.diff(length[order]) == 0) & (np.diff(smallest[order]) == 0)
-    candidate = np.zeros(k, dtype=bool)
-    candidate[order[1:][tied]] = True
-    candidate[order[:-1][tied]] = True
-    first = np.arange(k)
-    candidates = np.flatnonzero(candidate)
-    for n in np.unique(length[candidates]).tolist():
-        ks = candidates[length[candidates] == n]
-        if n == 0:
-            first[ks] = ks[0]
-            continue
-        rows = flat[start[ks, None] + np.arange(n)]
-        _, at, inverse = np.unique(
-            rows.view(np.dtype((np.void, 8 * n))).ravel(),
-            return_index=True,
-            return_inverse=True,
-        )
-        first[ks] = ks[at[inverse.reshape(-1)]]
-    return first
-
-
 class Study:
     """P-values with their null supports, optionally with truth labels.
 
@@ -70,16 +42,15 @@ class Study:
     null (False); it is only used by simulation oracles, never by the
     estimators themselves.
 
-    Hypotheses whose tests share a null law share a support, so each
-    distinct support is stored once, in compressed rows: distinct
-    support ``k`` is ``support_flat[support_start[k]: support_start[k]
-    + support_len[k]]``, and hypothesis ``i`` has distinct support
-    ``support_index[i]``. The distinct supports are laid out by
-    ascending length, so the supports of one length form one
-    contiguous 2-D block. Per-support statistics are computed
-    blockwise, once per distinct support, and gathered through
-    ``support_index``. The flat array is read-only because hypotheses
-    share its slices.
+    Each support slice given is stored once (so each law of the
+    kernels' layout once), in compressed rows: stored support ``k`` is
+    ``support_flat[support_start[k]: support_start[k] + support_len[k]]``,
+    and hypothesis ``i`` has stored support ``support_index[i]``.
+    The stored supports are laid out by ascending length, so the
+    supports of one length form one contiguous 2-D block. Per-support
+    statistics are computed blockwise, once per stored support, and
+    gathered through ``support_index``. The flat array is read-only
+    because hypotheses share its slices.
     """
 
     def __init__(
@@ -106,8 +77,8 @@ class Study:
 
         Hypothesis ``i``'s support is ``support_flat[support_start[i]:
         support_start[i] + support_len[i]]``, where ``support_flat``
-        holds each distinct support once and hypotheses that share a
-        support share its slice.
+        holds each law's support once and hypotheses that share a law
+        share its slice. Each slice is stored once, as given.
         """
         study = cls.__new__(cls)
         study._store(pvalues, support_flat, support_start, support_len, truth)
@@ -122,21 +93,17 @@ class Study:
         length = np.asarray(length, dtype=np.int64)
         if length.shape[0] != self.pvalues.shape[0]:
             raise ValueError("supports and p-values must align")
-        # read each shared slice once, then merge slices with equal contents
+        # read each shared slice once; store it once, by ascending length
         slot = start * (flat.shape[0] + 1) + length
         _, at, index = np.unique(slot, return_index=True, return_inverse=True)
-        start, length = start[at], length[at]
-        first = _first_equal(flat, start, length)
-        # store each distinct support once, laid out by ascending length
-        kept = np.flatnonzero(first == np.arange(length.shape[0]))
-        kept = kept[np.argsort(length[kept], kind="stable")]
-        position = np.empty(length.shape[0], dtype=np.int64)
-        position[kept] = np.arange(kept.shape[0])
-        self.support_len = length[kept]
+        order = np.argsort(length[at], kind="stable")
+        position = np.argsort(order)
+        at = at[order]
+        self.support_len = length[at]
         self.support_start = np.cumsum(self.support_len) - self.support_len
-        shift = np.repeat(start[kept] - self.support_start, self.support_len)
+        shift = np.repeat(start[at] - self.support_start, self.support_len)
         self.support_flat = flat[shift + np.arange(shift.shape[0])]
-        self.support_index = position[first[index.reshape(-1)]]
+        self.support_index = position[index.reshape(-1)]
         self.support_flat.flags.writeable = False
         if truth is None:
             self.truth = None
@@ -150,7 +117,7 @@ class Study:
         return self.pvalues.shape[0]
 
     def distinct_supports(self) -> list[np.ndarray]:
-        """Every distinct support once, in ``support_index`` order."""
+        """Every stored support once, in ``support_index`` order."""
         return [
             self.support_flat[a : a + n]
             for a, n in zip(self.support_start.tolist(), self.support_len.tolist())

@@ -717,17 +717,23 @@ def _with(**arguments):
         ("simulate", _without("alpha_levels"), "config", "'alpha_levels'"),
         ("tune", lambda manifest: {"command": "tune", "arguments": {}}, "config",
          "'counts'"),
+        ("analyze", lambda manifest: {**manifest, "arguments": None}, "parse",
+         "has no arguments record"),
+        ("analyze", lambda manifest: {**manifest, "command": "tune"}, "usage",
+         "records a 'tune' run, not 'analyze'"),
     ],
     ids=[
         "not-object", "no-test", "lambda-text", "alphas-number", "alphas-empty",
         "min-total-text", "inputs-list", "no-alpha-levels", "tune-empty",
+        "no-arguments", "other-command",
     ],
 )
 def test_tampered_manifest_prints_one_error_line(
     command, tamper, category, named, sim_config, bin_file, tmp_path, capsys
 ):
     """A manifest that is not an object is a parse error; a missing or
-    mistyped argument is a config error naming it. No output is written."""
+    mistyped argument is a config error naming it, and another command's
+    manifest a usage error. No output is written."""
     if command == "simulate":
         argv = ["simulate", sim_config]
     else:
@@ -740,7 +746,7 @@ def test_tampered_manifest_prints_one_error_line(
     code, stdout, stderr = run(
         [command, "--from-manifest", str(path), "--out", str(out)], capsys
     )
-    assert code == 1
+    assert code == (2 if category == "usage" else 1)
     assert stderr.startswith(f"error:{category}:") and named in stderr
     assert stderr.count("\n") == 1 and stdout == ""
     assert not out.exists()
@@ -765,6 +771,78 @@ def test_manifest_with_an_unknown_test_kind_prints_one_error_line(
         "error:usage: unknown test kind 'xyz'; choose from bin, fet, ent\n"
     )
     assert stdout == "" and not out.exists()
+
+
+def test_out_dir_under_a_regular_file_is_an_io_error(bin_file, tmp_path, capsys):
+    out = Path(bin_file) / "out"
+    code, stdout, stderr = run(
+        ["analyze", bin_file, "--test", "bin", "--out", str(out)], capsys
+    )
+    assert code == 1
+    assert stderr.startswith(f"error:io: cannot create output directory {out}: ")
+    assert stderr.count("\n") == 1 and stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv, code, named",
+    [
+        (["analyze", "{bin}"], 2, "error:usage: --test is required\n"),
+        # a bad flag is named as a flag, not blamed on the file
+        (["analyze", "{fet3}", "--test", "fet", "--trials", "-1"], 2,
+         "error:usage: trials must be at least 0\n"),
+        (["simulate", "{list}"], 1, "error:config: config must be a JSON object\n"),
+        (["tune", "{one}", "--test", "bin"], 1,
+         "error:config: bootstrap tuning needs at least two profiles\n"),
+        (["tune", "{bin}", "--test", "bin", "--lambdas", "0.1,x"], 2,
+         "error:usage: malformed lambda list '0.1,x': "),
+        (["tune", "{bin}", "--test", "bin", "--lambdas", ","], 2,
+         "error:usage: empty lambda list\n"),
+        (["tune", "{bin}", "--test", "bin", "--point", "0.5,x"], 2,
+         "error:usage: malformed grid point '0.5,x': "),
+        (["tune", "{bin}", "--test", "bin", "--lambdas", "1.5"], 2,
+         "error:usage: grid lambda must lie in [0, 1)\n"),
+        (["tune", "{bin}", "--test", "bin", "--B", "0"], 2,
+         "error:usage: B must be at least 1\n"),
+    ],
+    ids=[
+        "no-test", "trials-negative", "config-list", "tune-one-row",
+        "lambdas-malformed", "lambdas-empty", "point-malformed", "lambda-1.5",
+        "B-0",
+    ],
+)
+def test_refusals_print_one_error_line(argv, code, named, bin_file, tmp_path, capsys):
+    """Each refusal exits with its category's code and one error line that
+    names it, and writes no output directory."""
+    files = {"bin": bin_file}
+    for name, text in (("fet3", "id,x1,x2\nf1,1,2\n"),
+                       ("one", "id,g1,g2\nf1,3,9\n"), ("list", "[1, 2]")):
+        (tmp_path / name).write_text(text)
+        files[name] = str(tmp_path / name)
+    out = tmp_path / "out"
+    got, stdout, stderr = run(
+        [arg.format(**files) for arg in argv] + ["--out", str(out)], capsys
+    )
+    assert got == code
+    assert stderr.startswith(named) and stderr.count("\n") == 1
+    assert stdout == "" and not out.exists()
+
+
+def test_simulate_writes_an_unread_nan_lambda_as_null(sim_config, tmp_path, capsys):
+    """A roster that reads no lambda runs with ``"lambda": NaN``; the
+    aggregate records it as ``null`` and the manifest replays it."""
+    path = Path(sim_config)
+    config = {**json.loads(path.read_text()), "lambda": math.nan,
+              "pi0_methods": ["pounds_tilde"], "procedures": ["bh"]}
+    path.write_text(json.dumps(config))
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(["simulate", sim_config, "--out", str(first)], capsys)[0] == 0
+    aggregate = json.loads((first / "aggregate.json").read_text())
+    assert aggregate["lambda"] is None
+    manifest = str(first / "manifest.json")
+    argv = ["simulate", "--from-manifest", manifest, "--out", str(second)]
+    assert run(argv, capsys)[0] == 0
+    names = ["aggregate.json", "pi0_replications.csv", "mtp_replications.csv"]
+    assert data_bytes(first, names) == data_bytes(second, names)
 
 
 def test_config_error_everything_filtered(bin_file, tmp_path, capsys):

@@ -291,8 +291,22 @@ def test_support_statistics_match_per_hypothesis_loop(kind):
 
 
 def test_study_stores_each_distinct_support_once():
-    study = _mixed_study(np.random.default_rng(42))
-    assert len(study.distinct_supports()) <= 16 < study.m
+    """300 hypotheses over 16 kernel-style slices (12 nonempty, 4 empty)
+    store 16 supports, one per slice."""
+    rng = np.random.default_rng(42)
+    pool = random_study(rng, 12).supports + random_study(
+        rng, 4, empty_supports=True
+    ).supports
+    length = np.array([s.shape[0] for s in pool])
+    start = np.cumsum(length) - length
+    start[12:] = np.arange(4)  # the empty slices at four distinct offsets
+    pick = rng.integers(0, 16, 300)
+    study = Study.from_distinct(
+        rng.uniform(0.0, 1.0, 300), np.concatenate(pool), start[pick], length[pick]
+    )
+    assert len(study.distinct_supports()) == 16 < study.m
+    for got, k in zip(study.supports, pick.tolist()):
+        assert np.array_equal(got, pool[k])
     assert study.support_flat.shape[0] == int(study.support_len.sum())
     with pytest.raises(ValueError):
         study.support_flat[0] = 0.5
@@ -350,8 +364,8 @@ def test_support_means_blockwise_match_per_support_sum():
 
 
 def test_from_distinct_matches_per_hypothesis_supports():
-    """The kernels' distinct layout builds the same study as the
-    per-hypothesis supports, with each distinct support stored once."""
+    """The kernels' layout gives every hypothesis the same support as
+    its own slice, with each kernel slice stored once."""
     from discretefdr import _kernels
 
     rng = np.random.default_rng(45)
@@ -366,24 +380,22 @@ def test_from_distinct_matches_per_hypothesis_supports():
     assert np.array_equal(study.pvalues, reference.pvalues)
     for a, b in zip(study.supports, per_feature):
         assert np.array_equal(a, b)
-    # the same distinct supports, stored once each
-    assert study.support_len.shape == reference.support_len.shape
-    assert np.array_equal(np.sort(study.support_flat), np.sort(reference.support_flat))
-    # margins (r, r, s) and (r, r, 2r - s) share a support
-    assert study.support_len.shape[0] < np.unique(start).shape[0]
+    # one stored support per kernel slice
+    assert study.support_len.shape[0] == np.unique(start).shape[0]
     assert np.all(np.diff(study.support_len) >= 0)
     assert pounds_hat_pi0(study).raw == pounds_hat_pi0(reference).raw
 
 
 def test_from_distinct_reads_any_float_layout_as_float64():
     """A list or a float32 flat array is read as float64, as ``Study``
-    reads its supports; slices with equal contents are still merged."""
+    reads its supports; each slice is stored as given, even where two
+    slices hold equal contents."""
     flat = [0.25, 1.0, 0.5, 1.0, 0.25, 1.0]
     args = ([0.25, 0.5, 1.0], [0, 2, 4], [2, 2, 2])
     for given in (flat, np.array(flat, dtype=np.float32)):
         study = Study.from_distinct(args[0], given, *args[1:])
         assert study.support_flat.dtype == np.float64
-        assert study.support_index.tolist() == [0, 1, 0]
+        assert study.support_index.tolist() == [0, 1, 2]
         assert np.array_equal(study.supports[1], [0.5, 1.0])
         assert pounds_hat_pi0(study).raw == pounds_hat_pi0(
             Study(args[0], [[0.25, 1.0], [0.5, 1.0], [0.25, 1.0]])
