@@ -8,7 +8,10 @@ The inputs are drawn like those of the analyze benchmark workloads, at
   distinct totals and few distinct supports;
 * ``fet``: a count and its trials per group, trials NB(size 3, mean
   20) + 2, so most (r1, r2, s) keys, and so most supports, are
-  distinct.
+  distinct;
+* ``wide``: a ``bin`` table with both means drawn from U(450, 550), at
+  ``WIDE_SIZES`` rows: totals near 1 000, so a few hundred distinct
+  supports of several hundred points, and rows of about 7.5 kB.
 
 For each table the script prints the best wall time, over ``REPEAT``
 runs, of ``ingest_counts`` on the file's bytes, which its byte parser
@@ -16,17 +19,21 @@ reads alone; of ``ingest_counts`` on the same table with the first
 count of one row in ``FALLBACK_EVERY`` written with a ``+`` sign, which
 sends every chunk of rows to the row parser; of writing
 ``features.csv`` (id, p-value and support cell of every row) from the
-tested table, and, as parts of that write, of formatting the support
-cells (``_support_cells``) and the distinct p-values
-(``_float_cells``). The dyadic supports of ``bin`` send many points to
-the formatter's ``%`` fallback; those of ``fet`` take its numpy path.
-Run with ``python3 benchmarks/bench_io.py``.
+tested table, with the median minor page faults and system seconds
+(``resource.getrusage``) of one such write, and the file's size; and,
+as parts of that write, of formatting the support cells
+(``_support_cells``) and the distinct p-values (``_float_cells``). The
+dyadic supports of ``bin`` send many points to the formatter's ``%``
+fallback; those of ``fet`` take its numpy path. Run with
+``python3 benchmarks/bench_io.py``.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import resource
+import statistics
 import tempfile
 import time
 
@@ -36,6 +43,7 @@ from discretefdr import IngestSchema, Study, ingest_counts, test_count_table
 from discretefdr.cli import _float_cells, _support_cells, _write_features
 
 SIZES = (15_000, 150_000)
+WIDE_SIZES = (1_500,)
 REPEAT = 5
 SEED = 0
 #: One row in this many has a ``+``-signed count in the fallback case:
@@ -47,6 +55,9 @@ def _table_bytes(kind: str, m: int, rng: np.random.Generator) -> bytes:
     if kind == "bin":
         mean = 7.0 * (1.0 + rng.pareto(7.0, m))
         columns = [rng.poisson(mean), rng.poisson(mean * rng.uniform(1.0, 2.0, m))]
+        header = "id,count1,count2"
+    elif kind == "wide":
+        columns = [rng.poisson(rng.uniform(450.0, 550.0, m)) for _ in range(2)]
         header = "id,count1,count2"
     else:
         p = 3.0 / (3.0 + 20.0)
@@ -73,42 +84,56 @@ def _with_signs(data: bytes) -> bytes:
 
 
 def _best(fn, *args) -> tuple[float, object]:
-    best, out = float("inf"), None
+    wall, _, _, out = _measured(fn, *args)
+    return wall, out
+
+
+def _measured(fn, *args) -> tuple[float, float, float, object]:
+    """The best wall time of ``REPEAT`` calls, the median minor page
+    faults and system seconds of one call, and the last call's result."""
+    walls, faults, system, out = [], [], [], None
     for _ in range(REPEAT):
+        before = resource.getrusage(resource.RUSAGE_SELF)
         start = time.perf_counter()
         out = fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return best, out
+        walls.append(time.perf_counter() - start)
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        faults.append(after.ru_minflt - before.ru_minflt)
+        system.append(after.ru_stime - before.ru_stime)
+    return min(walls), statistics.median(faults), statistics.median(system), out
 
 
 def main() -> int:
     rng = np.random.default_rng(SEED)
-    print(f"best of {REPEAT} runs")
+    print(f"best of {REPEAT} runs; faults and system time: median of one write")
     print(
         f"{'table':15s} {'ingest':>10s} {'fallback':>10s} {'features.csv':>13s}"
+        f" {'faults':>7s} {'system':>8s} {'size':>8s}"
         f" {'supports':>10s} {'p-values':>10s}  distinct supports"
     )
+    cases = [("bin", m) for m in SIZES] + [("fet", m) for m in SIZES]
+    cases += [("wide", m) for m in WIDE_SIZES]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "features.csv")
-        for kind in ("bin", "fet"):
-            for m in SIZES:
-                data = _table_bytes(kind, m, rng)
-                schema = IngestSchema(kind=kind, min_total=1)
-                t_in, table = _best(lambda: ingest_counts(io.BytesIO(data), schema))
-                signed = _with_signs(data)
-                t_back, back = _best(lambda: ingest_counts(io.BytesIO(signed), schema))
-                assert back.ids == table.ids
-                assert np.array_equal(back.group1, table.group1)
-                study = Study.from_distinct(*test_count_table(table))
-                t_out, _ = _best(_write_features, path, table, study)
-                t_sup, _ = _best(_support_cells, study)
-                t_p, _ = _best(_float_cells, np.unique(study.pvalues))
-                print(
-                    f"{kind:4s} {m:>10d} {t_in * 1e3:8.1f}ms {t_back * 1e3:8.1f}ms"
-                    f" {t_out * 1e3:11.1f}ms"
-                    f" {t_sup * 1e3:8.1f}ms {t_p * 1e3:8.1f}ms"
-                    f"  {study.support_len.shape[0]}"
-                )
+        for kind, m in cases:
+            data = _table_bytes(kind, m, rng)
+            schema = IngestSchema(kind="bin" if kind == "wide" else kind, min_total=1)
+            t_in, table = _best(lambda: ingest_counts(io.BytesIO(data), schema))
+            signed = _with_signs(data)
+            t_back, back = _best(lambda: ingest_counts(io.BytesIO(signed), schema))
+            assert back.ids == table.ids
+            assert np.array_equal(back.group1, table.group1)
+            study = Study.from_distinct(*test_count_table(table))
+            t_out, faults, system, _ = _measured(_write_features, path, table, study)
+            t_sup, _ = _best(_support_cells, study)
+            t_p, _ = _best(_float_cells, np.unique(study.pvalues))
+            print(
+                f"{kind:4s} {m:>10d} {t_in * 1e3:8.1f}ms {t_back * 1e3:8.1f}ms"
+                f" {t_out * 1e3:11.1f}ms {faults:7.0f} {system * 1e3:6.1f}ms"
+                f" {os.path.getsize(path) / 1e6:6.1f}MB"
+                f" {t_sup * 1e3:8.1f}ms {t_p * 1e3:8.1f}ms"
+                f"  {study.support_len.shape[0]}"
+            )
     return 0
 
 

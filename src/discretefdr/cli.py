@@ -23,12 +23,14 @@ distinct values (told apart by their bits, so that ``-0`` stays a cell
 of its own) are formatted by one numpy formatter that gives the bytes
 of ``%.9g`` (``_format_floats``; NaN and missing cells print as
 ``NA``), and each stored support cell of ``features.csv`` is
-formatted once. A fixed number of rows at a time, the rows' pieces are
-laid out in one list, each cell followed by a ``,`` or, after the last
-column, a line feed: each column fills its slots with one
+formatted once. Each distinct cell's width in bytes is known, so each
+row's is too, and the rows are written in spans of at most
+``_WRITE_BYTES`` bytes (a wider row alone): a span's pieces are laid
+out in one list, each cell followed by a ``,`` or, after the last
+column, a line feed; each column fills its slots with one
 ``operator.itemgetter`` gather of its cells by index, and the list is
-joined once and written in one binary write, so the text of a whole
-file is never held in memory. Cells are quoted as
+joined once and written in one binary write, so no more than a span of
+text is held at a time, however many or wide the rows. Cells are quoted as
 ``csv.writer`` quotes them by default: a cell holding a comma, a double
 quote or a line break is enclosed in double quotes, with each double
 quote doubled. A carriage return counts as a line break, so that no CSV
@@ -111,23 +113,77 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(json.dumps(_jsonify(payload), indent=2) + "\n")
 
 
-#: Rows formatted and written at a time.
+#: Floats formatted at a time by ``_format_floats``. It bounds that
+#: function's working arrays only; rows are written by ``_WRITE_BYTES``.
 _CHUNK_ROWS = 1 << 14
+
+#: Bytes of rows joined, encoded and written at a time by ``_write_csv``
+#: (a row wider than this is written alone). The joined ``str`` and its
+#: encoded copy are then small enough for glibc's allocator to keep the
+#: same heap pages for every span; larger spans are handed back to the
+#: system between writes and faulted in again. Sweep on a 2-vCPU shared
+#: host, the ``features.csv`` write inside 40 analyze commands (median
+#: minor page faults and time; the faults repeated in a second round):
+#: analyze-bin 64 KiB 0 and 9.3 ms, 128 KiB 0 and 9.0, 256 KiB 0 and 8.6
+#: (32 faults in two of six rounds), 512 KiB 896 and 10.8, 1 MiB 812 and
+#: 10.5; 16 384 rows a write, as before, 1 034 and 10.3. analyze-fet 0,
+#: 0, 0, 10 and 33 faults, 14.8-15.7 ms at every size (before: 648-926
+#: faults, 15.3 ms). 1 500 ``bin`` rows of about 7.5 kB (totals near
+#: 1 000; medians of 14 writes): 4 faults up to 512 KiB and 1 169 at
+#: 1 MiB, 75-86 ms (before: 5 482 faults, 106 ms).
+_WRITE_BYTES = 1 << 17
+
+#: Text cells joined at a time to measure them and look for cells that
+#: need quoting: ``_WRITE_BYTES`` of cells of up to 16 bytes.
+_TEXT_CELLS = _WRITE_BYTES // 16
 
 #: Characters that make a cell quoted.
 _QUOTED = (",", '"', "\r", "\n")
 
 
-def _text_cells(cells) -> list[str]:
-    """Text cells, quoted where ``csv.writer`` would quote them."""
-    cells = list(cells)
-    joined = "".join(cells)
-    if not any(q in joined for q in _QUOTED):
-        return cells
-    return [
+def _lengths(cells) -> np.ndarray:
+    """The length of each of ``cells``, as an array."""
+    return np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+
+
+def _spans(width: np.ndarray):
+    """Cut items of the given widths, in order, into spans ``(lo, hi)``:
+    each span takes items while their widths add up to at most
+    ``_WRITE_BYTES``, and at least one item."""
+    end = np.cumsum(width)
+    lo = 0
+    while lo < end.shape[0]:
+        base = int(end[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(end, base + _WRITE_BYTES, "right")))
+        yield lo, hi
+        lo = hi
+
+
+def _text_cells(cells: list[str]) -> tuple[list[str], np.ndarray]:
+    """Text cells, quoted where ``csv.writer`` would quote them, and the
+    width of each in UTF-8 bytes.
+
+    The cells are joined ``_TEXT_CELLS`` at a time with a NUL between
+    them, and encoded: the offsets of the NULs give every width at once.
+    A byte that needs quoting, or a NUL within a cell, sends the cells
+    to be quoted and measured one by one.
+    """
+    width = np.empty(len(cells), dtype=np.intp)
+    for lo in range(0, len(cells), _TEXT_CELLS):
+        joined = "\0".join(cells[lo : lo + _TEXT_CELLS])
+        data = joined.encode()
+        ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 0)
+        hi = lo + ends.shape[0] + 1
+        if hi != min(len(cells), lo + _TEXT_CELLS) or any(q in joined for q in _QUOTED):
+            break
+        width[lo:hi] = np.diff(ends, prepend=-1, append=len(data)) - 1
+    else:
+        return cells, width
+    cells = [
         '"' + c.replace('"', '""') + '"' if any(q in c for q in _QUOTED) else c
         for c in cells
     ]
+    return cells, _lengths([c.encode() for c in cells])
 
 
 _U64 = np.uint64
@@ -250,30 +306,50 @@ def _format_chunk(x: np.ndarray, end: str) -> tuple[str, np.ndarray]:
     return str(flat[flat != 0], "ascii"), length
 
 
-def _float_cells(values) -> list[str]:
+def _float_cells(values) -> tuple[list[str], np.ndarray]:
     """Float cells at 9 significant digits (the bytes of ``f"{x:.9g}"``,
-    ``inf`` and ``-0`` included); NaN and None print as ``NA``.
+    ``inf`` and ``-0`` included; NaN and None print as ``NA``), and the
+    width of each in bytes.
 
     The cells are cut from ``_format_floats``'s one string at its
     line breaks."""
-    cells = _format_floats(values, "\n")[0].split("\n")
-    cells.pop()
-    return cells
+    text, width = _format_floats(values, "\n")
+    # widths in intp, so that a row's sum of them cannot wrap
+    return text.split("\n")[:-1], width.astype(np.intp)
 
 
-def _distinct_cells(column) -> tuple[list[str], np.ndarray | None]:
-    """A column's distinct cells and each row's index into them; a list
-    of text cells is its own cells, with no index."""
+def _unique_bits(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(column.view(np.int64), return_inverse=True)`` for a
+    float column, holding three arrays of its length at a time rather
+    than five: the sorted bits become each sorted row's index in place."""
+    order = np.argsort(column.view(np.int64))
+    bits = column.view(np.int64)[order]
+    new = bits[1:] != bits[:-1]
+    distinct = np.concatenate((bits[:1], bits[1:][new]))
+    bits[:1] = 0
+    np.cumsum(new, out=bits[1:])
+    index = np.empty_like(order)
+    index[order] = bits
+    return distinct, index
+
+
+def _distinct_cells(column) -> tuple[list[str], np.ndarray, np.ndarray | None]:
+    """A column's distinct cells, the width of each in bytes, and each
+    row's index into them; a list of text cells is its own cells, with
+    no index, and a triple is taken as it is."""
+    if isinstance(column, tuple) and len(column) == 3:
+        return column
     if isinstance(column, tuple):
-        return _text_cells(column[0]), np.asarray(column[1])
+        return *_text_cells(column[0]), np.asarray(column[1])
     if isinstance(column, list):
-        return _text_cells(column), None
+        return *_text_cells(column), None
     if column.dtype.kind == "f":
         # on the bits, so that -0.0 and 0.0 stay two cells
-        bits, index = np.unique(column.view(np.int64), return_inverse=True)
-        return _float_cells(bits.view(np.float64)), index
+        bits, index = _unique_bits(column)
+        return *_float_cells(bits.view(np.float64)), index
     values, index = np.unique(column, return_inverse=True)
-    return list(map(str, values.tolist())), index
+    cells = list(map(str, values.tolist()))
+    return cells, _lengths(cells), index
 
 
 def _gather(cells: list[str], index: list[int]):
@@ -287,45 +363,56 @@ def _write_csv(path: str, header: list[str], columns: list) -> None:
     """Write equal-length ``columns`` under ``header``, column-wise.
 
     A column is a float array, an integer array, a list of text cells,
-    or a pair ``(cells, index)`` of distinct text cells and each row's
-    index into them. Each column becomes its distinct cells, each quoted
-    or formatted once, and each row's index into them. For
-    ``_CHUNK_ROWS`` rows at a time, one list holds the pieces of the
-    rows in order, every cell followed by a separator piece; each
-    column's cells fill their slots with one ``itemgetter`` call, and the
-    list is joined once and written in one binary write.
+    a pair ``(cells, index)`` of distinct text cells and each row's
+    index into them, or a triple ``(cells, width, index)`` of distinct
+    cells as they are to be written (quoted where need be), their widths
+    in bytes and each row's index into them. Each column becomes its
+    distinct cells, each quoted or formatted once, their widths in bytes
+    and each row's index into them, so that each row's width in bytes
+    (its cells' widths and one separator per cell) is read off by index
+    and no cell is formatted twice. The rows are cut where the running
+    sum of their widths would pass ``_WRITE_BYTES`` (a wider row goes
+    alone). For each such span, one list holds the pieces of its rows in
+    order, every cell followed by a separator piece; each column's cells
+    fill their slots with one ``itemgetter`` call, and the list is
+    joined once, encoded and written in one binary write. So the text
+    held at a time is bounded by the span's bytes, whatever the number
+    of rows or their widths.
     """
     cells = [_distinct_cells(c) for c in columns]
     separators = [None, ","] * (len(columns) - 1) + [None, "\n"]
     stride = len(separators)
-    m = len(cells[0][0] if cells[0][1] is None else cells[0][1])
+    row_width = len(columns)
+    for _, width, index in cells:
+        row_width = row_width + (width if index is None else width[index])
     with open(path, "wb") as fh:
-        fh.write((",".join(_text_cells(header)) + "\n").encode())
-        for a in range(0, m, _CHUNK_ROWS):
-            rows = slice(a, a + _CHUNK_ROWS)
-            parts = separators * (min(m, a + _CHUNK_ROWS) - a)
-            for j, (distinct, index) in enumerate(cells):
+        fh.write((",".join(_text_cells(header)[0]) + "\n").encode())
+        for lo, hi in _spans(row_width):
+            parts = separators * (hi - lo)
+            for j, (distinct, _, index) in enumerate(cells):
                 if index is None:
-                    parts[2 * j :: stride] = distinct[rows]
+                    parts[2 * j :: stride] = distinct[lo:hi]
                 else:
-                    parts[2 * j :: stride] = _gather(distinct, index[rows].tolist())
+                    parts[2 * j :: stride] = _gather(distinct, index[lo:hi].tolist())
             fh.write("".join(parts).encode())
 
 
-def _support_cells(study: Study) -> list[str]:
+def _support_cells(study: Study) -> tuple[list[str], np.ndarray]:
     """One cell per stored support: its points at 9 significant
-    digits, joined by ``;``.
+    digits, joined by ``;``; and the width of each cell in bytes.
 
     Every point is formatted once, by one ``_format_floats`` call over
     ``support_flat`` that ends each point with ``;``; each cell is then
     cut out of that text at the offsets the points' lengths add up to.
+    The cells are ASCII and hold no character that needs quoting.
     """
     text, length = _format_floats(study.support_flat, ";")
     begin = np.zeros(length.shape[0] + 1, dtype=np.intp)
     np.cumsum(length + 1, dtype=np.intp, out=begin[1:])
     lo = begin[study.support_start]
-    hi = begin[study.support_start + study.support_len] - 1
-    return [text[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
+    # an empty support is an empty cell
+    hi = np.maximum(begin[study.support_start + study.support_len] - 1, lo)
+    return [text[a:b] for a, b in zip(lo.tolist(), hi.tolist())], hi - lo
 
 
 def _read_bytes(path: str) -> bytes:
@@ -460,7 +547,7 @@ def _write_features(path: str, table, study: Study) -> None:
     _write_csv(
         path,
         ["id", "pvalue", "support"],
-        [table.ids, study.pvalues, (_support_cells(study), study.support_index)],
+        [table.ids, study.pvalues, (*_support_cells(study), study.support_index)],
     )
 
 
@@ -696,8 +783,10 @@ def _parse_grid(settings: dict) -> TuningGrid:
 
 def cmd_tune(settings: dict, out_dir: str, manifest: dict | None = None) -> int:
     """Bootstrap-select a tuning pair on a count table."""
-    _, study, inputs = _ingest_study(settings, manifest)
+    # the grid flags first, so that a bad flag is reported before the
+    # table is read and tested
     grid = _parse_grid(settings)
+    _, study, inputs = _ingest_study(settings, manifest)
     try:
         result = bootstrap_tune(study, grid)
     except ValueError as exc:

@@ -803,11 +803,16 @@ def test_out_dir_under_a_regular_file_is_an_io_error(bin_file, tmp_path, capsys)
          "error:usage: grid lambda must lie in [0, 1)\n"),
         (["tune", "{bin}", "--test", "bin", "--B", "0"], 2,
          "error:usage: B must be at least 1\n"),
+        # a bad grid flag is named before the table is read
+        (["tune", "{prose}", "--test", "bin", "--lambdas", "0.1,x"], 2,
+         "error:usage: malformed lambda list '0.1,x': "),
+        (["tune", "{prose}", "--test", "bin", "--B", "0"], 2,
+         "error:usage: B must be at least 1\n"),
     ],
     ids=[
         "no-test", "trials-negative", "config-list", "tune-one-row",
         "lambdas-malformed", "lambdas-empty", "point-malformed", "lambda-1.5",
-        "B-0",
+        "B-0", "lambdas-malformed-not-a-table", "B-0-not-a-table",
     ],
 )
 def test_refusals_print_one_error_line(argv, code, named, bin_file, tmp_path, capsys):
@@ -815,7 +820,8 @@ def test_refusals_print_one_error_line(argv, code, named, bin_file, tmp_path, ca
     names it, and writes no output directory."""
     files = {"bin": bin_file}
     for name, text in (("fet3", "id,x1,x2\nf1,1,2\n"),
-                       ("one", "id,g1,g2\nf1,3,9\n"), ("list", "[1, 2]")):
+                       ("one", "id,g1,g2\nf1,3,9\n"), ("list", "[1, 2]"),
+                       ("prose", "# Notes\n\nA text file,\nnot a count table.\n")):
         (tmp_path / name).write_text(text)
         files[name] = str(tmp_path / name)
     out = tmp_path / "out"
@@ -905,10 +911,12 @@ def test_analyze_rejects_totals_beyond_the_limit(row, total, tmp_path, capsys):
 
 def _assert_formats_as_percent(values):
     """``_float_cells`` and ``_format_floats`` give the bytes of
-    ``"%.9g" % x`` for every value, and ``NA`` for NaN."""
+    ``"%.9g" % x`` for every value, and ``NA`` for NaN, and their
+    lengths."""
     x = np.asarray(values, dtype=np.float64)
     expected = ["NA" if v != v else "%.9g" % v for v in x.tolist()]
-    assert cli._float_cells(x) == expected
+    cells, width = cli._float_cells(x)
+    assert cells == expected and width.tolist() == list(map(len, expected))
     text, length = cli._format_floats(x, ";")
     assert text == "".join(e + ";" for e in expected)
     assert length.tolist() == list(map(len, expected))
@@ -925,7 +933,7 @@ def test_formatter_matches_percent_on_exact_ties():
     # exactly 5 after their ninth digit, which rounds half to even
     _assert_formats_as_percent(2.0 ** -np.arange(1075))
     _assert_formats_as_percent(np.arange(4097) / 4096)
-    assert cli._float_cells([2.0**-13, 2.0**-12]) == [
+    assert cli._float_cells([2.0**-13, 2.0**-12])[0] == [
         "0.000122070312", "0.000244140625"
     ]
     # the doubles nearest nine digits and a 5, at every decimal exponent
@@ -953,7 +961,7 @@ def test_formatter_matches_percent_on_subnormals_and_powers_of_ten():
 
 def test_formatter_carries_into_the_next_decade():
     values = [9.9999999996e-05, 0.99999999996, 0.0999999999951, 9.999999994e-05]
-    assert cli._float_cells(values) == ["0.0001", "1", "0.1", "9.99999999e-05"]
+    assert cli._float_cells(values)[0] == ["0.0001", "1", "0.1", "9.99999999e-05"]
     _assert_formats_as_percent(values + [9.99999999995e-100, 0.999999999])
 
 
@@ -963,10 +971,10 @@ def test_formatter_falls_back_to_percent_outside_the_unit_interval():
         1e9, 123.456, 1.5, 1e300, math.nan,
     ]
     _assert_formats_as_percent(values)
-    assert cli._float_cells([0.0, -0.0, math.inf, 1e9, 123.456, math.nan]) == [
+    assert cli._float_cells([0.0, -0.0, math.inf, 1e9, 123.456, math.nan])[0] == [
         "0", "-0", "inf", "1e+09", "123.456", "NA"
     ]
-    assert cli._float_cells([None]) == ["NA"]
+    assert cli._float_cells([None])[0] == ["NA"]
 
 
 @pytest.mark.parametrize("offset", [-1, 1])
@@ -980,7 +988,7 @@ def test_formatter_across_chunks(offset):
 
 
 def test_formatter_on_no_values():
-    assert cli._float_cells([]) == []
+    assert cli._float_cells([])[0] == []
     text, length = cli._format_floats(np.empty(0), ";")
     assert text == "" and length.shape == (0,)
 
@@ -1001,11 +1009,13 @@ def _fet_counts(m, rng):
 
 def test_features_write_holds_no_object_per_support_point(tmp_path):
     """The tracemalloc peak of writing ``features.csv`` for 15 000 fet
-    rows (136k support points) stays within 10% of that of the ``%``
-    formatter it replaced, 9.34 MB, which the join of the rows sets; and
-    the support cells alone stay within 10% of their own 6.22 MB. Holding
-    one Python ``str`` per point raises the first to 12.5 MB, and one
-    float per point, as the ``%`` pass did, the second to 7.14 MB."""
+    rows (136k support points) stays within 10% of its 6.23 MB, which
+    formatting the support cells sets now that the rows are written a
+    few ``_WRITE_BYTES`` at a time (joining the whole file, as the
+    writer did before, peaked at 9.02 MB); and the support cells alone
+    stay within 10% of their own 6.22 MB. Holding one Python ``str`` per
+    point raises the first to 12.5 MB, and one float per point, as the
+    ``%`` pass did, the second to 7.14 MB."""
     import tracemalloc
 
     data = _fet_counts(15_000, np.random.default_rng(2001))
@@ -1021,7 +1031,7 @@ def test_features_write_holds_no_object_per_support_point(tmp_path):
         finally:
             tracemalloc.stop()
 
-    assert peak(cli._write_features, str(tmp_path / "f.csv"), table, study) < 10.28e6
+    assert peak(cli._write_features, str(tmp_path / "f.csv"), table, study) < 6.86e6
     assert peak(cli._support_cells, study) < 6.84e6
 
 
@@ -1075,8 +1085,49 @@ def test_analyze_counts_with_pvalues_below_float64(convention, tmp_path, capsys)
 AWKWARD_IDS = ['say "hi"', "a,b", "", "naïve", "日本語", 'q""q,', "α β"]
 
 
+def _record_writes(monkeypatch) -> dict:
+    """Record, per path, the bytes of each write to a file that ``cli``
+    opens for binary writing."""
+    writes: dict = {}
+
+    class Recorder:
+        def __init__(self, fh, path):
+            self.fh, self.writes = fh, writes.setdefault(str(path), [])
+
+        def write(self, data):
+            self.writes.append(bytes(data))
+            return self.fh.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def recording_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return Recorder(fh, path) if mode == "wb" else fh
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    return writes
+
+
+def _rows_per_write(writes: list, bound: int) -> list:
+    """The rows of each write after the header's, checked against the
+    bound: a write holds at most ``bound`` bytes, or one row, and could
+    not have taken the next write's first row. No cell may hold a line
+    feed."""
+    rows = [[r + b"\n" for r in w.split(b"\n")[:-1]] for w in writes[1:]]
+    for k, chunk in enumerate(rows):
+        assert len(chunk) == 1 or len(writes[k + 1]) <= bound
+        if k + 1 < len(rows):
+            assert len(writes[k + 1]) + len(rows[k + 1][0]) > bound
+    return [len(chunk) for chunk in rows]
+
+
 def test_writer_matches_csv_writer_cell_for_cell(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)  # several chunks, one short
+    monkeypatch.setattr(cli, "_WRITE_BYTES", 256)  # several writes, one short
+    writes = _record_writes(monkeypatch)
     rng = np.random.default_rng(0)
     n = 53
     special = [
@@ -1104,6 +1155,7 @@ def test_writer_matches_csv_writer_cell_for_cell(tmp_path, monkeypatch):
         zip(text, floats, ints.tolist(), [labels[k] for k in index.tolist()]),
     )
     assert got.read_bytes() == expected.read_bytes()
+    assert len(writes[str(got)]) > 4
     # csv.writer with a "\n" line terminator leaves a carriage return
     # unquoted on some Python versions; the writer always quotes it, so
     # that a CSV reader reads the cell back
@@ -1116,6 +1168,132 @@ def test_writer_matches_csv_writer_cell_for_cell(tmp_path, monkeypatch):
     cli._write_csv(str(got), header[:2], [[], np.empty(0)])
     oracles.write_csv_rows(str(expected), header[:2], [])
     assert got.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("odd", [None, 'q"', "a,b", "cr\r", "lf\n", "nul\0", "é"])
+def test_text_cells_are_measured_a_group_at_a_time(odd, monkeypatch):
+    """Text cells are measured in UTF-8 bytes, three to a join here; a
+    cell that needs quoting or holds a NUL, in the last group, sends
+    every cell to be quoted and measured on its own."""
+    monkeypatch.setattr(cli, "_TEXT_CELLS", 3)
+    texts = ["a", "", "é", "日本", "xxxxx", "b", "c"] + ([] if odd is None else [odd])
+    expected = [
+        '"' + t.replace('"', '""') + '"' if any(q in t for q in ',"\r\n') else t
+        for t in texts
+    ]
+    cells, width = cli._text_cells(texts)
+    assert cells == expected
+    assert width.tolist() == [len(c.encode()) for c in expected]
+
+
+@pytest.mark.parametrize("m", [5, 6, 7])
+@pytest.mark.parametrize("past", [0, 131, 261])
+@pytest.mark.parametrize("fill", ["x" * 245, "é" * 122 + "x"], ids=["ascii", "utf8"])
+def test_writes_are_cut_at_the_byte_bound(m, past, fill, tmp_path, monkeypatch):
+    """Rows of 262 bytes under a bound ``past`` bytes beyond three rows:
+    at a row's end, inside the fourth row, and one byte short of its
+    end. Every write holds three rows, the last one the rest, for
+    tables one row short of a cut, at it and one row past it. The ids
+    take 250 bytes, in ASCII or in two-byte characters, which are
+    counted in bytes."""
+    monkeypatch.setattr(cli, "_WRITE_BYTES", 3 * 262 + past)
+    monkeypatch.setattr(cli, "_TEXT_CELLS", 2)  # ids measured two at a time
+    writes = _record_writes(monkeypatch)
+    floats = np.full(m, 0.5)
+    ints = np.arange(100_000, 100_000 + m)
+    ids = [f"r{i:04d}{fill}" for i in range(m)]
+    got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+    cli._write_csv(str(got), ["p", "n", "id"], [floats, ints, ids])
+    oracles.write_csv_rows(
+        str(expected), ["p", "n", "id"], zip(floats.tolist(), ints.tolist(), ids)
+    )
+    assert got.read_bytes() == expected.read_bytes()
+    assert _rows_per_write(writes[str(got)], cli._WRITE_BYTES) == [3] * (m // 3) + (
+        [m % 3] if m % 3 else []
+    )
+
+
+@pytest.mark.parametrize("bound", [None, 1 << 14])
+def test_wide_rows_among_narrow_ones_are_cut_at_the_byte_bound(
+    bound, tmp_path, monkeypatch
+):
+    """A bin table of rows of about 150 bytes with a few kilobyte-wide
+    rows (totals near 3 000, supports of about 1 500 points) among them,
+    at the module's bound and at one that the wide rows exceed, so that
+    each of them is written alone."""
+    if bound is not None:
+        monkeypatch.setattr(cli, "_WRITE_BYTES", bound)
+    writes = _record_writes(monkeypatch)
+    rng = np.random.default_rng(2503)
+    m = 2_000
+    counts = rng.poisson(14.0, (m, 2))
+    wide = [0, 1, 700, 701, 1_400, m - 1]
+    counts[wide] = rng.poisson(1_500.0, (len(wide), 2))
+    lines = ["id,a,b"] + [f"f{i},{a},{b}" for i, (a, b) in enumerate(counts.tolist())]
+    data = ("\n".join(lines) + "\n").encode()
+    table = ingest_counts(io.BytesIO(data), IngestSchema(kind="bin", min_total=1))
+    study = Study.from_distinct(*run_count_table(table))
+    got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+    cli._write_features(str(got), table, study)
+    oracles.write_csv_rows(
+        str(expected), ["id", "pvalue", "support"],
+        oracles.features_rows(table, study),
+    )
+    assert got.read_bytes() == expected.read_bytes()
+    widths = [len(line) + 1 for line in got.read_bytes().split(b"\n")[1:-1]]
+    assert max(widths) > 10_000 and np.median(widths) < 200
+    per_write = _rows_per_write(writes[str(got)], cli._WRITE_BYTES)
+    assert len(per_write) >= 3 and sum(per_write) == m
+    if bound is not None:
+        assert per_write.count(1) >= len(wide)
+
+
+def _bin_counts(m, rng):
+    """A bin count table drawn like the analyze-bin benchmark's:
+    Pareto(7, 7) means, so about 80 distinct totals."""
+    mean = 7.0 * (1.0 + rng.pareto(7.0, m))
+    rows = np.column_stack(
+        [rng.poisson(mean), rng.poisson(mean * rng.uniform(1.0, 2.0, m))]
+    )
+    lines = ["id,count1,count2"] + [
+        f"f{i:06d},{a},{b}" for i, (a, b) in enumerate(rows.tolist())
+    ]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("m", [15_000, 150_000])
+def test_features_write_holds_its_distinct_cells_and_a_few_writes(m, tmp_path):
+    """Writing ``features.csv`` for bin rows drawn like the benchmark's
+    (2.3 and 23 MB files) peaks, under tracemalloc, at no more than
+    making its distinct cells (support and p-value cells, their widths
+    and each row's index) plus four ``_WRITE_BYTES``: no text of more
+    than a write is held. The writer that joined 16 384 rows at a time
+    peaked 4.8 MB above its cells at 15 000 rows, the whole file twice,
+    and 0.9 MB above them at 150 000; this one peaks 0.31 and 0.19 MB
+    above them."""
+    import tracemalloc
+
+    data = _bin_counts(m, np.random.default_rng(2501))
+    table = ingest_counts(io.BytesIO(data), IngestSchema(kind="bin", min_total=1))
+    study = Study.from_distinct(*run_count_table(table))
+
+    def distinct_cells():
+        supports = (*cli._support_cells(study), study.support_index)
+        return [cli._distinct_cells(c) for c in (table.ids, study.pvalues, supports)]
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    path = tmp_path / "features.csv"
+    cells = peak(distinct_cells)
+    written = peak(cli._write_features, str(path), table, study)
+    assert path.stat().st_size > m * 150
+    assert written <= cells + 4 * cli._WRITE_BYTES
 
 
 def _random_counts(kind, m, rng):
@@ -1140,7 +1318,8 @@ def _random_counts(kind, m, rng):
 def test_analyze_csv_outputs_match_row_wise_writer(
     kind, delim, flags, tmp_path, capsys, monkeypatch
 ):
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", 1000)  # three chunks
+    monkeypatch.setattr(cli, "_WRITE_BYTES", 1 << 14)  # several writes
+    writes = _record_writes(monkeypatch)
     rng = np.random.default_rng(len(kind) + len(delim))
     m = 3000
     ids = [f"g{i}" for i in range(m)]
@@ -1181,6 +1360,7 @@ def test_analyze_csv_outputs_match_row_wise_writer(
     )
     for name in ("features.csv", "table.csv"):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    assert len(writes[str(out / "features.csv")]) > 4
     # the estimates are the one-study estimators', as JSON
     estimates = {
         "storey": storey_pi0(study, 0.5),
