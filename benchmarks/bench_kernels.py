@@ -3,7 +3,8 @@
 
 The kernels build one null law per distinct conditioning key (the total
 for the binomial and negative-binomial tests, the margins for the
-hypergeometric test), all laws of one width as one 2-D block, and
+hypergeometric test), the laws in ascending length as 2-D blocks (each
+as wide as its longest law, which is at most twice its shortest), and
 return each feature's p-value with a slice of its key's support, which
 is stored once; ``Study.from_distinct`` then stores each slice once,
 laid out by length. This script times both steps on three kinds of
@@ -21,7 +22,9 @@ Every batch runs under both two-sided conventions, minimum likelihood
 and tail doubling, since each builds its tables along its own path. It
 prints the best wall time of the kernel and of the study built from its
 output, the distinct keys, the laws built (each one support slice, which
-the study stores as one support) and the kernel time per feature. The
+the study stores as one support), the blocks built, the share of the
+blocks' entries that are outcomes of a law rather than padding, and the
+kernel time per feature. The
 laws built equal the distinct keys, except for ``fisher`` under minimum
 likelihood: there a table and its mirror, margins ``(r1, r2, s)`` and
 ``(r2, r1, s)``, share one law.
@@ -206,6 +209,26 @@ def _distinct_keys(name: str, args) -> int:
     return np.unique(args[0] + args[1]).shape[0]
 
 
+def _layout(kernel, batch, convention) -> tuple[int, float]:
+    """The blocks one kernel call builds, and the share of their entries
+    (laws times the block's width) that are outcomes."""
+    lengths = []
+    blocks = _kernels._blocks
+
+    def record(length):
+        for rows in blocks(length):
+            lengths.append(length[rows])
+            yield rows
+
+    _kernels._blocks = record
+    try:
+        kernel(*batch, convention=convention)
+    finally:
+        _kernels._blocks = blocks
+    built = sum(n.shape[0] * int(n.max()) for n in lengths)
+    return len(lengths), sum(int(n.sum()) for n in lengths) / built
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--m", type=int, default=20000,
@@ -230,8 +253,8 @@ def main() -> int:
 
     print(f"best of {args.repeat} runs")
     header = (f"{'kernel':10s} {'keys':>9s} {'convention':>10s} {'m':>7s} "
-              f"{'distinct':>9s} {'laws':>7s} {'kernel':>10s} "
-              f"{'study':>10s} {'per feature':>12s}")
+              f"{'distinct':>9s} {'laws':>7s} {'blocks':>6s} {'fill':>5s} "
+              f"{'kernel':>10s} {'study':>10s} {'per feature':>12s}")
     print(header)
     print("-" * len(header))
     for name, kernel in kernels.items():
@@ -247,9 +270,11 @@ def main() -> int:
                 t_study, study = _time(Study.from_distinct, *out, repeat=args.repeat)
                 laws = np.unique(out[2]).shape[0]
                 assert study.support_len.shape[0] == laws  # one support per slice
+                blocks, fill = _layout(kernel, batch, convention)
                 print(
                     f"{name:10s} {kind:>9s} {convention:>10s} {m:7d} "
-                    f"{_distinct_keys(name, batch):9d} {laws:7d} {t * 1e3:8.1f}ms "
+                    f"{_distinct_keys(name, batch):9d} {laws:7d} {blocks:6d} "
+                    f"{fill:5.0%} {t * 1e3:8.1f}ms "
                     f"{t_study * 1e3:8.1f}ms {t / m * 1e6:10.2f}us"
                 )
 

@@ -33,13 +33,17 @@ Two two-sided conventions turn a law into a table of outcome p-values:
 * tail doubling: twice the smaller tail, capped at 1.
 
 ``tables`` builds the table and the support (the sorted distinct
-p-values) of many laws at once. Under both conventions a law of ``n``
-outcomes is padded with zero weights to the next power of two, and
-each width's laws are built in 2-D blocks of at most ``_BLOCK_ENTRIES``
-entries, sized so that a block's working arrays stay in a core's L2
-cache, with no Python loop per law. Zero weights sort first and add
+p-values) of many laws at once, with no Python loop per law. It takes
+the laws in ascending length and cuts them into consecutive 2-D blocks:
+a block holds at most ``_BLOCK_ENTRIES`` entries, sized so that its
+working arrays stay in a core's L2 cache, and its longest law is at most
+twice its shortest. A block is as wide as its longest law, and each
+shorter law is padded with zero weights. Zero weights sort first and add
 nothing to any running sum, so padding changes no bit of a
-minimum-likelihood table or of a doubling tail. The one sum that
+minimum-likelihood table or of a doubling tail. Under minimum likelihood
+one stable sort per block serves both the table and the supports: the
+p-values come out in ascending order, and each support is read off them,
+its padding dropped and equal neighbours masked. The one sum that
 padding would change is a doubling law's total (numpy sums pairwise,
 and a longer row takes another summation path), so each total is summed
 over its law's own length: one slice sum per distinct length in a
@@ -60,10 +64,11 @@ a law share one slice and no support is copied per feature;
 The kernels accept conditioned totals up to ``MAX_TOTAL`` (2^22 - 1):
 the total ``x1 + x2`` of the binomial test, each margin ``r1``, ``r2`` of
 the hypergeometric test and the total ``s1 + s2`` of the
-negative-binomial test. A padded minimum-likelihood law then has at most
-2^22 entries; on a 2-vCPU host one law at the limit takes about 1.7 s
-(binomial), 3 s (negative binomial below shape 13) or 2 s (from 13)
-and a peak of about 440 MB to build. Up to about 1.7 s of that is
+negative-binomial test. A law then has at most 2^22 entries, and is a
+block of its own. On a 2-vCPU host one law at the limit takes about
+1.3 s (binomial), 1.9 s (negative binomial below shape 13) or 1.2 s
+(from 13) to build, with a tracemalloc peak of about 240 MB (380 MB below
+shape 13, set by the log-gamma table). About 0.9 s of that is
 ``math.log``, which ``_lgamma`` calls once per entry of the law's
 log-factorial table (and, below shape 13, of the negative-binomial
 log-gamma table). A larger total raises a
@@ -94,14 +99,16 @@ _MAX_TIE_DEPTH = 8
 
 #: Most entries (laws times width) built in one block. Each of a block's
 #: working arrays (weights, sort order, sorted weights, running sums, tie
-#: ends, table) then takes 256 KiB, so that those in use at once fit in a
-#: core's 2 MiB L2 cache; at 2^18 entries each took 2 MiB. On the
-#: analyze-fet benchmark input (15 000 tables, seed 2301; a 2-vCPU Xeon
-#: with 2 MiB of L2 per core, medians of 15 calls) the Fisher kernel
-#: took 33.6 ms at 2^15 and 2^14, against 35.2 ms at 2^18 and 39.4 ms at
-#: 2^12; the analyze-bin kernel took 3.9 ms at every size from 2^12 to
-#: 2^18.
-_BLOCK_ENTRIES = 1 << 15
+#: ends, p-values) then takes 128 KiB, so that those in use at once fit
+#: in a core's 2 MiB L2 cache. On the analyze-fet benchmark input (15 000
+#: tables; a 2-vCPU Xeon with 2 MiB of L2 per core, medians of 41 calls,
+#: the sizes interleaved) the Fisher kernel under minimum likelihood took
+#: 14.8 ms at 2^14, 16.4 at 2^13, 17.8 at 2^15, 22.2 at 2^16 and 26.3
+#: at 2^17 (seed 2001), and 23.8 ms at 2^14 against 24.1 to 34.9 at the
+#: others in a slower period (seed 2301); under tail doubling 2^14 was
+#: also the fastest or within 2%. The analyze-bin kernel took 1.65 to
+#: 1.73 ms at every size.
+_BLOCK_ENTRIES = 1 << 14
 
 #: The smallest positive float: the p-value of outcomes whose exact
 #: p-value is below the float64 range.
@@ -206,68 +213,113 @@ def _tie_end(sw: np.ndarray) -> np.ndarray:
     one row at a time.
     """
     q = sw * (1.0 + TIE_RTOL)
-    q[sw == 0.0] = -1.0
-    cols = np.arange(sw.shape[1])
-    end = np.repeat(cols[None, :], sw.shape[0], axis=0)
+    np.copyto(q, -1.0, where=sw == 0.0)
+    end = np.repeat(np.arange(sw.shape[1])[None, :], sw.shape[0], axis=0)
     for d in range(1, sw.shape[1]):
         hit = sw[:, d:] <= q[:, :-d]
         if not hit.any():
             break
         if d > _MAX_TIE_DEPTH:
             for r in np.flatnonzero(hit.any(axis=1)):
-                found = np.searchsorted(sw[r], q[r], side="right") - 1
-                end[r] = np.maximum(found, cols)
+                found = np.searchsorted(sw[r], q[r], side="right")
+                found -= 1
+                # a zero weight finds -1 and keeps its own index
+                np.maximum(found, end[r], out=end[r])
             break
         # sw is sorted, so a hit at depth d implies hits at every depth below
         end[:, :-d] += hit
     return end
 
 
-def _minlik_block(w: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """Minimum-likelihood tables of a block of weight rows; zero padding
-    changes no bit, so ``length`` is not needed."""
-    order = np.argsort(w, axis=1, kind="stable")
-    sw = np.take_along_axis(w, order, axis=1)
-    cw = np.cumsum(sw, axis=1)
-    sorted_pv = np.take_along_axis(cw, _tie_end(sw), axis=1) / cw[:, -1:]
-    out = np.empty_like(w)
-    np.put_along_axis(out, order, sorted_pv, axis=1)
+def _weights(law_logw, rows: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Weights of the laws ``rows``, of lengths ``n`` (a column), into
+    ``out``: each row of log-weights shifted by its largest, then
+    exponentiated, and zero-padded to the width of ``out``."""
+    width = out.shape[1]
+    logw = law_logw(rows[:, None], np.minimum(np.arange(width), n - 1))
+    logw -= logw.max(axis=1, keepdims=True)
+    np.exp(logw, out=out)
+    # padding weighs 0; multiplying by 1.0 keeps every bit of the rest
+    out *= np.arange(width) < n
     return out
 
 
+def _minlik_block(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-likelihood p-values of a block of zero-padded weight rows,
+    in each row's ascending order of weight, and the flat index into
+    ``w`` of the outcome each belongs to.
+
+    The sort is stable: a row's weights rise to its mode and fall after
+    it, two runs that timsort merges in linear time. Zero weights sort
+    first and add nothing to a running sum, so padding changes no bit.
+    """
+    offset = np.arange(0, w.size, w.shape[1])[:, None]
+    at = np.argsort(w, axis=1, kind="stable")
+    at += offset
+    sw = w.reshape(-1)[at]
+    end = _tie_end(sw)
+    end += offset
+    cw = np.cumsum(sw, axis=1)
+    pv = cw.reshape(-1)[end]
+    pv /= cw[:, -1:]
+    return pv, at
+
+
 def _doubling_block(w: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """Tail-doubling tables of a block of zero-padded weight rows; row
-    ``r`` holds a law of ``length[r]`` outcomes.
+    """Tail-doubling tables of a block of zero-padded weight rows, in
+    place; row ``r`` holds a law of ``length[r]`` outcomes, in ascending
+    length.
 
     Each row's total is summed over its own length, as one slice sum per
     distinct length: the padded row would take another pairwise path.
     """
     total = np.empty((w.shape[0], 1))
+    cuts = np.flatnonzero(np.diff(length)) + 1
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), w.shape[0]]):
+        total[a:b, 0] = w[a:b, : length[a]].sum(axis=1)
+    w /= total
+    lower = np.cumsum(w, axis=1)
+    upper = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+    np.minimum(lower, upper, out=w)
+    w *= 2.0
+    return np.minimum(w, 1.0, out=w)
+
+
+def _supports(sorted_pv: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of each row of ``sorted_pv`` (each row sorted,
+    its ``width - n`` padding entries first), and their count per row."""
+    first = sorted_pv.shape[1] - n
+    keep = np.arange(sorted_pv.shape[1]) >= first
+    keep[:, 1:] &= sorted_pv[:, 1:] != sorted_pv[:, :-1]
+    keep[np.arange(n.shape[0]), first[:, 0]] = True
+    # np.compress: a boolean index takes several times as long
+    return np.compress(keep.reshape(-1), sorted_pv), keep.sum(axis=1)
+
+
+def _blocks(length: np.ndarray):
+    """Indices of the laws in ascending length, cut into consecutive
+    blocks: a block holds at most ``_BLOCK_ENTRIES`` entries (laws times
+    its longest length), or one law when the law is wider, and its
+    longest law is at most twice its shortest.
+
+    A cut scans the laws of at most twice the shortest length, and at
+    most ``_BLOCK_ENTRIES // shortest`` of them. A block that stops short
+    of them all holds at least about half of them, so the cuts take time
+    linear in the number of laws.
+    """
     order = np.argsort(length, kind="stable")
-    for rows in np.split(order, np.flatnonzero(np.diff(length[order])) + 1):
-        total[rows, 0] = w[rows, : length[rows[0]]].sum(axis=1)
-    probs = w / total
-    lower = np.cumsum(probs, axis=1)
-    upper = np.cumsum(probs[:, ::-1], axis=1)[:, ::-1]
-    return np.minimum(1.0, 2.0 * np.minimum(lower, upper))
-
-
-def _widths(length: np.ndarray) -> np.ndarray:
-    """The next power of two of each law's length, so that few widths
-    cover every length."""
-    return np.left_shift(1, np.ceil(np.log2(length)).astype(np.int64))
-
-
-def _blocks(width: np.ndarray):
-    """Indices of the laws of one width, in blocks of at most
-    ``_BLOCK_ENTRIES`` entries, or of one law when it is wider."""
-    if width.shape[0] == 0:
-        return
-    order = np.argsort(width, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
-        step = max(1, _BLOCK_ENTRIES // int(width[group[0]]))
-        for a in range(0, group.shape[0], step):
-            yield group[a : a + step]
+    ranked = length[order]
+    a = 0
+    while a < order.shape[0]:
+        shortest = int(ranked[a])
+        within = int(np.searchsorted(ranked, 2 * shortest, side="right"))
+        ahead = ranked[a : min(within, a + max(1, _BLOCK_ENTRIES // shortest))]
+        # a block of the next k laws takes k times the k-th length, which
+        # grows with k
+        k = np.count_nonzero(np.arange(1, ahead.shape[0] + 1) * ahead <= _BLOCK_ENTRIES)
+        b = a + max(1, int(k))
+        yield order[a:b]
+        a = b
 
 
 def tables(laws, convention: str = "minlik"):
@@ -278,36 +330,37 @@ def tables(laws, convention: str = "minlik"):
     support_len)``: law ``k``'s table is ``table_flat[table_start[k]:
     table_start[k] + length[k]]``, indexed by outcome offset, and its
     support, the table's sorted distinct values, is the matching slice
-    of ``support_flat``.
+    of ``support_flat``. A block's laws are consecutive rows of
+    ``table_flat`` as wide as its longest law, so the entries past a
+    shorter law's length belong to no outcome.
     """
     length, law_logw = laws
-    block_of = {"minlik": _minlik_block, "doubling": _doubling_block}[convention]
-    table_start = np.cumsum(length) - length
-    table_flat = np.empty(int(length.sum()))
+    minlik = {"minlik": True, "doubling": False}[convention]
+    blocks = list(_blocks(length))
+    widths = [int(length[rows[-1]]) for rows in blocks]
+    bound = np.cumsum([0] + [rows.shape[0] * w for rows, w in zip(blocks, widths)])
+    table_flat = np.empty(int(bound[-1]))
+    table_start = np.empty(length.shape[0], dtype=np.int64)
     support_start = np.empty(length.shape[0], dtype=np.int64)
     support_len = np.empty(length.shape[0], dtype=np.int64)
     pieces = []
     filled = 0
-    width = _widths(length)
-    for rows in _blocks(width):
-        rows = rows[:, None]
-        n = length[rows]
-        cols = np.arange(width[rows[0, 0]])
-        pad = cols >= n
-        logw = law_logw(rows, np.minimum(cols, n - 1))
-        logw[pad] = -np.inf
-        block = block_of(np.exp(logw - logw.max(axis=1, keepdims=True)), n[:, 0])
-        keep = ~pad
-        block[keep & (block == 0.0)] = FLOOR
-        table_flat[(table_start[rows] + cols)[keep]] = block[keep]
-        # supports: sort each row, padding last, and mask equal neighbours
-        block[pad] = np.inf
-        block.sort(axis=1)
-        keep[:, 1:] &= block[:, 1:] != block[:, :-1]
-        pieces.append(block[keep])
-        count = keep.sum(axis=1)
-        support_len[rows[:, 0]] = count
-        support_start[rows[:, 0]] = filled + np.cumsum(count) - count
+    for rows, width, a, b in zip(blocks, widths, bound[:-1], bound[1:]):
+        n = length[rows][:, None]
+        table_start[rows] = np.arange(a, b, width)
+        w = _weights(law_logw, rows, n, table_flat[a:b].reshape(-1, width))
+        if minlik:
+            # each row's p-values come sorted, its padding first
+            sorted_pv, at = _minlik_block(w)
+            np.maximum(sorted_pv, FLOOR, out=sorted_pv)
+            w.reshape(-1)[at] = sorted_pv
+        else:
+            np.maximum(_doubling_block(w, n[:, 0]), FLOOR, out=w)
+            sorted_pv = np.sort(w, axis=1)
+        piece, count = _supports(sorted_pv, n)
+        pieces.append(piece)
+        support_len[rows] = count
+        support_start[rows] = filled + np.cumsum(count) - count
         filled += int(count.sum())
     support_flat = np.concatenate(pieces) if pieces else np.empty(0)
     return table_flat, table_start, support_flat, support_start, support_len
@@ -316,22 +369,13 @@ def tables(laws, convention: str = "minlik"):
 def _batch(make_laws, keys, observed, convention):
     """P-values of every feature and the shared slice of its support.
 
-    ``keys`` holds one conditioning key per feature (a row, or a
-    scalar); ``make_laws(*columns)`` builds the laws of the distinct
-    keys. ``observed[i]`` is feature ``i``'s outcome offset in its law.
+    ``keys`` holds one integer conditioning key per feature;
+    ``make_laws(distinct)`` builds the laws of the distinct keys.
+    ``observed[i]`` is feature ``i``'s outcome offset in its law.
     """
-    keys = np.asarray(keys, dtype=np.int64)
-    if keys.ndim == 1:
-        keys = keys[:, None]
-    # sort the keys once; each run of equal keys is one law
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    new = np.ones(order.shape[0], dtype=bool)
-    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(new) - 1
+    distinct, inverse = np.unique(np.asarray(keys, dtype=np.int64), return_inverse=True)
     table_flat, table_start, flat, start, length = tables(
-        make_laws(*ranked[new].T), convention
+        make_laws(distinct), convention
     )
     pvalues = table_flat[table_start[inverse] + observed]
     return pvalues, flat, start[inverse], length[inverse]
@@ -391,7 +435,15 @@ def batch_fisher(x1, r1, x2, r2, convention: str = "minlik"):
         r1, r2 = np.where(swap, r2, r1), np.where(swap, r1, r2)
         x1 = np.where(swap, x2, x1)
     lo = np.maximum(0, ss - r2)
-    return _batch(fisher_laws, np.column_stack((r1, r2, ss)), x1 - lo, convention)
+    # one int64 key per table, in the order of (r1, r2, s): the rank of
+    # its margins packed in 44 bits (each below 2^22), then s in 23 bits
+    margins, rank = np.unique((r1 << 22) | r2, return_inverse=True)
+
+    def laws(keys):
+        r12 = margins[keys >> 23]
+        return fisher_laws(r12 >> 22, r12 & MAX_TOTAL, keys & ((1 << 23) - 1))
+
+    return _batch(laws, (rank << 23) | ss, x1 - lo, convention)
 
 
 def batch_negbinom(s1, s2, shape_total, convention: str = "minlik"):

@@ -113,8 +113,9 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(json.dumps(_jsonify(payload), indent=2) + "\n")
 
 
-#: Floats formatted at a time by ``_format_floats``. It bounds that
-#: function's working arrays only; rows are written by ``_WRITE_BYTES``.
+#: Floats formatted at a time by ``_format_floats``, and support points
+#: at a time by ``_support_cells``. It bounds their working arrays and
+#: text only; rows are written by ``_WRITE_BYTES``.
 _CHUNK_ROWS = 1 << 14
 
 #: Bytes of rows joined, encoded and written at a time by ``_write_csv``
@@ -401,18 +402,30 @@ def _support_cells(study: Study) -> tuple[list[str], np.ndarray]:
     """One cell per stored support: its points at 9 significant
     digits, joined by ``;``; and the width of each cell in bytes.
 
-    Every point is formatted once, by one ``_format_floats`` call over
-    ``support_flat`` that ends each point with ``;``; each cell is then
-    cut out of that text at the offsets the points' lengths add up to.
-    The cells are ASCII and hold no character that needs quoting.
+    The study stores its supports one after another. They are taken in
+    runs of whole supports of at most ``_CHUNK_ROWS`` points (or one
+    longer support); each run is formatted by one ``_format_floats`` call
+    that ends every point with ``;``, and its cells are cut out of that
+    text at the offsets the points' lengths add up to, so the text is
+    held about once. The cells are ASCII and hold no character that
+    needs quoting.
     """
-    text, length = _format_floats(study.support_flat, ";")
-    begin = np.zeros(length.shape[0] + 1, dtype=np.intp)
-    np.cumsum(length + 1, dtype=np.intp, out=begin[1:])
-    lo = begin[study.support_start]
-    # an empty support is an empty cell
-    hi = np.maximum(begin[study.support_start + study.support_len] - 1, lo)
-    return [text[a:b] for a, b in zip(lo.tolist(), hi.tolist())], hi - lo
+    start = study.support_start
+    end = start + study.support_len
+    cells, widths = [], []
+    a = 0
+    while a < start.shape[0]:
+        b = max(a + 1, int(np.searchsorted(end, start[a] + _CHUNK_ROWS, side="right")))
+        text, length = _format_floats(study.support_flat[start[a] : end[b - 1]], ";")
+        begin = np.zeros(length.shape[0] + 1, dtype=np.intp)
+        np.cumsum(length + 1, dtype=np.intp, out=begin[1:])
+        lo = begin[start[a:b] - start[a]]
+        # an empty support is an empty cell
+        hi = np.maximum(begin[end[a:b] - start[a]] - 1, lo)
+        cells += [text[x:y] for x, y in zip(lo.tolist(), hi.tolist())]
+        widths.append(hi - lo)
+        a = b
+    return cells, np.concatenate(widths)
 
 
 def _read_bytes(path: str) -> bytes:

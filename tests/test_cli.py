@@ -1009,13 +1009,15 @@ def _fet_counts(m, rng):
 
 def test_features_write_holds_no_object_per_support_point(tmp_path):
     """The tracemalloc peak of writing ``features.csv`` for 15 000 fet
-    rows (136k support points) stays within 10% of its 6.23 MB, which
+    rows (136k support points) stays within 10% of its 4.92 MB, which
     formatting the support cells sets now that the rows are written a
     few ``_WRITE_BYTES`` at a time (joining the whole file, as the
     writer did before, peaked at 9.02 MB); and the support cells alone
-    stay within 10% of their own 6.22 MB. Holding one Python ``str`` per
-    point raises the first to 12.5 MB, and one float per point, as the
-    ``%`` pass did, the second to 7.14 MB."""
+    stay within 10% of their own 4.92 MB: the 2.4 MB of cells and one
+    run of at most ``_CHUNK_ROWS`` points being formatted. Formatting every point
+    into one text before cutting the cells peaked at 6.23 MB, holding
+    one Python ``str`` per point at 12.5 MB, and one float per point, as
+    the ``%`` pass did, at 7.14 MB."""
     import tracemalloc
 
     data = _fet_counts(15_000, np.random.default_rng(2001))
@@ -1031,8 +1033,42 @@ def test_features_write_holds_no_object_per_support_point(tmp_path):
         finally:
             tracemalloc.stop()
 
-    assert peak(cli._write_features, str(tmp_path / "f.csv"), table, study) < 6.86e6
-    assert peak(cli._support_cells, study) < 6.84e6
+    assert peak(cli._write_features, str(tmp_path / "f.csv"), table, study) < 5.41e6
+    assert peak(cli._support_cells, study) < 5.41e6
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 7, 1 << 14])
+def test_support_cells_match_each_points_text_across_runs(chunk_rows, monkeypatch):
+    """Each support's cell is its points' ``%.9g`` text joined by ``;``,
+    whatever the runs of at most ``_CHUNK_ROWS`` points (or one longer
+    support) it is formatted in; an empty support is an empty cell, at
+    the start, between runs and at the end. Each point is formatted
+    once."""
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+    runs = []
+    format_floats = cli._format_floats
+
+    def record(values, end):
+        runs.append(len(values))
+        return format_floats(values, end)
+
+    monkeypatch.setattr(cli, "_format_floats", record)
+    rng = np.random.default_rng(3)
+    length = np.array([0, 1, 2, 0, 5, 11, 3, 0, 8, 1, 0])
+    flat = np.concatenate([np.sort(rng.random(n)) for n in length])
+    flat[[1, 4]] = [1e-300, 2.0**-13]
+    study = Study.from_distinct(
+        rng.random(length.shape[0]), flat, np.cumsum(length) - length, length
+    )
+    cells, width = cli._support_cells(study)
+    expected = [
+        ";".join("%.9g" % x for x in study.support_flat[a : a + n])
+        for a, n in zip(study.support_start, study.support_len)
+    ]
+    assert cells == expected
+    assert width.tolist() == list(map(len, expected))
+    assert sum(runs) == flat.shape[0]
+    assert max(runs) <= max(chunk_rows, length.max())
 
 
 def test_ingest_reads_the_benchmark_table_in_bytes(monkeypatch):

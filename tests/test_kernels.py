@@ -172,6 +172,27 @@ def test_swapping_the_groups_keeps_every_minlik_bit():
 
 
 @pytest.mark.parametrize("convention", ["minlik", "doubling"])
+def test_fisher_keys_at_the_margin_limit(convention):
+    """Margins up to ``MAX_TOTAL`` and totals up to ``2 * MAX_TOTAL`` fill
+    every bit of the kernel's one int64 key per table (the rank of the
+    packed margins, then ``s``). Tables whose margins or totals differ
+    in their highest or lowest bits each keep their own law, so every
+    bit matches the per-feature builders; these laws are short, whatever
+    their margins."""
+    top = K.MAX_TOTAL
+    half = 2**21
+    x1 = np.array([top, top, 0, 1, 2, 0, 3, 1, 1, 0, 0])
+    r1 = np.array([top, top, top, top, 5, top, top - 1, half, half + 1, 1, 2])
+    x2 = np.array([top, top - 1, 0, 2, 1, 1, 4, 1, 1, 0, 1])
+    r2 = np.array([top, top, top, 5, top, 1, top, half + 1, half, top, top])
+    got = oracles.per_feature_layout(*K.batch_fisher(x1, r1, x2, r2, convention))
+    expected = oracles.batch_loop("fet", (x1, r1, x2, r2), convention)
+    for g, e in zip(got, expected):
+        assert np.array_equal(g, e)
+    assert got[3].max() <= 8
+
+
+@pytest.mark.parametrize("convention", ["minlik", "doubling"])
 def test_batch_kernels_take_empty_input(convention):
     """No features build no law: four empty arrays of the usual types."""
     empty = np.zeros(0, dtype=np.int64)
@@ -216,13 +237,14 @@ def _law_cases():
     ]
 
 
-@pytest.mark.parametrize("block_entries", [None, 2048])
+@pytest.mark.parametrize("block_entries", [None, 2048, 64])
 @pytest.mark.parametrize("convention", ["minlik", "doubling"])
 def test_block_tables_match_per_law_builders_bitwise(
     convention, block_entries, monkeypatch
 ):
     if block_entries is not None:
-        # split every width's laws into many small blocks
+        # many small blocks; at 64 entries every law of more than 21
+        # outcomes is built alone or with one other
         monkeypatch.setattr(K, "_BLOCK_ENTRIES", block_entries)
     for kind, keys, laws, shape_total in _law_cases():
         table_flat, table_start, flat, start, length = K.tables(laws, convention)
@@ -238,37 +260,38 @@ def test_block_tables_match_per_law_builders_bitwise(
             ), (kind, convention, k)
 
 
-def test_block_cases_cover_padding_underflow_and_deep_ties():
+def test_block_cases_cover_padding_underflow_and_deep_ties(monkeypatch):
     """The cases above exercise what the block builder must get right."""
     cases = _law_cases()
     lengths = {kind: laws[0] for kind, _, laws, _ in cases[:3]}
-    # padded groups hold laws of several lengths, some above 128 outcomes
-    width = K._widths(lengths["fet"])
-    assert any(np.unique(lengths["fet"][width == w]).shape[0] > 1 for w in width)
+    blocks = {kind: [n[rows] for rows in K._blocks(n)] for kind, n in lengths.items()}
+    # blocks hold laws of several lengths
+    assert any(np.unique(b).shape[0] > 1 for b in blocks["fet"])
     # numpy sums a row pairwise: one loop below 8 entries, eight
     # accumulators up to 128 and halves beyond, so a padded doubling row
     # could sum its law's total along another path than the law alone;
-    # the binomial and negative-binomial width groups mix lengths on both
+    # the binomial and negative-binomial blocks mix lengths on both
     # sides of each edge
     for kind in ("bin", "ent"):
-        n = lengths[kind]
-        width = K._widths(n)
         for edge in (8, 128):
             assert any(
-                (n[width == w] < edge).any() and (n[width == w] >= edge).any()
-                for w in np.unique(width)
+                (b < edge).any() and (b >= edge).any() for b in blocks[kind]
             ), (kind, edge)
     # and for some law a padded total differs from its own-length total
     differs = 0
     for _, _, (n, logw), _ in cases:
-        for k, width in enumerate(K._widths(n)):
-            row = logw(np.array([[k]]), np.arange(n[k])[None, :])[0]
-            w = np.exp(row - row.max())
-            differs += w.sum() != np.concatenate([w, np.zeros(width - n[k])]).sum()
+        for rows in K._blocks(n):
+            width = n[rows].max()
+            for k in rows:
+                row = logw(np.array([[k]]), np.arange(n[k])[None, :])[0]
+                w = np.exp(row - row.max())
+                differs += w.sum() != np.concatenate([w, np.zeros(width - n[k])]).sum()
     assert differs > 0
     assert lengths["ent"].max() > 1000
     # a law wider than the small block size is built as a block of its own
-    assert lengths["bin"].max() > 2048
+    monkeypatch.setattr(K, "_BLOCK_ENTRIES", 2048)
+    wide = [rows for rows in K._blocks(lengths["bin"]) if lengths["bin"][rows].max() > 2048]
+    assert wide and all(rows.shape[0] == 1 for rows in wide)
     # bin totals of 1075 and more have outcome p-values that compute as
     # exactly 0.0, which the tables raise to the floor
     before = oracles.outcome_pvalues(oracles.logw_binomial(2000))
@@ -282,10 +305,50 @@ def test_block_cases_cover_padding_underflow_and_deep_ties():
     assert depth.max() > K._MAX_TIE_DEPTH
 
 
+def _length_cases():
+    rng = np.random.default_rng(13)
+    return {
+        "empty": np.zeros(0, dtype=np.int64),
+        "one": np.array([5]),
+        "equal": np.full(5000, 7),
+        "random": rng.integers(1, 300, 4000),
+        "spread": np.unique(rng.geometric(1e-3, 3000)),
+        "wide": rng.permutation(np.concatenate([rng.integers(1, 40, 500), [5000, 40_000, 3]])),
+    }
+
+
+@pytest.mark.parametrize("block_entries", [None, 64, 2048])
+@pytest.mark.parametrize("case", sorted(_length_cases()))
+def test_blocks_take_every_law_once_in_ascending_bounded_blocks(
+    case, block_entries, monkeypatch
+):
+    """``_blocks`` cuts the laws, in ascending length, into consecutive
+    blocks of at most ``_BLOCK_ENTRIES`` entries (or one wider law),
+    each spanning at most a factor two in length; each block stops only
+    where the next law would break one of those bounds."""
+    if block_entries is not None:
+        monkeypatch.setattr(K, "_BLOCK_ENTRIES", block_entries)
+    bound = K._BLOCK_ENTRIES
+    length = _length_cases()[case]
+    blocks = list(K._blocks(length))
+    taken = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
+    assert np.array_equal(np.sort(taken), np.arange(length.shape[0]))
+    assert np.all(np.diff(length[taken]) >= 0)
+    for b, rows in enumerate(blocks):
+        n = length[rows]
+        assert rows.shape[0] == 1 or rows.shape[0] * n.max() <= bound, (case, b)
+        assert n.max() <= 2 * n.min(), (case, b)
+        if b + 1 < len(blocks):
+            following = length[blocks[b + 1][0]]
+            assert following > 2 * n.min() or (rows.shape[0] + 1) * following > bound
+    if case == "equal":
+        assert len(blocks) == -(-length.shape[0] // (bound // 7))
+
+
 def test_doubling_tables_build_one_block_per_width(monkeypatch):
     """About 100 doubling laws of lengths 1 to about 270, as a tuned
-    negative-binomial study has them, are built in one block per
-    power-of-two width, not one block per law."""
+    negative-binomial study has them, are built in no more blocks than
+    there are power-of-two widths, not one block per law."""
     rng = np.random.default_rng(11)
     totals = np.unique(np.concatenate([[0, 269], rng.integers(0, 270, 150)]))
     laws = K.negbinom_laws(totals, 3 * 0.689)
