@@ -14,18 +14,21 @@ The inputs are drawn like those of the analyze benchmark workloads, at
   supports of several hundred points, and rows of about 7.5 kB.
 
 For each table the script prints the best wall time, over ``REPEAT``
-runs, of ``ingest_counts`` on the file's bytes, which its byte parser
-reads alone; of ``ingest_counts`` on the same table with the first
-count of one row in ``FALLBACK_EVERY`` written with a ``+`` sign, which
-sends every chunk of rows to the row parser; of writing
-``features.csv`` (id, p-value and support cell of every row) from the
-tested table, with the median minor page faults and system seconds
+alternating rounds, of ``ingest_counts`` on the file's bytes; of
+``ingest_counts`` on the same table with the first count of one row in
+``SIGNED_EVERY`` written with a ``+`` sign, which ``int`` reads one
+cell at a time; and of ``ingest_counts`` on the same table made not
+plain, with one UTF-8 id and U+2028 (LINE SEPARATOR) line ends, whose
+line ends become line feeds first; the last two as ratios to the plain
+ingest. Then the best of ``REPEAT`` runs of writing ``features.csv``
+(id, p-value and support cell of every row) from the tested table,
+with the median minor page faults and system seconds
 (``resource.getrusage``) of one such write, and the file's size; and,
 as parts of that write, of formatting the support cells
 (``_support_cells``) and the distinct p-values (``_float_cells``). The
-dyadic supports of ``bin`` send many points to the formatter's ``%``
-fallback; those of ``fet`` take its numpy path. Run with
-``python3 benchmarks/bench_io.py``.
+dyadic supports of ``bin`` send their exact ties to the formatter's
+``%`` fallback; those of ``fet``, and the points of ``wide`` below
+1e-99, take its numpy path. Run with ``python3 benchmarks/bench_io.py``.
 """
 
 from __future__ import annotations
@@ -46,9 +49,8 @@ SIZES = (15_000, 150_000)
 WIDE_SIZES = (1_500,)
 REPEAT = 5
 SEED = 0
-#: One row in this many has a ``+``-signed count in the fallback case:
-#: one per chunk of the row parser.
-FALLBACK_EVERY = 4_096
+#: One row in this many has a ``+``-signed count in the signed case.
+SIGNED_EVERY = 4_096
 
 
 def _table_bytes(kind: str, m: int, rng: np.random.Generator) -> bytes:
@@ -75,17 +77,37 @@ def _table_bytes(kind: str, m: int, rng: np.random.Generator) -> bytes:
 
 def _with_signs(data: bytes) -> bytes:
     """The same table with the first count of one data row in
-    ``FALLBACK_EVERY`` written as ``+count``."""
+    ``SIGNED_EVERY`` written as ``+count``."""
     lines = data.split(b"\n")
-    for i in range(1, len(lines) - 1, FALLBACK_EVERY):
+    for i in range(1, len(lines) - 1, SIGNED_EVERY):
         ident, rest = lines[i].split(b",", 1)
         lines[i] = ident + b",+" + rest
     return b"\n".join(lines)
 
 
+def _not_plain(data: bytes) -> bytes:
+    """The same table with U+2028 line ends and the first id written
+    with a non-ASCII letter."""
+    lines = data.decode().split("\n")
+    lines[1] = "é" + lines[1]
+    return "\u2028".join(lines).encode()
+
+
 def _best(fn, *args) -> tuple[float, object]:
     wall, _, _, out = _measured(fn, *args)
     return wall, out
+
+
+def _alternating(*fns) -> list[float]:
+    """The best wall time of each of ``fns`` over ``REPEAT`` rounds, each
+    round calling every one of them in turn."""
+    walls = [[] for _ in fns]
+    for _ in range(REPEAT):
+        for wall, fn in zip(walls, fns):
+            start = time.perf_counter()
+            fn()
+            wall.append(time.perf_counter() - start)
+    return [min(wall) for wall in walls]
 
 
 def _measured(fn, *args) -> tuple[float, float, float, object]:
@@ -107,8 +129,8 @@ def main() -> int:
     rng = np.random.default_rng(SEED)
     print(f"best of {REPEAT} runs; faults and system time: median of one write")
     print(
-        f"{'table':15s} {'ingest':>10s} {'fallback':>10s} {'features.csv':>13s}"
-        f" {'faults':>7s} {'system':>8s} {'size':>8s}"
+        f"{'table':15s} {'ingest':>10s} {'signed':>10s} {'not plain':>10s}"
+        f" {'features.csv':>13s} {'faults':>7s} {'system':>8s} {'size':>8s}"
         f" {'supports':>10s} {'p-values':>10s}  distinct supports"
     )
     cases = [("bin", m) for m in SIZES] + [("fet", m) for m in SIZES]
@@ -118,18 +140,24 @@ def main() -> int:
         for kind, m in cases:
             data = _table_bytes(kind, m, rng)
             schema = IngestSchema(kind="bin" if kind == "wide" else kind, min_total=1)
-            t_in, table = _best(lambda: ingest_counts(io.BytesIO(data), schema))
-            signed = _with_signs(data)
-            t_back, back = _best(lambda: ingest_counts(io.BytesIO(signed), schema))
-            assert back.ids == table.ids
-            assert np.array_equal(back.group1, table.group1)
+            variants = [data, _with_signs(data), _not_plain(data)]
+            tables = [ingest_counts(io.BytesIO(v), schema) for v in variants]
+            table = tables[0]
+            for other in tables[1:]:
+                assert other.ids[1:] == table.ids[1:]
+                assert np.array_equal(other.group1, table.group1)
+            t_in, *t_other = _alternating(
+                *(lambda v=v: ingest_counts(io.BytesIO(v), schema) for v in variants)
+            )
+            ratios = [t / t_in for t in t_other]
             study = Study.from_distinct(*test_count_table(table))
             t_out, faults, system, _ = _measured(_write_features, path, table, study)
             t_sup, _ = _best(_support_cells, study)
             t_p, _ = _best(_float_cells, np.unique(study.pvalues))
             print(
-                f"{kind:4s} {m:>10d} {t_in * 1e3:8.1f}ms {t_back * 1e3:8.1f}ms"
-                f" {t_out * 1e3:11.1f}ms {faults:7.0f} {system * 1e3:6.1f}ms"
+                f"{kind:4s} {m:>10d} {t_in * 1e3:8.1f}ms {ratios[0]:9.2f}x"
+                f" {ratios[1]:9.2f}x {t_out * 1e3:11.1f}ms"
+                f" {faults:7.0f} {system * 1e3:6.1f}ms"
                 f" {os.path.getsize(path) / 1e6:6.1f}MB"
                 f" {t_sup * 1e3:8.1f}ms {t_p * 1e3:8.1f}ms"
                 f"  {study.support_len.shape[0]}"

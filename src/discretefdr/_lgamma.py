@@ -15,6 +15,7 @@ kernels' differences of log-gamma values at large shapes.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -31,6 +32,8 @@ _C = (-3.51815701436523470549e2, -1.70642106651881159223e4,
       -2.53252307177582951285e6, -2.01889141433532773231e6)
 _LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
 _MAXLGM = 2.556348e305  # beyond it log(Gamma(x)) overflows
+#: Arguments converted to Python floats at a time for ``math.log``.
+_LIST_ENTRIES = 1 << 16
 
 
 def _small(x: float) -> float:
@@ -106,7 +109,12 @@ def gammaln(x) -> np.ndarray:
     out[small] = [_small(v) for v in x[small].tolist()]
     big = ~small & (x <= _MAXLGM)
     xb = x[big]
-    out[big] = _stirling(xb, xb.tolist())
+    # math.log takes the Python floats a bounded list at a time
+    step = _LIST_ENTRIES
+    values = chain.from_iterable(
+        xb[a : a + step].tolist() for a in range(0, xb.size, step)
+    )
+    out[big] = _stirling(xb, values)
     return out
 
 

@@ -199,13 +199,13 @@ _DIGITS4 = _DIGITS4.view("<u4")[:, 0].astype(_U64)
 _ZEROS4 = sum((_QUADS % 10**_j == 0).view(np.uint8) for _j in range(1, 5))
 #: The low ``8 - z`` bytes of a word, for ``z`` trailing zeros to clear.
 _KEEP8 = np.array([(1 << 8 * (8 - z)) - 1 for z in range(9)], dtype=_U64)
-#: 10**k, correctly rounded, for every scale ``8 - X`` the exponent
-#: search can try (decimal exponent ``X`` from -101 to 0).
-_POW10 = np.array([float(f"1e{k}") for k in range(110)])
+#: 10**k, correctly rounded, for k from 0 to 308: a scale ``8 - X``
+#: beyond (decimal exponent ``X`` below -300) is applied in two steps.
+_POW10 = np.array([float(f"1e{k}") for k in range(309)])
 
 # A value's decimal exponent X (that of ``%.8e``) sets its class
 # c = min(-X, 5): c = 0 is 1 itself, c = 1 to 4 the fixed forms "0."
-# to "0.000" and c = 5 the scientific form "d.dddddddde-XX". A 16-byte
+# to "0.000" and c = 5 the scientific form "d.dddddddde-XX(X)". A 16-byte
 # cell holds the leading digit and the other eight, each shifted by its
 # class's scalar; the other eight lose their trailing zeros first.
 #: Bit offset of the leading digit, and of the other eight, per class.
@@ -224,8 +224,13 @@ _LENGTH = np.concatenate(
     + [np.append(14 - np.arange(8), 5)]
 ).astype(np.uint8)
 #: ``"e-XX"`` in bytes 10 to 13 of the cell (2 to 5 of its second word)
-#: for the scientific forms, ``-X`` from 5 to 99; 0 for the others.
-_EXPONENT = (_DIGITS4[:102] & _U64(0xFFFF0000) | _U64(0x2D65)) << _U64(16)
+#: for the scientific forms, ``-X`` from 5 to 99, and ``"e-XXX"`` in
+#: bytes 10 to 14 from 100 to 325; 0 for the others.
+_EXPONENT = np.concatenate((
+    _DIGITS4[:100] & _U64(0xFFFF0000),
+    (_DIGITS4[100:326] & _U64(0xFFFFFF00)) << _U64(8),
+))
+_EXPONENT = (_EXPONENT | _U64(0x2D65)) << _U64(16)
 _EXPONENT[:5] = 0
 
 
@@ -234,15 +239,16 @@ def _format_floats(values, end: str) -> tuple[str, np.ndarray]:
     each followed by the one ASCII character ``end``, as one string;
     and each value's length without ``end``.
 
-    The values are taken ``_CHUNK_ROWS`` at a time. A value in (0, 1]
-    with a decimal exponent of at least -99 gets its exponent from
-    ``log10`` and its nine digits from ``rint(x * 10**(8 - X))``, with
-    one second try where rounding crosses a decade; those digits are
-    exact, because the scaled value is within about 2e-7 of its true
-    value, unless the scaled fraction lies within 1e-6 of one half (an
-    exact tie, such as 2**-13, rounds half to even). Those values, and
-    every other one (0, negatives, values above 1, non-finite values),
-    are formatted by ``%`` one at a time, so every byte is that of
+    The values are taken ``_CHUNK_ROWS`` at a time. A value in (0, 1],
+    subnormals included, gets its exponent from ``log10`` and its nine
+    digits from ``rint(x * 10**(8 - X))`` (a scale past 1e308 in two
+    steps), with one second try where rounding crosses a decade; those
+    digits are exact, because the scaled value is within about 4e-7 of
+    its true value, unless the scaled fraction lies within 1e-6 of one
+    half (an exact tie, such as 2**-13, rounds half to even). Those
+    values, and every other one (0, negatives, values above 1,
+    non-finite values), are formatted by ``%`` one at a time, so every
+    byte is that of
     ``"%.9g" % x``. Each value's bytes are laid out in a zero-padded
     cell of 16 bytes (24 when a value's text takes 16) that ends in
     ``end``, and the cells are compacted by dropping the zero bytes.
@@ -262,18 +268,18 @@ def _format_chunk(x: np.ndarray, end: str) -> tuple[str, np.ndarray]:
     """``_format_floats`` on at most ``_CHUNK_ROWS`` values."""
     inside = (x > 0) & (x <= 1)
     unit = np.where(inside, x, 1.0)
-    exp = np.maximum(np.floor(np.log10(unit)), -100).astype(np.intp)
-    scaled = unit * _POW10[8 - exp]
+    exp = np.floor(np.log10(unit)).astype(np.intp)
+    scaled = _scaled(unit, exp)
     digits = np.rint(scaled)
     # log10 may land one decade off next to a power of ten, and rounding
     # may carry into the next decade: one more try at the right exponent
     off = np.flatnonzero((digits >= 1e9) | (digits < 1e8))
     if off.size:
         exp[off] += np.where(digits[off] >= 1e9, 1, -1)
-        scaled[off] = unit[off] * _POW10[8 - exp[off]]
+        scaled[off] = _scaled(unit[off], exp[off])
         digits[off] = np.rint(scaled[off])
         inside[off[(digits[off] >= 1e9) | (digits[off] < 1e8)]] = False
-    exact = inside & (exp >= -99) & (np.abs(scaled - digits) < 0.5 - 1e-6)
+    exact = inside & (np.abs(scaled - digits) < 0.5 - 1e-6)
 
     d = digits.astype(np.intp)
     lead = d // 100_000_000
@@ -297,7 +303,7 @@ def _format_chunk(x: np.ndarray, end: str) -> tuple[str, np.ndarray]:
     )
     cells[:, 1] = rest8 >> _U64(64) - _REST_SHIFT[cls] | _EXPONENT[-exp]
     cells[:, -1] |= _U64(ord(end)) << _U64(56)
-    length = _LENGTH[form]
+    length = _LENGTH[form] + (exp < -99)
     if texts:
         width = 8 * words
         padded = [t.ljust(width - 1, b"\0") + end.encode() for t in texts]
@@ -305,6 +311,15 @@ def _format_chunk(x: np.ndarray, end: str) -> tuple[str, np.ndarray]:
         length[slow] = list(map(len, texts))
     flat = cells.view(np.uint8).reshape(-1)
     return str(flat[flat != 0], "ascii"), length
+
+
+def _scaled(unit: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """``unit * 10**(8 - exp)``; below ``exp`` = -300 by 1e308 first, so
+    that a subnormal ``unit`` is rounded once, into the normal range."""
+    scaled = unit * _POW10[np.minimum(8 - exp, 308)]
+    deep = np.flatnonzero(exp < -300)
+    scaled[deep] *= _POW10[-300 - exp[deep]]
+    return scaled
 
 
 def _float_cells(values) -> tuple[list[str], np.ndarray]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress
 from typing import IO
 
 import numpy as np
@@ -203,154 +203,136 @@ def _widths(schema: IngestSchema) -> tuple[int, ...]:
     return (3,)
 
 
-#: Data rows split and converted at a time.
-_CHUNK_ROWS = 1 << 12
-
-
 class _Fault(Exception):
-    """Some data row is malformed; the message says how, without the line."""
+    """A data row is malformed; the message says how, without the line."""
 
 
-def _int_column(tokens: list[str]) -> np.ndarray:
-    ints: list[int] = []
+def _count(token: str) -> int:
+    """A count cell that is not plain digits, read by ``int``."""
+    token = token.strip()
     try:
-        ints.extend(map(int, tokens))
+        value = int(token)
     except ValueError:
-        # extend keeps the counts converted before the token int rejects
-        raise _Fault(f"non-integer count {tokens[len(ints)].strip()!r}") from None
-    try:
-        values = np.array(ints, dtype=np.int64)
-        if not (values < 0).any():
-            return values
-    except OverflowError:
-        pass
-    value = next(v for v in ints if not 0 <= v <= _INT64_MAX)
+        raise _Fault(f"non-integer count {token!r}") from None
     if value < 0:
         raise _Fault(f"negative count {value}")
-    raise _Fault(f"count {value} exceeds the largest supported count {_INT64_MAX}")
+    if value > _INT64_MAX:
+        raise _Fault(f"count {value} exceeds the largest supported count {_INT64_MAX}")
+    return value
 
 
-def _sum_columns(columns: list[np.ndarray]) -> np.ndarray:
+def _sum_columns(columns: list[np.ndarray]):
+    """The sum of nonnegative int64 columns, and the rows where it passes
+    ``_INT64_MAX``."""
     total = columns[0].copy()
+    over = np.zeros(total.shape[0], dtype=bool)
     for column in columns[1:]:
         total += column
         # both addends are nonnegative, so a sum past int64 wraps below 0
-        wrapped = total < 0
-        if wrapped.any():
-            i = int(wrapped.argmax())
-            raise _Fault(
-                f"group sum {sum(int(c[i]) for c in columns)} exceeds the "
-                f"largest supported count {_INT64_MAX}"
-            )
-    return total
+        over |= total < 0
+    return total, over
 
 
 def _group_columns(values: list[np.ndarray], width: int, schema: IngestSchema):
     """``(x1, r1, x2, r2)`` of data rows of one width, from their count
-    columns; ``r1``/``r2`` are None unless the kind is fet."""
-    r1 = r2 = None
+    columns, and the rows with a group sum beyond int64 or a count above
+    its trials (None if it can have neither); ``r1``/``r2`` are None
+    unless the kind is fet."""
+    r1 = r2 = over = None
     if schema.kind == "fet" and width == 5:
         x1, r1, x2, r2 = values
     elif schema.kind == "fet":
         x1, x2 = values
         r1 = r2 = np.full(x1.shape[0], schema.trials, dtype=np.int64)
     elif schema.kind == "ent" and width == 1 + 2 * schema.reps:
-        x1 = _sum_columns(values[: schema.reps])
-        x2 = _sum_columns(values[schema.reps :])
+        x1, over1 = _sum_columns(values[: schema.reps])
+        x2, over2 = _sum_columns(values[schema.reps :])
+        over = over1 | over2
     else:
         x1, x2 = values
-    if r1 is not None and ((x1 > r1) | (x2 > r2)).any():
-        raise _Fault("count exceeds trials")
-    return x1, r1, x2, r2
+    if r1 is not None:
+        over = (x1 > r1) | (x2 > r2)
+    return (x1, r1, x2, r2), over
 
 
-def _parse_block(tokens: list[str], width: int, schema: IngestSchema):
-    """``(ids, x1, r1, x2, r2)`` of data rows of one width, from their
-    cells in row order."""
-    ids = list(map(str.strip, tokens[0::width]))
-    values = [_int_column(tokens[j::width]) for j in range(1, width)]
-    return ids, *_group_columns(values, width, schema)
-
-
-def _parse_rows(rows: list[str], line_of, delim: str, schema: IngestSchema):
-    """``(ids, x1, r1, x2, r2)`` of the data rows, parsed column-wise.
-
-    The rows are taken ``_CHUNK_ROWS`` at a time, in file order, so that
-    few cells are alive at once. Within a chunk the rows of each legal
-    width are split together and each numeric column is converted with
-    one pass of ``int``. A chunk with a malformed row is parsed again
-    one row at a time; the first row that fails raises
-    :class:`ValueError` naming its file line ``line_of[i]``. Every
-    earlier chunk parsed, so that row is the first bad one.
-    """
-    n = len(rows)
+def _row_fault(tokens: list[str], schema: IngestSchema) -> str:
+    """What is wrong with one data row, split into its cells: its width,
+    else its first bad count, else a group sum beyond int64, else a count
+    above its trials."""
     widths = _widths(schema)
-    width = np.fromiter(map(str.count, rows, repeat(delim)), np.int64, n) + 1
-    illegal = ~np.isin(width, widths)
-    ids = np.empty(n, dtype=object)
-    x1, x2 = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    r1 = r2 = None
-    if schema.kind == "fet":
-        r1, r2 = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    columns = (ids, x1, r1, x2, r2)
-
-    def fill(lo: int, hi: int) -> None:
-        chunk, chunk_width = rows[lo:hi], width[lo:hi]
-        bad = chunk_width[illegal[lo:hi]]
-        if bad.shape[0]:
-            legal = " or ".join(map(str, widths))
-            raise _Fault(f"expected {legal} columns, got {bad[0]}")
-        for w in widths:
-            at = np.flatnonzero(chunk_width == w)
-            if at.shape[0] == 0:
-                continue
-            whole_chunk = at.shape[0] == len(chunk)
-            block = chunk if whole_chunk else [chunk[i] for i in at.tolist()]
-            parsed = _parse_block(delim.join(block).split(delim), w, schema)
-            for whole, part in zip(columns, parsed):
-                if whole is not None:
-                    whole[lo + at] = part
-
-    lo, step = 0, _CHUNK_ROWS
-    while lo < n:
-        try:
-            fill(lo, lo + step)
-        except _Fault as fault:
-            if step == 1:
-                raise ValueError(f"line {line_of[lo]}: {fault}") from None
-            step = 1  # parse this chunk again, one row at a time
-            continue
-        lo += step
-    return columns
+    if len(tokens) not in widths:
+        legal = " or ".join(map(str, widths))
+        return f"expected {legal} columns, got {len(tokens)}"
+    try:
+        counts = list(map(_count, tokens[1:]))
+    except _Fault as fault:
+        return str(fault)
+    if schema.kind == "ent" and len(counts) > 2:
+        for total in (sum(counts[: schema.reps]), sum(counts[schema.reps :])):
+            if total > _INT64_MAX:
+                return (
+                    f"group sum {total} exceeds the largest supported count "
+                    f"{_INT64_MAX}"
+                )
+    return "count exceeds trials"
 
 
 #: What a line's first byte says of it: 0 a data row, 1 a blank line
-#: or a comment, 2 a leading blank, after which the rest of the line
-#: decides.
+#: or a comment, 2 a blank or a byte of a non-ASCII character, after
+#: which the rest of the line decides. An id that starts or ends in a
+#: byte of class 2 is stripped.
 _LEAD = np.zeros(256, dtype=np.uint8)
 _LEAD[[ord("#"), ord("\n"), ord("\r")]] = 1
-_LEAD[[ord(" "), ord("\t")]] = 2
+_LEAD[[ord(" "), ord("\t"), 0x1F]] = 2
+_LEAD[0x80:] = 2
 
 #: The most digits a count cell of the byte parser may have: 19-digit
 #: counts are formed in uint64 and checked against ``_INT64_MAX``.
 _MAX_DIGITS = 19
 
 
-def _parse_text(text: str, schema: IngestSchema):
-    """``(ids, x1, r1, x2, r2)`` and the file line of each data row, from
-    the text's lines as ``str.splitlines`` cuts them."""
-    lines = text.splitlines()
-    # blank lines and # comments are skipped; "" and "#" are both in "#"
-    is_row = [line.lstrip()[:1] not in "#" for line in lines]
-    rows = list(compress(lines, is_row))
-    if not rows:
-        raise ValueError("line 1: empty input, header row required")
-    # the file line of each data row (bytes() of the flags is one 0/1
-    # byte per line); the header is the first row
-    line_of = np.flatnonzero(np.frombuffer(bytes(is_row), dtype=bool))[1:] + 1
-    delim = "\t" if "\t" in rows[0] else ","
-    ids, x1, r1, x2, r2 = _parse_rows(rows[1:], line_of, delim, schema)
-    return (ids.tolist(), x1, r1, x2, r2), line_of
+def _lines(data: bytes) -> tuple[bytes, bool]:
+    """``data`` ending in a line feed, with the lines ``str.splitlines``
+    cuts, and whether a line may end in a CR before its line feed.
+
+    A plain file (ASCII, with no control byte but tab, line feed and a
+    carriage return before a line feed) is kept as it is. Any other file
+    must be UTF-8, and each of its line ends but LF and CRLF becomes a
+    line feed: CR, VT, FF, FS, GS, RS, NEL (C2 85), LS (E2 80 A8) and PS
+    (E2 80 A9); then CRLF does too, if there were others.
+    """
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    b = np.frombuffer(data, dtype=np.uint8)
+    cr = np.flatnonzero(b == 0x0D)
+    blanks = cr.shape[0] + np.count_nonzero(b == 0x0A) + np.count_nonzero(b == 0x09)
+    # the only control bytes are tabs, line feeds and CRs before them
+    lf_only = np.count_nonzero(b < 0x20) == blanks and (b[cr + 1] == 0x0A).all()
+    if b.max() <= 0x7F and lf_only:
+        return data, cr.shape[0] > 0
+    data.decode("utf-8")  # refuses a file that is not UTF-8
+    cuts, drops = [], []
+    if not lf_only:
+        ends = np.flatnonzero(((b >= 0x0B) & (b <= 0x0D)) | ((b >= 0x1C) & (b <= 0x1E)))
+        cuts.append(ends)
+        drops.append(ends[(b[ends] == 0x0D) & (b[ends + 1] == 0x0A)])
+    # C2 and E2 only ever start a character, whose next bytes follow
+    nel = np.flatnonzero(b[1:] == 0x85)
+    nel = nel[b[nel] == 0xC2]
+    seps = np.flatnonzero(b[:-2] == 0xE2)
+    seps = seps[(b[seps + 1] == 0x80) & (b[seps + 2] | 1 == 0xA9)]
+    cuts += [nel + 1, seps + 2]
+    drops += [nel, seps, seps + 1]
+    if sum(map(len, cuts)):
+        lines = b.copy()
+        lines[np.concatenate(cuts)] = 0x0A
+        # 0xFF, which UTF-8 never holds, marks the bytes to drop, such as
+        # a blank last line the line feed appended above may have made
+        lines[np.concatenate(drops)] = 0xFF
+        if lines[-2] == 0x0A:
+            lines[-1] = 0xFF
+        data = lines.tobytes().translate(None, b"\xff")
+    return data, lf_only and cr.shape[0] > 0
 
 
 def _find_header(data: bytes) -> tuple[int, int, str]:
@@ -362,36 +344,31 @@ def _find_header(data: bytes) -> tuple[int, int, str]:
         stop = data.find(b"\n", pos)
         if stop < 0:
             raise ValueError("line 1: empty input, header row required")
-        header, pos, line = data[pos:stop], stop + 1, line + 1
-        if header.lstrip()[:1] not in b"#":
-            return pos, line, "\t" if b"\t" in header else ","
+        header, pos, line = data[pos:stop].decode(), stop + 1, line + 1
+        if header.lstrip()[:1] not in "#":
+            return pos, line, "\t" if "\t" in header else ","
 
 
 def _data_rows(r: np.ndarray, delim: str):
-    """``(sep, last, start, lines, spaced)`` of the data rows in ``r``,
-    the bytes after the header: the offsets of their delimiters and line
-    feeds, in order; the index in ``sep`` of each row's line feed, so
-    that its cells end at ``sep[last[i - 1] + 1 : last[i] + 1]``; the
-    offset each row starts at; which line of ``r`` it is; and the rows
-    that start with a blank other than the delimiter."""
+    """``(sep, last, start, lines)`` of the data rows in ``r``, the bytes
+    after the header: the offsets of their delimiters and line feeds, in
+    order; the index in ``sep`` of each row's line feed, so that its
+    cells end at ``sep[last[i - 1] + 1 : last[i] + 1]``; the offset each
+    row starts at; and which line of ``r`` it is."""
     sep = np.flatnonzero((r == ord(delim)) | (r == 0x0A))
     last = np.flatnonzero(r[sep] == 0x0A)
     start = np.zeros_like(last)
     start[1:] = sep[last[:-1]] + 1
-    lead = _LEAD[r[start]]
-    spaced = []
+    lead = _LEAD.take(r[start])
     for j in np.flatnonzero(lead == 2).tolist():
-        if r[start[j] : sep[last[j]]].tobytes().lstrip()[:1] in b"#":
+        if r[start[j] : sep[last[j]]].tobytes().decode().lstrip()[:1] in "#":
             lead[j] = 1
-        elif r[start[j]] != ord(delim):  # else the id is empty
-            spaced.append(j)
     lines = np.flatnonzero(lead != 1)
     if lines.shape[0] < last.shape[0]:
         sep = sep[np.repeat(lead != 1, np.diff(last, prepend=-1))]
         last = np.flatnonzero(r[sep] == 0x0A)
         start = start[lines]
-        spaced = np.searchsorted(lines, spaced)
-    return sep, last, start, lines, spaced
+    return sep, last, start, lines
 
 
 def _read_counts(r: np.ndarray, sep: np.ndarray, end: np.ndarray, first: np.ndarray):
@@ -427,7 +404,8 @@ def _read_counts(r: np.ndarray, sep: np.ndarray, end: np.ndarray, first: np.ndar
 
 def _cut_ids(r: np.ndarray, start: np.ndarray, id_end: np.ndarray, delim: str):
     """Each row's bytes from ``start`` up to its first delimiter at
-    ``id_end``, decoded and split at once."""
+    ``id_end``, decoded and split at once; an id that starts or ends in
+    a blank or a non-ASCII character is then stripped."""
     n = start.shape[0]
     # the bytes alternate between the rest of a line, dropped, and an id
     # with the byte that ends it, kept
@@ -440,40 +418,33 @@ def _cut_ids(r: np.ndarray, start: np.ndarray, id_end: np.ndarray, delim: str):
     cut = r[np.repeat(is_id, size)]
     # the byte after the id of a one-cell row is its line feed
     cut[np.cumsum(size[1::2]) - 1] = ord(delim)
-    ids = cut.tobytes().decode("ascii").split(delim)
+    ids = cut.tobytes().decode().split(delim)
     ids.pop()
+    # the byte before an empty id is a line feed
+    blank = _LEAD.take(r[start]) == 2
+    blank |= _LEAD.take(r[id_end - 1]) == 2
+    for j in np.flatnonzero(blank).tolist():
+        ids[j] = ids[j].strip()
     return ids
 
 
 def _parse_bytes(data: bytes, schema: IngestSchema):
-    """:func:`_parse_text` on a plain table's bytes, or None.
+    """``(ids, x1, r1, x2, r2)`` of a table's data rows and the file line
+    of each, or the :class:`ValueError` of its first malformed row.
 
-    A table is plain when it is ASCII with no control byte but tab, line
-    feed and a carriage return before a line feed, so that its lines are
-    those ``str.splitlines`` cuts and a line's only blanks are spaces and
-    tabs. Its data rows are then cut at their delimiters with numpy, each
-    count cell of one to ``_MAX_DIGITS`` ASCII digits is read by
-    positional arithmetic, and the ids are cut out in one decode. A row
-    this does not vouch for (a width the kind does not allow, an id with a
-    leading or trailing blank, a count cell that is empty, holds anything
-    but digits or is too long, a count beyond ``_INT64_MAX``) sends its
-    chunk of ``_CHUNK_ROWS`` rows to :func:`_parse_rows`, which gives that
-    chunk's values or raises its first bad line's error. A group sum that
-    overflows or a count above its trials, found when a width's columns
-    are grouped, sends every chunk of that width there, up to the error.
+    The file's lines are those of :func:`_lines`. Its data rows are cut
+    at their delimiters with numpy, each count cell of one to
+    ``_MAX_DIGITS`` ASCII digits is read by positional arithmetic and
+    every other count cell by ``int``, one at a time, and the ids are cut
+    out in one decode. Each row is flagged if its width is one the kind
+    does not allow, a count cell ``int`` refuses or beyond ``_INT64_MAX``,
+    a group sum beyond ``_INT64_MAX`` or a count above its trials; the
+    first flagged row's error is then found from that row alone.
     """
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    b = np.frombuffer(data, dtype=np.uint8)
-    crs = np.count_nonzero(b == 0x0D)
-    blanks = crs + np.count_nonzero(b == 0x0A) + np.count_nonzero(b == 0x09)
-    if b.max() > 0x7F or np.count_nonzero(b < 0x20) != blanks:
-        return None
-    if crs and not (b[np.flatnonzero(b == 0x0D) + 1] == 0x0A).all():
-        return None
+    data, crs = _lines(data)
     pos, header_line, delim = _find_header(data)
-    r = b[pos:]
-    sep, last, start, lines, spaced = _data_rows(r, delim)
+    r = np.frombuffer(data, dtype=np.uint8)[pos:]
+    sep, last, start, lines = _data_rows(r, delim)
     line_of = header_line + 1 + lines
     n = last.shape[0]
     width = np.diff(last, prepend=-1)
@@ -484,51 +455,41 @@ def _parse_bytes(data: bytes, schema: IngestSchema):
         end = sep.copy()
         end[last] -= r[sep[last] - 1] == 0x0D
     value, bad = _read_counts(r, sep, end, first)
+    # every other count cell is read by int; cell 0 is an id, never bad
+    cells = np.flatnonzero(bad)
+    bounds = zip((sep[cells - 1] + 1 + pos).tolist(), (end[cells] + pos).tolist())
+    for c, (a, e) in zip(cells.tolist(), bounds):
+        try:
+            value[c] = _count(data[a:e].decode())
+            bad[c] = False
+        except _Fault:
+            pass
     stop = end[last]
     id_end = sep[first]
     del sep, end
 
-    suspect = np.ones(n, dtype=bool)
+    fault = np.ones(n, dtype=bool)
     x1, x2 = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     r1 = r2 = None
     if schema.kind == "fet":
         r1, r2 = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    value[bad] = 0
     for w in _widths(schema):
         rows = np.flatnonzero(width == w)
-        suspect[rows] = False
+        fault[rows] = False
         columns = [value[first[rows] + k] for k in range(1, w)]
-        try:
-            grouped = _group_columns(columns, w, schema)
-        except _Fault:
-            # an overflowing group sum or a count above its trials: the
-            # row parser names the first
-            suspect[rows] = True
-            continue
+        grouped, over = _group_columns(columns, w, schema)
+        if over is not None:
+            fault[rows[over]] = True
         for whole, part in zip((x1, r1, x2, r2), grouped):
             if whole is not None:
                 whole[rows] = part
     del value
-    if bad.any():
-        suspect[np.searchsorted(first, np.flatnonzero(bad), side="right") - 1] = True
-    suspect[spaced] = True
-    # an id that ends in a blank
-    suspect[_LEAD[r[id_end - 1]] == 2] = True
-    ids = _cut_ids(r, start, id_end, delim)
-
-    chunk = _CHUNK_ROWS
-    for c in np.unique(np.flatnonzero(suspect) // chunk).tolist():
-        lo, hi = c * chunk, min(n, (c + 1) * chunk)
-        base = int(start[lo])
-        text = r[base : stop[hi - 1]].tobytes().decode("ascii")
-        bounds = zip((start[lo:hi] - base).tolist(), (stop[lo:hi] - base).tolist())
-        texts = [text[a:e] for a, e in bounds]
-        parsed = _parse_rows(texts, line_of[lo:hi], delim, schema)
-        ids[lo:hi] = parsed[0].tolist()
-        for whole, part in zip((x1, r1, x2, r2), parsed[1:]):
-            if whole is not None:
-                whole[lo:hi] = part
-    return (ids, x1, r1, x2, r2), line_of
+    fault[np.searchsorted(first, np.flatnonzero(bad), side="right") - 1] = True
+    if fault.any():
+        i = int(fault.argmax())
+        row = data[pos + start[i] : pos + stop[i]].decode()
+        raise ValueError(f"line {line_of[i]}: {_row_fault(row.split(delim), schema)}")
+    return (_cut_ids(r, start, id_end, delim), x1, r1, x2, r2), line_of
 
 
 def _check_limit(x1, r1, x2, r2, keep, line_of) -> None:
@@ -576,27 +537,20 @@ def ingest_counts(source: IO[bytes], schema: IngestSchema) -> CountTable:
 
     The file is read once as a byte array. A plain file (ASCII, with no
     control byte but tab, line feed and a carriage return before a line
-    feed) is cut into lines, rows and cells with numpy; each count of one
+    feed) is read as it is; any other is decoded as UTF-8 and its lines,
+    cut as ``str.splitlines`` cuts them, joined with line feeds first.
+    The lines, rows and cells are then cut with numpy. Each count of one
     to 19 ASCII digits is read by positional arithmetic (exact in int64
-    up to 18 digits; 19 are checked against the int64 range), and the ids
-    are cut out in one decode and split. Any chunk of ``_CHUNK_ROWS``
-    data rows with a row that path does not vouch for (a count with a
-    sign, ``_``, a blank or any other non-digit, an empty or over-long
-    cell, a count beyond int64, a width the kind does not allow, an id
-    with a leading or trailing blank, an overflowing group sum, a count
-    above its trials) is parsed by the row parser instead, and so is a
-    whole file that is not plain. The row parser splits the rows of each
-    legal width together and converts each count column with one pass of
-    ``int``; a chunk with a fault is parsed again one row at a time, to
-    name its first bad line. Either way the count checks, the total
-    filters and the limit check run as array operations, so both paths
-    give the same table and the same errors.
+    up to 18 digits; 19 are checked against the int64 range), and every
+    other count cell (a sign, ``_``, a blank, a non-ASCII digit, an
+    over-long cell) by ``int``, one cell at a time. The ids are cut out
+    in one decode and split, and only an id with a blank or a non-ASCII
+    character at either end is stripped. Each row is flagged if its
+    width, a count, a group sum or a count above its trials is at fault,
+    and the first flagged row's error is found from that row alone. The
+    total filters and the limit check then run as array operations.
     """
-    data = source.read()
-    parsed = _parse_bytes(data, schema)
-    if parsed is None:
-        parsed = _parse_text(data.decode("utf-8"), schema)
-    (ids, x1, r1, x2, r2), line_of = parsed
+    (ids, x1, r1, x2, r2), line_of = _parse_bytes(source.read(), schema)
 
     keep = np.ones(x1.shape[0], dtype=bool)
     for total in (r1, r2) if schema.kind == "fet" else (x1, x2):

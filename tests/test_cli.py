@@ -16,7 +16,6 @@ from discretefdr import (
     Study,
     benjamini_pi0,
     cli,
-    discrete_tests,
     generalized_pi0,
     ingest_counts,
     pounds_hat_pi0,
@@ -959,6 +958,23 @@ def test_formatter_matches_percent_on_subnormals_and_powers_of_ten():
     _assert_formats_as_percent(np.nextafter(powers[:-1], 1))
 
 
+def test_formatter_matches_percent_at_every_exponent():
+    """Values sampled in every decade from 1e-324 to 1, where the
+    formatter reads two- and three-digit exponents and scales past 1e308
+    in two steps: subnormals, ``FLOOR`` and the decades' edges too."""
+    from discretefdr._kernels import FLOOR
+
+    rng = np.random.default_rng(324)
+    digits = rng.integers(10**16, 10**17, (325, 40)).tolist()
+    values = [
+        float(f"{d}e{x - 16}") for x, row in zip(range(-324, 1), digits) for d in row
+    ]
+    values += [float(f"1e{x}") for x in range(-323, 1)]
+    values += [FLOOR * k for k in range(1, 200)]
+    _assert_formats_as_percent(values)
+    _assert_formats_as_percent(np.nextafter(values, 0))
+
+
 def test_formatter_carries_into_the_next_decade():
     values = [9.9999999996e-05, 0.99999999996, 0.0999999999951, 9.999999994e-05]
     assert cli._float_cells(values)[0] == ["0.0001", "1", "0.1", "9.99999999e-05"]
@@ -1071,22 +1087,17 @@ def test_support_cells_match_each_points_text_across_runs(chunk_rows, monkeypatc
     assert max(runs) <= max(chunk_rows, length.max())
 
 
-def test_ingest_reads_the_benchmark_table_in_bytes(monkeypatch):
+def test_ingest_reads_the_benchmark_table_in_bytes():
     """``ingest_counts`` on 15 000 fet rows drawn like the benchmark's
-    takes the byte parser alone, and its tracemalloc peak stays below
-    4.4 MB, 1.1 times the 3.99 MB of the row parser it replaced on the
-    analyze-fet benchmark input (3.97 MB on this table). The byte parser
-    peaks at 3.56 MB here."""
+    gives the row-wise oracle's table, and its tracemalloc peak stays
+    below 4.4 MB, 1.1 times the 3.99 MB of the row parser it replaced on
+    the analyze-fet benchmark input (3.97 MB on this table). The byte
+    parser peaks at 3.56 MB here."""
     import tracemalloc
 
     data = _fet_counts(15_000, np.random.default_rng(2001))
     schema = IngestSchema(kind="fet", min_total=1)
-
-    def refuse(*args):
-        raise AssertionError("a benchmark table left the byte parser")
-
-    monkeypatch.setattr(discrete_tests, "_parse_rows", refuse)
-    monkeypatch.setattr(discrete_tests, "_parse_text", refuse)
+    expected = oracles.ingest_rows(io.BytesIO(data), schema)
     ingest_counts(io.BytesIO(data), schema)
     tracemalloc.start()
     try:
@@ -1094,6 +1105,9 @@ def test_ingest_reads_the_benchmark_table_in_bytes(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert table.ids == expected.ids
+    for name in ("group1", "trials1", "group2", "trials2"):
+        assert np.array_equal(getattr(table, name), getattr(expected, name)), name
     assert len(table) == 15_000
     assert peak < 4.4e6
 

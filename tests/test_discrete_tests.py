@@ -403,7 +403,9 @@ def test_ingest_reads_every_spelling_int_accepts():
 _FAULTS = ["x", "-2", "", "3.5", "1 2", "999"]
 
 
-_DEFAULT_CHUNK = discrete_tests._CHUNK_ROWS
+#: A run of rows longer than every table of these tests: faults placed
+#: by it land on a table's first and last data rows.
+_WHOLE_TABLE = 4096
 
 
 @pytest.mark.parametrize(
@@ -413,17 +415,17 @@ _DEFAULT_CHUNK = discrete_tests._CHUNK_ROWS
             schema,
             chunk_rows,
             id=_schema_id(schema)
-            + ("" if chunk_rows == _DEFAULT_CHUNK else f"-chunk{chunk_rows}"),
+            + ("" if chunk_rows == _WHOLE_TABLE else f"-chunk{chunk_rows}"),
         )
         for schema in _SCHEMAS
-        for chunk_rows in (1, 2, 3, _DEFAULT_CHUNK)
+        for chunk_rows in (1, 2, 3, _WHOLE_TABLE)
     ],
 )
-def test_ingest_errors_match_row_wise_parser(schema, chunk_rows, monkeypatch):
-    """Two bad cells, the first on the first or last data row of a
-    chunk, the second anywhere: both parsers name the same first line
-    with the same message, whatever the chunk size."""
-    monkeypatch.setattr(discrete_tests, "_CHUNK_ROWS", chunk_rows)
+def test_ingest_errors_match_row_wise_parser(schema, chunk_rows):
+    """Two bad cells, the first on the first or last data row of a run
+    of ``chunk_rows`` rows, the second anywhere: ``ingest_counts`` and
+    the row-wise oracle name the same first line with the same
+    message."""
     rng = np.random.default_rng(50 + _SCHEMAS.index(schema))
     for _ in range(30):
         lines = _random_text(rng, schema, 60, ",", "\n").splitlines()
@@ -568,7 +570,7 @@ def test_kernels_reject_totals_beyond_the_limit():
 
 
 # ---------------------------------------------------------------------------
-# the byte parser against the row-wise parsers
+# the byte parser against the row-wise oracle, on generated tables
 # ---------------------------------------------------------------------------
 
 INT64_MAX = oracles.INT64_MAX
@@ -653,7 +655,8 @@ def _group_sum_overflow(tokens, schema):
     return tokens
 
 
-#: Faults the byte parser leaves to the row parser, one chunk at a time.
+#: Faults of a count cell, an id or a row's width: the count cells that
+#: are not plain digits are read by ``int``, one at a time.
 _ROW_FAULTS = {
     "letter": _on_count("x"),
     "negative": _on_count("-2"),
@@ -676,66 +679,49 @@ _ROW_FAULTS = {
     "group-sum-overflow": _group_sum_overflow,
 }
 
-#: Faults found only once a width's columns are grouped, which send every
-#: chunk with a row of that width to the row parser.
-_GROUP_FAULTS = {"count-above-trials", "group-sum-overflow"}
 
-#: Faults that send the whole file to the row parser, because its lines
-#: or blanks may differ from those of the byte parser.
+def _line_end(char):
+    """A fault that ends a row's line with ``char`` and puts a one-cell
+    line after it: the row parses, and the new line is malformed."""
+
+    def fault(tokens, schema):
+        return [*tokens[:-1], tokens[-1] + char + "x"]
+
+    return fault
+
+
+#: Faults that make a table not plain, so that it is read as UTF-8 text
+#: cut into lines by ``str.splitlines``: every line end but LF and CRLF,
+#: other control bytes, and non-ASCII ids, digits and blanks.
 _TEXT_FAULTS = {
     "non-ascii-id": lambda tokens, schema: ["naïve", *tokens[1:]],
     "non-ascii-digit": _on_count("٣"),
+    "full-width-digit": _on_count("３"),
     "lone-cr": lambda tokens, schema: ["a\rb", *tokens[1:]],
     "form-feed": lambda tokens, schema: ["a\x0cb", *tokens[1:]],
+    "vertical-tab": _line_end("\x0b"),
+    "file-separator": _line_end("\x1c"),
+    "group-separator": _line_end("\x1d"),
+    "record-separator": _line_end("\x1e"),
+    "next-line": _line_end("\x85"),
+    "line-separator": _line_end("\u2028"),
+    "paragraph-separator": _line_end("\u2029"),
+    "unit-separator-blank": lambda tokens, schema: [
+        f"\x1f{tokens[0]}\x1f", *tokens[1:]
+    ],
     "nul": lambda tokens, schema: ["a\x00b", *tokens[1:]],
+    "nbsp-indented-comment": lambda tokens, schema: ["\xa0#" + tokens[0], *tokens[1:]],
+    "id-trailing-nbsp": lambda tokens, schema: [tokens[0] + "\xa0", *tokens[1:]],
+    "bom-before-header": lambda tokens, schema: ["\ufeff" + tokens[0], *tokens[1:]],
 }
 
-
-@pytest.fixture
-def parser_calls(monkeypatch):
-    """The first file line of each chunk the row parser reads, and the
-    number of files read as text."""
-    calls = {"chunks": [], "text": 0}
-    parse_rows, parse_text = discrete_tests._parse_rows, discrete_tests._parse_text
-
-    def rows(texts, line_of, delim, schema):
-        calls["chunks"].extend(line_of[:1].tolist())
-        return parse_rows(texts, line_of, delim, schema)
-
-    def text(*args):
-        calls["text"] += 1
-        return parse_text(*args)
-
-    monkeypatch.setattr(discrete_tests, "_parse_rows", rows)
-    monkeypatch.setattr(discrete_tests, "_parse_text", text)
-    return calls
+#: Faults put on the header line rather than on a data row.
+_HEADER_FAULTS = {"bom-before-header"}
 
 
-def _outcome(parse, *args):
-    try:
-        return parse(*args)
-    except ValueError as exc:
-        return str(exc)
-
-
-def _same_parse(got, expected):
-    """Equal columns and data-row lines, or equal error messages."""
-    if isinstance(expected, str):
-        assert got == expected
-        return
-    (ids, *columns), line_of = got
-    (ids_expected, *expected_columns), line_of_expected = expected
-    assert ids == ids_expected
-    for a, b in zip(columns, expected_columns):
-        assert (a is None) == (b is None)
-        if b is not None:
-            assert a.dtype == np.int64 and np.array_equal(a, b)
-    assert np.array_equal(line_of, line_of_expected)
-
-
-def _check_against_row_parsers(data, schema):
-    """``ingest_counts`` against the row-wise oracle, and the byte
-    parser's columns, before any filter, against the text parser's."""
+def _check_against_oracle(data, schema):
+    """``ingest_counts`` gives the row-wise oracle's table, or its error
+    message."""
     try:
         expected = oracles.ingest_rows(io.BytesIO(data), schema)
     except ValueError as exc:
@@ -744,10 +730,6 @@ def _check_against_row_parsers(data, schema):
         assert str(got.value) == str(exc)
     else:
         _same_table(ingest_counts(io.BytesIO(data), schema), expected)
-    parsed = _outcome(discrete_tests._parse_bytes, data, schema)
-    if parsed is not None:
-        text = data.decode("utf-8")
-        _same_parse(parsed, _outcome(discrete_tests._parse_text, text, schema))
 
 
 _FUZZ_SCHEMAS = [
@@ -761,33 +743,27 @@ _FUZZ_SCHEMAS = [
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 @pytest.mark.parametrize("schema", _FUZZ_SCHEMAS, ids=_schema_id)
-def test_plain_tables_take_the_byte_parser(schema, newline, parser_calls):
+def test_plain_tables_take_the_byte_parser(schema, newline):
     """A plain table, with comments, blank lines, quotes and inner spaces
-    in ids, zero-padded and 19-digit counts and mixed widths, is read by
-    the byte parser alone, to the row-wise parsers' columns."""
+    in ids, zero-padded and 19-digit counts and mixed widths, is read as
+    it is, without being decoded into lines, to the oracle's table."""
     rng = np.random.default_rng(300 + _FUZZ_SCHEMAS.index(schema) + len(newline))
     for delim in (",", "\t"):
         for m in (0, 1, 2, 150):
             lines, _ = _plain_table(rng, schema, m, delim)
             for end in (newline, ""):
                 data = (newline.join(lines) + end).encode()
-                parser_calls.update(chunks=[], text=0)
-                _outcome(ingest_counts, io.BytesIO(data), schema)
-                assert parser_calls == {"chunks": [], "text": 0}
-                _check_against_row_parsers(data, schema)
+                assert discrete_tests._lines(data)[0] in (data, data + b"\n")
+                _check_against_oracle(data, schema)
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 3, 8, _DEFAULT_CHUNK])
+@pytest.mark.parametrize("chunk_rows", [1, 3, 8, _WHOLE_TABLE])
 @pytest.mark.parametrize("schema", _FUZZ_SCHEMAS, ids=_schema_id)
-def test_faults_at_chunk_edges_match_the_row_parsers(
-    schema, chunk_rows, parser_calls, monkeypatch
-):
-    """Each fault, on the first or last row of a chunk and at times on a
-    second row, gives the row-wise parsers' columns or first error. A
-    fault of a cell, an id or a width sends only its chunks to the row
-    parser; one that changes what a line or a blank is sends the whole
-    file."""
-    monkeypatch.setattr(discrete_tests, "_CHUNK_ROWS", chunk_rows)
+def test_faults_at_chunk_edges_match_the_row_parsers(schema, chunk_rows):
+    """Each fault, on the first or last data row of a run of
+    ``chunk_rows`` rows and at times on a second row (or on the header,
+    for a header fault), gives the row-wise oracle's table or first
+    error, its message and its line."""
     rng = np.random.default_rng(400 + _FUZZ_SCHEMAS.index(schema) + chunk_rows)
     faults = {**_ROW_FAULTS, **_TEXT_FAULTS}
     for name, fault in faults.items():
@@ -799,34 +775,18 @@ def test_faults_at_chunk_edges_match_the_row_parsers(
                 i for i in range(len(rows))
                 if i % chunk_rows in (0, chunk_rows - 1) or i == len(rows) - 1
             ]
-            at = {int(rng.choice(edges))}
+            at = {rows[int(rng.choice(edges))]}
             if rng.random() < 0.5:
-                at.add(int(rng.integers(0, len(rows))))
-            changed = set()
-            for i in at:
-                tokens = lines[rows[i]].split(delim)
-                faulted = delim.join(fault(list(tokens), schema))
-                if faulted != lines[rows[i]]:
-                    lines[rows[i]] = faulted
-                    changed.add(i)
-            data = (newline.join(lines) + newline).encode()
-            parser_calls.update(chunks=[], text=0)
-            error = isinstance(_outcome(ingest_counts, io.BytesIO(data), schema), str)
-            calls = parser_calls["chunks"]
-            # the first file line of each chunk that holds a changed row
-            starts = sorted({rows[i - i % chunk_rows] + 1 for i in changed})
-            if name in _TEXT_FAULTS and changed:
-                assert parser_calls["text"] == 1
-            elif name in _GROUP_FAULTS and changed:
-                # every chunk with a row of the faulted width, up to the
-                # first changed one, which names the error
-                assert error and parser_calls["text"] == 0
-                assert calls == sorted(set(calls)) and calls[-1] == starts[0]
-            else:
-                # the changed chunks, up to the first one with an error
-                assert parser_calls["text"] == 0
-                assert calls == (starts[: len(calls)] if error else starts)
-            _check_against_row_parsers(data, schema)
+                at.add(rows[int(rng.integers(0, len(rows)))])
+            if name in _HEADER_FAULTS:
+                # the first line that is neither blank nor a comment
+                header = (
+                    k for k, line in enumerate(lines) if line.lstrip()[:1] not in "#"
+                )
+                at = {next(header)}
+            for k in at:
+                lines[k] = delim.join(fault(lines[k].split(delim), schema))
+            _check_against_oracle((newline.join(lines) + newline).encode(), schema)
 
 
 # ---------------------------------------------------------------------------
