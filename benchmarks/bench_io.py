@@ -17,14 +17,16 @@ For each table the script prints the best wall time, over ``REPEAT``
 alternating rounds, of ``ingest_counts`` on the file's bytes; of
 ``ingest_counts`` on the same table with the first count of one row in
 ``SIGNED_EVERY`` written with a ``+`` sign, which ``int`` reads one
-cell at a time; and of ``ingest_counts`` on the same table made not
-plain, with one UTF-8 id and U+2028 (LINE SEPARATOR) line ends, whose
-line ends become line feeds first; the last two as ratios to the plain
-ingest. Then the best of ``REPEAT`` runs of writing ``features.csv``
-(id, p-value and support cell of every row) from the tested table,
-with the median minor page faults and system seconds
-(``resource.getrusage``) of one such write, and the file's size; and,
-as parts of that write, of formatting the support cells
+cell at a time; on the same table made not plain, with one UTF-8 id and
+U+2028 (LINE SEPARATOR) line ends, whose line ends become line feeds
+first; on the same table with the counts of one row in
+``DROPPED_EVERY`` set to 0, which the total filter (``min_total=1``)
+drops; and on the same table with one trailing blank line; the last
+four as ratios to the plain ingest. Then the best of ``REPEAT`` runs of
+writing ``features.csv`` (id, p-value and support cell of every row)
+from the tested table, with the median minor page faults and system
+seconds (``resource.getrusage``) of one such write, and the file's
+size; and, as parts of that write, of formatting the support cells
 (``_support_cells``) and the distinct p-values (``_float_cells``). The
 dyadic supports of ``bin`` send their exact ties to the formatter's
 ``%`` fallback; those of ``fet``, and the points of ``wide`` below
@@ -51,6 +53,9 @@ REPEAT = 5
 SEED = 0
 #: One row in this many has a ``+``-signed count in the signed case.
 SIGNED_EVERY = 4_096
+#: One row in this many is dropped by the total filter in the dropping
+#: case.
+DROPPED_EVERY = 10
 
 
 def _table_bytes(kind: str, m: int, rng: np.random.Generator) -> bytes:
@@ -93,6 +98,16 @@ def _not_plain(data: bytes) -> bytes:
     return "\u2028".join(lines).encode()
 
 
+def _with_drops(data: bytes) -> bytes:
+    """The same table with every count of one data row in
+    ``DROPPED_EVERY`` written as 0, below ``min_total=1``."""
+    lines = data.split(b"\n")
+    for i in range(1, len(lines) - 1, DROPPED_EVERY):
+        cells = lines[i].split(b",")
+        lines[i] = b",".join([cells[0]] + [b"0"] * (len(cells) - 1))
+    return b"\n".join(lines)
+
+
 def _best(fn, *args) -> tuple[float, object]:
     wall, _, _, out = _measured(fn, *args)
     return wall, out
@@ -130,7 +145,8 @@ def main() -> int:
     print(f"best of {REPEAT} runs; faults and system time: median of one write")
     print(
         f"{'table':15s} {'ingest':>10s} {'signed':>10s} {'not plain':>10s}"
-        f" {'features.csv':>13s} {'faults':>7s} {'system':>8s} {'size':>8s}"
+        f" {'dropping':>10s} {'blank end':>10s} {'features.csv':>13s}"
+        f" {'faults':>7s} {'system':>8s} {'size':>8s}"
         f" {'supports':>10s} {'p-values':>10s}  distinct supports"
     )
     cases = [("bin", m) for m in SIZES] + [("fet", m) for m in SIZES]
@@ -140,12 +156,16 @@ def main() -> int:
         for kind, m in cases:
             data = _table_bytes(kind, m, rng)
             schema = IngestSchema(kind="bin" if kind == "wide" else kind, min_total=1)
-            variants = [data, _with_signs(data), _not_plain(data)]
+            variants = [
+                data, _with_signs(data), _not_plain(data), _with_drops(data),
+                data + b"\n",
+            ]
             tables = [ingest_counts(io.BytesIO(v), schema) for v in variants]
             table = tables[0]
-            for other in tables[1:]:
+            for other in tables[1:3] + tables[4:]:
                 assert other.ids[1:] == table.ids[1:]
                 assert np.array_equal(other.group1, table.group1)
+            assert tables[3].dropped >= m // DROPPED_EVERY
             t_in, *t_other = _alternating(
                 *(lambda v=v: ingest_counts(io.BytesIO(v), schema) for v in variants)
             )
@@ -155,8 +175,9 @@ def main() -> int:
             t_sup, _ = _best(_support_cells, study)
             t_p, _ = _best(_float_cells, np.unique(study.pvalues))
             print(
-                f"{kind:4s} {m:>10d} {t_in * 1e3:8.1f}ms {ratios[0]:9.2f}x"
-                f" {ratios[1]:9.2f}x {t_out * 1e3:11.1f}ms"
+                f"{kind:4s} {m:>10d} {t_in * 1e3:8.1f}ms"
+                + "".join(f" {ratio:9.2f}x" for ratio in ratios)
+                + f" {t_out * 1e3:11.1f}ms"
                 f" {faults:7.0f} {system * 1e3:6.1f}ms"
                 f" {os.path.getsize(path) / 1e6:6.1f}MB"
                 f" {t_sup * 1e3:8.1f}ms {t_p * 1e3:8.1f}ms"

@@ -38,6 +38,13 @@ workload (``POOLED_REPS`` studies of ``POOLED_M`` features): one kernel
 call and one study per replication, against one kernel call on the
 pooled counts plus one ``Study.from_distinct`` slice per replication.
 
+The grouping case times the two ways ``_kernels._batch`` can group
+``m`` keys: ``_kernels.unique_below``, a pass over a bool array of the
+key range, against ``np.unique``, a sort, for uniform keys over ranges
+of ``GROUPING_RANGES`` times ``m``, at the batch size and at
+``TUNED_M``. ``_batch`` takes the first below ``_kernels._dense_keys(m)``
+keys.
+
 The large-total case times one binomial law and one negative-binomial
 law at each shape of ``LARGE_SHAPES`` at each total of ``LARGE_TOTALS``,
 up to the kernels' limit ``MAX_TOTAL``. There the cost grows with the
@@ -73,6 +80,9 @@ TUNED_M = 600
 #: Studies and features per study of the pooled-simulate case.
 POOLED_REPS = 50
 POOLED_M = 250
+
+#: Key ranges of the grouping case, in multiples of the number of keys.
+GROUPING_RANGES = (1, 4, 8, 16, 64)
 
 #: Conditioned totals of the one-law cases.
 LARGE_TOTALS = (2**16, 2**20, _kernels.MAX_TOTAL)
@@ -292,6 +302,20 @@ def main() -> int:
         f"a kernel call per study {t_alone * 1e3:.1f}ms, "
         f"one pooled call {t_pooled * 1e3:.1f}ms (kernel and studies)"
     )
+
+    print("\ngrouping m keys: unique_below / np.unique")
+    for m in (args.m, TUNED_M):
+        line = f"m {m:6d}:"
+        for times in GROUPING_RANGES:
+            keys = rng.integers(0, times * m, m)
+            t_dense, _ = _time(
+                _kernels.unique_below, keys, times * m, repeat=args.repeat
+            )
+            t_sort, _ = _time(
+                partial(np.unique, return_inverse=True), keys, repeat=args.repeat
+            )
+            line += f"  {times}m {t_dense * 1e3:.3f}/{t_sort * 1e3:.3f}ms"
+        print(line)
 
     print("\none law at a large total")
     for total in LARGE_TOTALS:

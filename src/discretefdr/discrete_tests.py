@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import IO
 
 import numpy as np
@@ -350,40 +349,54 @@ def _find_header(data: bytes) -> tuple[int, int, str]:
 
 
 def _data_rows(r: np.ndarray, delim: str):
-    """``(sep, last, start, lines)`` of the data rows in ``r``, the bytes
-    after the header: the offsets of their delimiters and line feeds, in
-    order; the index in ``sep`` of each row's line feed, so that its
-    cells end at ``sep[last[i - 1] + 1 : last[i] + 1]``; the offset each
-    row starts at; and which line of ``r`` it is."""
+    """``(sep, first, last, start, lines, other)`` of the data rows in
+    ``r``, the bytes after the header: the offsets of every line's
+    delimiters and line feeds, in order; the indices in ``sep`` of each
+    data row's first cell and of its line feed, so that its cells end at
+    ``sep[first[i] : last[i] + 1]``; the offset each row starts at; which
+    line of ``r`` it is; and the indices in ``sep`` of the cells of the
+    blank and comment lines, which are no row's.
+
+    Those lines keep their places in ``sep``, so one of them costs a pass
+    over its own cells rather than a copy of ``sep``."""
     sep = np.flatnonzero((r == ord(delim)) | (r == 0x0A))
     last = np.flatnonzero(r[sep] == 0x0A)
+    first = np.zeros_like(last)
+    first[1:] = last[:-1] + 1
     start = np.zeros_like(last)
     start[1:] = sep[last[:-1]] + 1
     lead = _LEAD.take(r[start])
     for j in np.flatnonzero(lead == 2).tolist():
         if r[start[j] : sep[last[j]]].tobytes().decode().lstrip()[:1] in "#":
             lead[j] = 1
-    lines = np.flatnonzero(lead != 1)
-    if lines.shape[0] < last.shape[0]:
-        sep = sep[np.repeat(lead != 1, np.diff(last, prepend=-1))]
-        last = np.flatnonzero(r[sep] == 0x0A)
-        start = start[lines]
-    return sep, last, start, lines
+    row = lead != 1
+    lines = np.flatnonzero(row)
+    if lines.shape[0] == last.shape[0]:
+        return sep, first, last, start, lines, np.empty(0, dtype=np.int64)
+    others = np.flatnonzero(lead == 1)
+    width = last[others] - first[others] + 1
+    shift = np.repeat(first[others] - (np.cumsum(width) - width), width)
+    other = shift + np.arange(shift.shape[0])
+    if not lines.shape[0] or lines[-1] == lines.shape[0] - 1:
+        # the rows come before every other line: slices, not copies
+        row = slice(lines.shape[0])
+    return sep, first[row], last[row], start[row], lines, other
 
 
-def _read_counts(r: np.ndarray, sep: np.ndarray, end: np.ndarray, first: np.ndarray):
+def _read_counts(r: np.ndarray, sep: np.ndarray, end: np.ndarray, skip: np.ndarray):
     """Each cell's count, read from its ASCII digits by positional
     arithmetic, and whether the cell is bad: empty, longer than
     ``_MAX_DIGITS``, not all digits or beyond ``_INT64_MAX``. Cell ``i``
     ends at ``end[i]`` and starts after ``sep[i - 1]``; the cells at
-    ``first``, the ids, read as 0 and are never bad."""
+    ``skip``, the ids and the cells of no row, read as 0 and are never
+    bad."""
     length = np.empty_like(sep)
     np.subtract(end[1:], sep[:-1], out=length[1:])
     length -= 1
-    length[first] = 0
+    length[skip] = 0
     digits = min(int(length.max(initial=0)), _MAX_DIGITS)
     bad = (length == 0) | (length > _MAX_DIGITS)
-    bad[first] = False
+    bad[skip] = False
     # up to 18 digits are exact in int64, and 19 in uint64
     value = np.zeros(sep.shape[0], np.uint64 if digits == _MAX_DIGITS else np.int64)
     # byte p of a cell from its end, for every cell at once; an offset
@@ -429,33 +442,37 @@ def _cut_ids(r: np.ndarray, start: np.ndarray, id_end: np.ndarray, delim: str):
 
 
 def _parse_bytes(data: bytes, schema: IngestSchema):
-    """``(ids, x1, r1, x2, r2)`` of a table's data rows and the file line
-    of each, or the :class:`ValueError` of its first malformed row.
+    """``(ids, x1, r1, x2, r2)`` of a table's data rows, and which rows
+    the schema's total filters keep; only the kept rows' ids are cut
+    out. Or the :class:`ValueError` of the first malformed row, else of
+    the first kept row beyond ``_kernels.MAX_TOTAL``.
 
     The file's lines are those of :func:`_lines`. Its data rows are cut
     at their delimiters with numpy, each count cell of one to
     ``_MAX_DIGITS`` ASCII digits is read by positional arithmetic and
-    every other count cell by ``int``, one at a time, and the ids are cut
-    out in one decode. Each row is flagged if its width is one the kind
-    does not allow, a count cell ``int`` refuses or beyond ``_INT64_MAX``,
-    a group sum beyond ``_INT64_MAX`` or a count above its trials; the
-    first flagged row's error is then found from that row alone.
+    every other count cell by ``int``, one at a time. Each row is flagged
+    if its width is one the kind does not allow, a count cell ``int``
+    refuses or beyond ``_INT64_MAX``, a group sum beyond ``_INT64_MAX``
+    or a count above its trials; the first flagged row's error is then
+    found from that row alone. The total filters then run on every row,
+    and only the kept rows' ids are cut out, in one decode.
     """
     data, crs = _lines(data)
     pos, header_line, delim = _find_header(data)
     r = np.frombuffer(data, dtype=np.uint8)[pos:]
-    sep, last, start, lines = _data_rows(r, delim)
+    sep, first, last, start, lines, other = _data_rows(r, delim)
     line_of = header_line + 1 + lines
     n = last.shape[0]
-    width = np.diff(last, prepend=-1)
-    first = last - width + 1
+    width = last - first + 1
     # a row's last cell ends at its line feed, or at the CR before it
     end = sep
     if crs:
         end = sep.copy()
         end[last] -= r[sep[last] - 1] == 0x0D
-    value, bad = _read_counts(r, sep, end, first)
-    # every other count cell is read by int; cell 0 is an id, never bad
+    value, bad = _read_counts(r, sep, end, np.concatenate((first, other)))
+    del other
+    # every other count cell is read by int; cell 0 is an id or no row's
+    # cell, never bad
     cells = np.flatnonzero(bad)
     bounds = zip((sep[cells - 1] + 1 + pos).tolist(), (end[cells] + pos).tolist())
     for c, (a, e) in zip(cells.tolist(), bounds):
@@ -483,13 +500,28 @@ def _parse_bytes(data: bytes, schema: IngestSchema):
         for whole, part in zip((x1, r1, x2, r2), grouped):
             if whole is not None:
                 whole[rows] = part
-    del value
+    # the counts are in x1, r1, x2 and r2 now
+    del value, rows, columns, grouped, part
     fault[np.searchsorted(first, np.flatnonzero(bad), side="right") - 1] = True
     if fault.any():
         i = int(fault.argmax())
         row = data[pos + start[i] : pos + stop[i]].decode()
         raise ValueError(f"line {line_of[i]}: {_row_fault(row.split(delim), schema)}")
-    return (_cut_ids(r, start, id_end, delim), x1, r1, x2, r2), line_of
+    keep = np.ones(n, dtype=bool)
+    for total in (r1, r2) if schema.kind == "fet" else (x1, x2):
+        if schema.min_total is not None:
+            keep &= total >= schema.min_total
+        if schema.max_total is not None:
+            keep &= total <= schema.max_total
+    _check_limit(x1, r1, x2, r2, keep, line_of)
+    # the ids outlive the call, so they are cut with as few arrays alive
+    # as can be: the others are freed, and the cut's own two are copied
+    # only if rows are dropped (each array alive pushes the ids up the
+    # heap, where they keep its top from being returned)
+    del first, last, width, stop, bad, fault, lines, line_of
+    if not keep.all():
+        start, id_end = start[keep], id_end[keep]
+    return (_cut_ids(r, start, id_end, delim), x1, r1, x2, r2), keep
 
 
 def _check_limit(x1, r1, x2, r2, keep, line_of) -> None:
@@ -539,30 +571,27 @@ def ingest_counts(source: IO[bytes], schema: IngestSchema) -> CountTable:
     control byte but tab, line feed and a carriage return before a line
     feed) is read as it is; any other is decoded as UTF-8 and its lines,
     cut as ``str.splitlines`` cuts them, joined with line feeds first.
-    The lines, rows and cells are then cut with numpy. Each count of one
-    to 19 ASCII digits is read by positional arithmetic (exact in int64
-    up to 18 digits; 19 are checked against the int64 range), and every
-    other count cell (a sign, ``_``, a blank, a non-ASCII digit, an
-    over-long cell) by ``int``, one cell at a time. The ids are cut out
-    in one decode and split, and only an id with a blank or a non-ASCII
-    character at either end is stripped. Each row is flagged if its
+    The lines, rows and cells are then cut with numpy; a blank or
+    comment line keeps its place among the delimiters, so it costs a
+    pass over its own cells, not over the table. Each count of one to 19
+    ASCII digits is read by positional arithmetic (exact in int64 up to
+    18 digits; 19 are checked against the int64 range), and every other
+    count cell (a sign, ``_``, a blank, a non-ASCII digit, an over-long
+    cell) by ``int``, one cell at a time. Each row is flagged if its
     width, a count, a group sum or a count above its trials is at fault,
     and the first flagged row's error is found from that row alone. The
-    total filters and the limit check then run as array operations.
+    total filters and the limit check then run as array operations, and
+    only the kept rows' ids are cut out, in one decode and split; only
+    an id with a blank or a non-ASCII character at either end is
+    stripped.
     """
-    (ids, x1, r1, x2, r2), line_of = _parse_bytes(source.read(), schema)
-
-    keep = np.ones(x1.shape[0], dtype=bool)
-    for total in (r1, r2) if schema.kind == "fet" else (x1, x2):
-        if schema.min_total is not None:
-            keep &= total >= schema.min_total
-        if schema.max_total is not None:
-            keep &= total <= schema.max_total
-    _check_limit(x1, r1, x2, r2, keep, line_of)
+    (ids, x1, r1, x2, r2), keep = _parse_bytes(source.read(), schema)
+    # the kept counts are copied here, once the parser's arrays are
+    # freed, so that they do not hold the heap's top above those arrays
     fet = schema.kind == "fet"
     return CountTable(
         kind=schema.kind,
-        ids=ids if keep.all() else list(compress(ids, keep.tolist())),
+        ids=ids,
         group1=x1[keep],
         group2=x2[keep],
         trials1=r1[keep] if fet else None,

@@ -34,6 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._kernels import unique_below
+
 
 class Study:
     """P-values with their null supports, optionally with truth labels.
@@ -46,11 +48,21 @@ class Study:
     kernels' layout once), in compressed rows: stored support ``k`` is
     ``support_flat[support_start[k]: support_start[k] + support_len[k]]``,
     and hypothesis ``i`` has stored support ``support_index[i]``.
-    The stored supports are laid out by ascending length, so the
-    supports of one length form one contiguous 2-D block. Per-support
-    statistics are computed blockwise, once per stored support, and
-    gathered through ``support_index``. The flat array is read-only
-    because hypotheses share its slices.
+    The stored supports are laid out by ascending length, then by the
+    start of the slice given, so the supports of one length form one
+    contiguous 2-D block. Per-support statistics are computed blockwise,
+    once per stored support, and gathered through ``support_index``.
+    The flat array is read-only because hypotheses share its slices.
+
+    A slice is known by its start and whether it is empty, never by its
+    contents. Every slice given must lie within the flat array, and the
+    nonempty slices that start at one place must have one length, as
+    valid supports do: each is strictly increasing and ends at 1, so it
+    ends at the first 1 from its start. Any other layout raises a
+    :class:`ValueError`. The slices are found without sorting the
+    hypotheses: each start is marked in a bool array as long as the flat
+    array, and one stable sort of the stored supports' lengths orders
+    them.
     """
 
     def __init__(
@@ -78,7 +90,10 @@ class Study:
         Hypothesis ``i``'s support is ``support_flat[support_start[i]:
         support_start[i] + support_len[i]]``, where ``support_flat``
         holds each law's support once and hypotheses that share a law
-        share its slice. Each slice is stored once, as given.
+        share its slice. Each slice is stored once, as given, under the
+        layout rules of :class:`Study`: a slice lies within
+        ``support_flat``, and nonempty slices with one start have one
+        length, or a :class:`ValueError` is raised.
         """
         study = cls.__new__(cls)
         study._store(pvalues, support_flat, support_start, support_len, truth)
@@ -93,17 +108,29 @@ class Study:
         length = np.asarray(length, dtype=np.int64)
         if length.shape[0] != self.pvalues.shape[0]:
             raise ValueError("supports and p-values must align")
-        # read each shared slice once; store it once, by ascending length
-        slot = start * (flat.shape[0] + 1) + length
-        _, at, index = np.unique(slot, return_index=True, return_inverse=True)
-        order = np.argsort(length[at], kind="stable")
-        position = np.argsort(order)
-        at = at[order]
-        self.support_len = length[at]
+        if np.any((start < 0) | (length < 0) | (start > flat.shape[0] - length)):
+            raise ValueError("a support slice lies outside support_flat")
+        # one slot per start, in ascending start
+        starts, slot = unique_below(start, flat.shape[0] + 1)
+        empty = length == 0
+        if empty.any():
+            # an empty slice at a start comes before a non-empty one there
+            keys, slot = unique_below(2 * slot + ~empty, 2 * starts.shape[0])
+            starts = starts[keys >> 1]
+        slot_len = np.zeros(starts.shape[0], dtype=np.int64)
+        slot_len[slot] = length
+        if not np.array_equal(slot_len[slot], length):
+            raise ValueError("support slices that start at one point differ in length")
+        # by ascending length, then start; uint16 lengths take a radix sort
+        short = slot_len.max(initial=0) < 2**16
+        order = np.argsort(slot_len.astype(np.uint16) if short else slot_len, kind="stable")
+        position = np.empty_like(order)
+        position[order] = np.arange(order.shape[0])
+        self.support_len = slot_len[order]
         self.support_start = np.cumsum(self.support_len) - self.support_len
-        shift = np.repeat(start[at] - self.support_start, self.support_len)
+        shift = np.repeat(starts[order] - self.support_start, self.support_len)
         self.support_flat = flat[shift + np.arange(shift.shape[0])]
-        self.support_index = position[index.reshape(-1)]
+        self.support_index = position[slot]
         self.support_flat.flags.writeable = False
         if truth is None:
             self.truth = None

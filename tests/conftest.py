@@ -40,6 +40,24 @@ def random_study(
     return discretefdr.Study(pvalues, supports)
 
 
+#: The arrays a ``Study`` stores.
+STUDY_ARRAYS = (
+    "pvalues", "support_flat", "support_start", "support_len",
+    "support_index", "truth",
+)
+
+
+def assert_same_study(got, expected) -> None:
+    """Every array of ``got`` has the dtype and the bits of
+    ``expected``'s (a study, or ``oracles.study_layout``'s namespace)."""
+    for name in STUDY_ARRAYS:
+        a, b = getattr(got, name), getattr(expected, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def random_pvalue_instance(
     rng: np.random.Generator, m: int, with_small: bool = True
 ) -> np.ndarray:

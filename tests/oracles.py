@@ -10,8 +10,10 @@ blockwise tables must match them bit for bit once ``floored``.
 
 The row-at-a-time count-table parser (``ingest_rows``) and CSV writer
 (``write_csv_rows``) are the references for the library's column-wise
-ones, and ``generate_scenario_alone`` (one kernel call per replication)
-for ``sim``'s pooled replications. ``procedure_results`` transcribes
+ones, ``generate_scenario_alone`` (one kernel call per replication) for
+``sim``'s pooled replications, and ``batch_by_unique`` and
+``study_layout``, which group by ``np.unique``, for the kernels' and
+``estimators.Study``'s grouping in linear time. ``procedure_results`` transcribes
 each procedure from the one-study estimates of ``pi0_loop`` and the
 one-study solvers ``threshold_loop`` and ``bh_sorted``, the reference
 for ``sim.evaluate_block``.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import stats
@@ -216,12 +219,52 @@ def batch_loop(kind: str, args, convention: str = "minlik"):
     return pvals, flat, start, length
 
 
+def batch_by_unique(make_laws, keys, observed, convention):
+    """Reference for ``_kernels._batch``: the same laws and tables, the
+    features grouped by ``np.unique`` at any key range."""
+    from discretefdr import _kernels
+
+    distinct, inverse = np.unique(np.asarray(keys, dtype=np.int64), return_inverse=True)
+    table_flat, table_start, flat, start, length = _kernels.tables(
+        make_laws(distinct), convention
+    )
+    pvalues = table_flat[table_start[inverse] + observed]
+    return pvalues, flat, start[inverse], length[inverse]
+
+
 def per_feature_layout(pvalues, flat, start, length):
     """Copy the kernels' shared support slices out to a layout in which
     every feature owns its own slice, laid out in feature order."""
     pieces = [flat[a : a + n] for a, n in zip(start.tolist(), length.tolist())]
     per_flat = np.concatenate(pieces) if pieces else np.empty(0)
     return pvalues, per_flat, np.cumsum(length) - length, length
+
+
+def study_layout(pvalues, flat, start, length, truth=None):
+    """Reference for the arrays ``estimators.Study`` stores, as a
+    namespace of ``pvalues``, ``support_flat``, ``support_start``,
+    ``support_len``, ``support_index`` and ``truth``: each distinct
+    ``(start, length)`` slice once, grouped by ``np.unique`` and ordered
+    by a stable sort on length, so by length and then start."""
+    flat = np.asarray(flat, dtype=np.float64)
+    start = np.asarray(start, dtype=np.int64)
+    length = np.asarray(length, dtype=np.int64)
+    slot = start * (flat.shape[0] + 1) + length
+    _, at, index = np.unique(slot, return_index=True, return_inverse=True)
+    order = np.argsort(length[at], kind="stable")
+    position = np.argsort(order)
+    at = at[order]
+    support_len = length[at]
+    support_start = np.cumsum(support_len) - support_len
+    shift = np.repeat(start[at] - support_start, support_len)
+    return SimpleNamespace(
+        pvalues=np.asarray(pvalues, dtype=np.float64),
+        support_flat=flat[shift + np.arange(shift.shape[0])],
+        support_start=support_start,
+        support_len=support_len,
+        support_index=position[index.reshape(-1)],
+        truth=None if truth is None else np.asarray(truth, dtype=bool),
+    )
 
 
 @dataclass(frozen=True)

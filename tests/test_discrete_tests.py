@@ -789,6 +789,81 @@ def test_faults_at_chunk_edges_match_the_row_parsers(schema, chunk_rows):
             _check_against_oracle((newline.join(lines) + newline).encode(), schema)
 
 
+_FILTER_SCHEMAS = [
+    IngestSchema(kind="bin", min_total=10, max_total=45),
+    IngestSchema(kind="bin", min_total=10),
+    IngestSchema(kind="fet", min_total=5, max_total=40),
+    IngestSchema(kind="fet", trials=30, min_total=8),
+    IngestSchema(kind="ent", size=0.7, reps=3, min_total=3, max_total=30),
+]
+
+#: Blanks that make an id stripped: ASCII blanks and a non-ASCII one.
+_ID_BLANKS = [" ", "\t", "\xa0", "\u2003"]
+
+
+@pytest.mark.parametrize("schema", _FILTER_SCHEMAS, ids=_schema_id)
+def test_only_the_kept_rows_ids_are_cut(schema, monkeypatch):
+    """Tables whose rows the total filters drop, with ids that need
+    stripping on dropped and kept rows alike, and at times a bad cell or
+    a total beyond the kernels' limit on a dropped or a kept row: the
+    table (ids, counts, ``dropped``) or the first error, its message and
+    its line, is the oracle's, and only the kept rows' ids are cut."""
+    cut = []
+    cut_ids = discrete_tests._cut_ids
+    monkeypatch.setattr(
+        discrete_tests, "_cut_ids",
+        lambda r, start, *rest: cut.append(start.shape[0]) or cut_ids(r, start, *rest),
+    )
+    rng = np.random.default_rng(500 + _FILTER_SCHEMAS.index(schema))
+    dropped = errors = 0
+    for _ in range(40):
+        delim = str(rng.choice([",", "\t"]))
+        # one row in eight holds a count beyond the limit: short tables
+        # may hold none
+        lines, rows = _plain_table(rng, schema, int(rng.integers(1, 60)), delim)
+        for k in rows:
+            if rng.random() < 0.3:
+                tokens = lines[k].split(delim)
+                lead, tail = rng.choice(_ID_BLANKS, 2)
+                tokens[0] = lead * int(rng.integers(0, 2)) + tokens[0] + tail
+                lines[k] = delim.join(tokens)
+        if rng.random() < 0.2:
+            k = rows[int(rng.integers(0, len(rows)))]
+            lines[k] = delim.join(_on_count("x")(lines[k].split(delim), schema))
+        data = ("\n".join(lines) + "\n").encode()
+        _check_against_oracle(data, schema)
+        cut.clear()
+        try:
+            table = ingest_counts(io.BytesIO(data), schema)
+        except ValueError:
+            errors += 1
+            assert not cut
+        else:
+            dropped += table.dropped
+            assert cut == [len(table)]
+    assert dropped > 0 and errors > 0
+
+
+@pytest.mark.parametrize("schema", _FUZZ_SCHEMAS[:3], ids=_schema_id)
+def test_blank_and_comment_lines_after_rows_match_the_oracle(schema):
+    """Blank and comment lines (with delimiters in them) before, among
+    and after the rows, one trailing blank line alone, or a table of
+    such lines only: the oracle's table or first error."""
+    rng = np.random.default_rng(600 + _FUZZ_SCHEMAS.index(schema))
+    extra = ["", "#", "# a,b\tc", "  # x,,", "\t", " , "]
+    for delim in (",", "\t"):
+        for m in (0, 1, 40):
+            lines, rows = _plain_table(rng, schema, m, delim)
+            for tail in ([""], extra, [str(rng.choice(extra))] * 3):
+                data = ("\n".join(lines + tail) + "\n").encode()
+                _check_against_oracle(data, schema)
+            mixed = list(lines)
+            picks = rng.choice(rows, min(m, 5), replace=False) if m else []
+            for k in sorted(picks, reverse=True):
+                mixed.insert(k + 1, str(rng.choice(extra)))
+            _check_against_oracle(("\n".join(mixed) + "\n").encode(), schema)
+
+
 # ---------------------------------------------------------------------------
 # table-level testing
 # ---------------------------------------------------------------------------

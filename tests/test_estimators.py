@@ -14,7 +14,8 @@ from discretefdr import (
 )
 from discretefdr.estimators import _support_means
 
-from conftest import random_study
+import oracles
+from conftest import assert_same_study, random_study
 from oracles import PValueProfile, null_expected_pvalue, profile, support_cdf
 
 
@@ -301,9 +302,13 @@ def test_study_stores_each_distinct_support_once():
     start = np.cumsum(length) - length
     start[12:] = np.arange(4)  # the empty slices at four distinct offsets
     pick = rng.integers(0, 16, 300)
-    study = Study.from_distinct(
+    layout = (
         rng.uniform(0.0, 1.0, 300), np.concatenate(pool), start[pick], length[pick]
     )
+    study = Study.from_distinct(*layout)
+    # the empty slices share their starts with nonempty ones
+    assert set(start[12:]) & set(start[:12])
+    assert_same_study(study, oracles.study_layout(*layout))
     assert len(study.distinct_supports()) == 16 < study.m
     for got, k in zip(study.supports, pick.tolist()):
         assert np.array_equal(got, pool[k])
@@ -400,3 +405,75 @@ def test_from_distinct_reads_any_float_layout_as_float64():
         assert pounds_hat_pi0(study).raw == pounds_hat_pi0(
             Study(args[0], [[0.25, 1.0], [0.5, 1.0], [0.25, 1.0]])
         ).raw
+
+
+def _kernel_layout(kind, convention, rng, m=500):
+    """A batch kernel's layout of ``m`` features, many sharing a key."""
+    from discretefdr import _kernels
+
+    if kind == "bin":
+        return _kernels.batch_binomial(
+            rng.integers(0, 30, m), rng.integers(0, 30, m), convention
+        )
+    if kind == "fet":
+        r = rng.integers(1, 15, (2, m))
+        x1, x2 = rng.binomial(r, 0.4)
+        return _kernels.batch_fisher(x1, r[0], x2, r[1], convention)
+    s1, s2 = rng.integers(0, 40, (2, m))
+    return _kernels.batch_negbinom(s1, s2, 3 * 0.689, convention)
+
+
+@pytest.mark.parametrize("convention", ["minlik", "doubling"])
+@pytest.mark.parametrize("kind", ["bin", "fet", "ent"])
+def test_study_stores_the_layout_oracle_arrays(kind, convention):
+    """``Study.from_distinct`` stores every array bit for bit as
+    ``np.unique`` grouping does, on the kernels' layout (features share
+    slices), on a layout of one slice per feature and on either with
+    truth labels."""
+    rng = np.random.default_rng(len(kind) * len(convention) + ord(kind[0]))
+    out = _kernel_layout(kind, convention, rng)
+    truth = rng.random(out[0].shape[0]) < 0.5
+    for layout in (out, oracles.per_feature_layout(*out)):
+        for labels in (None, truth):
+            study = Study.from_distinct(*layout, truth=labels)
+            assert_same_study(study, oracles.study_layout(*layout, labels))
+
+
+def test_study_of_supports_stores_the_layout_oracle_arrays():
+    """``Study(pvalues, supports)`` with empty supports, alone or among
+    nonempty ones, at every place in the list, stores the oracle's
+    arrays."""
+    rng = np.random.default_rng(46)
+    for share in (0.0, 0.3, 1.0):
+        supports = [
+            np.array([]) if rng.random() < share else s
+            for s in random_study(rng, 80).supports
+        ]
+        pvalues = rng.uniform(0.0, 1.0, 80)
+        length = np.array([s.shape[0] for s in supports])
+        flat = np.concatenate(supports)
+        start = np.cumsum(length) - length
+        expected = oracles.study_layout(pvalues, flat, start, length)
+        assert_same_study(Study(pvalues, supports), expected)
+
+
+def test_slices_at_one_start_of_two_lengths_are_refused():
+    """Two nonempty slices that start at one point must have one length,
+    as valid supports (increasing, ending at 1) do; an empty slice may
+    share a start with either."""
+    flat = [0.25, 0.5, 1.0]
+    Study.from_distinct([0.5, 1.0, 0.3], flat, [0, 0, 0], [3, 3, 0])
+    with pytest.raises(ValueError, match="differ in length"):
+        Study.from_distinct([0.5, 0.25], flat, [0, 0], [3, 2])
+    with pytest.raises(ValueError, match="differ in length"):
+        Study.from_distinct([0.5, 1.0, 0.25], flat, [1, 0, 0], [2, 3, 1])
+
+
+@pytest.mark.parametrize(
+    "start, length",
+    [([-1], [2]), ([2], [2]), ([4], [0]), ([0], [-1])],
+    ids=["before", "past-the-end", "empty-past-the-end", "negative-length"],
+)
+def test_slices_outside_the_flat_array_are_refused(start, length):
+    with pytest.raises(ValueError, match="outside support_flat"):
+        Study.from_distinct([0.5], [0.5, 1.0, 0.25], start, length)

@@ -205,6 +205,89 @@ def test_batch_kernels_take_empty_input(convention):
         assert [a.dtype for a in out] == [np.float64, np.float64, np.int64, np.int64]
 
 
+def _around_the_bound(kernel, past, rng, m=60):
+    """The arguments of ``m`` features of ``kernel`` (binomial or
+    negative binomial), many sharing a total, whose largest total is
+    the last key ``_batch`` groups without a sort (``past = 0``) or the
+    first it sorts (``past = 1``)."""
+    totals = rng.integers(0, 40, m)
+    totals[rng.choice(m, 3, replace=False)] = K._dense_keys(m) - 1 + past
+    totals[:2] = 0
+    x1 = rng.integers(0, totals + 1)
+    return (x1, totals - x1) + ((2.07,) if kernel == "negbinom" else ())
+
+
+@pytest.mark.parametrize("convention", ["minlik", "doubling"])
+@pytest.mark.parametrize("kernel", ["binomial", "negbinom"])
+@pytest.mark.parametrize("past", [0, 1], ids=["below-the-bound", "past-the-bound"])
+def test_both_groupings_match_grouping_by_unique(kernel, past, convention, monkeypatch):
+    """Keys just below ``_dense_keys(m)`` are grouped by ``unique_below``
+    and keys reaching it by ``np.unique``; either way the kernel's
+    4-tuple has every bit of the same laws grouped by ``np.unique``."""
+    rng = np.random.default_rng(7 + past + 2 * len(kernel) + len(convention))
+    args = _around_the_bound(kernel, past, rng)
+    run = getattr(K, f"batch_{kernel}")
+    calls = []
+    unique_below = K.unique_below
+    monkeypatch.setattr(
+        K, "unique_below", lambda *a: calls.append(a) or unique_below(*a)
+    )
+    got = run(*args, convention)
+    assert len(calls) == 1 - past
+    monkeypatch.setattr(K, "_batch", oracles.batch_by_unique)
+    expected = run(*args, convention)
+    for g, e in zip(got, expected, strict=True):
+        assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["binomial", "negbinom"])
+def test_two_keys_at_the_limit_are_grouped_without_an_array_of_their_range(
+    kernel, monkeypatch
+):
+    """Two features with totals near ``MAX_TOTAL`` are grouped in a few
+    bytes: the grouping allocates nothing near one byte per key value.
+    The laws are not built: the law builder stops the kernel."""
+    import tracemalloc
+
+    top = K.MAX_TOTAL
+    x1 = np.array([top // 2, 5])
+    x2 = np.array([top - top // 2, top - 6])
+    seen = []
+
+    class Grouped(Exception):
+        pass
+
+    def laws(distinct, *_):
+        seen.append((distinct.tolist(), tracemalloc.get_traced_memory()[1]))
+        raise Grouped
+
+    monkeypatch.setattr(K, f"{kernel}_laws", laws)
+    args = (x1, x2) + ((2.07,) if kernel == "negbinom" else ())
+    tracemalloc.start()
+    try:
+        with pytest.raises(Grouped):
+            getattr(K, f"batch_{kernel}")(*args)
+    finally:
+        tracemalloc.stop()
+    [(distinct, peak)] = seen
+    assert distinct == [top - 1, top]
+    assert peak < top // 64
+
+
+def test_unique_below_matches_unique():
+    """``unique_below`` gives ``np.unique``'s distinct values and
+    inverse, dtypes included, at bounds on either side of a byte of
+    marks and with no values."""
+    rng = np.random.default_rng(8)
+    cases = [(0, 0), (0, 9), (1, 1), (40, 7), (40, 8), (40, 9), (500, 130), (300, 5000)]
+    for n, bound in cases:
+        values = rng.integers(0, max(bound, 1), n)
+        got = K.unique_below(values, bound)
+        expected = np.unique(values, return_inverse=True)
+        for g, e in zip(got, expected, strict=True):
+            assert g.dtype == e.dtype and np.array_equal(g, e)
+
+
 # ---------------------------------------------------------------------------
 # the block builder against one law at a time
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from discretefdr import _kernels, sim
 from discretefdr.sim import _draw_parameters, _replication_rng
 
 import oracles
+from conftest import assert_same_study
 
 
 def _spec(**kw):
@@ -329,27 +330,17 @@ def test_false_discovery_proportion_is_the_one_row_case(kind, pi0):
             assert got.tobytes() == out.fdp[r, j, a].tobytes(), (r, name, alpha)
 
 
-_STUDY_ARRAYS = (
-    "pvalues", "support_flat", "support_start", "support_len",
-    "support_index", "truth",
-)
-
-
-def _assert_same_study(got, expected):
-    for name in _STUDY_ARRAYS:
-        a, b = getattr(got, name), getattr(expected, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
-
-
 def _cut(tested, m, truth):
     """The studies of the replications pooled in one kernel call's
-    result, each cut out of it with its own ``m`` rows."""
+    result, each cut out of it with its own ``m`` rows; each stores the
+    arrays the layout oracle does."""
     pvalues, flat, start, length = tested
     for a in range(0, pvalues.shape[0], m):
         rows = slice(a, a + m)
-        yield Study.from_distinct(
-            pvalues[rows], flat, start[rows], length[rows], truth=truth
-        )
+        cut = (pvalues[rows], flat, start[rows], length[rows])
+        study = Study.from_distinct(*cut, truth=truth)
+        assert_same_study(study, oracles.study_layout(*cut, truth))
+        yield study
 
 
 @pytest.mark.parametrize(
@@ -404,7 +395,7 @@ def test_pooled_replications_match_per_replication_oracle(
     assert len(studies) == reps
     for r, study in enumerate(studies):
         expected = oracles.generate_scenario_alone(spec, r)
-        _assert_same_study(study, expected)
+        assert_same_study(study, expected)
         for j, name in enumerate(methods):
             assert out.pi0_estimates[r, j] == compute_pi0(expected, name, 0.5, 1.0).value
         results = oracles.procedure_results(expected, procedures, alphas, 0.5, 1.0)
@@ -413,7 +404,7 @@ def test_pooled_replications_match_per_replication_oracle(
             assert np.array_equal(out.thresholds[r, j, a], res.t_alpha, equal_nan=True)
             assert out.rejections[r, j, a] == res.rejections
             assert out.fdp[r, j, a] == false_discovery_proportion(expected, res)
-    _assert_same_study(
+    assert_same_study(
         generate_scenario(spec, reps - 1),
         oracles.generate_scenario_alone(spec, reps - 1),
     )
