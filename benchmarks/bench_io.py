@@ -21,8 +21,10 @@ cell at a time; on the same table made not plain, with one UTF-8 id and
 U+2028 (LINE SEPARATOR) line ends, whose line ends become line feeds
 first; on the same table with the counts of one row in
 ``DROPPED_EVERY`` set to 0, which the total filter (``min_total=1``)
-drops; and on the same table with one trailing blank line; the last
-four as ratios to the plain ingest. Then the best of ``REPEAT`` runs of
+drops; on the same table with one trailing blank line, whose rows'
+arrays are views; and on the same table with one comment line at its
+middle, whose rows' arrays are gathered; the last five as ratios to the
+plain ingest. Then the best of ``REPEAT`` runs of
 writing ``features.csv`` (id, p-value and support cell of every row)
 from the tested table, with the median minor page faults and system
 seconds (``resource.getrusage``) of one such write, and the file's
@@ -108,6 +110,13 @@ def _with_drops(data: bytes) -> bytes:
     return b"\n".join(lines)
 
 
+def _with_comment(data: bytes) -> bytes:
+    """The same table with a comment line at the middle of its rows."""
+    lines = data.split(b"\n")
+    middle = len(lines) // 2
+    return b"\n".join(lines[:middle] + [b"# a comment"] + lines[middle:])
+
+
 def _best(fn, *args) -> tuple[float, object]:
     wall, _, _, out = _measured(fn, *args)
     return wall, out
@@ -145,7 +154,8 @@ def main() -> int:
     print(f"best of {REPEAT} runs; faults and system time: median of one write")
     print(
         f"{'table':15s} {'ingest':>10s} {'signed':>10s} {'not plain':>10s}"
-        f" {'dropping':>10s} {'blank end':>10s} {'features.csv':>13s}"
+        f" {'dropping':>10s} {'blank end':>10s} {'comment':>10s}"
+        f" {'features.csv':>13s}"
         f" {'faults':>7s} {'system':>8s} {'size':>8s}"
         f" {'supports':>10s} {'p-values':>10s}  distinct supports"
     )
@@ -158,7 +168,7 @@ def main() -> int:
             schema = IngestSchema(kind="bin" if kind == "wide" else kind, min_total=1)
             variants = [
                 data, _with_signs(data), _not_plain(data), _with_drops(data),
-                data + b"\n",
+                data + b"\n", _with_comment(data),
             ]
             tables = [ingest_counts(io.BytesIO(v), schema) for v in variants]
             table = tables[0]

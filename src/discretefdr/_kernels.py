@@ -393,6 +393,15 @@ def unique_below(values: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray
     all bytes, plus the marks below it in its own byte, from a table.
     Besides ``values`` it holds about one byte per place and a few
     integers per value.
+
+    Two plainer ranks were timed against it (medians of 200 calls, a
+    2-vCPU host): ``np.searchsorted(distinct, values)``, which needs no
+    table, took 0.55-0.7 ms on the 15 000 totals of the analyze-bin
+    input (85 distinct) and 1.9-2.2 ms on the support starts of
+    analyze-fet, where this function took 0.1-0.15 and 0.35-0.45 ms and
+    ``np.unique`` 0.22-0.32 and 0.6 ms; a running count of the marks
+    (``np.cumsum(mark)[values]``) holds 8 bytes per place and took
+    0.75-0.8 ms on those starts (140 247 places).
     """
     mark = np.zeros(bound, dtype=bool)
     mark[values] = True
