@@ -13,23 +13,25 @@ The inputs are drawn like those of the analyze benchmark workloads, at
   ``WIDE_SIZES`` rows: totals near 1 000, so a few hundred distinct
   supports of several hundred points, and rows of about 7.5 kB.
 
-For each table the script prints the best wall time, over ``REPEAT``
-alternating rounds, of ``ingest_counts`` on the file's bytes; of
-``ingest_counts`` on the same table with the first count of one row in
-``SIGNED_EVERY`` written with a ``+`` sign, which ``int`` reads one
-cell at a time; on the same table made not plain, with one UTF-8 id and
-U+2028 (LINE SEPARATOR) line ends, whose line ends become line feeds
-first; on the same table with the counts of one row in
+For each table the script times ``ingest_counts`` on the file's bytes;
+on the same table with the first count of one row in ``SIGNED_EVERY``
+written with a ``+`` sign, which ``int`` reads one cell at a time; on
+the same table made not plain, with one UTF-8 id and U+2028 (LINE
+SEPARATOR) line ends, which is decoded and cut into lines by
+``str.splitlines``; on the same table with the counts of one row in
 ``DROPPED_EVERY`` set to 0, which the total filter (``min_total=1``)
 drops; on the same table with one trailing blank line, whose rows'
 arrays are views; and on the same table with one comment line at its
-middle, whose rows' arrays are gathered; the last five as ratios to the
-plain ingest. Then the best of ``REPEAT`` runs of
-writing ``features.csv`` (id, p-value and support cell of every row)
-from the tested table, with the median minor page faults and system
-seconds (``resource.getrusage``) of one such write, and the file's
-size; and, as parts of that write, of formatting the support cells
-(``_support_cells``) and the distinct p-values (``_float_cells``). The
+middle, whose rows' arrays are gathered. The six are called in turn,
+``ROUNDS`` rounds at 15 000 rows and a tenth of that at more, and the
+script prints the median plain ingest and, for the other five, the
+median and quartiles of each round's ratio to the plain ingest, so that
+a difference of 2% can be read. Then, per table, the best of ``REPEAT``
+runs of writing ``features.csv`` (id, p-value and support cell of every
+row) from the tested table, with the median minor page faults and
+system seconds (``resource.getrusage``) of one such write, and the
+file's size; and, as parts of that write, of formatting the support
+cells (``_support_cells``) and the distinct p-values (``_float_cells``). The
 dyadic supports of ``bin`` send their exact ties to the formatter's
 ``%`` fallback; those of ``fet``, and the points of ``wide`` below
 1e-99, take its numpy path. Run with ``python3 benchmarks/bench_io.py``.
@@ -52,6 +54,9 @@ from discretefdr.cli import _float_cells, _support_cells, _write_features
 SIZES = (15_000, 150_000)
 WIDE_SIZES = (1_500,)
 REPEAT = 5
+#: Interleaved ingest rounds at up to 15 000 rows; larger tables take a
+#: tenth of them.
+ROUNDS = 300
 SEED = 0
 #: One row in this many has a ``+``-signed count in the signed case.
 SIGNED_EVERY = 4_096
@@ -122,16 +127,22 @@ def _best(fn, *args) -> tuple[float, object]:
     return wall, out
 
 
-def _alternating(*fns) -> list[float]:
-    """The best wall time of each of ``fns`` over ``REPEAT`` rounds, each
+def _alternating(fns, rounds: int) -> list[list[float]]:
+    """The wall times of each of ``fns`` over ``rounds`` rounds, each
     round calling every one of them in turn."""
     walls = [[] for _ in fns]
-    for _ in range(REPEAT):
+    for _ in range(rounds):
         for wall, fn in zip(walls, fns):
             start = time.perf_counter()
             fn()
             wall.append(time.perf_counter() - start)
-    return [min(wall) for wall in walls]
+    return walls
+
+
+def _spread(ratios: list[float]) -> str:
+    """Median and quartiles of ``ratios``."""
+    low, median, high = statistics.quantiles(ratios, n=4)
+    return f"{median:.3f} [{low:.3f}, {high:.3f}]"
 
 
 def _measured(fn, *args) -> tuple[float, float, float, object]:
@@ -151,43 +162,60 @@ def _measured(fn, *args) -> tuple[float, float, float, object]:
 
 def main() -> int:
     rng = np.random.default_rng(SEED)
-    print(f"best of {REPEAT} runs; faults and system time: median of one write")
-    print(
-        f"{'table':15s} {'ingest':>10s} {'signed':>10s} {'not plain':>10s}"
-        f" {'dropping':>10s} {'blank end':>10s} {'comment':>10s}"
-        f" {'features.csv':>13s}"
-        f" {'faults':>7s} {'system':>8s} {'size':>8s}"
-        f" {'supports':>10s} {'p-values':>10s}  distinct supports"
-    )
     cases = [("bin", m) for m in SIZES] + [("fet", m) for m in SIZES]
     cases += [("wide", m) for m in WIDE_SIZES]
+    print(
+        "ingest: median ms of the plain table; the others as the median"
+        " [quartiles] of each round's ratio to it"
+    )
+    names = ("signed", "not plain", "dropping", "blank end", "comment")
+    print(
+        f"{'table':11s} {'rounds':>6s} {'ingest':>8s}"
+        + "".join(f" {name:>22s}" for name in names)
+    )
+    tables = []
+    for kind, m in cases:
+        data = _table_bytes(kind, m, rng)
+        schema = IngestSchema(kind="bin" if kind == "wide" else kind, min_total=1)
+        variants = [
+            data, _with_signs(data), _not_plain(data), _with_drops(data),
+            data + b"\n", _with_comment(data),
+        ]
+        read = [ingest_counts(io.BytesIO(v), schema) for v in variants]
+        table = read[0]
+        for other in read[1:3] + read[4:]:
+            assert other.ids[1:] == table.ids[1:]
+            assert np.array_equal(other.group1, table.group1)
+        assert read[3].dropped >= m // DROPPED_EVERY
+        rounds = ROUNDS if m <= 15_000 else ROUNDS // 10
+        plain, *others = _alternating(
+            [lambda v=v: ingest_counts(io.BytesIO(v), schema) for v in variants], rounds
+        )
+        print(
+            f"{kind:4s} {m:>6d} {rounds:6d} {statistics.median(plain) * 1e3:6.2f}ms"
+            + "".join(
+                f" {_spread([t / p for t, p in zip(other, plain)]):>22s}"
+                for other in others
+            )
+        )
+        tables.append((kind, m, table))
+
+    print(
+        f"\nwrite: best of {REPEAT} runs; faults and system time: median of one write"
+    )
+    print(
+        f"{'table':11s} {'features.csv':>13s} {'faults':>7s} {'system':>8s}"
+        f" {'size':>8s} {'supports':>10s} {'p-values':>10s}  distinct supports"
+    )
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "features.csv")
-        for kind, m in cases:
-            data = _table_bytes(kind, m, rng)
-            schema = IngestSchema(kind="bin" if kind == "wide" else kind, min_total=1)
-            variants = [
-                data, _with_signs(data), _not_plain(data), _with_drops(data),
-                data + b"\n", _with_comment(data),
-            ]
-            tables = [ingest_counts(io.BytesIO(v), schema) for v in variants]
-            table = tables[0]
-            for other in tables[1:3] + tables[4:]:
-                assert other.ids[1:] == table.ids[1:]
-                assert np.array_equal(other.group1, table.group1)
-            assert tables[3].dropped >= m // DROPPED_EVERY
-            t_in, *t_other = _alternating(
-                *(lambda v=v: ingest_counts(io.BytesIO(v), schema) for v in variants)
-            )
-            ratios = [t / t_in for t in t_other]
+        for kind, m, table in tables:
             study = Study.from_distinct(*test_count_table(table))
             t_out, faults, system, _ = _measured(_write_features, path, table, study)
             t_sup, _ = _best(_support_cells, study)
             t_p, _ = _best(_float_cells, np.unique(study.pvalues))
             print(
-                f"{kind:4s} {m:>10d} {t_in * 1e3:8.1f}ms"
-                + "".join(f" {ratio:9.2f}x" for ratio in ratios)
-                + f" {t_out * 1e3:11.1f}ms"
+                f"{kind:4s} {m:>6d} {t_out * 1e3:11.1f}ms"
                 f" {faults:7.0f} {system * 1e3:6.1f}ms"
                 f" {os.path.getsize(path) / 1e6:6.1f}MB"
                 f" {t_sup * 1e3:8.1f}ms {t_p * 1e3:8.1f}ms"

@@ -39,11 +39,15 @@ call and one study per replication, against one kernel call on the
 pooled counts plus one ``Study.from_distinct`` slice per replication.
 
 The grouping case times the two ways ``_kernels._batch`` can group
-``m`` keys: ``_kernels.unique_below``, a pass over a bool array of the
-key range, against ``np.unique``, a sort, for uniform keys over ranges
-of ``GROUPING_RANGES`` times ``m``, at the batch size and at
-``TUNED_M``. ``_batch`` takes the first below ``_kernels._dense_keys(m)``
-keys.
+``m`` keys: ``_kernels.unique_below``, a running count of marks in a
+bool array of the key range, against ``np.unique``, a sort, for uniform
+keys over ranges of ``GROUPING_RANGES`` times ``m``, at the batch size
+and at ``TUNED_M``, each the best of ``GROUPING_ROUNDS`` calls.
+``_batch`` takes the first below ``_kernels._dense_keys(m)`` keys. One
+more batch is shaped like the support starts that ``Study`` groups on
+the analyze-fet input: ``STARTS_LAWS`` laws per feature, of 2 to 24
+points laid end to end (about 9 ``m`` places), each the support of at
+least one feature.
 
 The large-total case times one binomial law and one negative-binomial
 law at each shape of ``LARGE_SHAPES`` at each total of ``LARGE_TOTALS``,
@@ -81,8 +85,14 @@ TUNED_M = 600
 POOLED_REPS = 50
 POOLED_M = 250
 
-#: Key ranges of the grouping case, in multiples of the number of keys.
-GROUPING_RANGES = (1, 4, 8, 16, 64)
+#: Key ranges of the grouping case, in multiples of the number of keys,
+#: and the calls each is timed over.
+GROUPING_RANGES = (1, 4, 8, 16)
+GROUPING_ROUNDS = 200
+
+#: Laws per feature of the support-starts batch: 10 726 for 15 000
+#: features on the analyze-fet input of seed 2001.
+STARTS_LAWS = 0.715
 
 #: Conditioned totals of the one-law cases.
 LARGE_TOTALS = (2**16, 2**20, _kernels.MAX_TOTAL)
@@ -101,6 +111,17 @@ def _time(fn, *args, repeat: int):
         out = fn(*args)
         best = min(best, time.perf_counter() - start)
     return best, out
+
+
+def _support_starts(m: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """``m`` support starts shaped like those of analyze-fet, and the
+    places they lie below."""
+    laws = int(STARTS_LAWS * m)
+    length = rng.integers(2, 25, laws)
+    start = np.cumsum(length) - length
+    law = np.concatenate((np.arange(laws), rng.integers(0, laws, m - laws)))
+    rng.shuffle(law)
+    return start[law], int(length.sum()) + 1
 
 
 def _repeated(m: int, rng: np.random.Generator) -> dict:
@@ -303,19 +324,22 @@ def main() -> int:
         f"one pooled call {t_pooled * 1e3:.1f}ms (kernel and studies)"
     )
 
-    print("\ngrouping m keys: unique_below / np.unique")
-    for m in (args.m, TUNED_M):
-        line = f"m {m:6d}:"
-        for times in GROUPING_RANGES:
-            keys = rng.integers(0, times * m, m)
-            t_dense, _ = _time(
-                _kernels.unique_below, keys, times * m, repeat=args.repeat
-            )
-            t_sort, _ = _time(
-                partial(np.unique, return_inverse=True), keys, repeat=args.repeat
-            )
-            line += f"  {times}m {t_dense * 1e3:.3f}/{t_sort * 1e3:.3f}ms"
-        print(line)
+    print(f"\ngrouping m keys: unique_below / np.unique, best of {GROUPING_ROUNDS}")
+    cases = [
+        (m, "uniform", rng.integers(0, times * m, m), times * m)
+        for m in (args.m, TUNED_M)
+        for times in GROUPING_RANGES
+    ]
+    cases.append((args.m, "starts", *_support_starts(args.m, rng)))
+    for m, name, keys, bound in cases:
+        t_dense, _ = _time(_kernels.unique_below, keys, bound, repeat=GROUPING_ROUNDS)
+        t_sort, _ = _time(
+            partial(np.unique, return_inverse=True), keys, repeat=GROUPING_ROUNDS
+        )
+        print(
+            f"m {m:6d}, {name:>7s} keys below {bound / m:4.1f}m: "
+            f"{t_dense * 1e3:.3f} / {t_sort * 1e3:.3f}ms"
+        )
 
     print("\none law at a large total")
     for total in LARGE_TOTALS:

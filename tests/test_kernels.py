@@ -276,12 +276,16 @@ def test_two_keys_at_the_limit_are_grouped_without_an_array_of_their_range(
 
 def test_unique_below_matches_unique():
     """``unique_below`` gives ``np.unique``'s distinct values and
-    inverse, dtypes included, at bounds on either side of a byte of
-    marks and with no values."""
+    inverse, dtypes included: with no values, with values at
+    ``bound - 1`` and at a bound far above the number of values."""
     rng = np.random.default_rng(8)
-    cases = [(0, 0), (0, 9), (1, 1), (40, 7), (40, 8), (40, 9), (500, 130), (300, 5000)]
+    cases = [
+        (0, 0), (0, 9), (1, 1), (40, 7), (40, 8), (40, 9), (500, 130),
+        (300, 5000), (15_000, 150_000),
+    ]
     for n, bound in cases:
         values = rng.integers(0, max(bound, 1), n)
+        values[: min(n, 3)] = bound - 1
         got = K.unique_below(values, bound)
         expected = np.unique(values, return_inverse=True)
         for g, e in zip(got, expected, strict=True):
