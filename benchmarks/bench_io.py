@@ -30,11 +30,13 @@ a difference of 2% can be read. Then, per table, the best of ``REPEAT``
 runs of writing ``features.csv`` (id, p-value and support cell of every
 row) from the tested table, with the median minor page faults and
 system seconds (``resource.getrusage``) of one such write, and the
-file's size; and, as parts of that write, of formatting the support
-cells (``_support_cells``) and the distinct p-values (``_float_cells``). The
-dyadic supports of ``bin`` send their exact ties to the formatter's
-``%`` fallback; those of ``fet``, and the points of ``wide`` below
-1e-99, take its numpy path. Run with ``python3 benchmarks/bench_io.py``.
+file's size; and, as parts of that write, formatting the support cells
+(``_support_cells``) and the distinct p-values (``_float_cells``),
+called in turn for as many rounds as the table's ingest, with the
+median and quartiles of each one's milliseconds. The dyadic supports
+of ``bin`` send their exact ties to the formatter's ``%`` fallback;
+those of ``fet``, and the points of ``wide`` below 1e-99, take its
+numpy path. Run with ``python3 benchmarks/bench_io.py``.
 """
 
 from __future__ import annotations
@@ -122,11 +124,6 @@ def _with_comment(data: bytes) -> bytes:
     return b"\n".join(lines[:middle] + [b"# a comment"] + lines[middle:])
 
 
-def _best(fn, *args) -> tuple[float, object]:
-    wall, _, _, out = _measured(fn, *args)
-    return wall, out
-
-
 def _alternating(fns, rounds: int) -> list[list[float]]:
     """The wall times of each of ``fns`` over ``rounds`` rounds, each
     round calling every one of them in turn."""
@@ -139,9 +136,9 @@ def _alternating(fns, rounds: int) -> list[list[float]]:
     return walls
 
 
-def _spread(ratios: list[float]) -> str:
-    """Median and quartiles of ``ratios``."""
-    low, median, high = statistics.quantiles(ratios, n=4)
+def _spread(values: list[float]) -> str:
+    """Median and quartiles of ``values``."""
+    low, median, high = statistics.quantiles(values, n=4)
     return f"{median:.3f} [{low:.3f}, {high:.3f}]"
 
 
@@ -198,27 +195,32 @@ def main() -> int:
                 for other in others
             )
         )
-        tables.append((kind, m, table))
+        tables.append((kind, m, rounds, table))
 
     print(
-        f"\nwrite: best of {REPEAT} runs; faults and system time: median of one write"
+        f"\nwrite: best of {REPEAT} runs; faults and system time: median of one"
+        " write; supports and p-values: median [quartiles] ms of the ingest's"
+        " rounds, called in turn"
     )
     print(
         f"{'table':11s} {'features.csv':>13s} {'faults':>7s} {'system':>8s}"
-        f" {'size':>8s} {'supports':>10s} {'p-values':>10s}  distinct supports"
+        f" {'size':>8s} {'supports':>26s} {'p-values':>22s}  distinct supports"
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "features.csv")
-        for kind, m, table in tables:
+        for kind, m, rounds, table in tables:
             study = Study.from_distinct(*test_count_table(table))
             t_out, faults, system, _ = _measured(_write_features, path, table, study)
-            t_sup, _ = _best(_support_cells, study)
-            t_p, _ = _best(_float_cells, np.unique(study.pvalues))
+            pvalues = np.unique(study.pvalues)
+            t_sup, t_p = _alternating(
+                [lambda: _support_cells(study), lambda: _float_cells(pvalues)], rounds
+            )
             print(
                 f"{kind:4s} {m:>6d} {t_out * 1e3:11.1f}ms"
                 f" {faults:7.0f} {system * 1e3:6.1f}ms"
                 f" {os.path.getsize(path) / 1e6:6.1f}MB"
-                f" {t_sup * 1e3:8.1f}ms {t_p * 1e3:8.1f}ms"
+                f" {_spread([t * 1e3 for t in t_sup]):>26s}"
+                f" {_spread([t * 1e3 for t in t_p]):>22s}"
                 f"  {study.support_len.shape[0]}"
             )
     return 0

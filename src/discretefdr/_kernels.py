@@ -49,15 +49,16 @@ and a longer row takes another summation path), so each total is summed
 over its law's own length: one slice sum per distinct length in a
 block.
 
-The batch kernels group the features by conditioning key and build one
-law per distinct key. A batch of ``m`` keys below ``_dense_keys(m)``
-(``4 m + 1024``), such as the totals of a count table, is grouped with
-no sort, by :func:`unique_below`: a running count of marks in a bool
-array of the key range. Wider keys, such as the hypergeometric test's
-packed margins, are grouped by ``np.unique``. Both give the distinct
-keys in ascending order and the same index of each feature, so the laws,
-their order and every output bit are the same either way. Under minimum
-likelihood the hypergeometric test goes further: a table with margins
+The batch kernels, and ``estimators.Study`` its support starts, group
+by :func:`group_keys`: ``m`` keys below ``_dense_keys(m)`` (``4 m +
+1024``), such as the totals of a count table, with no sort, by
+:func:`unique_below`, a running count of marks in a bool array of the
+key range; wider keys, such as the hypergeometric test's packed
+margins, by ``np.unique``. The batch kernels build one law per distinct
+key. Both groupings give the distinct keys in ascending order and the
+same index of each feature, so the laws, their order and every output
+bit are the same either way. Under minimum likelihood the
+hypergeometric test goes further: a table with margins
 ``(r1, r2, s)`` and ``r1 > r2`` is tested as its mirror ``(r2, r1, s)``
 at the other group's count, so that a table and its mirror share one
 law (see :func:`batch_fisher`). The kernels return
@@ -394,7 +395,7 @@ def unique_below(values: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _dense_keys(m: int) -> int:
-    """The largest key range that ``_batch`` groups by
+    """The largest key range that :func:`group_keys` groups by
     :func:`unique_below` rather than by ``np.unique``, for ``m`` keys.
 
     ``benchmarks/bench_kernels.py``'s grouping case (uniform keys, best
@@ -408,22 +409,26 @@ def _dense_keys(m: int) -> int:
     return 4 * m + 1024
 
 
+def group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` of int64 ``keys``: by
+    :func:`unique_below` when all ``m`` of them lie in
+    ``[0, _dense_keys(m))``, else by ``np.unique``. Both give the same
+    distinct keys and the same index of each."""
+    bound = int(keys.max(initial=-1)) + 1
+    if bound <= _dense_keys(keys.shape[0]) and keys.min(initial=0) >= 0:
+        return unique_below(keys, bound)
+    return np.unique(keys, return_inverse=True)
+
+
 def _batch(make_laws, keys, observed, convention):
     """P-values of every feature and the shared slice of its support.
 
-    ``keys`` holds one nonnegative integer conditioning key per feature;
-    ``make_laws(distinct)`` builds the laws of the distinct keys.
-    ``observed[i]`` is feature ``i``'s outcome offset in its law. Keys
-    below ``_dense_keys(m)`` are grouped by :func:`unique_below`, others
-    (such as ``batch_fisher``'s packed margins) by ``np.unique``; both
-    give the same distinct keys and the same index of each.
+    ``keys`` holds one nonnegative integer conditioning key per feature,
+    grouped by :func:`group_keys`; ``make_laws(distinct)`` builds the
+    laws of the distinct keys. ``observed[i]`` is feature ``i``'s
+    outcome offset in its law.
     """
-    keys = np.asarray(keys, dtype=np.int64)
-    bound = int(keys.max(initial=-1)) + 1
-    if bound <= _dense_keys(keys.shape[0]) and keys.min(initial=0) >= 0:
-        distinct, inverse = unique_below(keys, bound)
-    else:
-        distinct, inverse = np.unique(keys, return_inverse=True)
+    distinct, inverse = group_keys(np.asarray(keys, dtype=np.int64))
     table_flat, table_start, flat, start, length = tables(
         make_laws(distinct), convention
     )

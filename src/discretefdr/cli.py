@@ -22,9 +22,10 @@ distinct cells and each row's index into them: a float column's
 distinct values (told apart by their bits, so that ``-0`` stays a cell
 of its own) are formatted by one numpy formatter that gives the bytes
 of ``%.9g`` (``_format_floats``; NaN and missing cells print as
-``NA``), and each stored support cell of ``features.csv`` is
-formatted once. Each distinct cell's width in bytes is known, so each
-row's is too, and the rows are written in spans of at most
+``NA``), and each stored support cell of ``features.csv`` is formatted
+once; either text is cut into its cells by one ``str.split``. Each
+distinct cell's width in bytes is known, so each row's is too, and the
+rows are written in spans of at most
 ``_WRITE_BYTES`` bytes (a wider row alone): a span's pieces are laid
 out in one list, each cell followed by a ``,`` or, after the last
 column, a line feed; each column fills its slots with one
@@ -235,54 +236,50 @@ _EXPONENT = (_EXPONENT | _U64(0x2D65)) << _U64(16)
 _EXPONENT[:5] = 0
 
 
-def _format_floats(values, end: str) -> tuple[str, np.ndarray]:
+def _format_floats(values, end: str | np.ndarray) -> tuple[str, np.ndarray]:
     """The ``%.9g`` text of every float in ``values`` (NaN as ``NA``),
-    each followed by the one ASCII character ``end``, as one string;
-    and each value's length without ``end``.
+    each followed by its terminator, as one string; and each value's
+    length without it. ``end`` is one ASCII character that ends every
+    value, or a ``uint8`` array of one terminator byte per value.
 
     The values are taken ``_CHUNK_ROWS`` at a time. A value in (0, 1],
     subnormals included, gets its exponent from ``log10`` and its nine
     digits from ``rint(x * 10**(8 - X))`` (a scale past 1e308 in two
-    steps), with one second try where rounding crosses a decade; those
-    digits are exact, because the scaled value is within about 4e-7 of
-    its true value, unless the scaled fraction lies within 1e-6 of one
-    half (an exact tie, such as 2**-13, rounds half to even). Those
-    values, and every other one (0, negatives, values above 1,
-    non-finite values), are formatted by ``%`` one at a time, so every
-    byte is that of
+    steps), in one try. Those digits are exact, because the scaled value
+    is within about 4e-7 of its true value, unless they miss [1e8, 1e9)
+    (``log10`` landed a decade off, or rounding carried into the next
+    decade) or the scaled fraction lies within 1e-6 of one half (an
+    exact tie, such as 2**-13, rounds half to even). Those values (1 of
+    analyze-fet's 140 246 support points, 12 of tune-ent's 3 293) and
+    every other one (0, negatives, values above 1, non-finite values)
+    are formatted by ``%`` one at a time, so every byte is that of
     ``"%.9g" % x``. Each value's bytes are laid out in a zero-padded
-    cell of 16 bytes (24 when a value's text takes 16) that ends in
-    ``end``, and the cells are compacted by dropping the zero bytes: 12.5
-    ms on analyze-fet's 140 246 support points, against 66 ms for ``%``
-    and 132 ms for ``np.strings.mod`` (medians of 30 interleaved calls).
+    cell of 16 bytes (24 when a value's text takes 16) whose last byte
+    is its terminator, and the cells are compacted by dropping the zero
+    bytes: 12.5 ms on analyze-fet's support points, against 66 ms for
+    ``%`` and 132 ms for ``np.strings.mod`` (medians of 30 interleaved
+    calls).
     """
     x = np.asarray(values, dtype=np.float64).reshape(-1)
-    parts, lengths = [], []
-    for a in range(0, x.shape[0], _CHUNK_ROWS):
-        chunk, length = _format_chunk(x[a : a + _CHUNK_ROWS], end)
-        parts.append(chunk)
-        lengths.append(length)
-    if not parts:
-        return "", np.zeros(0, dtype=np.uint8)
-    return "".join(parts), np.concatenate(lengths)
+    end = np.broadcast_to(np.uint8(ord(end)) if isinstance(end, str) else end, x.shape)
+    # no values make one empty chunk
+    texts, lengths = zip(*(
+        _format_chunk(x[a : a + _CHUNK_ROWS], end[a : a + _CHUNK_ROWS])
+        for a in range(0, max(x.shape[0], 1), _CHUNK_ROWS)
+    ))
+    return "".join(texts), np.concatenate(lengths)
 
 
-def _format_chunk(x: np.ndarray, end: str) -> tuple[str, np.ndarray]:
-    """``_format_floats`` on at most ``_CHUNK_ROWS`` values."""
+def _format_chunk(x: np.ndarray, end: np.ndarray) -> tuple[str, np.ndarray]:
+    """``_format_floats`` on at most ``_CHUNK_ROWS`` values and their
+    terminator bytes."""
     inside = (x > 0) & (x <= 1)
     unit = np.where(inside, x, 1.0)
     exp = np.floor(np.log10(unit)).astype(np.intp)
     scaled = _scaled(unit, exp)
     digits = np.rint(scaled)
-    # log10 may land one decade off next to a power of ten, and rounding
-    # may carry into the next decade: one more try at the right exponent
-    off = np.flatnonzero((digits >= 1e9) | (digits < 1e8))
-    if off.size:
-        exp[off] += np.where(digits[off] >= 1e9, 1, -1)
-        scaled[off] = _scaled(unit[off], exp[off])
-        digits[off] = np.rint(scaled[off])
-        inside[off[(digits[off] >= 1e9) | (digits[off] < 1e8)]] = False
-    exact = inside & (np.abs(scaled - digits) < 0.5 - 1e-6)
+    exact = inside & (digits >= 1e8) & (digits < 1e9)
+    exact &= np.abs(scaled - digits) < 0.5 - 1e-6
 
     d = digits.astype(np.intp)
     lead = d // 100_000_000
@@ -305,13 +302,13 @@ def _format_chunk(x: np.ndarray, end: str) -> tuple[str, np.ndarray]:
         | rest8 << _REST_SHIFT[cls]
     )
     cells[:, 1] = rest8 >> _U64(64) - _REST_SHIFT[cls] | _EXPONENT[-exp]
-    cells[:, -1] |= _U64(ord(end)) << _U64(56)
     length = _LENGTH[form] + (exp < -99)
     if texts:
         width = 8 * words
-        padded = [t.ljust(width - 1, b"\0") + end.encode() for t in texts]
+        padded = [t.ljust(width, b"\0") for t in texts]
         cells[slow] = np.array(padded, dtype=f"S{width}").view("<u8").reshape(-1, words)
         length[slow] = list(map(len, texts))
+    cells[:, -1] |= end.astype(_U64) << _U64(56)
     flat = cells.view(np.uint8).reshape(-1)
     return str(flat[flat != 0], "ascii"), length
 
@@ -405,30 +402,27 @@ def _support_cells(study: Study) -> tuple[list[str], np.ndarray]:
     """One cell per stored support: its points at 9 significant
     digits, joined by ``;``; and the width of each cell in bytes.
 
-    The study stores its supports one after another. They are taken in
-    runs of whole supports of at most ``_CHUNK_ROWS`` points (or one
-    longer support); each run is formatted by one ``_format_floats`` call
-    that ends every point with ``;``, and its cells are cut out of that
-    text at the offsets the points' lengths add up to, so the text is
-    held about once. The cells are ASCII and hold no character that
-    needs quoting.
+    The study stores its supports one after another by ascending
+    length, so the empty ones come first, as empty cells. The others are
+    taken in runs of whole supports of at most ``_CHUNK_ROWS`` points (or
+    one longer support); each run is formatted by one ``_format_floats``
+    call that ends a support's last point with a line feed and every
+    other point with ``;``, and cut into its cells by one ``str.split``,
+    so its text is held about once. The cells are ASCII and hold no
+    character that needs quoting.
     """
     start = study.support_start
     end = start + study.support_len
-    cells, widths = [], []
-    a = 0
+    a = int(np.searchsorted(study.support_len, 0, side="right"))
+    cells = [""] * a
     while a < start.shape[0]:
         b = max(a + 1, int(np.searchsorted(end, start[a] + _CHUNK_ROWS, side="right")))
-        text, length = _format_floats(study.support_flat[start[a] : end[b - 1]], ";")
-        begin = np.zeros(length.shape[0] + 1, dtype=np.intp)
-        np.cumsum(length + 1, dtype=np.intp, out=begin[1:])
-        lo = begin[start[a:b] - start[a]]
-        # an empty support is an empty cell
-        hi = np.maximum(begin[end[a:b] - start[a]] - 1, lo)
-        cells += [text[x:y] for x, y in zip(lo.tolist(), hi.tolist())]
-        widths.append(hi - lo)
+        ends = np.full(end[b - 1] - start[a], ord(";"), dtype=np.uint8)
+        ends[end[a:b] - 1 - start[a]] = ord("\n")
+        text, _ = _format_floats(study.support_flat[start[a] : end[b - 1]], ends)
+        cells += text.split("\n")[:-1]
         a = b
-    return cells, np.concatenate(widths)
+    return cells, _lengths(cells)
 
 
 def _read_bytes(path: str) -> bytes:

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import unique_below
+from ._kernels import group_keys
 
 
 class Study:
@@ -59,9 +59,8 @@ class Study:
     nonempty slices that start at one place must have one length, as
     valid supports do: each is strictly increasing and ends at 1, so it
     ends at the first 1 from its start. Any other layout raises a
-    :class:`ValueError`. The slices are found without sorting the
-    hypotheses: each start is marked in a bool array as long as the flat
-    array, and one stable sort of the stored supports' lengths orders
+    :class:`ValueError`. The slices are found by ``group_keys`` on their
+    starts, and one stable sort of the stored supports' lengths orders
     them; below 2**16 it sorts them as ``uint16``, by radix: 0.07 against
     0.57 ms as int64 on analyze-fet's 10 726 supports (medians of 300).
     """
@@ -112,11 +111,11 @@ class Study:
         if np.any((start < 0) | (length < 0) | (start > flat.shape[0] - length)):
             raise ValueError("a support slice lies outside support_flat")
         # one slot per start, in ascending start
-        starts, slot = unique_below(start, flat.shape[0] + 1)
+        starts, slot = group_keys(start)
         empty = length == 0
         if empty.any():
             # an empty slice at a start comes before a non-empty one there
-            keys, slot = unique_below(2 * slot + ~empty, 2 * starts.shape[0])
+            keys, slot = group_keys(2 * slot + ~empty)
             starts = starts[keys >> 1]
         slot_len = np.zeros(starts.shape[0], dtype=np.int64)
         slot_len[slot] = length

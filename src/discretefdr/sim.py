@@ -482,8 +482,8 @@ def evaluate_block(
 
 
 def false_discovery_proportion(study: Study, result: ThresholdResult) -> float:
-    """Realized fraction of rejected true nulls; 1 when nothing is
-    rejected: the one-row case of :func:`false_discovery_rows`."""
+    """Realized share V / max(R, 1) of true nulls among the R rejections
+    (0 if there are none): the one-row case of :func:`false_discovery_rows`."""
     if study.truth is None:
         raise ValueError("false discovery proportion needs truth labels")
     (fdp,) = false_discovery_rows(
@@ -498,9 +498,9 @@ def false_discovery_rows(
 ) -> np.ndarray:
     """Realized false discovery proportion of each row of ``pvalues`` at
     its threshold ``t``, with ``rejections`` p-values at most ``t``: the
-    share of true nulls among them, 1 where nothing is rejected."""
+    share V / max(R, 1) of true nulls among them, 0 where there are none."""
     false = np.count_nonzero((pvalues <= t[:, None]) & truth, axis=1)
-    return np.where(rejections == 0, 1.0, false / np.maximum(rejections, 1))
+    return false / np.maximum(rejections, 1)
 
 
 @dataclass

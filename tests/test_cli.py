@@ -911,13 +911,19 @@ def test_analyze_rejects_totals_beyond_the_limit(row, total, tmp_path, capsys):
 def _assert_formats_as_percent(values):
     """``_float_cells`` and ``_format_floats`` give the bytes of
     ``"%.9g" % x`` for every value, and ``NA`` for NaN, and their
-    lengths."""
+    lengths; ``_format_floats`` ends each value with the one terminator
+    given, or with its own byte of a terminator array."""
     x = np.asarray(values, dtype=np.float64)
     expected = ["NA" if v != v else "%.9g" % v for v in x.tolist()]
     cells, width = cli._float_cells(x)
     assert cells == expected and width.tolist() == list(map(len, expected))
     text, length = cli._format_floats(x, ";")
     assert text == "".join(e + ";" for e in expected)
+    assert length.tolist() == list(map(len, expected))
+    rng = np.random.default_rng(x.shape[0])
+    ends = rng.choice(np.frombuffer(b";\n,", dtype=np.uint8), x.shape[0])
+    text, length = cli._format_floats(x, ends)
+    assert text == "".join(e + chr(c) for e, c in zip(expected, ends.tolist()))
     assert length.tolist() == list(map(len, expected))
 
 
@@ -1059,7 +1065,11 @@ def test_support_cells_match_each_points_text_across_runs(chunk_rows, monkeypatc
     whatever the runs of at most ``_CHUNK_ROWS`` points (or one longer
     support) it is formatted in; an empty support is an empty cell, at
     the start, between runs and at the end. Each point is formatted
-    once."""
+    once. Some supports end in a point that the formatter hands to
+    ``%``: an exact tie and a value whose rounding carries into the next
+    decade; others in a decade's edge and ``FLOOR``."""
+    from discretefdr._kernels import FLOOR
+
     monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
     runs = []
     format_floats = cli._format_floats
@@ -1073,6 +1083,8 @@ def test_support_cells_match_each_points_text_across_runs(chunk_rows, monkeypatc
     length = np.array([0, 1, 2, 0, 5, 11, 3, 0, 8, 1, 0])
     flat = np.concatenate([np.sort(rng.random(n)) for n in length])
     flat[[1, 4]] = [1e-300, 2.0**-13]
+    # the last points of the supports of lengths 2, 5, 11 and 3
+    flat[[2, 7, 18, 21]] = [2.0**-13, np.nextafter(1e-5, 0), FLOOR, 9.9999999996e-05]
     study = Study.from_distinct(
         rng.random(length.shape[0]), flat, np.cumsum(length) - length, length
     )
@@ -1085,6 +1097,19 @@ def test_support_cells_match_each_points_text_across_runs(chunk_rows, monkeypatc
     assert width.tolist() == list(map(len, expected))
     assert sum(runs) == flat.shape[0]
     assert max(runs) <= max(chunk_rows, length.max())
+
+
+def test_support_cells_of_a_study_of_empty_supports_are_empty(monkeypatch):
+    """A study whose supports are all empty has only empty cells, one
+    per stored support, and formats no point."""
+    monkeypatch.setattr(cli, "_format_floats", None)
+    study = Study(np.array([0.5, 1.0, 0.25]), [np.empty(0)] * 3)
+    assert cli._support_cells(study)[0] == [""]
+    study = Study.from_distinct(
+        np.array([0.5, 1.0, 0.25]), np.array([0.5, 1.0]), np.arange(3), np.zeros(3)
+    )
+    cells, width = cli._support_cells(study)
+    assert cells == ["", "", ""] and width.tolist() == [0, 0, 0]
 
 
 def test_ingest_reads_the_benchmark_table_in_bytes():

@@ -274,10 +274,13 @@ def test_two_keys_at_the_limit_are_grouped_without_an_array_of_their_range(
     assert peak < top // 64
 
 
-def test_unique_below_matches_unique():
+def test_unique_below_matches_unique(monkeypatch):
     """``unique_below`` gives ``np.unique``'s distinct values and
     inverse, dtypes included: with no values, with values at
-    ``bound - 1`` and at a bound far above the number of values."""
+    ``bound - 1`` and at a bound far above the number of values. So does
+    ``group_keys``, on keys whose largest is just below ``_dense_keys``
+    of their number, which it groups by ``unique_below``, and on keys
+    reaching it, which it groups by ``np.unique``."""
     rng = np.random.default_rng(8)
     cases = [
         (0, 0), (0, 9), (1, 1), (40, 7), (40, 8), (40, 9), (500, 130),
@@ -290,6 +293,22 @@ def test_unique_below_matches_unique():
         expected = np.unique(values, return_inverse=True)
         for g, e in zip(got, expected, strict=True):
             assert g.dtype == e.dtype and np.array_equal(g, e)
+
+    calls = []
+    unique_below = K.unique_below
+    monkeypatch.setattr(
+        K, "unique_below", lambda *a: calls.append(a) or unique_below(*a)
+    )
+    for n in (1, 40, 500, 15_000):
+        for past in (0, 1):
+            values = rng.integers(0, K._dense_keys(n), n)
+            values[0] = K._dense_keys(n) - 1 + past
+            calls.clear()
+            got = K.group_keys(values)
+            assert len(calls) == 1 - past
+            expected = np.unique(values, return_inverse=True)
+            for g, e in zip(got, expected, strict=True):
+                assert g.dtype == e.dtype and np.array_equal(g, e)
 
 
 # ---------------------------------------------------------------------------

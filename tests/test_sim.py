@@ -298,7 +298,7 @@ def test_false_discovery_proportion_counting():
     res = ThresholdResult(0.5, 0.05, 4, rejected)
     assert false_discovery_proportion(study, res) == 0.5
     empty = ThresholdResult(0.0, math.nan, 0, np.empty(0, dtype=np.int64))
-    assert false_discovery_proportion(study, empty) == 1.0
+    assert false_discovery_proportion(study, empty) == 0.0
 
 
 def test_false_discovery_proportion_needs_truth_labels():
