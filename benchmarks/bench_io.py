@@ -26,14 +26,14 @@ middle, whose rows' arrays are gathered. The six are called in turn,
 ``ROUNDS`` rounds at 15 000 rows and a tenth of that at more, and the
 script prints the median plain ingest and, for the other five, the
 median and quartiles of each round's ratio to the plain ingest, so that
-a difference of 2% can be read. Then, per table, the best of ``REPEAT``
-runs of writing ``features.csv`` (id, p-value and support cell of every
-row) from the tested table, with the median minor page faults and
-system seconds (``resource.getrusage``) of one such write, and the
-file's size; and, as parts of that write, formatting the support cells
+a difference of 2% can be read. Then, per table, writing
+``features.csv`` (id, p-value and support cell of every row) from the
+tested table and, as parts of that write, formatting the support cells
 (``_support_cells``) and the distinct p-values (``_float_cells``),
 called in turn for as many rounds as the table's ingest, with the
-median and quartiles of each one's milliseconds. The dyadic supports
+median and quartiles of each one's milliseconds; the median minor page
+faults and system seconds (``resource.getrusage``) of ``REPEAT`` more
+writes, and the file's size. The dyadic supports
 of ``bin`` send their exact ties to the formatter's ``%`` fallback;
 those of ``fet``, and the points of ``wide`` below 1e-99, take its
 numpy path. Run with ``python3 benchmarks/bench_io.py``.
@@ -142,19 +142,17 @@ def _spread(values: list[float]) -> str:
     return f"{median:.3f} [{low:.3f}, {high:.3f}]"
 
 
-def _measured(fn, *args) -> tuple[float, float, float, object]:
-    """The best wall time of ``REPEAT`` calls, the median minor page
-    faults and system seconds of one call, and the last call's result."""
-    walls, faults, system, out = [], [], [], None
+def _faults(fn, *args) -> tuple[float, float]:
+    """The median minor page faults and system seconds of ``REPEAT``
+    calls."""
+    faults, system = [], []
     for _ in range(REPEAT):
         before = resource.getrusage(resource.RUSAGE_SELF)
-        start = time.perf_counter()
-        out = fn(*args)
-        walls.append(time.perf_counter() - start)
+        fn(*args)
         after = resource.getrusage(resource.RUSAGE_SELF)
         faults.append(after.ru_minflt - before.ru_minflt)
         system.append(after.ru_stime - before.ru_stime)
-    return min(walls), statistics.median(faults), statistics.median(system), out
+    return statistics.median(faults), statistics.median(system)
 
 
 def main() -> int:
@@ -198,25 +196,30 @@ def main() -> int:
         tables.append((kind, m, rounds, table))
 
     print(
-        f"\nwrite: best of {REPEAT} runs; faults and system time: median of one"
-        " write; supports and p-values: median [quartiles] ms of the ingest's"
-        " rounds, called in turn"
+        "\nwrite, supports and p-values: median [quartiles] ms of the ingest's"
+        f" rounds, called in turn; faults and system time: median of {REPEAT}"
+        " more writes"
     )
     print(
-        f"{'table':11s} {'features.csv':>13s} {'faults':>7s} {'system':>8s}"
+        f"{'table':11s} {'features.csv':>26s} {'faults':>7s} {'system':>8s}"
         f" {'size':>8s} {'supports':>26s} {'p-values':>22s}  distinct supports"
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "features.csv")
         for kind, m, rounds, table in tables:
             study = Study.from_distinct(*test_count_table(table))
-            t_out, faults, system, _ = _measured(_write_features, path, table, study)
             pvalues = np.unique(study.pvalues)
-            t_sup, t_p = _alternating(
-                [lambda: _support_cells(study), lambda: _float_cells(pvalues)], rounds
+            t_out, t_sup, t_p = _alternating(
+                [
+                    lambda: _write_features(path, table, study),
+                    lambda: _support_cells(study),
+                    lambda: _float_cells(pvalues),
+                ],
+                rounds,
             )
+            faults, system = _faults(_write_features, path, table, study)
             print(
-                f"{kind:4s} {m:>6d} {t_out * 1e3:11.1f}ms"
+                f"{kind:4s} {m:>6d} {_spread([t * 1e3 for t in t_out]):>26s}"
                 f" {faults:7.0f} {system * 1e3:6.1f}ms"
                 f" {os.path.getsize(path) / 1e6:6.1f}MB"
                 f" {_spread([t * 1e3 for t in t_sup]):>26s}"

@@ -25,9 +25,9 @@ output, the distinct keys, the laws built (each one support slice, which
 the study stores as one support), the blocks built, the share of the
 blocks' entries that are outcomes of a law rather than padding, and the
 kernel time per feature. The
-laws built equal the distinct keys, except for ``fisher`` under minimum
-likelihood: there a table and its mirror, margins ``(r1, r2, s)`` and
-``(r2, r1, s)``, share one law.
+laws built equal the distinct keys, except for ``fisher``: there a table
+and its mirror, margins ``(r1, r2, s)`` and ``(r2, r1, s)``, share one
+law under either convention.
 Unique-key batches of the binomial and negative-binomial tests need
 distinct totals, so each law grows with the batch; they are capped at
 ``UNIQUE_TOTALS`` features to keep them comparable.

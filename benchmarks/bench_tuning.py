@@ -7,10 +7,13 @@ of them with a raised group-2 mean, tested by the group-sum test under
 the tail-doubling convention. The grid is ``tune``'s default: 20
 lambdas times 5 epsilons, with ``B`` resamples.
 
-For each ``m`` in ``SIZES`` the script prints the best wall time over
-``REPEAT`` runs, and the tracemalloc peak of one run, of:
+For each ``m`` in ``SIZES`` the script calls the two below in turn,
+``ROUNDS`` rounds at tune-ent's 600 features and proportionally fewer
+(at least ``MIN_ROUNDS``) at more, and prints the median [quartiles] of
+each one's wall time next to the tracemalloc peak of one call:
 
-* ``bootstrap_tune``, which turns the shared B x m resample index into
+* ``bootstrap_tune``, which takes every distinct lambda's support
+  floors in one call, turns the shared B x m resample index into
   multiplicity counts and reduces them against each distinct lambda's
   columns;
 * ``oracles.bootstrap_shared_gather`` (from ``tests/oracles.py``), which
@@ -23,6 +26,7 @@ Run with ``python3 benchmarks/bench_tuning.py``.
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 import time
 import tracemalloc
@@ -37,7 +41,10 @@ import oracles  # noqa: E402
 
 SIZES = (600, 6_000, 60_000)
 B = 100
-REPEAT = 3
+#: Rounds at 600 features; a size of m takes ``ROUNDS * 600 // m`` of
+#: them, and at least ``MIN_ROUNDS``.
+ROUNDS = 200
+MIN_ROUNDS = 5
 SEED = 0
 ENT_SIZE = 0.689
 SAMPLES = 3
@@ -60,13 +67,22 @@ def _study(m: int, rng: np.random.Generator) -> Study:
     return Study.from_distinct(*out)
 
 
-def _best(fn, *args) -> float:
-    best = float("inf")
-    for _ in range(REPEAT):
-        start = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return best
+def _alternating(fns, args, rounds: int) -> list[list[float]]:
+    """The wall times of each of ``fns`` on ``args`` over ``rounds``
+    rounds, each round calling every one of them in turn."""
+    walls = [[] for _ in fns]
+    for _ in range(rounds):
+        for wall, fn in zip(walls, fns):
+            start = time.perf_counter()
+            fn(*args)
+            wall.append(time.perf_counter() - start)
+    return walls
+
+
+def _spread_ms(values: list[float]) -> str:
+    """Median [quartiles] of ``values``, in milliseconds."""
+    low, median, high = statistics.quantiles([v * 1e3 for v in values], n=4)
+    return f"{median:.2f} [{low:.2f}, {high:.2f}]"
 
 
 def _peak_mb(fn, *args) -> float:
@@ -82,17 +98,18 @@ def main() -> int:
     rng = np.random.default_rng(SEED)
     points = [(lam, eps) for lam in LAMBDAS for eps in EPSILONS]
     grid = TuningGrid(points, B=B, seed=SEED)
-    print(f"{len(grid.points)} grid points, B = {B}; best of {REPEAT} runs, "
-          "tracemalloc peak of one")
-    print(f"{'m':>7s} {'bootstrap_tune':>15s} {'peak':>9s} "
-          f"{'per-point oracle':>17s} {'peak':>9s}")
+    print(f"{len(grid.points)} grid points, B = {B}; median [quartiles] ms of "
+          "the rounds, called in turn; tracemalloc peak of one call")
+    print(f"{'m':>7s} {'rounds':>6s} {'bootstrap_tune':>24s} {'peak':>9s} "
+          f"{'per-point oracle':>26s} {'peak':>9s}")
     for m in SIZES:
         study = _study(m, rng)
         cases = (bootstrap_tune, oracles.bootstrap_shared_gather)
-        times = [_best(fn, study, grid) for fn in cases]
+        rounds = max(MIN_ROUNDS, ROUNDS * 600 // m)
+        walls = _alternating(cases, (study, grid), rounds)
         peaks = [_peak_mb(fn, study, grid) for fn in cases]
-        print(f"{m:>7d} {times[0] * 1e3:13.1f}ms {peaks[0]:7.1f}MB "
-              f"{times[1] * 1e3:15.1f}ms {peaks[1]:7.1f}MB")
+        print(f"{m:>7d} {rounds:6d} {_spread_ms(walls[0]):>24s} {peaks[0]:7.1f}MB "
+              f"{_spread_ms(walls[1]):>26s} {peaks[1]:7.1f}MB")
     return 0
 
 

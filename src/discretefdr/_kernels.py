@@ -30,7 +30,10 @@ Two two-sided conventions turn a law into a table of outcome p-values:
   ``TIE_RTOL`` so that outcomes with mathematically equal
   probabilities (for example symmetric pairs computed through
   floating-point log-gamma) fall into the same tie class;
-* tail doubling: twice the smaller tail, capped at 1.
+* tail doubling: twice the smaller tail, capped at 1. A doubled tail
+  within ``TIE_RTOL`` of 1 is 1: the median outcome's doubled tail is
+  at least 1 in exact arithmetic, so rounding must not leave a support
+  that ends just below 1.
 
 ``tables`` builds the table and the support (the sorted distinct
 p-values) of many laws at once, with no Python loop per law. It takes
@@ -40,14 +43,12 @@ working arrays stay in a core's L2 cache, and its longest law is at most
 twice its shortest. A block is as wide as its longest law, and each
 shorter law is padded with zero weights. Zero weights sort first and add
 nothing to any running sum, so padding changes no bit of a
-minimum-likelihood table or of a doubling tail. Under minimum likelihood
-one stable sort per block serves both the table and the supports: the
-p-values come out in ascending order, and each support is read off them,
-its padding dropped and equal neighbours masked. The one sum that
-padding would change is a doubling law's total (numpy sums pairwise,
-and a longer row takes another summation path), so each total is summed
-over its law's own length: one slice sum per distinct length in a
-block.
+minimum-likelihood table or of a doubling table: each law's total is the
+last entry of its running sum, which padding leaves as it is (a pairwise
+row sum would not: numpy sums a longer row along another path). Under
+minimum likelihood one stable sort per block serves both the table and
+the supports: the p-values come out in ascending order, and each support
+is read off them, its padding dropped and equal neighbours masked.
 
 The batch kernels, and ``estimators.Study`` its support starts, group
 by :func:`group_keys`: ``m`` keys below ``_dense_keys(m)`` (``4 m +
@@ -57,11 +58,10 @@ key range; wider keys, such as the hypergeometric test's packed
 margins, by ``np.unique``. The batch kernels build one law per distinct
 key. Both groupings give the distinct keys in ascending order and the
 same index of each feature, so the laws, their order and every output
-bit are the same either way. Under minimum likelihood the
-hypergeometric test goes further: a table with margins
-``(r1, r2, s)`` and ``r1 > r2`` is tested as its mirror ``(r2, r1, s)``
-at the other group's count, so that a table and its mirror share one
-law (see :func:`batch_fisher`). The kernels return
+bit are the same either way. The hypergeometric test goes further: a
+table with margins ``(r1, r2, s)`` and ``r1 > r2`` is tested as its
+mirror ``(r2, r1, s)`` at the other group's count, so that a table and
+its mirror share one law (see :func:`batch_fisher`). The kernels return
 ``(pvalues, support_flat, support_start, support_len)``:
 feature ``i``'s support is
 ``support_flat[support_start[i]: support_start[i] + support_len[i]]``.
@@ -136,8 +136,13 @@ _STIRLING_SHAPE = 13.0
 
 
 def log_binomial_coefficients(lf: np.ndarray, n, j):
-    """``log C(n, j)`` from the log-factorial table ``lf``."""
-    return lf[n] - lf[j] - lf[n - j]
+    """``log C(n, j)`` from the log-factorial table ``lf``.
+
+    ``lf[j] + lf[n - j]`` is summed first: the sum does not depend on the
+    order of its terms, so the outcomes ``j`` and ``n - j`` get the same
+    bits, and mirror outcomes the same p-value.
+    """
+    return lf[n] - (lf[j] + lf[n - j])
 
 
 def log_negbinom_coefficients(j_max: int, k: float) -> tuple[np.ndarray, float]:
@@ -273,24 +278,22 @@ def _minlik_block(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pv, at
 
 
-def _doubling_block(w: np.ndarray, length: np.ndarray) -> np.ndarray:
+def _doubling_block(w: np.ndarray) -> np.ndarray:
     """Tail-doubling tables of a block of zero-padded weight rows, in
-    place; row ``r`` holds a law of ``length[r]`` outcomes, in ascending
-    length.
+    place.
 
-    Each row's total is summed over its own length, as one slice sum per
-    distinct length: the padded row would take another pairwise path.
+    A row's tails are its running sums from either end, and its total
+    the lower one's last entry, as in :func:`_minlik_block`: padding
+    weighs 0 and comes last, so it changes no bit of a law's table. A
+    doubled tail within ``TIE_RTOL`` of 1 is set to 1.
     """
-    total = np.empty((w.shape[0], 1))
-    cuts = np.flatnonzero(np.diff(length)) + 1
-    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), w.shape[0]]):
-        total[a:b, 0] = w[a:b, : length[a]].sum(axis=1)
-    w /= total
     lower = np.cumsum(w, axis=1)
     upper = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
     np.minimum(lower, upper, out=w)
+    w /= lower[:, -1:]
     w *= 2.0
-    return np.minimum(w, 1.0, out=w)
+    np.copyto(w, 1.0, where=w >= 1.0 - TIE_RTOL)
+    return w
 
 
 def _supports(sorted_pv: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -340,7 +343,10 @@ def tables(laws, convention: str = "minlik"):
     support, the table's sorted distinct values, is the matching slice
     of ``support_flat``. A block's laws are consecutive rows of
     ``table_flat`` as wide as its longest law, so the entries past a
-    shorter law's length belong to no outcome.
+    shorter law's length belong to no outcome. Each block is built with
+    no loop over its laws or their lengths: under either convention a
+    law's total is its running sum's last entry, which padding leaves
+    as it is.
     """
     length, law_logw = laws
     minlik = {"minlik": True, "doubling": False}[convention]
@@ -363,7 +369,7 @@ def tables(laws, convention: str = "minlik"):
             np.maximum(sorted_pv, FLOOR, out=sorted_pv)
             w.reshape(-1)[at] = sorted_pv
         else:
-            np.maximum(_doubling_block(w, n[:, 0]), FLOOR, out=w)
+            np.maximum(_doubling_block(w), FLOOR, out=w)
             sorted_pv = np.sort(w, axis=1)
         piece, count = _supports(sorted_pv, n)
         pieces.append(piece)
@@ -467,16 +473,13 @@ def batch_fisher(x1, r1, x2, r2, convention: str = "minlik"):
     Margins ``(r1[i], r2[i], s = x1 + x2)`` fix the attainable range of
     ``a = x1``; the null law of ``a`` is hypergeometric.
 
-    Under minimum likelihood a table with ``r1 > r2`` is tested as its
-    mirror, margins ``(r2, r1, s)`` at outcome ``x2``, so the keys
-    ``(r1, r2, s)`` and ``(r2, r1, s)`` share one law and one support
-    slice. That is exact: the weight of ``a`` is ``log C(r1, a) + log
-    C(r2, s - a)``, and the mirror's weight of ``s - a`` is the IEEE sum
-    of the same two terms in the other order, so both laws hold the same
-    multiset of weights and every outcome gets the same running sum, tie
-    class, floor and support bits. Tail doubling keeps the ordered keys:
-    its total is a pairwise sum whose bits depend on the order of the
-    outcomes, so a law and its mirror may divide by totals an ulp apart.
+    A table with ``r1 > r2`` is tested as its mirror, margins ``(r2, r1,
+    s)`` at outcome ``x2``, so the keys ``(r1, r2, s)`` and ``(r2, r1,
+    s)`` share one law and one support slice, and swapping the groups
+    changes no bit. Both conventions give the mirror's outcome the same
+    p-value: the weight of ``a`` is ``log C(r1, a) + log C(r2, s - a)``,
+    the mirror's weight of ``s - a`` is the same two terms in the other
+    order, and the lower tail of one law is the upper tail of the other.
     """
     x1 = np.asarray(x1, dtype=np.int64)
     r1 = np.asarray(r1, dtype=np.int64)
@@ -485,10 +488,9 @@ def batch_fisher(x1, r1, x2, r2, convention: str = "minlik"):
     if np.any(r1 > MAX_TOTAL) or np.any(r2 > MAX_TOTAL):
         raise ValueError(f"trials exceed the largest supported total {MAX_TOTAL}")
     ss = x1 + x2
-    if convention == "minlik":
-        swap = r1 > r2
-        r1, r2 = np.where(swap, r2, r1), np.where(swap, r1, r2)
-        x1 = np.where(swap, x2, x1)
+    swap = r1 > r2
+    r1, r2 = np.where(swap, r2, r1), np.where(swap, r1, r2)
+    x1 = np.where(swap, x2, x1)
     lo = np.maximum(0, ss - r2)
     # one int64 key per table, in the order of (r1, r2, s): the rank of
     # its margins packed in 44 bits (each below 2^22), then s in 23 bits

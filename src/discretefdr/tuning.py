@@ -13,13 +13,18 @@ rule of Storey, Taylor & Siegmund (2004): one B x m resample index is
 drawn from ``SeedSequence(seed)``. A resample's estimate at ``(lambda,
 epsilon)`` is ``(E - epsilon * G) / ((1 - lambda) * m)``, where ``E``
 sums the exceedance indicators ``1{p_i > lambda}`` and ``G`` the floor
-gaps ``lambda - floor_i`` over the resample. So the index is turned into
-per-resample multiplicity counts, a bounded block of resamples at a
-time, and reduced against each distinct lambda's two columns once,
-whatever the number of epsilons. The same columns give the full-sample
-estimates. Given the target, a point's MSE depends only on its own pair,
-the study, B and the seed: adding, removing or reordering other grid
-points never changes its bits.
+gaps ``lambda - floor_i`` over the resample. The floors of every
+distinct lambda come from one ``Study.support_floor`` call on the
+ascending lambdas, and give each lambda its two rows of parts. The
+index is turned into per-resample multiplicity counts, a bounded block
+of resamples at a time, and reduced against each distinct lambda's two
+rows once, whatever the number of epsilons. The same rows give the
+full-sample estimates: each lambda's epsilons form one block of terms,
+reduced row by row, which gives each point's bits as its own row alone
+would, with no grid-point-by-hypothesis gather. Given the target, a
+point's MSE depends only on its own pair, the study, B and the seed:
+adding, removing or reordering other grid points never changes its
+bits.
 
 On a grid with ``epsilon = 0`` everywhere (or uniform-null profiles)
 the procedure reduces to the classical bootstrap tuning of the
@@ -126,11 +131,15 @@ def bootstrap_tune(study: Study, grid: TuningGrid) -> TuningResult:
     lam_of, eps_of = np.array(points).T
     lams, which = np.unique(lam_of, return_inverse=True)
     parts = np.empty((lams.shape[0], 2, m))
-    for k, lam in enumerate(lams.tolist()):
-        parts[k] = _exceedance_parts(study.pvalues, study.support_floor(lam), lam)
-    full = _clip01(
-        _adjusted_raw(parts[which, 0], parts[which, 1], eps_of[:, None], lam_of)
+    parts[:, 0], parts[:, 1] = _exceedance_parts(
+        study.pvalues, study.support_floor(lams), lams[:, None]
     )
+    # each lambda's epsilons as one block of rows, reduced row by row
+    full = np.empty(len(points))
+    for k, lam in enumerate(lams.tolist()):
+        at = np.flatnonzero(which == k)
+        full[at] = _adjusted_raw(parts[k, 0], parts[k, 1], eps_of[at, None], lam)
+    full = _clip01(full)
     target = float(full.min())
 
     rng = np.random.default_rng(np.random.SeedSequence(grid.seed))

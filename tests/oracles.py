@@ -110,14 +110,14 @@ def null_mass_at_most(pmf: np.ndarray, pvalues: np.ndarray, t: float) -> float:
 def logw_binomial(n) -> np.ndarray:
     """Log-weights of Binomial(n, 1/2) over the outcomes ``0..n``."""
     a = np.arange(n + 1)
-    return gammaln(n + 1.0) - gammaln(a + 1.0) - gammaln(n - a + 1.0)
+    return gammaln(n + 1.0) - (gammaln(a + 1.0) + gammaln(n - a + 1.0))
 
 
 def logw_fisher(r1, r2, s) -> np.ndarray:
     """Hypergeometric log-weights of ``a`` over ``max(0, s - r2)..min(r1, s)``."""
     a = np.arange(max(0, s - r2), min(r1, s) + 1)
-    return (gammaln(r1 + 1.0) - gammaln(a + 1.0) - gammaln(r1 - a + 1.0)) + (
-        gammaln(r2 + 1.0) - gammaln(s - a + 1.0) - gammaln(r2 - (s - a) + 1.0)
+    return (gammaln(r1 + 1.0) - (gammaln(a + 1.0) + gammaln(r1 - a + 1.0))) + (
+        gammaln(r2 + 1.0) - (gammaln(s - a + 1.0) + gammaln(r2 - (s - a) + 1.0))
     )
 
 
@@ -141,12 +141,14 @@ def outcome_pvalues(logw: np.ndarray) -> np.ndarray:
 
 def doubling_outcome_pvalues(logw: np.ndarray) -> np.ndarray:
     """Tail-doubling p-value of every outcome of one law, from its
-    log-weights: ``min(1, 2 * smaller tail)``."""
+    log-weights: ``min(1, 2 * smaller tail)``, each tail a running sum
+    of the weights over their total, the last running sum; a doubled
+    tail within ``TIE_RTOL`` of 1 is 1."""
     w = np.exp(logw - logw.max())
-    probs = w / w.sum()
-    lower = np.cumsum(probs)
-    upper = np.cumsum(probs[::-1])[::-1]
-    return np.minimum(1.0, 2.0 * np.minimum(lower, upper))
+    lower = np.cumsum(w)
+    upper = np.cumsum(w[::-1])[::-1]
+    doubled = 2.0 * (np.minimum(lower, upper) / lower[-1])
+    return np.where(doubled >= 1.0 - TIE_RTOL, 1.0, doubled)
 
 
 def floored(table: np.ndarray) -> np.ndarray:
@@ -180,7 +182,8 @@ def batch_loop(kind: str, args, convention: str = "minlik"):
     feature: ``(pvalues, support_flat, support_start, support_len)``.
     The laws and tables are the per-law builders above, so any
     difference from the kernels comes from grouping features by key and
-    building the laws blockwise.
+    building the laws blockwise. A hypergeometric table with ``r1 > r2``
+    is built as its mirror, as the kernel tests it.
     """
     table = {"minlik": outcome_pvalues, "doubling": doubling_outcome_pvalues}[
         convention
@@ -192,9 +195,12 @@ def batch_loop(kind: str, args, convention: str = "minlik"):
         x1, r1, x2, r2 = (np.asarray(a, dtype=np.int64) for a in args)
         laws = []
         for i in range(len(x1)):
-            s = x1[i] + x2[i]
-            lo = max(0, s - r2[i])
-            laws.append((logw_fisher(r1[i], r2[i], s), x1[i] - lo))
+            # a table with r1 > r2 is tested as its mirror
+            a, r, b, q = (x2[i], r2[i], x1[i], r1[i]) if r1[i] > r2[i] else (
+                x1[i], r1[i], x2[i], r2[i]
+            )
+            s = a + b
+            laws.append((logw_fisher(r, q, s), a - max(0, s - q)))
     else:
         s1, s2 = (np.asarray(a, dtype=np.int64) for a in args[:2])
         k = float(args[2])

@@ -1292,8 +1292,8 @@ def test_writes_are_cut_at_the_byte_bound(m, past, fill, tmp_path, monkeypatch):
 def test_wide_rows_among_narrow_ones_are_cut_at_the_byte_bound(
     bound, tmp_path, monkeypatch
 ):
-    """A bin table of rows of about 150 bytes with a few kilobyte-wide
-    rows (totals near 3 000, supports of about 1 500 points) among them,
+    """A bin table of rows of about 150 bytes with a few rows of about
+    20 kB (totals near 5 000, supports of about 1 300 points) among them,
     at the module's bound and at one that the wide rows exceed, so that
     each of them is written alone."""
     if bound is not None:
@@ -1303,7 +1303,7 @@ def test_wide_rows_among_narrow_ones_are_cut_at_the_byte_bound(
     m = 2_000
     counts = rng.poisson(14.0, (m, 2))
     wide = [0, 1, 700, 701, 1_400, m - 1]
-    counts[wide] = rng.poisson(1_500.0, (len(wide), 2))
+    counts[wide] = rng.poisson(2_500.0, (len(wide), 2))
     lines = ["id,a,b"] + [f"f{i},{a},{b}" for i, (a, b) in enumerate(counts.tolist())]
     data = ("\n".join(lines) + "\n").encode()
     table = ingest_counts(io.BytesIO(data), IngestSchema(kind="bin", min_total=1))
@@ -1320,6 +1320,8 @@ def test_wide_rows_among_narrow_ones_are_cut_at_the_byte_bound(
     per_write = _rows_per_write(writes[str(got)], cli._WRITE_BYTES)
     assert len(per_write) >= 3 and sum(per_write) == m
     if bound is not None:
+        # every wide row exceeds the bound, so it is written alone
+        assert min(widths[i] for i in wide) > bound
         assert per_write.count(1) >= len(wide)
 
 

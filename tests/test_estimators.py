@@ -12,6 +12,7 @@ from discretefdr import (
     pounds_tilde_pi0,
     storey_pi0,
 )
+from discretefdr import _kernels as K
 from discretefdr.estimators import _support_means
 
 import oracles
@@ -289,6 +290,44 @@ def test_support_statistics_match_per_hypothesis_loop(kind):
     assert pounds_hat_pi0(study).raw == oracles.pounds_hat_raw_loop(
         study.pvalues, supports
     )
+
+
+@pytest.mark.parametrize("kind", ["empty", "nonempty", "mixed", "kernel"])
+def test_grid_floors_match_per_lambda_floors_bitwise(kind):
+    """An ascending array of lambdas gives one row of floors per lambda,
+    each bitwise the floors of that lambda alone and the per-hypothesis
+    loop's: with every support empty (no support point at all), some or
+    none empty, and lambdas at 0, on support points, just below them and
+    repeated."""
+    rng = np.random.default_rng(44)
+    if kind == "mixed":
+        study = _mixed_study(rng)
+    elif kind == "kernel":
+        s1, s2 = rng.negative_binomial(2, 0.2, 300), rng.negative_binomial(2, 0.1, 300)
+        study = Study.from_distinct(*K.batch_negbinom(s1, s2, 2.0, "doubling"))
+    else:
+        study = random_study(rng, 200, empty_supports=kind == "empty")
+    flat = study.support_flat
+    assert (flat.shape[0] == 0) == (kind == "empty")
+    points = rng.choice(flat, 8) if flat.shape[0] else np.empty(0)
+    points = points[points < 1.0]
+    fixed = [0.0, 0.0, 0.05, 0.5, 0.5, np.nextafter(1.0, 0.0)]
+    lams = np.sort(np.concatenate([fixed, points, np.nextafter(points, 0.0)]))
+    grid = study.support_floor(lams)
+    assert grid.shape == (lams.shape[0], study.m) and grid.dtype == np.float64
+    for row, lam in zip(grid, lams.tolist()):
+        assert row.tobytes() == study.support_floor(lam).tobytes()
+        assert np.array_equal(row, oracles.support_floor_loop(study.supports, lam))
+    one = study.support_floor(lams[3:4])
+    assert one.shape == (1, study.m) and one[0].tobytes() == grid[3].tobytes()
+    assert study.support_floor(lams[:0]).shape == (0, study.m)
+
+
+@pytest.mark.parametrize("lams", [[0.5, 0.2], [[0.2, 0.5]]])
+def test_grid_floors_refuse_lambdas_out_of_order(lams):
+    study = random_study(np.random.default_rng(45), 10)
+    with pytest.raises(ValueError, match="ascending"):
+        study.support_floor(np.array(lams))
 
 
 def test_study_stores_each_distinct_support_once():

@@ -172,6 +172,39 @@ def test_swapping_the_groups_keeps_every_minlik_bit():
 
 
 @pytest.mark.parametrize("convention", ["minlik", "doubling"])
+@pytest.mark.parametrize("kernel", ["binomial", "fisher", "negbinom"])
+def test_swapping_the_groups_changes_no_bit(kernel, convention):
+    """A two-sample test does not depend on which group comes first: the
+    swapped tables get every bit of the p-values and supports, under
+    both conventions. Binomial and negative-binomial laws are
+    palindromes bit for bit, and a hypergeometric table and its mirror
+    share one law and one support slice."""
+    rng = np.random.default_rng(18)
+    if kernel == "fisher":
+        args = _swap_cases()
+        swapped = (args[2], args[3], args[0], args[1])
+    else:
+        # totals up to about 3400, where the tails underflow
+        x1 = np.concatenate([rng.integers(0, 60, 300), rng.integers(1400, 1700, 20)])
+        x2 = np.concatenate([rng.integers(0, 60, 300), rng.integers(1400, 1700, 20)])
+        x1[:4], x2[:4] = [0, 7, 0, 2], [0, 0, 7, 2998]
+        args, swapped = (x1, x2), (x2, x1)
+        if kernel == "negbinom":
+            args, swapped = args + (2.067,), swapped + (2.067,)
+    run = getattr(K, f"batch_{kernel}")
+    given = run(*args, convention=convention)
+    for a, b in zip(oracles.per_feature_layout(*given),
+                    oracles.per_feature_layout(*run(*swapped, convention=convention))):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # below the float64 range too, except in the heavy negative-binomial tails
+    assert np.any(given[0] == K.FLOOR) == (kernel != "negbinom")
+    if kernel == "fisher":
+        both = run(*(np.concatenate(v) for v in zip(args, swapped)), convention)
+        n = args[0].shape[0]
+        assert np.array_equal(both[2][:n], both[2][n:])
+
+
+@pytest.mark.parametrize("convention", ["minlik", "doubling"])
 def test_fisher_keys_at_the_margin_limit(convention):
     """Margins up to ``MAX_TOTAL`` and totals up to ``2 * MAX_TOTAL`` fill
     every bit of the kernel's one int64 key per table (the rank of the
@@ -374,10 +407,10 @@ def test_block_cases_cover_padding_underflow_and_deep_ties(monkeypatch):
     # blocks hold laws of several lengths
     assert any(np.unique(b).shape[0] > 1 for b in blocks["fet"])
     # numpy sums a row pairwise: one loop below 8 entries, eight
-    # accumulators up to 128 and halves beyond, so a padded doubling row
-    # could sum its law's total along another path than the law alone;
-    # the binomial and negative-binomial blocks mix lengths on both
-    # sides of each edge
+    # accumulators up to 128 and halves beyond, so a pairwise total of a
+    # padded doubling row could differ from its law's own (the tables
+    # take each total from a running sum instead); the binomial and
+    # negative-binomial blocks mix lengths on both sides of each edge
     for kind in ("bin", "ent"):
         for edge in (8, 128):
             assert any(
@@ -635,3 +668,201 @@ def test_negbinom_coefficient_is_continuous_across_the_switch():
     assert drop_below == 0.0 and drop_above == math.log(13.0)
     j = np.arange(501)
     assert np.max(np.abs((below - j * math.log(13.0)) - above)) <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# mirror-exact log-weights and doubled tails that end at 1
+# ---------------------------------------------------------------------------
+
+
+def _law_entries(laws, convention):
+    """Every law's table, as ``(table_flat, at, n)``: ``at[k]`` is the
+    flat index of law ``k``'s first outcome, ``n`` its lengths."""
+    table_flat, table_start, *_ = K.tables(laws, convention)
+    return table_flat, table_start, laws[0]
+
+
+def _mirror_index(n, start):
+    """Flat indices of every outcome ``j`` of the laws of lengths ``n`` at
+    ``start``, and of its mirror outcome ``n - 1 - j``."""
+    law = np.repeat(np.arange(n.shape[0]), n)
+    j = np.arange(law.shape[0]) - np.repeat(np.cumsum(n) - n, n)
+    return start[law] + j, start[law] + n[law] - 1 - j
+
+
+@pytest.mark.parametrize("convention", ["minlik", "doubling"])
+def test_binomial_mirror_outcomes_share_every_bit(convention):
+    """``p(j)`` and ``p(n - j)`` are one float at every binomial total up
+    to 3000 and at sampled totals up to 2^20 + 1, and the modal outcomes'
+    p-value is exactly 1: ``log C(n, j)`` sums ``log j!`` and
+    ``log (n - j)!`` before subtracting, so both outcomes get the same
+    weight bits."""
+    totals = np.concatenate([np.arange(3001), [4097, 65_537, 100_001, 2**20 + 1]])
+    table_flat, start, n = _law_entries(K.binomial_laws(totals), convention)
+    at, mirror = _mirror_index(n, start)
+    assert np.array_equal(table_flat[at], table_flat[mirror])
+    for mode in (totals // 2, (totals + 1) // 2):
+        assert np.all(table_flat[start + mode] == 1.0)
+
+
+def _exact_classes(weights, keep):
+    """Outcome indices grouped by equal exact weight, among ``keep``."""
+    classes = {}
+    for i in np.flatnonzero(keep).tolist():
+        classes.setdefault(weights[i], []).append(i)
+    return sorted(classes.values())
+
+
+def _pvalue_classes(p, keep):
+    """Outcome indices grouped by equal p-value, among ``keep``."""
+    classes = {}
+    for i in np.flatnonzero(keep).tolist():
+        classes.setdefault(p[i], []).append(i)
+    return sorted(classes.values())
+
+
+def _binomial_coefficients(n):
+    """``C(n, j)`` for ``j = 0..n``, exactly."""
+    out = [1]
+    for j in range(n):
+        out.append(out[-1] * (n - j) // (j + 1))
+    return out
+
+
+def test_binomial_tie_classes_are_the_exact_ones():
+    """Under minimum likelihood, outcomes share a p-value exactly when
+    their exact probabilities are equal: at every total up to 3000 the
+    p-values above the floor rise strictly up to the mode (``C(n, j)``
+    does), so with the mirror pairs sharing theirs the classes are the
+    mirror pairs; at sampled totals the classes are checked against the
+    exact coefficients. Outcomes on the floor are left out: their
+    p-values lie below the float64 range and are merged by design."""
+    totals = np.arange(3001)
+    table_flat, start, n = _law_entries(K.binomial_laws(totals), "minlik")
+    at, _ = _mirror_index(n, start)
+    law = np.repeat(totals, n)
+    j = at - start[law]
+    low = (j < law / 2) & (j + 1 < law / 2)
+    p, following = table_flat[at], table_flat[np.minimum(at + 1, at.max())]
+    assert np.all((following > p)[low & (p > K.FLOOR)])
+    for total in range(0, 3001, 97):
+        table = table_flat[start[total] : start[total] + total + 1]
+        keep = table > K.FLOOR
+        exact = _exact_classes(_binomial_coefficients(total), keep)
+        assert _pvalue_classes(table, keep) == exact, total
+
+
+def _fisher_weights(r1, r2, s):
+    """``C(r1, a) C(r2, s - a)`` over the attainable ``a``, exactly."""
+    lo, hi = max(0, s - r2), min(r1, s)
+    first, second = _binomial_coefficients(r1), _binomial_coefficients(r2)
+    return [first[a] * second[s - a] for a in range(lo, hi + 1)]
+
+
+def test_fisher_tie_classes_are_the_exact_ones():
+    """Under minimum likelihood, outcomes of a hypergeometric law share a
+    p-value exactly when their exact probabilities are equal, on every
+    margin pair up to 30 at every total, and at margins of 1600 to 5600
+    with ``s = (r1 + r2) / 2``, where ``a`` and ``r1 - a`` are exact
+    ties with ``r1 != r2``."""
+    keys = [
+        (r1, r2, s) for r1 in range(31) for r2 in range(31) for s in range(r1 + r2 + 1)
+    ]
+    keys += [
+        (2000, 4000, 3000), (1600, 2400, 2000), (2400, 5600, 4000), (2400, 1600, 2000)
+    ]
+    table_flat, start, n = _law_entries(K.fisher_laws(*np.array(keys).T), "minlik")
+    for k, key in enumerate(keys):
+        table = table_flat[start[k] : start[k] + n[k]]
+        keep = table > K.FLOOR
+        exact = _exact_classes(_fisher_weights(*key), keep)
+        assert _pvalue_classes(table, keep) == exact, key
+        if key[0] > 1000:
+            assert len(exact) < keep.sum()
+
+
+@pytest.mark.parametrize("convention", ["minlik", "doubling"])
+def test_binomial_pvalues_match_scipy_to_1e_9(convention):
+    """At totals up to 4 000 000 the binomial p-values lie within 1e-9
+    (relative) of ``2 * binom.cdf`` of the smaller count, at outcomes
+    from the mode out to 7 standard deviations (p-values down to about
+    2.5e-12)."""
+    from scipy import stats
+
+    x1, totals = [], []
+    for n in (1_001, 10_007, 100_001, 1_000_000, 4_000_000):
+        x = (n // 2 - np.arange(8) * math.sqrt(n) / 2).astype(np.int64)
+        x1.append(np.concatenate([x, n - x]))
+        totals.append(np.full(16, n))
+    x1, totals = np.concatenate(x1), np.concatenate(totals)
+    pvalues = K.batch_binomial(x1, totals - x1, convention)[0]
+    smaller = np.minimum(x1, totals - x1)
+    expected = np.minimum(1.0, 2.0 * stats.binom.cdf(smaller, totals, 0.5))
+    # the modal outcomes' p-value is 1
+    expected[2 * smaller >= totals - 1] = 1.0
+    assert np.all(np.abs(pvalues / expected - 1.0) <= 1e-9)
+    assert pvalues.min() < 1e-11
+
+
+def test_doubling_supports_end_at_one():
+    """Every tail-doubling support ends at exactly 1, as its median
+    outcome's doubled tail is at least 1: on binomial totals up to 3000,
+    negative-binomial totals below 600 at shape 3 x 0.689 and
+    hypergeometric laws with margins ``(r, r)``, ``r < 60``, at every
+    total. Rounding once left 191, 110 and 344 of these ending up to
+    8.9e-16 below 1."""
+    fisher = np.array([(r, r, s) for r in range(60) for s in range(2 * r + 1)])
+    for laws in (
+        K.binomial_laws(np.arange(3001)),
+        K.negbinom_laws(np.arange(600), 3 * 0.689),
+        K.fisher_laws(*fisher.T),
+    ):
+        table_flat, _, flat, start, length = K.tables(laws, "doubling")
+        assert np.all(flat[start + length - 1] == 1.0)
+        assert table_flat.max() == 1.0
+
+
+def _exact_doubling(weights):
+    """Tail-doubling p-values of integer weights, in exact arithmetic."""
+    from fractions import Fraction
+
+    total = sum(weights)
+    lower = np.cumsum(np.array(weights, dtype=object))
+    upper = total - lower + np.array(weights, dtype=object)
+    return [
+        min(Fraction(1), Fraction(2 * min(a, b), total)) for a, b in zip(lower, upper)
+    ]
+
+
+def test_doubling_pvalues_match_exact_rationals():
+    """Each tail-doubling p-value in the normal float range lies within
+    1e-12 (relative) of exact rational arithmetic on the laws' integer
+    weights: binomial totals up to 200, hypergeometric margins up to 100
+    and the negative-binomial laws of shape 3 up to 200."""
+    rng = np.random.default_rng(19)
+    r1, r2 = rng.integers(0, 101, 150), rng.integers(0, 101, 150)
+    fisher = [
+        (a, b, int(rng.integers(0, a + b + 1)))
+        for a, b in zip(r1.tolist(), r2.tolist())
+    ]
+    cases = [
+        (
+            K.binomial_laws(np.arange(201)),
+            [_binomial_coefficients(n) for n in range(201)],
+        ),
+        (K.fisher_laws(*np.array(fisher).T), [_fisher_weights(*key) for key in fisher]),
+        (
+            K.negbinom_laws(np.arange(201), 3.0),
+            [
+                [(a + 1) * (a + 2) * (s - a + 1) * (s - a + 2) for a in range(s + 1)]
+                for s in range(201)
+            ],
+        ),
+    ]
+    for laws, weights in cases:
+        table_flat, start, n = _law_entries(laws, "doubling")
+        for k, w in enumerate(weights):
+            got = table_flat[start[k] : start[k] + n[k]]
+            want = np.array([float(v) for v in _exact_doubling(w)])
+            normal = want >= np.finfo(float).tiny
+            assert np.all(np.abs(got[normal] / want[normal] - 1.0) <= 1e-12)

@@ -171,16 +171,18 @@ def test_point_mse_does_not_depend_on_other_points():
 
 
 def test_support_floor_runs_once_per_distinct_lambda(monkeypatch):
+    """The floors of every distinct lambda come from one grid call, in
+    ascending lambda."""
     calls = []
     original = Study.support_floor
 
     def counting(self, lam):
-        calls.append(lam)
+        calls.append(np.array(lam).tolist())
         return original(self, lam)
 
     monkeypatch.setattr(Study, "support_floor", counting)
     rng = np.random.default_rng(28)
     study = random_study(rng, 40)
     pts = [(lam, eps) for lam in (0.2, 0.4, 0.6, 0.8) for eps in (0.0, 0.5, 1.0)]
-    bootstrap_tune(study, TuningGrid(points=pts, B=5, seed=0))
-    assert sorted(calls) == [0.2, 0.4, 0.6, 0.8]
+    bootstrap_tune(study, TuningGrid(points=pts[::-1], B=5, seed=0))
+    assert calls == [[0.2, 0.4, 0.6, 0.8]]
