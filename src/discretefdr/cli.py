@@ -17,6 +17,15 @@ mismatches, empty analyses).
 
 All floating-point output is printed with 9 significant digits.
 
+JSON outputs (``estimates.json``, ``aggregate.json``, ``tuning.json``)
+hold the bytes ``json.dumps(..., indent=2)`` gives for the payload with
+its floats rounded to 9 significant digits, NaN as ``null`` and an
+infinity as the string ``"Infinity"`` or ``"-Infinity"``: two spaces of
+indent per level, ``","`` and ``": "`` separators, ASCII with ``\\u``
+escapes, and a closing line feed. Keys are ``str``. The text is formed
+in one walk of the payload (``_json_text``). The manifest is written
+by ``json.dumps`` with the same layout, its floats unrounded.
+
 CSV outputs are written column by column. Each column becomes its
 distinct cells and each row's index into them: a float column's
 distinct values (told apart by their bits, so that ``-0`` stays a cell
@@ -42,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -50,6 +60,7 @@ import os
 import sys
 import typing
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
 import numpy as np
@@ -94,24 +105,50 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _jsonify(obj):
-    """Round floats to 9 significant digits; map non-finite to JSON-safe."""
+def _json_text(obj, pad: str = "\n") -> str:
+    """The JSON text of ``obj`` at nesting ``pad`` (a line feed and the
+    indent of its line), floats rounded to 9 significant digits: NaN is
+    ``null`` and an infinity the string ``"Infinity"`` or
+    ``"-Infinity"``. One walk gives the bytes of ``json.dumps`` with
+    ``indent=2`` of the rounded payload (``tests/oracles.py``), without
+    json's pure-Python indenting encoder: strings and ``str`` keys by
+    json's C ``encode_basestring_ascii``, rounded floats as ``repr``
+    writes them, and ints, bools and ``None`` by ``json.dumps``.
+
+    A rounded float's ``%.9g`` text without an exponent is already its
+    ``repr``, with ``.0`` added when it has no ``.``: two decimals of at
+    most 9 significant digits never round to one float, so ``repr``'s
+    shortest digits are the text's, and both write fixed notation for
+    decimal exponents from -4 to 8. Only a text with an exponent is
+    parsed and written again by ``repr``."""
     if isinstance(obj, float):
         if math.isnan(obj):
-            return None
+            return "null"
         if math.isinf(obj):
-            return "Infinity" if obj > 0 else "-Infinity"
-        return float(f"{obj:.9g}")
+            return '"Infinity"' if obj > 0 else '"-Infinity"'
+        text = "%.9g" % obj
+        if "e" in text:
+            return repr(float(text))
+        return text if "." in text else text + ".0"
+    if isinstance(obj, str):
+        return _quote(obj)
+    inner = pad + "  "
     if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        items = [_quote(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(obj)
 
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(_jsonify(payload), indent=2) + "\n")
+        fh.write(_json_text(payload) + "\n")
 
 
 #: Floats formatted at a time by ``_format_floats``, and support points
@@ -462,8 +499,7 @@ def _write_manifest(
     # applied to reported results.
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2) + "\n")
 
 
 def _load_manifest(path: str, command: str) -> dict:
@@ -942,6 +978,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+#: The parser ``main`` parses with, built on its first call: a parser
+#: keeps no state between ``parse_args`` calls, so one serves every
+#: command a process runs.
+_parser = functools.cache(build_parser)
+
+
 #: The type of every setting a run records. ``float`` admits any real
 #: number, no type admits a bool, and a JSON array is a ``list``.
 _SETTING_TYPES = {
@@ -984,9 +1026,8 @@ _COMMANDS = {"analyze": cmd_analyze, "simulate": cmd_simulate, "tune": cmd_tune}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if not getattr(args, "command", None):
             raise CliError(
                 "usage", "a subcommand is required: analyze | simulate | tune"

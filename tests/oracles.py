@@ -10,8 +10,9 @@ blockwise tables must match them bit for bit once ``floored``.
 
 The row-at-a-time count-table parser (``ingest_rows``) and CSV writer
 (``write_csv_rows``) are the references for the library's column-wise
-ones, ``generate_scenario_alone`` (one kernel call per replication) for
-``sim``'s pooled replications, and ``batch_by_unique`` and
+ones, ``json_text`` (a rounding pass, then ``json.dumps``) for the
+one-walk JSON writer, ``generate_scenario_alone`` (one kernel call per
+replication) for ``sim``'s pooled replications, and ``batch_by_unique`` and
 ``study_layout``, which group by ``np.unique``, for the kernels' and
 ``estimators.Study``'s grouping in linear time. ``procedure_results`` transcribes
 each procedure from the one-study estimates of ``pi0_loop`` and the
@@ -25,6 +26,7 @@ statistics.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -677,6 +679,27 @@ def write_csv_rows(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([fmt_cell(cell) for cell in row])
+
+
+def jsonify(obj):
+    """Round floats to 9 significant digits; map non-finite to JSON-safe."""
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            return None
+        if math.isinf(obj):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float(f"{obj:.9g}")
+    if isinstance(obj, dict):
+        return {k: jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonify(v) for v in obj]
+    return obj
+
+
+def json_text(payload) -> str:
+    """The text of a JSON output: ``jsonify``, then ``json.dumps`` with
+    ``indent=2``, and a closing line feed."""
+    return json.dumps(jsonify(payload), indent=2) + "\n"
 
 
 #: The largest count, per cell and per group sum, a table may hold.

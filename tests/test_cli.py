@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -1448,7 +1449,7 @@ def test_analyze_csv_outputs_match_row_wise_writer(
     }
     got = json.loads((out / "estimates.json").read_text(encoding="utf-8"))
     assert list(got["estimates"]) == list(PI0_METHODS)
-    assert got["estimates"] == cli._jsonify(
+    assert got["estimates"] == oracles.jsonify(
         {name: est.to_json_dict() for name, est in estimates.items()}
     )
     features = (out / "features.csv").read_text(encoding="utf-8")
@@ -1490,6 +1491,167 @@ def test_simulate_csv_outputs_match_row_wise_writer(tmp_path, capsys):
     )
     for name in ("pi0_replications.csv", "mtp_replications.csv"):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# JSON text in one walk, and one parser for every command of a process
+# ---------------------------------------------------------------------------
+
+
+def _load_workloads():
+    """The benchmark's workload definitions, ``perfbench/workloads.py``."""
+    import sys
+
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        # registered first: its dataclass looks its module up
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def test_json_text_matches_json_dumps_on_awkward_values(tmp_path):
+    """Every float class, every scalar type, empty and nested
+    containers, tuples, and keys and strings that json escapes."""
+    awkward = 'q"b\\l\nu\u2028 \u00e9 \u4e2d'
+    payload = {
+        "floats": [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16,
+                   0.1 + 0.2, 1 / 3, -2.5e-300, 123456789.5, np.float64(0.7)],
+        "scalars": [0, -7, 2**70, True, False, None],
+        "empty": {"dict": {}, "list": [], "tuple": ()},
+        "tuples": (1, (2.0, ("x",)), []),
+        "rows": [{"a": 1.0, "b": [{}]}, {"c": None}],
+        awkward: awkward,
+        "": {awkward: [awkward, ""]},
+    }
+    path = tmp_path / "out.json"
+    cli._write_json(str(path), payload)
+    assert path.read_bytes() == oracles.json_text(payload).encode()
+    for value in (*payload.values(), payload["floats"][0], "", 3):
+        assert cli._json_text(value) + "\n" == oracles.json_text(value)
+
+
+def test_json_text_writes_every_rounded_float_as_repr():
+    """Floats at every decimal exponent, both signs, whole numbers, and
+    values that round up into the next decade (to ``1e+09``, ``1e-05``
+    and ``1``), as the rounding walk and ``json.dumps`` write them."""
+    rng = np.random.default_rng(33)
+    values = np.concatenate([
+        10.0 ** rng.uniform(-330, 308, 4000),
+        np.round(10.0 ** rng.uniform(0, 12, 1000)),
+        [999999999.5, 9.999999995e-6, 0.9999999995, 99999.99995, 1e-4, 1e9, 2**-13],
+    ])
+    values = (values * rng.choice([-1.0, 1.0], values.shape[0])).tolist()
+    assert cli._json_text(values) + "\n" == oracles.json_text(values)
+
+
+@pytest.mark.parametrize("seed", [2001, 101])
+@pytest.mark.parametrize(
+    "workload", ["analyze-bin", "analyze-fet", "simulate-ent", "tune-ent"]
+)
+def test_json_outputs_of_the_benchmark_workloads_match_json_dumps(
+    workload, seed, tmp_path, capsys, monkeypatch
+):
+    """``estimates.json``, ``aggregate.json`` and ``tuning.json`` of the
+    benchmark's commands are ``json.dumps`` of the rounded payload."""
+    workloads = _load_workloads()
+    argv = workloads.write_inputs(workloads.WORKLOADS[workload], str(tmp_path), seed)
+    payloads = {}
+    write_json = cli._write_json
+
+    def record(path, payload):
+        payloads[path] = payload
+        write_json(path, payload)
+
+    monkeypatch.setattr(cli, "_write_json", record)
+    code, _, stderr = run(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert code == 0, stderr
+    assert len(payloads) == 1
+    for path, payload in payloads.items():
+        assert Path(path).read_bytes() == oracles.json_text(payload).encode()
+
+
+def test_manifest_is_json_dumps_unrounded(bin_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["analyze", bin_file, "--test", "bin", "--lambda", "0.1234567890123"]
+    assert run(argv + ["--out", str(out)], capsys)[0] == 0
+    text = (out / "manifest.json").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert json.loads(text)["arguments"]["lambda"] == 0.1234567890123
+
+
+#: Commands run one after another in one process; ``{bin}`` is the bin
+#: table and ``{prev}`` the previous command's output directory.
+SHARED_PARSER_CASES = {
+    "alphas": [
+        ["analyze", "{bin}", "--test", "bin", "--alpha", "0.1", "--alpha", "0.2"],
+        ["analyze", "{bin}", "--test", "bin"],
+    ],
+    "points": [
+        ["tune", "{bin}", "--test", "bin", "--point", "0.5,1", "--B", "20"],
+        ["tune", "{bin}", "--test", "bin", "--B", "20"],
+    ],
+    "usage-error": [
+        ["analyze", "{bin}", "--test", "bin", "--bogus", "1"],
+        ["analyze", "{bin}", "--test", "bin"],
+    ],
+    "version": [["--version"], ["analyze", "{bin}", "--test", "bin"]],
+    "replay": [
+        ["analyze", "{bin}", "--test", "bin", "--alpha", "0.1"],
+        ["analyze", "--from-manifest", "{prev}/manifest.json"],
+    ],
+}
+
+
+def _run_in_turn(steps, out_dir: Path, bin_file, capsys) -> list:
+    """Each step's exit code, stderr, data outputs and manifest arguments."""
+    results = []
+    for i, step in enumerate(steps):
+        out = out_dir / str(i)
+        argv = [a.format(bin=bin_file, prev=out_dir / str(i - 1)) for a in step]
+        if argv != ["--version"]:
+            argv += ["--out", str(out)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        cap = capsys.readouterr()
+        outputs = arguments = None
+        if out.exists():
+            outputs = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                       if p.name != "manifest.json"}
+            arguments = json.loads((out / "manifest.json").read_text())["arguments"]
+        results.append((code, cap.err, outputs, arguments))
+    return results
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_PARSER_CASES))
+def test_the_shared_parser_keeps_no_state_between_commands(
+    case, bin_file, tmp_path, capsys, monkeypatch
+):
+    """Commands run in turn on the one parser ``main`` keeps give what
+    they give with a parser built for each command."""
+    steps = SHARED_PARSER_CASES[case]
+    assert cli._parser() is cli._parser()
+    shared = _run_in_turn(steps, tmp_path / "shared", bin_file, capsys)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = _run_in_turn(steps, tmp_path / "fresh", bin_file, capsys)
+    assert shared == fresh
+    assert [r[0] for r in shared] == [2 if case == "usage-error" else 0, 0]
+    assert shared[-1][2] and all(r[2] is None for r in shared[:-1]) == (
+        case in ("usage-error", "version")
+    )
+    if case == "alphas":
+        assert [r[3]["alphas"] for r in shared] == [[0.1, 0.2], [0.05]]
+    if case == "points":
+        assert shared[0][3]["points"] == ["0.5,1"] and shared[1][3]["points"] is None
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli._parser()
 
 
 # ---------------------------------------------------------------------------
