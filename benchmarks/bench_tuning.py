@@ -10,15 +10,19 @@ lambdas times 5 epsilons, with ``B`` resamples.
 For each ``m`` in ``SIZES`` the script calls the two below in turn,
 ``ROUNDS`` rounds at tune-ent's 600 features and proportionally fewer
 (at least ``MIN_ROUNDS``) at more, and prints the median [quartiles] of
-each one's wall time next to the tracemalloc peak of one call:
+each one's wall time next to the tracemalloc peak of one call, in MB
+and in bytes per feature:
 
 * ``bootstrap_tune``, which takes every distinct lambda's support
-  floors in one call, turns the shared B x m resample index into
-  multiplicity counts and reduces them against each distinct lambda's
-  columns;
+  floors in one call, draws the shared resample index a block of
+  resamples at a time, turns each block into multiplicity counts and
+  reduces them against each distinct lambda's two rows of parts;
 * ``oracles.bootstrap_shared_gather`` (from ``tests/oracles.py``), which
-  draws the same index and gathers and sums each grid point's terms
-  over it.
+  draws the same index whole and gathers and sums each grid point's
+  terms over it.
+
+At the sizes in ``ALONE_SIZES`` the oracle is too slow to run, and
+``bootstrap_tune`` runs alone, ``MIN_ROUNDS`` rounds.
 
 Run with ``python3 benchmarks/bench_tuning.py``.
 """
@@ -39,7 +43,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "..", "tests"))
 import oracles  # noqa: E402
 
-SIZES = (600, 6_000, 60_000)
+SIZES = (600, 6_000, 60_000, 200_000)
+#: Sizes at which only ``bootstrap_tune`` runs.
+ALONE_SIZES = (200_000,)
 B = 100
 #: Rounds at 600 features; a size of m takes ``ROUNDS * 600 // m`` of
 #: them, and at least ``MIN_ROUNDS``.
@@ -85,13 +91,15 @@ def _spread_ms(values: list[float]) -> str:
     return f"{median:.2f} [{low:.2f}, {high:.2f}]"
 
 
-def _peak_mb(fn, *args) -> float:
+def _peak(fn, study: Study, grid: TuningGrid) -> str:
+    """The tracemalloc peak of one call, in MB and bytes per feature."""
     tracemalloc.start()
     try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] / 2**20
+        fn(study, grid)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return f"{peak / 2**20:.1f}MB {peak / study.m:.0f}B/f"
 
 
 def main() -> int:
@@ -100,16 +108,18 @@ def main() -> int:
     grid = TuningGrid(points, B=B, seed=SEED)
     print(f"{len(grid.points)} grid points, B = {B}; median [quartiles] ms of "
           "the rounds, called in turn; tracemalloc peak of one call")
-    print(f"{'m':>7s} {'rounds':>6s} {'bootstrap_tune':>24s} {'peak':>9s} "
-          f"{'per-point oracle':>26s} {'peak':>9s}")
+    print(f"{'m':>7s} {'rounds':>6s} {'bootstrap_tune':>28s} {'peak':>16s} "
+          f"{'per-point oracle':>28s} {'peak':>16s}")
     for m in SIZES:
         study = _study(m, rng)
-        cases = (bootstrap_tune, oracles.bootstrap_shared_gather)
+        cases = (bootstrap_tune,)
+        if m not in ALONE_SIZES:
+            cases += (oracles.bootstrap_shared_gather,)
         rounds = max(MIN_ROUNDS, ROUNDS * 600 // m)
         walls = _alternating(cases, (study, grid), rounds)
-        peaks = [_peak_mb(fn, study, grid) for fn in cases]
-        print(f"{m:>7d} {rounds:6d} {_spread_ms(walls[0]):>24s} {peaks[0]:7.1f}MB "
-              f"{_spread_ms(walls[1]):>26s} {peaks[1]:7.1f}MB")
+        cells = [f"{_spread_ms(w):>28s} {_peak(fn, study, grid):>16s}"
+                 for w, fn in zip(walls, cases)]
+        print(f"{m:>7d} {rounds:6d}", *cells)
     return 0
 
 

@@ -292,13 +292,15 @@ def storey_rows(pvalues: np.ndarray, lam: float) -> np.ndarray:
     return count / _denominator(lam, pvalues.shape[-1])
 
 
-def _exceedance_parts(
-    pvalues: np.ndarray, floor: np.ndarray, lam: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The adjusted estimator's per-hypothesis parts at ``lam``: the
-    exceedance indicators ``1{p_i > lam}`` and the floor gaps
-    ``lam - floor_i``, from the support floors at ``lam``."""
-    return (pvalues > lam).astype(np.float64), lam - floor
+def _exceedance_parts(pvalues: np.ndarray, floor: np.ndarray, lam) -> np.ndarray:
+    """The adjusted estimator's per-hypothesis parts at ``lam``, from the
+    ``(..., m)`` support floors at ``lam``, as one ``(..., 2, m)`` array:
+    row 0 holds the exceedance indicators ``1{p_i > lam}``, row 1 the
+    floor gaps ``lam - floor_i``."""
+    parts = np.empty((*floor.shape[:-1], 2, floor.shape[-1]))
+    np.greater(pvalues, lam, out=parts[..., 0, :])
+    np.subtract(lam, floor, out=parts[..., 1, :])
+    return parts
 
 
 def _adjusted_raw(indicator: np.ndarray, gap: np.ndarray, epsilon, lam: float):
@@ -311,7 +313,8 @@ def adjusted_rows(
     pvalues: np.ndarray, floor: np.ndarray, epsilon, lam: float
 ) -> np.ndarray:
     """Raw discreteness-adjusted estimates, from the support floors."""
-    return _adjusted_raw(*_exceedance_parts(pvalues, floor, lam), epsilon, lam)
+    parts = _exceedance_parts(pvalues, floor, lam)
+    return _adjusted_raw(parts[..., 0, :], parts[..., 1, :], epsilon, lam)
 
 
 def pounds_tilde_rows(pvalues: np.ndarray) -> np.ndarray:

@@ -45,16 +45,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import Pi0Estimate
+from .estimators import Pi0Estimate, _check_tuning, _clip01, _denominator
 
 
 def _sigma_multiplier(raw, value, m, lam, sigma):
     """The exceedance estimate less the offset ``sigma / ((1 - lam) m)``,
     clipped to [0, 1]."""
-    span = (1.0 - lam) * m
+    span = _denominator(lam, m)
     if not np.all((0.0 <= sigma) & (sigma <= span * raw)):
         raise ValueError("sigma must lie in [0, (1 - lambda) * m * pi0_raw]")
-    return np.minimum(1.0, np.maximum(0.0, raw - sigma / span))
+    return _clip01(raw - sigma / span)
 
 
 #: Each procedure as (the estimate it runs on, None for pi0 = 1; its pi0
@@ -68,7 +68,7 @@ PROCEDURES = {
     "storey": ("storey", lambda raw, *_: raw, (), None),
     "storey_variant": (
         "storey",
-        lambda raw, value, m, lam, sigma: raw + 1.0 / ((1.0 - lam) * m),
+        lambda raw, value, m, lam, sigma: raw + 1.0 / _denominator(lam, m),
         ("lam",),
         "pin",
     ),
@@ -202,8 +202,7 @@ class FdrEstimator:
         for setting in settings:
             if getattr(self, setting) is None:
                 raise ValueError(f"{self.kind} requires {setting}")
-        if "lam" in settings and not 0.0 <= self.lam < 1.0:
-            raise ValueError("lambda must lie in [0, 1)")
+        _check_tuning(settings, 0, self.lam, None)
 
     def multiplier(self, m: int) -> float:
         """The effective pi0 multiplier for a study of size ``m``."""

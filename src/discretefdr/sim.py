@@ -147,6 +147,8 @@ class ScenarioSpec:
             raise ValueError("pi0 must lie in (0, 1)")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
         # aggregate() keys each level by its 9-significant-digit text
         keys = {f"{alpha:.9g}" for alpha in self.alpha_levels}
         if not keys:

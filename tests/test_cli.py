@@ -808,11 +808,21 @@ def test_out_dir_under_a_regular_file_is_an_io_error(bin_file, tmp_path, capsys)
          "error:usage: malformed lambda list '0.1,x': "),
         (["tune", "{prose}", "--test", "bin", "--B", "0"], 2,
          "error:usage: B must be at least 1\n"),
+        # a negative seed is refused in the project's words, before any work
+        (["tune", "{bin}", "--test", "bin", "--seed", "-1"], 2,
+         "error:usage: seed must be at least 0\n"),
+        (["tune", "{prose}", "--test", "bin", "--seed", "-1"], 2,
+         "error:usage: seed must be at least 0\n"),
+        (["simulate", "{negseed}"], 1, "error:config: seed must be at least 0\n"),
+        (["simulate", "{scenario}", "--seed", "-3"], 1,
+         "error:config: seed must be at least 0\n"),
     ],
     ids=[
         "no-test", "trials-negative", "config-list", "tune-one-row",
         "lambdas-malformed", "lambdas-empty", "point-malformed", "lambda-1.5",
         "B-0", "lambdas-malformed-not-a-table", "B-0-not-a-table",
+        "tune-seed-negative", "tune-seed-negative-not-a-table",
+        "simulate-config-seed-negative", "simulate-seed-flag-negative",
     ],
 )
 def test_refusals_print_one_error_line(argv, code, named, bin_file, tmp_path, capsys):
@@ -821,7 +831,10 @@ def test_refusals_print_one_error_line(argv, code, named, bin_file, tmp_path, ca
     files = {"bin": bin_file}
     for name, text in (("fet3", "id,x1,x2\nf1,1,2\n"),
                        ("one", "id,g1,g2\nf1,3,9\n"), ("list", "[1, 2]"),
-                       ("prose", "# Notes\n\nA text file,\nnot a count table.\n")):
+                       ("prose", "# Notes\n\nA text file,\nnot a count table.\n"),
+                       ("scenario", '{"kind": "poisson_bin", "m": 10, "pi0": 0.5}'),
+                       ("negseed", '{"kind": "poisson_bin", "m": 10, "pi0": 0.5, '
+                                   '"seed": -5}')):
         (tmp_path / name).write_text(text)
         files[name] = str(tmp_path / name)
     out = tmp_path / "out"

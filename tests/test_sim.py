@@ -154,6 +154,14 @@ def test_spec_validation():
         _spec(kind="binomial_fet", theta2_transform="logit")
 
 
+def test_spec_refuses_a_negative_seed():
+    """A negative seed is named by the spec, not later by numpy's
+    ``SeedSequence`` after the scenario has started."""
+    with pytest.raises(ValueError, match="^seed must be at least 0$"):
+        _spec(seed=-1)
+    assert _spec(seed=0).seed == 0
+
+
 def test_spec_refuses_empty_and_repeated_alpha_levels():
     with pytest.raises(ValueError, match="alpha_levels is empty"):
         _spec(alpha_levels=())

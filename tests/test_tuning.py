@@ -1,5 +1,7 @@
 """Bootstrap tuning of the (lambda, epsilon) pair."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,13 @@ def test_grid_validation():
         TuningGrid(points=[(0.5, 1.5)], B=10, seed=0)
     with pytest.raises(ValueError):
         TuningGrid(points=[(0.5, 0.5)], B=0, seed=0)
+
+
+def test_grid_refuses_a_negative_seed():
+    """A negative seed is named by the grid, before any study is tested."""
+    with pytest.raises(ValueError, match="^seed must be at least 0$"):
+        TuningGrid(points=[(0.5, 0.5)], B=10, seed=-1)
+    assert TuningGrid(points=[(0.5, 0.5)], B=10, seed=0).seed == 0
 
 
 def test_tuning_needs_at_least_two_profiles():
@@ -186,3 +195,32 @@ def test_support_floor_runs_once_per_distinct_lambda(monkeypatch):
     pts = [(lam, eps) for lam in (0.2, 0.4, 0.6, 0.8) for eps in (0.0, 0.5, 1.0)]
     bootstrap_tune(study, TuningGrid(points=pts[::-1], B=5, seed=0))
     assert calls == [[0.2, 0.4, 0.6, 0.8]]
+
+
+def test_bootstrap_peak_memory_per_feature():
+    """On the default 100-point grid with B = 100, ``bootstrap_tune`` holds
+    at most 600 bytes a feature: each distinct lambda's parts once and
+    its floors while they are formed, no B x m resample index and no
+    copy of the parts. The study is drawn like ``benchmarks/
+    bench_tuning.py``'s, 60 000 tail-doubled group-sum tests."""
+    m, size, samples = 60_000, 0.689, 3
+    rng = np.random.default_rng(0)
+    mean1 = rng.uniform(0.5, 8.0, m)
+    mean2 = mean1.copy()
+    effect = rng.uniform(size=m) < 0.2
+    mean2[effect] *= rng.uniform(1.5, 6.0, int(effect.sum()))
+    sums = [
+        rng.negative_binomial(size, size / (size + mean), (samples, m)).sum(axis=0)
+        for mean in (mean1, mean2)
+    ]
+    out = _kernels.batch_negbinom(*sums, samples * size, convention="doubling")
+    study = Study.from_distinct(*out)
+    pts = [(k * 0.05, eps) for k in range(20) for eps in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    grid = TuningGrid(points=pts, B=100, seed=0)
+    tracemalloc.start()
+    try:
+        bootstrap_tune(study, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / m <= 600, f"{peak / m:.0f} bytes per feature"
