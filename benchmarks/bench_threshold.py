@@ -15,10 +15,11 @@ lambda 0.5, at level 0.05. The script prints the best wall time of:
 It then times the block case of ``simulate``: 50 studies of 250
 p-values, drawn the same way, with the thresholds of the three
 exceedance procedures (``generalized``, ``storey``, ``storey_variant``
-at lambda 0.5) at five levels. One row-wise ``solve_thresholds`` call per (procedure, level)
-pair on the prebuilt ``PValueBlock`` is timed against one ``threshold``
-call per study on prebuilt one-study processes; the two must agree bit
-for bit.
+at lambda 0.5) at five levels. One row-wise ``solve_thresholds`` call
+per procedure, at all five levels, on the prebuilt ``PValueBlock`` is
+timed against one call per (procedure, level) pair and against one
+``threshold`` call per study on prebuilt one-study processes; all three
+must agree bit for bit.
 
 Run with ``python3 benchmarks/bench_threshold.py`` (options: ``--m``,
 ``--repeat`` for timing repetitions, ``--seed``).
@@ -80,12 +81,20 @@ def _block_case(rng: np.random.Generator, repeat: int) -> None:
     procs = [build_rejection_process(row) for row in pvalues]
     block = PValueBlock(pvalues)
 
-    def row_wise():
+    mults = {
+        kind: np.array([e.multiplier(m) for e in ests]) for kind, ests in estimators.items()
+    }
+
+    def all_levels():
         return [
-            solve_thresholds(
-                block, kind, np.array([e.multiplier(m) for e in ests]), 0.5, alpha
-            )
-            for kind, ests in estimators.items()
+            solve_thresholds(block, kind, mult, 0.5, BLOCK_ALPHAS)
+            for kind, mult in mults.items()
+        ]
+
+    def per_level():
+        return [
+            solve_thresholds(block, kind, mult, 0.5, alpha)
+            for kind, mult in mults.items()
             for alpha in BLOCK_ALPHAS
         ]
 
@@ -96,17 +105,25 @@ def _block_case(rng: np.random.Generator, repeat: int) -> None:
             for alpha in BLOCK_ALPHAS
         ]
 
-    t_block, solved = _time(row_wise, repeat=repeat)
+    t_block, solved = _time(all_levels, repeat=repeat)
+    t_levels, by_level = _time(per_level, repeat=repeat)
     t_rows, results = _time(one_row_calls, repeat=repeat)
-    for (t, value, count), per_row in zip(solved, results):
+    pairs = len(by_level)
+    stacked = [np.concatenate(out) for out in zip(*solved)]
+    assert all(
+        np.array_equal(a, np.stack(b)) for a, b in zip(stacked, zip(*by_level))
+    )
+    for a, per_row in enumerate(results):
+        t, value, count = (out[a] for out in stacked)
         assert t.tolist() == [res.t_alpha for res in per_row]
         assert value.tolist() == [res.fdr_at_t for res in per_row]
         assert count.tolist() == [res.rejections for res in per_row]
-    pairs = len(solved)
     print(f"\nblock: {rows} studies x {m} p-values, {pairs} (procedure, level) "
           f"pairs; best of {repeat} runs")
     print(f"{'solve_thresholds (block)':26s} {t_block * 1e3:9.1f}ms  "
-          f"{pairs} calls")
+          f"{len(solved)} calls, all levels at once")
+    print(f"{'solve_thresholds (level)':26s} {t_levels * 1e3:9.1f}ms  "
+          f"{pairs} calls, {t_levels / t_block:.1f}x the block")
     print(f"{'threshold (per study)':26s} {t_rows * 1e3:9.1f}ms  "
           f"{pairs * rows} calls, {t_rows / t_block:.1f}x the block")
 

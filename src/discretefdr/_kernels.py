@@ -40,15 +40,16 @@ p-values) of many laws at once, with no Python loop per law. It takes
 the laws in ascending length and cuts them into consecutive 2-D blocks:
 a block holds at most ``_BLOCK_ENTRIES`` entries, sized so that its
 working arrays stay in a core's L2 cache, and its longest law is at most
-twice its shortest. A block is as wide as its longest law, and each
-shorter law is padded with zero weights. Zero weights sort first and add
-nothing to any running sum, so padding changes no bit of a
-minimum-likelihood table or of a doubling table: each law's total is the
-last entry of its running sum, which padding leaves as it is (a pairwise
-row sum would not: numpy sums a longer row along another path). Under
-minimum likelihood one stable sort per block serves both the table and
-the supports: the p-values come out in ascending order, and each support
-is read off them, its padding dropped and equal neighbours masked.
+twice its shortest or its padding at most ``_PAD_ENTRIES`` entries. A
+block is as wide as its longest law, and each shorter law is padded with
+zero weights. Zero weights sort first and add nothing to any running
+sum, so padding changes no bit of a minimum-likelihood table or of a
+doubling table: each law's total is the last entry of its running sum,
+which padding leaves as it is (a pairwise row sum would not: numpy sums
+a longer row along another path). Under minimum likelihood one stable
+sort per block serves both the table and the supports: the p-values come
+out in ascending order, and each support is read off them, its padding
+dropped and equal neighbours masked.
 
 The batch kernels, and ``estimators.Study`` its support starts, group
 by :func:`group_keys`: ``m`` keys below ``_dense_keys(m)`` (``4 m +
@@ -117,6 +118,9 @@ _MAX_TIE_DEPTH = 8
 #: also the fastest or within 2%. The analyze-bin kernel took 1.65 to
 #: 1.73 ms at every size.
 _BLOCK_ENTRIES = 1 << 14
+
+#: Most padding entries of a block whose laws span over a factor two.
+_PAD_ENTRIES = 1 << 12
 
 #: The smallest positive float: the p-value of outcomes whose exact
 #: p-value is below the float64 range.
@@ -311,24 +315,25 @@ def _blocks(length: np.ndarray):
     """Indices of the laws in ascending length, cut into consecutive
     blocks: a block holds at most ``_BLOCK_ENTRIES`` entries (laws times
     its longest length), or one law when the law is wider, and its
-    longest law is at most twice its shortest.
+    longest law is at most twice its shortest, or its padding (the
+    entries past each law's length) at most ``_PAD_ENTRIES``.
 
-    A cut scans the laws of at most twice the shortest length, and at
-    most ``_BLOCK_ENTRIES // shortest`` of them. A block that stops short
-    of them all holds at least about half of them, so the cuts take time
-    linear in the number of laws.
+    A cut scans the laws up to twice, or ``_PAD_ENTRIES`` more than, the
+    shortest length, and at most ``_BLOCK_ENTRIES // shortest`` of them.
     """
     order = np.argsort(length, kind="stable")
     ranked = length[order]
     a = 0
     while a < order.shape[0]:
         shortest = int(ranked[a])
-        within = int(np.searchsorted(ranked, 2 * shortest, side="right"))
+        longest = max(2 * shortest, shortest + _PAD_ENTRIES)
+        within = int(np.searchsorted(ranked, longest, side="right"))
         ahead = ranked[a : min(within, a + max(1, _BLOCK_ENTRIES // shortest))]
-        # a block of the next k laws takes k times the k-th length, which
-        # grows with k
-        k = np.count_nonzero(np.arange(1, ahead.shape[0] + 1) * ahead <= _BLOCK_ENTRIES)
-        b = a + max(1, int(k))
+        # a block of the next k laws takes k times the k-th length, and
+        # pads that less their sum: both grow with k
+        entries = np.arange(1, ahead.shape[0] + 1) * ahead
+        fits = (ahead <= 2 * shortest) | (entries - np.cumsum(ahead) <= _PAD_ENTRIES)
+        b = a + max(1, np.count_nonzero(fits & (entries <= _BLOCK_ENTRIES)))
         yield order[a:b]
         a = b
 

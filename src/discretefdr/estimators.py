@@ -244,7 +244,7 @@ class Pi0Estimate:
 
 def _clip01(x):
     """``x`` clipped to [0, 1], elementwise (NaN stays NaN)."""
-    return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
+    return np.clip(x, 0.0, 1.0)
 
 
 def _one(method: str, raw: np.ndarray, lam, epsilon) -> Pi0Estimate:

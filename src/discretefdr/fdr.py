@@ -122,15 +122,16 @@ class PValueBlock:
         starts_at = np.zeros((rows, m + 1))
         starts_at[:, 1:] = ordered
         self.left = starts_at.ravel()[at]
+        self._per_row = per_row
         self._first = np.cumsum(per_row) - per_row
         self._last = self._first + per_row - 1
         self._index = np.arange(at.shape[0])
 
     def last(self, mask: np.ndarray) -> np.ndarray:
         """Per row, the flat index of its last interval where ``mask``
-        holds, or -1 if there is none."""
-        return np.maximum.reduceat(np.where(mask, self._index, -1), self._first)
-
+        holds along its last axis, or -1 if there is none."""
+        marked = np.where(mask, self._index, -1)
+        return np.maximum.reduceat(marked, self._first, axis=-1)
 
 class RejectionProcess:
     """Sorted distinct p-values with multiplicities.
@@ -249,7 +250,7 @@ def _fdr_values(rule, mult, lam, m, t, count):
 
 def _nudge_down(rule, mult, lam, m, count, t, floor, alpha):
     """Step every candidate ``t`` down by ulps until the estimator, with
-    multipliers ``mult`` and divisors ``count``, is at most ``alpha``.
+    multipliers ``mult`` and divisors ``count``, is at most its ``alpha``.
 
     Returns the stepped ``t`` and whether each candidate got there; one
     fails once it would step below its ``floor`` or after
@@ -266,91 +267,95 @@ def _nudge_down(rule, mult, lam, m, count, t, floor, alpha):
             break
         t[live] = np.nextafter(t[live], 0.0)
         live = live[t[live] >= floor[live]]
-        ok = _fdr_values(rule, mult[live], lam, m, t[live], count[live]) <= alpha
+        ok = _fdr_values(rule, mult[live], lam, m, t[live], count[live]) <= alpha[live]
         done[live[ok]] = True
         live = live[~ok]
     return t, done
 
 
 def solve_thresholds(
-    block: PValueBlock, kind: str, mult: np.ndarray, lam: float | None, alpha: float
+    block: PValueBlock, kind: str, mult: np.ndarray, lam: float | None, alpha
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row, procedure ``kind`` of :data:`PROCEDURES` at level ``alpha``.
+    """Per level and row, procedure ``kind`` of :data:`PROCEDURES` at
+    the levels ``alpha`` (one, or an array), all solved at once.
 
     ``mult`` holds each row's pi0 multiplier and ``lam`` is the setting
-    the row's rule reads. Returns per row the threshold, the estimator's
-    value there (NaN for a ``step`` row, which runs :func:`step_up` at
-    ``min(1, alpha / mult)``) and the rejection count.
+    the row's rule reads. Returns, each of shape ``alpha.shape + (rows,)``,
+    the thresholds, the estimator's values there (NaN for a ``step``
+    row, which runs :func:`step_up` at ``min(1, alpha / mult)``) and the
+    rejection counts; a level's are the bits a call at it alone gives.
 
     For an FDR estimator, the threshold is the largest ``t`` with
     estimator value at most ``alpha``. Within each interval where the
     rejection count is a constant ``T_j``, the estimator is ``mult * t *
     m / max(T_j, 1)``, so the feasible region there is ``t <= alpha *
-    max(T_j, 1) / (m * mult)``. For the intervals of every row at once,
-    the candidate ``min(alpha * max(T_j, 1) / (m * mult), right_j)`` is
-    feasible when it is not below the interval's left end. Each row's
-    last feasible candidate is then descended by ulps (where
-    floating-point round-off would otherwise push the estimator a hair
-    above ``alpha``), all rows together; a row whose descent fails moves
-    to its next feasible candidate, and a row with none left gets 0.
-    This guarantees ``f(t_alpha) <= alpha`` in float arithmetic while
-    keeping ``|f(t_alpha) - alpha| <= 1e-12`` when the equality contract
-    applies. A row whose multiplier is not positive, or any row at
-    ``alpha`` 1 of an estimator that never exceeds 1, gets ``t = 1``.
+    max(T_j, 1) / (m * mult)``. For the intervals of every row and level
+    at once, the candidate ``min(alpha * max(T_j, 1) / (m * mult),
+    right_j)`` is feasible when it is not below the interval's left end.
+    Each (level, row)'s last feasible candidate is then descended by
+    ulps (where floating-point round-off would otherwise push the
+    estimator a hair above ``alpha``), all together; one whose descent
+    fails moves to its next feasible candidate, and one with none left
+    gets 0. This guarantees ``f(t_alpha) <= alpha`` in float arithmetic
+    while keeping ``|f(t_alpha) - alpha| <= 1e-12`` when the equality
+    contract applies. A row whose multiplier is not positive, or any row
+    at ``alpha`` 1 of an estimator that never exceeds 1, gets ``t = 1``.
     """
-    if not 0.0 <= alpha <= 1.0:
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if not np.all((0.0 <= alpha) & (alpha <= 1.0)):
         raise ValueError("alpha must lie in [0, 1]")
+    shape, level = alpha.shape + (block.rows,), alpha.reshape(-1, 1)
     m, row = block.m, block.row
     mult = np.asarray(mult, dtype=np.float64)
     rule = PROCEDURES[kind][3]
     if rule == "step":
         if np.any(mult <= 0.0):
             raise ValueError("adaptive level undefined: pi0 estimate is zero")
-        t, rejections = step_up(block, np.minimum(1.0, alpha / mult))
-        return t, np.full(block.rows, math.nan), rejections
-    everything = mult <= 0.0
-    if alpha >= 1.0 and rule is not None:
-        everything = np.ones(block.rows, dtype=bool)
+        t, rejections = step_up(block, np.minimum(1.0, level / mult))
+        return t.reshape(shape), np.full(shape, math.nan), rejections.reshape(shape)
+    # per (level, row): rows that reject everything divide by a stand-in
+    # and stay infeasible
+    everything = (mult <= 0.0) | ((level >= 1.0) & (rule is not None))
+    some = everything.any()
+    scale = np.where(everything, 1.0, m * mult) if some else m * mult
+    scale = np.repeat(scale, block._per_row, axis=-1)  # onto the intervals
     # The variant is pinned at 1 beyond lam, so its feasible region for
     # alpha < 1 stops there.
     cap = lam if rule == "pin" else 1.0
-    scale = m * mult
-    some = everything.any()
-    if some:
-        # rows that reject everything divide by a stand-in, stay infeasible
-        scale = np.where(everything, 1.0, scale)
     # right_j >= left_j, so min(bound_j, right_j) >= left_j iff bound_j is
-    bound = np.minimum(alpha * block.count / scale[row], cap)
+    bound = level * block.count
+    np.minimum(np.divide(bound, scale, out=bound), cap, out=bound)
     feasible = bound >= block.left
     if some:
-        feasible &= ~everything[row]
+        feasible &= ~np.repeat(everything, block._per_row, axis=-1)
 
     t = np.where(everything, 1.0, 0.0)
     rejections = np.where(everything, m, 0)
-    chosen = block.last(feasible)
-    pending = np.flatnonzero(chosen >= 0)
+    chosen = block.last(feasible).ravel()
+    pending = np.flatnonzero(chosen >= 0)  # flat (level, row) indices
     while pending.shape[0]:
-        at = chosen[pending]
+        at, lvl = chosen[pending], pending // block.rows
         last = at == block._last[row[at]]  # a row's last interval ends at 1
         right = np.where(last, 1.0, np.nextafter(block.left[at + 1 - last], 0.0))
         stepped, done = _nudge_down(
-            rule, mult[pending], lam, m, block.count[at],
-            np.minimum(bound[at], right), block.left[at], alpha,
+            rule, mult[row[at]], lam, m, block.count[at],
+            np.minimum(bound[lvl, at], right), block.left[at], level[lvl, 0],
         )
-        t[pending[done]] = stepped[done]
-        rejections[pending[done]] = block.rejections[at[done]]
-        # rare: a failed row moves to its next feasible candidate
+        np.put(t, pending[done], stepped[done])
+        np.put(rejections, pending[done], block.rejections[at[done]])
+        # rare: a failed one moves to its next feasible candidate
         pending = pending[~done]
         if pending.shape[0]:
-            feasible[at[~done]] = False
-            chosen[pending] = block.last(feasible)[pending]
+            feasible[lvl[~done], at[~done]] = False
+            chosen = block.last(feasible).ravel()
             pending = pending[chosen[pending] >= 0]
     value = _fdr_values(rule, mult, lam, m, t, np.maximum(rejections, 1))
-    return t, value, rejections
+    return t.reshape(shape), value.reshape(shape), rejections.reshape(shape)
 
 
 def step_up(block: PValueBlock, level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the linear step-up cutoff at that row's ``level``.
+    """Per row, the linear step-up cutoff at that row's ``level``, of
+    shape (rows,) or, for several levels at once, (levels, rows).
 
     Returns each row's threshold ``p_(k*)`` and ``k*``, the largest
     ``k`` with ``p_(k) <= k * level / m`` (``(0, 0)`` if none). Within a
@@ -362,7 +367,8 @@ def step_up(block: PValueBlock, level: np.ndarray) -> tuple[np.ndarray, np.ndarr
     level = np.asarray(level, dtype=np.float64)
     if not np.all((0.0 <= level) & (level <= 1.0)):
         raise ValueError("alpha must lie in [0, 1]")
-    at = block.last(block.left <= block.rejections * (level / block.m)[block.row])
+    level = np.repeat(level / block.m, block._per_row, axis=-1)  # onto the intervals
+    at = block.last(block.left <= block.rejections * level)
     return block.left[at], block.rejections[at]
 
 

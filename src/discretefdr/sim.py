@@ -18,19 +18,21 @@ the estimators:
 
 Reproducibility: replication ``r`` of a scenario draws everything from
 the stream ``SeedSequence(seed, spawn_key=(r,))``. Within one
-replication the draw order is fixed: scenario parameters first
-(means, trials, effect factors, in that order), then group-1 counts,
-then group-2 counts. ``run_replications`` draws the replications in
-chunks of at most ``_CHUNK_FEATURES`` features (a replication wider than
-that is a chunk of its own) and tests each chunk's pooled counts with
-one batch-kernel call, which builds one null law per distinct
+replication the draw order is fixed: scenario parameters first (means,
+trials, effect factors, in that order), then group-1 counts, then
+group-2 counts. Both groups' counts come from one sampler call, which
+numpy draws in C order, group 1's first: the stream of a call per group.
+``run_replications`` draws the replications in chunks of at most
+``_CHUNK_FEATURES`` features (a replication wider than that is a chunk
+of its own), straight into the chunk's count columns, and tests them
+with one batch-kernel call, which builds one null law per distinct
 conditioning key of the chunk. The chunk is then evaluated as one block
 (``evaluate_block``): one study holds all its hypotheses, its
 replications x m p-values are checked and sorted once, row by row, each
-estimate is computed once for all rows, and each (procedure, level) pair
-is one row-wise solve. A key's law is built from that key alone, and a
-row's reductions are bitwise those of the row alone, so a replication's
-results are the same whether it is evaluated alone
+estimate is computed once for all rows, and each procedure is one
+row-wise solve at all levels. A key's law is built from that key alone,
+and a row's reductions are bitwise those of the row alone, so a
+replication's results are the same whether it is evaluated alone
 (``generate_scenario``, then ``evaluate_block`` with one row) or pooled
 with others, and whatever the chunk size. Only one chunk is tested and
 held at a time, so memory follows the chunk size, not ``reps``.
@@ -309,20 +311,26 @@ def _replication_rng(spec: ScenarioSpec, rep_index: int) -> np.random.Generator:
 _CHUNK_FEATURES = 1 << 16
 
 
-def _group_sums(spec: ScenarioSpec, rng: np.random.Generator, p) -> np.ndarray:
+def _group_sums(spec: ScenarioSpec, rng: np.random.Generator, p, out=None):
     """Each feature's sum of ``reps_per_group`` negative-binomial counts
-    of shape ``1 / dispersion`` and success probability ``p``.
+    of shape ``1 / dispersion`` and success probability ``p``, into
+    ``out`` when given. A ``p`` of several rows (groups) is drawn in one
+    call, whose variates numpy draws in C order: a call per row's stream.
 
-    numpy refuses a shape and ``p`` whose counts could overflow its
-    Poisson sampler; that refusal is raised as one naming the dispersion
-    and the largest group mean, ``shape * (1 - p) / p`` at the smallest
-    ``p``.
+    numpy checks all of ``p`` before it draws and refuses a shape and
+    ``p`` whose counts could overflow its Poisson sampler. A refusal is
+    that of the first row a call of its own refuses, raised as one
+    naming the dispersion and the row's largest group mean, ``shape *
+    (1 - p) / p`` at its smallest ``p``.
     """
     sigma = 1.0 / spec.dispersion
+    size = p.shape[:-1] + (spec.reps_per_group, p.shape[-1])
     try:
         with np.errstate(over="ignore", divide="ignore"):
-            counts = rng.negative_binomial(sigma, p, (spec.reps_per_group, spec.m))
+            counts = rng.negative_binomial(sigma, p[..., None, :], size)
     except ValueError:
+        for group in p if p.ndim > 1 else ():
+            _group_sums(spec, rng, group)  # raises at the first refused row
         if not np.all((0.0 < p) & (p <= 1.0)):
             raise  # numpy's message names p
         low = np.min(p)
@@ -333,41 +341,33 @@ def _group_sums(spec: ScenarioSpec, rng: np.random.Generator, p) -> np.ndarray:
             f"mean {mean:.6g}: numpy's negative-binomial sampler refuses the "
             "per-sample shape 1 / dispersion with these group means"
         ) from None
-    return counts.sum(axis=0).astype(np.int64)
+    return counts.sum(axis=-2, out=out)
 
 
-def _draw_counts(
-    spec: ScenarioSpec, rep_index: int, means: np.ndarray | None = None
-) -> tuple[np.ndarray, ...]:
-    """One replication's count columns, drawn in documented order:
-    ``(x1, x2)`` for ``poisson_bin``, ``(x1, trials, x2)`` for
-    ``binomial_fet`` and the group sums ``(s1, s2)`` for
-    ``negbinom_ent``."""
+def _draw_counts(spec: ScenarioSpec, rep_index: int, out: np.ndarray, means=None):
+    """One replication's count columns, drawn in documented order (both
+    groups in one sampler call), into the rows of ``out``: ``(x1, x2)``
+    for ``poisson_bin``, ``(x1, trials, x2)`` for ``binomial_fet`` and
+    the group sums ``(s1, s2)`` for ``negbinom_ent``."""
     rng = _replication_rng(spec, rep_index)
     params = _draw_parameters(spec, rng, means)
+    thetas = np.stack((params["theta1"], params["theta2"]))
     if spec.kind == "poisson_bin":
         try:
-            x1 = rng.poisson(params["theta1"])
-            x2 = rng.poisson(params["theta2"])
+            out[:] = rng.poisson(thetas)
         except ValueError:
             # the means are finite and at least 0, so numpy refuses one
             # too large for its sampler
-            mean = max(np.max(params["theta1"]), np.max(params["theta2"]))
             raise ValueError(
-                f"the largest group mean {mean:.6g} is too large: numpy's Poisson "
-                "sampler refuses it"
+                f"the largest group mean {np.max(thetas):.6g} is too large: "
+                "numpy's Poisson sampler refuses it"
             ) from None
-        return x1.astype(np.int64), x2.astype(np.int64)
-    if spec.kind == "binomial_fet":
-        trials = params["trials"].astype(np.int64)
-        x1 = rng.binomial(trials, params["theta1"])
-        x2 = rng.binomial(trials, params["theta2"])
-        return x1.astype(np.int64), trials, x2.astype(np.int64)
-    sigma = 1.0 / spec.dispersion
-    return tuple(
-        _group_sums(spec, rng, sigma / (sigma + params[theta]))
-        for theta in ("theta1", "theta2")
-    )
+    elif spec.kind == "binomial_fet":
+        out[1] = params["trials"]
+        out[::2] = rng.binomial(out[1], thetas)
+    else:
+        sigma = 1.0 / spec.dispersion
+        _group_sums(spec, rng, sigma / (sigma + thetas), out)
 
 
 def _test(spec: ScenarioSpec, columns) -> tuple[np.ndarray, ...]:
@@ -390,15 +390,15 @@ def _chunk_study(
 ) -> Study:
     """The replications ``reps`` tested in one kernel call, as one study.
 
-    The replications' counts are concatenated and tested together, so
-    the study's hypotheses are the replications' ``m`` hypotheses each,
-    replication by replication.
+    The replications' counts are drawn into one set of columns and tested
+    together, so the study's hypotheses are the replications' ``m``
+    hypotheses each, replication by replication.
     """
-    columns = [
-        np.concatenate(column)
-        for column in zip(*(_draw_counts(spec, r, means) for r in reps))
-    ]
-    return Study.from_distinct(*_test(spec, columns), truth=truth)
+    width = 3 if spec.kind == "binomial_fet" else 2
+    columns = np.empty((width, len(reps), spec.m), dtype=np.int64)
+    for j, r in enumerate(reps):
+        _draw_counts(spec, r, columns[:, j], means)
+    return Study.from_distinct(*_test(spec, columns.reshape(width, -1)), truth=truth)
 
 
 def _truth(spec: ScenarioSpec) -> np.ndarray:
@@ -447,9 +447,9 @@ def evaluate_block(
     it runs with, as its row of ``fdr.PROCEDURES`` gives them from its
     estimate (1 for ``bh``). The step-up procedures have no ``lambda``
     or ``epsilon``; a procedure whose estimate takes no ``epsilon`` runs
-    at ``epsilon`` 0. Each (procedure, level) pair is one
-    :func:`~discretefdr.fdr.solve_thresholds` call. Callers check the
-    names, once per roster.
+    at ``epsilon`` 0. Each procedure is one
+    :func:`~discretefdr.fdr.solve_thresholds` call, at all levels.
+    Callers check the names, once per roster.
     """
     wanted = set(methods) | {fdr.PROCEDURES[name][0] for name in procedures}
     used = [name for name in ESTIMATORS if name in wanted]
@@ -474,12 +474,7 @@ def evaluate_block(
             cells = (None, None, mult)
         else:
             cells = (lam, epsilon if "epsilon" in ESTIMATORS[on][1] else 0.0, mult)
-        t = np.empty((len(alphas), rows))
-        value = np.empty((len(alphas), rows))
-        count = np.empty((len(alphas), rows), dtype=np.int64)
-        for a, alpha in enumerate(alphas):
-            t[a], value[a], count[a] = solve_thresholds(block, name, mult, lam, alpha)
-        outcomes.append((cells, t, value, count))
+        outcomes.append((cells, *solve_thresholds(block, name, mult, lam, alphas)))
     return estimates, outcomes
 
 
@@ -488,20 +483,18 @@ def false_discovery_proportion(study: Study, result: ThresholdResult) -> float:
     (0 if there are none): the one-row case of :func:`false_discovery_rows`."""
     if study.truth is None:
         raise ValueError("false discovery proportion needs truth labels")
-    (fdp,) = false_discovery_rows(
-        study.pvalues[None, :], study.truth,
-        np.array([result.t_alpha]), np.array([result.rejections]),
-    )
-    return float(fdp)
+    t = np.asarray(result.t_alpha)
+    return float(false_discovery_rows(study.pvalues, study.truth, t, result.rejections))
 
 
 def false_discovery_rows(
     pvalues: np.ndarray, truth: np.ndarray, t: np.ndarray, rejections: np.ndarray
 ) -> np.ndarray:
     """Realized false discovery proportion of each row of ``pvalues`` at
-    its threshold ``t``, with ``rejections`` p-values at most ``t``: the
-    share V / max(R, 1) of true nulls among them, 0 where there are none."""
-    false = np.count_nonzero((pvalues <= t[:, None]) & truth, axis=1)
+    its threshold ``t``, with ``rejections`` p-values at most ``t``, per
+    row of ``t`` (a level) when it has two: the share V / max(R, 1) of
+    true nulls among them, 0 where there are none."""
+    false = np.count_nonzero((pvalues <= t[..., None]) & truth, axis=-1)
     return false / np.maximum(rejections, 1)
 
 
@@ -593,14 +586,12 @@ def run_replications(
     proportion, and every named procedure at every nominal level with
     its threshold, rejection count and realized false discovery
     proportion. Each chunk of replications is evaluated as one block
-    (:func:`evaluate_block`): each estimate is computed once per chunk,
-    each (procedure, level) pair is one row-wise solve, and each pair's
-    false discovery proportions are one comparison of the chunk's
-    p-values with its thresholds. Roster names, and whether ``m`` is
-    enough p-values for each estimate, are checked here, before any
-    study is generated. The replications are tested in pooled chunks
-    (see the module docstring); results are deterministic functions of
-    ``(spec, rep_index)``, the same as :func:`generate_scenario` gives.
+    (see the module docstring), and each procedure's false discovery
+    proportions are one comparison of the chunk's p-values with its
+    thresholds. Roster names, and whether ``m`` is enough p-values for
+    each estimate, are checked here, before any study is generated.
+    Results are deterministic functions of ``(spec, rep_index)``, the
+    same as :func:`generate_scenario` gives.
     A ``negbinom_ent`` spec's mean file is read once per run, parsed
     from ``mean_data`` (the file's bytes, as the caller read them) when
     given.
@@ -641,10 +632,8 @@ def run_replications(
             est[rows, j] = estimates[name][1]
         pvalues = study.pvalues.reshape(len(chunk), spec.m)
         for j, (_, t, _, count) in enumerate(outcomes):
-            thr[rows, j] = t.T
-            rej[rows, j] = count.T
-            for a in range(len(alphas)):
-                fdp[rows, j, a] = false_discovery_rows(pvalues, truth, t[a], count[a])
+            thr[rows, j], rej[rows, j] = t.T, count.T
+            fdp[rows, j] = false_discovery_rows(pvalues, truth, t, count).T
 
     return ReplicationSummary(
         spec=spec,

@@ -11,8 +11,12 @@ blockwise tables must match them bit for bit once ``floored``.
 The row-at-a-time count-table parser (``ingest_rows``) and CSV writer
 (``write_csv_rows``) are the references for the library's column-wise
 ones, ``json_text`` (a rounding pass, then ``json.dumps``) for the
-one-walk JSON writer, ``generate_scenario_alone`` (one kernel call per
-replication) for ``sim``'s pooled replications, and ``batch_by_unique`` and
+one-walk JSON writer, ``draw_counts_per_group`` and
+``group_sums_per_group`` (one sampler call per group) for ``sim``'s
+draws of both groups in one call, ``generate_scenario_alone`` (one
+kernel call per replication) for ``sim``'s pooled replications,
+``clip01_where`` (nested ``np.where``) for ``estimators._clip01``, and
+``batch_by_unique`` and
 ``study_layout``, which group by ``np.unique``, for the kernels' and
 ``estimators.Study``'s grouping in linear time. ``procedure_results`` transcribes
 each procedure from the one-study estimates of ``pi0_loop`` and the
@@ -490,41 +494,75 @@ def poisson_bin_adjusted_terms(
     return pvalues, expected
 
 
-def generate_scenario_alone(spec, rep_index: int):
-    """Reference for ``sim``'s pooled replications: draws one
-    replication's counts and tests them with a kernel call of their own,
-    as ``generate_scenario`` did before replications were pooled."""
-    from discretefdr import Study, _kernels
+def group_sums_per_group(spec, rng, p) -> np.ndarray:
+    """Reference for ``sim._group_sums``: one group's sums from a sampler
+    call of its own, refused as one such call refuses."""
+    sigma = 1.0 / spec.dispersion
+    try:
+        with np.errstate(over="ignore", divide="ignore"):
+            counts = rng.negative_binomial(sigma, p, (spec.reps_per_group, spec.m))
+    except ValueError:
+        if not np.all((0.0 < p) & (p <= 1.0)):
+            raise  # numpy's message names p
+        low = np.min(p)
+        with np.errstate(over="ignore"):
+            mean = sigma * (1.0 - low) / low
+        raise ValueError(
+            f"dispersion {spec.dispersion!r} is too large for the largest group "
+            f"mean {mean:.6g}: numpy's negative-binomial sampler refuses the "
+            "per-sample shape 1 / dispersion with these group means"
+        ) from None
+    return counts.sum(axis=0).astype(np.int64)
+
+
+def draw_counts_per_group(spec, rep_index: int, means=None) -> tuple:
+    """Reference for ``sim._draw_counts``: one replication's count
+    columns, one sampler call per group, group 1's first."""
     from discretefdr.sim import _draw_parameters, _replication_rng
 
     rng = _replication_rng(spec, rep_index)
-    params = _draw_parameters(spec, rng)
-    truth = np.zeros(spec.m, dtype=bool)
-    truth[: spec.m0] = True
-
+    params = _draw_parameters(spec, rng, means)
     if spec.kind == "poisson_bin":
-        x1 = rng.poisson(params["theta1"])
-        x2 = rng.poisson(params["theta2"])
-        out = _kernels.batch_binomial(
-            x1.astype(np.int64), x2.astype(np.int64)
-        )
-    elif spec.kind == "binomial_fet":
+        try:
+            x1 = rng.poisson(params["theta1"])
+            x2 = rng.poisson(params["theta2"])
+        except ValueError:
+            mean = max(np.max(params["theta1"]), np.max(params["theta2"]))
+            raise ValueError(
+                f"the largest group mean {mean:.6g} is too large: numpy's Poisson "
+                "sampler refuses it"
+            ) from None
+        return x1.astype(np.int64), x2.astype(np.int64)
+    if spec.kind == "binomial_fet":
         trials = params["trials"].astype(np.int64)
         x1 = rng.binomial(trials, params["theta1"])
         x2 = rng.binomial(trials, params["theta2"])
-        out = _kernels.batch_fisher(
-            x1.astype(np.int64), trials, x2.astype(np.int64), trials
-        )
+        return x1.astype(np.int64), trials, x2.astype(np.int64)
+    sigma = 1.0 / spec.dispersion
+    return tuple(
+        group_sums_per_group(spec, rng, sigma / (sigma + params[theta]))
+        for theta in ("theta1", "theta2")
+    )
+
+
+def generate_scenario_alone(spec, rep_index: int):
+    """Reference for ``sim``'s pooled replications: draws one
+    replication's counts, one sampler call per group, and tests them with
+    a kernel call of their own, as ``generate_scenario`` did before
+    replications were pooled."""
+    from discretefdr import Study, _kernels
+
+    columns = draw_counts_per_group(spec, rep_index)
+    truth = np.zeros(spec.m, dtype=bool)
+    truth[: spec.m0] = True
+    if spec.kind == "poisson_bin":
+        out = _kernels.batch_binomial(*columns)
+    elif spec.kind == "binomial_fet":
+        x1, trials, x2 = columns
+        out = _kernels.batch_fisher(x1, trials, x2, trials)
     else:
-        sigma = 1.0 / spec.dispersion
         k = spec.reps_per_group
-        p1 = sigma / (sigma + params["theta1"])
-        p2 = sigma / (sigma + params["theta2"])
-        s1 = rng.negative_binomial(sigma, p1, size=(k, spec.m)).sum(axis=0)
-        s2 = rng.negative_binomial(sigma, p2, size=(k, spec.m)).sum(axis=0)
-        out = _kernels.batch_negbinom(
-            s1.astype(np.int64), s2.astype(np.int64), k * sigma
-        )
+        out = _kernels.batch_negbinom(*columns, k * (1.0 / spec.dispersion))
     return Study.from_distinct(*out, truth=truth)
 
 
@@ -817,6 +855,12 @@ def features_rows(table, study):
     """``features.csv`` rows: id, p-value and the support cell."""
     for ident, p, support in zip(table.ids, study.pvalues.tolist(), study.supports):
         yield ident, p, ";".join([f"{v:.9g}" for v in support.tolist()])
+
+
+def clip01_where(x):
+    """Reference for ``estimators._clip01``: ``x`` clipped to [0, 1] by
+    nested ``np.where`` (NaN stays NaN, -0.0 stays -0.0)."""
+    return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
 
 
 def pi0_loop(study, method: str, lam: float, eps) -> tuple[float, float]:

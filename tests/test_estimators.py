@@ -229,6 +229,25 @@ def test_all_values_clipped_to_unit_interval():
             assert est.value == max(0.0, min(1.0, est.raw))
 
 
+def test_clip_matches_nested_where_bitwise():
+    """``_clip01`` gives the bits of the nested ``np.where`` form, sign of
+    zero, NaN and infinities included, on arrays and on a float."""
+    from discretefdr.estimators import _clip01
+
+    edges = np.array([
+        -0.0, 0.0, -5e-324, 5e-324, 0.5, 1.0, np.nextafter(1.0, 2.0),
+        np.nan, np.inf, -np.inf, -3.0, 7.0,
+    ])
+    rng = np.random.default_rng(10)
+    for x in (edges, rng.uniform(-0.5, 1.5, (100, 100))):
+        got, want = _clip01(x), oracles.clip01_where(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for x in edges.tolist():
+        assert np.float64(_clip01(x)).tobytes() == np.float64(
+            oracles.clip01_where(x)
+        ).tobytes(), x
+
+
 def test_pi0_estimate_json_shape():
     s = _study([0.2, 0.6, 1.0, 1.0], [0.2, 0.6, 1.0])
     d = generalized_pi0(s, 0.5, 1.0).to_json_dict()

@@ -352,10 +352,11 @@ def test_unique_below_matches_unique(monkeypatch):
 def _law_cases():
     rng = np.random.default_rng(7)
     # totals from 0 to 2000: beyond 1074 some outcome weights underflow to 0;
-    # the total 3000 is wider than a block of the small block size below
+    # the total 3000 is wider than a block of the small block size below;
+    # the total 120 starts a block that holds the total 127 too
     bin_keys = np.unique(
         np.concatenate([np.arange(0, 40), rng.integers(40, 1075, 60),
-                        np.arange(1075, 2001, 23), [127, 2000, 3000]])
+                        np.arange(1075, 2001, 23), [120, 127, 2000, 3000]])
     )
     # margins of many attainable-range lengths, so padded groups mix lengths
     r1 = rng.integers(0, 90, 400)
@@ -456,6 +457,11 @@ def _length_cases():
     }
 
 
+def _padding(n: np.ndarray) -> int:
+    """The entries past each law's length in a block of laws of lengths ``n``."""
+    return int(n.shape[0] * n.max() - n.sum())
+
+
 @pytest.mark.parametrize("block_entries", [None, 64, 2048])
 @pytest.mark.parametrize("case", sorted(_length_cases()))
 def test_blocks_take_every_law_once_in_ascending_bounded_blocks(
@@ -463,25 +469,64 @@ def test_blocks_take_every_law_once_in_ascending_bounded_blocks(
 ):
     """``_blocks`` cuts the laws, in ascending length, into consecutive
     blocks of at most ``_BLOCK_ENTRIES`` entries (or one wider law),
-    each spanning at most a factor two in length; each block stops only
-    where the next law would break one of those bounds."""
+    each spanning at most a factor two in length or holding at most
+    ``_PAD_ENTRIES`` entries of padding; each block stops only where the
+    next law would break one of those bounds. At a padding bound of 0,
+    every block spans at most a factor two."""
     if block_entries is not None:
         monkeypatch.setattr(K, "_BLOCK_ENTRIES", block_entries)
     bound = K._BLOCK_ENTRIES
     length = _length_cases()[case]
-    blocks = list(K._blocks(length))
-    taken = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
-    assert np.array_equal(np.sort(taken), np.arange(length.shape[0]))
-    assert np.all(np.diff(length[taken]) >= 0)
-    for b, rows in enumerate(blocks):
-        n = length[rows]
-        assert rows.shape[0] == 1 or rows.shape[0] * n.max() <= bound, (case, b)
-        assert n.max() <= 2 * n.min(), (case, b)
-        if b + 1 < len(blocks):
-            following = length[blocks[b + 1][0]]
-            assert following > 2 * n.min() or (rows.shape[0] + 1) * following > bound
-    if case == "equal":
-        assert len(blocks) == -(-length.shape[0] // (bound // 7))
+    for pad in (K._PAD_ENTRIES, 0):
+        monkeypatch.setattr(K, "_PAD_ENTRIES", pad)
+        blocks = list(K._blocks(length))
+        taken = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
+        assert np.array_equal(np.sort(taken), np.arange(length.shape[0]))
+        assert np.all(np.diff(length[taken]) >= 0)
+        for b, rows in enumerate(blocks):
+            n = length[rows]
+            assert rows.shape[0] == 1 or rows.shape[0] * n.max() <= bound, (case, b)
+            assert n.max() <= 2 * n.min() or _padding(n) <= pad, (case, b, pad)
+            if b + 1 < len(blocks):
+                following = length[blocks[b + 1][0]]
+                wider = _padding(np.append(n, following)) > pad
+                assert (following > 2 * n.min() and wider) or (
+                    (rows.shape[0] + 1) * following > bound
+                )
+        if case == "equal":
+            assert len(blocks) == -(-length.shape[0] // (bound // 7))
+
+
+@pytest.mark.parametrize("convention", ["minlik", "doubling"])
+def test_padding_bound_changes_no_bit_of_the_tables(convention, monkeypatch):
+    """Laws of every length from 1 to 300, of each family, get the same
+    tables and supports, bit for bit, from blocks cut at the padding
+    bound and at 0 (where no block spans more than a factor two), and
+    the bound cuts fewer blocks."""
+    lengths = np.arange(300)
+    families = [
+        K.binomial_laws(lengths),
+        K.fisher_laws(np.full(300, 300), np.full(300, 300), lengths),
+        K.negbinom_laws(lengths, 3 * 0.689),
+        K.negbinom_laws(lengths, 40.0),
+    ]
+    bound = K._PAD_ENTRIES
+    for laws in families:
+        assert np.array_equal(np.sort(laws[0]), np.arange(1, 301))
+        built = {}
+        for pad in (bound, 0):
+            monkeypatch.setattr(K, "_PAD_ENTRIES", pad)
+            table_flat, table_start, flat, start, length = K.tables(laws, convention)
+            built[pad] = (
+                len(list(K._blocks(laws[0]))),
+                [table_flat[a : a + n] for a, n in zip(table_start, laws[0])],
+                [flat[a : a + n] for a, n in zip(start, length)],
+            )
+        (wide, tables, supports), (narrow, tables0, supports0) = built.values()
+        assert wide < narrow
+        for k in range(300):
+            assert tables[k].tobytes() == tables0[k].tobytes(), (convention, k)
+            assert supports[k].tobytes() == supports0[k].tobytes(), (convention, k)
 
 
 def test_doubling_tables_build_one_block_per_width(monkeypatch):

@@ -19,7 +19,7 @@ from discretefdr import (
     pounds_bias_from_expectations,
     run_replications,
 )
-from discretefdr import _kernels, sim
+from discretefdr import _kernels, fdr, sim
 from discretefdr.sim import _draw_parameters, _replication_rng
 
 import oracles
@@ -137,6 +137,65 @@ def test_negbinom_range_check_agrees_with_numpy_at_the_edge(sigma):
     assert refused[0] and not refused[-1]
     with pytest.raises(ValueError, match="^p <= 0"):
         sim._group_sums(spec, np.random.default_rng(0), np.array([1.5]))
+
+
+def _draw_specs(tmp_path):
+    """Specs of all three kinds: default and other sizes, shares of true
+    nulls and samples per group, and group means from a file."""
+    path = tmp_path / "means.txt"
+    path.write_text("\n".join(str(v) for v in np.linspace(0.0, 40.0, 30)) + "\n")
+    return [
+        _spec(kind="poisson_bin", m=40),
+        _spec(kind="poisson_bin", m=1, pi0=0.3, pareto_location=60.0),
+        _spec(kind="binomial_fet", m=40, theta2_transform="cap"),
+        _spec(kind="binomial_fet", m=7, pi0=0.9, trials_mean=300.0),
+        _spec(kind="negbinom_ent", m=40),
+        _spec(kind="negbinom_ent", m=3, reps_per_group=1, dispersion=0.05),
+        _spec(kind="negbinom_ent", m=30, reps_per_group=5, mean_file=str(path)),
+    ]
+
+
+def test_draws_of_both_groups_in_one_call_match_a_call_per_group(tmp_path):
+    """Each kind's counts, drawn for both groups in one sampler call into
+    the chunk's rows, are bit for bit those of one call per group, over
+    several specs and replications."""
+    for spec in _draw_specs(tmp_path):
+        width = 3 if spec.kind == "binomial_fet" else 2
+        for r in (0, 1, 7, 300):
+            out = np.full((width, spec.m), -1, dtype=np.int64)
+            sim._draw_counts(spec, r, out)
+            want = oracles.draw_counts_per_group(spec, r)
+            assert all(c.dtype == np.int64 for c in want)
+            assert np.array_equal(out, np.stack(want)), (spec, r)
+        # the pooled chunk holds each replication's columns in turn
+        study = sim._chunk_study(spec, range(4))
+        for r in range(4):
+            alone = oracles.generate_scenario_alone(spec, r)
+            assert study.pvalues[r * spec.m : (r + 1) * spec.m].tobytes() == (
+                alone.pvalues.tobytes()
+            )
+
+
+def _refusal(draw):
+    with pytest.raises(ValueError) as info:
+        draw()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("mean, refused", [(6e17, "group 2"), (1e18, "both")])
+def test_negbinom_refusal_names_the_group_a_draw_per_group_refuses(mean, refused):
+    """numpy checks both groups' ``p`` at once; the refusal names the
+    mean of the group that a call per group refuses first: group 2's
+    when only its (scaled) means are too large, group 1's when both
+    are, which is then below group 2's largest mean."""
+    spec = _spec(kind="negbinom_ent", m=5, pi0=0.6, mean_low=mean, mean_high=mean)
+    want = _refusal(lambda: oracles.draw_counts_per_group(spec, 0))
+    got = _refusal(lambda: sim._draw_counts(spec, 0, np.empty((2, 5), dtype=np.int64)))
+    assert got == want
+    assert got.startswith(f"dispersion {spec.dispersion!r} is too large")
+    named = float(got.split("group mean ")[1].split(":")[0])
+    # group 1's means are all `mean`; group 2's false nulls are larger
+    assert (named == pytest.approx(mean, rel=1e-5)) == (refused == "both")
 
 
 def test_spec_validation():
@@ -422,7 +481,7 @@ def test_replications_are_tested_and_used_one_chunk_at_a_time(monkeypatch):
     """Each chunk is drawn, tested in one kernel call and evaluated as one
     block before the next is drawn, so no more than one chunk of studies
     is alive."""
-    from discretefdr import _kernels, sim
+    from discretefdr import _kernels, fdr, sim
 
     events = []
     kernel, evaluate = _kernels.batch_binomial, sim.evaluate_block
@@ -618,6 +677,36 @@ def test_row_solvers_match_oracles_when_a_nudge_fails(kind):
             assert count[0] == 2  # fell back from the count-3 interval
 
 
+@pytest.mark.parametrize("kind", sorted(fdr.PROCEDURES))
+def test_solving_all_levels_at_once_matches_a_call_per_level(kind):
+    """``solve_thresholds`` at several levels (ties, repeats, 0 and 1)
+    gives each level the bits of a call at that level alone, on rows
+    with heavy ties, all p-values 1, the failed-nudge instance and, for
+    the estimators, multipliers of 0 and below."""
+    rng = np.random.default_rng(44)
+    block = fdr.PValueBlock(_edge_rows(rng))
+    mult = np.array([_FALLBACK_MULT, 0.7, 1.2, 0.0, -0.1])
+    if fdr.PROCEDURES[kind][3] == "step":
+        mult = np.array([_FALLBACK_MULT, 0.7, 1.2, 1e-3, 1.0])
+    alphas = [0.1, 0.0, 0.05, float(rng.uniform()), 1.0, 0.1, 0.5]
+    got = fdr.solve_thresholds(block, kind, mult, 0.5, alphas)
+    for a, alpha in enumerate(alphas):
+        want = fdr.solve_thresholds(block, kind, mult, 0.5, alpha)
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == (len(alphas), 5) and g.dtype == w.dtype
+            assert g[a].tobytes() == w.tobytes(), (kind, alpha)
+    if fdr.PROCEDURES[kind][3] == "step":
+        levels = np.minimum(1.0, np.array(alphas)[:, None] / mult)
+        cut, k = fdr.step_up(block, levels)
+        for a in range(len(alphas)):
+            one_cut, one_k = fdr.step_up(block, levels[a])
+            assert cut[a].tobytes() == one_cut.tobytes() and np.array_equal(k[a], one_k)
+        with pytest.raises(ValueError, match="pi0 estimate is zero"):
+            fdr.solve_thresholds(block, kind, mult * 0.0, 0.5, alphas)
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+        fdr.solve_thresholds(block, kind, mult, 0.5, [0.1, 1.5])
+
+
 @pytest.mark.parametrize("bad", [np.nan, 0.0])
 def test_block_refuses_a_row_with_a_pvalue_outside_the_unit_interval(bad):
     rows = _edge_rows(np.random.default_rng(43))
@@ -667,8 +756,9 @@ def test_each_study_builds_one_process_and_each_estimate_once(monkeypatch):
     """With the full roster, every chunk of studies builds one p-value
     block, computes each estimate once for all its studies and solves
     each (procedure, level) pair once, whatever the procedures and
-    levels that share them: one ``solve_thresholds`` call per pair, of
-    which the step-up pairs run ``step_up`` once each."""
+    levels that share them: one ``solve_thresholds`` call per procedure,
+    at every level at once, of which the step-up procedures run
+    ``step_up`` once each."""
     from discretefdr import estimators as table, fdr, sim
 
     calls = []
@@ -706,8 +796,8 @@ def test_each_study_builds_one_process_and_each_estimate_once(monkeypatch):
     for a, b in zip(starts, starts[1:] + [len(calls)]):
         names = calls[a + 1 : b]
         assert sorted(n for n in names if n in estimators) == sorted(estimators)
-        assert names.count("solve_thresholds") == 5 * len(alphas)
-        assert names.count("step_up") == 2 * len(alphas)
+        assert names.count("solve_thresholds") == 5
+        assert names.count("step_up") == 2
 
 
 def test_aggregate_layout():
