@@ -26,8 +26,11 @@ the study stores as one support), the blocks built, the share of the
 blocks' entries that are outcomes of a law rather than padding, and the
 kernel time per feature. The
 laws built equal the distinct keys, except for ``fisher``: there a table
-and its mirror, margins ``(r1, r2, s)`` and ``(r2, r1, s)``, share one
-law under either convention.
+and its mirror, margins ``(r1, r2, s)`` and ``(r2, r1, s)``, and their
+complements, successes and failures relabelled (``s`` taken to ``r1 +
+r2 - s``), share one law under either convention. So its distinct
+(ordered) keys are printed beside the orbits of the margins under those
+two symmetries, which the laws built must equal.
 Unique-key batches of the binomial and negative-binomial tests need
 distinct totals, so each law grows with the batch; they are capped at
 ``UNIQUE_TOTALS`` features to keep them comparable.
@@ -46,7 +49,7 @@ and at ``TUNED_M``, each the best of ``GROUPING_ROUNDS`` calls.
 ``_batch`` takes the first below ``_kernels._dense_keys(m)`` keys. One
 more batch is shaped like the support starts that ``Study`` groups on
 the analyze-fet input: ``STARTS_LAWS`` laws per feature, of 2 to 24
-points laid end to end (about 9 ``m`` places), each the support of at
+points laid end to end (about 8 ``m`` places), each the support of at
 least one feature.
 
 The large-total case times one binomial law and one negative-binomial
@@ -90,9 +93,9 @@ POOLED_M = 250
 GROUPING_RANGES = (1, 4, 8, 16)
 GROUPING_ROUNDS = 200
 
-#: Laws per feature of the support-starts batch: 10 726 for 15 000
+#: Laws per feature of the support-starts batch: 9 064 for 15 000
 #: features on the analyze-fet input of seed 2001.
-STARTS_LAWS = 0.715
+STARTS_LAWS = 0.604
 
 #: Conditioned totals of the one-law cases.
 LARGE_TOTALS = (2**16, 2**20, _kernels.MAX_TOTAL)
@@ -233,11 +236,18 @@ def _pooled(draws, shape_total):
     ]
 
 
-def _distinct_keys(name: str, args) -> int:
+def _distinct_keys(name: str, args) -> tuple[int, int]:
+    """The distinct conditioning keys of a batch, and their orbits under
+    the kernel's symmetries (for ``fisher``, the mirror and the
+    complement; none for the others)."""
     if name == "fisher":
         x1, r1, x2, r2 = args
-        return np.unique(np.column_stack((r1, r2, x1 + x2)), axis=0).shape[0]
-    return np.unique(args[0] + args[1]).shape[0]
+        s = x1 + x2
+        keys = np.unique(np.column_stack((r1, r2, s)), axis=0).shape[0]
+        orbit = (np.minimum(r1, r2), np.maximum(r1, r2), np.minimum(s, r1 + r2 - s))
+        return keys, np.unique(np.column_stack(orbit), axis=0).shape[0]
+    keys = np.unique(args[0] + args[1]).shape[0]
+    return keys, keys
 
 
 def _layout(kernel, batch, convention) -> tuple[int, float]:
@@ -284,7 +294,7 @@ def main() -> int:
 
     print(f"best of {args.repeat} runs")
     header = (f"{'kernel':10s} {'keys':>9s} {'convention':>10s} {'m':>7s} "
-              f"{'distinct':>9s} {'laws':>7s} {'blocks':>6s} {'fill':>5s} "
+              f"{'distinct':>9s} {'orbits':>7s} {'laws':>7s} {'blocks':>6s} {'fill':>5s} "
               f"{'kernel':>10s} {'study':>10s} {'per feature':>12s}")
     print(header)
     print("-" * len(header))
@@ -301,10 +311,12 @@ def main() -> int:
                 t_study, study = _time(Study.from_distinct, *out, repeat=args.repeat)
                 laws = np.unique(out[2]).shape[0]
                 assert study.support_len.shape[0] == laws  # one support per slice
+                keys, orbits = _distinct_keys(name, batch)
+                assert laws == orbits  # one law per orbit of keys
                 blocks, fill = _layout(kernel, batch, convention)
                 print(
                     f"{name:10s} {kind:>9s} {convention:>10s} {m:7d} "
-                    f"{_distinct_keys(name, batch):9d} {laws:7d} {blocks:6d} "
+                    f"{keys:9d} {orbits:7d} {laws:7d} {blocks:6d} "
                     f"{fill:5.0%} {t * 1e3:8.1f}ms "
                     f"{t_study * 1e3:8.1f}ms {t / m * 1e6:10.2f}us"
                 )

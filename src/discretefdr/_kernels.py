@@ -59,10 +59,14 @@ key range; wider keys, such as the hypergeometric test's packed
 margins, by ``np.unique``. The batch kernels build one law per distinct
 key. Both groupings give the distinct keys in ascending order and the
 same index of each feature, so the laws, their order and every output
-bit are the same either way. The hypergeometric test goes further: a
-table with margins ``(r1, r2, s)`` and ``r1 > r2`` is tested as its
-mirror ``(r2, r1, s)`` at the other group's count, so that a table and
-its mirror share one law (see :func:`batch_fisher`). The kernels return
+bit are the same either way. The hypergeometric test goes further and
+builds one law per orbit of its two exact symmetries: a table with
+margins ``(r1, r2, s)`` and ``r1 > r2`` is tested as its mirror ``(r2,
+r1, s)`` at the other group's count, and a table with ``2 s > r1 + r2``
+as its complement ``(r1, r2, r1 + r2 - s)``, successes and failures
+relabelled. A table, its mirror and their complements share one law,
+whose minimum-likelihood table is bit for bit that of each orientation
+(see :func:`batch_fisher`). The kernels return
 ``(pvalues, support_flat, support_start, support_len)``:
 feature ``i``'s support is
 ``support_flat[support_start[i]: support_start[i] + support_len[i]]``.
@@ -485,6 +489,19 @@ def batch_fisher(x1, r1, x2, r2, convention: str = "minlik"):
     p-value: the weight of ``a`` is ``log C(r1, a) + log C(r2, s - a)``,
     the mirror's weight of ``s - a`` is the same two terms in the other
     order, and the lower tail of one law is the upper tail of the other.
+
+    The mirrored table is then tested as its complement when ``2 s > r1
+    + r2``: successes and failures relabelled, margins ``(r1, r2, r1 +
+    r2 - s)`` at outcome ``r1 - a``. Its law is the table's in reverse
+    order, with every log-weight's bits (:func:`log_binomial_coefficients`
+    gives ``j`` and ``n - j`` the same bits), so the four orientations of
+    a table share one law and one support slice. Under minimum
+    likelihood this keeps every bit: a law and its reverse have the same
+    sorted weights, and so the same running sums. Under tail doubling it
+    makes relabelling change no bit, as the mirror does for swapping the
+    groups; there a folded table's p-value can differ by a few ulps from
+    the one its own law would give, whose total is summed in the other
+    order.
     """
     x1 = np.asarray(x1, dtype=np.int64)
     r1 = np.asarray(r1, dtype=np.int64)
@@ -496,6 +513,11 @@ def batch_fisher(x1, r1, x2, r2, convention: str = "minlik"):
     swap = r1 > r2
     r1, r2 = np.where(swap, r2, r1), np.where(swap, r1, r2)
     x1 = np.where(swap, x2, x1)
+    # then as its complement, failures counted as successes
+    total = r1 + r2
+    flip = 2 * ss > total
+    np.subtract(total, ss, out=ss, where=flip)
+    np.subtract(r1, x1, out=x1, where=flip)
     lo = np.maximum(0, ss - r2)
     # one int64 key per table, in the order of (r1, r2, s): the rank of
     # its margins packed in 44 bits (each below 2^22), then s in 23 bits

@@ -14,16 +14,19 @@ from ``SeedSequence(seed)``. A resample's estimate at ``(lambda,
 epsilon)`` is ``(E - epsilon * G) / ((1 - lambda) * m)``, where ``E``
 sums the exceedance indicators ``1{p_i > lambda}`` and ``G`` the floor
 gaps ``lambda - floor_i`` over the resample. The floors of every
-distinct lambda come from one ``Study.support_floor`` call on the
-ascending lambdas, and ``_exceedance_parts`` writes each lambda's two
-rows of parts into one array, which is used as it is. The index is
+distinct lambda come from one call on the ascending lambdas, once per
+stored support (``Study.support_floor`` before its gather per
+hypothesis), and ``_exceedance_parts`` writes each lambda's two rows of
+parts into one array, gathering the floors straight into the gap rows;
+the array is used as it is. The index is
 drawn a bounded block of resamples at a time, which gives the values of
 one whole draw; each block is turned into per-resample multiplicity
 counts and reduced against each distinct lambda's two rows once,
 whatever the number of epsilons. So the parts are held once and the
 index never whole: on the default 100-point grid with B = 100 the
-tracemalloc peak is about 480 bytes per hypothesis, the floors and the
-parts of 20 lambdas. The same rows give the full-sample estimates: each
+tracemalloc peak is about 400 bytes per hypothesis at m = 60 000, the
+parts of 20 lambdas (320) and one block of resample counts (80). The same
+rows give the full-sample estimates: each
 lambda's epsilons form one block of terms, reduced row by row, which
 gives each point's bits as its own row alone would, with no
 grid-point-by-hypothesis gather. Given the target, a point's MSE
@@ -118,13 +121,16 @@ def _resample_sums(rng: np.random.Generator, B: int, parts: np.ndarray) -> np.nd
     rows = max(1, _BLOCK_ENTRIES // m)
     for a in range(0, B, rows):
         n = min(rows, B - a)
-        # int32 draws the same values as the default int64 and halves the block
+        # int32 draws the same values as the default int64 and halves the
+        # block; its cells fit too, as n * m is at most _BLOCK_ENTRIES or m
         block = rng.integers(0, m, size=(n, m), dtype=np.int32)
-        cells = (block + m * np.arange(n)[:, None]).ravel()
-        counts = np.bincount(cells, minlength=n * m).reshape(n, m)
+        block += m * np.arange(n, dtype=np.int32)[:, None]
+        counts = np.bincount(block.reshape(-1), minlength=n * m).reshape(n, m)
         counts = counts.astype(np.float64)
         for k in range(parts.shape[0]):
             sums[k, :, a : a + n] = parts[k] @ counts.T
+        # freed before the next block is drawn and counted
+        del counts
     return sums
 
 
@@ -139,7 +145,9 @@ def bootstrap_tune(study: Study, grid: TuningGrid) -> TuningResult:
     points = grid.points
     lam_of, eps_of = np.array(points).T
     lams, which = np.unique(lam_of, return_inverse=True)
-    parts = _exceedance_parts(study.pvalues, study.support_floor(lams), lams[:, None])
+    parts = _exceedance_parts(
+        study.pvalues, study._stored_floor(lams), lams[:, None], study.support_index
+    )
     # each lambda's epsilons as one block of rows, reduced row by row
     full = np.empty(len(points))
     for k, lam in enumerate(lams.tolist()):

@@ -189,7 +189,8 @@ def batch_loop(kind: str, args, convention: str = "minlik"):
     The laws and tables are the per-law builders above, so any
     difference from the kernels comes from grouping features by key and
     building the laws blockwise. A hypergeometric table with ``r1 > r2``
-    is built as its mirror, as the kernel tests it.
+    is built as its mirror, and then one with ``2 s > r1 + r2`` as its
+    complement, as the kernel tests them.
     """
     table = {"minlik": outcome_pvalues, "doubling": doubling_outcome_pvalues}[
         convention
@@ -206,6 +207,9 @@ def batch_loop(kind: str, args, convention: str = "minlik"):
                 x1[i], r1[i], x2[i], r2[i]
             )
             s = a + b
+            if 2 * s > r + q:
+                # and with 2 s > r1 + r2 as its complement
+                a, s = r - a, r + q - s
             laws.append((logw_fisher(r, q, s), a - max(0, s - q)))
     else:
         s1, s2 = (np.asarray(a, dtype=np.int64) for a in args[:2])

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from discretefdr import _kernels as K
+from discretefdr import Study, _kernels as K
 
 import oracles
 
@@ -202,6 +202,80 @@ def test_swapping_the_groups_changes_no_bit(kernel, convention):
         both = run(*(np.concatenate(v) for v in zip(args, swapped)), convention)
         n = args[0].shape[0]
         assert np.array_equal(both[2][:n], both[2][n:])
+
+
+@pytest.mark.parametrize("convention", ["minlik", "doubling"])
+def test_complementing_successes_and_failures_changes_no_bit(convention):
+    """Relabelling successes and failures, the table ``(r1 - x1, r1, r2 -
+    x2, r2)``, gets every bit of the p-values and supports, under both
+    conventions: a table with ``2 s > r1 + r2`` is tested as its
+    complement, whose law is its own in reverse order, so the two share
+    one law and one support slice. Under tail doubling a law summed in
+    the other order would move some p-values by a few ulps."""
+    x1, r1, x2, r2 = _swap_cases()
+    twice, total = 2 * (x1 + x2), r1 + r2
+    assert np.any(twice > total) and np.any(twice < total) and np.any(twice == total)
+    given = K.batch_fisher(x1, r1, x2, r2, convention)
+    complemented = K.batch_fisher(r1 - x1, r1, r2 - x2, r2, convention)
+    for a, b in zip(oracles.per_feature_layout(*given),
+                    oracles.per_feature_layout(*complemented)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert np.any(given[0] == K.FLOOR)
+    both = K.batch_fisher(*(np.concatenate(v) for v in
+                            zip((x1, r1, x2, r2), (r1 - x1, r1, r2 - x2, r2))),
+                          convention)
+    n = x1.shape[0]
+    assert np.array_equal(both[2][:n], both[2][n:])
+    assert np.array_equal(both[0][:n], given[0])
+
+
+def _orientations(x1, r1, x2, r2):
+    """A table, its mirror, its complement and its mirror's complement."""
+    return [(x1, r1, x2, r2), (x2, r2, x1, r1),
+            (r1 - x1, r1, r2 - x2, r2), (r2 - x2, r2, r1 - x1, r1)]
+
+
+@pytest.mark.parametrize("convention", ["minlik", "doubling"])
+def test_the_orientations_of_a_table_share_one_law_and_stored_support(
+    convention, monkeypatch
+):
+    """The four orientations of a table (groups swapped, successes and
+    failures relabelled, or both) share one law, one support slice and
+    one stored support of the study: the kernel builds one law per orbit
+    of margins ``(r1, r2, s)`` under the two symmetries, and each
+    orientation gets the same p-value. The tables include margins equal
+    in one or both symmetries (``r1 == r2``, ``2 s == r1 + r2``), an
+    empty margin, and two tables of one orbit with other outcomes."""
+    tables = [(3, 5, 2, 9), (0, 4, 4, 4), (7, 7, 1, 12), (2, 6, 2, 6),
+              (5, 10, 5, 10), (0, 0, 3, 7), (1, 3, 9, 9), (4, 5, 6, 9),
+              (9, 30, 0, 2), (1, 5, 4, 9)]
+    rows = np.array([o for t in tables for o in _orientations(*t)])
+    orbits = {
+        frozenset((a, b, t) for a, b in ((r1, r2), (r2, r1)) for t in (s, r1 + r2 - s))
+        for r1, r2, s in zip(rows[:, 1].tolist(), rows[:, 3].tolist(),
+                             (rows[:, 0] + rows[:, 2]).tolist())
+    }
+    assert len(orbits) < len(tables)
+    built = []
+    tables_of = K.tables
+
+    def counting(laws, convention):
+        built.append(laws[0].shape[0])
+        return tables_of(laws, convention)
+
+    monkeypatch.setattr(K, "tables", counting)
+    out = K.batch_fisher(*rows.T, convention)
+    assert built == [len(orbits)]
+    pvalues, flat, start, length = out
+    assert flat.shape[0] == int(length[np.unique(start, return_index=True)[1]].sum())
+    study = Study.from_distinct(*out)
+    assert study.support_len.shape[0] == len(orbits)
+    by_table = study.support_index.reshape(-1, 4)
+    assert np.all(by_table == by_table[:, :1])
+    assert np.all(pvalues.reshape(-1, 4) == pvalues[::4, None])
+    expected = oracles.batch_loop("fet", rows.T, convention)
+    for g, e in zip(oracles.per_feature_layout(*out), expected):
+        assert g.tobytes() == e.tobytes()
 
 
 @pytest.mark.parametrize("convention", ["minlik", "doubling"])

@@ -181,15 +181,15 @@ def test_point_mse_does_not_depend_on_other_points():
 
 def test_support_floor_runs_once_per_distinct_lambda(monkeypatch):
     """The floors of every distinct lambda come from one grid call, in
-    ascending lambda."""
+    ascending lambda, once per stored support."""
     calls = []
-    original = Study.support_floor
+    original = Study._stored_floor
 
     def counting(self, lam):
         calls.append(np.array(lam).tolist())
         return original(self, lam)
 
-    monkeypatch.setattr(Study, "support_floor", counting)
+    monkeypatch.setattr(Study, "_stored_floor", counting)
     rng = np.random.default_rng(28)
     study = random_study(rng, 40)
     pts = [(lam, eps) for lam in (0.2, 0.4, 0.6, 0.8) for eps in (0.0, 0.5, 1.0)]
@@ -197,12 +197,11 @@ def test_support_floor_runs_once_per_distinct_lambda(monkeypatch):
     assert calls == [[0.2, 0.4, 0.6, 0.8]]
 
 
-def test_bootstrap_peak_memory_per_feature():
-    """On the default 100-point grid with B = 100, ``bootstrap_tune`` holds
-    at most 600 bytes a feature: each distinct lambda's parts once and
-    its floors while they are formed, no B x m resample index and no
-    copy of the parts. The study is drawn like ``benchmarks/
-    bench_tuning.py``'s, 60 000 tail-doubled group-sum tests."""
+def _bootstrap_peak_per_feature() -> float:
+    """The tracemalloc peak of ``bootstrap_tune`` on the default
+    100-point grid with B = 100, per feature, on a study drawn like
+    ``benchmarks/bench_tuning.py``'s: 60 000 tail-doubled group-sum
+    tests."""
     m, size, samples = 60_000, 0.689, 3
     rng = np.random.default_rng(0)
     mean1 = rng.uniform(0.5, 8.0, m)
@@ -220,7 +219,25 @@ def test_bootstrap_peak_memory_per_feature():
     tracemalloc.start()
     try:
         bootstrap_tune(study, grid)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] / m
     finally:
         tracemalloc.stop()
-    assert peak / m <= 600, f"{peak / m:.0f} bytes per feature"
+
+
+def test_bootstrap_peak_memory_per_feature():
+    """``bootstrap_tune`` holds at most 600 bytes a feature: each
+    distinct lambda's parts once, no B x m resample index and no copy of
+    the parts."""
+    peak = _bootstrap_peak_per_feature()
+    assert peak <= 600, f"{peak:.0f} bytes per feature"
+
+
+def test_bootstrap_holds_no_floors_beside_the_parts():
+    """The peak is 401 bytes a feature: the parts of 20 lambdas (320)
+    and either one block of resample counts or the full-sample terms of
+    one lambda's five epsilons (80 each at m = 60 000). The floors are
+    written straight into the parts' gap rows, from one row per stored
+    support, so no lambda x m array of floors is held beside the parts,
+    as it was at 480 bytes."""
+    peak = _bootstrap_peak_per_feature()
+    assert peak <= 420, f"{peak:.0f} bytes per feature"
