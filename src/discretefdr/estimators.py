@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import group_keys
+from ._kernels import TIE_RTOL, group_keys
 
 
 class Study:
@@ -189,18 +189,20 @@ class Study:
             if lams.ndim > 1 or np.any(lams[1:] < lams[:-1]):
                 raise ValueError("an array of lambdas must be 1-D and ascending")
             stored = length.shape[0]
-            rank = np.searchsorted(lams, flat)
+            rank = np.searchsorted(lambda_cut(lams), flat)
             rank *= stored
             rank += np.repeat(np.arange(stored), length)
             count = np.bincount(rank, minlength=(lams.shape[0] + 1) * stored)
             count = count[: lams.shape[0] * stored].reshape(-1, stored)
             np.cumsum(count, axis=0, out=count)
         else:
-            at_most = np.concatenate(([0], np.cumsum(flat <= lams)))
+            at_most = np.concatenate(([0], np.cumsum(flat <= lambda_cut(lams))))
             count = at_most[start + length] - at_most[start]
         floor = np.zeros(count.shape)
         hit = count > 0
         floor[hit] = flat[(start + count - 1)[hit]]
+        # a point within the cut's tolerance above lam is lam: no gap
+        np.minimum(floor, lams[..., None], out=floor)
         np.copyto(floor, lams[..., None], where=length == 0)
         return floor
 
@@ -246,6 +248,26 @@ class Pi0Estimate:
             "lambda": self.lam,
             "epsilon": eps,
         }
+
+
+def lambda_cut(lam):
+    """The cut that decides "at most ``lam``": a p-value or support point
+    counts as at most ``lam`` when it is at most ``lam * (1 + TIE_RTOL)``.
+
+    An exact p-value equal to ``lam`` (a tie such as 1/2 at the default
+    cutoff) computes on either side of it by a few ulps, depending on
+    summation order and the libm, so a plain ``p > lam`` would let
+    rounding decide the exceedance count and the support floor. The
+    kernels' tie tolerance ``TIE_RTOL`` is far below the relative gap
+    between distinct support points and far above their rounding. Only
+    ``lam`` (one value or an array of them) is widened, so no array of
+    p-values is formed anew; every comparison with ``lam`` takes this
+    cut: the exceedance indicators (``storey_rows``,
+    ``_exceedance_parts``), the support floors (``Study.support_floor``,
+    each clamped to at most ``lam``), ``sim.bias_decomposition`` and the
+    pinned FDR estimator of ``fdr``.
+    """
+    return lam * (1.0 + TIE_RTOL)
 
 
 def _clip01(x):
@@ -294,7 +316,7 @@ def _check_defined(method: str, m: int) -> None:
 
 def storey_rows(pvalues: np.ndarray, lam: float) -> np.ndarray:
     """Raw exceedance-count estimates: count(p > lambda) scaled."""
-    count = np.count_nonzero(pvalues > lam, axis=-1)
+    count = np.count_nonzero(pvalues > lambda_cut(lam), axis=-1)
     return count / _denominator(lam, pvalues.shape[-1])
 
 
@@ -314,7 +336,7 @@ def _exceedance_parts(
     """
     m = pvalues.shape[-1]
     parts = np.empty((*floor.shape[:-1], 2, m))
-    np.greater(pvalues, lam, out=parts[..., 0, :])
+    np.greater(pvalues, lambda_cut(lam), out=parts[..., 0, :])
     gap = parts[..., 1, :]
     if index is None:
         np.subtract(lam, floor, out=gap)

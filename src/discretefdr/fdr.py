@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import Pi0Estimate, _check_tuning, _clip01, _denominator
+from .estimators import Pi0Estimate, _check_tuning, _clip01, _denominator, lambda_cut
 
 
 def _sigma_multiplier(raw, value, m, lam, sigma):
@@ -244,7 +244,7 @@ def _fdr_values(rule, mult, lam, m, t, count):
     if rule == "cap":
         value = np.minimum(1.0, value)
     if rule == "pin":
-        value = np.where(t > lam, 1.0, value)
+        value = np.where(t > lambda_cut(lam), 1.0, value)
     return value
 
 

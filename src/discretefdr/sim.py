@@ -62,7 +62,14 @@ import numpy as np
 
 from . import _kernels, fdr
 from ._lgamma import log_factorials
-from .estimators import ESTIMATORS, Study, _check_defined, _check_tuning, _clip01
+from .estimators import (
+    ESTIMATORS,
+    Study,
+    _check_defined,
+    _check_tuning,
+    _clip01,
+    lambda_cut,
+)
 from .fdr import PValueBlock, ThresholdResult, solve_thresholds
 
 SCENARIO_KINDS = ("poisson_bin", "binomial_fet", "negbinom_ent")
@@ -823,7 +830,8 @@ def bias_decomposition(
     out = _test(spec, (x1, pair_trials, x2) if "trials" in params else (x1, x2))
     pvalues, floor = out[0], Study.from_distinct(*out).support_floor(lam)
     # per pair: 1 (the mass covered), 1{p <= lam}, support floor, p
-    values = np.stack((np.ones_like(pvalues), pvalues <= lam, floor, pvalues))
+    below = pvalues <= lambda_cut(lam)
+    values = np.stack((np.ones_like(pvalues), below, floor, pvalues))
 
     expectations = np.empty((4, m))
     pmf = _count_pmf(spec, int(bounds.max()))

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,18 @@ def _warm_kernels():
     """Run each batch kernel once on tiny inputs, so that one-time
     first-call costs are paid before any test runs."""
     discretefdr.warm_up()
+
+
+def load_workloads():
+    """The benchmark's workload definitions, ``perfbench/workloads.py``."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        # registered first: its dataclass looks its module up
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 def random_study(

@@ -33,6 +33,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -77,6 +78,21 @@ def fisher_outcome_pvalues(r1: int, r2: int, s: int) -> tuple[int, np.ndarray]:
     lo, hi = max(0, s - r2), min(r1, s)
     a = np.arange(lo, hi + 1)
     return lo, minlik_pvalues(stats.hypergeom.pmf(a, r1 + r2, r1, s))
+
+
+def fisher_exact_pvalue(x1: int, r1: int, x2: int, r2: int, convention: str = "minlik"):
+    """The exact two-sided p-value of the 2x2 table ``(x1, r1, x2, r2)``
+    as a ``Fraction``: the hypergeometric weights ``C(r1, a) C(r2, s -
+    a)`` as integers, so ties and tails are exact. Under minimum
+    likelihood the mass of the outcomes no heavier than ``x1``; under
+    tail doubling twice the smaller tail, capped at 1."""
+    s = x1 + x2
+    lo, hi = max(0, s - r2), min(r1, s)
+    w = [math.comb(r1, a) * math.comb(r2, s - a) for a in range(lo, hi + 1)]
+    k = x1 - lo
+    if convention == "minlik":
+        return Fraction(sum(v for v in w if v <= w[k]), sum(w))
+    return min(Fraction(1), Fraction(2 * min(sum(w[: k + 1]), sum(w[k:])), sum(w)))
 
 
 def negbinom_outcome_pvalues(s: int, shape_total: float) -> np.ndarray:
@@ -327,23 +343,30 @@ def null_expected_pvalue(profile: PValueProfile) -> float:
     return float(np.sum(s * np.diff(np.concatenate(([0.0], s)))))
 
 
+def cut(lam):
+    """The cut below which a p-value or support point counts as at most
+    ``lam``: within ``TIE_RTOL`` of ``lam`` above it still does."""
+    return lam * (1.0 + TIE_RTOL)
+
+
 def support_floor_loop(supports, lam: float) -> np.ndarray:
-    """Largest support element at most ``lam``, one hypothesis at a time
-    (0 when none qualifies, ``lam`` for an empty support)."""
+    """Largest support element at most ``lam`` (up to the ``cut``, and
+    then at most ``lam`` itself), one hypothesis at a time (0 when none
+    qualifies, ``lam`` for an empty support)."""
     out = np.empty(len(supports))
     for i, s in enumerate(supports):
         if s.shape[0] == 0:
             out[i] = lam
             continue
-        idx = int(np.searchsorted(s, lam, side="right"))
-        out[i] = 0.0 if idx == 0 else s[idx - 1]
+        idx = int(np.searchsorted(s, cut(lam), side="right"))
+        out[i] = 0.0 if idx == 0 else min(s[idx - 1], lam)
     return out
 
 
 def generalized_raw_loop(pvalues, supports, lam: float, epsilon) -> float:
     """Unclipped discreteness-adjusted estimate from a per-hypothesis loop."""
     floor = support_floor_loop(supports, lam)
-    terms = (np.asarray(pvalues) > lam).astype(np.float64) - epsilon * (
+    terms = (np.asarray(pvalues) > cut(lam)).astype(np.float64) - epsilon * (
         lam - floor
     )
     return float(np.sum(terms)) / ((1.0 - lam) * len(supports))
@@ -378,7 +401,7 @@ def threshold_loop(est, proc, alpha: float):
 
     def f(t):
         # the estimator at t, from its definition
-        if est.kind == "storey_variant" and t > est.lam:
+        if est.kind == "storey_variant" and t > cut(est.lam):
             return 1.0
         value = mult * t * m / max(proc.rejections(t), 1)
         return min(1.0, value) if capped else value
@@ -488,12 +511,12 @@ def poisson_bin_adjusted_terms(
     expected = np.empty(m)
     for n in np.unique(totals):
         pv = binomial_outcome_pvalues(int(n))
-        below = pv[pv <= lam]
-        floor = float(below.max()) if below.size else 0.0
+        below = pv[pv <= cut(lam)]
+        floor = min(float(below.max()), lam) if below.size else 0.0
         at = np.nonzero(totals == n)[0]
         pvalues[at] = pv[x1[at]]
         pmf = stats.binom.pmf(np.arange(n + 1)[None, :], n, q[at, None])
-        exceed = pmf[:, pv > lam].sum(axis=1)
+        exceed = pmf[:, pv > cut(lam)].sum(axis=1)
         expected[at] = exceed - epsilon * (lam - floor)
     return pvalues, expected
 
@@ -637,8 +660,8 @@ def bias_expectations_loop(spec, lam: float, bounds, rep_index: int = 0):
                 res = fisher_test(x1, r, x2, r)
             else:
                 res = nb_exact_test(x1, x2, size, k)
-            below = res.support[res.support <= lam]
-            floor = float(below.max()) if below.size else 0.0
+            below = res.support[res.support <= cut(lam)]
+            floor = min(float(below.max()), lam) if below.size else 0.0
             tested[x1, x2, r] = (res.pvalue, floor)
         return tested[x1, x2, r]
 
@@ -661,7 +684,7 @@ def bias_expectations_loop(spec, lam: float, bounds, rep_index: int = 0):
             for x2 in range(top2 + 1):
                 p, floor = single(x1, x2, r)
                 w = w1[x1] * w2[x2]
-                out[:, i] += (w * (p <= lam), w * floor, w * p, w)
+                out[:, i] += (w * (p <= cut(lam)), w * floor, w * p, w)
     return tuple(out)
 
 
@@ -687,7 +710,7 @@ def bootstrap_shared_gather(study, grid):
     mse = np.empty(len(grid.points))
     for j, (lam, eps) in enumerate(grid.points):
         floor = study.support_floor(lam)
-        terms = (study.pvalues > lam).astype(np.float64) - eps * (lam - floor)
+        terms = (study.pvalues > cut(lam)).astype(np.float64) - eps * (lam - floor)
         raw = terms[idx].sum(axis=1) / ((1.0 - lam) * m)
         boot = np.minimum(1.0, np.maximum(0.0, raw))
         mse[j] = np.mean((boot - target) ** 2)
@@ -873,7 +896,7 @@ def pi0_loop(study, method: str, lam: float, eps) -> tuple[float, float]:
     the support-based two)."""
     p, m = study.pvalues, study.m
     if method == "storey":
-        raw = int(np.count_nonzero(p > lam)) / ((1.0 - lam) * m)
+        raw = int(np.count_nonzero(p > cut(lam))) / ((1.0 - lam) * m)
     elif method == "generalized":
         raw = generalized_raw_loop(p, study.supports, lam, eps)
     elif method == "pounds_tilde":

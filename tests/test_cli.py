@@ -2,7 +2,6 @@
 
 import csv
 import hashlib
-import importlib.util
 import io
 import json
 import math
@@ -28,6 +27,7 @@ from discretefdr.cli import main
 from discretefdr.sim import PI0_METHODS, PROCEDURES, run_replications
 
 import oracles
+from conftest import load_workloads
 
 BIN_COUNTS = """id,g1,g2
 f1,3,9
@@ -1512,20 +1512,6 @@ def test_simulate_csv_outputs_match_row_wise_writer(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def _load_workloads():
-    """The benchmark's workload definitions, ``perfbench/workloads.py``."""
-    import sys
-
-    name = "perfbench_workloads"
-    if name not in sys.modules:
-        path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location(name, path)
-        # registered first: its dataclass looks its module up
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
-
-
 def test_json_text_matches_json_dumps_on_awkward_values(tmp_path):
     """Every float class, every scalar type, empty and nested
     containers, tuples, and keys and strings that json escapes."""
@@ -1570,7 +1556,7 @@ def test_json_outputs_of_the_benchmark_workloads_match_json_dumps(
 ):
     """``estimates.json``, ``aggregate.json`` and ``tuning.json`` of the
     benchmark's commands are ``json.dumps`` of the rounded payload."""
-    workloads = _load_workloads()
+    workloads = load_workloads()
     argv = workloads.write_inputs(workloads.WORKLOADS[workload], str(tmp_path), seed)
     payloads = {}
     write_json = cli._write_json

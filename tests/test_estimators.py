@@ -1,5 +1,8 @@
 """True-null-proportion estimators: frozen examples and invariants."""
 
+import functools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,10 +16,17 @@ from discretefdr import (
     storey_pi0,
 )
 from discretefdr import _kernels as K
-from discretefdr.estimators import _support_means
+from discretefdr.estimators import (
+    ESTIMATORS,
+    _exceedance_parts,
+    _support_means,
+    lambda_cut,
+    storey_rows,
+)
+from discretefdr.tuning import TuningGrid, bootstrap_tune
 
 import oracles
-from conftest import assert_same_study, random_study
+from conftest import assert_same_study, load_workloads, random_study
 from oracles import PValueProfile, null_expected_pvalue, profile, support_cdf
 
 
@@ -535,3 +545,110 @@ def test_slices_at_one_start_of_two_lengths_are_refused():
 def test_slices_outside_the_flat_array_are_refused(start, length):
     with pytest.raises(ValueError, match="outside support_flat"):
         Study.from_distinct([0.5], [0.5, 1.0, 0.25], start, length)
+
+
+# ---------------------------------------------------------------------------
+# cutoffs that float noise cannot flip
+# ---------------------------------------------------------------------------
+
+#: Rows of the benchmark's analyze-fet input, by seed, whose exact
+#: p-value is 1/2 and which compute a few ulps off it.
+_HALF_ROWS = {2001: ("f05684", "f07190", "f14133"), 101: ("f07158",)}
+
+#: The default lambdas of ``tune``.
+_GRID_LAMS = [k / 20 for k in range(20)]
+
+
+@pytest.fixture(scope="module")
+def fet_benchmark(tmp_path_factory):
+    """The analyze-fet benchmark input of a seed: its counts
+    ``(x1, r1, x2, r2)`` and the study of their Fisher p-values."""
+    workloads = load_workloads()
+
+    @functools.cache
+    def load(seed):
+        directory = tmp_path_factory.mktemp(f"fet{seed}")
+        argv = workloads.write_inputs(
+            workloads.WORKLOADS["analyze-fet"], str(directory), seed
+        )
+        counts = np.loadtxt(
+            argv[1], delimiter=",", skiprows=1, usecols=(1, 2, 3, 4), dtype=np.int64
+        )
+        return counts, Study.from_distinct(*K.batch_fisher(*counts.T))
+
+    return load
+
+
+@pytest.mark.parametrize("seed", sorted(_HALF_ROWS))
+def test_pvalues_of_exactly_lambda_are_at_most_lambda(seed, fet_benchmark):
+    """A table whose exact p-value is 1/2 but which computes a few ulps
+    above or below it is at most lambda = 0.5: no exceedance, and a
+    support floor of 1/2 to within the tie tolerance, never above it."""
+    counts, study = fet_benchmark(seed)
+    rows = [int(name[1:]) for name in _HALF_ROWS[seed]]
+    for i in rows:
+        assert oracles.fisher_exact_pvalue(*map(int, counts[i])) == Fraction(1, 2)
+    pvalues = study.pvalues[rows]
+    assert np.all(pvalues != 0.5)
+    assert np.all(np.abs(pvalues - 0.5) <= 0.5 * K.TIE_RTOL)
+    floor = study.support_floor(0.5)[rows]
+    assert np.all(floor <= 0.5) and np.all(floor >= 0.5 * (1.0 - K.TIE_RTOL))
+    parts = _exceedance_parts(pvalues, floor, 0.5)
+    assert not parts[0].any() and np.all(parts[1] >= 0.0)
+    assert storey_rows(pvalues, 0.5) == 0.0
+    assert np.all(study.support_floor(np.array([0.25, 0.5]))[1, rows] == floor)
+
+
+def test_the_cut_widens_lambda_by_the_tie_tolerance():
+    """The cut is ``lam * (1 + TIE_RTOL)``, for one lambda and an array;
+    a support point just above lambda gives a floor of lambda itself."""
+    assert lambda_cut(0.5) == 0.5 * (1.0 + K.TIE_RTOL) and lambda_cut(0.0) == 0.0
+    lams = np.array([0.0, 0.25, 0.5])
+    assert np.array_equal(lambda_cut(lams), lams * (1.0 + K.TIE_RTOL))
+    above = np.nextafter(0.5, 1.0)
+    study = _study([above, 1.0], [0.25, above, 1.0])
+    assert study.support_floor(0.5).tolist() == [0.5, 0.5]
+    assert study.support_floor(lams).tolist() == [[0.0, 0.0], [0.25, 0.25], [0.5, 0.5]]
+    assert storey_pi0(study, 0.5).raw == 1.0 / (0.5 * 2)
+
+
+def _shifted(values, ulps):
+    """``values`` moved by ``ulps`` units in the last place, up or down."""
+    toward = np.inf if ulps > 0 else -np.inf
+    for _ in range(abs(ulps)):
+        values = np.nextafter(values, toward)
+    return values
+
+
+@pytest.mark.parametrize("ulps", [-4, 4])
+@pytest.mark.parametrize("seed", sorted(_HALF_ROWS))
+def test_ulp_shifts_change_no_estimate_and_no_tuned_pair(seed, ulps, fet_benchmark):
+    """Moving every p-value and support point by 4 ulps either way, far
+    less than the tie tolerance, moves no p-value across a cutoff: the
+    exceedance indicators and so storey's estimates keep every bit at
+    each lambda of the tune grid, the other estimates move by rounding
+    alone, and bootstrap tuning chooses the same pair."""
+    _, study = fet_benchmark(seed)
+    index = study.support_index
+    shifted = Study.from_distinct(
+        _shifted(study.pvalues, ulps), _shifted(study.support_flat, ulps),
+        study.support_start[index], study.support_len[index],
+    )
+    lams = np.array(_GRID_LAMS)
+    given = _exceedance_parts(study.pvalues, study.support_floor(lams), lams[:, None])
+    moved = _exceedance_parts(
+        shifted.pvalues, shifted.support_floor(lams), lams[:, None]
+    )
+    assert np.array_equal(given[:, 0], moved[:, 0])
+    assert np.allclose(given[:, 1], moved[:, 1], rtol=0.0, atol=1e-14)
+    for method, (_, tuning, _) in ESTIMATORS.items():
+        for lam in _GRID_LAMS if "lam" in tuning else [None]:
+            for eps in (0.0, 0.5, 1.0) if "epsilon" in tuning else [None]:
+                a = compute_pi0(study, method, lam, eps).raw
+                b = compute_pi0(shifted, method, lam, eps).raw
+                if method == "storey":
+                    assert a == b, lam
+                else:
+                    assert b == pytest.approx(a, rel=1e-12, abs=1e-14), (method, lam)
+    grid = TuningGrid([(lam, eps) for lam in _GRID_LAMS for eps in (0, 0.5, 1)], 20, 0)
+    assert bootstrap_tune(shifted, grid).chosen == bootstrap_tune(study, grid).chosen
