@@ -60,13 +60,16 @@ margins, by ``np.unique``. The batch kernels build one law per distinct
 key. Both groupings give the distinct keys in ascending order and the
 same index of each feature, so the laws, their order and every output
 bit are the same either way. The hypergeometric test goes further and
-builds one law per orbit of its two exact symmetries: a table with
-margins ``(r1, r2, s)`` and ``r1 > r2`` is tested as its mirror ``(r2,
-r1, s)`` at the other group's count, and a table with ``2 s > r1 + r2``
-as its complement ``(r1, r2, r1 + r2 - s)``, successes and failures
-relabelled. A table, its mirror and their complements share one law,
-whose minimum-likelihood table is bit for bit that of each orientation
-(see :func:`batch_fisher`). The kernels return
+builds one law per orbit of the whole symmetry group of the 2x2 table,
+eight orientations: a table with margins ``(r1, r2, s)`` and ``r1 >
+r2`` is tested as its mirror ``(r2, r1, s)`` at the other group's count,
+a table with ``2 s > r1 + r2`` as its complement ``(r1, r2, r1 + r2 -
+s)``, successes and failures relabelled, and a table with ``s < r1`` as
+its transpose ``(s, r1 + r2 - s, r1)``, rows and columns swapped. Each
+log-weight is formed from the four cells, each diagonal summed first,
+so the eight orientations' weights have the same bits, and the law's
+minimum-likelihood table is bit for bit that of each orientation (see
+:func:`batch_fisher`). The kernels return
 ``(pvalues, support_flat, support_start, support_len)``:
 feature ``i``'s support is
 ``support_flat[support_start[i]: support_start[i] + support_len[i]]``.
@@ -78,7 +81,9 @@ The kernels accept conditioned totals up to ``MAX_TOTAL`` (2^22 - 1):
 the total ``x1 + x2`` of the binomial test, each margin ``r1``, ``r2`` of
 the hypergeometric test and the total ``s1 + s2`` of the
 negative-binomial test. A law then has at most 2^22 entries, and is a
-block of its own. On a 2-vCPU host one law at the limit takes about
+block of its own. A transposed table's second row margin can reach
+``2 * MAX_TOTAL``, but no cell of it exceeds the largest input margin,
+and the log-factorial table reaches only the largest cell. On a 2-vCPU host one law at the limit takes about
 1.3 s (binomial), 1.9 s (negative binomial below shape 13) or 1.2 s
 (from 13) to build, with a tracemalloc peak of about 240 MB (380 MB below
 shape 13, set by the log-gamma table). About 0.9 s of that is
@@ -191,16 +196,27 @@ def fisher_laws(r1, r2, s):
     """Hypergeometric laws of ``a`` given margins ``(r1, r2, s)``.
 
     The outcomes run over the attainable range ``lo..hi`` with
-    ``lo = max(0, s - r2)`` and ``hi = min(r1, s)``.
+    ``lo = max(0, s - r2)`` and ``hi = min(r1, s)``. The log-weight of
+    the table with cells ``a, b = r1 - a`` (first row) and ``c = s - a,
+    d = r2 - c`` is ``-((lf[a] + lf[d]) + (lf[b] + lf[c]))``: the
+    margins' log-factorials are common to the law and left out, and
+    each diagonal is summed first. Transposing, mirroring or
+    complementing a table only permutes its cells, and maps each
+    diagonal onto one of the two, so all eight orientations of a table
+    get the same bits. The log-factorial table reaches the largest
+    cell, ``min(max(r1, r2), max(s, r1 + r2 - s))``, and no margin.
     """
     r1, r2, s = (np.asarray(v, dtype=np.int64) for v in (r1, r2, s))
     lo = np.maximum(0, s - r2)
-    lf = log_factorials(int(max(r1.max(initial=0), r2.max(initial=0))))
+    cell = np.minimum(np.maximum(r1, r2), np.maximum(s, r1 + r2 - s))
+    lf = log_factorials(int(cell.max(initial=0)))
 
     def logw(rows, j):
         a = lo[rows] + j
-        first = log_binomial_coefficients(lf, r1[rows], a)
-        return first + log_binomial_coefficients(lf, r2[rows], s[rows] - a)
+        c = s[rows] - a
+        w = lf[a] + lf[r2[rows] - c]
+        w += lf[r1[rows] - a] + lf[c]
+        return np.negative(w, out=w)
 
     return np.minimum(r1, s) - lo + 1, logw
 
@@ -492,15 +508,26 @@ def batch_fisher(x1, r1, x2, r2, convention: str = "minlik"):
 
     The mirrored table is then tested as its complement when ``2 s > r1
     + r2``: successes and failures relabelled, margins ``(r1, r2, r1 +
-    r2 - s)`` at outcome ``r1 - a``. Its law is the table's in reverse
-    order, with every log-weight's bits (:func:`log_binomial_coefficients`
-    gives ``j`` and ``n - j`` the same bits), so the four orientations of
-    a table share one law and one support slice. Under minimum
-    likelihood this keeps every bit: a law and its reverse have the same
-    sorted weights, and so the same running sums. Under tail doubling it
-    makes relabelling change no bit, as the mirror does for swapping the
-    groups; there a folded table's p-value can differ by a few ulps from
-    the one its own law would give, whose total is summed in the other
+    r2 - s)`` at outcome ``r1 - a``. Last, it is tested as its transpose
+    when ``s < r1``: rows and columns swapped, margins ``(s, r1 + r2 -
+    s, r1)`` at the same outcome ``a``. That is ``r1' = min(r1, s)``,
+    ``s' = max(r1, s)`` and ``r2' = r1 + r2 - r1'``, and ``r1' <= r2'``
+    and ``2 s' <= r1 + r2`` still hold. So the eight orientations of a
+    table (the whole symmetry group of the 2x2 table) share one law and
+    one support slice.
+
+    They share bits too: :func:`fisher_laws` forms each log-weight from
+    the four cells as ``-((lf[a] + lf[d]) + (lf[b] + lf[c]))``, and each
+    symmetry only permutes the cells, mapping each diagonal onto one of
+    the two, while a sum of two terms does not depend on their order.
+    The transpose's law has the table's weights in the same order, so
+    the fold changes no bit under either convention. The mirror's and
+    the complement's laws are the table's in reverse order. Under
+    minimum likelihood that keeps every bit too, as a law and its
+    reverse have the same sorted weights and so the same running sums;
+    under tail doubling it makes swapping and relabelling change no bit,
+    though a folded table's p-value can differ by a few ulps from the
+    one its own law would give, whose total is summed in the other
     order.
     """
     x1 = np.asarray(x1, dtype=np.int64)
@@ -518,16 +545,20 @@ def batch_fisher(x1, r1, x2, r2, convention: str = "minlik"):
     flip = 2 * ss > total
     np.subtract(total, ss, out=ss, where=flip)
     np.subtract(r1, x1, out=x1, where=flip)
+    # then as its transpose, groups and outcomes swapped: r1 <= s
+    r1, ss = np.minimum(r1, ss), np.maximum(r1, ss)
+    r2 = total - r1
     lo = np.maximum(0, ss - r2)
     # one int64 key per table, in the order of (r1, r2, s): the rank of
-    # its margins packed in 44 bits (each below 2^22), then s in 23 bits
-    margins, rank = np.unique((r1 << 22) | r2, return_inverse=True)
+    # its row margins packed in 45 bits (r1 below 2^22, r2 below 2^23),
+    # then s in 22 bits (at most MAX_TOTAL)
+    margins, rank = np.unique((r1 << 23) | r2, return_inverse=True)
 
     def laws(keys):
-        r12 = margins[keys >> 23]
-        return fisher_laws(r12 >> 22, r12 & MAX_TOTAL, keys & ((1 << 23) - 1))
+        r12 = margins[keys >> 22]
+        return fisher_laws(r12 >> 23, r12 & ((1 << 23) - 1), keys & MAX_TOTAL)
 
-    return _batch(laws, (rank << 23) | ss, x1 - lo, convention)
+    return _batch(laws, (rank << 22) | ss, x1 - lo, convention)
 
 
 def batch_negbinom(s1, s2, shape_total, convention: str = "minlik"):

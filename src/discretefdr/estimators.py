@@ -62,8 +62,9 @@ class Study:
     :class:`ValueError`. The slices are found by ``group_keys`` on their
     starts, and one stable sort of the stored supports' lengths orders
     them; below 2**16 it sorts them as ``uint16``, by radix: 0.065
-    against 0.11 ms as int64 on analyze-fet's 9 064 supports, one per
-    orbit of a table's mirror and complement (medians of 300).
+    against 0.11 ms as int64 on analyze-fet's 9 064 supports, then one
+    per orbit of a table's mirror and complement (medians of 300); it
+    now holds 7 172, one per orbit of all eight orientations.
     """
 
     def __init__(

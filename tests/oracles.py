@@ -136,10 +136,14 @@ def logw_binomial(n) -> np.ndarray:
 
 
 def logw_fisher(r1, r2, s) -> np.ndarray:
-    """Hypergeometric log-weights of ``a`` over ``max(0, s - r2)..min(r1, s)``."""
+    """Hypergeometric log-weights of ``a`` over ``max(0, s - r2)..min(r1, s)``,
+    from the four cells ``a, b = r1 - a, c = s - a, d = r2 - c``: minus
+    the sum of the two diagonals' log-factorial sums."""
     a = np.arange(max(0, s - r2), min(r1, s) + 1)
-    return (gammaln(r1 + 1.0) - (gammaln(a + 1.0) + gammaln(r1 - a + 1.0))) + (
-        gammaln(r2 + 1.0) - (gammaln(s - a + 1.0) + gammaln(r2 - (s - a) + 1.0))
+    b, c = r1 - a, s - a
+    d = r2 - c
+    return -(
+        (gammaln(a + 1.0) + gammaln(d + 1.0)) + (gammaln(b + 1.0) + gammaln(c + 1.0))
     )
 
 
@@ -205,8 +209,9 @@ def batch_loop(kind: str, args, convention: str = "minlik"):
     The laws and tables are the per-law builders above, so any
     difference from the kernels comes from grouping features by key and
     building the laws blockwise. A hypergeometric table with ``r1 > r2``
-    is built as its mirror, and then one with ``2 s > r1 + r2`` as its
-    complement, as the kernel tests them.
+    is built as its mirror, then one with ``2 s > r1 + r2`` as its
+    complement, and then one with ``s < r1`` as its transpose, as the
+    kernel tests them.
     """
     table = {"minlik": outcome_pvalues, "doubling": doubling_outcome_pvalues}[
         convention
@@ -226,6 +231,9 @@ def batch_loop(kind: str, args, convention: str = "minlik"):
             if 2 * s > r + q:
                 # and with 2 s > r1 + r2 as its complement
                 a, s = r - a, r + q - s
+            if s < r:
+                # and with s < r1 as its transpose, at the same outcome
+                r, q, s = s, r + q - s, r
             laws.append((logw_fisher(r, q, s), a - max(0, s - q)))
     else:
         s1, s2 = (np.asarray(a, dtype=np.int64) for a in args[:2])

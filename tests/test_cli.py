@@ -1044,9 +1044,10 @@ def _fet_counts(m, rng):
 
 
 def test_features_write_holds_no_object_per_support_point(tmp_path):
-    """The tracemalloc peak of writing ``features.csv`` for 18 000 fet
-    rows (135k support points; 15 000 rows held 136k before a table and
-    its complement shared one law) stays within 10% of its 4.92 MB, which
+    """The tracemalloc peak of writing ``features.csv`` for 27 000 fet
+    rows (136k support points; 18 000 rows held 135k before a table and
+    its transpose shared one law, and 15 000 rows 136k before a table
+    and its complement did) stays within 10% of its 4.92 MB, which
     formatting the support cells sets now that the rows are written a
     few ``_WRITE_BYTES`` at a time (joining the whole file, as the
     writer did before, peaked at 9.02 MB); and the support cells alone
@@ -1057,7 +1058,7 @@ def test_features_write_holds_no_object_per_support_point(tmp_path):
     the ``%`` pass did, at 7.14 MB."""
     import tracemalloc
 
-    data = _fet_counts(18_000, np.random.default_rng(2001))
+    data = _fet_counts(27_000, np.random.default_rng(2001))
     table = ingest_counts(io.BytesIO(data), IngestSchema(kind="fet", min_total=1))
     study = Study.from_distinct(*run_count_table(table))
     assert study.support_flat.shape[0] > 130_000

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -229,33 +230,96 @@ def test_complementing_successes_and_failures_changes_no_bit(convention):
     assert np.array_equal(both[0][:n], given[0])
 
 
+@pytest.mark.parametrize("convention", ["minlik", "doubling"])
+def test_transposing_a_table_changes_no_bit(convention):
+    """Swapping a table's rows and columns gets every bit of the
+    p-values and supports, under both conventions, and the table and
+    its transpose share one law and one support slice. The law of a
+    table's margins and that of its transpose's margins have the same
+    outcomes in the same order, each of whose cells the transpose only
+    permutes, so the two laws' tables are bit for bit one: the fold
+    moves no bit under either convention."""
+    x1, r1, x2, r2 = _swap_cases()
+    s, total = x1 + x2, r1 + r2
+    assert np.any(s < r1) and np.any(s > r1) and np.any(s == r1)
+    given = K.batch_fisher(x1, r1, x2, r2, convention)
+    transposed = K.batch_fisher(*_transpose(x1, r1, x2, r2), convention)
+    for a, b in zip(oracles.per_feature_layout(*given),
+                    oracles.per_feature_layout(*transposed)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert np.any(given[0] == K.FLOOR)
+    both = K.batch_fisher(*(np.concatenate(v) for v in
+                            zip((x1, r1, x2, r2), _transpose(x1, r1, x2, r2))),
+                          convention)
+    n = x1.shape[0]
+    assert np.array_equal(both[2][:n], both[2][n:])
+    own = K.tables(K.fisher_laws(r1, r2, s), convention)
+    swapped = K.tables(K.fisher_laws(s, total - s, r1), convention)
+    for a, b in zip(own, swapped):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_fisher_pvalues_match_exact_rationals():
+    """Under both conventions the p-values of 400 random tables with
+    margins below 400, in all their orientations, lie within 1e-12 of
+    the exact rational p-values formed from ``math.comb``."""
+    rng = np.random.default_rng(37)
+    r1, r2 = rng.integers(0, 400, 400), rng.integers(0, 400, 400)
+    x1, x2 = rng.binomial(r1, rng.uniform(0, 1, 400)), rng.binomial(r2, 0.5)
+    tables = np.array([r for t in zip(x1, r1, x2, r2) for r in _orientations(*t)])
+    worst = 0.0
+    for convention in ("minlik", "doubling"):
+        got = K.batch_fisher(*tables.T, convention)[0]
+        assert np.all(got.reshape(-1, 8) == got[::8, None])
+        for p, row in zip(got[::8].tolist(), tables[::8].tolist()):
+            exact = oracles.fisher_exact_pvalue(*row, convention)
+            worst = max(worst, abs(Fraction(p) - exact) / exact)
+    assert worst <= 1e-12
+
+
+def _transpose(x1, r1, x2, r2):
+    """A table with its rows and columns swapped: the successes and the
+    failures are the groups, and the first group's count the outcome."""
+    s = x1 + x2
+    return x1, s, r1 - x1, r1 + r2 - s
+
+
 def _orientations(x1, r1, x2, r2):
-    """A table, its mirror, its complement and its mirror's complement."""
-    return [(x1, r1, x2, r2), (x2, r2, x1, r1),
-            (r1 - x1, r1, r2 - x2, r2), (r2 - x2, r2, r1 - x1, r1)]
+    """The eight orientations of a table: it, its mirror, its complement
+    and its mirror's complement, and the same four of its transpose."""
+    def four(x1, r1, x2, r2):
+        return [(x1, r1, x2, r2), (x2, r2, x1, r1),
+                (r1 - x1, r1, r2 - x2, r2), (r2 - x2, r2, r1 - x1, r1)]
+
+    return four(x1, r1, x2, r2) + four(*_transpose(x1, r1, x2, r2))
 
 
 @pytest.mark.parametrize("convention", ["minlik", "doubling"])
 def test_the_orientations_of_a_table_share_one_law_and_stored_support(
     convention, monkeypatch
 ):
-    """The four orientations of a table (groups swapped, successes and
-    failures relabelled, or both) share one law, one support slice and
-    one stored support of the study: the kernel builds one law per orbit
-    of margins ``(r1, r2, s)`` under the two symmetries, and each
+    """The eight orientations of a table (groups swapped, successes and
+    failures relabelled, rows and columns transposed, or any of these
+    together) share one law, one support slice and one stored support of
+    the study: the kernel builds one law per orbit of margins ``(r1, r2,
+    s)`` under the whole symmetry group of the 2x2 table, and each
     orientation gets the same p-value. The tables include margins equal
-    in one or both symmetries (``r1 == r2``, ``2 s == r1 + r2``), an
-    empty margin, and two tables of one orbit with other outcomes."""
+    in one or more symmetries (``r1 == r2``, ``2 s == r1 + r2``, ``s ==
+    r1``), an empty margin, and tables of one orbit with other outcomes,
+    also where only the transpose joins them."""
     tables = [(3, 5, 2, 9), (0, 4, 4, 4), (7, 7, 1, 12), (2, 6, 2, 6),
               (5, 10, 5, 10), (0, 0, 3, 7), (1, 3, 9, 9), (4, 5, 6, 9),
-              (9, 30, 0, 2), (1, 5, 4, 9)]
+              (9, 30, 0, 2), (1, 5, 4, 9), (1, 3, 5, 11), (2, 6, 1, 8),
+              (2, 4, 2, 4), (0, 3, 0, 9)]
     rows = np.array([o for t in tables for o in _orientations(*t)])
     orbits = {
-        frozenset((a, b, t) for a, b in ((r1, r2), (r2, r1)) for t in (s, r1 + r2 - s))
+        frozenset((r, q, a + b) for a, r, b, q in _orientations(0, r1, s, r2))
         for r1, r2, s in zip(rows[:, 1].tolist(), rows[:, 3].tolist(),
                              (rows[:, 0] + rows[:, 2]).tolist())
     }
     assert len(orbits) < len(tables)
+    # (1, 3, 5, 11) and (2, 6, 1, 8) are one orbit only through the transpose
+    assert _transpose(1, 3, 5, 11)[1::2] == (6, 8)
     built = []
     tables_of = K.tables
 
@@ -270,29 +334,47 @@ def test_the_orientations_of_a_table_share_one_law_and_stored_support(
     assert flat.shape[0] == int(length[np.unique(start, return_index=True)[1]].sum())
     study = Study.from_distinct(*out)
     assert study.support_len.shape[0] == len(orbits)
-    by_table = study.support_index.reshape(-1, 4)
+    by_table = study.support_index.reshape(-1, 8)
     assert np.all(by_table == by_table[:, :1])
-    assert np.all(pvalues.reshape(-1, 4) == pvalues[::4, None])
+    assert np.all(pvalues.reshape(-1, 8) == pvalues[::8, None])
     expected = oracles.batch_loop("fet", rows.T, convention)
     for g, e in zip(oracles.per_feature_layout(*out), expected):
         assert g.tobytes() == e.tobytes()
 
 
 @pytest.mark.parametrize("convention", ["minlik", "doubling"])
-def test_fisher_keys_at_the_margin_limit(convention):
+def test_fisher_keys_at_the_margin_limit(convention, monkeypatch):
     """Margins up to ``MAX_TOTAL`` and totals up to ``2 * MAX_TOTAL`` fill
     every bit of the kernel's one int64 key per table (the rank of the
-    packed margins, then ``s``). Tables whose margins or totals differ
-    in their highest or lowest bits each keep their own law, so every
-    bit matches the per-feature builders; these laws are short, whatever
-    their margins."""
+    packed row margins, then ``s``), also where the transposed table's
+    second row margin is above ``MAX_TOTAL``. Tables whose margins or
+    totals differ in their highest or lowest bits each keep their own
+    law, so every bit matches the per-feature builders; these laws are
+    short, whatever their margins, and their log-factorial table is as
+    long as one law's at ``MAX_TOTAL``."""
     top = K.MAX_TOTAL
     half = 2**21
-    x1 = np.array([top, top, 0, 1, 2, 0, 3, 1, 1, 0, 0])
-    r1 = np.array([top, top, top, top, 5, top, top - 1, half, half + 1, 1, 2])
-    x2 = np.array([top, top - 1, 0, 2, 1, 1, 4, 1, 1, 0, 1])
-    r2 = np.array([top, top, top, 5, top, 1, top, half + 1, half, top, top])
+    x1 = np.array([top, top, 0, 1, 2, 0, 3, 1, 1, 0, 0, 1, 0, 2, 5, 0])
+    r1 = np.array([top, top, top, top, 5, top, top - 1, half, half + 1, 1, 2,
+                   top, top, 3, top - 2, half])
+    x2 = np.array([top, top - 1, 0, 2, 1, 1, 4, 1, 1, 0, 1, 2, 1, 0, 0, 0])
+    r2 = np.array([top, top, top, 5, top, 1, top, half + 1, half, top, top,
+                   top - 1, top, top, top, half - 1])
+    # the transpose's second row margin exceeds MAX_TOTAL, up to 2^23 - 2
+    s = x1 + x2
+    transposed = r1 + r2 - np.minimum(np.minimum(r1, r2), np.minimum(s, r1 + r2 - s))
+    assert np.count_nonzero(transposed > top) >= 8 and transposed.max() == 2 * top
+    sizes = []
+    factorials = K.log_factorials
+
+    def recording(n):
+        sizes.append(n)
+        return factorials(n)
+
+    monkeypatch.setattr(K, "log_factorials", recording)
     got = oracles.per_feature_layout(*K.batch_fisher(x1, r1, x2, r2, convention))
+    # the log-factorial table reaches the largest cell, never the transpose's margin
+    assert sizes == [top]
     expected = oracles.batch_loop("fet", (x1, r1, x2, r2), convention)
     for g, e in zip(got, expected):
         assert np.array_equal(g, e)
