@@ -83,10 +83,11 @@ the hypergeometric test and the total ``s1 + s2`` of the
 negative-binomial test. A law then has at most 2^22 entries, and is a
 block of its own. A transposed table's second row margin can reach
 ``2 * MAX_TOTAL``, but no cell of it exceeds the largest input margin,
-and the log-factorial table reaches only the largest cell. On a 2-vCPU host one law at the limit takes about
-1.3 s (binomial), 1.9 s (negative binomial below shape 13) or 1.2 s
-(from 13) to build, with a tracemalloc peak of about 240 MB (380 MB below
-shape 13, set by the log-gamma table). About 0.9 s of that is
+and the log-factorial table reaches only the largest cell. On a 2-vCPU
+host one law at the limit takes about 1.3 s (binomial), 1.9 s
+(negative binomial below shape 13) or 1.2 s (from 13) to build, with a
+tracemalloc peak of about 240 MB (380 MB below shape 13, set by the
+log-gamma table). About 0.9 s of that is
 ``math.log``, which ``_lgamma`` calls once per entry of the law's
 log-factorial table (and, below shape 13, of the negative-binomial
 log-gamma table). A larger total raises a
@@ -545,7 +546,7 @@ def batch_fisher(x1, r1, x2, r2, convention: str = "minlik"):
     flip = 2 * ss > total
     np.subtract(total, ss, out=ss, where=flip)
     np.subtract(r1, x1, out=x1, where=flip)
-    # then as its transpose, groups and outcomes swapped: r1 <= s
+    # then as its transpose, rows and columns swapped, so that r1 <= s
     r1, ss = np.minimum(r1, ss), np.maximum(r1, ss)
     r2 = total - r1
     lo = np.maximum(0, ss - r2)

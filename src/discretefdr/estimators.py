@@ -259,8 +259,8 @@ def lambda_cut(lam):
     cutoff) computes on either side of it by a few ulps, depending on
     summation order and the libm, so a plain ``p > lam`` would let
     rounding decide the exceedance count and the support floor. The
-    kernels' tie tolerance ``TIE_RTOL`` is far below the relative gap
-    between distinct support points and far above their rounding. Only
+    tolerance is the kernels' ``TIE_RTOL``, within which they already
+    count two probabilities as tied, far above that rounding. Only
     ``lam`` (one value or an array of them) is widened, so no array of
     p-values is formed anew; every comparison with ``lam`` takes this
     cut: the exceedance indicators (``storey_rows``,
