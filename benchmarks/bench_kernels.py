@@ -54,15 +54,20 @@ the analyze-fet input: ``STARTS_LAWS`` laws per feature, of 2 to 24
 points laid end to end (about 8 ``m`` places), each the support of at
 least one feature.
 
-The large-total case times one binomial law and one negative-binomial
-law at each shape of ``LARGE_SHAPES`` at each total of ``LARGE_TOTALS``,
-up to the kernels' limit ``MAX_TOTAL``. There the cost grows with the
-total, not with the number of features: the law, its table, and its
-log-factorial values (computed one ``math.log`` at a time, see
-``_lgamma``) all have ``total + 1`` entries. The shapes lie on either
-side of 13, where the negative-binomial coefficient switches from
-log-gamma values (one more ``math.log`` per entry) to Stirling's form
-(one vectorised ``log1p`` per entry).
+The large-total case builds, at each total of ``LARGE_TOTALS`` up to
+the kernels' limit ``MAX_TOTAL``, the log-factorial table, the
+negative-binomial coefficient below shape 13, and one law each of the
+binomial test, the hypergeometric test (all three margins at the total)
+and the negative-binomial test at each shape of ``LARGE_SHAPES``. It
+prints each one's median wall time over ``--repeat`` interleaved rounds
+(each round builds every one in turn) and its tracemalloc peak, taken
+in a call of its own. There the cost grows with the total, not with
+the number of features: the law, its table, and its log-factorial
+values (one ``math.lgamma`` call each) all have ``total + 1`` entries.
+The shapes lie on either side of 13, where the negative-binomial
+coefficient switches from log-gamma values (one more ``math.lgamma``
+call per entry) to Stirling's form (one vectorised ``log1p`` per
+entry).
 
 Run with ``python3 benchmarks/bench_kernels.py`` (options: ``--m`` for
 the batch size, ``--repeat`` for timing repetitions, ``--seed``).
@@ -72,6 +77,7 @@ from __future__ import annotations
 
 import argparse
 import time
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -116,6 +122,47 @@ def _time(fn, *args, repeat: int):
         out = fn(*args)
         best = min(best, time.perf_counter() - start)
     return best, out
+
+
+def _peak(fn) -> int:
+    """The tracemalloc peak of one ``fn()`` call, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _interleaved(cases: dict, rounds: int) -> dict:
+    """Median wall time of each case over ``rounds`` rounds, each round
+    calling every case once in turn."""
+    times = {name: [] for name in cases}
+    for _ in range(rounds):
+        for name, fn in cases.items():
+            start = time.perf_counter()
+            fn()
+            times[name].append(time.perf_counter() - start)
+    return {name: float(np.median(t)) for name, t in times.items()}
+
+
+def _large(total: int) -> dict:
+    """The log-gamma tables and the one-law cases at ``total``."""
+    x1, x2 = np.array([total // 2]), np.array([total - total // 2])
+    r = np.array([total])
+    cases = {
+        "log_factorials": partial(_kernels.log_factorials, total),
+        f"coefficient at shape {LARGE_SHAPES[0]:.4g}": partial(
+            _kernels.log_negbinom_coefficients, total, LARGE_SHAPES[0]
+        ),
+        "binomial law": partial(_kernels.batch_binomial, x1, x2),
+        "fisher law": partial(_kernels.batch_fisher, x1, r, x2, r),
+    }
+    for shape in LARGE_SHAPES:
+        cases[f"negbinom law at shape {shape:.4g}"] = partial(
+            _kernels.batch_negbinom, x1, x2, shape
+        )
+    return cases
 
 
 def _support_starts(m: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
@@ -357,16 +404,14 @@ def main() -> int:
             f"{t_dense * 1e3:.3f} / {t_sort * 1e3:.3f}ms"
         )
 
-    print("\none law at a large total")
+    print(f"\nlarge totals: median of {args.repeat} interleaved rounds, "
+          "tracemalloc peak")
     for total in LARGE_TOTALS:
-        x1, x2 = np.array([total // 2]), np.array([total - total // 2])
-        t_bin, _ = _time(_kernels.batch_binomial, x1, x2, repeat=args.repeat)
-        line = f"total {total:8d}: binomial {t_bin:7.3f}s"
-        for shape in LARGE_SHAPES:
-            t_nb, _ = _time(_kernels.batch_negbinom, x1, x2, shape,
-                            repeat=args.repeat)
-            line += f", negbinom at shape {shape:.4g} {t_nb:7.3f}s"
-        print(line)
+        cases = _large(total)
+        times = _interleaved(cases, args.repeat)
+        for name, fn in cases.items():
+            print(f"total {total:8d}: {name:30s} {times[name]:7.3f}s "
+                  f"{_peak(fn) / 2**20:8.1f} MB")
     return 0
 
 

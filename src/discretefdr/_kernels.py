@@ -10,11 +10,12 @@ shape ``k``). The law builders ``binomial_laws``, ``fisher_laws`` and
 ``negbinom_laws`` form each law's unnormalized log-weights from them,
 for an array of distinct keys at a time, and the exact bias enumeration
 in ``sim`` takes the coefficients of its count pmfs from them too. The
-log-factorials, and the log-gamma values of shapes below 13, come from
-``_lgamma`` (bit for bit those of scipy's ``gammaln``, without
-importing scipy). From shape 13 the negative-binomial coefficient is
-Stirling's form, which forms no difference of terms of size
-``k log k``, so it holds at every finite shape.
+log-factorials, and the log-gamma values of shapes below 13, are
+``math.lgamma``'s, one call per entry: CPython's own Lanczos code over
+the C library's ``log``, not the C library's ``lgamma``. From shape 13
+the negative-binomial coefficient is Stirling's form, which forms no
+difference of terms of size ``k log k``, so it holds at every finite
+shape.
 
 Each builder returns ``(length, logw)``: law ``k`` has ``length[k]``
 outcomes, and ``logw(rows, j)`` gives the laws ``rows`` (a column) at
@@ -84,13 +85,13 @@ negative-binomial test. A law then has at most 2^22 entries, and is a
 block of its own. A transposed table's second row margin can reach
 ``2 * MAX_TOTAL``, but no cell of it exceeds the largest input margin,
 and the log-factorial table reaches only the largest cell. On a 2-vCPU
-host one law at the limit takes about 1.3 s (binomial), 1.9 s
-(negative binomial below shape 13) or 1.2 s (from 13) to build, with a
-tracemalloc peak of about 240 MB (380 MB below shape 13, set by the
-log-gamma table). About 0.9 s of that is
-``math.log``, which ``_lgamma`` calls once per entry of the law's
-log-factorial table (and, below shape 13, of the negative-binomial
-log-gamma table). A larger total raises a
+host one law at the limit takes about 1.2 s (binomial or
+hypergeometric), 1.9 s (negative binomial below shape 13) or 1.3 s
+(from 13) to build, with a tracemalloc peak of 228 MB (256 MB
+hypergeometric); ``benchmarks/bench_kernels.py``'s large-total case
+measures these. About 0.6 s of that is the log-factorial table, one
+``math.lgamma`` call per entry, and below shape 13 about 0.75 s more
+is the log-gamma table of ``j + k``. A larger total raises a
 :class:`ValueError` naming the limit; the check never forms a sum that
 could wrap in int64.
 
@@ -108,8 +109,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from ._lgamma import gammaln, log_factorials, stirling_correction
 
 TIE_RTOL = 1e-12
 
@@ -140,13 +139,52 @@ FLOOR = float(np.nextafter(0.0, 1.0))
 MAX_TOTAL = 2**22 - 1
 
 #: The shape from which the negative-binomial coefficient is formed by
-#: Stirling's series: the split point of ``lgam`` itself.
+#: Stirling's series rather than from log-gamma values.
 _STIRLING_SHAPE = 13.0
+
+#: Stirling's correction below 1000: cephes ``lgam``'s polynomial in
+#: ``1 / x^2`` (S. L. Moshier, *Methods and Programs for Mathematical
+#: Functions*, 1989).
+_STIRLING_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+               7.93650340457716943945e-4, -2.77777777730099687205e-3,
+               8.33333333333331927722e-2)
 
 
 # ---------------------------------------------------------------------------
 # null laws
 # ---------------------------------------------------------------------------
+
+
+def log_factorials(n_max: int) -> np.ndarray:
+    """``log(k!) = lgamma(k + 1)`` for ``k = 0..n_max``, one
+    ``math.lgamma`` call per entry on the Python ints, so no list of the
+    arguments is built."""
+    return np.fromiter(map(math.lgamma, range(1, n_max + 2)), np.float64, n_max + 1)
+
+
+def stirling_correction(x: np.ndarray) -> np.ndarray:
+    """``log(Gamma(x)) - ((x - 0.5) log x - x + log(sqrt(2 pi)))`` for
+    ``x`` from 13, as cephes ``lgam`` forms it: the polynomial in
+    ``1 / x^2`` below 1000, the three-term series from there. ``lgam``
+    drops it beyond 1e8; this keeps it, for differences of log-gamma
+    values."""
+    with np.errstate(over="ignore"):  # x * x beyond 1e154; 1 / inf is 0
+        p = x * x
+    np.divide(1.0, p, out=p)
+    mid = x < 1000.0
+    pm = p[mid]
+    a = np.full(pm.size, _STIRLING_A[0])
+    for c in _STIRLING_A[1:]:
+        a *= pm
+        a += c
+    a /= x[mid]
+    corr = 7.9365079365079365079365e-4 * p
+    corr -= 2.7777777777777777777778e-3
+    corr *= p
+    corr += 0.0833333333333333333333
+    corr /= x
+    corr[mid] = a
+    return corr
 
 
 def log_binomial_coefficients(lf: np.ndarray, n, j):
@@ -163,18 +201,24 @@ def log_negbinom_coefficients(j_max: int, k: float) -> tuple[np.ndarray, float]:
     """``log C(j + k - 1, j) - j * drop`` for ``j = 0..j_max`` at shape
     ``k``, and ``drop``.
 
-    Below ``_STIRLING_SHAPE`` this is ``gammaln(j + k) - log j! -
-    lgamma(k)`` and ``drop`` is 0. From there ``drop`` is ``log k``, and
-    ``log Gamma(j + k) - log Gamma(k) - j log k`` is Stirling's
-    ``(j + k - 1/2) log1p(j / k) - j + C(j + k) - C(k)``, ``C`` the
-    correction of :func:`~discretefdr._lgamma.stirling_correction`: no
-    difference of terms of size ``k log k`` is formed, so the form holds
-    at every finite shape. A weight's ``j * drop`` is common to every
-    split of a total, so the laws ignore it; a pmf adds it back.
+    Below ``_STIRLING_SHAPE`` this is ``lgamma(j + k) - log j! -
+    lgamma(k)`` and ``drop`` is 0, each ``lgamma(j + k)`` a
+    ``math.lgamma`` call on the Python float ``k + j``, which has the
+    bits of ``np.arange(j_max + 1) + k``. From there ``drop`` is
+    ``log k``, and ``log Gamma(j + k) - log Gamma(k) - j log k`` is
+    Stirling's ``(j + k - 1/2) log1p(j / k) - j + C(j + k) - C(k)``,
+    ``C`` the correction of :func:`stirling_correction`: no difference
+    of terms of size ``k log k`` is formed, so the form holds at every
+    finite shape. A weight's ``j * drop`` is common to every split of a
+    total, so the laws ignore it; a pmf adds it back.
     """
     lf = log_factorials(j_max)
     if k < _STIRLING_SHAPE:
-        return gammaln(np.arange(j_max + 1) + k) - lf - math.lgamma(k), 0.0
+        shifted = map(k.__add__, range(j_max + 1))
+        coef = np.fromiter(map(math.lgamma, shifted), np.float64, j_max + 1)
+        coef -= lf
+        coef -= math.lgamma(k)
+        return coef, 0.0
     j = np.arange(j_max + 1, dtype=np.float64)
     coef = (j + (k - 0.5)) * np.log1p(j / k) - j
     coef += stirling_correction(j + k) - stirling_correction(np.array([k]))

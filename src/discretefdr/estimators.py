@@ -61,10 +61,7 @@ class Study:
     ends at the first 1 from its start. Any other layout raises a
     :class:`ValueError`. The slices are found by ``group_keys`` on their
     starts, and one stable sort of the stored supports' lengths orders
-    them; below 2**16 it sorts them as ``uint16``, by radix: 0.065
-    against 0.11 ms as int64 on analyze-fet's 9 064 supports, then one
-    per orbit of a table's mirror and complement (medians of 300); it
-    now holds 7 172, one per orbit of all eight orientations.
+    them.
     """
 
     def __init__(
@@ -123,9 +120,8 @@ class Study:
         slot_len[slot] = length
         if not np.array_equal(slot_len[slot], length):
             raise ValueError("support slices that start at one point differ in length")
-        # by ascending length, then start; uint16 lengths take a radix sort
-        short = slot_len.max(initial=0) < 2**16
-        order = np.argsort(slot_len.astype(np.uint16) if short else slot_len, kind="stable")
+        # by ascending length, then start
+        order = np.argsort(slot_len, kind="stable")
         position = np.empty_like(order)
         position[order] = np.arange(order.shape[0])
         self.support_len = slot_len[order]

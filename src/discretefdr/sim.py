@@ -61,7 +61,6 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels, fdr
-from ._lgamma import log_factorials
 from .estimators import (
     ESTIMATORS,
     Study,
@@ -737,7 +736,7 @@ def _count_pmf(spec: ScenarioSpec, top: int):
         coef, drop = _kernels.log_negbinom_coefficients(top, k)
         shift = math.log(k) - drop  # the part of x log k left in coef
     else:
-        lf = log_factorials(top)
+        lf = _kernels.log_factorials(top)
 
     def pmf(theta, trials, x):
         with np.errstate(divide="ignore"):  # log 0 at the ends of a range

@@ -5,8 +5,9 @@ outcome space with scipy's pmfs — deliberately a different code path
 from the library's log-weight kernels, so agreement is evidence rather
 than tautology. The per-law builders from log-weights (``logw_*``,
 ``outcome_pvalues``, ``doubling_outcome_pvalues``) are the exception:
-they repeat the kernels' arithmetic one law at a time, so the kernels'
-blockwise tables must match them bit for bit once ``floored``.
+they repeat the kernels' arithmetic one law at a time, on the same
+``math.lgamma`` values (``gammaln``), so the kernels' blockwise tables
+must match them bit for bit once ``floored``.
 
 The row-at-a-time count-table parser (``ingest_rows``) and CSV writer
 (``write_csv_rows``) are the references for the library's column-wise
@@ -38,7 +39,6 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy import stats
-from scipy.special import gammaln
 
 TIE_RTOL = 1e-12
 
@@ -127,6 +127,14 @@ def null_mass_at_most(pmf: np.ndarray, pvalues: np.ndarray, t: float) -> float:
 # ---------------------------------------------------------------------------
 # per-feature loops: references for the per-key and per-support paths
 # ---------------------------------------------------------------------------
+
+
+def gammaln(x) -> np.ndarray:
+    """``log(Gamma(x))`` elementwise, one ``math.lgamma`` call per entry,
+    as the kernels take their log-gamma values."""
+    x = np.asarray(x, dtype=np.float64)
+    values = map(math.lgamma, x.reshape(-1).tolist())
+    return np.fromiter(values, np.float64, x.size).reshape(x.shape)
 
 
 def logw_binomial(n) -> np.ndarray:

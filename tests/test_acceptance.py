@@ -1,4 +1,4 @@
-"""Acceptance gate: nine end-to-end checks, one verdict line each.
+"""Acceptance gate: ten end-to-end checks, one verdict line each.
 
 Each check exercises a documented guarantee of the package at a stated
 tolerance and, where one applies, a wall-clock budget that is asserted.
@@ -13,6 +13,13 @@ true-null part has expectation exactly 0 given the totals, and the
 false-null part its exact expectation given the totals, found by
 enumeration. The total has no lower bound, because false nulls pull
 the estimate below the truth at a fixed cutoff and weight.
+
+Check 10 measures the FDR estimators' conservativeness at fixed
+thresholds, the paper's "simultaneous asymptotic conservativeness"
+after Storey, Taylor & Siegmund (2004): at each threshold the mean of
+the estimate less the realized false discovery proportion is not below
+0 beyond noise, and the negative part of each replication's infimum
+over a threshold grid shrinks as the number of hypotheses grows.
 
 Check 8 compares against a published study's data set that is not
 bundled; it skips unless an environment variable points at the count
@@ -547,4 +554,97 @@ def test_acceptance_09_bootstrap_tuning_reduction():
         f"ACCEPTANCE 9 PASS: tuner == direct transcription bit-for-bit "
         f"(chosen cutoff {result.chosen[0]:g}, estimate "
         f"{result.estimate:.6f})"
+    )
+
+
+def _fdr_less_fdp(study: Study, est: FdrEstimator, thresholds) -> np.ndarray:
+    """``FDR_hat(t) - FDP(t)`` at each threshold, where ``FDP(t)`` is the
+    share of true nulls among the p-values at most ``t`` (0 when there
+    are none)."""
+    proc = build_rejection_process(study.pvalues)
+    nulls = np.sort(study.pvalues[study.truth])
+    out = np.empty(len(thresholds))
+    for i, t in enumerate(thresholds):
+        false = int(np.searchsorted(nulls, t, side="right"))
+        out[i] = evaluate_fdr(est, proc, t) - false / max(proc.rejections(t), 1)
+    return out
+
+
+def test_acceptance_10_fdr_estimator_conservativeness():
+    """The FDR estimators are conservative at fixed thresholds on both
+    count scenarios: (a) at each of seven thresholds from 0.001 to 0.2,
+    the mean over 100 replications of ``FDR_hat(t) - FDP(t)`` is at
+    least -2 SE, for the adjusted estimator (cutoff 0.5, weight 1) and
+    the exceedance estimator, at m = 1000 and true null proportions
+    0.5, 0.8 and 0.95; (b) on the two-Poisson scenario at 0.5, the mean
+    negative part of each replication's infimum of ``FDR_hat(t) -
+    FDP(t)`` over 100 thresholds in [0.005, 0.5] (50 replications) falls
+    as m grows over 1000, 4000 and 16 000: the estimator is
+    conservative asymptotically, not at every finite m."""
+    budget = 60.0
+    lam, eps = 0.5, 1.0
+    thresholds = (0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2)
+    grid = np.linspace(0.005, 0.5, 100)
+    reps = 100
+    worst = {"generalized": np.inf, "storey": np.inf}
+    lines = []
+
+    def estimators(study):
+        return {
+            "generalized": FdrEstimator(
+                kind="generalized", pi0=generalized_pi0(study, lam, eps)
+            ),
+            "storey": FdrEstimator(kind="storey", pi0=storey_pi0(study, lam)),
+        }
+
+    start = time.perf_counter()
+    for kind in ("poisson_bin", "binomial_fet"):
+        for pi0 in (0.5, 0.8, 0.95):
+            spec = ScenarioSpec(kind=kind, m=1000, pi0=pi0, reps=reps, seed=0)
+            gaps = {name: np.empty((reps, len(thresholds))) for name in worst}
+            for rep in range(reps):
+                study = generate_scenario(spec, rep)
+                for name, est in estimators(study).items():
+                    gaps[name][rep] = _fdr_less_fdp(study, est, thresholds)
+            for name, gap in gaps.items():
+                mean = gap.mean(axis=0)
+                se = gap.std(axis=0, ddof=1) / np.sqrt(reps)
+                z = np.divide(mean, se, out=np.full_like(mean, np.inf), where=se > 0)
+                for t, m_t, se_t in zip(thresholds, mean, se):
+                    assert m_t >= -2.0 * se_t, (
+                        f"{kind} pi0={pi0} {name} t={t}: mean FDR_hat - FDP "
+                        f"{m_t:+.5f} < -2 SE ({se_t:.5f})"
+                    )
+                worst[name] = min(worst[name], float(z.min()))
+                lines.append(
+                    f"{kind}/{pi0}/{name} mean {mean.min():+.4f}..{mean.max():+.4f}"
+                )
+
+    negative = []
+    below = []
+    for m in (1000, 4000, 16000):
+        spec = ScenarioSpec(kind="poisson_bin", m=m, pi0=0.5, reps=50, seed=0)
+        infima = np.empty(spec.reps)
+        for rep in range(spec.reps):
+            study = generate_scenario(spec, rep)
+            adjusted = estimators(study)["generalized"]
+            infima[rep] = _fdr_less_fdp(study, adjusted, grid).min()
+        negative.append(float(np.maximum(-infima, 0.0).mean()))
+        below.append(float(np.mean(infima < 0.0)))
+    elapsed = time.perf_counter() - start
+    figures = ", ".join(
+        f"m={m}: {n:.5f} (share below 0 {b:.2f})"
+        for m, n, b in zip((1000, 4000, 16000), negative, below)
+    )
+    assert negative[2] <= negative[1] <= negative[0] and negative[2] < negative[0], (
+        f"the mean negative part of the infimum does not fall with m: {figures}"
+    )
+    assert elapsed < budget, f"conservativeness check took {elapsed:.1f}s"
+    print(
+        "ACCEPTANCE 10 PASS: mean FDR_hat(t) - FDP(t) >= -2 SE at every t; "
+        + "; ".join(lines)
+        + f"; smallest z generalized {worst['generalized']:+.1f}, storey "
+        f"{worst['storey']:+.1f}; mean negative part of the infimum over "
+        f"t in [0.005, 0.5], poisson_bin pi0=0.5: {figures}; "
+        f"elapsed {elapsed:.1f}s < {budget:.0f}s"
     )
