@@ -61,17 +61,11 @@ def _spread_ms(values: list[float]) -> str:
 
 
 def _tuning_payload(argv: list[str]) -> dict:
-    """The payload the command hands ``cli._write_json``."""
-    seen = []
-    write_json = cli._write_json
-    cli._write_json = lambda path, payload: seen.append(payload) or write_json(
-        path, payload
-    )
-    try:
-        cli.main(argv)
-    finally:
-        cli._write_json = write_json
-    return seen[0]
+    """The ``tuning.json`` payload that ``cli.cmd_tune`` returns."""
+    args = vars(cli._parser().parse_args(argv))
+    settings = {k: v for k, v in args.items() if k not in cli._RUN_FLAGS}
+    _, [(_, _, payload)], _ = cli.cmd_tune(settings, None)
+    return payload
 
 
 def _write_oracle(path: str, payload: dict) -> None:

@@ -14,7 +14,8 @@ run them:
   procedure at every level, one solve per procedure;
 * ``fdp``: the false discovery proportions, one comparison per
   procedure at all its levels;
-* ``write``: the two per-replication tables and ``aggregate.json``.
+* ``write``: the two per-replication tables and ``aggregate.json``, as
+  ``cli._simulate_outputs`` gives them to the command.
 
 Next to three of them runs the form they replace, on the same input:
 
@@ -123,24 +124,9 @@ def summary(estimates, outcomes, fdps) -> sim.ReplicationSummary:
 
 
 def write(out: sim.ReplicationSummary, directory: str) -> None:
-    """The data outputs of ``cli.cmd_simulate``."""
-    reps, methods = np.arange(SPEC.reps), len(METHODS)
-    procs, alphas = len(PROCEDURES), len(SPEC.alpha_levels)
-    cli._write_csv(
-        os.path.join(directory, "pi0_replications.csv"),
-        ["rep", "method", "estimate", "excess"],
-        [np.repeat(reps, methods), (list(METHODS), np.tile(np.arange(methods), SPEC.reps)),
-         out.pi0_estimates.reshape(-1), out.excess.reshape(-1)],
-    )
-    cli._write_csv(
-        os.path.join(directory, "mtp_replications.csv"),
-        ["rep", "procedure", "alpha", "threshold", "rejections", "fdp"],
-        [np.repeat(reps, procs * alphas),
-         (list(PROCEDURES), np.tile(np.repeat(np.arange(procs), alphas), SPEC.reps)),
-         np.tile(np.array(SPEC.alpha_levels), SPEC.reps * procs),
-         out.thresholds.reshape(-1), out.rejections.reshape(-1), out.fdp.reshape(-1)],
-    )
-    cli._write_json(os.path.join(directory, "aggregate.json"), out.aggregate())
+    """The data outputs of ``cli.cmd_simulate``, as it returns them."""
+    for name, write_output, *data in cli._simulate_outputs(out, LAM, EPSILON):
+        write_output(os.path.join(directory, name), *data)
 
 
 def _same(a, b) -> bool:

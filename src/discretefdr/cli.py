@@ -1,9 +1,14 @@
 """Command-line interface: reproducible analyze / simulate / tune runs.
 
-Every run writes its outputs plus a ``manifest.json`` recording the
-command, all resolved parameters, the seed (null for ``analyze``, which
-draws nothing at random), SHA-256 digests of the input files, the
-package version, and a timestamp. Re-running with
+Each command computes and writes nothing: it returns its input records,
+its outputs in write order and the text of its summary line. An output
+is a file name, the function that writes it (``_write_features``,
+``_write_csv`` or ``_write_json``) and that function's arguments after
+the path. ``main`` alone creates ``--out``, writes the outputs, then a
+``manifest.json`` recording the command, all resolved parameters, the
+seed (null for ``analyze``, which draws nothing at random), SHA-256
+digests of the input files, the package version, and a timestamp, and
+prints ``<command>: <summary>, outputs in <out>``. Re-running with
 ``--from-manifest manifest.json`` (plus a fresh ``--out``) reproduces
 the data outputs byte-for-byte; input files are re-verified against
 the recorded digests first.
@@ -77,6 +82,7 @@ from .sim import (
     PI0_METHODS,
     DEFAULT_PI0_METHODS,
     DEFAULT_PROCEDURES,
+    ReplicationSummary,
     ScenarioSpec,
     evaluate_block,
     run_replications,
@@ -474,34 +480,6 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _ensure_out_dir(path: str) -> None:
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise CliError(
-            "io", f"cannot create output directory {path}: {exc.strerror}"
-        ) from exc
-
-
-def _write_manifest(
-    out_dir: str, command: str, settings: dict, inputs: dict[str, dict]
-) -> None:
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "seed": settings.get("seed"),
-        "arguments": settings,
-        "inputs": inputs,
-    }
-    # Arguments must round-trip exactly for byte-identical replays, so
-    # the manifest is written without the 9-significant-digit rounding
-    # applied to reported results.
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(manifest, indent=2) + "\n")
-
-
 def _load_manifest(path: str, command: str) -> dict:
     data = _read_bytes(path)
     try:
@@ -597,7 +575,7 @@ def _write_features(path: str, table, study: Study) -> None:
     )
 
 
-def cmd_analyze(settings: dict, out_dir: str, manifest: dict | None = None) -> int:
+def cmd_analyze(settings: dict, manifest: dict | None) -> tuple[dict, list, str]:
     """Test a count table, estimate the true-null proportion, threshold."""
     table, study, inputs = _ingest_study(settings, manifest)
     lam, eps, alphas = settings["lambda"], settings["epsilon"], settings["alphas"]
@@ -617,46 +595,38 @@ def cmd_analyze(settings: dict, out_dir: str, manifest: dict | None = None) -> i
     ]
     # bh runs at every level, so there is at least one row
     methods, *floats, rejections = zip(*rows)
-
-    _ensure_out_dir(out_dir)
-    _write_features(os.path.join(out_dir, "features.csv"), table, study)
-
-    _write_json(
-        os.path.join(out_dir, "estimates.json"),
-        {
-            "m": study.m,
-            "dropped": table.dropped,
-            "convention": settings["convention"],
-            "lambda": lam,
-            "epsilon": eps,
-            "estimates": {
-                name: None if e is None else _one(name, e[0], lam, eps).to_json_dict()
-                for name, e in estimates.items()
-            },
+    payload = {
+        "m": study.m,
+        "dropped": table.dropped,
+        "convention": settings["convention"],
+        "lambda": lam,
+        "epsilon": eps,
+        "estimates": {
+            name: None if e is None else _one(name, e[0], lam, eps).to_json_dict()
+            for name, e in estimates.items()
         },
-    )
-
-    _write_csv(
-        os.path.join(out_dir, "table.csv"),
-        [
-            "method",
-            "lambda",
-            "epsilon",
-            "pi0",
-            "alpha",
-            "threshold",
-            "fdr_at_threshold",
-            "rejections",
-        ],
-        [
-            list(methods),
-            *(np.array(c, dtype=np.float64) for c in floats),
-            np.array(rejections, dtype=np.int64),
-        ],
-    )
-    _write_manifest(out_dir, "analyze", settings, inputs)
-    print(f"analyze: m = {study.m}, outputs in {out_dir}")
-    return 0
+    }
+    header = [
+        "method",
+        "lambda",
+        "epsilon",
+        "pi0",
+        "alpha",
+        "threshold",
+        "fdr_at_threshold",
+        "rejections",
+    ]
+    columns = [
+        list(methods),
+        *(np.array(c, dtype=np.float64) for c in floats),
+        np.array(rejections, dtype=np.int64),
+    ]
+    outputs = [
+        ("features.csv", _write_features, table, study),
+        ("estimates.json", _write_json, payload),
+        ("table.csv", _write_csv, header, columns),
+    ]
+    return inputs, outputs, f"m = {study.m}"
 
 
 # ---------------------------------------------------------------------------
@@ -719,8 +689,47 @@ def _scenario_from_settings(settings: dict) -> ScenarioSpec:
         raise CliError("config", str(exc)) from exc
 
 
-def cmd_simulate(settings: dict, out_dir: str, manifest: dict | None = None) -> int:
-    """Run a simulation scenario and write tidy per-replication files."""
+_PI0_HEADER = ["rep", "method", "estimate", "excess"]
+_MTP_HEADER = ["rep", "procedure", "alpha", "threshold", "rejections", "fdp"]
+
+
+def _simulate_outputs(summary: ReplicationSummary, lam: float, epsilon: float) -> list:
+    """``simulate``'s outputs, in write order, from its replications run
+    at ``lam`` and ``epsilon``."""
+    spec = summary.spec
+    reps = np.arange(spec.reps)
+    n_methods = len(summary.pi0_methods)
+    n_procs, n_alphas = len(summary.procedures), len(spec.alpha_levels)
+    pi0_columns = [
+        np.repeat(reps, n_methods),
+        (list(summary.pi0_methods), np.tile(np.arange(n_methods), spec.reps)),
+        summary.pi0_estimates.reshape(-1),
+        summary.excess.reshape(-1),
+    ]
+    mtp_columns = [
+        np.repeat(reps, n_procs * n_alphas),
+        (
+            list(summary.procedures),
+            np.tile(np.repeat(np.arange(n_procs), n_alphas), spec.reps),
+        ),
+        np.tile(np.array(spec.alpha_levels), spec.reps * n_procs),
+        summary.thresholds.reshape(-1),
+        summary.rejections.reshape(-1),
+        summary.fdp.reshape(-1),
+    ]
+    agg = summary.aggregate()
+    agg["lambda"] = lam
+    agg["epsilon"] = epsilon
+    return [
+        ("pi0_replications.csv", _write_csv, _PI0_HEADER, pi0_columns),
+        ("mtp_replications.csv", _write_csv, _MTP_HEADER, mtp_columns),
+        ("aggregate.json", _write_json, agg),
+    ]
+
+
+def cmd_simulate(settings: dict, manifest: dict | None) -> tuple[dict, list, str]:
+    """Run a simulation scenario; its outputs are tidy per-replication
+    files and their aggregate."""
     spec = _scenario_from_settings(settings)
     inputs: dict[str, dict] = {}
     if settings.get("config_path"):
@@ -743,46 +752,8 @@ def cmd_simulate(settings: dict, out_dir: str, manifest: dict | None = None) -> 
         )
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
-
-    _ensure_out_dir(out_dir)
-    reps = np.arange(spec.reps)
-    n_methods = len(summary.pi0_methods)
-    _write_csv(
-        os.path.join(out_dir, "pi0_replications.csv"),
-        ["rep", "method", "estimate", "excess"],
-        [
-            np.repeat(reps, n_methods),
-            (list(summary.pi0_methods), np.tile(np.arange(n_methods), spec.reps)),
-            summary.pi0_estimates.reshape(-1),
-            summary.excess.reshape(-1),
-        ],
-    )
-    n_procs, n_alphas = len(summary.procedures), len(spec.alpha_levels)
-    _write_csv(
-        os.path.join(out_dir, "mtp_replications.csv"),
-        ["rep", "procedure", "alpha", "threshold", "rejections", "fdp"],
-        [
-            np.repeat(reps, n_procs * n_alphas),
-            (
-                list(summary.procedures),
-                np.tile(np.repeat(np.arange(n_procs), n_alphas), spec.reps),
-            ),
-            np.tile(np.array(spec.alpha_levels), spec.reps * n_procs),
-            summary.thresholds.reshape(-1),
-            summary.rejections.reshape(-1),
-            summary.fdp.reshape(-1),
-        ],
-    )
-    agg = summary.aggregate()
-    agg["lambda"] = settings["lambda"]
-    agg["epsilon"] = settings["epsilon"]
-    _write_json(os.path.join(out_dir, "aggregate.json"), agg)
-    _write_manifest(out_dir, "simulate", settings, inputs)
-    print(
-        f"simulate: kind = {spec.kind}, reps = {spec.reps}, "
-        f"outputs in {out_dir}"
-    )
-    return 0
+    outputs = _simulate_outputs(summary, settings["lambda"], settings["epsilon"])
+    return inputs, outputs, f"kind = {spec.kind}, reps = {spec.reps}"
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +798,7 @@ def _parse_grid(settings: dict) -> TuningGrid:
         raise CliError("usage", str(exc)) from exc
 
 
-def cmd_tune(settings: dict, out_dir: str, manifest: dict | None = None) -> int:
+def cmd_tune(settings: dict, manifest: dict | None) -> tuple[dict, list, str]:
     """Bootstrap-select a tuning pair on a count table."""
     # the grid flags first, so that a bad flag is reported before the
     # table is read and tested
@@ -837,8 +808,6 @@ def cmd_tune(settings: dict, out_dir: str, manifest: dict | None = None) -> int:
         result = bootstrap_tune(study, grid)
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
-
-    _ensure_out_dir(out_dir)
     payload = result.to_json_dict()
     for row, (lam, eps) in zip(payload["mse"], grid.points):
         row["lambda"] = lam
@@ -846,14 +815,9 @@ def cmd_tune(settings: dict, out_dir: str, manifest: dict | None = None) -> int:
     payload.update(
         {"m": study.m, "B": grid.B, "seed": grid.seed}
     )
-    _write_json(os.path.join(out_dir, "tuning.json"), payload)
-    _write_manifest(out_dir, "tune", settings, inputs)
-    chosen = payload["chosen"]
-    print(
-        f"tune: chose lambda = {chosen['lambda']:.9g}, "
-        f"epsilon = {chosen['epsilon']:.9g}, outputs in {out_dir}"
-    )
-    return 0
+    lam, eps = payload["chosen"]["lambda"], payload["chosen"]["epsilon"]
+    summary = f"chose lambda = {lam:.9g}, epsilon = {eps:.9g}"
+    return inputs, [("tuning.json", _write_json, payload)], summary
 
 
 # ---------------------------------------------------------------------------
@@ -1054,7 +1018,31 @@ def main(argv=None) -> int:
         elif args.command == "analyze":
             settings["alphas"] = args.alphas or [0.05]
         _check_settings(settings, required)
-        return _COMMANDS[args.command](settings, args.out, manifest)
+        inputs, outputs, summary = _COMMANDS[args.command](settings, manifest)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise CliError(
+                "io", f"cannot create output directory {args.out}: {exc.strerror}"
+            ) from exc
+        for name, write, *data in outputs:
+            write(os.path.join(args.out, name), *data)
+        record = {
+            "command": args.command,
+            "version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "seed": settings.get("seed"),
+            "arguments": settings,
+            "inputs": inputs,
+        }
+        # Arguments must round-trip exactly for byte-identical replays, so
+        # the manifest is written without the 9-significant-digit rounding
+        # applied to reported results.
+        path = os.path.join(args.out, "manifest.json")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(json.dumps(record, indent=2) + "\n")
+        print(f"{args.command}: {summary}, outputs in {args.out}")
+        return 0
     except CliError as exc:
         print(f"error:{exc.category}: {exc.message}", file=sys.stderr)
         return _EXIT_CODES.get(exc.category, 1)

@@ -1583,6 +1583,50 @@ def test_manifest_is_json_dumps_unrounded(bin_file, tmp_path, capsys):
     assert json.loads(text)["arguments"]["lambda"] == 0.1234567890123
 
 
+#: Each command's small input, and the names of its outputs in write order.
+COMMAND_OUTPUTS = {
+    "analyze": (
+        ["{bin}", "--test", "bin"],
+        ["features.csv", "estimates.json", "table.csv"],
+    ),
+    "simulate": (
+        ["{scenario}"],
+        ["pi0_replications.csv", "mtp_replications.csv", "aggregate.json"],
+    ),
+    "tune": (["{bin}", "--test", "bin", "--B", "20"], ["tuning.json"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OUTPUTS))
+def test_commands_compute_and_main_writes(
+    command, bin_file, sim_config, tmp_path, capsys, monkeypatch
+):
+    """A command called on its own creates, writes and prints nothing: it
+    returns its input records, its outputs in write order and its summary
+    text. ``main`` writes those outputs as they are, records those inputs
+    and prints ``<command>: <summary>, outputs in <out>``."""
+    rest, names = COMMAND_OUTPUTS[command]
+    argv = [command] + [a.format(bin=bin_file, scenario=sim_config) for a in rest]
+    out = tmp_path / "out"
+    code, stdout, stderr = run(argv + ["--out", str(out)], capsys)
+    assert code == 0, stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    cmd = getattr(cli, f"cmd_{command}")
+    inputs, outputs, summary = cmd(manifest["arguments"], None)
+    assert list(cwd.iterdir()) == []
+    assert capsys.readouterr() == ("", "")
+    assert [name for name, *_ in outputs] == names
+    assert inputs == manifest["inputs"]
+    assert stdout == f"{command}: {summary}, outputs in {out}\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted(names + ["manifest.json"])
+    for name, write, *data in outputs:
+        write(name, *data)
+        assert (cwd / name).read_bytes() == (out / name).read_bytes()
+
+
 #: Commands run one after another in one process; ``{bin}`` is the bin
 #: table and ``{prev}`` the previous command's output directory.
 SHARED_PARSER_CASES = {

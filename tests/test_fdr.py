@@ -8,18 +8,22 @@ import pytest
 from discretefdr import (
     FDR_KINDS,
     FdrEstimator,
+    IngestSchema,
     Pi0Estimate,
     Study,
     adaptive_bh,
     bh_procedure,
     build_rejection_process,
     evaluate_fdr,
+    ingest_counts,
     inverse_rejection_L,
     storey_pi0,
     threshold,
 )
+from discretefdr import test_count_table as run_count_table
+from discretefdr.sim import evaluate_block
 
-from conftest import random_pvalue_instance
+from conftest import load_workloads, random_pvalue_instance
 from oracles import bh_sorted, counterexample_instance, threshold_loop
 
 
@@ -474,6 +478,42 @@ def test_adaptive_bh_refuses_alpha_outside_unit_interval(alpha):
 def test_adaptive_bh_rejects_zero_pi0():
     with pytest.raises(ValueError):
         adaptive_bh(np.array([0.5]), 0.05, _pi0(0.0, "benjamini", lam=None))
+
+
+#: Levels at which the step-up comparisons are checked for float noise.
+_STEP_UP_LEVELS = [0.01, 0.025, 0.05, 0.1, 0.2]
+
+
+@pytest.mark.parametrize("seed", [2001, 101])
+@pytest.mark.parametrize("workload", ["analyze-bin", "analyze-fet"])
+def test_ulp_shifts_change_no_step_up_rejection_count(workload, seed, tmp_path):
+    """Moving each p-value of an analyze benchmark input by up to 4 ulps
+    either way flips no step-up comparison ``p(k) <= k alpha / m``:
+    ``bh`` and ``adaptive_bh`` reject as many at every level, in each of
+    20 random shifts. The supports stay as they are."""
+    workloads = load_workloads()
+    argv = workloads.write_inputs(workloads.WORKLOADS[workload], str(tmp_path), seed)
+    with open(argv[1], "rb") as fh:
+        table = ingest_counts(fh, IngestSchema(kind=argv[3], min_total=1))
+    study = Study.from_distinct(*run_count_table(table, "minlik"))
+    index = study.support_index
+    layout = (study.support_flat, study.support_start[index], study.support_len[index])
+
+    def rejections(pvalues):
+        _, outcomes = evaluate_block(
+            Study.from_distinct(pvalues, *layout), 1, (), ("bh", "adaptive_bh"),
+            _STEP_UP_LEVELS, 0.5, 1.0,
+        )
+        return np.stack([count for _, _, _, count in outcomes])
+
+    given = rejections(study.pvalues)
+    assert given[0].any()  # the check is void if nothing is rejected
+    rng = np.random.default_rng(seed)
+    bits = study.pvalues.view(np.int64)
+    for _ in range(20):
+        # for positive floats, adjacent bit patterns are adjacent floats
+        shifted = (bits + rng.integers(-4, 5, study.m)).view(np.float64)
+        assert np.array_equal(rejections(np.minimum(shifted, 1.0)), given)
 
 
 # ---------------------------------------------------------------------------
