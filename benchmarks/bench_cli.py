@@ -25,11 +25,10 @@ from __future__ import annotations
 import contextlib
 import io
 import os
-import statistics
 import sys
 import tempfile
-import time
 
+import timing
 from discretefdr import cli
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -40,24 +39,6 @@ import workloads  # noqa: E402
 
 ROUNDS = 200
 SEED = 2001
-
-
-def _alternating(cases, rounds: int) -> list[list[float]]:
-    """The wall times of each of ``cases`` over ``rounds`` rounds, each
-    round calling every one of them in turn."""
-    walls = [[] for _ in cases]
-    for _ in range(rounds):
-        for wall, fn in zip(walls, cases):
-            start = time.perf_counter()
-            fn()
-            wall.append(time.perf_counter() - start)
-    return walls
-
-
-def _spread_ms(values: list[float]) -> str:
-    """Median [quartiles] of ``values``, in milliseconds."""
-    low, median, high = statistics.quantiles([v * 1e3 for v in values], n=4)
-    return f"{median:.3f} [{low:.3f}, {high:.3f}]"
 
 
 def _tuning_payload(argv: list[str]) -> dict:
@@ -97,11 +78,11 @@ def main() -> int:
             "cli.main, one parser": lambda: cli.main(argv),
             "cli.main, parser per command": main_fresh_parser,
         }
-        walls = _alternating(list(cases.values()), ROUNDS)
+        walls = timing.interleaved(list(cases.values()), ROUNDS)
     print(f"tune-ent (seed {SEED}), {ROUNDS} rounds, cases called in turn; "
           "median [quartiles] ms")
     for name, wall in zip(cases, walls):
-        print(f"{name:>30s} {_spread_ms(wall):>28s}")
+        print(f"{name:>30s} {timing.spread(wall):>28s}")
     return 0
 
 

@@ -20,9 +20,8 @@ the same table made not plain, with one UTF-8 id and U+2028 (LINE
 SEPARATOR) line ends, which is decoded and cut into lines by
 ``str.splitlines``; on the same table with the counts of one row in
 ``DROPPED_EVERY`` set to 0, which the total filter (``min_total=1``)
-drops; on the same table with one trailing blank line, whose rows'
-arrays are views; and on the same table with one comment line at its
-middle, whose rows' arrays are gathered. The six are called in turn,
+drops; on the same table with one trailing blank line; and on the same
+table with one comment line at its middle. The six are called in turn,
 ``ROUNDS`` rounds at 15 000 rows and a tenth of that at more, and the
 script prints the median plain ingest and, for the other five, the
 median and quartiles of each round's ratio to the plain ingest, so that
@@ -43,13 +42,12 @@ from __future__ import annotations
 
 import io
 import os
-import resource
 import statistics
 import tempfile
-import time
 
 import numpy as np
 
+import timing
 from discretefdr import IngestSchema, Study, ingest_counts, test_count_table
 from discretefdr.cli import _float_cells, _support_cells, _write_features
 
@@ -124,37 +122,6 @@ def _with_comment(data: bytes) -> bytes:
     return b"\n".join(lines[:middle] + [b"# a comment"] + lines[middle:])
 
 
-def _alternating(fns, rounds: int) -> list[list[float]]:
-    """The wall times of each of ``fns`` over ``rounds`` rounds, each
-    round calling every one of them in turn."""
-    walls = [[] for _ in fns]
-    for _ in range(rounds):
-        for wall, fn in zip(walls, fns):
-            start = time.perf_counter()
-            fn()
-            wall.append(time.perf_counter() - start)
-    return walls
-
-
-def _spread(values: list[float]) -> str:
-    """Median and quartiles of ``values``."""
-    low, median, high = statistics.quantiles(values, n=4)
-    return f"{median:.3f} [{low:.3f}, {high:.3f}]"
-
-
-def _faults(fn, *args) -> tuple[float, float]:
-    """The median minor page faults and system seconds of ``REPEAT``
-    calls."""
-    faults, system = [], []
-    for _ in range(REPEAT):
-        before = resource.getrusage(resource.RUSAGE_SELF)
-        fn(*args)
-        after = resource.getrusage(resource.RUSAGE_SELF)
-        faults.append(after.ru_minflt - before.ru_minflt)
-        system.append(after.ru_stime - before.ru_stime)
-    return statistics.median(faults), statistics.median(system)
-
-
 def main() -> int:
     rng = np.random.default_rng(SEED)
     cases = [("bin", m) for m in SIZES] + [("fet", m) for m in SIZES]
@@ -183,13 +150,13 @@ def main() -> int:
             assert np.array_equal(other.group1, table.group1)
         assert read[3].dropped >= m // DROPPED_EVERY
         rounds = ROUNDS if m <= 15_000 else ROUNDS // 10
-        plain, *others = _alternating(
+        plain, *others = timing.interleaved(
             [lambda v=v: ingest_counts(io.BytesIO(v), schema) for v in variants], rounds
         )
         print(
             f"{kind:4s} {m:>6d} {rounds:6d} {statistics.median(plain) * 1e3:6.2f}ms"
             + "".join(
-                f" {_spread([t / p for t, p in zip(other, plain)]):>22s}"
+                f" {timing.spread([t / p for t, p in zip(other, plain)], 1):>22s}"
                 for other in others
             )
         )
@@ -209,7 +176,7 @@ def main() -> int:
         for kind, m, rounds, table in tables:
             study = Study.from_distinct(*test_count_table(table))
             pvalues = np.unique(study.pvalues)
-            t_out, t_sup, t_p = _alternating(
+            t_out, t_sup, t_p = timing.interleaved(
                 [
                     lambda: _write_features(path, table, study),
                     lambda: _support_cells(study),
@@ -217,13 +184,15 @@ def main() -> int:
                 ],
                 rounds,
             )
-            faults, system = _faults(_write_features, path, table, study)
+            faults, system = timing.faults(
+                _write_features, path, table, study, repeat=REPEAT
+            )
             print(
-                f"{kind:4s} {m:>6d} {_spread([t * 1e3 for t in t_out]):>26s}"
+                f"{kind:4s} {m:>6d} {timing.spread(t_out):>26s}"
                 f" {faults:7.0f} {system * 1e3:6.1f}ms"
                 f" {os.path.getsize(path) / 1e6:6.1f}MB"
-                f" {_spread([t * 1e3 for t in t_sup]):>26s}"
-                f" {_spread([t * 1e3 for t in t_p]):>22s}"
+                f" {timing.spread(t_sup):>26s}"
+                f" {timing.spread(t_p):>22s}"
                 f"  {study.support_len.shape[0]}"
             )
     return 0

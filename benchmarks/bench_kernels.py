@@ -76,12 +76,11 @@ the batch size, ``--repeat`` for timing repetitions, ``--seed``).
 from __future__ import annotations
 
 import argparse
-import time
-import tracemalloc
 from functools import partial
 
 import numpy as np
 
+import timing
 from discretefdr import Study, _kernels
 
 UNIQUE_TOTALS = 2000
@@ -112,38 +111,6 @@ LARGE_TOTALS = (2**16, 2**20, _kernels.MAX_TOTAL)
 #: workloads' 3 / 1.451, below the coefficient's switch at 13, and one
 #: above it.
 LARGE_SHAPES = (3.0 / 1.451, 30.0)
-
-
-def _time(fn, *args, repeat: int):
-    """Best wall time of ``fn(*args)`` over ``repeat`` calls, and its result."""
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        out = fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return best, out
-
-
-def _peak(fn) -> int:
-    """The tracemalloc peak of one ``fn()`` call, in bytes."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def _interleaved(cases: dict, rounds: int) -> dict:
-    """Median wall time of each case over ``rounds`` rounds, each round
-    calling every case once in turn."""
-    times = {name: [] for name in cases}
-    for _ in range(rounds):
-        for name, fn in cases.items():
-            start = time.perf_counter()
-            fn()
-            times[name].append(time.perf_counter() - start)
-    return {name: float(np.median(t)) for name, t in times.items()}
 
 
 def _large(total: int) -> dict:
@@ -356,10 +323,12 @@ def main() -> int:
             batch = data[name]
             m = len(batch[0])
             for convention in CONVENTIONS:
-                t, out = _time(
+                t, out = timing.best_of(
                     partial(kernel, *batch, convention=convention), repeat=args.repeat
                 )
-                t_study, study = _time(Study.from_distinct, *out, repeat=args.repeat)
+                t_study, study = timing.best_of(
+                    Study.from_distinct, *out, repeat=args.repeat
+                )
                 laws = np.unique(out[2]).shape[0]
                 assert study.support_len.shape[0] == laws  # one support per slice
                 keys, orbits = _distinct_keys(name, batch)
@@ -373,8 +342,10 @@ def main() -> int:
                 )
 
     draws, shape_total = _replications(rng)
-    t_alone, alone = _time(_per_replication, draws, shape_total, repeat=args.repeat)
-    t_pooled, pooled = _time(_pooled, draws, shape_total, repeat=args.repeat)
+    t_alone, alone = timing.best_of(
+        _per_replication, draws, shape_total, repeat=args.repeat
+    )
+    t_pooled, pooled = timing.best_of(_pooled, draws, shape_total, repeat=args.repeat)
     assert all(
         np.array_equal(a.pvalues, b.pvalues)
         and np.array_equal(a.support_flat, b.support_flat)
@@ -395,8 +366,10 @@ def main() -> int:
     ]
     cases.append((args.m, "starts", *_support_starts(args.m, rng)))
     for m, name, keys, bound in cases:
-        t_dense, _ = _time(_kernels.unique_below, keys, bound, repeat=GROUPING_ROUNDS)
-        t_sort, _ = _time(
+        t_dense, _ = timing.best_of(
+            _kernels.unique_below, keys, bound, repeat=GROUPING_ROUNDS
+        )
+        t_sort, _ = timing.best_of(
             partial(np.unique, return_inverse=True), keys, repeat=GROUPING_ROUNDS
         )
         print(
@@ -408,10 +381,10 @@ def main() -> int:
           "tracemalloc peak")
     for total in LARGE_TOTALS:
         cases = _large(total)
-        times = _interleaved(cases, args.repeat)
-        for name, fn in cases.items():
-            print(f"total {total:8d}: {name:30s} {times[name]:7.3f}s "
-                  f"{_peak(fn) / 2**20:8.1f} MB")
+        walls = timing.interleaved(list(cases.values()), args.repeat)
+        for (name, fn), wall in zip(cases.items(), walls):
+            print(f"total {total:8d}: {name:30s} {np.median(wall):7.3f}s "
+                  f"{timing.peak(fn) / 2**20:8.1f} MB")
     return 0
 
 

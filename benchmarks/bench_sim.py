@@ -40,10 +40,10 @@ import os
 import statistics
 import sys
 import tempfile
-import time
 
 import numpy as np
 
+import timing
 from discretefdr import Study, _kernels, cli, fdr, sim
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -140,12 +140,6 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def _spread_ms(values: list[float]) -> str:
-    """Median [quartiles] of ``values``, in milliseconds."""
-    low, median, high = statistics.quantiles([v * 1e3 for v in values], n=4)
-    return f"{median:6.2f} [{low:6.2f}, {high:6.2f}]"
-
-
 def main() -> int:
     columns = draw()
     study = kernel(columns)
@@ -157,29 +151,21 @@ def main() -> int:
     assert _same((estimates, outcomes), evaluate_per_level(study))
     with tempfile.TemporaryDirectory() as directory:
         # each stage next to the form it replaces, run in turn
-        stages = [
-            {"draw": draw, "draw (per group)": draw_per_group},
-            {"kernel": lambda: kernel(columns),
-             "kernel (pad 0)": lambda: kernel_pad0(columns)},
-            {"evaluate": lambda: evaluate(study),
-             "evaluate (per level)": lambda: evaluate_per_level(study)},
-            {"fdp": lambda: fdp(study, outcomes)},
-            {"write": lambda: write(summary(estimates, outcomes, fdps), directory)},
-        ]
-        walls = {name: [] for forms in stages for name in forms}
-        for r in range(ROUNDS):
-            for forms in stages:
-                # the two forms swap places each round, so neither always
-                # runs on the caches the other left
-                for name, stage in list(forms.items())[:: 1 - 2 * (r % 2)]:
-                    start = time.perf_counter()
-                    stage()
-                    walls[name].append(time.perf_counter() - start)
+        stages = {
+            "draw": draw, "draw (per group)": draw_per_group,
+            "kernel": lambda: kernel(columns),
+            "kernel (pad 0)": lambda: kernel_pad0(columns),
+            "evaluate": lambda: evaluate(study),
+            "evaluate (per level)": lambda: evaluate_per_level(study),
+            "fdp": lambda: fdp(study, outcomes),
+            "write": lambda: write(summary(estimates, outcomes, fdps), directory),
+        }
+        walls = dict(zip(stages, timing.interleaved(list(stages.values()), ROUNDS)))
     print(f"{SPEC.reps} replications x {SPEC.m} features, {len(METHODS)} "
           f"estimators, {len(PROCEDURES)} procedures x {len(SPEC.alpha_levels)} "
           f"levels; median [quartiles] ms of {ROUNDS} rounds, stages in turn")
     for name, wall in walls.items():
-        print(f"{name:22s} {_spread_ms(wall)}")
+        print(f"{name:22s} {timing.spread(wall):>26s}")
     total = sum(statistics.median(walls[name]) for name in
                 ("draw", "kernel", "evaluate", "fdp", "write"))
     print(f"{'sum of stage medians':22s} {total * 1e3:6.2f}")

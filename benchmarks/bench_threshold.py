@@ -28,10 +28,10 @@ Run with ``python3 benchmarks/bench_threshold.py`` (options: ``--m``,
 from __future__ import annotations
 
 import argparse
-import time
 
 import numpy as np
 
+import timing
 from discretefdr import (
     FdrEstimator,
     Study,
@@ -47,15 +47,6 @@ BLOCK_ROWS = 50
 BLOCK_M = 250
 BLOCK_ALPHAS = (0.01, 0.025, 0.05, 0.1, 0.2)
 BLOCK_KINDS = ("generalized", "storey", "storey_variant")
-
-
-def _time(fn, *args, repeat: int) -> tuple[float, object]:
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        out = fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return best, out
 
 
 def _pvalues(rng: np.random.Generator, size) -> np.ndarray:
@@ -105,9 +96,9 @@ def _block_case(rng: np.random.Generator, repeat: int) -> None:
             for alpha in BLOCK_ALPHAS
         ]
 
-    t_block, solved = _time(all_levels, repeat=repeat)
-    t_levels, by_level = _time(per_level, repeat=repeat)
-    t_rows, results = _time(one_row_calls, repeat=repeat)
+    t_block, solved = timing.best_of(all_levels, repeat=repeat)
+    t_levels, by_level = timing.best_of(per_level, repeat=repeat)
+    t_rows, results = timing.best_of(one_row_calls, repeat=repeat)
     pairs = len(by_level)
     stacked = [np.concatenate(out) for out in zip(*solved)]
     assert all(
@@ -143,10 +134,10 @@ def main() -> int:
     pi0 = storey_pi0(Study(pvalues, [empty] * args.m), 0.5)
     est = FdrEstimator("storey", pi0, lam=0.5)
 
-    t_build, proc = _time(build_rejection_process, pvalues, repeat=args.repeat)
-    t_thr, res = _time(threshold, est, proc, ALPHA, repeat=args.repeat)
-    t_bh, bh = _time(bh_procedure, pvalues, ALPHA, repeat=args.repeat)
-    t_bh_proc, _ = _time(bh_procedure, proc, ALPHA, repeat=args.repeat)
+    t_build, proc = timing.best_of(build_rejection_process, pvalues, repeat=args.repeat)
+    t_thr, res = timing.best_of(threshold, est, proc, ALPHA, repeat=args.repeat)
+    t_bh, bh = timing.best_of(bh_procedure, pvalues, ALPHA, repeat=args.repeat)
+    t_bh_proc, _ = timing.best_of(bh_procedure, proc, ALPHA, repeat=args.repeat)
 
     print(f"m = {args.m}, {proc.distinct.shape[0]} distinct p-values, "
           f"storey pi0 {pi0.raw:.4f}, alpha {ALPHA}; "

@@ -30,13 +30,12 @@ Run with ``python3 benchmarks/bench_tuning.py``.
 from __future__ import annotations
 
 import os
-import statistics
 import sys
-import time
-import tracemalloc
+from functools import partial
 
 import numpy as np
 
+import timing
 from discretefdr import Study, TuningGrid, _kernels, bootstrap_tune
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -73,35 +72,6 @@ def _study(m: int, rng: np.random.Generator) -> Study:
     return Study.from_distinct(*out)
 
 
-def _alternating(fns, args, rounds: int) -> list[list[float]]:
-    """The wall times of each of ``fns`` on ``args`` over ``rounds``
-    rounds, each round calling every one of them in turn."""
-    walls = [[] for _ in fns]
-    for _ in range(rounds):
-        for wall, fn in zip(walls, fns):
-            start = time.perf_counter()
-            fn(*args)
-            wall.append(time.perf_counter() - start)
-    return walls
-
-
-def _spread_ms(values: list[float]) -> str:
-    """Median [quartiles] of ``values``, in milliseconds."""
-    low, median, high = statistics.quantiles([v * 1e3 for v in values], n=4)
-    return f"{median:.2f} [{low:.2f}, {high:.2f}]"
-
-
-def _peak(fn, study: Study, grid: TuningGrid) -> str:
-    """The tracemalloc peak of one call, in MB and bytes per feature."""
-    tracemalloc.start()
-    try:
-        fn(study, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return f"{peak / 2**20:.1f}MB {peak / study.m:.0f}B/f"
-
-
 def main() -> int:
     rng = np.random.default_rng(SEED)
     points = [(lam, eps) for lam in LAMBDAS for eps in EPSILONS]
@@ -116,9 +86,10 @@ def main() -> int:
         if m not in ALONE_SIZES:
             cases += (oracles.bootstrap_shared_gather,)
         rounds = max(MIN_ROUNDS, ROUNDS * 600 // m)
-        walls = _alternating(cases, (study, grid), rounds)
-        cells = [f"{_spread_ms(w):>28s} {_peak(fn, study, grid):>16s}"
-                 for w, fn in zip(walls, cases)]
+        walls = timing.interleaved([partial(fn, study, grid) for fn in cases], rounds)
+        peaks = [timing.peak(fn, study, grid) for fn in cases]
+        cells = [f"{timing.spread(w):>28s} {p / 2**20:6.1f}MB {p / m:4.0f}B/f"
+                 for w, p in zip(walls, peaks)]
         print(f"{m:>7d} {rounds:6d}", *cells)
     return 0
 

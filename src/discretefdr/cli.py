@@ -5,10 +5,13 @@ its outputs in write order and the text of its summary line. An output
 is a file name, the function that writes it (``_write_features``,
 ``_write_csv`` or ``_write_json``) and that function's arguments after
 the path. ``main`` alone creates ``--out``, writes the outputs, then a
-``manifest.json`` recording the command, all resolved parameters, the
-seed (null for ``analyze``, which draws nothing at random), SHA-256
-digests of the input files, the package version, and a timestamp, and
-prints ``<command>: <summary>, outputs in <out>``. Re-running with
+``manifest.json`` recording the command, its settings, the seed (null
+for ``analyze``, which draws nothing at random), SHA-256 digests of the
+input files, the package version, and a timestamp, and prints
+``<command>: <summary>, outputs in <out>``. The settings are the flags'
+values; for ``simulate``, the config's keys with ``_SIM_DEFAULTS`` and
+the flags applied, and its path and digest, but no other default of
+``ScenarioSpec`` (``dispersion``, ...). Re-running with
 ``--from-manifest manifest.json`` (plus a fresh ``--out``) reproduces
 the data outputs byte-for-byte; input files are re-verified against
 the recorded digests first.
@@ -18,7 +21,7 @@ Errors are reported as a single machine-parsable line on stderr,
 ``usage`` (bad flags or values), ``io`` (unreadable or missing
 files), ``parse`` (malformed input tables and manifests), ``config``
 (bad simulation configs, missing or mistyped settings, digest
-mismatches, empty analyses).
+mismatches, empty analyses, runs that need more memory than can be had).
 
 All floating-point output is printed with 9 significant digits.
 
@@ -898,7 +901,6 @@ def build_parser() -> _Parser:
     )
     an.add_argument("--out", help="output directory")
     an.add_argument("--from-manifest", dest="from_manifest")
-    an.set_defaults(command="analyze")
 
     si = subs.add_parser("simulate", help="run a seeded simulation scenario")
     si.add_argument("config", nargs="?", help="scenario config (JSON)")
@@ -909,7 +911,6 @@ def build_parser() -> _Parser:
     )
     si.add_argument("--out", help="output directory")
     si.add_argument("--from-manifest", dest="from_manifest")
-    si.set_defaults(command="simulate")
 
     tu = subs.add_parser(
         "tune", help="bootstrap-select the estimator tuning pair"
@@ -937,7 +938,6 @@ def build_parser() -> _Parser:
     tu.add_argument("--seed", type=int, default=0)
     tu.add_argument("--out", help="output directory")
     tu.add_argument("--from-manifest", dest="from_manifest")
-    tu.set_defaults(command="tune")
 
     return parser
 
@@ -1018,7 +1018,11 @@ def main(argv=None) -> int:
         elif args.command == "analyze":
             settings["alphas"] = args.alphas or [0.05]
         _check_settings(settings, required)
-        inputs, outputs, summary = _COMMANDS[args.command](settings, manifest)
+        try:
+            inputs, outputs, summary = _COMMANDS[args.command](settings, manifest)
+        except MemoryError as exc:
+            detail = str(exc) or "an allocation failed"
+            raise CliError("config", f"out of memory: {detail}") from exc
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:

@@ -254,6 +254,30 @@ def _group_columns(values: list[np.ndarray], width: int, schema: IngestSchema):
     return (x1, r1, x2, r2), over
 
 
+def _group_rows(value, first, width, schema: IngestSchema):
+    """``(x1, r1, x2, r2)`` of the data rows, whose counts start at
+    ``value[first[i] + 1]``, and the rows with a width, group sum or count
+    at fault. A width no row has (``ent``'s ``1 + 2 * reps``) costs nothing."""
+    n = width.shape[0]
+    fault = np.ones(n, dtype=bool)
+    x1, x2 = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    r1 = r2 = None
+    if schema.kind == "fet":
+        r1, r2 = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for w in _widths(schema):
+        rows = np.flatnonzero(width == w)
+        if rows.shape[0]:
+            fault[rows] = False
+            columns = [value[first[rows] + k] for k in range(1, w)]
+            grouped, over = _group_columns(columns, w, schema)
+            if over is not None:
+                fault[rows[over]] = True
+            for whole, part in zip((x1, r1, x2, r2), grouped):
+                if whole is not None:
+                    whole[rows] = part
+    return (x1, r1, x2, r2), fault
+
+
 def _row_fault(tokens: list[str], schema: IngestSchema) -> str:
     """What is wrong with one data row, split into its cells: its width,
     else its first bad count, else a group sum beyond int64, else a count
@@ -285,8 +309,8 @@ _LEAD[[ord("#"), ord("\n"), ord("\r")]] = 1
 _LEAD[[ord(" "), ord("\t"), 0x1F]] = 2
 _LEAD[0x80:] = 2
 
-#: The most digits a count cell of the byte parser may have: 19-digit
-#: counts are formed in uint64 and checked against ``_INT64_MAX``.
+#: The most digits a count cell of the byte parser may have: counts are
+#: formed in uint64, exact at 19 digits, and checked against ``_INT64_MAX``.
 _MAX_DIGITS = 19
 
 
@@ -338,11 +362,7 @@ def _data_rows(r: np.ndarray, delim: str):
     blank and comment lines, which are no row's.
 
     Those lines keep their places in ``sep``, so one of them costs a pass
-    over its own cells rather than a copy of ``sep``. When they all come
-    after the rows, as a trailing blank line does, the rows' arrays are
-    views; gathering them took a trailing blank line from 0.7% to 2-3%
-    of the plain ingest of 15 000 ``bin`` or ``fet`` rows (medians of
-    1 000 paired runs)."""
+    over its own cells rather than a copy of ``sep``."""
     sep = np.flatnonzero((r == ord(delim)) | (r == 0x0A))
     last = np.flatnonzero(r[sep] == 0x0A)
     first = np.zeros_like(last)
@@ -359,8 +379,6 @@ def _data_rows(r: np.ndarray, delim: str):
     width = last[others] - first[others] + 1
     shift = np.repeat(first[others] - (np.cumsum(width) - width), width)
     other = shift + np.arange(shift.shape[0])
-    if not others.shape[0] or others[0] == lines.shape[0]:
-        row = slice(lines.shape[0])
     return sep, first[row], last[row], start[row], lines, other
 
 
@@ -378,8 +396,7 @@ def _read_counts(r: np.ndarray, sep: np.ndarray, end: np.ndarray, skip: np.ndarr
     digits = min(int(length.max(initial=0)), _MAX_DIGITS)
     bad = (length == 0) | (length > _MAX_DIGITS)
     bad[skip] = False
-    # up to 18 digits are exact in int64, and 19 in uint64
-    value = np.zeros(sep.shape[0], np.uint64 if digits == _MAX_DIGITS else np.int64)
+    value = np.zeros(sep.shape[0], np.uint64)
     # byte p of a cell from its end, for every cell at once; an offset
     # before the first byte wraps to the end of r, and like every byte
     # before a cell's start it is masked out
@@ -391,8 +408,7 @@ def _read_counts(r: np.ndarray, sep: np.ndarray, end: np.ndarray, skip: np.ndarr
         value *= 10
         value += digit
         at += 1
-    if digits == _MAX_DIGITS:
-        bad |= value > np.uint64(_INT64_MAX)
+    bad |= value > np.uint64(_INT64_MAX)
     return value.view(np.int64), bad
 
 
@@ -443,7 +459,6 @@ def _parse_bytes(data: bytes, schema: IngestSchema):
     r = np.frombuffer(data, dtype=np.uint8)[pos:]
     sep, first, last, start, lines, other = _data_rows(r, delim)
     line_of = header_line + 1 + lines
-    n = last.shape[0]
     width = last - first + 1
     # a row's last cell ends at its line feed, or at the CR before it
     end = sep
@@ -465,30 +480,14 @@ def _parse_bytes(data: bytes, schema: IngestSchema):
     stop = end[last]
     id_end = sep[first]
     del sep, end
-
-    fault = np.ones(n, dtype=bool)
-    x1, x2 = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    r1 = r2 = None
-    if schema.kind == "fet":
-        r1, r2 = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    for w in _widths(schema):
-        rows = np.flatnonzero(width == w)
-        fault[rows] = False
-        columns = [value[first[rows] + k] for k in range(1, w)]
-        grouped, over = _group_columns(columns, w, schema)
-        if over is not None:
-            fault[rows[over]] = True
-        for whole, part in zip((x1, r1, x2, r2), grouped):
-            if whole is not None:
-                whole[rows] = part
-    # the counts are in x1, r1, x2 and r2 now
-    del value, rows, columns, grouped, part
+    (x1, r1, x2, r2), fault = _group_rows(value, first, width, schema)
+    del value
     fault[np.searchsorted(first, np.flatnonzero(bad), side="right") - 1] = True
     if fault.any():
         i = int(fault.argmax())
         row = data[pos + start[i] : pos + stop[i]].decode()
         raise ValueError(f"line {line_of[i]}: {_row_fault(row.split(delim), schema)}")
-    keep = np.ones(n, dtype=bool)
+    keep = np.ones_like(fault)
     for total in (r1, r2) if schema.kind == "fet" else (x1, x2):
         if schema.min_total is not None:
             keep &= total >= schema.min_total
@@ -555,8 +554,8 @@ def ingest_counts(source: IO[bytes], schema: IngestSchema) -> CountTable:
     The lines, rows and cells are then cut with numpy; a blank or
     comment line keeps its place among the delimiters, so it costs a
     pass over its own cells, not over the table. Each count of one to 19
-    ASCII digits is read by positional arithmetic (exact in int64 up to
-    18 digits; 19 are checked against the int64 range), and every other
+    ASCII digits is read by positional arithmetic (formed in uint64 and
+    checked against the int64 range), and every other
     count cell (a sign, ``_``, a blank, a non-ASCII digit, an over-long
     cell) by ``int``, one cell at a time. Each row is flagged if its
     width, a count, a group sum or a count above its trials is at fault,

@@ -316,8 +316,7 @@ def solve_thresholds(
     # per (level, row): rows that reject everything divide by a stand-in
     # and stay infeasible
     everything = (mult <= 0.0) | ((level >= 1.0) & (rule is not None))
-    some = everything.any()
-    scale = np.where(everything, 1.0, m * mult) if some else m * mult
+    scale = np.where(everything, 1.0, m * mult)
     scale = np.repeat(scale, block._per_row, axis=-1)  # onto the intervals
     # The variant is pinned at 1 beyond lam, so its feasible region for
     # alpha < 1 stops there.
@@ -325,9 +324,7 @@ def solve_thresholds(
     # right_j >= left_j, so min(bound_j, right_j) >= left_j iff bound_j is
     bound = level * block.count
     np.minimum(np.divide(bound, scale, out=bound), cap, out=bound)
-    feasible = bound >= block.left
-    if some:
-        feasible &= ~np.repeat(everything, block._per_row, axis=-1)
+    feasible = (bound >= block.left) & ~np.repeat(everything, block._per_row, axis=-1)
 
     t = np.where(everything, 1.0, 0.0)
     rejections = np.where(everything, m, 0)

@@ -846,6 +846,35 @@ def test_refusals_print_one_error_line(argv, code, named, bin_file, tmp_path, ca
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "message, named",
+    [
+        ("Unable to allocate 2.84 PiB for an array with shape (20, 2, 10000000000000)",
+         "Unable to allocate 2.84 PiB for an array with shape (20, 2, 10000000000000)"),
+        ("", "an allocation failed"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_a_failed_allocation_prints_one_error_line(
+    message, named, bin_file, tmp_path, capsys, monkeypatch
+):
+    """A command whose compute step cannot allocate what its settings ask
+    for, as ``tune --B 10000000000000`` cannot, exits 1 with one config
+    error line and writes no output directory. The step is replaced by
+    one that raises at once, so the test allocates nothing."""
+
+    def out_of_memory(settings, manifest):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli._COMMANDS, "tune", out_of_memory)
+    out = tmp_path / "out"
+    argv = ["tune", bin_file, "--test", "bin", "--B", "10000000000000"]
+    code, stdout, stderr = run(argv + ["--out", str(out)], capsys)
+    assert code == 1
+    assert stderr == f"error:config: out of memory: {named}\n"
+    assert stdout == "" and not out.exists()
+
+
 def test_simulate_writes_an_unread_nan_lambda_as_null(sim_config, tmp_path, capsys):
     """A roster that reads no lambda runs with ``"lambda": NaN``; the
     aggregate records it as ``null`` and the manifest replays it."""

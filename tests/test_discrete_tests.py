@@ -2,6 +2,7 @@
 
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,21 @@ def test_ingest_ent_replicate_columns_summed():
     )
     assert table.group1.tolist() == [3]
     assert table.group2.tolist() == [7]
+
+
+def test_ingest_cost_does_not_grow_with_a_width_no_row_has():
+    """A table of group sums read with a large ``reps``: no row has the
+    per-sample width ``1 + 2 * reps``, so it costs nothing, where grouping
+    it built ``2 * reps`` empty columns (2.6 MB at ``reps`` 10**4)."""
+    schema = IngestSchema(kind="ent", size=0.7, reps=10**4)
+    tracemalloc.start()
+    try:
+        table = _ingest("id,s1,s2\nf1,3,4\nf2,1,2\n", schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.group1.tolist() == [3, 1] and table.group2.tolist() == [4, 2]
+    assert peak < 2**18
 
 
 def test_ingest_ent_requires_size():
