@@ -110,6 +110,9 @@ import math
 
 import numpy as np
 
+#: The two-sided conventions a kernel accepts.
+CONVENTIONS = ("minlik", "doubling")
+
 TIE_RTOL = 1e-12
 
 #: Tie-class depth scanned blockwise; deeper ties are searched per law.
@@ -406,7 +409,8 @@ def _blocks(length: np.ndarray):
 def tables(laws, convention: str = "minlik"):
     """Outcome p-value table and support of every law.
 
-    ``laws`` is ``(length, logw)`` as the ``*_laws`` builders return it.
+    ``laws`` is ``(length, logw)`` as the ``*_laws`` builders return it,
+    and ``convention`` one of ``CONVENTIONS``, as :func:`_batch` checks.
     Returns ``(table_flat, table_start, support_flat, support_start,
     support_len)``: law ``k``'s table is ``table_flat[table_start[k]:
     table_start[k] + length[k]]``, indexed by outcome offset, and its
@@ -419,7 +423,6 @@ def tables(laws, convention: str = "minlik"):
     as it is.
     """
     length, law_logw = laws
-    minlik = {"minlik": True, "doubling": False}[convention]
     blocks = list(_blocks(length))
     widths = [int(length[rows[-1]]) for rows in blocks]
     bound = np.cumsum([0] + [rows.shape[0] * w for rows, w in zip(blocks, widths)])
@@ -433,7 +436,7 @@ def tables(laws, convention: str = "minlik"):
         n = length[rows][:, None]
         table_start[rows] = np.arange(a, b, width)
         w = _weights(law_logw, rows, n, table_flat[a:b].reshape(-1, width))
-        if minlik:
+        if convention == "minlik":
             # each row's p-values come sorted, its padding first
             sorted_pv, at = _minlik_block(w)
             np.maximum(sorted_pv, FLOOR, out=sorted_pv)
@@ -502,8 +505,12 @@ def _batch(make_laws, keys, observed, convention):
     ``keys`` holds one nonnegative integer conditioning key per feature,
     grouped by :func:`group_keys`; ``make_laws(distinct)`` builds the
     laws of the distinct keys. ``observed[i]`` is feature ``i``'s
-    outcome offset in its law.
+    outcome offset in its law. An unknown ``convention`` is refused.
     """
+    if convention not in CONVENTIONS:
+        raise ValueError(
+            f"unknown convention {convention!r}; choose from {CONVENTIONS}"
+        )
     distinct, inverse = group_keys(np.asarray(keys, dtype=np.int64))
     table_flat, table_start, flat, start, length = tables(
         make_laws(distinct), convention
@@ -517,8 +524,10 @@ def _batch(make_laws, keys, observed, convention):
 # ---------------------------------------------------------------------------
 
 def _check_total(x1, x2) -> None:
-    """Raise unless every ``x1 + x2`` is at most ``MAX_TOTAL``; the sum
-    itself is not formed, so it cannot wrap."""
+    """Raise on a negative count or an ``x1 + x2`` above ``MAX_TOTAL``;
+    the sum itself is not formed, so it cannot wrap."""
+    if np.any(x1 < 0) or np.any(x2 < 0):
+        raise ValueError("counts must be nonnegative")
     if np.any(x2 > MAX_TOTAL - x1):
         raise ValueError(
             f"a conditioned total exceeds the largest supported total {MAX_TOTAL}"
@@ -579,6 +588,10 @@ def batch_fisher(x1, r1, x2, r2, convention: str = "minlik"):
     r1 = np.asarray(r1, dtype=np.int64)
     x2 = np.asarray(x2, dtype=np.int64)
     r2 = np.asarray(r2, dtype=np.int64)
+    if np.any(x1 < 0) or np.any(x2 < 0) or np.any(r1 < 0) or np.any(r2 < 0):
+        raise ValueError("counts and trials must be nonnegative")
+    if np.any(x1 > r1) or np.any(x2 > r2):
+        raise ValueError("count exceeds trials")
     if np.any(r1 > MAX_TOTAL) or np.any(r2 > MAX_TOTAL):
         raise ValueError(f"trials exceed the largest supported total {MAX_TOTAL}")
     ss = x1 + x2

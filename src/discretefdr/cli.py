@@ -552,11 +552,10 @@ def _ingest_study(settings: dict, manifest: dict | None):
     except ValueError as exc:
         raise CliError("parse", f"{path}: {exc}") from exc
     if len(table) == 0:
-        raise CliError(
-            "config",
-            "no features remain after filtering (m = 0); "
-            "relax --min-total/--max-total",
-        )
+        raise CliError("config", (
+            "no features remain after filtering (m = 0); relax --min-total/--max-total"
+            if table.dropped else f"{path}: the table has no data rows (m = 0)"
+        ))
     try:
         study = Study.from_distinct(*test_count_table(table, settings["convention"]))
     except ValueError as exc:

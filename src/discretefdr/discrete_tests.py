@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _kernels
 
-CONVENTIONS = ("minlik", "doubling")
+CONVENTIONS = _kernels.CONVENTIONS
 
 #: The largest count a table may hold, per cell and per group sum.
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -63,13 +63,6 @@ def _single(batch_result) -> TestResult:
     return TestResult(float(pvals[0]), flat[start[0] : start[0] + length[0]].copy())
 
 
-def _validate_convention(convention: str) -> None:
-    if convention not in CONVENTIONS:
-        raise ValueError(
-            f"unknown convention {convention!r}; choose from {CONVENTIONS}"
-        )
-
-
 def binomial_test(x1: int, x2: int, convention: str = "minlik") -> TestResult:
     """Exact symmetric test of two Poisson counts.
 
@@ -77,9 +70,6 @@ def binomial_test(x1: int, x2: int, convention: str = "minlik") -> TestResult:
     first count is Binomial(n, 1/2). ``n = 0`` is degenerate and gives
     p-value 1 with support {1}.
     """
-    _validate_convention(convention)
-    if x1 < 0 or x2 < 0:
-        raise ValueError("counts must be nonnegative")
     return _single(_kernels.batch_binomial([x1], [x2], convention))
 
 
@@ -92,11 +82,6 @@ def fisher_test(
     of equal success probabilities the first count is hypergeometric.
     Degenerate margins (``s = 0`` or ``s = r1 + r2``) give p-value 1.
     """
-    _validate_convention(convention)
-    if x1 < 0 or x2 < 0 or r1 < 0 or r2 < 0:
-        raise ValueError("counts and trials must be nonnegative")
-    if x1 > r1 or x2 > r2:
-        raise ValueError("count exceeds trials")
     return _single(_kernels.batch_fisher([x1], [r1], [x2], [r2], convention))
 
 
@@ -115,9 +100,6 @@ def nb_exact_test(
     Note that ``reps * size = 1`` makes every split equally likely, so
     the p-value is 1 for any observed pair.
     """
-    _validate_convention(convention)
-    if s1 < 0 or s2 < 0:
-        raise ValueError("counts must be nonnegative")
     if reps < 1:
         raise ValueError("reps must be at least 1")
     k = _shape_total(size, reps)
@@ -169,6 +151,8 @@ class IngestSchema:
             raise ValueError("ent ingestion requires size")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        if self.kind == "ent":
+            _shape_total(self.size, self.reps)
         if self.trials is not None and self.trials < 0:
             raise ValueError("trials must be at least 0")
         if self.trials is not None and self.trials > _INT64_MAX:
@@ -591,7 +575,6 @@ def test_count_table(table: CountTable, convention: str = "minlik"):
     features that share a key share one support slice;
     ``Study.from_distinct`` takes it as is.
     """
-    _validate_convention(convention)
     if table.kind == "bin":
         return _kernels.batch_binomial(table.group1, table.group2, convention)
     if table.kind == "fet":

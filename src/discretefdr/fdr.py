@@ -360,10 +360,9 @@ def step_up(block: PValueBlock, level: np.ndarray) -> tuple[np.ndarray, np.ndarr
     grows, so ``k*`` is the running total at the end of some block: the
     rejection count of the last interval whose left end ``p`` satisfies
     ``p <= T * level / m``. The interval ``[0, p_(1))`` always does.
+    ``level`` lies in [0, 1], as :func:`solve_thresholds` has checked.
     """
     level = np.asarray(level, dtype=np.float64)
-    if not np.all((0.0 <= level) & (level <= 1.0)):
-        raise ValueError("alpha must lie in [0, 1]")
     level = np.repeat(level / block.m, block._per_row, axis=-1)  # onto the intervals
     at = block.last(block.left <= block.rejections * level)
     return block.left[at], block.rejections[at]

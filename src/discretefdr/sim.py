@@ -216,6 +216,11 @@ def _mean_file_values(spec: ScenarioSpec, data: bytes | None = None) -> np.ndarr
     one value a line, else the line holding them all)."""
     source = spec.mean_file if data is None else io.BytesIO(data)
     loaded = np.loadtxt(source, dtype=np.float64, ndmin=1)
+    if loaded.ndim > 1:
+        raise ValueError(
+            f"mean file has {loaded.shape[0]} lines of {loaded.shape[1]} values; "
+            "give one value a line, or all values on one line"
+        )
     if loaded.shape[0] < spec.m:
         raise ValueError(
             f"mean file provides {loaded.shape[0]} values, need {spec.m}"

@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -648,3 +650,14 @@ def test_acceptance_10_fdr_estimator_conservativeness():
         f"t in [0.005, 0.5], poisson_bin pi0=0.5: {figures}; "
         f"elapsed {elapsed:.1f}s < {budget:.0f}s"
     )
+
+
+def test_readme_states_the_number_of_acceptance_checks():
+    """The README's *Testing* section and this module's docstring name as
+    many end-to-end checks as there are ``test_acceptance_*`` functions."""
+    numbers = "one two three four five six seven eight nine ten eleven twelve".split()
+    checks = [name for name in globals() if name.startswith("test_acceptance_")]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (stated,) = re.findall(r"acceptance gate: (\w+) end-to-end\s+checks", readme)
+    assert numbers.index(stated) + 1 == len(checks)
+    assert __doc__.startswith(f"Acceptance gate: {numbers[len(checks) - 1]} end-to-end")

@@ -688,6 +688,82 @@ def test_library_errors_print_one_error_line(
     assert not out.exists()  # the error comes before any output
 
 
+@pytest.mark.parametrize("command", ["analyze", "tune"])
+@pytest.mark.parametrize(
+    "text", ["id,x1,x2\n", "# no data\nid,x1,x2\n# none here either\n\n"],
+    ids=["header-only", "comments-only"],
+)
+def test_table_without_data_rows_is_not_blamed_on_the_filters(
+    command, text, tmp_path, capsys
+):
+    """A table with no data rows is a config error that says so; the
+    filters are named only when they dropped every row."""
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = [command, str(path), "--test", "bin", "--out", str(out)]
+    code, stdout, stderr = run(argv, capsys)
+    assert code == 1 and stdout == "" and not out.exists()
+    assert stderr == f"error:config: {path}: the table has no data rows (m = 0)\n"
+
+    path.write_text("id,x1,x2\nf1,0,0\n")
+    code, _, stderr = run(argv, capsys)
+    assert code == 1 and stderr == (
+        "error:config: no features remain after filtering (m = 0); "
+        "relax --min-total/--max-total\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "size, message",
+    [("-1", "size must be positive"), ("0", "size must be positive"),
+     ("1e308", "size 1e+308 times reps 2 is not finite")],
+    ids=["negative", "zero", "huge"],
+)
+def test_bad_size_is_refused_before_the_table_is_parsed(
+    size, message, ent_file, tmp_path, capsys, monkeypatch
+):
+    def parse(*args):
+        raise AssertionError("the table was parsed")
+
+    monkeypatch.setattr(cli, "ingest_counts", parse)
+    out = tmp_path / "out"
+    code, stdout, stderr = run(
+        ["analyze", ent_file, "--test", "ent", "--reps", "2", "--size", size,
+         "--out", str(out)], capsys
+    )
+    assert code == 2 and stdout == "" and not out.exists()
+    assert stderr == f"error:usage: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, layout",
+    [("1 2 3\n4 5 6\n7 8 9\n", "3 lines of 3 values"),
+     ("1 2 3\n4 5 6\n", "2 lines of 3 values")],
+    ids=["3x3", "2x3"],
+)
+def test_mean_file_of_several_values_on_several_lines_is_refused(
+    text, layout, sim_config, tmp_path, capsys
+):
+    """A mean file holds one value a line or all on one line; any other
+    grid is a config error naming its layout, whatever ``m`` needs."""
+    means = tmp_path / "means.txt"
+    means.write_text(text)
+    path = Path(sim_config)
+    for m in (2, 4):
+        path.write_text(json.dumps({
+            **json.loads(path.read_text()),
+            "kind": "negbinom_ent", "m": m, "mean_file": str(means),
+        }))
+        out = tmp_path / "out"
+        code, stdout, stderr = run(["simulate", sim_config, "--out", str(out)], capsys)
+        assert code == 1 and stdout == "" and not out.exists()
+        assert stderr == (
+            f"error:config: mean file has {layout}; give one value a line, "
+            "or all values on one line\n"
+        )
+
+
 def _without(key):
     def tamper(manifest):
         del manifest["arguments"][key]

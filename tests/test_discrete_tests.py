@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from discretefdr import (
+    CountTable,
     IngestSchema,
     Study,
     binomial_test,
@@ -967,3 +968,88 @@ def test_count_table_doubling_convention():
     )
     pvals = run_count_table(table, "doubling")[0]
     assert pvals[0] == pytest.approx(26 / 28, abs=1e-12)
+
+
+def _one_table(kind, x1, r1, x2, r2):
+    """A hand-built one-feature :class:`CountTable`, with no ingest check."""
+    fet = kind == "fet"
+    return CountTable(
+        kind, ["f1"], np.array([x1]), np.array([x2]),
+        np.array([r1]) if fet else None, np.array([r2]) if fet else None,
+        size=0.7 if kind == "ent" else None, reps=2,
+    )
+
+
+#: Every entry that tests counts, by name: its test kind and a call on
+#: the counts ``x1, x2``, the trials ``r1, r2`` and the convention.
+_ENTRIES = {
+    "binomial_test": ("bin", lambda x1, r1, x2, r2, c: binomial_test(x1, x2, c)),
+    "fisher_test": ("fet", lambda x1, r1, x2, r2, c: fisher_test(x1, r1, x2, r2, c)),
+    "nb_exact_test": (
+        "ent", lambda x1, r1, x2, r2, c: nb_exact_test(x1, x2, 0.7, 2, c)
+    ),
+    **{
+        f"test_count_table-{kind}": (
+            kind,
+            lambda x1, r1, x2, r2, c, kind=kind: run_count_table(
+                _one_table(kind, x1, r1, x2, r2), c
+            ),
+        )
+        for kind in ("bin", "fet", "ent")
+    },
+    "batch_binomial": (
+        "bin", lambda x1, r1, x2, r2, c: _kernels.batch_binomial([x1], [x2], c)
+    ),
+    "batch_fisher": (
+        "fet",
+        lambda x1, r1, x2, r2, c: _kernels.batch_fisher([x1], [r1], [x2], [r2], c),
+    ),
+    "batch_negbinom": (
+        "ent", lambda x1, r1, x2, r2, c: _kernels.batch_negbinom([x1], [x2], 1.4, c)
+    ),
+}
+
+_CONVENTION = re.escape("unknown convention 'bad'; choose from ('minlik', 'doubling')")
+
+#: (name, counts x1, r1, x2, r2, convention, kinds it applies to, message)
+_BAD_INPUTS = [
+    ("convention", (3, 8, 1, 8), "bad", "bin fet ent", _CONVENTION),
+    ("negative-x1", (-1, 8, 2, 8), "minlik", "bin ent", "counts must be nonnegative"),
+    ("negative-x2", (2, 8, -1, 8), "minlik", "bin ent", "counts must be nonnegative"),
+    ("negative-x1", (-1, 8, 2, 8), "minlik", "fet",
+     "counts and trials must be nonnegative"),
+    ("negative-x2", (2, 8, -1, 8), "doubling", "fet",
+     "counts and trials must be nonnegative"),
+    ("negative-r1", (0, -1, 2, 8), "minlik", "fet",
+     "counts and trials must be nonnegative"),
+    ("negative-r2", (2, 8, 0, -1), "minlik", "fet",
+     "counts and trials must be nonnegative"),
+    ("x1-above-r1", (5, 4, 1, 4), "minlik", "fet", "count exceeds trials"),
+    ("x2-above-r2", (1, 4, 5, 4), "doubling", "fet", "count exceeds trials"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, counts, convention, message",
+    [
+        pytest.param(entry, counts, convention, message, id=f"{entry}-{case}")
+        for entry, (kind, _) in _ENTRIES.items()
+        for case, counts, convention, kinds, message in _BAD_INPUTS
+        if kind in kinds.split()
+    ],
+)
+def test_every_entry_refuses_a_bad_input_before_any_law(
+    entry, counts, convention, message, monkeypatch
+):
+    """The single tests, ``test_count_table`` and the batch kernels meet
+    one check: an unknown convention, a negative count or trials count
+    and a count above its trials are each a ValueError with one message,
+    raised before any null law is built."""
+
+    def no_law(*args, **kwargs):
+        raise AssertionError("a null law was built")
+
+    for name in ("binomial_laws", "fisher_laws", "negbinom_laws", "tables"):
+        monkeypatch.setattr(_kernels, name, no_law)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _ENTRIES[entry][1](*counts, convention)
