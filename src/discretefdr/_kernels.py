@@ -499,6 +499,13 @@ def group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(keys, return_inverse=True)
 
 
+def _check_name(name: str, known: tuple[str, ...], what: str) -> None:
+    """Refuse ``name`` unless it is one of ``known``, the names of a
+    ``what``, with the list of them."""
+    if name not in known:
+        raise ValueError(f"unknown {what} {name!r}; choose from {known}")
+
+
 def _batch(make_laws, keys, observed, convention):
     """P-values of every feature and the shared slice of its support.
 
@@ -507,10 +514,7 @@ def _batch(make_laws, keys, observed, convention):
     laws of the distinct keys. ``observed[i]`` is feature ``i``'s
     outcome offset in its law. An unknown ``convention`` is refused.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(
-            f"unknown convention {convention!r}; choose from {CONVENTIONS}"
-        )
+    _check_name(convention, CONVENTIONS, "convention")
     distinct, inverse = group_keys(np.asarray(keys, dtype=np.int64))
     table_flat, table_start, flat, start, length = tables(
         make_laws(distinct), convention

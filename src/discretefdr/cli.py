@@ -80,7 +80,8 @@ from .discrete_tests import (
     ingest_counts,
     test_count_table,
 )
-from .estimators import Study, _one
+from .estimators import Study, _check_tuning, _one
+from .fdr import _check_levels
 from .sim import (
     PI0_METHODS,
     DEFAULT_PI0_METHODS,
@@ -579,10 +580,16 @@ def _write_features(path: str, table, study: Study) -> None:
 
 def cmd_analyze(settings: dict, manifest: dict | None) -> tuple[dict, list, str]:
     """Test a count table, estimate the true-null proportion, threshold."""
-    table, study, inputs = _ingest_study(settings, manifest)
     lam, eps, alphas = settings["lambda"], settings["epsilon"], settings["alphas"]
     if not alphas:
         raise CliError("config", "setting 'alphas' is empty")
+    # the settings first, so that a bad one is refused before the table is read
+    try:
+        _check_tuning(("lam", "epsilon"), 0, lam, eps)
+        _check_levels(alphas)
+    except ValueError as exc:
+        raise CliError("usage", str(exc)) from exc
+    table, study, inputs = _ingest_study(settings, manifest)
     try:
         estimates, outcomes = evaluate_block(
             study, 1, PI0_METHODS, DEFAULT_PROCEDURES, alphas, lam, eps

@@ -100,15 +100,15 @@ def nb_exact_test(
     Note that ``reps * size = 1`` makes every split equally likely, so
     the p-value is 1 for any observed pair.
     """
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
     k = _shape_total(size, reps)
     return _single(_kernels.batch_negbinom([s1], [s2], k, convention))
 
 
 def _shape_total(size: float | None, reps: int) -> float:
-    """The group sums' shape ``reps * size``, refused unless ``size`` is
-    positive and the product finite."""
+    """The group sums' shape ``reps * size``, refused unless ``reps`` is
+    at least 1, ``size`` positive and the product finite."""
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
     if not (size is not None and size > 0):
         raise ValueError("size must be positive")
     k = float(reps) * float(size)
@@ -132,7 +132,7 @@ class IngestSchema:
     that are summed on ingestion). ``min_total``/``max_total`` filter
     rows on each group's total (the count for ``bin``, the trials for
     ``fet``, the group sum for ``ent``); rows outside the range are
-    dropped and counted.
+    dropped and counted, and an empty range is refused.
     """
 
     kind: str
@@ -157,6 +157,9 @@ class IngestSchema:
             raise ValueError("trials must be at least 0")
         if self.trials is not None and self.trials > _INT64_MAX:
             raise ValueError(f"trials must be at most {_INT64_MAX}")
+        low, high = self.min_total, self.max_total
+        if low is not None and high is not None and low > high:
+            raise ValueError(f"min_total {low} exceeds max_total {high}")
 
 
 @dataclass

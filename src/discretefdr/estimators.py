@@ -23,7 +23,9 @@ uniform null), ``generalized_pi0`` equals ``storey_pi0`` bit for bit.
 
 A ``Study`` stores each support slice it is given once, never merging
 by content: one per kernel law (``Study.from_distinct``), or one per
-hypothesis (``Study(pvalues, supports)``).
+hypothesis (``Study(pvalues, supports)``). ``Study.exceedance_parts``
+forms the adjusted estimator's parts from them, for the estimator table
+and for bootstrap tuning alike.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import TIE_RTOL, group_keys
+from ._kernels import TIE_RTOL, _check_name, group_keys
 
 
 class Study:
@@ -203,6 +205,21 @@ class Study:
         np.copyto(floor, lams[..., None], where=length == 0)
         return floor
 
+    def exceedance_parts(self, lam) -> np.ndarray:
+        """The adjusted estimator's parts at ``lam`` (one value or an
+        ascending array, as for :meth:`support_floor`), as one ``(..., 2,
+        m)`` array: row 0 holds the exceedance indicators ``1{p_i > lam}``,
+        row 1 the floor gaps ``lam - floor_i``. The stored supports' floors
+        are gathered one value at a time, so no ``(..., m)`` floors are
+        held beside the parts."""
+        floor = self._stored_floor(lam)
+        lams = np.asarray(lam, dtype=np.float64)
+        parts = np.empty((*lams.shape, 2, self.m))
+        np.greater(self.pvalues, lambda_cut(lams[..., None]), out=parts[..., 0, :])
+        for at in np.ndindex(lams.shape):
+            np.subtract(lams[at], floor[at].take(self.support_index), out=parts[at][1])
+        return parts
+
     def support_mean(self) -> np.ndarray:
         """Null expected p-value, per hypothesis: computed once per
         distinct support, one block of supports of a length at a time.
@@ -260,7 +277,7 @@ def lambda_cut(lam):
     ``lam`` (one value or an array of them) is widened, so no array of
     p-values is formed anew; every comparison with ``lam`` takes this
     cut: the exceedance indicators (``storey_rows``,
-    ``_exceedance_parts``), the support floors (``Study.support_floor``,
+    ``Study.exceedance_parts``), the support floors (``Study.support_floor``,
     each clamped to at most ``lam``), ``sim.bias_decomposition`` and the
     pinned FDR estimator of ``fdr``.
     """
@@ -317,46 +334,12 @@ def storey_rows(pvalues: np.ndarray, lam: float) -> np.ndarray:
     return count / _denominator(lam, pvalues.shape[-1])
 
 
-def _exceedance_parts(
-    pvalues: np.ndarray, floor: np.ndarray, lam, index: np.ndarray | None = None
-) -> np.ndarray:
-    """The adjusted estimator's per-hypothesis parts at ``lam``, as one
-    ``(..., 2, m)`` array: row 0 holds the exceedance indicators ``1{p_i
-    > lam}``, row 1 the floor gaps ``lam - floor_i``.
-
-    ``floor`` holds the ``(..., m)`` support floors at ``lam`` or, given
-    ``index``, the floors of the stored supports, hypothesis ``i``'s at
-    ``[..., index[i]]``. Each row of those is then gathered by one
-    ``take`` straight into its gap row, and the gaps are formed in
-    place, so no ``(..., m)`` floors are held beside the parts (one
-    ``take`` into all the gap rows, a strided view, would buffer them).
-    """
-    m = pvalues.shape[-1]
-    parts = np.empty((*floor.shape[:-1], 2, m))
-    np.greater(pvalues, lambda_cut(lam), out=parts[..., 0, :])
-    gap = parts[..., 1, :]
-    if index is None:
-        np.subtract(lam, floor, out=gap)
-    else:
-        for row, out in zip(floor.reshape(-1, floor.shape[-1]), gap.reshape(-1, m)):
-            # "raise" would buffer ``out``; ``index`` is in range
-            row.take(index, out=out, mode="clip")
-        np.subtract(lam, gap, out=gap)
-    return parts
-
-
-def _adjusted_raw(indicator: np.ndarray, gap: np.ndarray, epsilon, lam: float):
-    """Unclipped adjusted estimates from their per-hypothesis parts."""
+def adjusted_rows(indicator: np.ndarray, gap: np.ndarray, epsilon, lam) -> np.ndarray:
+    """Raw discreteness-adjusted estimates from their per-hypothesis
+    parts, the exceedance indicators and floor gaps of
+    :meth:`Study.exceedance_parts`."""
     terms = indicator - epsilon * gap
     return np.sum(terms, axis=-1) / _denominator(lam, indicator.shape[-1])
-
-
-def adjusted_rows(
-    pvalues: np.ndarray, floor: np.ndarray, epsilon, lam: float
-) -> np.ndarray:
-    """Raw discreteness-adjusted estimates, from the support floors."""
-    parts = _exceedance_parts(pvalues, floor, lam)
-    return _adjusted_raw(parts[..., 0, :], parts[..., 1, :], epsilon, lam)
 
 
 def pounds_tilde_rows(pvalues: np.ndarray) -> np.ndarray:
@@ -391,7 +374,7 @@ ESTIMATORS = {
     "storey": (lambda study, values, lam, eps: storey_rows(values, lam), ("lam",), 1),
     "generalized": (
         lambda study, values, lam, eps: adjusted_rows(
-            values, study.support_floor(lam).reshape(values.shape), eps, lam
+            *study.exceedance_parts(lam).reshape(2, *values.shape), eps, lam
         ),
         ("lam", "epsilon"),
         1,
@@ -412,10 +395,7 @@ def compute_pi0(study: Study, method: str, lam, epsilon) -> Pi0Estimate:
     """The named estimate of one study: the one-row case of its entry in
     :data:`ESTIMATORS`, which says whether ``lam`` and ``epsilon`` are
     checked and kept in the estimate."""
-    if method not in ESTIMATORS:
-        raise ValueError(
-            f"unknown pi0 method {method!r}; choose from {tuple(ESTIMATORS)}"
-        )
+    _check_name(method, tuple(ESTIMATORS), "pi0 method")
     rows, tuning, _ = ESTIMATORS[method]
     _check_tuning(tuning, study.m, lam, epsilon)
     _check_defined(method, study.m)

@@ -45,6 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._kernels import _check_name
 from .estimators import Pi0Estimate, _check_tuning, _clip01, _denominator, lambda_cut
 
 
@@ -194,11 +195,7 @@ class FdrEstimator:
     sigma: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in FDR_KINDS:
-            raise ValueError(
-                f"unknown FDR estimator kind {self.kind!r}; "
-                f"choose from {FDR_KINDS}"
-            )
+        _check_name(self.kind, FDR_KINDS, "FDR estimator kind")
         settings = PROCEDURES[self.kind][2]
         for setting in settings:
             if getattr(self, setting) is None:
@@ -273,6 +270,15 @@ def _nudge_down(rule, mult, lam, m, count, t, floor, alpha):
     return t, done
 
 
+def _check_levels(alpha) -> np.ndarray:
+    """``alpha``, one FDR level or several, as a float64 array, refused
+    unless every level lies in [0, 1] (NaN does not)."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if not np.all((0.0 <= alpha) & (alpha <= 1.0)):
+        raise ValueError("alpha must lie in [0, 1]")
+    return alpha
+
+
 def solve_thresholds(
     block: PValueBlock, kind: str, mult: np.ndarray, lam: float | None, alpha
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -301,9 +307,7 @@ def solve_thresholds(
     contract applies. A row whose multiplier is not positive, or any row
     at ``alpha`` 1 of an estimator that never exceeds 1, gets ``t = 1``.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if not np.all((0.0 <= alpha) & (alpha <= 1.0)):
-        raise ValueError("alpha must lie in [0, 1]")
+    alpha = _check_levels(alpha)
     shape, level = alpha.shape + (block.rows,), alpha.reshape(-1, 1)
     m, row = block.m, block.row
     mult = np.asarray(mult, dtype=np.float64)
@@ -374,8 +378,7 @@ def _solve_one(kind, pvalues, alpha, pi0=None, lam=None, sigma=None):
     for pi0 = 1). ``pvalues`` may be a prebuilt :class:`RejectionProcess`,
     which is used as is."""
     # the level is checked before the multiplier, which may refuse sigma
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+    _check_levels(alpha)
     proc = (
         pvalues
         if isinstance(pvalues, RejectionProcess)

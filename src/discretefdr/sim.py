@@ -61,6 +61,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels, fdr
+from ._kernels import _check_name
 from .estimators import (
     ESTIMATORS,
     Study,
@@ -69,7 +70,7 @@ from .estimators import (
     _clip01,
     lambda_cut,
 )
-from .fdr import PValueBlock, ThresholdResult, solve_thresholds
+from .fdr import PValueBlock, ThresholdResult, _check_levels, solve_thresholds
 
 SCENARIO_KINDS = ("poisson_bin", "binomial_fet", "negbinom_ent")
 
@@ -104,11 +105,11 @@ class ScenarioSpec:
     """Full description of one simulation scenario.
 
     ``alpha_levels`` are the nominal FDR levels evaluated per
-    replication: at least one, and no two alike at 9 significant digits,
-    the precision of their ``aggregate`` keys. ``reps`` is the
-    replication count; ``seed`` the base seed. Scenario-specific
-    parameters default to the standard setup of each family.
-    ``theta2_transform`` selects how a scaled odds value is mapped back
+    replication: at least one, each in [0, 1], and no two alike at 9
+    significant digits, the precision of their ``aggregate`` keys.
+    ``reps`` is the replication count; ``seed`` the base seed.
+    Scenario-specific parameters default to the standard setup of each
+    family. ``theta2_transform`` selects how a scaled odds value is mapped back
     to a probability in the ``binomial_fet`` family: ``odds`` re-inverts
     the odds (``q / (1 + q)``), ``cap`` truncates at 1. The choice is
     deliberately explicit because the scaled odds can exceed 1.
@@ -144,11 +145,7 @@ class ScenarioSpec:
     rho_shape: float = 1.426
 
     def __post_init__(self) -> None:
-        if self.kind not in SCENARIO_KINDS:
-            raise ValueError(
-                f"unknown scenario kind {self.kind!r}; "
-                f"choose from {SCENARIO_KINDS}"
-            )
+        _check_name(self.kind, SCENARIO_KINDS, "scenario kind")
         if self.m < 1:
             raise ValueError("m must be at least 1")
         if not 0.0 < self.pi0 < 1.0:
@@ -166,6 +163,7 @@ class ScenarioSpec:
                 f"alpha_levels {list(self.alpha_levels)} repeat a level at "
                 "9 significant digits"
             )
+        _check_levels(self.alpha_levels)
         if not self.dispersion > 0.0:
             raise ValueError("dispersion must be positive")
         if self.reps_per_group < 1:
@@ -175,11 +173,7 @@ class ScenarioSpec:
                 f"dispersion {self.dispersion!r} gives the group sums a shape "
                 "reps_per_group / dispersion that is not finite and positive"
             )
-        if self.theta2_transform not in ODDS_TRANSFORMS:
-            raise ValueError(
-                f"unknown theta2_transform {self.theta2_transform!r}; "
-                f"choose from {ODDS_TRANSFORMS}"
-            )
+        _check_name(self.theta2_transform, ODDS_TRANSFORMS, "theta2_transform")
         if self.rho_low is None:
             object.__setattr__(
                 self, "rho_low", 1.5 if self.kind != "negbinom_ent" else None
@@ -428,11 +422,6 @@ def generate_scenario(spec: ScenarioSpec, rep_index: int) -> Study:
     return _chunk_study(spec, range(rep_index, rep_index + 1), truth=_truth(spec))
 
 
-def _check_name(name: str, known: tuple[str, ...], what: str) -> None:
-    if name not in known:
-        raise ValueError(f"unknown {what} {name!r}; choose from {known}")
-
-
 def evaluate_block(
     study: Study,
     rows: int,
@@ -460,12 +449,11 @@ def evaluate_block(
     or ``epsilon``; a procedure whose estimate takes no ``epsilon`` runs
     at ``epsilon`` 0. Each procedure is one
     :func:`~discretefdr.fdr.solve_thresholds` call, at all levels.
-    Callers check the names, once per roster.
+    Callers check the names and the settings (``lam``, ``epsilon`` and
+    the levels) once per run, before any work.
     """
     wanted = set(methods) | {fdr.PROCEDURES[name][0] for name in procedures}
     used = [name for name in ESTIMATORS if name in wanted]
-    tuning = {p for name in used for p in ESTIMATORS[name][1]}
-    _check_tuning(tuning, study.m // rows, lam, epsilon)
     block = PValueBlock(study.pvalues.reshape(rows, -1))
     estimates: dict[str, tuple | None] = {}
     for name in used:
@@ -599,8 +587,8 @@ def run_replications(
     proportion. Each chunk of replications is evaluated as one block
     (see the module docstring), and each procedure's false discovery
     proportions are one comparison of the chunk's p-values with its
-    thresholds. Roster names, and whether ``m`` is enough p-values for
-    each estimate, are checked here, before any study is generated.
+    thresholds. Roster names, ``m`` and the estimates' settings are
+    checked here, before any study is generated.
     Results are deterministic functions of ``(spec, rep_index)``, the
     same as :func:`generate_scenario` gives.
     A ``negbinom_ent`` spec's mean file is read once per run, parsed
@@ -616,9 +604,12 @@ def run_replications(
     for name in procedures:
         _check_name(name, PROCEDURES, "procedure")
     used = set(pi0_methods) | {fdr.PROCEDURES[name][0] for name in procedures}
+    tuning = set()
     for name in ESTIMATORS:
         if name in used:
             _check_defined(name, spec.m)
+            tuning.update(ESTIMATORS[name][1])
+    _check_tuning(tuning, spec.m, lam, epsilon)
 
     means = None
     if spec.kind == "negbinom_ent" and spec.mean_file is not None:

@@ -13,12 +13,11 @@ rule of Storey, Taylor & Siegmund (2004): the B x m resample index comes
 from ``SeedSequence(seed)``. A resample's estimate at ``(lambda,
 epsilon)`` is ``(E - epsilon * G) / ((1 - lambda) * m)``, where ``E``
 sums the exceedance indicators ``1{p_i > lambda}`` and ``G`` the floor
-gaps ``lambda - floor_i`` over the resample. The floors of every
-distinct lambda come from one call on the ascending lambdas, once per
-stored support (``Study.support_floor`` before its gather per
-hypothesis), and ``_exceedance_parts`` writes each lambda's two rows of
-parts into one array, gathering the floors straight into the gap rows;
-the array is used as it is. The index is
+gaps ``lambda - floor_i`` over the resample. One
+``Study.exceedance_parts`` call on the ascending distinct lambdas, the
+call that gives ``analyze`` and ``simulate`` their parts, writes each
+lambda's two rows of parts into one array, from floors found once per
+stored support; the array is used as it is. The index is
 drawn a bounded block of resamples at a time, which gives the values of
 one whole draw; each block is turned into per-resample multiplicity
 counts and reduced against each distinct lambda's two rows once,
@@ -45,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import Study, _adjusted_raw, _clip01, _denominator, _exceedance_parts
+from .estimators import Study, _clip01, _denominator, adjusted_rows
 
 
 @dataclass(frozen=True)
@@ -145,14 +144,12 @@ def bootstrap_tune(study: Study, grid: TuningGrid) -> TuningResult:
     points = grid.points
     lam_of, eps_of = np.array(points).T
     lams, which = np.unique(lam_of, return_inverse=True)
-    parts = _exceedance_parts(
-        study.pvalues, study._stored_floor(lams), lams[:, None], study.support_index
-    )
+    parts = study.exceedance_parts(lams)
     # each lambda's epsilons as one block of rows, reduced row by row
     full = np.empty(len(points))
     for k, lam in enumerate(lams.tolist()):
         at = np.flatnonzero(which == k)
-        full[at] = _adjusted_raw(parts[k, 0], parts[k, 1], eps_of[at, None], lam)
+        full[at] = adjusted_rows(parts[k, 0], parts[k, 1], eps_of[at, None], lam)
     full = _clip01(full)
     target = float(full.min())
 

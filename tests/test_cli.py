@@ -20,6 +20,7 @@ from discretefdr import (
     ingest_counts,
     pounds_hat_pi0,
     pounds_tilde_pi0,
+    sim,
     storey_pi0,
 )
 from discretefdr import test_count_table as run_count_table
@@ -737,6 +738,54 @@ def test_bad_size_is_refused_before_the_table_is_parsed(
 
 
 @pytest.mark.parametrize(
+    "setting, value, message",
+    [("lambda", 1.0, "lambda must lie in [0, 1)"),
+     ("lambda", -0.25, "lambda must lie in [0, 1)"),
+     ("epsilon", 2.0, "epsilon must lie in [0, 1]"),
+     ("alpha", 2.0, "alpha must lie in [0, 1]"),
+     ("alpha", -0.5, "alpha must lie in [0, 1]")],
+    ids=["lambda-1", "lambda-negative", "epsilon-2", "alpha-2", "alpha-negative"],
+)
+def test_bad_simulate_settings_are_refused_before_any_draw(
+    setting, value, message, sim_config, tmp_path, capsys, monkeypatch
+):
+    """``simulate`` refuses a cutoff, weight or level out of range as a
+    config error before it draws any replication's counts."""
+
+    def draw(*args):
+        raise AssertionError("counts were drawn")
+
+    monkeypatch.setattr(sim, "_draw_counts", draw)
+    key, value = ("alpha_levels", [value]) if setting == "alpha" else (setting, value)
+    path = Path(sim_config)
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    out = tmp_path / "out"
+    code, stdout, stderr = run(["simulate", sim_config, "--out", str(out)], capsys)
+    assert code == 1 and stdout == "" and not out.exists()
+    assert stderr == f"error:config: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "tune"])
+def test_min_total_above_max_total_is_refused_before_the_table_is_parsed(
+    command, bin_file, tmp_path, capsys, monkeypatch
+):
+    """An empty ``--min-total``/``--max-total`` range is a usage error
+    that names both bounds, before the table is parsed."""
+
+    def parse(*args):
+        raise AssertionError("the table was parsed")
+
+    monkeypatch.setattr(cli, "ingest_counts", parse)
+    out = tmp_path / "out"
+    code, stdout, stderr = run(
+        [command, bin_file, "--test", "bin", "--min-total", "5", "--max-total", "2",
+         "--out", str(out)], capsys
+    )
+    assert code == 2 and stdout == "" and not out.exists()
+    assert stderr == "error:usage: min_total 5 exceeds max_total 2\n"
+
+
+@pytest.mark.parametrize(
     "text, layout",
     [("1 2 3\n4 5 6\n7 8 9\n", "3 lines of 3 values"),
      ("1 2 3\n4 5 6\n", "2 lines of 3 values")],
@@ -889,6 +938,17 @@ def test_out_dir_under_a_regular_file_is_an_io_error(bin_file, tmp_path, capsys)
          "error:usage: seed must be at least 0\n"),
         (["tune", "{prose}", "--test", "bin", "--seed", "-1"], 2,
          "error:usage: seed must be at least 0\n"),
+        # analyze's cutoff, weight and levels are refused before the table is read
+        (["analyze", "{prose}", "--test", "bin", "--lambda", "1"], 2,
+         "error:usage: lambda must lie in [0, 1)\n"),
+        (["analyze", "{prose}", "--test", "bin", "--lambda", "-0.25"], 2,
+         "error:usage: lambda must lie in [0, 1)\n"),
+        (["analyze", "{prose}", "--test", "bin", "--epsilon", "2"], 2,
+         "error:usage: epsilon must lie in [0, 1]\n"),
+        (["analyze", "{prose}", "--test", "bin", "--alpha", "2"], 2,
+         "error:usage: alpha must lie in [0, 1]\n"),
+        (["analyze", "{prose}", "--test", "bin", "--alpha", "0.05", "--alpha", "-0.5"],
+         2, "error:usage: alpha must lie in [0, 1]\n"),
         (["simulate", "{negseed}"], 1, "error:config: seed must be at least 0\n"),
         (["simulate", "{scenario}", "--seed", "-3"], 1,
          "error:config: seed must be at least 0\n"),
@@ -898,6 +958,9 @@ def test_out_dir_under_a_regular_file_is_an_io_error(bin_file, tmp_path, capsys)
         "lambdas-malformed", "lambdas-empty", "point-malformed", "lambda-1.5",
         "B-0", "lambdas-malformed-not-a-table", "B-0-not-a-table",
         "tune-seed-negative", "tune-seed-negative-not-a-table",
+        "analyze-lambda-1-not-a-table", "analyze-lambda-negative-not-a-table",
+        "analyze-epsilon-2-not-a-table", "analyze-alpha-2-not-a-table",
+        "analyze-alpha-negative-not-a-table",
         "simulate-config-seed-negative", "simulate-seed-flag-negative",
     ],
 )

@@ -309,8 +309,10 @@ def test_ingest_ent_requires_size():
         ({"kind": "bin", "reps": 0}, "reps must be at least 1"),
         ({"kind": "ent", "size": 0.7, "reps": -2}, "reps must be at least 1"),
         ({"kind": "ent"}, "ent ingestion requires size"),
+        ({"kind": "fet", "min_total": 5, "max_total": 2},
+         "min_total 5 exceeds max_total 2"),
     ],
-    ids=["unknown-kind", "reps-0", "ent-reps-negative", "ent-no-size"],
+    ids=["unknown-kind", "reps-0", "ent-reps-negative", "ent-no-size", "empty-range"],
 )
 def test_ingest_schema_refusals(settings, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -1053,3 +1055,23 @@ def test_every_entry_refuses_a_bad_input_before_any_law(
         monkeypatch.setattr(_kernels, name, no_law)
     with pytest.raises(ValueError, match=f"^{message}$"):
         _ENTRIES[entry][1](*counts, convention)
+
+
+@pytest.mark.parametrize("reps", [0, -3])
+def test_an_ent_table_with_reps_below_one_is_refused_before_any_law(
+    reps, monkeypatch
+):
+    """A hand-built ``ent`` table's ``reps`` meets the check that
+    ``nb_exact_test`` and ingestion make: below 1 it is refused with their
+    message, before any null law is built, not as a shape of 0."""
+
+    def no_law(*args, **kwargs):
+        raise AssertionError("a null law was built")
+
+    for name in ("binomial_laws", "fisher_laws", "negbinom_laws", "tables"):
+        monkeypatch.setattr(_kernels, name, no_law)
+    table = CountTable("ent", ["f1"], np.array([3]), np.array([1]), size=0.7, reps=reps)
+    with pytest.raises(ValueError, match="^reps must be at least 1$"):
+        run_count_table(table)
+    with pytest.raises(ValueError, match="^reps must be at least 1$"):
+        nb_exact_test(3, 1, 0.7, reps)

@@ -18,7 +18,6 @@ from discretefdr import (
 from discretefdr import _kernels as K
 from discretefdr.estimators import (
     ESTIMATORS,
-    _exceedance_parts,
     _support_means,
     lambda_cut,
     storey_rows,
@@ -593,7 +592,7 @@ def test_pvalues_of_exactly_lambda_are_at_most_lambda(seed, fet_benchmark):
     assert np.all(np.abs(pvalues - 0.5) <= 0.5 * K.TIE_RTOL)
     floor = study.support_floor(0.5)[rows]
     assert np.all(floor <= 0.5) and np.all(floor >= 0.5 * (1.0 - K.TIE_RTOL))
-    parts = _exceedance_parts(pvalues, floor, 0.5)
+    parts = study.exceedance_parts(0.5)[:, rows]
     assert not parts[0].any() and np.all(parts[1] >= 0.0)
     assert storey_rows(pvalues, 0.5) == 0.0
     assert np.all(study.support_floor(np.array([0.25, 0.5]))[1, rows] == floor)
@@ -635,10 +634,8 @@ def test_ulp_shifts_change_no_estimate_and_no_tuned_pair(seed, ulps, fet_benchma
         study.support_start[index], study.support_len[index],
     )
     lams = np.array(_GRID_LAMS)
-    given = _exceedance_parts(study.pvalues, study.support_floor(lams), lams[:, None])
-    moved = _exceedance_parts(
-        shifted.pvalues, shifted.support_floor(lams), lams[:, None]
-    )
+    given = study.exceedance_parts(lams)
+    moved = shifted.exceedance_parts(lams)
     assert np.array_equal(given[:, 0], moved[:, 0])
     assert np.allclose(given[:, 1], moved[:, 1], rtol=0.0, atol=1e-14)
     for method, (_, tuning, _) in ESTIMATORS.items():
