@@ -35,7 +35,11 @@ faults and system seconds (``resource.getrusage``) of ``REPEAT`` more
 writes, and the file's size. The dyadic supports
 of ``bin`` send their exact ties to the formatter's ``%`` fallback;
 those of ``fet``, and the points of ``wide`` below 1e-99, take its
-numpy path. Run with ``python3 benchmarks/bench_io.py``.
+numpy path. Last, per table, the support floors of the tested study
+(``Study.support_floor``) at one lambda, 0.5, and at ``tune``'s 20
+default lambdas (``TUNE_LAMBDAS``), called in turn for as many rounds,
+with the median and quartiles of each one's milliseconds. Run with
+``python3 benchmarks/bench_io.py``.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import numpy as np
 
 import timing
 from discretefdr import IngestSchema, Study, ingest_counts, test_count_table
-from discretefdr.cli import _float_cells, _support_cells, _write_features
+from discretefdr.cli import _float_cells, _support_cells, _write_features, build_parser
 
 SIZES = (15_000, 150_000)
 WIDE_SIZES = (1_500,)
@@ -63,6 +67,10 @@ SIGNED_EVERY = 4_096
 #: One row in this many is dropped by the total filter in the dropping
 #: case.
 DROPPED_EVERY = 10
+#: ``tune``'s default lambdas, read off its parser.
+TUNE_LAMBDAS = np.array(
+    build_parser().parse_args(["tune"]).lambdas.split(","), dtype=np.float64
+)
 
 
 def _table_bytes(kind: str, m: int, rng: np.random.Generator) -> bytes:
@@ -171,10 +179,12 @@ def main() -> int:
         f"{'table':11s} {'features.csv':>26s} {'faults':>7s} {'system':>8s}"
         f" {'size':>8s} {'supports':>26s} {'p-values':>22s}  distinct supports"
     )
+    studies = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "features.csv")
         for kind, m, rounds, table in tables:
             study = Study.from_distinct(*test_count_table(table))
+            studies.append(study)
             pvalues = np.unique(study.pvalues)
             t_out, t_sup, t_p = timing.interleaved(
                 [
@@ -195,6 +205,24 @@ def main() -> int:
                 f" {timing.spread(t_p):>22s}"
                 f"  {study.support_len.shape[0]}"
             )
+
+    print(
+        f"\nsupport floors at 1 and {TUNE_LAMBDAS.shape[0]} lambdas: median"
+        " [quartiles] ms of the ingest's rounds, called in turn"
+    )
+    print(f"{'table':11s} {'1 lambda':>22s} {'grid':>22s}  support points")
+    for (kind, m, rounds, _), study in zip(tables, studies):
+        t_one, t_grid = timing.interleaved(
+            [
+                lambda: study.support_floor(0.5),
+                lambda: study.support_floor(TUNE_LAMBDAS),
+            ],
+            rounds,
+        )
+        print(
+            f"{kind:4s} {m:>6d} {timing.spread(t_one):>22s}"
+            f" {timing.spread(t_grid):>22s}  {study.support_flat.shape[0]}"
+        )
     return 0
 
 

@@ -12,9 +12,9 @@ input files, the package version, and a timestamp, and prints
 values; for ``simulate``, the config's keys with ``_SIM_DEFAULTS`` and
 the flags applied, and its path and digest, but no other default of
 ``ScenarioSpec`` (``dispersion``, ...). Re-running with
-``--from-manifest manifest.json`` (plus a fresh ``--out``) reproduces
-the data outputs byte-for-byte; input files are re-verified against
-the recorded digests first.
+``--from-manifest manifest.json`` and a fresh ``--out``, and no other
+setting, reproduces the data outputs byte-for-byte; input files are
+re-verified against the recorded digests first.
 
 Errors are reported as a single machine-parsable line on stderr,
 ``error:<category>: <message>``, with a nonzero exit code. Categories:
@@ -262,16 +262,11 @@ _LEAD_SHIFT = np.array([0, 16, 24, 32, 40, 0], dtype=_U64)
 _REST_SHIFT = np.array([8, 24, 32, 40, 48, 16], dtype=_U64)
 #: Per class c and count z of trailing zeros, at ``9 * c + z``: the
 #: prefix bytes (the scientific form drops its "." when no digit
-#: follows it) and the length of the text.
+#: follows it).
 _PREFIX = np.repeat(
     np.array([0, 0x2E30, 0x302E30, 0x30302E30, 0x3030302E30, 0x2E00], dtype=_U64), 9
 )
 _PREFIX[9 * 5 + 8] = 0
-_LENGTH = np.concatenate(
-    [9 - np.arange(9)]
-    + [c + 10 - np.arange(9) for c in range(1, 5)]
-    + [np.append(14 - np.arange(8), 5)]
-).astype(np.uint8)
 #: ``"e-XX"`` in bytes 10 to 13 of the cell (2 to 5 of its second word)
 #: for the scientific forms, ``-X`` from 5 to 99, and ``"e-XXX"`` in
 #: bytes 10 to 14 from 100 to 325; 0 for the others.
@@ -283,11 +278,11 @@ _EXPONENT = (_EXPONENT | _U64(0x2D65)) << _U64(16)
 _EXPONENT[:5] = 0
 
 
-def _format_floats(values, end: str | np.ndarray) -> tuple[str, np.ndarray]:
+def _format_floats(values, end: str | np.ndarray) -> str:
     """The ``%.9g`` text of every float in ``values`` (NaN as ``NA``),
-    each followed by its terminator, as one string; and each value's
-    length without it. ``end`` is one ASCII character that ends every
-    value, or a ``uint8`` array of one terminator byte per value.
+    each followed by its terminator, as one string. ``end`` is one ASCII
+    character that ends every value, or a ``uint8`` array of one
+    terminator byte per value.
 
     The values are taken ``_CHUNK_ROWS`` at a time. A value in (0, 1],
     subnormals included, gets its exponent from ``log10`` and its nine
@@ -309,15 +304,13 @@ def _format_floats(values, end: str | np.ndarray) -> tuple[str, np.ndarray]:
     """
     x = np.asarray(values, dtype=np.float64).reshape(-1)
     end = np.broadcast_to(np.uint8(ord(end)) if isinstance(end, str) else end, x.shape)
-    # no values make one empty chunk
-    texts, lengths = zip(*(
+    return "".join(
         _format_chunk(x[a : a + _CHUNK_ROWS], end[a : a + _CHUNK_ROWS])
-        for a in range(0, max(x.shape[0], 1), _CHUNK_ROWS)
-    ))
-    return "".join(texts), np.concatenate(lengths)
+        for a in range(0, x.shape[0], _CHUNK_ROWS)
+    )
 
 
-def _format_chunk(x: np.ndarray, end: np.ndarray) -> tuple[str, np.ndarray]:
+def _format_chunk(x: np.ndarray, end: np.ndarray) -> str:
     """``_format_floats`` on at most ``_CHUNK_ROWS`` values and their
     terminator bytes."""
     inside = (x > 0) & (x <= 1)
@@ -349,15 +342,13 @@ def _format_chunk(x: np.ndarray, end: np.ndarray) -> tuple[str, np.ndarray]:
         | rest8 << _REST_SHIFT[cls]
     )
     cells[:, 1] = rest8 >> _U64(64) - _REST_SHIFT[cls] | _EXPONENT[-exp]
-    length = _LENGTH[form] + (exp < -99)
     if texts:
         width = 8 * words
         padded = [t.ljust(width, b"\0") for t in texts]
         cells[slow] = np.array(padded, dtype=f"S{width}").view("<u8").reshape(-1, words)
-        length[slow] = list(map(len, texts))
     cells[:, -1] |= end.astype(_U64) << _U64(56)
     flat = cells.view(np.uint8).reshape(-1)
-    return str(flat[flat != 0], "ascii"), length
+    return str(flat[flat != 0], "ascii")
 
 
 def _scaled(unit: np.ndarray, exp: np.ndarray) -> np.ndarray:
@@ -376,9 +367,8 @@ def _float_cells(values) -> tuple[list[str], np.ndarray]:
 
     The cells are cut from ``_format_floats``'s one string at its
     line breaks."""
-    text, width = _format_floats(values, "\n")
-    # widths in intp, so that a row's sum of them cannot wrap
-    return text.split("\n")[:-1], width.astype(np.intp)
+    cells = _format_floats(values, "\n").split("\n")[:-1]
+    return cells, _lengths(cells)
 
 
 def _distinct_cells(column) -> tuple[list[str], np.ndarray, np.ndarray | None]:
@@ -466,7 +456,7 @@ def _support_cells(study: Study) -> tuple[list[str], np.ndarray]:
         b = max(a + 1, int(np.searchsorted(end, start[a] + _CHUNK_ROWS, side="right")))
         ends = np.full(end[b - 1] - start[a], ord(";"), dtype=np.uint8)
         ends[end[a:b] - 1 - start[a]] = ord("\n")
-        text, _ = _format_floats(study.support_flat[start[a] : end[b - 1]], ends)
+        text = _format_floats(study.support_flat[start[a] : end[b - 1]], ends)
         cells += text.split("\n")[:-1]
         a = b
     return cells, _lengths(cells)
@@ -545,9 +535,10 @@ def _build_schema(settings: dict) -> IngestSchema:
 
 
 def _ingest_study(settings: dict, manifest: dict | None):
+    # the schema first, so that a bad setting is refused before the table is read
+    schema = _build_schema(settings)
     path, inputs = settings["counts"], {}
     data = _read_input("counts", path, manifest, inputs)
-    schema = _build_schema(settings)
     try:
         table = ingest_counts(io.BytesIO(data), schema)
     except ValueError as exc:
@@ -643,6 +634,16 @@ def cmd_analyze(settings: dict, manifest: dict | None) -> tuple[dict, list, str]
 # ---------------------------------------------------------------------------
 
 _SPEC_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioSpec))
+#: The family parameters of ``ScenarioSpec`` that each scenario kind
+#: reads; a config that gives one to any other kind is refused.
+_KIND_KEYS = {
+    "poisson_bin": {"pareto_location", "pareto_shape", "rho_low", "rho_high"},
+    "binomial_fet": {"trials_size", "trials_mean", "trials_offset", "theta_low",
+                     "theta_high", "theta2_transform", "rho_low", "rho_high"},
+    "negbinom_ent": {"dispersion", "reps_per_group", "mean_low", "mean_high",
+                     "mean_file", "rho_location", "rho_shape"},
+}
+_FAMILY_KEYS = set().union(*_KIND_KEYS.values())
 #: Settings a simulate config may leave out, with their defaults.
 _SIM_DEFAULTS = {
     "lambda": 0.5,
@@ -690,6 +691,10 @@ def _load_sim_settings(args) -> dict:
 
 
 def _scenario_from_settings(settings: dict) -> ScenarioSpec:
+    kind = settings["kind"]
+    for key in settings:
+        if key in _FAMILY_KEYS and key not in _KIND_KEYS.get(kind, _FAMILY_KEYS):
+            raise CliError("config", f"config key {key!r} is not read by kind {kind!r}")
     kwargs = {k: settings[k] for k in _SPEC_KEYS if k in settings}
     kwargs["alpha_levels"] = tuple(float(a) for a in settings["alpha_levels"])
     try:
@@ -1012,6 +1017,13 @@ def main(argv=None) -> int:
             required = ("kind", "m", "pi0", *_SIM_DEFAULTS)
         manifest = None
         if args.from_manifest:
+            # a replay runs the recorded settings and takes none of its own
+            defaults = vars(_parser().parse_args([args.command]))
+            for key, value in settings.items():
+                if value != defaults[key]:
+                    raise CliError(
+                        "usage", f"--from-manifest takes no settings; {key!r} was given"
+                    )
             manifest = _load_manifest(args.from_manifest, args.command)
             arguments = manifest["arguments"].items()
             settings = {k: v for k, v in arguments if k not in _IGNORED_KEYS}

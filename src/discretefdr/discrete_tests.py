@@ -132,7 +132,9 @@ class IngestSchema:
     that are summed on ingestion). ``min_total``/``max_total`` filter
     rows on each group's total (the count for ``bin``, the trials for
     ``fet``, the group sum for ``ent``); rows outside the range are
-    dropped and counted, and an empty range is refused.
+    dropped and counted, and an empty range is refused. Only ``fet``
+    takes ``trials``, and only ``ent`` takes ``size`` or ``reps`` other
+    than 1.
     """
 
     kind: str
@@ -147,10 +149,17 @@ class IngestSchema:
             raise ValueError(
                 f"unknown test kind {self.kind!r}; choose from bin, fet, ent"
             )
+        for name, value, default, reader in (
+            ("trials", self.trials, None, "fet"),
+            ("size", self.size, None, "ent"),
+            ("reps", self.reps, 1, "ent"),
+        ):
+            if value != default and self.kind != reader:
+                raise ValueError(
+                    f"{name} applies only to {reader} tables, not {self.kind}"
+                )
         if self.kind == "ent" and self.size is None:
             raise ValueError("ent ingestion requires size")
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
         if self.kind == "ent":
             _shape_total(self.size, self.reps)
         if self.trials is not None and self.trials < 0:

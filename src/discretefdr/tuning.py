@@ -14,7 +14,7 @@ from ``SeedSequence(seed)``. A resample's estimate at ``(lambda,
 epsilon)`` is ``(E - epsilon * G) / ((1 - lambda) * m)``, where ``E``
 sums the exceedance indicators ``1{p_i > lambda}`` and ``G`` the floor
 gaps ``lambda - floor_i`` over the resample. One
-``Study.exceedance_parts`` call on the ascending distinct lambdas, the
+``Study.exceedance_parts`` call on the distinct lambdas, the
 call that gives ``analyze`` and ``simulate`` their parts, writes each
 lambda's two rows of parts into one array, from floors found once per
 stored support; the array is used as it is. The index is

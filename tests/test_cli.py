@@ -598,7 +598,10 @@ def test_config_error_missing_key_and_bad_kind(tmp_path, capsys):
         ("analyze-ent", {}, ["--size", "inf"], "usage", "size"),
         ("analyze-ent", {}, ["--size", "1e308"], "usage", "size"),
         # ingest settings the schema refuses
-        ("analyze", {}, ["--reps", "0"], "usage", "reps must be at least 1"),
+        ("analyze", {}, ["--reps", "0"], "usage",
+         "reps applies only to ent tables, not bin"),
+        ("analyze-ent", {}, ["--size", "1", "--reps", "0"], "usage",
+         "reps must be at least 1"),
         ("analyze-ent", {}, [], "usage", "ent ingestion requires size"),
         ("simulate", {"kind": "negbinom_ent", "dispersion": float("inf")}, [],
          "config", "dispersion"),
@@ -651,7 +654,8 @@ def test_config_error_missing_key_and_bad_kind(tmp_path, capsys):
         "m-1", "lambda", "epsilon", "empty-roster", "sim-alpha", "analyze-alpha",
         "m-float", "lambda-text", "dispersion-0", "roster-text", "reps-text",
         "reps-per-group-0", "m-bool", "alphas-empty", "alphas-repeated",
-        "sim-alpha-repeated", "size-inf", "size-huge", "reps-0", "ent-no-size",
+        "sim-alpha-repeated", "size-inf", "size-huge", "reps-0", "ent-reps-0",
+        "ent-no-size",
         "dispersion-inf",
         "dispersion-tiny", "dispersion-1e308", "dispersion-1e40",
         "mean-negative", "mean-inf", "mean-file-negative", "mean-1e308",
@@ -687,6 +691,136 @@ def test_library_errors_print_one_error_line(
     assert stderr.count("\n") == 1 and stdout == ""
     assert [str(w.message) for w in recwarn] == []
     assert not out.exists()  # the error comes before any output
+
+
+@pytest.mark.parametrize("command", ["analyze", "tune"])
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--test", "bin", "--reps", "7", "--size", "3", "--trials", "4"], "trials"),
+        (["--test", "bin", "--reps", "7"], "reps applies only to ent tables, not bin"),
+        (["--test", "bin", "--size", "3"], "size applies only to ent tables, not bin"),
+        (["--test", "fet", "--trials", "30", "--reps", "2"],
+         "reps applies only to ent tables, not fet"),
+        (["--test", "fet", "--size", "3"], "size applies only to ent tables, not fet"),
+        (["--test", "ent", "--size", "1", "--trials", "4"],
+         "trials applies only to fet tables, not ent"),
+    ],
+    ids=["bin-all", "bin-reps", "bin-size", "fet-reps", "fet-size", "ent-trials"],
+)
+def test_settings_of_other_kinds_are_refused_before_the_table_is_read(
+    command, flags, named, tmp_path, capsys
+):
+    """A count setting that the test kind does not read is a usage error
+    naming it, before the table is read: here the table does not exist."""
+    out = tmp_path / "out"
+    argv = [command, str(tmp_path / "missing.csv"), *flags, "--out", str(out)]
+    code, stdout, stderr = run(argv, capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert stderr.startswith("error:usage: ") and named in stderr
+    assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"mean_file": "nonexistent.txt"},
+         "'mean_file' is not read by kind 'poisson_bin'"),
+        ({"dispersion": 5, "theta2_transform": "cap"},
+         "'dispersion' is not read by kind 'poisson_bin'"),
+        ({"theta2_transform": "cap"},
+         "'theta2_transform' is not read by kind 'poisson_bin'"),
+        ({"theta_high": 1.5}, "'theta_high' is not read by kind 'poisson_bin'"),
+        ({"kind": "binomial_fet", "pareto_shape": 2.0},
+         "'pareto_shape' is not read by kind 'binomial_fet'"),
+        ({"kind": "binomial_fet", "mean_low": 1.0},
+         "'mean_low' is not read by kind 'binomial_fet'"),
+        ({"kind": "negbinom_ent", "rho_low": 1.0},
+         "'rho_low' is not read by kind 'negbinom_ent'"),
+        ({"kind": "negbinom_ent", "trials_size": 3.0},
+         "'trials_size' is not read by kind 'negbinom_ent'"),
+    ],
+    ids=[
+        "bin-mean-file", "bin-dispersion", "bin-transform", "bin-theta-high",
+        "fet-pareto", "fet-mean", "ent-rho-low", "ent-trials",
+    ],
+)
+def test_simulate_refuses_config_keys_its_kind_does_not_read(
+    config, named, sim_config, tmp_path, capsys
+):
+    """A config key that the scenario's kind does not read is a config
+    error naming the key and the kind, in a fresh run and in the replay
+    of a manifest that records it; no mean file is read for it."""
+    base = json.loads(Path(sim_config).read_text())
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**base, **config}))
+    out = tmp_path / "out"
+    code, stdout, stderr = run(["simulate", str(path), "--out", str(out)], capsys)
+    assert code == 1 and stdout == "" and not out.exists()
+    assert stderr == f"error:config: config key {named}\n"
+
+    fresh = {**base, "kind": config.get("kind", base["kind"])}
+    path.write_text(json.dumps(fresh))
+    assert run(["simulate", str(path), "--out", str(tmp_path / "a")], capsys)[0] == 0
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    manifest["arguments"].update(config)
+    parent = tmp_path / "parent.json"
+    parent.write_text(json.dumps(manifest))
+    code, stdout, stderr = run(
+        ["simulate", "--from-manifest", str(parent), "--out", str(out)], capsys
+    )
+    assert code == 1 and stdout == "" and not out.exists()
+    assert stderr == f"error:config: config key {named}\n"
+
+
+@pytest.mark.parametrize(
+    "command, flags, named",
+    [
+        ("simulate", ["--seed", "9", "--reps", "5", "--alpha", "0.3"], "'seed'"),
+        ("simulate", ["--alpha", "0.3"], "'alpha'"),
+        ("simulate", ["{config}"], "'config'"),
+        ("tune", ["--B", "7", "--point", "0.1,0", "--seed", "3"], "'points'"),
+        ("tune", ["--B", "7"], "'B'"),
+        ("tune", ["--lambdas", "0.5"], "'lambdas'"),
+        ("analyze", ["--lambda", "0.3", "--alpha", "0.2", "--test", "fet"], "'test'"),
+        ("analyze", ["--alpha", "0.2"], "'alphas'"),
+        ("analyze", ["--min-total", "0"], "'min_total'"),
+        ("analyze", ["{other}"], "'counts'"),
+    ],
+    ids=[
+        "simulate-all", "simulate-alpha", "simulate-config", "tune-all", "tune-B",
+        "tune-lambdas", "analyze-all", "analyze-alpha", "analyze-min-total",
+        "analyze-counts",
+    ],
+)
+def test_a_replay_takes_no_settings(
+    command, flags, named, bin_file, sim_config, tmp_path, capsys
+):
+    """``--from-manifest`` with any setting that differs from its default
+    is a usage error naming the setting; a setting at its default is
+    taken, and ``--out`` stays required."""
+    first = {
+        "analyze": ["analyze", bin_file, "--test", "bin"],
+        "simulate": ["simulate", sim_config],
+        "tune": ["tune", bin_file, "--test", "bin", "--B", "5"],
+    }[command]
+    assert run(first + ["--out", str(tmp_path / "a")], capsys)[0] == 0
+    manifest = str(tmp_path / "a" / "manifest.json")
+    other = tmp_path / "other.csv"
+    other.write_text(BIN_COUNTS)
+    flags = [f.format(config=sim_config, other=other) for f in flags]
+    replay = [command, "--from-manifest", manifest]
+    out = tmp_path / "out"
+    code, stdout, stderr = run(replay + flags + ["--out", str(out)], capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert stderr.startswith("error:usage: ") and named in stderr
+    assert stderr.count("\n") == 1
+
+    code, _, stderr = run(replay, capsys)
+    assert code == 2 and stderr == "error:usage: --out is required\n"
+    default = {"analyze": ["--lambda", "0.5"], "simulate": [], "tune": ["--B", "100"]}
+    code, _, stderr = run(replay + default[command] + ["--out", str(out)], capsys)
+    assert code == 0, stderr
 
 
 @pytest.mark.parametrize("command", ["analyze", "tune"])
@@ -1092,21 +1226,19 @@ def test_analyze_rejects_totals_beyond_the_limit(row, total, tmp_path, capsys):
 
 def _assert_formats_as_percent(values):
     """``_float_cells`` and ``_format_floats`` give the bytes of
-    ``"%.9g" % x`` for every value, and ``NA`` for NaN, and their
-    lengths; ``_format_floats`` ends each value with the one terminator
-    given, or with its own byte of a terminator array."""
+    ``"%.9g" % x`` for every value, and ``NA`` for NaN, and
+    ``_float_cells`` the width of each; ``_format_floats`` ends each
+    value with the one terminator given, or with its own byte of a
+    terminator array."""
     x = np.asarray(values, dtype=np.float64)
     expected = ["NA" if v != v else "%.9g" % v for v in x.tolist()]
     cells, width = cli._float_cells(x)
     assert cells == expected and width.tolist() == list(map(len, expected))
-    text, length = cli._format_floats(x, ";")
-    assert text == "".join(e + ";" for e in expected)
-    assert length.tolist() == list(map(len, expected))
+    assert cli._format_floats(x, ";") == "".join(e + ";" for e in expected)
     rng = np.random.default_rng(x.shape[0])
     ends = rng.choice(np.frombuffer(b";\n,", dtype=np.uint8), x.shape[0])
-    text, length = cli._format_floats(x, ends)
+    text = cli._format_floats(x, ends)
     assert text == "".join(e + chr(c) for e, c in zip(expected, ends.tolist()))
-    assert length.tolist() == list(map(len, expected))
 
 
 def test_formatter_matches_percent_on_random_values():
@@ -1192,9 +1324,9 @@ def test_formatter_across_chunks(offset):
 
 
 def test_formatter_on_no_values():
-    assert cli._float_cells([])[0] == []
-    text, length = cli._format_floats(np.empty(0), ";")
-    assert text == "" and length.shape == (0,)
+    cells, width = cli._float_cells([])
+    assert cells == [] and width.shape == (0,)
+    assert cli._format_floats(np.empty(0), ";") == ""
 
 
 def _fet_counts(m, rng):

@@ -306,13 +306,27 @@ def test_ingest_ent_requires_size():
     "settings, message",
     [
         ({"kind": "xyz"}, "unknown test kind 'xyz'; choose from bin, fet, ent"),
-        ({"kind": "bin", "reps": 0}, "reps must be at least 1"),
+        ({"kind": "bin", "reps": 0}, "reps applies only to ent tables, not bin"),
         ({"kind": "ent", "size": 0.7, "reps": -2}, "reps must be at least 1"),
+        ({"kind": "ent", "size": 0.7, "reps": 0}, "reps must be at least 1"),
         ({"kind": "ent"}, "ent ingestion requires size"),
         ({"kind": "fet", "min_total": 5, "max_total": 2},
          "min_total 5 exceeds max_total 2"),
+        # a setting is taken only by the kinds that read it
+        ({"kind": "bin", "reps": 7}, "reps applies only to ent tables, not bin"),
+        ({"kind": "fet", "trials": 30, "reps": 2},
+         "reps applies only to ent tables, not fet"),
+        ({"kind": "bin", "size": 3.0}, "size applies only to ent tables, not bin"),
+        ({"kind": "fet", "size": 3.0}, "size applies only to ent tables, not fet"),
+        ({"kind": "bin", "trials": 4}, "trials applies only to fet tables, not bin"),
+        ({"kind": "ent", "size": 0.7, "trials": 4},
+         "trials applies only to fet tables, not ent"),
     ],
-    ids=["unknown-kind", "reps-0", "ent-reps-negative", "ent-no-size", "empty-range"],
+    ids=[
+        "unknown-kind", "reps-0", "ent-reps-negative", "ent-reps-0", "ent-no-size",
+        "empty-range", "bin-reps", "fet-reps", "bin-size", "fet-size", "bin-trials",
+        "ent-trials",
+    ],
 )
 def test_ingest_schema_refusals(settings, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

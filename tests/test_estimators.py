@@ -320,14 +320,10 @@ def test_support_statistics_match_per_hypothesis_loop(kind):
     )
 
 
-@pytest.mark.parametrize("kind", ["empty", "nonempty", "mixed", "kernel"])
-def test_grid_floors_match_per_lambda_floors_bitwise(kind):
-    """An ascending array of lambdas gives one row of floors per lambda,
-    each bitwise the floors of that lambda alone and the per-hypothesis
-    loop's: with every support empty (no support point at all), some or
-    none empty, and lambdas at 0, on support points, just below them and
-    repeated."""
-    rng = np.random.default_rng(44)
+def _floor_study(kind, rng):
+    """A study of supports all empty (no support point at all), some
+    empty, none empty, or from a kernel, and up to 8 of its support
+    points below 1."""
     if kind == "mixed":
         study = _mixed_study(rng)
     elif kind == "kernel":
@@ -338,7 +334,17 @@ def test_grid_floors_match_per_lambda_floors_bitwise(kind):
     flat = study.support_flat
     assert (flat.shape[0] == 0) == (kind == "empty")
     points = rng.choice(flat, 8) if flat.shape[0] else np.empty(0)
-    points = points[points < 1.0]
+    return study, points[points < 1.0]
+
+
+@pytest.mark.parametrize("kind", ["empty", "nonempty", "mixed", "kernel"])
+def test_grid_floors_match_per_lambda_floors_bitwise(kind):
+    """An ascending array of lambdas gives one row of floors per lambda,
+    each bitwise the floors of that lambda alone and the per-hypothesis
+    loop's: with every support empty, some or none empty, and lambdas at
+    0, on support points, just below them and repeated."""
+    rng = np.random.default_rng(44)
+    study, points = _floor_study(kind, rng)
     fixed = [0.0, 0.0, 0.05, 0.5, 0.5, np.nextafter(1.0, 0.0)]
     lams = np.sort(np.concatenate([fixed, points, np.nextafter(points, 0.0)]))
     grid = study.support_floor(lams)
@@ -351,11 +357,26 @@ def test_grid_floors_match_per_lambda_floors_bitwise(kind):
     assert study.support_floor(lams[:0]).shape == (0, study.m)
 
 
-@pytest.mark.parametrize("lams", [[0.5, 0.2], [[0.2, 0.5]]])
-def test_grid_floors_refuse_lambdas_out_of_order(lams):
+@pytest.mark.parametrize("kind", ["empty", "mixed", "kernel"])
+def test_grid_floors_take_lambdas_in_any_order(kind):
+    """An array of lambdas out of order and with repeats gives each
+    lambda's floors and parts, bitwise those of that lambda alone."""
+    rng = np.random.default_rng(45)
+    study, points = _floor_study(kind, rng)
+    fixed = [0.9, 0.0, 0.5, 0.2, 0.5, 0.0, np.nextafter(1.0, 0.0)]
+    lams = np.concatenate([fixed, points, points[::-1], np.nextafter(points, 0.0)])
+    assert np.any(np.diff(lams) < 0)
+    grid = study.support_floor(lams)
+    parts = study.exceedance_parts(lams)
+    for at, lam in enumerate(lams.tolist()):
+        assert grid[at].tobytes() == study.support_floor(lam).tobytes()
+        assert parts[at].tobytes() == study.exceedance_parts(lam).tobytes()
+
+
+def test_grid_floors_refuse_an_array_of_two_dimensions():
     study = random_study(np.random.default_rng(45), 10)
-    with pytest.raises(ValueError, match="ascending"):
-        study.support_floor(np.array(lams))
+    with pytest.raises(ValueError, match="1-D"):
+        study.support_floor(np.array([[0.2, 0.5]]))
 
 
 def test_study_stores_each_distinct_support_once():
